@@ -10,8 +10,9 @@ distances precomputed, no trainer, no trimming — at n ∈ {100, 1000} so a
 kernel-level regression is attributable without re-running the matrix.
 
 All assertions are same-machine wall-clock ratios (min over repeats, the
-same idiom as the distance-cache microbench), never raw seconds, with the
-winner sequences asserted identical so the comparison stays honest.
+same idiom as the distance-cache microbench — except the seconds-long n = 1000
+loop arm, timed once against a 30x floor), never raw seconds, with the winner
+sequences asserted identical so the comparison stays honest.
 """
 
 from __future__ import annotations
@@ -45,17 +46,21 @@ def _bulyan_arms(n: int):
     return loop, vectorised
 
 
-def test_bulyan_selection_kernel_is_at_least_3x_at_n_1000():
+def test_bulyan_selection_kernel_is_at_least_30x_at_n_1000():
     loop, vectorised = _bulyan_arms(1000)
-    np.testing.assert_array_equal(vectorised(), loop())
-    loop_s = min(timeit.repeat(loop, number=1, repeat=3))
+    # The seconds-long loop arm runs once: the run that is timed also
+    # supplies the winners the kernel is checked against.
+    start = timeit.default_timer()
+    expected = loop()
+    loop_s = timeit.default_timer() - start
+    np.testing.assert_array_equal(vectorised(), expected)
     vec_s = min(timeit.repeat(vectorised, number=1, repeat=3))
     speedup = loop_s / vec_s
     print(f"\nbulyan selection n=1000: loop {loop_s:.3f}s, "
           f"vectorised {vec_s:.3f}s, {speedup:.1f}x")
-    assert speedup >= 3.0, (
-        f"vectorised Bulyan selection is only {speedup:.2f}x the loop at "
-        "n=1000; the >=3x kernel-level floor is the satellite criterion"
+    assert speedup >= 30.0, (
+        f"update-only Bulyan selection is only {speedup:.2f}x the loop at "
+        "n=1000; the tail-table kernel measured ~65x when it landed"
     )
 
 

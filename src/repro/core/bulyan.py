@@ -21,13 +21,21 @@ update the scores"):
 * the ``(n, n)`` pairwise distance matrix is computed **once**; every
   selection iteration merely restricts the score reduction to the still-active
   rows and never recomputes the ``O(n^2 d)`` distances;
-* the default selection path is the vectorised
-  :func:`repro.core.kernels.bulyan_select` kernel: after the first ``f + 1``
-  rounds the neighbour count equals the remaining pool size minus one, so
-  each score is a plain masked row sum and the per-round work collapses to
-  one O(n) column subtraction ("the next iterations only update the
-  scores").  The per-round rescan loop below is retained as the
-  ``selection_mode="loop"`` reference and test oracle;
+* the default selection path is the update-only
+  :func:`repro.core.kernels.bulyan_select` kernel, which takes that sentence
+  literally from round 0.  With ``r`` gradients extracted, a score sums the
+  ``n - f - 2`` smallest of the ``n - r - 1`` remaining distances of a row,
+  i.e. *all* of them but the ``e = max(f + 1 - r, 0)`` largest — and those
+  are the first ``e`` not-yet-extracted entries of the row's **tail table**,
+  its ``f + 1`` largest distances sorted once up front (at most ``r`` of the
+  ``f + 1`` are gone, and nothing outside the table exceeds an entry inside
+  it).  So ``score = running row sum - first e remaining tail entries``:
+  each round subtracts the winner's column from the row sums, O(n), plus
+  O(n f) of tail-table reads while ``e > 0`` — no round rescans or copies
+  the remaining submatrix.  The per-round rescan loop below is retained as
+  the ``selection_mode="loop"`` reference and test oracle, and is what the
+  kernel re-runs, for the tied rows only, when a round's minimum is not
+  provably unique under its rounding bound;
 * the number of neighbours entering each score is the Multi-Krum value
   ``n - f - 2`` fixed from the *original* ``n`` (clamped to the remaining pool
   size), so the first iteration is exactly Multi-Krum's scoring pass;

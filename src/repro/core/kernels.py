@@ -91,17 +91,35 @@ def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:
     other row (and from each other), so that selection-based rules never pick
     them.  The diagonal is zero.
     """
-    finite_rows = np.isfinite(matrix).all(axis=1)
-    safe = np.where(np.isfinite(matrix), matrix, 0.0)
+    finite = np.isfinite(matrix)
+    all_finite = bool(finite.all())
+    # Copy only to zero non-finite entries or to promote integer input.
+    as_is = all_finite and matrix.dtype.kind == "f"
+    safe = matrix if as_is else np.where(finite, matrix, 0.0)
     sq_norms = np.einsum("ij,ij->i", safe, safe)
-    dist = sq_norms[:, None] + sq_norms[None, :] - 2.0 * (safe @ safe.T)
+    gram = safe @ safe.T  # (sq_i + sq_j) - 2 * gram, in that order, in place
+    gram *= 2.0
+    dist = sq_norms[:, None] + sq_norms[None, :]
+    np.subtract(dist, gram, out=dist)
     np.maximum(dist, 0.0, out=dist)  # clip tiny negatives from round-off
-    if not finite_rows.all():
-        bad = ~finite_rows
+    if not all_finite:
+        bad = ~finite.all(axis=1)
         dist[bad, :] = np.inf
         dist[:, bad] = np.inf
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def _partition_sum(block: np.ndarray, num_neighbours: int) -> np.ndarray:
+    """Per-row sum of the ``num_neighbours`` smallest entries, capped at HUGE.
+
+    In place on *block*, which the caller owns and whose self-distances it has
+    set to ``+inf``.  Rows are partitioned and summed independently, so a row
+    scores the same bits whichever other rows share the block.
+    """
+    np.minimum(block, HUGE, out=block)
+    block.partition(num_neighbours - 1, axis=1)
+    return block[:, :num_neighbours].sum(axis=1)
 
 
 def neighbour_sum_scores(distances: np.ndarray, num_neighbours: int) -> np.ndarray:
@@ -109,7 +127,7 @@ def neighbour_sum_scores(distances: np.ndarray, num_neighbours: int) -> np.ndarr
 
     This is the Krum score reduction: the diagonal (self-distance) is
     excluded, infinite distances saturate at :data:`HUGE` so the sum stays
-    finite, and ``np.partition`` keeps the reduction linear per row.
+    finite, and the partition keeps the reduction linear per row.
     """
     n = distances.shape[0]
     if not 1 <= num_neighbours <= n - 1:
@@ -119,9 +137,7 @@ def neighbour_sum_scores(distances: np.ndarray, num_neighbours: int) -> np.ndarr
         )
     off_diag = distances.copy()
     np.fill_diagonal(off_diag, np.inf)
-    capped = np.minimum(off_diag, HUGE)
-    part = np.partition(capped, num_neighbours - 1, axis=1)[:, :num_neighbours]
-    return part.sum(axis=1)
+    return _partition_sum(off_diag, num_neighbours)
 
 
 def trimmed_mean_around_median(selection: np.ndarray, beta: int) -> np.ndarray:
@@ -216,31 +232,32 @@ def multi_krum_select(scores: np.ndarray, m: int) -> np.ndarray:
 
 
 def bulyan_select(distances: np.ndarray, f: int, theta: int) -> np.ndarray:
-    """Vectorised iterated-Krum extraction of ``theta`` rows (Bulyan phase 1).
+    """Iterated-Krum extraction of ``theta`` rows (Bulyan phase 1), update-only.
 
     Matches the reference per-round rescan (``bulyan._bulyan_selection``)
-    winner for winner while replacing its ``O(theta * a^2)`` submatrix
-    copies with masked updates on the full capped matrix:
+    winner for winner without ever rescanning the remaining submatrix.  In
+    round ``r`` (``r`` rows extracted so far) the Krum score of a remaining row
+    is the sum of its ``n - f - 2`` smallest remaining off-diagonal distances:
+    its sum over *all* remaining entries minus its ``e = max(f + 1 - r, 0)``
+    largest remaining ones.  Those are the first ``e`` still-remaining entries
+    of the row's **tail table** — its ``f + 1`` largest off-diagonal distances
+    in the full matrix, descending — because at most ``r`` of the ``f + 1``
+    have been extracted and no entry outside the table exceeds one inside it:
 
-    * the first ``f + 1`` rounds still have more remaining rows than the
-      ``n - f - 2`` score neighbours, so each performs one submatrix
-      partition pass — bit-identical scores to the reference;
-    * every later round has ``q = a - 1``: the score *is* the row's sum
-      over all remaining off-diagonal entries, so the loop degenerates to
-      one vectorised initial sum plus an O(n) subtraction of the winner's
-      column per round ("the next iterations only update the scores").
+        ``score_r(i) = rowsum_r(i) - sum(first e remaining tail entries of i)``
 
-    The subtraction path accumulates float rounding differently from the
-    reference's fresh partition sums, so each round guards its ``argmin``
-    with a rigorous error bound: whenever a second row's running score
-    lies within the combined bound of the minimum — an exact tie (the
-    final two-row round always is; duplicate or :data:`HUGE`-saturated
-    quarantined rows often are) or a gap smaller than the accumulated
-    drift — the round falls back to the reference's own
-    :func:`neighbour_sum_scores` pass on the remaining submatrix, making
-    the winner sequence identical to the loop in every case.  Real
-    gradient scores are separated by far more than the bound, so the
-    fallback never fires on the hot path.
+    with ``rowsum`` maintained by subtracting each winner's column ("the
+    next iterations only update the scores"): one argpartition and one sum
+    over the matrix, then O(n f) for each of the first ``f + 1`` rounds and
+    O(n) for every later one (``e = 0``) — O(n^2 + theta n) in all.
+
+    The running differences round differently from the reference's fresh
+    partition sums, so every ``argmin`` is guarded by a rigorous drift bound.
+    A round whose minimum is not provably unique — an exact tie (colluding or
+    duplicate rows, the final two-row round, rows saturated by :data:`HUGE`
+    distances to quarantined ones) or a gap inside the bound — is re-decided
+    by the reference reduction itself on the rows inside the bound only: they
+    score the same bits as in a full pass, every other row is provably larger.
     """
     n = distances.shape[0]
     n_neighbors = n - f - 2
@@ -252,66 +269,49 @@ def bulyan_select(distances: np.ndarray, f: int, theta: int) -> np.ndarray:
         raise ResilienceConditionError(
             f"Bulyan selection needs 1 <= theta <= n, got theta={theta} for n={n}"
         )
-    # Same capping convention as neighbour_sum_scores: diagonal excluded via
-    # +inf then saturated to HUGE alongside the infinite cross-distances.
+    tail = f + 1
+    # Capped as in neighbour_sum_scores.  The diagonal is kept out of the tail
+    # tables (-1 sorts below every distance), then zeroed for the row sums.
     capped = np.minimum(distances, HUGE)
-    np.fill_diagonal(capped, HUGE)
-    selected = np.empty(theta, dtype=np.intp)
+    np.fill_diagonal(capped, -1.0)
+    # simlint: disable=SIM301 only the tail *values* enter a score, and every
+    # valid top-(f+1) set of a row holds the same values whichever tied column
+    # the partition kept; each winner is guarded against the reference anyway.
+    tail_cols = np.argpartition(capped, n - tail, axis=1)[:, n - tail:]
+    tail_vals = np.take_along_axis(capped, tail_cols, axis=1)
+    order = np.argsort(-tail_vals, axis=1, kind="stable")
+    tail_cols = np.take_along_axis(tail_cols, order, axis=1)
+    tail_vals = np.take_along_axis(tail_vals, order, axis=1)
+    np.fill_diagonal(capped, 0.0)
+    row_sums = capped.sum(axis=1)
+    # Drift bound per row: every term is non-negative, so all intermediate
+    # magnitudes stay below the initial row sum S0 and the classic summation
+    # bound gives |computed - exact| <= operations * eps * S0, with at most
+    # 2n + 1 operations here and under n in the reference's fresh sums.
+    err_bound = 4.0 * n * np.finfo(np.float64).eps * row_sums
     active = np.ones(n, dtype=bool)
-    rounds = 0
-    remaining_size = n
-    # Phase 1: the neighbour count still bites (q = n_neighbors < a - 1).
-    # Exactly f + 1 rounds — the reference partition pass, bit for bit.
-    while rounds < theta and n_neighbors < remaining_size - 1:
-        remaining = np.flatnonzero(active)
-        sub = capped[np.ix_(remaining, remaining)]
-        part = np.partition(sub, n_neighbors - 1, axis=1)[:, :n_neighbors]
-        scores = part.sum(axis=1)
-        winner = remaining[int(np.argmin(scores))]
+    selected = np.empty(theta, dtype=np.intp)
+    for rounds in range(theta):
+        excluded = tail - rounds
+        scores = row_sums  # +inf on extracted rows
+        if excluded > 0:
+            alive = active[tail_cols]
+            largest = alive & (np.cumsum(alive, axis=1, dtype=np.int32) <= excluded)
+            scores = row_sums - np.add.reduce(tail_vals, axis=1, where=largest)
+        winner = int(np.argmin(scores))
+        near = np.flatnonzero(scores <= scores[winner] + err_bound + err_bound[winner])
+        if near.size > 1:
+            # Not provably the reference winner: score the rows inside the
+            # bound exactly as the reference loop does, first minimum wins.
+            remaining = np.flatnonzero(active)
+            block = distances[np.ix_(near, remaining)]
+            block[np.arange(near.size), np.searchsorted(remaining, near)] = np.inf
+            exact = _partition_sum(block, min(n_neighbors, remaining.size - 1))
+            winner = int(near[int(np.argmin(exact))])
         selected[rounds] = winner
         active[winner] = False
-        remaining_size -= 1
-        rounds += 1
-    if rounds < theta:
-        # Phase 2: q == a - 1 from here on, so each row's score is its sum
-        # over *all* remaining off-diagonal entries.  One vectorised initial
-        # reduction, then O(n) per round: subtract the winner's column.
-        # The diagonal must contribute exactly zero to the sums (subtracting
-        # HUGE afterwards would cancel every smaller term), so it is zeroed
-        # now that the partition rounds no longer need it excluded-by-inf.
-        np.fill_diagonal(capped, 0.0)
-        remaining = np.flatnonzero(active)
-        scores_full = np.full(n, np.inf)
-        scores_full[remaining] = capped[np.ix_(remaining, remaining)].sum(axis=1)
-        # Per-row drift bound for the running sums: every term is
-        # non-negative, so all intermediate magnitudes are bounded by the
-        # initial sum and the classic summation bound gives
-        # |computed - exact| <= ~(terms + subtractions) * eps * S0 — the
-        # reference's own fresh partition sums stay inside the same bound.
-        err = 4.0 * n * np.finfo(np.float64).eps * scores_full[remaining]
-        err_bound = np.zeros(n)
-        err_bound[remaining] = err
-        while rounds < theta:
-            winner = int(np.argmin(scores_full))
-            near = active & (
-                scores_full <= scores_full[winner] + err_bound + err_bound[winner]
-            )
-            if int(near.sum()) > 1:
-                # The argmin is not provably the reference winner: an exact
-                # tie, or a gap inside the drift bound.  Re-run this round
-                # exactly as the reference loop does.
-                rem = np.flatnonzero(active)
-                if rem.size == 1:
-                    winner = int(rem[0])
-                else:
-                    sub = distances[np.ix_(rem, rem)]
-                    exact = neighbour_sum_scores(sub, rem.size - 1)
-                    winner = int(rem[int(np.argmin(exact))])
-            selected[rounds] = winner
-            active[winner] = False
-            scores_full -= capped[:, winner]
-            scores_full[winner] = np.inf
-            rounds += 1
+        row_sums -= capped[:, winner]
+        row_sums[winner] = np.inf
     return selected
 
 

@@ -73,6 +73,7 @@ Run directly for the CI jobs::
 from __future__ import annotations
 
 import argparse
+import gc
 import platform
 import statistics
 import sys
@@ -302,13 +303,17 @@ def _run_arm(
     Every repeat rebuilds the trainer (same seed, identical trajectory) and
     times only :meth:`~repro.cluster.trainer.BaseTrainer.run`.  The
     profiler / tracemalloc passes run *outside* the timed repeats so their
-    instrumentation cost never contaminates the wall-clock numbers.
+    instrumentation cost never contaminates the wall-clock numbers.  Each
+    measured run starts from a collected heap: the cyclic garbage of the
+    preceding 10k-worker trainers otherwise gets collected inside whichever
+    run comes next (seen as a one-off collapse of the profiled split).
     """
     config = TrainerConfig(max_steps=scenario["max_steps"], eval_every=0)
     wall_clocks: List[float] = []
     trainer = None
     for _ in range(repeats):
         trainer = _build(scenario, arm)
+        gc.collect()
         # simlint: disable=SIM101 the perf harness measures host wall clock
         # by design; its numbers are reporting artefacts, never inputs to
         # the (fully deterministic) simulation itself.
@@ -342,6 +347,7 @@ def _run_arm(
     if profile_split:
         profiler = SimProfiler()
         profiled = _build(scenario, arm, profiler=profiler)
+        gc.collect()
         profiler.start_run()
         try:
             profiled.run(config)
@@ -350,6 +356,7 @@ def _run_arm(
         summary["subsystems"] = profiler.to_dict()
     if measure_heap:
         heap_trainer = _build(scenario, arm)
+        gc.collect()
         tracemalloc.start()
         try:
             heap_trainer.run(config)

@@ -12,6 +12,12 @@ resilience edges, and ``f = 0`` — asserting winner-for-winner identical
 selections.  The Multi-Krum stable tie-break fix is pinned by a frozen
 construction whose boundary tie the old ``argpartition`` selection left
 to the partition's internal arrangement.
+
+``bulyan_select`` is update-only (tail tables + running row sums, see its
+docstring): a second grid walks both sides of its ``e = 0`` boundary on the
+attack library's colluding shape, and three tests pin its exact re-decision
+— how often it fires, that it scores only the rows inside the drift bound,
+and that a row scores the same bits alone as in the reference's full pass.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.brute import Brute
 from repro.core.bulyan import Bulyan, _bulyan_selection
 from repro.core.kernels import (
@@ -30,10 +37,12 @@ from repro.core.kernels import (
     bulyan_select,
     combination_table,
     multi_krum_select,
+    neighbour_sum_scores,
     pairwise_squared_distances,
 )
 from repro.core.krum import MultiKrum
 from repro.exceptions import ResilienceConditionError
+from tests.test_core_kernels import oracle_bulyan
 
 
 @st.composite
@@ -102,6 +111,122 @@ def test_bulyan_select_minimum_n_edge():
             bulyan_select(distances, f, theta),
             _bulyan_selection(matrix, f, theta, distances=distances),
         )
+
+
+def colluding_matrix(rng, n, num_byzantine, d=6):
+    """Honest Gaussian rows behind *num_byzantine* identical sign-flip rows.
+
+    The attack library's shape (``SignFlipAttack`` tiles one crafted row), and
+    the benchmark's ``bulyan_attack_600``: the copies tie exactly, every round.
+    """
+    matrix = rng.standard_normal((n, d))
+    matrix[:num_byzantine] = -matrix[num_byzantine:].mean(axis=0)
+    return matrix
+
+
+@st.composite
+def tail_table_cases(draw):
+    """``(matrix, f, theta)`` with theta on both sides of the tail-table rounds."""
+    f = draw(st.integers(0, 5))
+    n = draw(st.one_of(st.just(4 * f + 3), st.integers(4 * f + 3, 4 * f + 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    kind = draw(st.sampled_from(["colluding", "grid", "laced", "normal"]))
+    if kind == "colluding":
+        matrix = colluding_matrix(rng, n, draw(st.integers(2, max(2, f))))
+    elif kind == "grid":
+        # Rounded to a coarse grid: squared distances are exact multiples of
+        # 1/16, so equal scores are exact ties in any summation order.
+        matrix = np.round(rng.standard_normal((n, 3)) * 2.0) / 4.0
+    else:
+        matrix = rng.standard_normal((n, 5))
+    if kind == "laced":
+        rows = rng.choice(n, size=draw(st.integers(1, max(1, f))), replace=False)
+        matrix[rows] = rng.choice([np.nan, np.inf, -np.inf], size=(rows.size, 1))
+    # 1, the last tail-table round, the first plain-row-sum round (e = 0) and
+    # the rule's own theta, which is n itself when f = 0.
+    theta = draw(st.sampled_from([1, f + 1, f + 2, n - 2 * f]))
+    return matrix, f, theta
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=tail_table_cases())
+def test_bulyan_select_tail_tables_match_loop_reference(case):
+    matrix, f, theta = case
+    distances = pairwise_squared_distances(matrix)
+    np.testing.assert_array_equal(
+        bulyan_select(distances, f, theta),
+        _bulyan_selection(matrix, f, theta, distances=distances),
+    )
+
+
+def select_counting_redecisions(monkeypatch, distances, f, theta):
+    """``bulyan_select``'s winners and the row count of every block it re-scored."""
+    blocks = []
+    partition_sum = kernels._partition_sum
+
+    def counting(block, num_neighbours):
+        blocks.append(block.shape[0])
+        return partition_sum(block, num_neighbours)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_partition_sum", counting)
+        selected = bulyan_select(distances, f, theta)
+    return selected, blocks
+
+
+def test_exact_redecision_never_fires_on_generic_input(monkeypatch):
+    n, f = 200, 10
+    matrix = np.random.default_rng(200).standard_normal((n, 16))
+    distances = pairwise_squared_distances(matrix)
+    selected, blocks = select_counting_redecisions(monkeypatch, distances, f, n - 2 * f)
+    assert blocks == []
+    np.testing.assert_array_equal(
+        selected, _bulyan_selection(matrix, f, n - 2 * f, distances=distances)
+    )
+
+
+def test_exact_redecision_scores_only_the_tied_colluding_rows(monkeypatch):
+    n, f = 200, 10
+    matrix = colluding_matrix(np.random.default_rng(201), n, f, d=16)
+    distances = pairwise_squared_distances(matrix)
+    selected, blocks = select_counting_redecisions(monkeypatch, distances, f, n - 2 * f)
+    # One re-decision per round in which two or more copies are still tied —
+    # at most f - 1 rounds — over the tied copies alone, never the pool.
+    assert 1 <= len(blocks) <= f - 1
+    assert max(blocks) <= f
+    np.testing.assert_array_equal(
+        selected, _bulyan_selection(matrix, f, n - 2 * f, distances=distances)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=selection_matrices(min_n=4, max_n=24), seed=st.integers(0, 2**31))
+def test_row_subset_scores_are_bit_identical_to_the_full_pass(matrix, seed):
+    """What lets ``bulyan_select`` re-score only the rows inside its bound."""
+    n = matrix.shape[0]
+    rng = np.random.default_rng(seed)
+    distances = pairwise_squared_distances(matrix)
+    remaining = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    positions = np.sort(rng.choice(
+        remaining.size, size=int(rng.integers(1, remaining.size + 1)), replace=False
+    ))
+    num_neighbours = int(rng.integers(1, remaining.size))
+    full = neighbour_sum_scores(distances[np.ix_(remaining, remaining)], num_neighbours)
+    block = distances[np.ix_(remaining[positions], remaining)]
+    block[np.arange(positions.size), positions] = np.inf
+    subset = kernels._partition_sum(block, num_neighbours)
+    np.testing.assert_array_equal(subset, full[positions])
+
+
+def test_bulyan_matches_frozen_oracle_at_benchmark_scale():
+    # bulyan_attack_600's shape: 600 workers, 20 colluding sign-flip rows,
+    # d = 55, against the frozen pre-refactor rescan loop.
+    n, f = 600, 20
+    matrix = colluding_matrix(np.random.default_rng(600), n, f, d=55)
+    expected, expected_selection = oracle_bulyan(matrix, f)
+    result = Bulyan(f=f).aggregate_detailed(matrix)
+    np.testing.assert_array_equal(result.selected_indices, expected_selection)
+    np.testing.assert_array_equal(result.gradient, expected)
 
 
 def test_bulyan_select_rejects_invalid_shapes():
