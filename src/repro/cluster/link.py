@@ -31,6 +31,33 @@ piecewise between membership changes — the discrete-event contract of
 :mod:`repro.cluster.events` holds (the event loop advances the scheduler at
 every open and completion, never mid-interval).
 
+Complexity
+----------
+With ``n`` sessions on a pipe, sessions whose bytes have drained wait out
+their latency on a min-heap keyed ``(arrival, session_id)``: landing one is
+O(log n), :meth:`~LinkScheduler.pop_completed` is O(log n) per session it
+returns and O(1) when nothing is due, and reading the earliest arrival is
+O(1).  What the draining side costs depends on the discipline:
+
+``fifo``
+    Only the head of the queue drains, at a rate fixed by the pipe and its
+    own cap, so a drain step and :meth:`~LinkScheduler.next_completion` are
+    O(1) and a pipe that carries ``n`` sessions costs O(n log n) in all.
+    ``next_completion`` does *not* project the sessions queued behind the
+    head: each one's arrival is the head's drain completion plus the
+    non-negative drain times and latencies still ahead of it, and float
+    addition of non-negative terms is monotone, so such a projection can
+    never be the minimum — the head's drain completion already is a
+    candidate.
+``fair`` / ``none``
+    Every arrival and departure changes every session's rate (``fair``) or
+    may be any session's completion (``none``), so a drain step and
+    ``next_completion`` visit all ``n`` draining sessions: O(n) per link
+    event, O(n²) per pipe.  The step is kept as the exact piecewise
+    arithmetic — a virtual-time formulation would be O(log n) but would
+    round differently, and completion times here are bit-reproducible
+    across revisions.  The sessions a step lands leave in one rebuild.
+
 Heterogeneous links
 -------------------
 The scheduler is no longer restricted to one symmetric pipe.  Each session
@@ -55,9 +82,12 @@ shared pipe.
 
 from __future__ import annotations
 
+import heapq
+import math
 import re
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,10 +188,14 @@ class LinkScheduler:
         self.sharing = sharing
         self.capacity = bandwidth_gbps * 1e9 / 8.0  # bytes per second
         self._now = 0.0
-        #: Sessions still draining bytes, in admission order.
-        self._draining: List[LinkSession] = []
-        #: Sessions whose bytes drained, waiting out the propagation latency.
-        self._in_flight: List[LinkSession] = []
+        #: Sessions still draining bytes, in admission order (``fifo``
+        #: serves the left end and departs it in O(1)).
+        self._draining: Deque[LinkSession] = deque()
+        #: Sessions whose bytes drained, waiting out the propagation latency:
+        #: a min-heap of ``(arrival, session_id, session)``.  The unique
+        #: ``session_id`` settles equal arrivals, so the heap never compares
+        #: sessions and pops in exactly ``(done_time, session_id)`` order.
+        self._in_flight: List[Tuple[float, int, LinkSession]] = []
         self._counter = 0
         #: Total sessions admitted / completed and bytes carried (telemetry).
         self.sessions_opened = 0
@@ -206,37 +240,55 @@ class LinkScheduler:
         extra_latency_s: float = 0.0,
         payload: object = None,
     ) -> LinkSession:
-        """Validate and enqueue one session; the clock is already at *now*."""
-        if nbytes < 0:
-            raise ConfigurationError(f"nbytes must be non-negative, got {nbytes}")
-        if rate_cap is not None and rate_cap <= 0:
-            raise ConfigurationError(f"rate_cap must be positive, got {rate_cap}")
-        if extra_latency_s < 0:
+        """Validate and enqueue one session; the clock is already at *now*.
+
+        The one admission site (:meth:`open`, :meth:`open_many` and
+        :meth:`simulate` all pass through it), so the one place that rejects
+        non-finite input: a NaN byte count makes every drain horizon NaN and
+        :meth:`advance` spin for ever, an infinite one pins its pipe for good.
+        """
+        if not math.isfinite(now):
+            raise ConfigurationError(f"now must be finite, got {now}")
+        if not (math.isfinite(nbytes) and nbytes >= 0):
             raise ConfigurationError(
-                f"extra_latency_s must be non-negative, got {extra_latency_s}"
+                f"nbytes must be finite and non-negative, got {nbytes}"
             )
+        if rate_cap is not None and not (math.isfinite(rate_cap) and rate_cap > 0):
+            raise ConfigurationError(
+                f"rate_cap must be finite and positive, got {rate_cap}"
+            )
+        if not (math.isfinite(extra_latency_s) and extra_latency_s >= 0):
+            raise ConfigurationError(
+                f"extra_latency_s must be finite and non-negative, got {extra_latency_s}"
+            )
+        now, nbytes, extra_latency_s = float(now), float(nbytes), float(extra_latency_s)
         solo_rate = self.capacity if rate_cap is None else min(self.capacity, rate_cap)
         session = LinkSession(
             session_id=self._counter,
             worker_id=int(worker_id),
-            nbytes=float(nbytes),
-            start_time=float(now),
-            solo_seconds=float(nbytes) / solo_rate + self.latency_s + float(extra_latency_s),
-            remaining=float(nbytes),
+            nbytes=nbytes,
+            start_time=now,
+            solo_seconds=nbytes / solo_rate + self.latency_s + extra_latency_s,
+            remaining=nbytes,
             rate_cap=rate_cap,
-            extra_latency_s=float(extra_latency_s),
+            extra_latency_s=extra_latency_s,
             payload=payload,
         )
         self._counter += 1
         self.sessions_opened += 1
-        self.bytes_carried += float(nbytes)
-        if session.remaining <= _DRAIN_EPS:
-            session.remaining = 0.0
-            session.drain_done = float(now)
-            self._in_flight.append(session)
+        self.bytes_carried += nbytes
+        if nbytes <= _DRAIN_EPS:
+            self._land(session, now)
         else:
             self._draining.append(session)
         return session
+
+    def _land(self, session: LinkSession, drain_done: float) -> None:
+        """The last byte of *session* left at *drain_done*: start its latency."""
+        session.remaining = 0.0
+        session.drain_done = drain_done
+        arrival = drain_done + self.latency_s + session.extra_latency_s
+        heapq.heappush(self._in_flight, (arrival, session.session_id, session))
 
     def open_many(
         self, now: float, specs: Sequence[Tuple[float, int, dict, object]]
@@ -263,130 +315,153 @@ class LinkScheduler:
 
     # ------------------------------------------------------------------ drain
     def _capped(self, session: LinkSession, rate: float) -> float:
-        """*rate* limited by the session's own access bandwidth, if any."""
+        """*rate* limited by the session's own access bandwidth, if any.
+
+        The cap is not work-conserving: bandwidth a capped session leaves on
+        the table is not redistributed to its peers (the fluid model of a
+        sender whose access link, not the shared pipe, is the constraint).
+        """
         if session.rate_cap is None:
             return rate
         return min(rate, session.rate_cap)
 
     def _rates(self) -> List[float]:
-        """Current drain rate (bytes/s) of each session in ``self._draining``.
-
-        Per-session rate caps apply on top of the discipline's share.  The
-        cap is not work-conserving: bandwidth a capped session leaves on the
-        table is not redistributed to its peers (the fluid model of a sender
-        whose access link, not the shared pipe, is the constraint).
-        """
-        n = len(self._draining)
-        if n == 0:
-            return []
-        if self.sharing == "fair":
-            share = self.capacity / n
-            return [self._capped(s, share) for s in self._draining]
-        if self.sharing == "fifo":
-            head = self._capped(self._draining[0], self.capacity)
-            return [head] + [0.0] * (n - 1)
-        # "none": infinite capacity — every session sees the full rate.
-        return [self._capped(s, self.capacity) for s in self._draining]
+        """Drain rate (bytes/s) of each draining session under ``fair`` / ``none``."""
+        # "none" is infinite capacity: every session sees the full rate.
+        share = (
+            self.capacity / len(self._draining)
+            if self.sharing == "fair"
+            else self.capacity
+        )
+        return [self._capped(s, share) for s in self._draining]
 
     def advance(self, now: float) -> None:
         """Drain bytes piecewise up to *now*, honouring membership changes.
 
-        Between two consecutive completions the active set (and therefore
-        every session's rate) is constant, so the drain is exact: the loop
-        jumps from completion to completion until *now* is reached.
+        Between two consecutive completions the set of sessions being served
+        (and therefore every session's rate) is constant, so the drain is
+        exact: it jumps from completion to completion until *now* is
+        reached.  A jump costs O(1) under ``fifo`` — only the head of the
+        queue is served — and O(n) under ``fair`` / ``none``, plus O(log n)
+        for every session it lands on the in-flight heap.
         """
         if now < self._now - 1e-12:
             raise ConfigurationError(
                 f"link scheduler cannot move backwards: now={now:.9f} < {self._now:.9f}"
             )
+        # Most calls have nothing to drain (every admission of a same-time
+        # burst re-advances to the same instant): skip the dispatch for them.
+        if self._draining and self._now < now:
+            if self.sharing == "fifo":
+                self._drain_head(now)
+            else:
+                self._drain_shared(now)
+        self._now = max(self._now, now)
+
+    def _drain_head(self, now: float) -> None:
+        """``fifo`` drain to *now*: the head at its full rate, one at a time.
+
+        Sessions queued behind the head wait at rate zero, and none of them
+        can be due: admission sends a payload at or below the drain
+        threshold straight to in-flight.  So a step never has to visit them.
+        """
+        draining = self._draining
+        while draining and self._now < now:
+            head = draining[0]
+            rate = self._capped(head, self.capacity)
+            horizon = self._now + head.remaining / rate
+            step_end = min(horizon, now)
+            head.remaining -= rate * (step_end - self._now)
+            if head.remaining <= max(_DRAIN_EPS, 1e-12 * head.nbytes):
+                self._land(draining.popleft(), step_end)
+            elif step_end <= self._now and horizon <= now:
+                # Too small a residue to move the clock (see _drain_shared).
+                self._land(draining.popleft(), self._now)
+            elif step_end >= now:
+                break
+            self._now = max(self._now, step_end)
+
+    def _drain_shared(self, now: float) -> None:
+        """``fair`` / ``none`` drain to *now*: every session moves each step."""
         while self._draining and self._now < now:
             rates = self._rates()
             # Earliest drain completion under the current membership.
             horizon = min(
-                self._now + s.remaining / r
-                for s, r in zip(self._draining, rates)
-                if r > 0.0
+                self._now + s.remaining / r for s, r in zip(self._draining, rates)
             )
             step_end = min(horizon, now)
             elapsed = step_end - self._now
-            finished: List[LinkSession] = []
+            landed = False
             for session, rate in zip(self._draining, rates):
                 session.remaining -= rate * elapsed
                 if session.remaining <= max(_DRAIN_EPS, 1e-12 * session.nbytes):
-                    session.remaining = 0.0
-                    session.drain_done = step_end
-                    finished.append(session)
-            if not finished and step_end <= self._now and horizon <= now:
+                    self._land(session, step_end)
+                    landed = True
+            if not landed and step_end <= self._now and horizon <= now:
                 # A residue so small that remaining / rate underflows below
                 # the clock's ulp: time cannot advance, but the session is
                 # due within float noise — snap it closed to keep the
                 # piecewise loop making progress.
-                session = min(
-                    (s for s, r in zip(self._draining, rates) if r > 0.0),
-                    key=lambda s: (s.remaining, s.session_id),
+                self._land(
+                    min(self._draining, key=lambda s: (s.remaining, s.session_id)),
+                    self._now,
                 )
-                session.remaining = 0.0
-                session.drain_done = self._now
-                finished.append(session)
-            for session in finished:
-                self._draining.remove(session)
-                self._in_flight.append(session)
+                landed = True
+            if landed:  # one rebuild per step, however many sessions landed
+                self._draining = deque(
+                    [s for s in self._draining if s.drain_done is None]
+                )
             self._now = max(self._now, step_end)
-            if not finished and step_end >= now:
+            if not landed and step_end >= now:
                 break
-        self._now = max(self._now, now)
 
     # ------------------------------------------------------------ completions
     def next_completion(self) -> Optional[float]:
         """Earliest time the link's state observably changes (``None`` if idle).
 
-        Candidates are in-flight arrivals (exact — their drain is done) and
-        the *drain* completions of active sessions.  A drain completion may
-        deliver nothing to :meth:`pop_completed` (the propagation latency is
-        still running), but it is a membership change: every peer's rate —
-        and therefore every projected arrival — shifts at that instant, so
-        callers must re-query and reschedule there.  Projecting arrivals of
-        still-draining sessions at current rates would be unsound under
-        heterogeneous per-session latencies: a high-latency session draining
-        first *accelerates* a peer's arrival past the old projection.
+        Candidates are the earliest in-flight arrival (exact — its drain is
+        done; the top of the heap) and the *drain* completions of the
+        sessions being served.  A drain completion may deliver nothing to
+        :meth:`pop_completed` (the propagation latency is still running), but
+        it is a membership change: every peer's rate — and therefore every
+        projected arrival — shifts at that instant, so callers must re-query
+        and reschedule there.  Projecting arrivals of still-draining sessions
+        at current rates would be unsound under heterogeneous per-session
+        latencies: a high-latency session draining first *accelerates* a
+        peer's arrival past the old projection.  Sessions queued behind a
+        ``fifo`` head contribute nothing: whatever they do happens after the
+        head's drain completion, which is already a candidate.  O(1) under
+        ``fifo``, O(n) under ``fair`` / ``none``.
         """
-        candidates = [
-            s.drain_done + self.latency_s + s.extra_latency_s for s in self._in_flight
-        ]
-        rates = self._rates()
-        candidates.extend(
-            self._now + s.remaining / r
-            for s, r in zip(self._draining, rates)
-            if r > 0.0
-        )
-        if self.sharing == "fifo" and len(self._draining) > 1:
-            # Queued sessions complete after everything ahead of them drains
-            # (each at its own capped rate while it holds the head slot).
-            head = self._draining[0]
-            backlog = self._now + head.remaining / self._capped(head, self.capacity)
-            for session in self._draining[1:]:
-                backlog += session.remaining / self._capped(session, self.capacity)
-                candidates.append(backlog + self.latency_s + session.extra_latency_s)
+        candidates = [self._in_flight[0][0]] if self._in_flight else []
+        if self._draining:
+            if self.sharing == "fifo":
+                head = self._draining[0]
+                candidates.append(
+                    self._now + head.remaining / self._capped(head, self.capacity)
+                )
+            else:
+                candidates.extend(
+                    self._now + s.remaining / r
+                    for s, r in zip(self._draining, self._rates())
+                )
         return min(candidates) if candidates else None
 
     def pop_completed(self, now: float) -> List[LinkSession]:
         """Advance to *now* and return the sessions completed by then.
 
         Completed sessions get their ``done_time`` stamped and leave the
-        scheduler; ties resolve by admission order (deterministic).
+        scheduler in ``(done_time, session_id)`` order — ties resolve by
+        admission order (deterministic).  O(log n) per session returned,
+        O(1) when nothing is due.
         """
         self.advance(now)
+        in_flight = self._in_flight
         done: List[LinkSession] = []
-        still: List[LinkSession] = []
-        for session in self._in_flight:
-            arrival = session.drain_done + self.latency_s + session.extra_latency_s
-            if arrival <= now + 1e-9:
-                session.done_time = arrival
-                done.append(session)
-            else:
-                still.append(session)
-        self._in_flight = still
-        done.sort(key=lambda s: (s.done_time, s.session_id))
+        while in_flight and in_flight[0][0] <= now + 1e-9:
+            arrival, _, session = heapq.heappop(in_flight)
+            session.done_time = arrival
+            done.append(session)
         self.sessions_completed += len(done)
         return done
 

@@ -1407,12 +1407,26 @@ class AsyncTrainer(BaseTrainer):
         #: has the single region ``core``, i.e. exactly the PR-3 pair).
         self._links: Dict[str, LinkScheduler] = {}
         self._link_events: Dict[str, Optional[Event]] = {}
+        #: Pipe key → region name (telemetry label of its completions).
+        self._link_regions: Dict[str, str] = {}
+        #: Worker id → ``(down key, up key, session extras)``, resolved once:
+        #: a worker's region and access-link parameters never change, and
+        #: every fetch and push routes through them.  The extras dict is
+        #: shared by all of a worker's sessions and only ever unpacked.
+        self._routes: Dict[int, Tuple[str, str, dict]] = {}
         if self._contended:
             for region in self.fabric.region_names():
                 for direction in ("down", "up"):
                     key = f"{direction}:{region}"
                     self._links[key] = self.fabric.scheduler_for(region)
                     self._link_events[key] = None
+                    self._link_regions[key] = region
+            for worker in self.workers:
+                region = self.fabric.region_of(worker.worker_id)
+                self._routes[worker.worker_id] = (
+                    f"down:{region}", f"up:{region}",
+                    self.fabric.session_kwargs(worker.worker_id),
+                )
 
         #: Admission buffer: at most one pending gradient per worker (a
         #: fresher gradient supersedes a staler pending one).  SoA form —
@@ -1451,10 +1465,6 @@ class AsyncTrainer(BaseTrainer):
             self.history.timeline_for(worker.worker_id)
 
     # --------------------------------------------------------- shared links
-    def _pipe_key(self, direction: str, worker_id: int) -> str:
-        """The pipe a transfer of *worker_id* contends on in *direction*."""
-        return f"{direction}:{self.fabric.region_of(worker_id)}"
-
     def _reschedule_link(self, key: str) -> None:
         """Refresh the provisional completion event of one pipe.
 
@@ -1476,7 +1486,7 @@ class AsyncTrainer(BaseTrainer):
     def _on_link(self, event: Event) -> None:
         """A link session completed: hand its payload to the next stage."""
         key = event.payload
-        region = key.split(":", 1)[1]
+        region = self._link_regions[key]
         self._link_events[key] = None
         specs = []
         for session in self._links[key].pop_completed(event.time):
@@ -1518,11 +1528,10 @@ class AsyncTrainer(BaseTrainer):
             self.service.account_fetches([event.worker_id], [nbytes])
         self._interval_downlink += nbytes
         if self._contended:
-            key = self._pipe_key("down", event.worker_id)
+            key, _, extras = self._routes[event.worker_id]
             self._links[key].open(
                 event.time, nbytes, worker_id=event.worker_id,
-                payload=(self.COMPUTE, snapshot),
-                **self.fabric.session_kwargs(event.worker_id),
+                payload=(self.COMPUTE, snapshot), **extras,
             )
             self._reschedule_link(key)
             return
@@ -1572,11 +1581,10 @@ class AsyncTrainer(BaseTrainer):
             # The session's drain time replaces the solo wire time; the
             # channel's extra penalty (backoff, delays, jitter) rides on top.
             penalty = seconds - self.cost_model.transfer_time(frame.nbytes)
-            key = self._pipe_key("up", message.worker_id)
+            _, key, extras = self._routes[message.worker_id]
             self._links[key].open(
                 event.time, frame.nbytes, worker_id=message.worker_id,
-                payload=(self.ARRIVE, (message, wire, penalty)),
-                **self.fabric.session_kwargs(message.worker_id),
+                payload=(self.ARRIVE, (message, wire, penalty)), **extras,
             )
             self._reschedule_link(key)
         else:
@@ -1968,10 +1976,9 @@ class AsyncTrainer(BaseTrainer):
             by_pipe: Dict[str, List[tuple]] = {}
             with self._section("link_drain"):
                 for i, event in enumerate(events):
-                    key = self._pipe_key("down", event.worker_id)
+                    key, _, extras = self._routes[event.worker_id]
                     by_pipe.setdefault(key, []).append((
-                        float(nbytes[i]), event.worker_id,
-                        self.fabric.session_kwargs(event.worker_id),
+                        float(nbytes[i]), event.worker_id, extras,
                         (self.COMPUTE, snapshots[i]),
                     ))
                     touched[key] = i
@@ -2127,10 +2134,9 @@ class AsyncTrainer(BaseTrainer):
                 ideal = self.cost_model.transfer_time_batch(frame_bytes)
                 for i, wid in enumerate(worker_ids):
                     penalty = float(seconds[i] - ideal[i])
-                    key = self._pipe_key("up", wid)
+                    _, key, extras = self._routes[wid]
                     by_pipe.setdefault(key, []).append((
-                        float(frame_bytes[i]), wid,
-                        self.fabric.session_kwargs(wid),
+                        float(frame_bytes[i]), wid, extras,
                         (self.ARRIVE, (messages[i], wires[i], penalty)),
                     ))
                     touched[key] = i

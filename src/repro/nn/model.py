@@ -8,6 +8,7 @@ workers — so the model exposes ``get_parameters`` / ``set_parameters`` /
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ class Sequential:
         self.l2 = float(l2)
         self.name = str(name)
         self._shapes = [p.shape for p in self.parameters()]
+        self._num_parameters = sum(math.prod(shape) for shape in self._shapes)
         self._last_forward_flops: float = 0.0
         self._last_batch_size: int = 0
 
@@ -70,8 +72,12 @@ class Sequential:
 
     @property
     def num_parameters(self) -> int:
-        """Total scalar parameter count (the model dimensionality ``d``)."""
-        return int(sum(p.size for p in self.parameters()))
+        """Total scalar parameter count (the model dimensionality ``d``).
+
+        Fixed at construction, like the shapes :meth:`set_parameters` unpacks
+        against: the cost model reads it once per worker per round.
+        """
+        return self._num_parameters
 
     def get_parameters(self) -> np.ndarray:
         """Flat copy of all parameters (the vector the server broadcasts)."""

@@ -1,9 +1,12 @@
 """Tests for the shared-link contention scheduler (cluster/link.py)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.link import SHARING_MODES, LinkScheduler
 from repro.exceptions import ConfigurationError
+from tests.link_reference import LinkScheduler as ReferenceScheduler
 
 #: 8 Gbit/s => 1e9 bytes/s: byte counts translate to seconds directly.
 GBPS = 8.0
@@ -148,3 +151,221 @@ class TestEventDrivenApi:
         assert link.sessions_opened == 2
         assert link.sessions_completed == 2
         assert link.bytes_carried == pytest.approx(4 * CAP)
+
+
+class TestNonFiniteAdmission:
+    """NaN/inf reaching the drain arithmetic used to hang or pin the pipe.
+
+    ``open(0.0, nan)`` made every drain horizon NaN, so ``advance`` never
+    saw ``step_end >= now`` and span for ever; ``inf`` bytes held a FIFO
+    head for good.  All three entry points share the one admission site.
+    """
+
+    BAD = (float("nan"), float("inf"), float("-inf"))
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("field", ["now", "nbytes", "rate_cap", "extra_latency_s"])
+    def test_open_rejects_non_finite(self, sharing, bad, field):
+        link = make(sharing, latency=0.02)
+        link.open(0.0, CAP)
+        args = {"now": 0.0, "nbytes": CAP, "rate_cap": CAP, "extra_latency_s": 0.0}
+        args[field] = bad
+        with pytest.raises(ConfigurationError, match=field):
+            link.open(
+                args["now"], args["nbytes"],
+                rate_cap=args["rate_cap"], extra_latency_s=args["extra_latency_s"],
+            )
+        assert link.sessions_opened == 1
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    @pytest.mark.parametrize("bad", BAD)
+    def test_open_many_and_simulate_reject_non_finite(self, sharing, bad):
+        link = make(sharing)
+        with pytest.raises(ConfigurationError, match="nbytes"):
+            link.open_many(0.0, [(CAP, 0, {}, None), (bad, 1, {}, None)])
+        with pytest.raises(ConfigurationError, match="rate_cap"):
+            link.open_many(0.0, [(CAP, 0, {"rate_cap": bad}, None)])
+        with pytest.raises(ConfigurationError, match="nbytes"):
+            link.simulate([(0.0, CAP), (0.0, bad)])
+        with pytest.raises(ConfigurationError, match="now"):
+            link.simulate([(bad, CAP)])
+        with pytest.raises(ConfigurationError, match="extra_latency_s"):
+            link.simulate([(0.0, CAP)], session_kwargs=[{"extra_latency_s": bad}])
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    def test_scheduler_still_drains_after_a_rejected_session(self, sharing):
+        link = make(sharing)
+        kept = link.open(0.0, CAP)
+        with pytest.raises(ConfigurationError):
+            link.open(0.0, float("nan"))
+        assert link.pop_completed(1.0) == [kept]
+        assert link.next_completion() is None
+
+
+# --------------------------------------------------------------------------
+# Differential test against the frozen parent scheduler
+# --------------------------------------------------------------------------
+
+#: 0.01 Gbit/s => 1.25e6 bytes/s, the WAN bottleneck of the benchmark.
+WAN_GBPS = 0.01
+WAN_CAP = 1.25e6
+
+# Grids make exact coincidences likely: equal-time bursts (dt = 0), exact
+# completion ties (equal sizes; sizes that are whole multiples of the rate),
+# zero-byte and sub-epsilon sessions, caps below / at / above the pipe rate.
+_dt = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.001, 0.02, 0.04, 1.0]),
+    st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+)
+_nbytes = st.one_of(
+    st.sampled_from([0.0, 1e-7, 1.0, 1250.0, 2500.0, 25000.0, 1.25e6]),
+    st.floats(min_value=0.0, max_value=5e6, allow_nan=False),
+)
+_extras = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries({
+        "rate_cap": st.sampled_from([None, 5e5, 1.25e6, 2e6]),
+        "extra_latency_s": st.sampled_from([0.0, 0.01, 0.05]),
+    }),
+)
+_spec = st.tuples(_nbytes, _extras)
+_op = st.one_of(
+    st.tuples(st.just("open"), _dt, _spec),
+    st.tuples(st.just("open_many"), _dt, st.lists(_spec, min_size=0, max_size=6)),
+    st.tuples(st.just("advance"), _dt),
+    st.tuples(st.just("pop"), _dt),
+    st.tuples(st.just("pop_next")),
+)
+
+
+class _Pair:
+    """The live scheduler and the frozen reference, driven in lock step."""
+
+    def __init__(self, sharing, latency, start=0.0):
+        kwargs = dict(bandwidth_gbps=WAN_GBPS, latency_s=latency, sharing=sharing)
+        self.live = LinkScheduler(**kwargs)
+        self.ref = ReferenceScheduler(**kwargs)
+        self.sessions = []  # (live, reference) for every session ever opened
+        self.now = start
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "pop_next":
+            target = self.ref.next_completion()
+            if target is None:
+                return
+            self.now = max(self.now, target)
+            self._pop()
+            return
+        self.now += op[1]
+        if kind == "open":
+            nbytes, extras = op[2]
+            worker_id = len(self.sessions)
+            self.sessions.append((
+                self.live.open(self.now, nbytes, worker_id=worker_id, **extras),
+                self.ref.open(self.now, nbytes, worker_id=worker_id, **extras),
+            ))
+        elif kind == "open_many":
+            first = len(self.sessions)
+            specs = [
+                (nbytes, first + i, extras, ("payload", first + i))
+                for i, (nbytes, extras) in enumerate(op[2])
+            ]
+            self.sessions.extend(
+                zip(self.live.open_many(self.now, specs),
+                    self.ref.open_many(self.now, specs))
+            )
+        elif kind == "advance":
+            self.live.advance(self.now)
+            self.ref.advance(self.now)
+        else:
+            self._pop()
+
+    def _pop(self):
+        live = self.live.pop_completed(self.now)
+        ref = self.ref.pop_completed(self.now)
+        assert [s.session_id for s in live] == [s.session_id for s in ref]
+        assert [s.queueing_delay for s in live] == [s.queueing_delay for s in ref]
+
+    def check(self):
+        assert self.live.next_completion() == self.ref.next_completion()
+        for name in ("active_sessions", "sessions_opened", "sessions_completed",
+                     "bytes_carried"):
+            assert getattr(self.live, name) == getattr(self.ref, name), name
+        for live, ref in self.sessions:
+            assert vars(live) == vars(ref)  # every dataclass field, bit for bit
+
+
+class TestAgainstFrozenReference:
+    """Every float, id and order equals the pre-index scheduler's (``==``)."""
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        latency=st.sampled_from([0.0, 0.02]),
+        # At t = 1e7 the clock's ulp (1.9e-9 s) exceeds the time a small
+        # residue needs to drain, which is what the snap-closed branch of
+        # ``advance`` exists for.
+        start=st.sampled_from([0.0, 1e7]),
+        ops=st.lists(_op, max_size=30),
+    )
+    def test_operation_sequences(self, sharing, latency, start, ops):
+        pair = _Pair(sharing, latency, start)
+        for op in ops:
+            pair.apply(op)
+            pair.check()
+        # Drain event by event: a drain completion and an arrival per session
+        # at most.  (Bounded, not ``while active``: at t = 1e7 a residue that
+        # drains in less than the clock's ulp makes ``next_completion`` name
+        # the current instant for ever — in both schedulers alike.)
+        for _ in range(2 * len(pair.sessions)):
+            pair.apply(("pop_next",))
+            pair.check()
+        if start == 0.0:
+            assert pair.live.active_sessions == 0
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        latency=st.sampled_from([0.0, 0.02]),
+        jobs=st.lists(st.tuples(_dt, _nbytes, _extras), max_size=20),
+        with_extras=st.booleans(),
+    )
+    def test_simulate(self, sharing, latency, jobs, with_extras):
+        kwargs = dict(bandwidth_gbps=WAN_GBPS, latency_s=latency, sharing=sharing)
+        plain = [(start, nbytes) for start, nbytes, _ in jobs]
+        extras = [e for _, _, e in jobs] if with_extras else None
+
+        def outcome(scheduler):
+            # A job that completes before a later job starts makes simulate
+            # rewind its clock; both sides must refuse that the same way.
+            try:
+                return scheduler(**kwargs).simulate(plain, session_kwargs=extras)
+            except ConfigurationError as error:
+                return str(error)
+
+        assert outcome(LinkScheduler) == outcome(ReferenceScheduler)
+
+    def test_queued_fifo_sessions_never_set_next_completion(self):
+        # The reference projects an arrival for every session queued behind
+        # the FIFO head; each projection is the head's drain completion plus
+        # non-negative terms, so it never wins the min — not for queued
+        # sessions that carry more latency than the head, and not for one as
+        # close to free (2e-6 bytes) as admission lets a draining session be.
+        pair = _Pair("fifo", 0.02)
+        pair.apply(("open", 0.0, (WAN_CAP, {})))
+        pair.apply(("open_many", 0.0, [
+            (2500.0, {"rate_cap": None, "extra_latency_s": 0.05}),
+            (1250.0, {"rate_cap": 5e5, "extra_latency_s": 0.01}),
+            (2e-6, {}),
+        ]))
+        pair.check()
+        assert pair.live.next_completion() == 1.0  # the head's drain, no latency
+        while pair.ref.active_sessions:
+            pair.apply(("pop_next",))
+            pair.check()
+        # Arrival order is not admission order once latencies differ.
+        assert [s.session_id for s, _ in sorted(
+            pair.sessions, key=lambda p: (p[0].done_time, p[0].session_id)
+        )] == [0, 3, 2, 1]

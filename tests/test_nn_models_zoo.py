@@ -20,6 +20,15 @@ class TestRegistry:
         model = make_model("mlp", input_dim=5, hidden=(7,), num_classes=2, rng=0)
         assert model.num_parameters == 5 * 7 + 7 + 7 * 2 + 2
 
+    @pytest.mark.parametrize("name", available_models())
+    def test_num_parameters_equals_the_summed_form(self, name):
+        # ``num_parameters`` is computed once from the stored shapes; it must
+        # stay the count the flat parameter vector actually has.
+        model = make_model(name, rng=0)
+        assert model.num_parameters == sum(p.size for p in model.parameters())
+        assert model.num_parameters == model.get_parameters().size
+        assert isinstance(model.num_parameters, int)
+
 
 class TestLogistic:
     def test_parameter_count(self):
