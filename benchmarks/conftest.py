@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.experiments.config import get_profile
@@ -48,40 +47,10 @@ def run_once(benchmark, func, *args, **kwargs):
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
-@pytest.fixture()
-def pinned_seed():
-    """Pin the legacy global NumPy RNG around a timing-sensitive benchmark.
-
-    The simulator itself draws only from explicit per-stream
-    ``np.random.Generator`` objects, but a benchmark comparing wall-clocks
-    must not let any stray library use of the global RNG vary the work
-    between arms.  Restores the prior state afterwards.
-    """
-    state = np.random.get_state()
-    np.random.seed(0)
-    yield 0
-    np.random.set_state(state)
-
-
 def events_per_second(summary: dict) -> float:
-    """Machine-normalised throughput of one fleet-scale arm summary.
+    """Throughput of one fleet-scale scenario node.
 
     Dispatched events per wall-clock second (best repeat): proportional to
-    host speed for a fixed scenario, so *ratios* of this number between two
-    arms measured on the same machine are host-independent.
+    host speed for a fixed scenario — reported for orientation, never gated.
     """
     return float(summary["events_dispatched"]) / float(summary["wall_clock_s"]["min"])
-
-
-def speedup_regression(current: dict, baseline: dict, arm: str = "fleet") -> float:
-    """``current / baseline`` speedup ratio for *arm* from two scenario nodes.
-
-    Each node (one scenario's entry in the BENCH payload's ``scenarios``
-    map) normalises against its own same-machine legacy arm, so the
-    returned ratio compares simulator efficiency across commits even when
-    the baseline was recorded on different hardware.  Values below 1.0
-    mean the arm got slower relative to the legacy reference.
-    """
-    current_speedup = current["speedup_vs_legacy"][arm]["min"]
-    baseline_speedup = baseline["speedup_vs_legacy"][arm]["min"]
-    return float(current_speedup) / float(baseline_speedup)

@@ -1,180 +1,92 @@
-"""Fleet-scale simulator headline numbers: the multi-scenario perf matrix.
+"""Fleet-scale scenario grid: accounting, budgets and profiler split.
 
-The tentpole claims of the vectorised hot-path work, one per regime:
+Speed claims do not live here.  They are made with the repository benchmark
+(``bench/run.py`` + ``bench/compare.py``, ``BENCHMARK.json``): whole runs of
+the simulator as shipped, in absolute host-calibrated numbers, ten
+alternating parent/change pairs.  This file used to gate each scenario's
+``optimised / legacy`` wall-clock ratio against floors and a committed
+baseline (``benchmarks/baselines/BENCH_simulator.json``).  Those gates are
+gone for two reasons: they needed a ``legacy`` arm — the per-worker collect
+loop, the per-event async drain and the per-candidate selection loops — kept
+alive in ``src/`` behind ``vectorized=False`` / ``gar_selection="loop"``
+for no other consumer, and they failed intermittently on host noise with no
+code change.  The retired paths now live under ``tests/`` as frozen
+reference oracles held by ``==`` differential grids.
 
-* ``sync_fleet`` — on the standard 1000-worker lock-step scenario the
-  vectorised fleet configuration runs the same deployment at least **5x**
-  faster than the seed's per-worker loop, with identical event accounting;
-* ``async_quorum`` — the micro-batched async drain plus O(1) admission
-  bookkeeping run the same quorum deployment at least **3x** faster;
-* ``conv_fleet`` — the im2col fleet compute kernel runs a conv model's
-  worker math at least **4x** faster than per-worker python conv loops;
-* ``bulyan_attack`` — with the vectorised GAR selection kernels the fleet
-  arm runs Bulyan-under-attack at least **5x** faster than the per-candidate
-  selection loops (the regime was ~97% ``gar_kernel`` before PR 8);
-* ``sync_10k`` — the lock-step scenario at 10,000 workers: at least **5x**
-  over the loop arm *and* inside the absolute wall/heap budgets the
-  scenario pins (the tracemalloc ceiling fails 10k-worker memory
-  regressions before the runner OOMs);
-* ``wan_delta`` — the link-maths-dominated regime: the vectorised path
-  must never be slower than legacy, and the per-scenario baseline ratio
-  does the real gating;
-* ``sharded_wan`` — the region-sharded parameter service on a four-region
-  WAN: like ``wan_delta`` the step is link and gather maths common to both
-  arms, so the gate is "never slower than legacy" plus the baseline ratio;
-  the scenario's real claim (regional sharding cuts measured cross-region
-  bytes versus an unsharded twin) is gated by the CI smoke job.
+What remains is host-insensitive and not covered by ``bench/``, asserted on
+one single-arm run of the seven ``fleet_scale`` scenarios:
 
-All assertions are machine-normalised: each gate is an ``optimised /
-legacy`` wall-clock *ratio* measured on this machine (min over repeats,
-damping scheduler noise), never a raw seconds threshold, and the committed
-baseline is compared ratio-to-ratio per scenario so a slower CI container
-cannot fail the build.
+* lock-step rounds dispatch exactly ``num_workers * max_steps`` events with
+  a peak queue of ``num_workers`` (closed form);
+* the :class:`~repro.cluster.profiler.SimProfiler` split is arithmetically
+  coherent and its scenario-specific buckets fire where they should;
+* ``sync_10k`` — 10,000 lock-step workers — stays inside its absolute
+  wall-clock and tracemalloc budgets (loose multiples of the measured
+  numbers: they catch hangs, quadratic blowups and per-entry Python object
+  pools, not percent-level drift);
+* the region-sharded service reports a measured inter-server ledger.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
+import numpy as np
 import pytest
 
 from repro.cluster.profiler import SUBSYSTEMS
 from repro.experiments import fleet_scale
-from repro.experiments.export import results_to_json
 
-from benchmarks.conftest import events_per_second, run_once, speedup_regression
-
-BASELINE_PATH = Path(__file__).parent / "baselines" / "BENCH_simulator.json"
-
-#: Relative regression budget on each scenario's speedup ratio: the build
-#: fails when a measured ratio drops more than 30% below the committed
-#: baseline's ratio for that scenario.
-REGRESSION_TOLERANCE = 0.30
-
-#: Absolute per-scenario speedup floors (min over repeats, this machine).
-#: The headline regimes carry the acceptance criteria; the link- and
-#: GAR-dominated scenarios assert "never slower than legacy" with a small
-#: noise allowance, and lean on the baseline ratio gate for regressions.
-SPEEDUP_FLOORS = {
-    "sync_fleet": 5.0,
-    "async_quorum": 3.0,
-    "conv_fleet": 4.0,
-    "wan_delta": 0.95,
-    "sharded_wan": 0.95,
-    "bulyan_attack": 5.0,
-    "sync_10k": 5.0,
-}
+from benchmarks.conftest import events_per_second, run_once
 
 SCENARIO_NAMES = sorted(fleet_scale.SCENARIOS)
 
 
 @pytest.fixture(scope="module")
 def bench_payload():
-    """One full perf-matrix run shared by every assertion below."""
-    return fleet_scale.run_fleet_scale(repeats=3)
+    """One full-scale run of the grid shared by every assertion below.
 
-
-@pytest.fixture(scope="module")
-def baseline():
-    return json.loads(BASELINE_PATH.read_text())
-
-
-def _gated_arm(node):
-    return fleet_scale.optimized_arm(node["scenario"])
+    One timed repeat per scenario: nothing below reads the spread, and the
+    only timing gate (``sync_10k``) is a 60 s ceiling on a sub-second run.
+    """
+    return fleet_scale.run_fleet_scale(repeats=1)
 
 
 @pytest.mark.timeout(600)
-def test_headline_speedups_meet_the_acceptance_criteria(
-    benchmark, pinned_seed, bench_payload
-):
-    # Re-run the standard scenario at smoke scale under pytest-benchmark so
-    # the suite's timing report carries it; the assertions below use the
+def test_grid_trains_every_scenario(benchmark, bench_payload):
+    # The standard scenario at smoke scale under pytest-benchmark, so the
+    # suite's timing report carries a fleet row; the assertions use the
     # shared full-scale payload.
     run_once(
         benchmark,
         fleet_scale.run_scenario,
-        fleet_scale.smoke_scenario(),
+        fleet_scale.smoke_scenarios(["sync_fleet"])["sync_fleet"],
         repeats=1,
         profile_split=False,
-        measure_heap=False,
     )
     print("\n" + fleet_scale.format_results(bench_payload))
-    scenarios = bench_payload["scenarios"]
-    sync = scenarios["sync_fleet"]["speedup_vs_legacy"]["fleet"]["min"]
-    async_ = scenarios["async_quorum"]["speedup_vs_legacy"]["fleet"]["min"]
-    assert sync >= 5.0, (
-        f"fleet arm speedup {sync:.2f}x is below the 5x acceptance "
-        "criterion on the standard 1000-worker scenario"
-    )
-    assert async_ >= 3.0, (
-        f"async fleet arm speedup {async_:.2f}x is below the 3x acceptance "
-        "criterion on the 1000-worker quorum scenario"
-    )
+    assert sorted(bench_payload["scenarios"]) == SCENARIO_NAMES
+    for name, node in bench_payload["scenarios"].items():
+        assert np.isfinite(node["final_mean_loss"]), name
+        assert node["final_sim_time"] > 0, name
 
 
 @pytest.mark.timeout(600)
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_every_scenario_meets_its_speedup_floor(name, bench_payload):
-    node = bench_payload["scenarios"][name]
-    arm = _gated_arm(node)
-    speedup = node["speedup_vs_legacy"][arm]["min"]
-    floor = SPEEDUP_FLOORS[name]
-    assert speedup >= floor, (
-        f"{name}: {arm} arm speedup {speedup:.2f}x is below the "
-        f"{floor}x floor"
-    )
-
-
-@pytest.mark.timeout(600)
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_event_accounting_is_identical_across_arms(name, bench_payload):
+def test_event_accounting_matches_the_closed_form(name, bench_payload):
     node = bench_payload["scenarios"][name]
     scenario = node["scenario"]
-    counts = {arm: s["events_dispatched"] for arm, s in node["arms"].items()}
-    assert len(set(counts.values())) == 1, (
-        f"{name}: arms disagree on dispatched events: {counts}"
-    )
     if scenario.get("extra", {}).get("mode") != "async":
         # Lock-step rounds have a closed-form event budget; the async
-        # stream's count depends on the quorum schedule, so there the
-        # cross-arm agreement above is the accounting check.
-        expected = scenario["num_workers"] * scenario["max_steps"]
-        for arm, summary in node["arms"].items():
-            assert summary["events_dispatched"] == expected, (name, arm)
-            assert summary["peak_queue_size"] == scenario["num_workers"], (name, arm)
-    for summary in node["arms"].values():
-        # events/s is the machine-normalised throughput the trajectory tracks.
-        assert summary["events_per_s"] == pytest.approx(events_per_second(summary))
-
-
-@pytest.mark.timeout(600)
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_speedup_has_not_regressed_vs_committed_baseline(name, bench_payload, baseline):
-    node = bench_payload["scenarios"][name]
-    baseline_node = baseline["scenarios"][name]
-    # JSON round-trip the live scenario (tuples -> lists) before comparing.
-    assert json.loads(results_to_json(node["scenario"])) == baseline_node["scenario"], (
-        f"the committed baseline for {name} was recorded on a different "
-        "scenario; regenerate it with: python -m repro.experiments."
-        "fleet_scale --json benchmarks/baselines/BENCH_simulator.json"
-    )
-    arm = _gated_arm(node)
-    ratio = speedup_regression(node, baseline_node, arm=arm)
-    assert ratio >= 1.0 - REGRESSION_TOLERANCE, (
-        f"{name}: {arm} speedup ratio degraded to {ratio:.2f} of the "
-        f"committed baseline "
-        f"({baseline_node['speedup_vs_legacy'][arm]['min']:.2f}x -> "
-        f"{node['speedup_vs_legacy'][arm]['min']:.2f}x); more than the "
-        "30% regression budget"
-    )
+        # stream's count depends on the quorum schedule.
+        assert node["events_dispatched"] == scenario["num_workers"] * scenario["max_steps"]
+        assert node["peak_queue_size"] == scenario["num_workers"]
+    assert node["events_per_s"] == pytest.approx(events_per_second(node))
 
 
 @pytest.mark.timeout(600)
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_profile_split_accounts_for_the_step(name, bench_payload):
     node = bench_payload["scenarios"][name]
-    split = node["arms"][_gated_arm(node)]["subsystems"]
+    split = node["subsystems"]
     assert set(split["subsystems"]) <= set(SUBSYSTEMS)
     shares = [s["share"] for s in split["subsystems"].values()]
     assert all(0.0 <= share <= 1.0 for share in shares)
@@ -195,21 +107,20 @@ def test_profile_split_accounts_for_the_step(name, bench_payload):
 
 @pytest.mark.timeout(600)
 def test_sync_10k_stays_inside_the_absolute_budgets(bench_payload):
-    """The 10k-worker arm is gated on raw seconds and bytes, not a ratio.
+    """The 10k-worker scenario is gated on raw seconds and bytes.
 
-    Unlike every other gate these are absolute: the budgets are loose
-    multiples of the measured numbers (so a slow container cannot flake)
-    and exist to catch hangs, quadratic blowups and per-entry Python
-    object pools sneaking back into the SoA hot paths at scale.
+    The budgets are loose multiples of the measured numbers (so a slow
+    container cannot flake) and exist to catch hangs, quadratic blowups and
+    per-entry Python object pools sneaking back into the SoA hot paths at
+    scale.
     """
     node = bench_payload["scenarios"]["sync_10k"]
     budget = node["scenario"]["budget"]
-    summary = node["arms"][_gated_arm(node)]
-    wall = summary["wall_clock_s"]["min"]
+    wall = node["wall_clock_s"]["min"]
     assert wall <= budget["wall_s"], (
         f"sync_10k wall clock {wall:.2f}s exceeds the {budget['wall_s']}s budget"
     )
-    peak = summary["peak_heap_bytes"]
+    peak = node["peak_heap_bytes"]
     assert peak <= budget["heap_bytes"], (
         f"sync_10k peak heap {peak} bytes exceeds the "
         f"{budget['heap_bytes']}-byte tracemalloc ceiling"
@@ -220,17 +131,19 @@ def test_sync_10k_stays_inside_the_absolute_budgets(bench_payload):
 def test_scenario_specific_buckets_fire(bench_payload):
     """Each specialised subsystem shows up in the regime built to price it."""
     scenarios = bench_payload["scenarios"]
-    wan = scenarios["wan_delta"]
-    wan_split = wan["arms"][_gated_arm(wan)]["subsystems"]["subsystems"]
+    wan_split = scenarios["wan_delta"]["subsystems"]["subsystems"]
     assert wan_split["link_reschedule"]["calls"] > 0, (
         "fair-shared WAN links should reschedule in-flight transfers"
     )
-    bulyan = scenarios["bulyan_attack"]
-    bulyan_split = bulyan["arms"][_gated_arm(bulyan)]["subsystems"]["subsystems"]
+    bulyan_split = scenarios["bulyan_attack"]["subsystems"]["subsystems"]
     assert bulyan_split["attack"]["calls"] > 0, (
         "the Byzantine crafting bracket should fire under an active attack"
     )
     assert bulyan_split["gar_kernel"]["seconds"] > 0
     assert bulyan_split["gar_select"]["calls"] > 0, (
         "Bulyan's selection stage should be split out under gar_select"
+    )
+    inter = scenarios["sharded_wan"]["interserver"]
+    assert inter["gather_bytes"] > 0, (
+        "the region-sharded service should measure its inter-server gather"
     )

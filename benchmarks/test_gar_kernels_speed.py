@@ -3,11 +3,12 @@
 PR 8 replaced the per-candidate Python selection loops of Bulyan and Brute
 with batched kernels (:func:`repro.core.kernels.bulyan_select` /
 :func:`repro.core.kernels.brute_select`); the loop implementations are
-retained as the ``selection_mode="loop"`` reference paths.  The fleet-scale
-matrix gates the end-to-end win (``bulyan_attack`` was ~97% ``gar_kernel``
-before the kernels landed); this file times the *selection stage alone* —
-distances precomputed, no trainer, no trimming — at n ∈ {100, 1000} so a
-kernel-level regression is attributable without re-running the matrix.
+retained as oracles (``_bulyan_selection`` is also ``NaiveBulyan``'s path,
+``Brute._select_loop`` the only scan above the vector limit).  The
+end-to-end win is the repository benchmark's ``bulyan_attack_600``; this
+file times the *selection stage alone* — distances precomputed, no trainer,
+no trimming — at n ∈ {100, 1000} so a kernel-level regression is
+attributable without a whole run.
 
 All assertions are same-machine wall-clock ratios (min over repeats, the
 same idiom as the distance-cache microbench — except the seconds-long n = 1000

@@ -102,9 +102,7 @@ def build_trainer(
     broadcast_k: Optional[int] = None,
     broadcast_bits: Optional[int] = None,
     error_feedback: bool = True,
-    vectorized: bool = True,
     compute_mode: str = "exact",
-    gar_selection: str = "vectorized",
     profiler: Optional[SimProfiler] = None,
     compact_telemetry: bool = False,
     link_sharing: str = "none",
@@ -214,23 +212,12 @@ def build_trainer(
         Whether honest workers carry their codec residual into the next
         round (EF-SGD memory compensation; default on, a no-op under the
         identity codec).
-    vectorized:
-        Whether the lock-step trainer uses the array-at-a-time collect path
-        (default; bit-identical to the per-worker loop).  ``False`` forces
-        the legacy loop — the reference the fleet benchmark measures
-        speedups against.
     compute_mode:
         ``"exact"`` (default) runs every honest worker's own backprop;
         ``"fleet"`` batches all honest gradients through one
         :class:`~repro.cluster.fleet.FleetComputeKernel` pass when the model
         supports it (statistically equivalent, not bitwise — falls back to
         exact per-worker compute otherwise).
-    gar_selection:
-        How selection-based GARs extract their winners: ``"vectorized"``
-        (default) uses the batched kernels in :mod:`repro.core.kernels`,
-        ``"loop"`` pins the retained per-candidate reference paths.  Both
-        select identically; the fleet benchmark's legacy arm pins the loop
-        so the selection-kernel speedup is measurable.
     profiler:
         Optional :class:`~repro.cluster.profiler.SimProfiler`; when given,
         the trainer brackets its subsystems (event dispatch, codec, link
@@ -327,13 +314,8 @@ def build_trainer(
         topology = parse_link_profile(profile_text, num_workers)
     if topology is not None:
         topology.validate_workers(range(num_workers))
-    if gar_selection not in ("vectorized", "loop"):
-        raise ConfigurationError(
-            f"gar_selection must be 'vectorized' or 'loop', got {gar_selection!r}"
-        )
     f = num_byzantine if declared_f is None else int(declared_f)
     gar_instance = _resolve_gar(gar, f, gar_kwargs)
-    gar_instance.selection_mode = gar_selection
     optimizer_instance = _resolve_optimizer(optimizer, learning_rate, optimizer_kwargs)
     attack_instance = _resolve_attack(attack, attack_kwargs)
     sync_instance = _resolve_sync_policy(sync_policy, sync_kwargs)
@@ -505,7 +487,6 @@ def build_trainer(
         link_sharing=link_sharing,
         link_topology=topology,
         error_feedback=error_feedback,
-        vectorized=vectorized,
         compute_mode=compute_mode,
         fleet_sample_rng=fleet_sample_rng,
         profiler=profiler,

@@ -10,14 +10,19 @@ of timestamped :class:`Event` objects with stable tie-breaking by
 :class:`~repro.cluster.clock.SimulatedClock` and advances it monotonically to
 each popped event's timestamp.
 
-Both trainers consume this core:
+Both trainers honour this ordering:
 
-* :class:`~repro.cluster.trainer.SynchronousTrainer` routes each step's
-  arrivals through one :class:`EventQueue`, so the lock-step protocol is a
-  thin driver over the same engine (and stays bit-identical to the seed);
+* :class:`~repro.cluster.trainer.SynchronousTrainer` hands each step's
+  arrivals to the synchrony policy in ``(arrival time, submission order)``
+  order — one stable argsort, which is exactly the order an
+  :class:`EventQueue` would pop them in, without building the heap (the
+  frozen ``tests/trainer_reference.py`` still drains a real queue and must
+  agree bit for bit);
 * :class:`~repro.cluster.trainer.AsyncTrainer` runs every worker's
-  fetch → compute → transfer loop as chained events against the server's
-  versioned model store, letting staleness and pipelining emerge naturally.
+  fetch → compute → transfer loop as chained events on an
+  :class:`EventLoop` against the server's versioned model store, letting
+  staleness and pipelining emerge naturally.  Its fetch / compute / push
+  herds are dispatched as *runs* (see :meth:`EventLoop.on_run`).
 
 Determinism contract: pushing the same events in the same order always pops
 them in the same order — ties on ``time`` are broken by the queue's monotone
@@ -228,17 +233,33 @@ class EventLoop:
     Handlers are registered per event kind with :meth:`on`; scheduling an
     event in the simulated past is a configuration error (the discrete-event
     contract would silently break).
+
+    A kind may additionally register a *run handler* with :meth:`on_run`.
+    :meth:`run_until` then pops the consecutive heap heads sharing the
+    first one's ``(time, kind)`` as one run and hands the whole list to the
+    run handler; a run of one goes to the kind's per-event handler, chosen
+    from the run length alone.  Bit-identity argument: run members are
+    consecutive heap heads, and handlers only ever *push* events — every
+    new event is stamped with a higher insertion order than the remaining
+    run members and can never pop before them (times in the past are
+    rejected), so the per-event loop would have dispatched the run back to
+    back anyway.  A run handler must therefore replay its kind's per-event
+    effects in pop order wherever an RNG stream or float accumulation order
+    is observable, and issue its pushes in the sequence the per-event
+    handler would (:meth:`schedule_many` stamps orders like sequential
+    :meth:`schedule` calls).
     """
 
     clock: SimulatedClock = field(default_factory=SimulatedClock)
     queue: EventQueue = field(default_factory=EventQueue)
     #: Optional :class:`~repro.cluster.profiler.SimProfiler`: when set, the
-    #: queue mechanics of each :meth:`step` (pop + clock advance + handler
-    #: lookup) are accounted under its ``event_dispatch`` subsystem.
+    #: queue mechanics of each dispatch (pops, peeks and the clock advance)
+    #: are accounted under its ``event_dispatch`` subsystem.
     profiler: Optional[Any] = None
 
     def __post_init__(self) -> None:
         self._handlers: Dict[str, Callable[[Event], None]] = {}
+        self._run_handlers: Dict[str, Callable[[List[Event]], None]] = {}
 
     def on(self, kind: str, handler: Callable[[Event], None]) -> None:
         """Register *handler* for events of *kind* (one handler per kind)."""
@@ -256,6 +277,17 @@ class EventLoop:
         """
         for kind, handler in handlers.items():
             self.on(kind, handler)
+
+    def on_run(self, kind: str, handler: Callable[[List[Event]], None]) -> None:
+        """Register *handler* for same-``(time, kind)`` runs of two or more.
+
+        Same one-per-kind contract as :meth:`on`.  The kind's per-event
+        handler stays registered: it is the run-of-one case.
+        """
+        existing = self._run_handlers.get(kind)
+        if existing is not None and existing is not handler:
+            raise ConfigurationError(f"event kind {kind!r} already has a run handler")
+        self._run_handlers[kind] = handler
 
     def schedule(
         self, kind: str, time: float, *, worker_id: int = -1, payload: Any = None
@@ -289,22 +321,51 @@ class EventLoop:
             )
         return self.queue.push_many(events)
 
+    def _pop_run(self, budget: float) -> List[Event]:
+        """Pop the next event (advancing the clock to it) and its run.
+
+        For a kind with a run handler, the consecutive heads sharing the
+        event's ``(time, kind)`` follow it, at most *budget* events in all;
+        every other kind pops alone.
+        """
+        queue = self.queue
+        event = queue.pop()
+        self.clock.advance_to(event.time)
+        run = [event]
+        if event.kind in self._run_handlers:
+            head = queue.peek()
+            while (
+                len(run) < budget
+                and head is not None
+                and head.time == event.time
+                and head.kind == event.kind
+            ):
+                run.append(queue.pop())
+                head = queue.peek()
+        return run
+
+    def _dispatch(self, budget: float) -> List[Event]:
+        """Pop one run of at most *budget* events and hand it to its handler."""
+        if self.profiler is None:
+            run = self._pop_run(budget)
+        else:
+            with self.profiler.section("event_dispatch"):
+                run = self._pop_run(budget)
+        event = run[0]
+        if len(run) > 1:
+            self._run_handlers[event.kind](run)
+        else:
+            handler = self._handlers.get(event.kind)
+            if handler is None:
+                raise ConfigurationError(
+                    f"no handler registered for event kind {event.kind!r}"
+                )
+            handler(event)
+        return run
+
     def step(self) -> Event:
         """Pop the next event, advance the clock to it, dispatch its handler."""
-        profiler = self.profiler
-        if profiler is None:
-            event = self.queue.pop()
-            self.clock.advance_to(event.time)
-            handler = self._handlers.get(event.kind)
-        else:
-            with profiler.section("event_dispatch"):
-                event = self.queue.pop()
-                self.clock.advance_to(event.time)
-                handler = self._handlers.get(event.kind)
-        if handler is None:
-            raise ConfigurationError(f"no handler registered for event kind {event.kind!r}")
-        handler(event)
-        return event
+        return self._dispatch(1)[0]
 
     def run_until(
         self, done: Callable[[], bool], *, max_events: Optional[int] = None
@@ -313,7 +374,8 @@ class EventLoop:
 
         ``max_events`` guards against livelock (an event loop that keeps
         scheduling work without ever satisfying the predicate — e.g. every
-        gradient dropped by a fully lossy transport).
+        gradient dropped by a fully lossy transport); it also caps a run,
+        so no more than ``max_events`` events are ever popped.
         """
         dispatched = 0
         while not done():
@@ -327,8 +389,8 @@ class EventLoop:
                     "stop condition; the simulation is livelocked (is every gradient "
                     "being dropped or rejected?)"
                 )
-            self.step()
-            dispatched += 1
+            budget = math.inf if max_events is None else max_events - dispatched
+            dispatched += len(self._dispatch(budget))
         return dispatched
 
 

@@ -505,7 +505,11 @@ class LinkScheduler:
             target = sim.next_completion()
             if target is None:  # pragma: no cover - all sessions zero-rate
                 raise ConfigurationError("link simulation stalled with active sessions")
-            sim.pop_completed(target)
+            # Every job was opened first, so the clock already sits at the
+            # last start: an arrival due before it (a job that finished
+            # before a later one began) is popped at the current instant —
+            # its ``done_time`` comes from the heap entry and stays exact.
+            sim.pop_completed(max(target, sim._now))
         return [(s.done_time, s.queueing_delay) for s in sessions]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -5,8 +5,10 @@ versioned :class:`~repro.cluster.server.ParameterServer`, the validation +
 aggregation stage and the telemetry layer):
 
 :class:`SynchronousTrainer`
-    The paper's lock-step protocol as a thin driver over the event queue.
-    One training step flows through four pipeline stages:
+    The paper's lock-step protocol.  One training step flows through four
+    pipeline stages, each with exactly one implementation (the per-worker
+    loop it replaced is frozen as ``tests/trainer_reference.py`` and must
+    agree bit for bit):
 
     1. **Broadcast + compute** — the server broadcasts the current model to
        every worker; every honest worker computes a gradient estimate on its
@@ -17,8 +19,9 @@ aggregation stage and the telemetry layer):
        gradients, possibly as a function of every honest gradient
        (omniscient adversary), and submit them instantly.
     3. **Transfer** — every gradient travels over that worker's uplink
-       channel and becomes an :class:`~repro.cluster.sync.ArrivalEvent`
-       routed through a deterministic :class:`~repro.cluster.events.EventQueue`.
+       channel and becomes an :class:`~repro.cluster.sync.ArrivalEvent`;
+       the step's arrivals are ordered by ``(arrival time, submission
+       order)``, the pop order of :class:`~repro.cluster.events.EventQueue`.
     4. **Synchrony + aggregation** — the configured
        :class:`~repro.cluster.sync.SyncPolicy` decides which arrivals the
        server waits for; the admitted batch is validated once, aggregated by
@@ -36,6 +39,9 @@ aggregation stage and the telemetry layer):
     workers are event sources that observe honest traffic up to their firing
     time, and rounds overlap — the server aggregates a quorum while slower
     workers are still computing against older versions.
+    :class:`~repro.cluster.events.EventLoop` is the only dispatcher: it
+    coalesces same-time fetch / compute / push herds into runs for the
+    batched handlers and sends a run of one to the per-event handler.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from repro.cluster.codec import (
 )
 from repro.cluster.cost_model import CostModel, StragglerModel
 from repro.cluster.deploy import ClusterSpec
-from repro.cluster.events import Event, EventLoop, EventQueue
+from repro.cluster.events import Event, EventLoop
 from repro.cluster.fleet import (
     FleetComputeKernel,
     FleetState,
@@ -182,7 +188,6 @@ class BaseTrainer:
         link_sharing: str = "none",
         link_topology: Optional[LinkTopology] = None,
         error_feedback: bool = True,
-        vectorized: bool = True,
         compute_mode: str = "exact",
         fleet_sample_rng: Optional[np.random.Generator] = None,
         profiler: Optional[SimProfiler] = None,
@@ -258,10 +263,6 @@ class BaseTrainer:
         #: pool's blocks): physically computed after that round's cutoff, so
         #: they bill against the *next* round's wait budget.
         self._warm_debt = 0.0
-        #: Whether the lock-step pipeline uses the array-at-a-time collect
-        #: path (bit-identical to the per-worker loop; ``False`` forces the
-        #: legacy loop, which the fleet benchmark uses as its reference).
-        self.vectorized = bool(vectorized)
         self.compute_mode = compute_mode
         #: Dedicated stream for fleet-mode mini-batch draws: one
         #: ``(n, b)`` bounded-integer call replaces n per-worker calls.
@@ -378,6 +379,44 @@ class BaseTrainer:
             flops_per_sample=worker.model.flops_per_sample(),
         )
 
+    def _fleet_gradients(
+        self, workers: Sequence[HonestWorker], parameters: np.ndarray, step: int
+    ) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
+        """One batched backward for *workers*, all computing on *parameters*.
+
+        Returns ``(messages, losses, gradients)`` in worker order.  Workers
+        sharing one training set take their mini-batches from one fleet-wide
+        draw + row gather on the dedicated stream when the trainer owns one
+        (iid uniform either way — fleet compute is a statistically
+        equivalent mode, not a bitwise one), from per-worker draws otherwise.
+        """
+        assert self._fleet_kernel is not None
+        samplers = [worker.sampler for worker in workers]
+        shared = samplers[0]
+        if all(
+            s.features is shared.features and s.labels is shared.labels
+            for s in samplers
+        ):
+            if self._fleet_sample_rng is not None:
+                indices = self._fleet_sample_rng.integers(
+                    0, shared.num_samples, size=(len(workers), shared.batch_size)
+                )
+            else:
+                indices = np.stack([s.sample_indices() for s in samplers])
+            batches_x: Any = shared.features[indices]
+            batches_y: Any = shared.labels[indices]
+        else:
+            batches = [s.sample() for s in samplers]
+            batches_x = [batch[0] for batch in batches]
+            batches_y = [batch[1] for batch in batches]
+        losses, gradients = self._fleet_kernel.compute(parameters, batches_x, batches_y)
+        loss_list = losses.tolist()
+        messages = [
+            GradientMessage.trusted(worker.worker_id, step, gradients[i], loss_list[i])
+            for i, worker in enumerate(workers)
+        ]
+        return messages, losses, gradients
+
     def _section(self, name: str):
         """Profiler bracket for subsystem *name*; a no-op without a profiler."""
         if self.profiler is None:
@@ -389,7 +428,7 @@ class BaseTrainer:
         """``gar_kernel`` bracket that splits the selection stage out.
 
         The selection GARs credit :data:`repro.core.kernels.SELECTION_CLOCK`
-        around their selection stage (in every mode — loop and vectorised).
+        around their selection stage.
         Draining the clock after the bracket and re-booking those seconds
         under ``gar_select`` (subtracting them from ``gar_kernel``) keeps
         the two sections disjoint, so the profiler split still sums to the
@@ -495,36 +534,6 @@ class BaseTrainer:
         if isinstance(wire, WireFrame):
             return decode_frame(wire)
         return np.asarray(wire, dtype=np.float64)
-
-    # ---------------------------------------------------- aggregation stage
-    def _aggregate_batch(self, admitted: Sequence[ArrivalEvent]):
-        """Validate once and aggregate; returns ``(delivered, result, seconds)``.
-
-        Does *not* apply the optimizer update — the lock-step trainer applies
-        it immediately, the event loop applies it when the server's busy
-        period ends.  With a distance cache attached to the server, the cost
-        model prices only the distance blocks the cache actually computed
-        this round (the aggregated values stay bit-identical either way).
-        """
-        delivered = [
-            GradientMessage(
-                worker_id=e.message.worker_id,
-                step=e.message.step,
-                gradient=e.payload,
-                loss=e.message.loss,
-            )
-            for e in admitted
-        ]
-        if not delivered:
-            raise TrainingError("every gradient was dropped this step; cannot make progress")
-        matrix = self.server.stack_submissions(delivered)
-        result, aggregation_time = self.cost_model.aggregation_time_detailed(
-            self.server.gar,
-            matrix,
-            distance_cache=self.server.distance_cache,
-            charge_shard_combine=not self._service_active,
-        )
-        return delivered, result, aggregation_time
 
     # ------------------------------------------------- distance-cache round
     def _distance_round_begin(self, admitted: Sequence[ArrivalEvent]) -> float:
@@ -712,26 +721,13 @@ class SynchronousTrainer(BaseTrainer):
     ) -> Tuple[List[ArrivalEvent], float, List[float], float]:
         """Pipeline stages 1-3: compute, craft, encode + transfer.
 
-        Dispatches to the vectorised collect (the default) or the legacy
-        per-worker loop (``vectorized=False``); both produce bit-identical
-        arrivals, telemetry and RNG stream positions.
-        """
-        if self.vectorized:
-            return self._collect_arrivals_vectorized(parameters, step, dim)
-        return self._collect_arrivals_loop(parameters, step, dim)
-
-    def _collect_arrivals_loop(
-        self, parameters: np.ndarray, step: int, dim: int
-    ) -> Tuple[List[ArrivalEvent], float, List[float], float]:
-        """Per-worker reference implementation of the collect stage.
-
         Returns the step's arrival events (submission order: honest workers,
         then Byzantine workers), the wait floor (when the model broadcast
         finished reaching the last honest worker), the honest losses for the
         step's mean-loss metric, and the step's broadcast (downlink) bytes.
 
         With ``link_sharing="none"`` every transfer sees the full link and
-        the closed-form seed arithmetic is used verbatim (bit-identical
+        the closed-form seed arithmetic is used (bit-identical
         trajectories); under a contention-aware discipline the step's
         broadcasts and pushes are resolved as link sessions on the shared
         egress/ingress (per region bottleneck when a topology is set), and
@@ -740,181 +736,17 @@ class SynchronousTrainer(BaseTrainer):
         fetches are not — so their broadcast sessions contend on the shared
         egress, although only honest completions gate the step's wait floor
         (the adversary never extends the critical path on its own behalf).
-        """
-        honest = self.honest_workers
-        # Downlink framing per fetching worker, in worker-id order (Byzantine
-        # ids come first — the deterministic FIFO egress tie-break).  Without
-        # a broadcast codec every fetch is the same raw full-state frame, so
-        # the step's one parameter snapshot is shared across workers instead
-        # of copied n times.
-        if self.broadcast_codec is None:
-            raw_bytes = self.cost_model.gradient_bytes(dim)
-            fetches: Dict[int, Tuple[np.ndarray, float, bool]] = {
-                worker.worker_id: (parameters, raw_bytes, False)
-                for worker in self.workers
-            }
-        else:
-            fetches = {
-                worker.worker_id: self._encode_broadcast(worker.worker_id)
-                for worker in self.workers
-            }
-        downlink_step_bytes = float(sum(f[1] for f in fetches.values()))
-        if self._contended and honest:
-            # The broadcast is n concurrent sessions on the shared egress.
-            jobs = [
-                (0.0, fetches[worker.worker_id][1], worker.worker_id)
-                for worker in self.workers
-            ]
-            schedule = {
-                worker.worker_id: outcome
-                for worker, outcome in zip(self.workers, self.fabric.simulate(jobs))
-            }
-            downlink_times = [schedule[w.worker_id][0] for w in honest]
-            downlink_delays = [schedule[w.worker_id][1] for w in honest]
-            byz_delays = {w.worker_id: schedule[w.worker_id][1]
-                          for w in self.byzantine_workers}
-            floor = max(downlink_times)
-        else:
-            downlink_times = [
-                self.fabric.solo_seconds(w.worker_id, fetches[w.worker_id][1])
-                for w in honest
-            ]
-            downlink_delays = [0.0] * len(honest)
-            byz_delays = {w.worker_id: 0.0 for w in self.byzantine_workers}
-            floor = max(downlink_times) if downlink_times else 0.0
-        for worker in self.byzantine_workers:
-            _, nbytes, is_delta = fetches[worker.worker_id]
-            self.history.record_wire(
-                worker.worker_id,
-                bytes_received=nbytes,
-                queueing_delay=byz_delays[worker.worker_id],
-                downlink_delta=is_delta,
-                region=self.fabric.region_of(worker.worker_id),
-            )
-        slowdowns = (
-            self.straggler_model.sample(len(honest), self._straggler_rng)
-            if self.straggler_model is not None
-            else np.ones(len(honest))
-        )
 
-        # Stage 1: broadcast + honest gradient computation.  Each worker
-        # computes on the parameters it reconstructed from its own downlink
-        # frame (the exact server state unless a lossy broadcast codec is
-        # in play).
-        honest_messages: List[GradientMessage] = []
-        path_times: List[float] = []
-        for index, worker in enumerate(honest):
-            message = worker.compute_gradient(fetches[worker.worker_id][0], step)
-            honest_messages.append(message)
-            compute_time = self._compute_time(worker, dim)
-            path_times.append(downlink_times[index] + compute_time * float(slowdowns[index]))
-
-        honest_matrix = (
-            np.stack([m.gradient for m in honest_messages], axis=0)
-            if honest_messages
-            else np.zeros((0, dim))
-        )
-
-        # Stage 2: Byzantine gradients (crafted with full knowledge of the
-        # honest ones; the adversary never extends the step's critical path).
-        # One joint craft call mints all f rows for deterministic attacks.
-        with self._section("attack"):
-            byzantine_messages = craft_fleet(
-                self.byzantine_workers, parameters, honest_matrix, step
-            )
-
-        # Stage 3: encode, then transfer over each worker's uplink channel.
-        # The channel reports the *solo* seconds for the encoded frame; under
-        # contention the shared-ingress drain replaces the solo wire time and
-        # the channel's extra penalty (backoff, delays, jitter) rides on top.
-        num_honest = len(honest_messages)
-        frames: List[Optional[WireFrame]] = []
-        delivered: List[Optional[WireFrame]] = []
-        solo_seconds: List[float] = []
-        errors: List[float] = []
-        for order, message in enumerate(honest_messages + byzantine_messages):
-            channel = self.uplink_channels[message.worker_id]
-            frame, error = self._encode(
-                message.gradient, honest=order < num_honest,
-                worker_id=message.worker_id,
-            )
-            arrived, seconds = channel.transfer_frame(frame, self.cost_model)
-            frames.append(frame)
-            delivered.append(arrived)
-            solo_seconds.append(seconds)
-            errors.append(error)
-
-        uplink_delays = [0.0] * num_honest
-        if self._contended and num_honest:
-            schedule = self.fabric.simulate(
-                [
-                    (path_times[i], frames[i].nbytes, honest[i].worker_id)
-                    for i in range(num_honest)
-                ]
-            )
-            for i, (finish, delay) in enumerate(schedule):
-                ideal = self.cost_model.transfer_time(frames[i].nbytes)
-                penalty = solo_seconds[i] - ideal
-                path_times[i] = finish + penalty
-                uplink_delays[i] = delay
-        else:
-            for i in range(num_honest):
-                path_times[i] += self.fabric.uplink_seconds(
-                    honest[i].worker_id, frames[i].nbytes, solo_seconds[i]
-                )
-
-        events: List[ArrivalEvent] = []
-        for order, message in enumerate(honest_messages + byzantine_messages):
-            is_honest = order < num_honest
-            events.append(
-                ArrivalEvent(
-                    message=message,
-                    payload=self._decode(delivered[order]),
-                    arrival_time=path_times[order] if is_honest else 0.0,
-                    honest=is_honest,
-                    order=order,
-                    wire_bytes=frames[order].nbytes if is_honest else 0.0,
-                )
-            )
-            if is_honest:
-                _, fetch_bytes, fetch_delta = fetches[message.worker_id]
-                self.history.record_wire(
-                    message.worker_id,
-                    bytes_sent=frames[order].nbytes,
-                    bytes_received=fetch_bytes,
-                    queueing_delay=downlink_delays[order] + uplink_delays[order],
-                    compression_error=errors[order],
-                    downlink_delta=fetch_delta,
-                    region=self.fabric.region_of(message.worker_id),
-                )
-
-        if self._service_active:
-            assert self.service is not None
-            all_messages = honest_messages + byzantine_messages
-            self.service.account_pushes(
-                [m.worker_id for m in all_messages], frames
-            )
-            self.service.account_fetches(
-                [w.worker_id for w in self.workers],
-                [fetches[w.worker_id][1] for w in self.workers],
-            )
-        losses = [m.loss for m in honest_messages if np.isfinite(m.loss)]
-        return events, floor, losses, downlink_step_bytes
-
-    def _collect_arrivals_vectorized(
-        self, parameters: np.ndarray, step: int, dim: int
-    ) -> Tuple[List[ArrivalEvent], float, List[float], float]:
-        """Array-at-a-time collect stage (bit-identical to the loop path).
-
-        Every per-worker scalar operation of :meth:`_collect_arrivals_loop`
-        is replaced by its elementwise array form over the
+        The stage works array-at-a-time over the
         :class:`~repro.cluster.fleet.FleetState` row order (= honest worker
-        order), which numpy guarantees produces the same floats.  Stream
+        order) and is bit-identical to the per-worker loop frozen in
+        ``tests/trainer_reference.py``: each elementwise array operation
+        produces the floats the per-worker scalar operation would.  Stream
         order is preserved everywhere randomness is involved: samplers draw
         per worker in worker order, the codec's batched encode consumes its
-        PRNG exactly as the sequential encodes would, and only channels
-        whose transfer is transparent (no randomness by contract) are priced
-        in a single batched call — every other channel keeps its own
+        PRNG exactly as sequential encodes would, and only channels whose
+        transfer is transparent (no randomness by contract) are priced in a
+        single batched call — every other channel keeps its own
         ``transfer_frame`` call.  ``compute_mode="fleet"`` additionally
         routes honest backprop through the batched kernel (opt-in, not
         bitwise).
@@ -924,7 +756,11 @@ class SynchronousTrainer(BaseTrainer):
         num_honest = len(honest)
         honest_ids = [w.worker_id for w in honest]
 
-        # Downlink framing, identical to the loop path.
+        # Downlink framing per fetching worker, in worker-id order (Byzantine
+        # ids come first — the deterministic FIFO egress tie-break).  Without
+        # a broadcast codec every fetch is the same raw full-state frame, so
+        # the step's one parameter snapshot is shared across workers instead
+        # of copied n times.
         if self.broadcast_codec is None:
             raw_bytes = self.cost_model.gradient_bytes(dim)
             fetches: Dict[int, Tuple[np.ndarray, float, bool]] = {
@@ -976,51 +812,18 @@ class SynchronousTrainer(BaseTrainer):
 
         # Stage 1: honest gradients.  The fleet kernel batches all backprops
         # into one pass when eligible; otherwise each worker runs its own
-        # (the exact path).  Either way the samplers draw sequentially in
-        # worker order, keeping every per-worker RNG stream in the position
-        # the loop path would leave it.
+        # (the exact path), on the parameters it reconstructed from its own
+        # downlink frame.  Either way the samplers draw sequentially in
+        # worker order, so every per-worker RNG stream advances as if each
+        # worker had run alone.
         honest_messages: List[GradientMessage] = []
         fleet_matrix: Optional[np.ndarray] = None
         fleet_loss_array: Optional[np.ndarray] = None
         with self._section("compute"):
             if self._fleet_kernel is not None and honest:
-                samplers = [worker.sampler for worker in honest]
-                shared = samplers[0]
-                if all(
-                    s.features is shared.features and s.labels is shared.labels
-                    for s in samplers
-                ):
-                    # Shared training set: one fleet-wide draw + row gather
-                    # from the dedicated stream when the trainer owns one
-                    # (iid uniform either way — fleet compute is already a
-                    # statistically-equivalent mode, not a bitwise one),
-                    # per-worker draws otherwise.
-                    if self._fleet_sample_rng is not None:
-                        indices = self._fleet_sample_rng.integers(
-                            0,
-                            shared.num_samples,
-                            size=(num_honest, shared.batch_size),
-                        )
-                    else:
-                        indices = np.stack([s.sample_indices() for s in samplers])
-                    batches_x: Any = shared.features[indices]
-                    batches_y: Any = shared.labels[indices]
-                else:
-                    batches = [s.sample() for s in samplers]
-                    batches_x = [batch[0] for batch in batches]
-                    batches_y = [batch[1] for batch in batches]
-                fleet_losses, fleet_grads = self._fleet_kernel.compute(
-                    parameters, batches_x, batches_y
+                honest_messages, fleet_loss_array, fleet_matrix = (
+                    self._fleet_gradients(honest, parameters, step)
                 )
-                loss_list = fleet_losses.tolist()
-                honest_messages = [
-                    GradientMessage.trusted(
-                        worker.worker_id, step, fleet_grads[i], loss_list[i]
-                    )
-                    for i, worker in enumerate(honest)
-                ]
-                fleet_matrix = fleet_grads
-                fleet_loss_array = fleet_losses
                 compute_times = fleet.compute_times(
                     self.cost_model, self._fleet_kernel.model.flops_per_sample()
                 )
@@ -1040,19 +843,20 @@ class SynchronousTrainer(BaseTrainer):
         else:
             honest_matrix = np.zeros((0, dim))
 
-        # Stage 2: Byzantine gradients (same batched craft as the reference
-        # path — one joint attack call per step for deterministic attacks).
+        # Stage 2: Byzantine gradients (crafted with full knowledge of the
+        # honest ones; the adversary never extends the step's critical path).
+        # One joint craft call mints all f rows for deterministic attacks.
         with self._section("attack"):
             byzantine_messages = craft_fleet(
                 self.byzantine_workers, parameters, honest_matrix, step
             )
 
         # Stage 3a: batched codec.  Honest frames are encoded before the
-        # Byzantine raw frames, exactly the order the loop path consumes the
-        # codec PRNG in.  EF-SGD memory is added only to rows that carry
-        # one (a blanket ``+ 0.0`` would flip negative zeros) and the new
-        # residual matrix lands in the fleet's EF storage, whose rows the
-        # canonical ``_codec_memory`` dict aliases.
+        # Byzantine raw frames, in worker order — the order sequential
+        # encodes would consume the codec PRNG in.  EF-SGD memory is added
+        # only to rows that carry one (a blanket ``+ 0.0`` would flip
+        # negative zeros) and the new residual matrix lands in the fleet's
+        # EF storage, whose rows the canonical ``_codec_memory`` dict aliases.
         honest_frames: List[WireFrame] = []
         honest_errors: List[float] = []
         delivered_honest: List[Optional[WireFrame]] = []
@@ -1205,29 +1009,26 @@ class SynchronousTrainer(BaseTrainer):
     ) -> Tuple[List[int], StepDiagnostics, float]:
         """Pipeline stage 4: validate once, aggregate with diagnostics, update.
 
-        The vectorised path validates the round in one batched check and
-        stacks the admitted payloads directly (bit-identical matrix: the
-        legacy path's per-arrival messages wrap these same float64 rows);
-        the legacy path keeps the per-message protocol round-trip.
+        The round is validated in one batched check and the admitted
+        payloads are stacked directly.  With a distance cache attached to
+        the server, the cost model prices only the distance blocks the cache
+        actually computed this round (the aggregated values stay
+        bit-identical either way).
         """
         admitted = decision.admitted
-        if self.vectorized:
-            if not admitted:
-                raise TrainingError(
-                    "every gradient was dropped this step; cannot make progress"
-                )
-            worker_ids = [e.message.worker_id for e in admitted]
-            matrix = np.stack([e.payload for e in admitted], axis=0)
-            self.server.validate_rows(worker_ids, matrix)
-            result, aggregation_time = self.cost_model.aggregation_time_detailed(
-                self.server.gar,
-                matrix,
-                distance_cache=self.server.distance_cache,
-                charge_shard_combine=not self._service_active,
+        if not admitted:
+            raise TrainingError(
+                "every gradient was dropped this step; cannot make progress"
             )
-        else:
-            delivered, result, aggregation_time = self._aggregate_batch(admitted)
-            worker_ids = [m.worker_id for m in delivered]
+        worker_ids = [e.message.worker_id for e in admitted]
+        matrix = np.stack([e.payload for e in admitted], axis=0)
+        self.server.validate_rows(worker_ids, matrix)
+        result, aggregation_time = self.cost_model.aggregation_time_detailed(
+            self.server.gar,
+            matrix,
+            distance_cache=self.server.distance_cache,
+            charge_shard_combine=not self._service_active,
+        )
         if self._service_active:
             assert self.service is not None
             # The flat shard_combine_flops term was suppressed above; the
@@ -1252,29 +1053,16 @@ class SynchronousTrainer(BaseTrainer):
             parameters, step, dim
         )
 
-        # Thin driver over the event engine: the step's arrivals are routed
-        # through one deterministic event queue and handed to the policy in
-        # arrival order (ties broken by submission order, which is exactly
-        # the order they are pushed in).  The vectorised path replaces the
-        # heap with one stable argsort over the arrival times — identical
-        # ordering (sort by time, ties by push index) without n Event
-        # objects and n heap pops per step.
+        # The policy sees the arrivals in event-queue order: by arrival time,
+        # ties broken by submission order.  One stable argsort over the
+        # arrival times *is* that drain (sort by time, ties by push index),
+        # without n Event objects and n heap pops per step.
         with self._section("event_dispatch"):
-            if self.vectorized:
-                order = np.argsort(
-                    np.array([a.arrival_time for a in arrivals]), kind="stable"
-                )
-                drained = [arrivals[i] for i in order]
-                self.peak_queue_size = max(self.peak_queue_size, len(arrivals))
-            else:
-                queue = EventQueue()
-                queue.push_many([
-                    Event(time=arrival.arrival_time, kind="arrive",
-                          worker_id=arrival.message.worker_id, payload=arrival)
-                    for arrival in arrivals
-                ])
-                drained = [event.payload for event in queue.drain()]
-                self.peak_queue_size = max(self.peak_queue_size, queue.peak_size)
+            order = np.argsort(
+                np.array([a.arrival_time for a in arrivals]), kind="stable"
+            )
+            drained = [arrivals[i] for i in order]
+            self.peak_queue_size = max(self.peak_queue_size, len(arrivals))
             self.events_dispatched += len(drained)
 
         decision = self.sync_policy.collect(drained, step, floor=floor)
@@ -1400,6 +1188,13 @@ class AsyncTrainer(BaseTrainer):
             self.UPDATE_DONE: self._on_update_done,
             self.LINK: self._on_link,
         })
+        # The fetch → compute → push chain fires in herds whenever worker
+        # paths share a timestamp (homogeneous fleets, uncontended links):
+        # the loop hands each same-time run of two or more to the batched
+        # twin and keeps the per-event handler for a run of one.
+        self._loop.on_run(self.FETCH, self._on_fetch_batch)
+        self._loop.on_run(self.COMPUTE, self._on_compute_batch)
+        self._loop.on_run(self.PUSH, self._on_push_batch)
 
         #: Shared-link schedulers and their pending provisional completion
         #: events, one pipe per direction *and* region bottleneck (keys
@@ -1738,10 +1533,11 @@ class AsyncTrainer(BaseTrainer):
     def _aggregate_pending(self, batch: PendingBatch):
         """Validate the drained batch once and aggregate it.
 
-        SoA twin of :meth:`_aggregate_batch`: the pool hands over the
-        payload matrix directly, so validation is one batched
-        :meth:`~repro.cluster.server.ParameterServer.validate_rows` call
-        instead of per-message re-stacking.  Returns
+        The pool hands over the payload matrix directly, so validation is
+        one batched
+        :meth:`~repro.cluster.server.ParameterServer.validate_rows` call.
+        Does *not* apply the optimizer update — the event loop applies it
+        when the server's busy period ends.  Returns
         ``(result, aggregation_seconds)``.
         """
         if not len(batch):
@@ -1843,97 +1639,28 @@ class AsyncTrainer(BaseTrainer):
     def run_step(self) -> StepRecord:
         """Dispatch events until one more model update completes."""
         target = self.server.step + 1
-        if self.vectorized:
-            self.events_dispatched += self._run_until_vectorized(target)
-        else:
-            self.events_dispatched += self._loop.run_until(
-                lambda: self.server.step >= target,
-                max_events=self.max_events_per_update,
-            )
+        self.events_dispatched += self._loop.run_until(
+            lambda: self.server.step >= target,
+            max_events=self.max_events_per_update,
+        )
         self.peak_queue_size = max(self.peak_queue_size, self._loop.queue.peak_size)
         return self.history.steps[-1]
 
-    # --------------------------------------------------- vectorised event drain
-    def _run_until_vectorized(self, target: int) -> int:
-        """Drive the event loop to the next update, batching equal-time runs.
-
-        The fetch → compute → push chain fires in herds whenever worker
-        paths share a timestamp (homogeneous fleets, uncontended links), so
-        the drain pops *consecutive same-time same-kind* events as one run
-        and hands them to a batched handler.  Bit-identity argument: run
-        members are consecutive heap heads, and handlers only ever *push*
-        events — every new event is stamped with a higher insertion order
-        than the remaining run members and can never pop before them (the
-        loop rejects times in the past), so the run would have been
-        dispatched back to back by the per-event loop anyway.  The batched
-        handlers replay each per-event effect in pop order wherever an RNG
-        stream or float accumulation order is observable, and issue their
-        event pushes in the exact relative sequence the per-event handlers
-        would (``schedule_many`` stamps orders like sequential ``schedule``
-        calls).  Cancelled-before-dispatch link reschedules are the one
-        elision — only ``peak_queue_size`` can observe it.
-        """
-        loop = self._loop
-        queue = loop.queue
-        batched = {
-            self.FETCH: self._on_fetch_batch,
-            self.COMPUTE: self._on_compute_batch,
-            self.PUSH: self._on_push_batch,
-        }
-        dispatched = 0
-        max_events = self.max_events_per_update
-        while self.server.step < target:
-            if not queue:
-                raise TrainingError(
-                    "event queue drained before the stop condition was met"
-                )
-            if dispatched >= max_events:
-                raise TrainingError(
-                    f"event loop dispatched {dispatched} events without satisfying the "
-                    "stop condition; the simulation is livelocked (is every gradient "
-                    "being dropped or rejected?)"
-                )
-            with self._section("event_dispatch"):
-                event = queue.pop()
-                self.clock.advance_to(event.time)
-                handler = batched.get(event.kind)
-                run = [event]
-                if handler is not None:
-                    budget = max_events - dispatched
-                    head = queue.peek()
-                    while (
-                        len(run) < budget
-                        and head is not None
-                        and head.time == event.time
-                        and head.kind == event.kind
-                    ):
-                        run.append(queue.pop())
-                        head = queue.peek()
-            if handler is not None:
-                handler(run)
-            elif event.kind == self.ARRIVE:
-                self._on_arrive(event)
-            elif event.kind == self.LINK:
-                self._on_link(event)
-            elif event.kind == self.GATHER:
-                self._on_gather(event)
-            elif event.kind == self.UPDATE_DONE:
-                self._on_update_done(event)
-            else:
-                raise ConfigurationError(
-                    f"no handler registered for event kind {event.kind!r}"
-                )
-            dispatched += len(run)
-        return dispatched
-
+    # ------------------------------------------------------------ run handlers
+    # Each handler below serves one same-time run of two or more events and
+    # is bit-identical to its per-event twin applied in pop order (the
+    # :meth:`EventLoop.on_run` contract; ``tests/test_async_trainer_parity.py``
+    # holds it against the same trainer with the run handlers unregistered).
+    # Cancelled-before-dispatch link reschedules are the one elision — only
+    # ``peak_queue_size`` can observe it.
     @staticmethod
     def _surviving_reschedules(touched: Dict[str, int]) -> Dict[int, str]:
         """Invert ``pipe → last-open position`` into ``position → pipe``.
 
-        The per-event path reschedules a pipe after every open, but only the
-        reschedule issued by the pipe's last toucher survives to dispatch —
-        earlier ones are tombstoned by the next open on the same pipe.  The
-        batched handlers therefore skip the doomed intermediates and emit
+        The per-event handlers reschedule a pipe after every open, but only
+        the reschedule issued by the pipe's last toucher survives to dispatch
+        — earlier ones are tombstoned by the next open on the same pipe.  The
+        run handlers therefore skip the doomed intermediates and emit
         each pipe's one surviving link event exactly where the per-event
         push sequence placed it: immediately after the last open.  Each run
         position touches exactly one pipe, so the inversion is lossless and
@@ -1944,9 +1671,6 @@ class AsyncTrainer(BaseTrainer):
 
     def _on_fetch_batch(self, events: List[Event]) -> None:
         """Batched :meth:`_on_fetch` over one same-time run of fetches."""
-        if len(events) == 1:
-            self._on_fetch(events[0])
-            return
         now = events[0].time
         num = len(events)
         worker_ids = [e.worker_id for e in events]
@@ -1999,10 +1723,6 @@ class AsyncTrainer(BaseTrainer):
 
     def _on_compute_batch(self, events: List[Event]) -> None:
         """Batched :meth:`_on_compute` over one same-time run of computes."""
-        if len(events) == 1:
-            self._on_compute(events[0])
-            return
-        num = len(events)
         workers = [self._workers_by_id[e.worker_id] for e in events]
         messages: List[GradientMessage] = []
         # Fleet kernel fast path: one batched backward over the shared model
@@ -2019,34 +1739,7 @@ class AsyncTrainer(BaseTrainer):
         )
         with self._section("compute"):
             if use_fleet:
-                samplers = [w.sampler for w in workers]
-                shared = samplers[0]
-                if all(
-                    s.features is shared.features and s.labels is shared.labels
-                    for s in samplers
-                ):
-                    if self._fleet_sample_rng is not None:
-                        indices = self._fleet_sample_rng.integers(
-                            0, shared.num_samples, size=(num, shared.batch_size)
-                        )
-                    else:
-                        indices = np.stack([s.sample_indices() for s in samplers])
-                    batches_x: Any = shared.features[indices]
-                    batches_y: Any = shared.labels[indices]
-                else:
-                    batches = [s.sample() for s in samplers]
-                    batches_x = [batch[0] for batch in batches]
-                    batches_y = [batch[1] for batch in batches]
-                losses, grads = self._fleet_kernel.compute(
-                    params0, batches_x, batches_y
-                )
-                loss_list = losses.tolist()
-                messages = [
-                    GradientMessage.trusted(
-                        worker.worker_id, version0, grads[i], loss_list[i]
-                    )
-                    for i, worker in enumerate(workers)
-                ]
+                messages, _, _ = self._fleet_gradients(workers, params0, version0)
             else:
                 for worker, event in zip(workers, events):
                     version, parameters = event.payload
@@ -2068,9 +1761,6 @@ class AsyncTrainer(BaseTrainer):
 
     def _on_push_batch(self, events: List[Event]) -> None:
         """Batched :meth:`_on_push` over one same-time run of pushes."""
-        if len(events) == 1:
-            self._on_push(events[0])
-            return
         now = events[0].time
         num = len(events)
         messages: List[GradientMessage] = [e.payload for e in events]

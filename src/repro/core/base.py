@@ -85,14 +85,6 @@ class GradientAggregationRule(abc.ABC):
     #: model installs a shared cache here for the duration of one validated
     #: aggregation call so cross-round distance reuse can be priced.
     distance_provider = None
-    #: How the selection-based rules (Bulyan, Brute) extract their winners:
-    #: ``"vectorized"`` (default) uses the batched kernels in
-    #: :mod:`repro.core.kernels`; ``"loop"`` keeps the per-candidate
-    #: reference implementations.  Both produce the same selection; the
-    #: fleet-scale benchmark's legacy arm pins ``"loop"`` so the kernel
-    #: speedup is measured, and the loop paths double as oracles in the
-    #: property tests.  Rules without a scalar selection loop ignore it.
-    selection_mode: str = "vectorized"
 
     def __init__(self, f: int = 0) -> None:
         if isinstance(f, bool) or not isinstance(f, (int, np.integer)):

@@ -7,6 +7,12 @@ This rule is strongly Byzantine resilient for ``n >= 2f + 1`` but its cost is
 combinatorial in ``n`` (``C(n, n-f)`` subsets), which is why Multi-Krum /
 Bulyan are the practical choices — making Brute both a useful correctness
 oracle and an instructive cost comparison point.
+
+The subset scan has two implementations chosen from the input size alone:
+the combinadic-indexed :func:`repro.core.kernels.brute_select` while
+``C(n, n-f)`` fits :data:`~repro.core.kernels.BRUTE_VECTOR_SUBSET_LIMIT`, and
+the constant-memory :meth:`Brute._select_loop` above it.  They select
+identically (``tests/test_selection_kernels.py``).
 """
 
 from __future__ import annotations
@@ -65,16 +71,15 @@ class Brute(GradientAggregationRule):
             raise ResilienceConditionError(f"Brute needs n - f >= 1, got n={n}, f={self.f}")
         distances = self._distances(matrix)
         with SELECTION_CLOCK.measure():
-            if (
-                self.selection_mode != "loop"
-                and math.comb(n, subset_size) <= BRUTE_VECTOR_SUBSET_LIMIT
-            ):
+            if math.comb(n, subset_size) <= BRUTE_VECTOR_SUBSET_LIMIT:
                 # Combinadic-indexed vectorised scan: identical selection to
                 # the loop below (diameters are exact max reductions and
                 # np.argmin keeps the first — lexicographically earliest —
                 # minimum), without the per-subset tuple/fancy-index churn.
                 selected, _ = brute_select(distances, subset_size)
             else:
+                # Above the limit the materialised (C(n, n-f), n-f) subset
+                # table is too large: the streaming scan is the only path.
                 selected = self._select_loop(distances, n, subset_size)
         chosen = matrix[selected]
         if not np.isfinite(chosen).all():
@@ -86,7 +91,7 @@ class Brute(GradientAggregationRule):
 
     @staticmethod
     def _select_loop(distances: np.ndarray, n: int, subset_size: int) -> np.ndarray:
-        """Reference per-subset scan (retained as the ``"loop"`` mode / oracle)."""
+        """Per-subset scan: the path above the vector limit, and the tests' oracle."""
         best_indices: tuple[int, ...] | None = None
         best_diameter = np.inf
         for subset in combinations(range(n), subset_size):

@@ -21,9 +21,8 @@ update the scores"):
 * the ``(n, n)`` pairwise distance matrix is computed **once**; every
   selection iteration merely restricts the score reduction to the still-active
   rows and never recomputes the ``O(n^2 d)`` distances;
-* the default selection path is the update-only
-  :func:`repro.core.kernels.bulyan_select` kernel, which takes that sentence
-  literally from round 0.  With ``r`` gradients extracted, a score sums the
+* selection is the update-only :func:`repro.core.kernels.bulyan_select`
+  kernel, which takes that sentence literally from round 0.  With ``r`` gradients extracted, a score sums the
   ``n - f - 2`` smallest of the ``n - r - 1`` remaining distances of a row,
   i.e. *all* of them but the ``e = max(f + 1 - r, 0)`` largest — and those
   are the first ``e`` not-yet-extracted entries of the row's **tail table**,
@@ -32,10 +31,11 @@ update the scores"):
   it).  So ``score = running row sum - first e remaining tail entries``:
   each round subtracts the winner's column from the row sums, O(n), plus
   O(n f) of tail-table reads while ``e > 0`` — no round rescans or copies
-  the remaining submatrix.  The per-round rescan loop below is retained as
-  the ``selection_mode="loop"`` reference and test oracle, and is what the
-  kernel re-runs, for the tied rows only, when a round's minimum is not
-  provably unique under its rounding bound;
+  the remaining submatrix.  The per-round rescan loop below
+  (:func:`_bulyan_selection`) is not a mode of :class:`Bulyan`: it is
+  :class:`NaiveBulyan`'s path and the tests' oracle, and its score
+  arithmetic is what the kernel re-runs, for the tied rows only, when a
+  round's minimum is not provably unique under its rounding bound;
 * the number of neighbours entering each score is the Multi-Krum value
   ``n - f - 2`` fixed from the *original* ``n`` (clamped to the remaining pool
   size), so the first iteration is exactly Multi-Krum's scoring pass;
@@ -155,12 +155,7 @@ class Bulyan(GradientAggregationRule):
         else:
             distances = self._distances(matrix)
             with SELECTION_CLOCK.measure():
-                if self.selection_mode == "loop":
-                    selected = _bulyan_selection(
-                        matrix, self.f, theta, distances=distances
-                    )
-                else:
-                    selected = bulyan_select(distances, self.f, theta)
+                selected = bulyan_select(distances, self.f, theta)
         chosen = matrix[selected]
         if not np.isfinite(chosen).all():
             raise AggregationError(

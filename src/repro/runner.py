@@ -161,21 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "print a host wall-clock breakdown; the profile rides in "
                              "the output JSON but never in the determinism comparison "
                              "(host timings are machine-dependent)")
-    parser.add_argument("--no-vectorized", action="store_true",
-                        help="force the legacy per-worker collect loop instead of the "
-                             "vectorised fleet path (bit-identical results either way; "
-                             "the fleet benchmark's reference)")
     parser.add_argument("--compute-mode", default="exact", choices=["exact", "fleet"],
                         help="honest gradient computation: exact (every worker's own "
                              "backprop, bit-identical to the seed) or fleet (one "
                              "batched kernel pass over all honest workers — "
                              "statistically equivalent, not bitwise)")
-    parser.add_argument("--gar-selection", default="vectorized",
-                        choices=["vectorized", "loop"],
-                        help="how selection GARs (multi-krum, bulyan, brute) extract "
-                             "their winners: the batched numpy kernels (default) or "
-                             "the retained per-candidate reference loops — both "
-                             "select identically; loop is the perf baseline/oracle")
     parser.add_argument("--compact-telemetry", action="store_true",
                         help="store per-worker wire counters in preallocated arrays "
                              "instead of per-worker objects (identical exports; "
@@ -442,9 +432,7 @@ def run(argv: Optional[Sequence[str]] = None, *, stream=None) -> dict:
             lossy_links=args.lossy_links,
             lossy_drop_rate=args.drop_rate,
             lossy_policy=args.recovery_policy,
-            vectorized=not args.no_vectorized,
             compute_mode=args.compute_mode,
-            gar_selection=args.gar_selection,
             profiler=profiler,
             compact_telemetry=args.compact_telemetry,
             seed=args.seed,
@@ -502,9 +490,7 @@ def run(argv: Optional[Sequence[str]] = None, *, stream=None) -> dict:
             "server_cores": args.server_cores,
             "distance_cache": args.distance_cache,
             "measured_aggregation": args.measured_aggregation,
-            "vectorized": not args.no_vectorized,
             "compute_mode": args.compute_mode,
-            "gar_selection": args.gar_selection,
             "compact_telemetry": args.compact_telemetry,
             "seed": args.seed,
         }

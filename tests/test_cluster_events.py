@@ -132,3 +132,110 @@ class TestRunUntil:
         loop.schedule("tick", 0.0)
         with pytest.raises(TrainingError, match="livelock"):
             loop.run_until(lambda: False, max_events=100)
+
+
+class TestRunHandlers:
+    """``run_until`` coalesces same-``(time, kind)`` heads for ``on_run`` kinds."""
+
+    @staticmethod
+    def _recording_loop():
+        loop = EventLoop()
+        log = []
+        loop.on("a", lambda e: log.append(("one", [e.worker_id])))
+        loop.on("b", lambda e: log.append(("b", [e.worker_id])))
+        loop.on_run("a", lambda run: log.append(("run", [e.worker_id for e in run])))
+        return loop, log
+
+    def test_a_run_is_consecutive_equal_time_and_kind_heads_only(self):
+        loop, log = self._recording_loop()
+        # Pop order: a0 a1 | b2 | a3 (same time, but b2 sits between) | a4 a5 (later).
+        for worker_id, (kind, time) in enumerate(
+            [("a", 0.0), ("a", 0.0), ("b", 0.0), ("a", 0.0), ("a", 1.0), ("a", 1.0)]
+        ):
+            loop.schedule(kind, time, worker_id=worker_id)
+        dispatched = loop.run_until(lambda: not loop.queue)
+        assert dispatched == 6
+        assert log == [
+            ("run", [0, 1]), ("b", [2]), ("one", [3]), ("run", [4, 5]),
+        ]
+        assert loop.clock.now == 1.0
+
+    def test_a_run_of_one_reaches_the_per_event_handler(self):
+        loop, log = self._recording_loop()
+        loop.schedule("a", 0.0, worker_id=7)
+        assert loop.run_until(lambda: not loop.queue) == 1
+        assert log == [("one", [7])]
+
+    def test_kinds_without_a_run_handler_dispatch_per_event(self):
+        loop, log = self._recording_loop()
+        for worker_id in range(3):
+            loop.schedule("b", 0.0, worker_id=worker_id)
+        assert loop.run_until(lambda: not loop.queue) == 3
+        assert log == [("b", [0]), ("b", [1]), ("b", [2])]
+
+    def test_same_instant_pushes_join_a_later_run_never_the_current_one(self):
+        loop = EventLoop()
+        log = []
+
+        def on_run(run):
+            log.append([e.worker_id for e in run])
+            if len(log) == 1:
+                # Scheduled *now*: equal (time, kind) to the run in flight.
+                loop.schedule_many(("a", run[0].time, 10 + e.worker_id, None) for e in run)
+
+        loop.on("a", lambda e: log.append([e.worker_id]))
+        loop.on_run("a", on_run)
+        for worker_id in range(3):
+            loop.schedule("a", 0.0, worker_id=worker_id)
+        assert loop.run_until(lambda: not loop.queue) == 6
+        assert log == [[0, 1, 2], [10, 11, 12]]
+
+    def test_the_budget_caps_a_run(self):
+        loop, log = self._recording_loop()
+        for worker_id in range(5):
+            loop.schedule("a", 0.0, worker_id=worker_id)
+        with pytest.raises(TrainingError, match="dispatched 3 events.*livelock"):
+            loop.run_until(lambda: False, max_events=3)
+        # Exactly max_events were popped; the rest are still queued.
+        assert log == [("run", [0, 1, 2])]
+        assert len(loop.queue) == 2
+        # A budget of one leaves a run of one: the per-event handler.
+        with pytest.raises(TrainingError, match="livelock"):
+            loop.run_until(lambda: False, max_events=1)
+        assert log[-1] == ("one", [3])
+
+    def test_step_always_dispatches_a_single_event(self):
+        loop, log = self._recording_loop()
+        loop.schedule("a", 0.0, worker_id=0)
+        loop.schedule("a", 0.0, worker_id=1)
+        assert loop.step().worker_id == 0
+        assert log == [("one", [0])]
+
+    def test_cancelled_heads_neither_join_nor_split_a_run(self):
+        loop, log = self._recording_loop()
+        events = [loop.schedule("a", 0.0, worker_id=i) for i in range(4)]
+        events[1].cancel()
+        assert loop.run_until(lambda: not loop.queue) == 3
+        assert log == [("run", [0, 2, 3])]
+
+    def test_duplicate_run_handler_rejected(self):
+        loop = EventLoop()
+        loop.on_run("a", print)
+        loop.on_run("a", print)  # re-registering the same handler is fine
+        with pytest.raises(ConfigurationError, match="already has a run handler"):
+            loop.on_run("a", lambda run: None)
+
+    def test_profiler_brackets_one_dispatch_per_run(self):
+        from repro.cluster.profiler import SimProfiler
+
+        profiler = SimProfiler()
+        loop = EventLoop(profiler=profiler)
+        loop.on("a", lambda e: None)
+        loop.on_run("a", lambda run: None)
+        for worker_id in range(4):
+            loop.schedule("a", 0.0, worker_id=worker_id)
+        loop.schedule("a", 1.0)
+        profiler.start_run()
+        assert loop.run_until(lambda: not loop.queue) == 5
+        profiler.stop_run()
+        assert profiler.to_dict()["subsystems"]["event_dispatch"]["calls"] == 2

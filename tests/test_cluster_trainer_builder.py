@@ -65,6 +65,20 @@ class TestBuilderValidation:
         with pytest.raises(ConfigurationError):
             make_trainer(tiny_dataset, tiny_model_kwargs, corrupted_workers=10)
 
+    @pytest.mark.parametrize("retired", [{"vectorized": False}, {"gar_selection": "loop"}])
+    def test_retired_implementation_knobs_rejected(
+        self, tiny_dataset, tiny_model_kwargs, retired
+    ):
+        # One path per stage: there is no implementation left to select.
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make_trainer(tiny_dataset, tiny_model_kwargs, **retired)
+        trainer = make_trainer(tiny_dataset, tiny_model_kwargs)
+        assert not hasattr(trainer, "vectorized")
+        assert not hasattr(trainer.server.gar, "selection_mode")
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            type(trainer)(trainer.server, trainer.workers, trainer.cost_model,
+                          vectorized=False)
+
     def test_callable_model_factory(self, tiny_dataset):
         trainer = build_trainer(
             model=lambda: mlp(input_dim=8, hidden=(12,), num_classes=3, rng=0),

@@ -177,7 +177,6 @@ def test_resnet_like_trains_under_fleet_compute_mode():
         batch_size=8,
         learning_rate=0.05,
         seed=11,
-        vectorized=True,
         compute_mode="fleet",
     )
     assert trainer._fleet_kernel is not None

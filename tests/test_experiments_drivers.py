@@ -220,3 +220,36 @@ class TestBroadcastScaling:
 
         assert broadcast_scaling.main(["--determinism-check"]) == 0
         assert "identical" in capsys.readouterr().out
+
+
+class TestFleetScale:
+    """The CI entry points honour ``--scenarios`` / ``--repeats`` (they ran all seven)."""
+
+    def test_smoke_runs_exactly_the_named_scenario(self, tmp_path, capsys):
+        import json
+
+        from repro.experiments import fleet_scale
+
+        path = tmp_path / "smoke.json"
+        assert fleet_scale.main([
+            "--smoke", "--scenarios", "sharded_wan", "--repeats", "1",
+            "--json", str(path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "fleet-scale smoke: OK" in out and "sync_10k" not in out
+        [(name, node)] = json.loads(path.read_text())["scenarios"].items()
+        assert name == "sharded_wan"
+        smoke = fleet_scale.SCENARIOS["sharded_wan"]["smoke"]
+        assert node["scenario"]["num_workers"] == smoke["num_workers"]
+        assert node["events_dispatched"] == smoke["num_workers"] * smoke["max_steps"]
+        assert len(node["wall_clock_s"]["repeats"]) == 1
+        assert "arms" not in node and "speedup_vs_legacy" not in node
+
+    def test_determinism_check_replays_exactly_the_named_scenarios(self, capsys):
+        from repro.experiments import fleet_scale
+
+        assert fleet_scale.main(
+            ["--determinism-check", "--scenarios", "async_quorum", "conv_fleet"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "(async_quorum, conv_fleet replay identically)" in out

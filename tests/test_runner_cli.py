@@ -332,26 +332,19 @@ class TestServerComputeFlags:
         assert summary["configuration"]["measured_aggregation"] is True
         assert summary["latency_breakdown"]["aggregation"] > 0
 
-    def test_gar_selection_loop_matches_vectorized(self):
-        """Both selection modes run the identical trajectory end to end."""
-        args = BASE_ARGS + [
-            "--aggregator", "bulyan",
-            "--nb-workers", "11",
-            "--nb-real-byz", "2",
-            "--nb-decl-byz", "2",
-            "--attack", "sign-flip",
-        ]
-        summaries = {
-            mode: runner.run(args + ["--gar-selection", mode], stream=io.StringIO())
-            for mode in ("vectorized", "loop")
-        }
-        assert summaries["vectorized"]["configuration"]["gar_selection"] == "vectorized"
-        assert summaries["loop"]["configuration"]["gar_selection"] == "loop"
-        assert (
-            summaries["vectorized"]["final_accuracy"]
-            == summaries["loop"]["final_accuracy"]
+    def test_retired_implementation_flags_are_gone(self, capsys):
+        """``--no-vectorized`` / ``--gar-selection`` selected paths that no longer exist."""
+        for flags in (["--no-vectorized"], ["--gar-selection", "loop"]):
+            with pytest.raises(SystemExit) as exit_info:
+                runner.run(BASE_ARGS + flags, stream=io.StringIO())
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        summary = runner.run(
+            BASE_ARGS + ["--aggregator", "bulyan", "--nb-workers", "11",
+                         "--nb-decl-byz", "2"],
+            stream=io.StringIO(),
         )
-        assert summaries["vectorized"]["total_time"] == summaries["loop"]["total_time"]
+        assert not {"vectorized", "gar_selection"} & set(summary["configuration"])
 
 
 class TestEndToEnd:

@@ -2,9 +2,10 @@
 
 PR 8 replaced the Python selection loops of Multi-Krum, Bulyan and Brute
 with batched kernels (``multi_krum_select`` / ``bulyan_select`` /
-``brute_select``).  The loop implementations are retained as the
-``selection_mode="loop"`` paths and double as oracles here: the property
-suite drives both through adversarial shapes — exact ties from duplicate
+``brute_select``).  The loop implementations are retained —
+``_bulyan_selection`` as ``NaiveBulyan``'s path, ``Brute._select_loop`` as
+the only scan above ``BRUTE_VECTOR_SUBSET_LIMIT`` — and double as oracles
+here: the property suite drives both through adversarial shapes — exact ties from duplicate
 rows and integer-valued coordinates (integer squared distances make every
 partial sum exact in any summation order, so ties are provable ties),
 quarantined non-finite rows saturating at ``HUGE``, the minimum-``n``
@@ -39,9 +40,10 @@ from repro.core.kernels import (
     multi_krum_select,
     neighbour_sum_scores,
     pairwise_squared_distances,
+    trimmed_mean_around_median,
 )
 from repro.core.krum import MultiKrum
-from repro.exceptions import ResilienceConditionError
+from repro.exceptions import AggregationError, ResilienceConditionError
 from tests.test_core_kernels import oracle_bulyan
 
 
@@ -239,25 +241,31 @@ def test_bulyan_select_rejects_invalid_shapes():
 
 @settings(max_examples=30, deadline=None)
 @given(matrix=selection_matrices(min_n=7, max_n=15), f=st.integers(0, 2))
-def test_bulyan_rule_modes_agree_end_to_end(matrix, f):
+def test_bulyan_rule_matches_the_loop_selection_end_to_end(matrix, f):
     n = matrix.shape[0]
     if n < 4 * f + 3:
         return
-    loop_rule = Bulyan(f=f)
-    loop_rule.selection_mode = "loop"
-    vec_rule = Bulyan(f=f)
-    vec_rule.selection_mode = "vectorized"
-    try:
-        loop_result = loop_rule.aggregate_detailed(matrix)
-    except Exception as exc:  # noqa: BLE001 - both modes must fail alike
-        with pytest.raises(type(exc)):
-            vec_rule.aggregate_detailed(matrix)
-        return
-    vec_result = vec_rule.aggregate_detailed(matrix)
-    np.testing.assert_array_equal(vec_result.gradient, loop_result.gradient)
-    np.testing.assert_array_equal(
-        vec_result.selected_indices, loop_result.selected_indices
+    theta = n - 2 * f
+    rule = Bulyan(f=f)
+    selected = _bulyan_selection(
+        matrix, f, theta, distances=pairwise_squared_distances(matrix)
     )
+    if not np.isfinite(matrix[selected]).all():
+        # More than f quarantined rows: the rule must refuse the selection.
+        with pytest.raises(AggregationError):
+            rule.aggregate_detailed(matrix)
+        return
+    result = rule.aggregate_detailed(matrix)
+    np.testing.assert_array_equal(result.selected_indices, selected)
+    np.testing.assert_array_equal(
+        result.gradient,
+        trimmed_mean_around_median(matrix[selected], theta - 2 * f),
+    )
+    if np.isfinite(matrix).all():
+        # The seed's frozen Bulyan takes finite input only.
+        expected, expected_selection = oracle_bulyan(matrix, f)
+        np.testing.assert_array_equal(result.selected_indices, expected_selection)
+        np.testing.assert_array_equal(result.gradient, expected)
 
 
 # ---------------------------------------------------------------------- Brute
@@ -293,25 +301,34 @@ def test_brute_select_all_infinite_diameters_keeps_the_first_subset():
 
 @settings(max_examples=25, deadline=None)
 @given(matrix=selection_matrices(min_n=3, max_n=9), f=st.integers(0, 2))
-def test_brute_rule_modes_agree_end_to_end(matrix, f):
+def test_brute_rule_matches_the_loop_scan_end_to_end(matrix, f):
     n = matrix.shape[0]
     if n < 2 * f + 1:
         return
-    loop_rule = Brute(f=f)
-    loop_rule.selection_mode = "loop"
-    vec_rule = Brute(f=f)
-    vec_rule.selection_mode = "vectorized"
-    try:
-        loop_result = loop_rule.aggregate_detailed(matrix)
-    except Exception as exc:  # noqa: BLE001 - both modes must fail alike
-        with pytest.raises(type(exc)):
-            vec_rule.aggregate_detailed(matrix)
+    rule = Brute(f=f)
+    selected = Brute._select_loop(pairwise_squared_distances(matrix), n, n - f)
+    if not np.isfinite(matrix[selected]).all():
+        with pytest.raises(AggregationError):
+            rule.aggregate_detailed(matrix)
         return
-    vec_result = vec_rule.aggregate_detailed(matrix)
-    np.testing.assert_array_equal(vec_result.gradient, loop_result.gradient)
-    np.testing.assert_array_equal(
-        vec_result.selected_indices, loop_result.selected_indices
+    result = rule.aggregate_detailed(matrix)
+    np.testing.assert_array_equal(result.selected_indices, selected)
+    np.testing.assert_array_equal(result.gradient, matrix[selected].mean(axis=0))
+
+
+def test_brute_rule_scans_with_the_loop_above_the_vector_limit(monkeypatch):
+    # C(n, n - f) alone picks the scan: with the limit forced below it the
+    # rule takes ``_select_loop`` and must return what the kernel returns.
+    matrix = np.random.default_rng(5).standard_normal((9, 4))
+    expected = Brute(f=2).aggregate_detailed(matrix)
+    monkeypatch.setattr("repro.core.brute.BRUTE_VECTOR_SUBSET_LIMIT", 35)  # C(9, 7) = 36
+    monkeypatch.setattr(
+        "repro.core.brute.brute_select",
+        lambda *args: pytest.fail("the vectorised scan ran above its limit"),
     )
+    result = Brute(f=2).aggregate_detailed(matrix)
+    np.testing.assert_array_equal(result.selected_indices, expected.selected_indices)
+    np.testing.assert_array_equal(result.gradient, expected.gradient)
 
 
 # ----------------------------------------------------------------- Multi-Krum

@@ -35,7 +35,6 @@ def _profiled_run(**overrides):
         batch_size=4,
         learning_rate=0.05,
         seed=11,
-        vectorized=True,
         profiler=profiler,
     )
     kwargs.update(overrides)
@@ -88,40 +87,23 @@ def test_async_split_sums_to_the_wall_clock():
     assert split["subsystems"]["link_reschedule"]["calls"] > 0
 
 
-def test_legacy_loop_reports_the_same_shape():
-    """The per-worker loop brackets the same stages as the vectorised path."""
-    split = _profiled_run(vectorized=False)
-    _assert_split_is_coherent(split)
-    assert split["subsystems"]["attack"]["calls"] > 0
-
-
-@pytest.mark.parametrize("gar_selection", ["vectorized", "loop"])
-def test_sync_gar_select_split_fires_for_selection_gars(gar_selection):
+def test_sync_gar_select_split_fires_for_selection_gars():
     """Selection GARs book their selection stage under ``gar_select``.
 
     The trainer drains the rules' shared selection clock after each
     ``gar_kernel`` bracket and re-books the seconds, so the split must
-    stay coherent (sections disjoint, sums to the wall clock) with both
-    the vectorised kernels and the retained loop paths, and the
+    stay coherent (sections disjoint, sums to the wall clock) and the
     re-booking may never drive ``gar_kernel`` negative.
     """
-    split = _profiled_run(
-        gar="bulyan", num_workers=15, gar_selection=gar_selection
-    )
+    split = _profiled_run(gar="bulyan", num_workers=15)
     _assert_split_is_coherent(split)
     assert split["subsystems"]["gar_select"]["calls"] > 0
     assert split["subsystems"]["gar_select"]["seconds"] >= 0.0
     assert split["subsystems"]["gar_kernel"]["seconds"] >= 0.0
 
 
-@pytest.mark.parametrize("gar_selection", ["vectorized", "loop"])
-def test_async_gar_select_split_fires_for_selection_gars(gar_selection):
-    split = _profiled_run(
-        gar="multi-krum",
-        mode="async",
-        sync_policy="quorum",
-        gar_selection=gar_selection,
-    )
+def test_async_gar_select_split_fires_for_selection_gars():
+    split = _profiled_run(gar="multi-krum", mode="async", sync_policy="quorum")
     _assert_split_is_coherent(split)
     assert split["subsystems"]["gar_select"]["calls"] > 0
     assert split["subsystems"]["gar_kernel"]["seconds"] >= 0.0

@@ -133,6 +133,33 @@ class TestIdentityNoneParity:
         assert all(d > 0 for d in delays)
         assert history.wire_summary()["queueing_delay_seconds"] > 0
 
+    @pytest.mark.parametrize("sharing", ["fair", "fifo"])
+    def test_straggler_on_a_shared_link_pushes_uncontended(
+        self, tiny_dataset, tiny_model_kwargs, sharing
+    ):
+        # One slow worker starts its push long after everyone else's arrived.
+        # The closed-world link simulation used to rewind its clock on that
+        # ("link scheduler cannot move backwards") and crash the first step.
+        speeds = {0: 1e-6}
+        base = _build(tiny_dataset, tiny_model_kwargs, worker_speeds=speeds)
+        contended = _build(tiny_dataset, tiny_model_kwargs, worker_speeds=speeds,
+                           link_sharing=sharing)
+        h_base = base.run(TrainerConfig(max_steps=3, eval_every=0))
+        h_contended = contended.run(TrainerConfig(max_steps=3, eval_every=0))
+        assert not h_contended.diverged and len(h_contended.steps) == 3
+        np.testing.assert_array_equal(base.server.parameters, contended.server.parameters)
+        # The straggler's push had the ingress to itself: it queued no longer
+        # than anyone, and the step ends when its solo-time push lands — the
+        # contended run is slower only by the straggler's broadcast wait.
+        delays = {
+            wid: t.queueing_delay_seconds
+            for wid, t in h_contended.worker_timelines.items()
+        }
+        assert delays[0] == min(delays.values())
+        assert h_contended.total_time - h_base.total_time == pytest.approx(
+            delays[0], abs=1e-9
+        )
+
     def test_uncontended_run_records_zero_queueing_delay(
         self, tiny_dataset, tiny_model_kwargs
     ):
