@@ -672,6 +672,55 @@ def shard_frame_bytes(
     return frame.nbytes * (widths / float(frame.dim))
 
 
+def shard_frame_bytes_batch(
+    frames: Sequence[WireFrame], bounds: Sequence[Tuple[int, int]]
+) -> np.ndarray:
+    """:func:`shard_frame_bytes` for a batch: an ``(n, num_shards)`` matrix.
+
+    Row ``i`` is bit-identical to ``shard_frame_bytes(frames[i], bounds)``
+    (the same elementwise operations, broadcast over the batch).  Uniform
+    batches — all dense with one ``dim``, or all sparse with one support
+    size and one framing, the shape every codec's ``encode_batch`` emits —
+    are priced in one pass: dense rows are ``nbytes[:, None] * (widths /
+    dim)``; sparse rows count each shard's resident indices with a single
+    comparison of the stacked supports against the shard edges.  Ragged
+    batches (e.g. frames thinned by packet loss) fall back to the per-frame
+    function, exactly as :func:`decode_frames` does, and so does a batch
+    the bounds do not tile (for the same ``ConfigurationError``).
+    """
+    if not bounds:
+        raise ConfigurationError("shard_frame_bytes needs at least one shard")
+    if len(frames) == 0:
+        return np.zeros((0, len(bounds)))
+    first = frames[0]
+    sparse = first.indices is not None
+    widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
+    uniform = (widths >= 1).all() and int(widths.sum()) == first.dim and all(
+        frame.dim == first.dim
+        and (frame.indices is not None) == sparse
+        and (
+            not sparse
+            or (frame.indices.shape == first.indices.shape
+                and frame.shared_support == first.shared_support)
+        )
+        for frame in frames
+    )
+    if not uniform:
+        return np.stack([shard_frame_bytes(frame, bounds) for frame in frames])
+    nbytes = np.array([frame.nbytes for frame in frames], dtype=np.float64)
+    if not sparse:
+        return nbytes[:, None] * (widths / float(first.dim))
+    # Indices below each edge, differenced: what searchsorted on the sorted
+    # support returns, without the sort.
+    edges = np.array([lo for lo, _ in bounds] + [bounds[-1][1]])
+    supports = np.stack([np.ravel(frame.indices) for frame in frames])
+    below = (supports[:, None, :] < edges[None, :, None]).sum(axis=2)
+    counts = np.diff(below, axis=1).astype(np.float64)
+    if first.shared_support:
+        return counts * BYTES_PER_COORDINATE + 8.0
+    return counts * (nbytes / max(supports.shape[1], 1))[:, None]
+
+
 #: Registered codec factories, keyed by name.
 CODEC_REGISTRY: Dict[str, Callable[..., WireCodec]] = {
     IdentityCodec.name: IdentityCodec,
@@ -741,4 +790,5 @@ __all__ = [
     "encode_delta",
     "make_codec",
     "shard_frame_bytes",
+    "shard_frame_bytes_batch",
 ]

@@ -53,10 +53,32 @@ O(1).  What the draining side costs depends on the discipline:
     Every arrival and departure changes every session's rate (``fair``) or
     may be any session's completion (``none``), so a drain step and
     ``next_completion`` visit all ``n`` draining sessions: O(n) per link
-    event, O(n²) per pipe.  The step is kept as the exact piecewise
-    arithmetic — a virtual-time formulation would be O(log n) but would
-    round differently, and completion times here are bit-reproducible
-    across revisions.  The sessions a step lands leave in one rebuild.
+    event, O(n²) per pipe, one Python iteration per session per event.
+    The sessions a step lands leave in one rebuild.
+
+Closed world
+    :meth:`~LinkScheduler.simulate` knows every transfer up front (the
+    lock-step trainer's case), so it builds no sessions and replays no
+    events: it resolves the jobs on structure-of-arrays state and returns
+    the very floats the event API would.  A stable argsort of the starts is
+    the ``(start, index)`` admission order.  Under ``fair`` / ``none`` the
+    draining set is a handful of aligned arrays kept in admission order and
+    a piecewise step is the per-session expressions written elementwise
+    over them — still O(n) arithmetic per distinct start and per departure,
+    but a constant number of array operations instead of a Python loop, and
+    sessions that start together or land together cost one step between
+    them (a broadcast to 500 workers is one step, not 500).  Two details
+    keep it exact.  The arrivals of sessions that have drained stay on a
+    min-heap of plain floats, because a caller draining the event API
+    advances *to* them while others still drain and a drain step cut at a
+    breakpoint rounds differently from an uncut one; they are breakpoints
+    and nothing else.  And a same-start burst joins in one piece only when
+    no residue can be below the clock's ulp (:meth:`~LinkScheduler.open`
+    re-advances to the instant between two admissions, which can snap such
+    a residue closed); otherwise it joins one job at a time.  Under ``fifo`` exactly one session is served at a time, so there
+    is no set to vectorise over: the closed world is the head-only drain as
+    a scalar recurrence on plain floats — an array step over a one-element
+    served set measured slower than the per-session replay it would replace.
 
 Heterogeneous links
 -------------------
@@ -157,6 +179,36 @@ class LinkSession:
         return max(self.done_time - self.start_time - self.solo_seconds, 0.0)
 
 
+def _session_extras(
+    rate_cap: Optional[float] = None, extra_latency_s: float = 0.0
+) -> Tuple[Optional[float], float]:
+    """One ``session_kwargs`` entry of :meth:`LinkScheduler.simulate`, unpacked.
+
+    Called as ``_session_extras(**entry)``, so a misspelt key is a
+    ``TypeError`` exactly as it is for :meth:`LinkScheduler.open`.
+    """
+    return rate_cap, extra_latency_s
+
+
+def _require(ok: np.ndarray, requirement: str, values: np.ndarray) -> None:
+    """Raise naming the first entry of *values* that fails *requirement*."""
+    if not ok.all():
+        raise ConfigurationError(f"{requirement}, got {values[~ok][0]}")
+
+
+def _drain_due(clock: float, until: float, least_drain_s: float) -> bool:
+    """Whether draining a link whose clock reads *clock* to *until* can do anything.
+
+    It can whenever the clock has to move.  When it is already there, only a
+    residue that drains in less than the clock's ulp is due — it lands
+    without the clock moving, which is what keeps ``pop_completed(
+    next_completion())`` from spinning on it — and none is that small while
+    *least_drain_s*, a lower bound on every draining session's ``remaining /
+    rate``, still moves the clock (float division and addition are monotone).
+    """
+    return clock < until or (clock == until and clock + least_drain_s == clock)
+
+
 class LinkScheduler:
     """One direction of the server's link as a schedulable shared resource.
 
@@ -187,6 +239,9 @@ class LinkScheduler:
         self.latency_s = float(latency_s)
         self.sharing = sharing
         self.capacity = bandwidth_gbps * 1e9 / 8.0  # bytes per second
+        #: What the smallest residue a draining session can hold (more than
+        #: ``_DRAIN_EPS`` bytes) takes at the highest rate any session gets.
+        self._least_drain_s = _DRAIN_EPS / self.capacity
         self._now = 0.0
         #: Sessions still draining bytes, in admission order (``fifo``
         #: serves the left end and departs it in O(1)).
@@ -242,10 +297,12 @@ class LinkScheduler:
     ) -> LinkSession:
         """Validate and enqueue one session; the clock is already at *now*.
 
-        The one admission site (:meth:`open`, :meth:`open_many` and
-        :meth:`simulate` all pass through it), so the one place that rejects
-        non-finite input: a NaN byte count makes every drain horizon NaN and
-        :meth:`advance` spin for ever, an infinite one pins its pipe for good.
+        The event API's one admission site (:meth:`open` and
+        :meth:`open_many` both pass through it), so its one place that
+        rejects non-finite input: a NaN byte count makes every drain horizon
+        NaN and :meth:`advance` spin for ever, an infinite one pins its pipe
+        for good.  (:meth:`simulate` applies the same rules to whole arrays
+        in :meth:`_resolve`.)
         """
         if not math.isfinite(now):
             raise ConfigurationError(f"now must be finite, got {now}")
@@ -351,7 +408,7 @@ class LinkScheduler:
             )
         # Most calls have nothing to drain (every admission of a same-time
         # burst re-advances to the same instant): skip the dispatch for them.
-        if self._draining and self._now < now:
+        if self._draining and _drain_due(self._now, now, self._least_drain_s):
             if self.sharing == "fifo":
                 self._drain_head(now)
             else:
@@ -366,7 +423,7 @@ class LinkScheduler:
         threshold straight to in-flight.  So a step never has to visit them.
         """
         draining = self._draining
-        while draining and self._now < now:
+        while draining and _drain_due(self._now, now, self._least_drain_s):
             head = draining[0]
             rate = self._capped(head, self.capacity)
             horizon = self._now + head.remaining / rate
@@ -383,7 +440,7 @@ class LinkScheduler:
 
     def _drain_shared(self, now: float) -> None:
         """``fair`` / ``none`` drain to *now*: every session moves each step."""
-        while self._draining and self._now < now:
+        while self._draining and _drain_due(self._now, now, self._least_drain_s):
             rates = self._rates()
             # Earliest drain completion under the current membership.
             horizon = min(
@@ -485,32 +542,246 @@ class LinkScheduler:
         job, in input order.  ``session_kwargs`` optionally supplies one
         per-job dict of :meth:`open` extras (``rate_cap`` /
         ``extra_latency_s``) for heterogeneous senders.
+
+        Every float equals what admitting the jobs in ``(start, index)``
+        order through :meth:`open` on an idle link and then looping
+        ``pop_completed(next_completion())`` until it is idle again would
+        produce, but no session object is built: the jobs are resolved on
+        arrays (see *Closed world* in the module docstring).  This
+        scheduler's own sessions and counters are not touched.
         """
         if session_kwargs is not None and len(session_kwargs) != len(jobs):
             raise ConfigurationError(
                 f"session_kwargs must match jobs: {len(session_kwargs)} != {len(jobs)}"
             )
-        sim = LinkScheduler(
-            bandwidth_gbps=self.bandwidth_gbps,
-            latency_s=self.latency_s,
-            sharing=self.sharing,
+        table = np.asarray(jobs, dtype=np.float64).reshape(-1, 2)
+        rate_caps = np.full(len(table), np.inf)
+        extra_latency = np.zeros(len(table))
+        for i, extras in enumerate(session_kwargs or ()):
+            rate_cap, extra_latency[i] = _session_extras(**extras)
+            if rate_cap is not None:
+                # ``inf`` means "uncapped" from here on, so an explicit one
+                # (or a NaN) has to be refused before it is stored.
+                if not (math.isfinite(rate_cap) and rate_cap > 0):
+                    raise ConfigurationError(
+                        f"rate_cap must be finite and positive, got {rate_cap}"
+                    )
+                rate_caps[i] = rate_cap
+        done, delays = self._resolve(table[:, 0], table[:, 1], rate_caps, extra_latency)
+        return list(zip(done.tolist(), delays.tolist()))
+
+    def _resolve(
+        self,
+        starts: np.ndarray,
+        nbytes: np.ndarray,
+        rate_caps: np.ndarray,
+        extra_latency: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`simulate` on aligned float arrays (``rate_caps``: ``inf`` = none).
+
+        The closed world's one validation site — it refuses what
+        :meth:`_admit` refuses — and the one place the solo time, the
+        arrival and the queueing delay of a job are derived from the instant
+        its last byte drained, which is all the two drain solvers compute.
+        """
+        _require(np.isfinite(starts), "now must be finite", starts)
+        _require(
+            np.isfinite(nbytes) & (nbytes >= 0),
+            "nbytes must be finite and non-negative", nbytes,
         )
-        order = sorted(range(len(jobs)), key=lambda i: (jobs[i][0], i))
-        sessions: List[Optional[LinkSession]] = [None] * len(jobs)
-        for i in order:
-            start, nbytes = jobs[i]
-            extras = session_kwargs[i] if session_kwargs is not None else {}
-            sessions[i] = sim.open(float(start), float(nbytes), worker_id=i, **extras)
-        while sim.active_sessions:
-            target = sim.next_completion()
-            if target is None:  # pragma: no cover - all sessions zero-rate
-                raise ConfigurationError("link simulation stalled with active sessions")
-            # Every job was opened first, so the clock already sits at the
-            # last start: an arrival due before it (a job that finished
-            # before a later one began) is popped at the current instant —
-            # its ``done_time`` comes from the heap entry and stays exact.
-            sim.pop_completed(max(target, sim._now))
-        return [(s.done_time, s.queueing_delay) for s in sessions]
+        _require(rate_caps > 0, "rate_cap must be positive", rate_caps)
+        _require(
+            np.isfinite(extra_latency) & (extra_latency >= 0),
+            "extra_latency_s must be finite and non-negative", extra_latency,
+        )
+        if starts.size == 0:
+            return np.empty(0), np.empty(0)
+        # Admission order: by start, ties by input position.
+        order = np.argsort(starts, kind="stable")
+        first = float(starts[order[0]])
+        if first < -1e-12:  # the fresh link's clock reads 0.0
+            raise ConfigurationError(
+                f"link scheduler cannot move backwards: now={first:.9f} < {0.0:.9f}"
+            )
+        solve = self._closed_fifo if self.sharing == "fifo" else self._closed_shared
+        drained = solve(order, starts, nbytes, rate_caps, extra_latency)
+        done = drained + self.latency_s + extra_latency
+        solo = nbytes / np.minimum(self.capacity, rate_caps) + self.latency_s + extra_latency
+        return done, np.maximum(done - starts - solo, 0.0)
+
+    def _closed_shared(
+        self,
+        order: np.ndarray,
+        starts: np.ndarray,
+        nbytes: np.ndarray,
+        rate_caps: np.ndarray,
+        extra_latency: np.ndarray,
+    ) -> np.ndarray:
+        """``fair`` / ``none``: when each job's last byte drains, array-at-a-time.
+
+        The draining set is four aligned arrays in admission order, and a
+        piecewise step is :meth:`_drain_shared`'s expressions written
+        elementwise over them, so each float is the one the per-session
+        loop computes.  First occurrence of the smallest remainder *is* the
+        ``(remaining, session_id)`` tie-break, because the arrays stay in
+        admission order.
+        """
+        fair = self.sharing == "fair"
+        capacity, latency, least_drain_s = self.capacity, self.latency_s, self._least_drain_s
+        thresholds = np.maximum(_DRAIN_EPS, 1e-12 * nbytes)
+        # A payload at or below the drain threshold never drains: it lands at
+        # its own start.
+        instant = nbytes <= _DRAIN_EPS
+        drained = np.where(instant, starts, np.nan)
+        now = 0.0
+        active = np.empty(0, dtype=np.intp)
+        remaining, caps, floors = np.empty(0), np.empty(0), np.empty(0)
+
+        def rates() -> np.ndarray:
+            return np.minimum(capacity / active.size if fair else capacity, caps)
+
+        def advance(until: float) -> List[np.ndarray]:
+            """Drain piecewise to *until*; returns the jobs landed on the way."""
+            nonlocal now, active, remaining, caps, floors
+            landed: List[np.ndarray] = []
+            while active.size and _drain_due(now, until, least_drain_s):
+                rate = rates()
+                horizon = float((now + remaining / rate).min())
+                step_end = min(horizon, until)
+                remaining -= rate * (step_end - now)
+                due = remaining <= floors
+                when = step_end
+                if not np.count_nonzero(due):
+                    if step_end <= now and horizon <= until:
+                        # Too small a residue to move the clock: snap the
+                        # smallest (earliest admitted on a tie) closed.
+                        due[remaining.argmin()] = True
+                        when = now
+                    elif step_end >= until:
+                        break
+                    else:  # round-off left the horizon's session a residue
+                        now = step_end
+                        continue
+                landed.append(active[due])
+                drained[landed[-1]] = when
+                keep = ~due
+                active, remaining = active[keep], remaining[keep]
+                caps, floors = caps[keep], floors[keep]
+                now = max(now, step_end)
+            now = max(now, until)
+            return landed
+
+        # Admission: one drain per distinct start, then the whole burst joins.
+        sorted_starts = starts[order]
+        cuts = (np.flatnonzero(sorted_starts[1:] != sorted_starts[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [order.size]):
+            burst = order[lo:hi]
+            start = float(sorted_starts[lo])
+            advance(start)
+            chunks = [burst]
+            if burst.size > 1:
+                # Opened one at a time, every job after the first re-advances
+                # to the same instant, which can only snap a sub-ulp residue
+                # closed — and whether one exists depends on how many
+                # sessions share the pipe by then.  So the burst joins in
+                # one piece only if no residue can be that small, judged on
+                # the smallest remainder there is (the scheduler-wide bound
+                # gives up early on a fast pipe); otherwise it joins the way
+                # it is opened.
+                sizes = nbytes[burst]
+                least = min(
+                    remaining.min(initial=np.inf),
+                    sizes.min(initial=np.inf, where=sizes > _DRAIN_EPS),
+                )
+                if _drain_due(now, now, least / capacity):
+                    chunks = np.split(burst, np.arange(1, burst.size))
+            for position, chunk in enumerate(chunks):
+                if position:
+                    advance(start)
+                fresh = chunk[~instant[chunk]]
+                active = np.concatenate([active, fresh])
+                remaining = np.concatenate([remaining, nbytes[fresh]])
+                caps = np.concatenate([caps, rate_caps[fresh]])
+                floors = np.concatenate([floors, thresholds[fresh]])
+
+        # Run to completion.  The arrivals of jobs that have drained are
+        # advance targets too — a drain step cut at one rounds differently
+        # from an uncut one — so they are kept, as plain floats, purely as
+        # breakpoints; once nothing drains they cannot matter any more.
+        in_flight = (drained + latency + extra_latency)[~np.isnan(drained)].tolist()
+        heapq.heapify(in_flight)
+        while active.size:
+            target = float((now + remaining / rates()).min())
+            if in_flight:
+                target = min(in_flight[0], target)
+            target = max(target, now)
+            landed = advance(target)
+            if landed and active.size:
+                jobs = np.concatenate(landed)
+                for arrival in (drained[jobs] + latency + extra_latency[jobs]).tolist():
+                    heapq.heappush(in_flight, arrival)
+            while in_flight and in_flight[0] <= target + 1e-9:
+                heapq.heappop(in_flight)
+        return drained
+
+    def _closed_fifo(
+        self,
+        order: np.ndarray,
+        starts: np.ndarray,
+        nbytes: np.ndarray,
+        rate_caps: np.ndarray,
+        extra_latency: np.ndarray,
+    ) -> np.ndarray:
+        """``fifo``: when each job's last byte drains, as a scalar recurrence.
+
+        Exactly one session is served at a time, so there is no set to
+        vectorise over: this is :meth:`_drain_head` on plain floats.
+        """
+        latency, least_drain_s = self.latency_s, self._least_drain_s
+        start, size, extra = starts.tolist(), nbytes.tolist(), extra_latency.tolist()
+        rate = np.minimum(self.capacity, rate_caps).tolist()
+        remaining = list(size)
+        drained = [0.0] * len(size)
+        queue: Deque[int] = deque()
+        in_flight: List[float] = []  # arrivals, kept only as breakpoints
+        now = 0.0
+
+        def land(job: int, when: float) -> None:
+            drained[job] = when
+            heapq.heappush(in_flight, when + latency + extra[job])
+
+        def advance(until: float) -> None:
+            nonlocal now
+            while queue and _drain_due(now, until, least_drain_s):
+                head = queue[0]
+                horizon = now + remaining[head] / rate[head]
+                step_end = min(horizon, until)
+                remaining[head] -= rate[head] * (step_end - now)
+                if remaining[head] <= max(_DRAIN_EPS, 1e-12 * size[head]):
+                    land(queue.popleft(), step_end)
+                elif step_end <= now and horizon <= until:
+                    land(queue.popleft(), now)
+                elif step_end >= until:
+                    break
+                now = max(now, step_end)
+            now = max(now, until)
+
+        for job in order.tolist():
+            advance(start[job])
+            if size[job] <= _DRAIN_EPS:
+                land(job, start[job])
+            else:
+                queue.append(job)
+        while queue:
+            head = queue[0]
+            target = now + remaining[head] / rate[head]
+            if in_flight:
+                target = min(in_flight[0], target)
+            target = max(target, now)
+            advance(target)
+            while in_flight and in_flight[0] <= target + 1e-9:
+                heapq.heappop(in_flight)
+        return np.array(drained)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -638,11 +909,45 @@ class LinkTopology:
                 raise ConfigurationError(
                     f"worker {worker_id} latency_s must be non-negative, got {latency}"
                 )
+        # The per-worker route table, also built once: sorted worker ids and,
+        # aligned with them, the region's position in ``regions``, the access
+        # bandwidth (``inf`` = uncapped) and the access latency.
+        ids = sorted(self.worker_regions)
+        position = {name: index for index, name in enumerate(names)}
+        self._route_ids = np.array(ids, dtype=np.intp)
+        self._route_regions = np.array(
+            [position[self.worker_regions[w]] for w in ids], dtype=np.intp
+        )
+        self._route_gbps = np.array(
+            [self.worker_bandwidth_gbps.get(w, np.inf) for w in ids], dtype=np.float64
+        )
+        self._route_latency = np.array(
+            [self.worker_latency_s.get(w, 0.0) for w in ids], dtype=np.float64
+        )
 
     @property
     def region_map(self) -> Dict[str, RegionLink]:
         """Mapping from region name to its spec (cached at construction)."""
         return self._region_map
+
+    def routes(
+        self, worker_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Array form of :meth:`region_of` plus each worker's access link.
+
+        Returns, aligned with *worker_ids*: the position of the worker's
+        region in ``regions``, its access bandwidth in Gbit/s (``inf`` when
+        it has no cap) and its extra access latency in seconds.
+        """
+        worker_ids = np.asarray(worker_ids, dtype=np.intp)
+        known = self._route_ids
+        rows = np.minimum(np.searchsorted(known, worker_ids), known.size - 1)
+        missing = worker_ids[known[rows] != worker_ids] if known.size else worker_ids
+        if missing.size:
+            raise ConfigurationError(
+                f"worker {missing[0]} has no region assignment in the link topology"
+            )
+        return self._route_regions[rows], self._route_gbps[rows], self._route_latency[rows]
 
     def region_of(self, worker_id: int) -> str:
         """The region *worker_id*'s transfers are routed through."""
@@ -762,6 +1067,17 @@ class LinkFabric:
             "extra_latency_s": float(extra),
         }
 
+    def _pipe(self, region: RegionLink) -> Tuple[float, float]:
+        """``(bandwidth_gbps, latency_s)`` of *region*'s bottleneck pipe.
+
+        The server's NIC (the cost model's symmetric rate) caps the region's
+        bandwidth; the region's propagation adds to the base latency.
+        """
+        bandwidth = self.cost_model.bandwidth_gbps
+        if region.bandwidth_gbps is not None:
+            bandwidth = min(bandwidth, region.bandwidth_gbps)
+        return bandwidth, self.cost_model.latency_s + region.latency_s
+
     def scheduler_for(self, region: str) -> LinkScheduler:
         """A fresh scheduler for one direction of *region*'s bottleneck."""
         bandwidth = self.cost_model.bandwidth_gbps
@@ -770,9 +1086,7 @@ class LinkFabric:
             spec = self.topology.region_map.get(region)
             if spec is None:
                 raise ConfigurationError(f"unknown region {region!r}")
-            if spec.bandwidth_gbps is not None:
-                bandwidth = min(bandwidth, spec.bandwidth_gbps)
-            latency = latency + spec.latency_s
+            bandwidth, latency = self._pipe(spec)
         return LinkScheduler(
             bandwidth_gbps=bandwidth, latency_s=latency, sharing=self.sharing
         )
@@ -788,35 +1102,34 @@ class LinkFabric:
         """
         if self.topology is None:
             return self.cost_model.transfer_time(nbytes)
-        region = self.topology.region_map[self.region_of(worker_id)]
-        bandwidth = self.cost_model.bandwidth_gbps
-        if region.bandwidth_gbps is not None:
-            bandwidth = min(bandwidth, region.bandwidth_gbps)
+        bandwidth, latency = self._pipe(
+            self.topology.region_map[self.region_of(worker_id)]
+        )
         cap = self.topology.worker_bandwidth_gbps.get(int(worker_id))
         if cap is not None:
             bandwidth = min(bandwidth, cap)
-        latency = (
-            self.cost_model.latency_s
-            + region.latency_s
-            + self.topology.worker_latency_s.get(int(worker_id), 0.0)
-        )
+        latency = latency + self.topology.worker_latency_s.get(int(worker_id), 0.0)
         return float(nbytes) / (bandwidth * 1e9 / 8.0) + latency
 
     def solo_seconds_batch(self, worker_ids: Sequence[int], nbytes: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`solo_seconds` over aligned id / byte-count arrays.
 
         Without a topology every path shares the symmetric pipe, so the whole
-        batch is one ``transfer_time_batch`` call (bit-identical entries).
-        With a topology each worker's min-bandwidth / summed-latency path is
-        resolved by the scalar method (worker count, not dimension, bounds
-        that loop).
+        batch is one ``transfer_time_batch`` call.  With one, each worker's
+        min-bandwidth / summed-latency path comes from the route table and
+        the pricing is ``nbytes / path_rate + path_latency`` elementwise —
+        the scalar method's operations in the scalar method's order, so
+        every entry is bit-equal to it either way.
         """
         nbytes = np.asarray(nbytes, dtype=np.float64)
         if self.topology is None:
             return self.cost_model.transfer_time_batch(nbytes)
-        return np.array(
-            [self.solo_seconds(int(w), float(b)) for w, b in zip(worker_ids, nbytes)]
-        )
+        regions, access_gbps, access_latency = self.topology.routes(worker_ids)
+        pipe_gbps, pipe_latency = np.array(
+            [self._pipe(region) for region in self.topology.regions]
+        ).T
+        bandwidth = np.minimum(pipe_gbps[regions], access_gbps)
+        return nbytes / (bandwidth * 1e9 / 8.0) + (pipe_latency[regions] + access_latency)
 
     def uplink_seconds_batch(
         self,
@@ -827,18 +1140,16 @@ class LinkFabric:
         """Vectorised :meth:`uplink_seconds` over aligned per-worker arrays.
 
         Without a topology the channels' own figures pass through untouched
-        (the seed contract); with one, the scalar composition runs per
-        worker.
+        (the seed contract); with one, the scalar composition — path solo
+        time plus the channel's penalty over the symmetric cost-model base —
+        runs elementwise, bit-equal to the scalar method.
         """
         channel_seconds = np.asarray(channel_seconds, dtype=np.float64)
         if self.topology is None:
             return channel_seconds
-        return np.array(
-            [
-                self.uplink_seconds(int(w), float(b), float(c))
-                for w, b, c in zip(worker_ids, nbytes, channel_seconds)
-            ]
-        )
+        nbytes = np.asarray(nbytes, dtype=np.float64)
+        penalty = channel_seconds - self.cost_model.transfer_time_batch(nbytes)
+        return self.solo_seconds_batch(worker_ids, nbytes) + penalty
 
     def uplink_seconds(self, worker_id: int, nbytes: float, channel_seconds: float) -> float:
         """Compose a channel's transfer report with the worker's path.
@@ -854,28 +1165,36 @@ class LinkFabric:
         return self.solo_seconds(worker_id, nbytes) + penalty
 
     # ------------------------------------------------------------ batch mode
-    def simulate(
-        self, jobs: Sequence[Tuple[float, float, int]]
-    ) -> List[Tuple[float, float]]:
+    def simulate(self, jobs: Sequence[Tuple[float, float, int]]) -> np.ndarray:
         """Resolve ``(start_time, nbytes, worker_id)`` *jobs* across all pipes.
 
-        Jobs are grouped onto their region's bottleneck scheduler (regions
-        never contend with each other) and each region's schedule is
-        resolved closed-world; results return in input order.
+        *jobs* is anything ``np.asarray`` turns into an ``(n, 3)`` float
+        table — a list of tuples or the array itself.  Each worker's route
+        (region, access cap, access latency) comes from the table resolved
+        once per topology; the jobs of one region are selected by mask
+        (regions never contend with each other) and resolved closed-world on
+        that region's bottleneck by :meth:`LinkScheduler.simulate`'s array
+        core.  Returns an ``(n, 2)`` array in input order: column 0 the
+        completion time, column 1 the queueing delay — so ``len()`` is the
+        number of jobs and iterating yields ``(finish, delay)`` pairs.
         """
-        by_region: Dict[str, List[int]] = {}
-        for index, (_, _, worker_id) in enumerate(jobs):
-            by_region.setdefault(self.region_of(worker_id), []).append(index)
-        results: List[Optional[Tuple[float, float]]] = [None] * len(jobs)
-        for region in sorted(by_region):
-            indices = by_region[region]
-            scheduler = self.scheduler_for(region)
-            sub_jobs = [(jobs[i][0], jobs[i][1]) for i in indices]
-            extras = [self.session_kwargs(jobs[i][2]) for i in indices]
-            resolved = scheduler.simulate(sub_jobs, session_kwargs=extras)
-            for i, outcome in zip(indices, resolved):
-                results[i] = outcome
-        return results  # type: ignore[return-value]
+        table = np.asarray(jobs, dtype=np.float64).reshape(-1, 3)
+        if self.topology is None:  # one symmetric pipe, nobody capped
+            regions = np.zeros(len(table), dtype=np.intp)
+            rate_caps, access_latency = np.full(len(table), np.inf), np.zeros(len(table))
+        else:
+            regions, access_gbps, access_latency = self.topology.routes(table[:, 2])
+            rate_caps = access_gbps * 1e9 / 8.0
+        schedule = np.empty((len(table), 2))
+        for position, region in enumerate(self.region_names()):
+            mask = regions == position
+            if mask.any():
+                done, delays = self.scheduler_for(region)._resolve(
+                    table[mask, 0], table[mask, 1], rate_caps[mask], access_latency[mask]
+                )
+                schedule[mask, 0] = done
+                schedule[mask, 1] = delays
+        return schedule
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         regions = ",".join(self.region_names())

@@ -11,8 +11,9 @@ server to that service:
   :class:`ServerTopology`;
 * :class:`ServerFabric` hosts the resolved :class:`ShardSpec` actors on top
   of the authoritative store, routes worker fetch/push traffic through
-  per-shard sub-frames (:func:`repro.cluster.codec.shard_frame_bytes`)
-  priced against each shard's *regional* placement, and prices the
+  per-shard sub-frames (:func:`repro.cluster.codec.shard_frame_bytes_batch`,
+  a whole batch of frames at a time) priced against each shard's *regional*
+  placement, and prices the
   inter-server shard gather — the wire that replaces the flat
   :func:`repro.core.theory.shard_combine_flops` term — as real
   :class:`~repro.cluster.link.LinkScheduler` sessions.
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.codec import WireFrame, shard_frame_bytes
+from repro.cluster.codec import WireFrame, shard_frame_bytes_batch
 from repro.cluster.link import DEFAULT_REGION, LinkScheduler, LinkTopology
 from repro.core import theory
 from repro.core.distance_cache import split_pair_flops
@@ -236,7 +237,7 @@ class ServerFabric:
     #: Derived configuration, rebuilt verbatim from the constructor's
     #: topology arguments on every construction — never mutated after
     #: ``__init__``, so checkpoints have nothing to capture (SIM401).
-    _CHECKPOINT_EXEMPT = ("_region_latency", "_region_bandwidth")
+    _CHECKPOINT_EXEMPT = ("_region_latency", "_region_bandwidth", "_shard_local")
 
     def __init__(
         self,
@@ -295,6 +296,12 @@ class ServerFabric:
             for region in link_topology.regions:
                 self._region_latency[region.name] = region.latency_s
                 self._region_bandwidth[region.name] = region.bandwidth_gbps
+        #: ``[region position, shard]``: whether the shard is placed in that
+        #: region — a worker's row is its (worker, shard) locality mask.
+        self._shard_local = np.array(
+            [[shard.region == name for shard in self.shards] for name in region_names],
+            dtype=bool,
+        )
         #: Per-shard version digests: ``shard_id -> {version: digest}``,
         #: mirroring the authoritative store's retained-version lifecycle.
         self._shard_versions: List[Dict[int, bytes]] = [dict() for _ in range(count)]
@@ -367,43 +374,57 @@ class ServerFabric:
             )
 
     # ---------------------------------------------------------- push routing
+    def _locality(self, worker_ids: np.ndarray) -> np.ndarray:
+        """``(n, num_actors)`` mask: actor ``j`` sits in worker ``i``'s region."""
+        if self.link_topology is None:
+            return np.broadcast_to(self._shard_local[0], (len(worker_ids), self.num_actors))
+        return self._shard_local[self.link_topology.routes(worker_ids)[0]]
+
+    def _record_split(self, prefix: str, split: np.ndarray, local: np.ndarray) -> None:
+        """Add a batch's per-(worker, actor) bytes to the local / cross counters.
+
+        Each total is the last entry of a running sum over the row-major
+        flattening with the other side's entries zeroed.  That is the float
+        a per-frame, per-shard ``+=`` loop reaches: ``cumsum`` adds left to
+        right, and adding ``0.0`` to a non-negative running total is exact.
+        """
+        if split.size == 0:
+            return
+        local_bytes = float(np.cumsum(np.where(local, split, 0.0).ravel())[-1])
+        cross_bytes = float(np.cumsum(np.where(local, 0.0, split).ravel())[-1])
+        if local_bytes or cross_bytes:
+            self._record(**{
+                f"{prefix}_local_bytes": local_bytes, f"{prefix}_cross_bytes": cross_bytes,
+            })
+
     def account_pushes(
         self, worker_ids: Sequence[int], frames: Sequence[Optional[WireFrame]]
     ) -> None:
         """Account one batch of uplink frames fanning out across the actors.
 
         Sharded service: each frame splits into per-shard sub-frames
-        (:func:`~repro.cluster.codec.shard_frame_bytes`); the sub-frame for
-        the shard placed in the worker's own region is local, the rest cross
-        the WAN.  Replicated service: the worker multicasts the whole frame
-        to every replica.  Arrival *times* are untouched — the uplink's
-        admission schedule is priced on the worker's own path exactly as in
-        the single-server deployment (the slices travel in parallel); the
-        fan-out is a byte-accounting effect.
+        (:func:`~repro.cluster.codec.shard_frame_bytes_batch` prices the
+        whole batch at once); the sub-frame for the shard placed in the
+        worker's own region is local, the rest cross the WAN.  Replicated
+        service: the worker multicasts the whole frame to every replica.
+        Dropped frames (``None``) cost nothing.  The two totals are ordered
+        sums (:meth:`_record_split`), so the counters are bit-identical to
+        accounting the frames one at a time.  Arrival *times* are untouched
+        — the uplink's admission schedule is priced on the worker's own path
+        exactly as in the single-server deployment (the slices travel in
+        parallel); the fan-out is a byte-accounting effect.
         """
         if self.is_trivial:
             return
-        local = 0.0
-        cross = 0.0
-        for worker_id, frame in zip(worker_ids, frames):
-            if frame is None:
-                continue
-            region = self.region_of_worker(int(worker_id))
-            if self.kind == "replicas":
-                for shard in self.shards:
-                    if shard.region == region:
-                        local += frame.nbytes
-                    else:
-                        cross += frame.nbytes
-                continue
-            split = shard_frame_bytes(frame, self._bounds)
-            for shard, nbytes in zip(self.shards, split):
-                if shard.region == region:
-                    local += float(nbytes)
-                else:
-                    cross += float(nbytes)
-        if local or cross:
-            self._record(push_local_bytes=local, push_cross_bytes=cross)
+        sent = [i for i, frame in enumerate(frames) if frame is not None]
+        frames = [frames[i] for i in sent]
+        worker_ids = np.asarray(worker_ids, dtype=np.intp)[sent]
+        if self.kind == "replicas":
+            nbytes = np.array([frame.nbytes for frame in frames], dtype=np.float64)
+            split = np.broadcast_to(nbytes[:, None], (len(frames), self.num_actors))
+        else:
+            split = shard_frame_bytes_batch(frames, self._bounds)
+        self._record_split("push", split, self._locality(worker_ids))
 
     def account_fetches(
         self, worker_ids: Sequence[int], nbytes: Sequence[float]
@@ -416,32 +437,21 @@ class ServerFabric:
         while the remaining slices cross the WAN.  Replicated service:
         the worker pulls from its region's replica when one exists (pure
         ``(worker_id, shard_id)`` routing), so the whole fetch is local
-        unless no replica shares the region.
+        unless no replica shares the region.  Zero-byte fetches cost
+        nothing; the totals are the same ordered sums as for pushes.
         """
         if self.is_trivial:
             return
-        dim = float(self.server.dim)
-        local = 0.0
-        cross = 0.0
-        for worker_id, total in zip(worker_ids, nbytes):
-            total = float(total)
-            if total == 0.0:
-                continue
-            region = self.region_of_worker(int(worker_id))
-            if self.kind == "replicas":
-                if any(shard.region == region for shard in self.shards):
-                    local += total
-                else:
-                    cross += total
-                continue
-            for shard in self.shards:
-                share = total * (shard.width / dim)
-                if shard.region == region:
-                    local += share
-                else:
-                    cross += share
-        if local or cross:
-            self._record(fetch_local_bytes=local, fetch_cross_bytes=cross)
+        totals = np.asarray(nbytes, dtype=np.float64)
+        fetched = totals != 0.0
+        totals = totals[fetched]
+        local = self._locality(np.asarray(worker_ids, dtype=np.intp)[fetched])
+        if self.kind == "replicas":
+            split, local = totals[:, None], local.any(axis=1, keepdims=True)
+        else:
+            widths = np.array([shard.width for shard in self.shards], dtype=np.float64)
+            split = totals[:, None] * (widths / float(self.server.dim))
+        self._record_split("fetch", split, local)
 
     # ------------------------------------------------------ inter-server wire
     def _interserver_session_kwargs(self, src_region: str, dst_region: str) -> dict:

@@ -216,6 +216,15 @@ class BaseTrainer:
         #: used to run are paid exactly once.
         self._honest_workers_cache: Optional[List[HonestWorker]] = None
         self._byzantine_workers_cache: Optional[List[ByzantineWorker]] = None
+        #: Worker ids in ``workers`` order and each role's rows in it: a
+        #: step's per-worker wire arrays are built and indexed with these.
+        self._worker_ids = np.array(ids, dtype=np.intp)
+        self._honest_rows = np.flatnonzero(
+            [isinstance(w, HonestWorker) for w in self.workers]
+        )
+        self._byzantine_rows = np.flatnonzero(
+            [isinstance(w, ByzantineWorker) for w in self.workers]
+        )
         self.cost_model = cost_model
         self.clock = SimulatedClock()
         self.uplink_channels = build_uplink_map(ids, uplink_channels)
@@ -772,22 +781,28 @@ class SynchronousTrainer(BaseTrainer):
                 worker.worker_id: self._encode_broadcast(worker.worker_id)
                 for worker in self.workers
             }
-        downlink_step_bytes = float(sum(f[1] for f in fetches.values()))
-        fetch_bytes = np.array([fetches[wid][1] for wid in honest_ids], dtype=np.float64)
+        # Per-worker fetch bytes in ``workers`` order (= the dict's order, so
+        # the step total is the same left-to-right sum).
+        all_fetch_bytes = np.array([f[1] for f in fetches.values()], dtype=np.float64)
+        downlink_step_bytes = float(sum(all_fetch_bytes.tolist()))
+        fetch_bytes = all_fetch_bytes[self._honest_rows]
         with self._section("link_drain"):
             if self._contended and honest:
-                jobs = [
-                    (0.0, fetches[worker.worker_id][1], worker.worker_id)
-                    for worker in self.workers
-                ]
-                schedule = {
-                    worker.worker_id: outcome
-                    for worker, outcome in zip(self.workers, self.fabric.simulate(jobs))
-                }
-                downlink_times = np.array([schedule[w.worker_id][0] for w in honest])
-                downlink_delays = np.array([schedule[w.worker_id][1] for w in honest])
-                byz_delays = {w.worker_id: schedule[w.worker_id][1]
-                              for w in self.byzantine_workers}
+                # The broadcast is n concurrent sessions on the shared egress,
+                # all starting at the step's origin.
+                schedule = self.fabric.simulate(
+                    np.column_stack(
+                        [np.zeros(len(self.workers)), all_fetch_bytes, self._worker_ids]
+                    )
+                )
+                downlink_times = schedule[self._honest_rows, 0]
+                downlink_delays = schedule[self._honest_rows, 1]
+                byz_delays = dict(
+                    zip(
+                        self._worker_ids[self._byzantine_rows].tolist(),
+                        schedule[self._byzantine_rows, 1].tolist(),
+                    )
+                )
                 floor = float(downlink_times.max())
             else:
                 downlink_times = self.fabric.solo_seconds_batch(honest_ids, fetch_bytes)
@@ -928,15 +943,11 @@ class SynchronousTrainer(BaseTrainer):
         with self._section("link_drain"):
             if self._contended and num_honest:
                 schedule = self.fabric.simulate(
-                    [
-                        (float(path_times[i]), honest_frames[i].nbytes, honest_ids[i])
-                        for i in range(num_honest)
-                    ]
+                    np.column_stack([path_times, nbytes_honest, honest_ids])
                 )
-                finish = np.array([s[0] for s in schedule])
-                uplink_delays = np.array([s[1] for s in schedule])
+                uplink_delays = schedule[:, 1]
                 ideal = self.cost_model.transfer_time_batch(nbytes_honest)
-                path_times = finish + (solo_honest - ideal)
+                path_times = schedule[:, 0] + (solo_honest - ideal)
             elif num_honest:
                 path_times = path_times + self.fabric.uplink_seconds_batch(
                     honest_ids, nbytes_honest, solo_honest
@@ -993,10 +1004,7 @@ class SynchronousTrainer(BaseTrainer):
             assert self.service is not None
             byz_ids = [m.worker_id for m in byzantine_messages]
             self.service.account_pushes(honest_ids + byz_ids, frames)
-            self.service.account_fetches(
-                [w.worker_id for w in self.workers],
-                [fetches[w.worker_id][1] for w in self.workers],
-            )
+            self.service.account_fetches(self._worker_ids, all_fetch_bytes)
 
         if fleet_loss_array is not None:
             losses = fleet_loss_array[np.isfinite(fleet_loss_array)].tolist()

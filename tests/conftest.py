@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -39,3 +42,36 @@ def tiny_dataset():
 def tiny_model_kwargs():
     """Model kwargs matching :func:`tiny_dataset` for the 'mlp' factory."""
     return {"input_dim": 8, "hidden": (12,), "num_classes": 3}
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float = 10.0):
+    """Raise ``TimeoutError`` in the enclosed block once *seconds* have passed.
+
+    ``pytest-timeout`` is installed in CI only, so a test that exercises a
+    loop which used to livelock carries its own guard: without one a
+    regression holds a local tier-1 run for ever (and a CI run for its whole
+    15-minute budget).  An outer ``SIGALRM`` timer — ``pytest-timeout`` uses
+    the same signal — is put back on the way out.
+    """
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds:g} s: livelock?")
+
+    handler = signal.signal(signal.SIGALRM, expired)
+    outer = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, *outer)
+        signal.signal(signal.SIGALRM, handler)
+
+
+@pytest.fixture(scope="session")
+def time_limit():
+    """The :func:`_time_limit` context manager (``with time_limit(): ...``).
+
+    Session-scoped, so hypothesis tests may take it: the guard is armed per
+    example, inside the test body.
+    """
+    return _time_limit

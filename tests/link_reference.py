@@ -9,9 +9,9 @@ O(n) per link event and O(n^2) per pipe, and it is the definition of
 ``tests/test_link_scheduler.py`` drives both with the same random operation
 sequences and requires equal (``==``) floats, ids and orders after every
 operation, and ``benchmarks/test_link_scheduler_speed.py`` times the live
-scheduler against it.  Do not edit the class bodies below (one exception so
-far, marked ``NOTE`` in ``simulate``: a crash fix applied identically to
-both sides).
+scheduler against it.  Do not edit the class bodies below (two exceptions so
+far, each marked ``NOTE``: a crash fix in ``simulate`` and a livelock fix in
+``advance``, both applied identically to both sides).
 """
 
 from __future__ import annotations
@@ -257,7 +257,11 @@ class LinkScheduler:
             raise ConfigurationError(
                 f"link scheduler cannot move backwards: now={now:.9f} < {self._now:.9f}"
             )
-        while self._draining and self._now < now:
+        # NOTE: the second line edited since the freeze — the same fix as
+        # ``src/repro/cluster/link.py`` (``<=`` was ``<``: a residue draining
+        # in less than the clock's ulp was due *now*, the loop never ran for
+        # it, and ``pop_completed(next_completion())`` span for ever).
+        while self._draining and self._now <= now:
             rates = self._rates()
             # Earliest drain completion under the current membership.
             horizon = min(

@@ -1,5 +1,7 @@
 """Tests for the shared-link contention scheduler (cluster/link.py)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,6 +225,27 @@ class TestNonFiniteAdmission:
             link.simulate([(bad, CAP)])
         with pytest.raises(ConfigurationError, match="extra_latency_s"):
             link.simulate([(0.0, CAP)], session_kwargs=[{"extra_latency_s": bad}])
+        with pytest.raises(ConfigurationError, match="rate_cap"):
+            link.simulate([(0.0, CAP), (0.0, CAP)], session_kwargs=[{}, {"rate_cap": bad}])
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    def test_simulate_refuses_what_open_refuses(self, sharing):
+        link = make(sharing)
+        with pytest.raises(ConfigurationError, match="nbytes"):
+            link.simulate([(0.0, CAP), (1.0, -1.0)])
+        with pytest.raises(ConfigurationError, match="rate_cap"):
+            link.simulate([(0.0, CAP)], session_kwargs=[{"rate_cap": 0.0}])
+        with pytest.raises(ConfigurationError, match="extra_latency_s"):
+            link.simulate([(0.0, CAP)], session_kwargs=[{"extra_latency_s": -0.5}])
+        # The fresh link's clock reads 0.0: a job cannot start before it.
+        with pytest.raises(ConfigurationError, match="cannot move backwards"):
+            link.simulate([(2.0, CAP), (-1.0, CAP)])
+        with pytest.raises(ConfigurationError, match="must match jobs"):
+            link.simulate([(0.0, CAP)], session_kwargs=[{}, {}])
+        with pytest.raises(TypeError):
+            link.simulate([(0.0, CAP)], session_kwargs=[{"rate_caps": CAP}])
+        assert link.simulate([]) == []
+        assert link.sessions_opened == 0  # simulate never touches the live link
 
     @pytest.mark.parametrize("sharing", SHARING_MODES)
     def test_scheduler_still_drains_after_a_rejected_session(self, sharing):
@@ -241,6 +264,10 @@ class TestNonFiniteAdmission:
 #: 0.01 Gbit/s => 1.25e6 bytes/s, the WAN bottleneck of the benchmark.
 WAN_GBPS = 0.01
 WAN_CAP = 1.25e6
+
+#: Clock offsets of the differential tests: the origin, twelve simulated days
+#: and four simulated months.
+BASES = (0.0, 2.0**20, 1e7)
 
 # Grids make exact coincidences likely: equal-time bursts (dt = 0), exact
 # completion ties (equal sizes; sizes that are whole multiples of the rate),
@@ -261,6 +288,10 @@ _extras = st.one_of(
     }),
 )
 _spec = st.tuples(_nbytes, _extras)
+#: A closed-world job: how long after the previous job it starts — ``None``
+#: for "exactly when the link's state next changes", the coincidence that
+#: leaves a residue too small to move the clock — its bytes and its extras.
+_job = st.tuples(st.one_of(st.none(), _dt), _nbytes, _extras)
 _op = st.one_of(
     st.tuples(st.just("open"), _dt, _spec),
     st.tuples(st.just("open_many"), _dt, st.lists(_spec, min_size=0, max_size=6)),
@@ -268,6 +299,22 @@ _op = st.one_of(
     st.tuples(st.just("pop"), _dt),
     st.tuples(st.just("pop_next")),
 )
+
+
+def _closed_world(base, drawn, kwargs, reverse):
+    """``(jobs, session_kwargs)`` of a ``simulate`` call from ``_job`` draws."""
+    probe = ReferenceScheduler(**kwargs)
+    now, jobs, extras = base, [], []
+    for dt, nbytes, extra in drawn:
+        due = probe.next_completion() if dt is None else now + dt
+        now = now if due is None else max(now, due)
+        probe.open(now, nbytes, **extra)
+        jobs.append((now, nbytes))
+        extras.append(extra)
+    if reverse:  # input order is not admission order
+        jobs.reverse()
+        extras.reverse()
+    return jobs, extras
 
 
 class _Pair:
@@ -335,44 +382,50 @@ class TestAgainstFrozenReference:
     @settings(max_examples=300, deadline=None)
     @given(
         latency=st.sampled_from([0.0, 0.02]),
-        # At t = 1e7 the clock's ulp (1.9e-9 s) exceeds the time a small
-        # residue needs to drain, which is what the snap-closed branch of
-        # ``advance`` exists for.
-        start=st.sampled_from([0.0, 1e7]),
+        # At t = 2**20 and 1e7 the clock's ulp (2.3e-10 s, 1.9e-9 s) exceeds
+        # the time a small residue needs to drain: the snap-closed branch of
+        # ``advance``, and the re-advance to the current instant that lands
+        # such a residue instead of spinning on it.
+        start=st.sampled_from(BASES),
         ops=st.lists(_op, max_size=30),
     )
-    def test_operation_sequences(self, sharing, latency, start, ops):
+    def test_operation_sequences(self, time_limit, sharing, latency, start, ops):
         pair = _Pair(sharing, latency, start)
-        for op in ops:
-            pair.apply(op)
-            pair.check()
-        # Drain event by event: a drain completion and an arrival per session
-        # at most.  (Bounded, not ``while active``: at t = 1e7 a residue that
-        # drains in less than the clock's ulp makes ``next_completion`` name
-        # the current instant for ever — in both schedulers alike.)
-        for _ in range(2 * len(pair.sessions)):
-            pair.apply(("pop_next",))
-            pair.check()
-        if start == 0.0:
-            assert pair.live.active_sessions == 0
+        with time_limit():
+            for op in ops:
+                pair.apply(op)
+                pair.check()
+            # Drain event by event: a drain completion and an arrival per
+            # session, and a residue can cost a session one event more.
+            for _ in range(4 * len(pair.sessions) + 4):
+                if pair.ref.active_sessions == 0:
+                    break
+                pair.apply(("pop_next",))
+                pair.check()
+        assert pair.live.active_sessions == 0
 
     @pytest.mark.parametrize("sharing", SHARING_MODES)
     @settings(max_examples=100, deadline=None)
     @given(
         latency=st.sampled_from([0.0, 0.02]),
-        jobs=st.lists(st.tuples(_dt, _nbytes, _extras), max_size=20),
+        base=st.sampled_from(BASES),
+        drawn=st.lists(_job, max_size=20),
+        reverse=st.booleans(),
         with_extras=st.booleans(),
     )
-    def test_simulate(self, sharing, latency, jobs, with_extras):
+    def test_simulate(self, time_limit, sharing, latency, base, drawn, reverse, with_extras):
         kwargs = dict(bandwidth_gbps=WAN_GBPS, latency_s=latency, sharing=sharing)
-        plain = [(start, nbytes) for start, nbytes, _ in jobs]
-        extras = [e for _, _, e in jobs] if with_extras else None
 
         # Neither side raises — not even when a job completes before a later
-        # job starts (both used to rewind the clock and refuse).
-        assert LinkScheduler(**kwargs).simulate(
-            plain, session_kwargs=extras
-        ) == ReferenceScheduler(**kwargs).simulate(plain, session_kwargs=extras)
+        # job starts (both used to rewind the clock and refuse) — and neither
+        # spins on a sub-ulp residue at a large clock (both used to).
+        with time_limit():
+            jobs, extras = _closed_world(base, drawn, kwargs, reverse)
+            if not with_extras:
+                extras = None
+            assert LinkScheduler(**kwargs).simulate(
+                jobs, session_kwargs=extras
+            ) == ReferenceScheduler(**kwargs).simulate(jobs, session_kwargs=extras)
 
     def test_queued_fifo_sessions_never_set_next_completion(self):
         # The reference projects an arrival for every session queued behind
@@ -396,3 +449,113 @@ class TestAgainstFrozenReference:
         assert [s.session_id for s, _ in sorted(
             pair.sessions, key=lambda p: (p[0].done_time, p[0].session_id)
         )] == [0, 3, 2, 1]
+
+
+class TestClosedWorldAgainstEventApi:
+    """``simulate`` is pinned to the live event API, not only to the frozen file."""
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        latency=st.sampled_from([0.0, 0.02]),
+        base=st.sampled_from(BASES),
+        drawn=st.lists(_job, max_size=60),
+        reverse=st.booleans(),
+    )
+    def test_simulate_equals_the_live_event_api(
+        self, time_limit, sharing, latency, base, drawn, reverse
+    ):
+        # The drain arithmetic lives twice in src/ — per session behind the
+        # event API, on arrays behind ``simulate`` — and this is what keeps
+        # the two from drifting: the closed world is, by definition, the jobs
+        # opened in (start, index) order on a fresh link that is then popped
+        # at each ``next_completion`` until idle.
+        kwargs = dict(bandwidth_gbps=WAN_GBPS, latency_s=latency, sharing=sharing)
+        with time_limit():
+            plain, extras = _closed_world(base, drawn, kwargs, reverse)
+            link = LinkScheduler(**kwargs)
+            sessions = [None] * len(plain)
+            for i in sorted(range(len(plain)), key=lambda i: (plain[i][0], i)):
+                sessions[i] = link.open(*plain[i], worker_id=i, **extras[i])
+            now = max((start for start, _ in plain), default=0.0)
+            while link.active_sessions:
+                now = max(link.next_completion(), now)
+                link.pop_completed(now)
+            assert LinkScheduler(**kwargs).simulate(plain, session_kwargs=extras) == [
+                (s.done_time, s.queueing_delay) for s in sessions
+            ]
+
+
+class TestLargeClocks:
+    """A residue that drains in less than the clock's ulp used to livelock.
+
+    ``remaining / rate`` below the ulp makes ``next_completion()`` name the
+    current instant; ``advance(now)`` then skipped the drain because the
+    clock would not move, so nothing ever landed.  Every case here span for
+    ever in the event API and in ``simulate`` alike; each carries its own
+    time limit because ``pytest-timeout`` is not installed locally.
+    """
+
+    #: The benchmark's pipe: 10 Mbit/s, 20 ms.
+    PIPE = dict(bandwidth_gbps=0.01, latency_s=0.02)
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    @pytest.mark.parametrize("start", [1e7, 1e8, 1e9])
+    def test_a_single_byte_late_in_a_long_run(self, time_limit, sharing, start):
+        kwargs = dict(self.PIPE, sharing=sharing)
+        with time_limit():
+            schedule = LinkScheduler(**kwargs).simulate([(start, 1.0)])
+            assert schedule == ReferenceScheduler(**kwargs).simulate([(start, 1.0)])
+        [(finish, delay)] = schedule
+        assert start < finish <= start + 0.03 and delay < 1e-6  # float noise at most
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_benchmark_frames_after_twelve_simulated_days(self, time_limit, sharing, seed):
+        rng = random.Random(seed)
+        jobs = [(2.0**20 + rng.random(), 220.0) for _ in range(5)]
+        kwargs = dict(self.PIPE, sharing=sharing)
+        with time_limit():
+            schedule = LinkScheduler(**kwargs).simulate(jobs)
+            assert schedule == ReferenceScheduler(**kwargs).simulate(jobs)
+        assert all(start < finish < start + 1.0 for (start, _), (finish, _) in zip(jobs, schedule))
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    def test_a_burst_that_starts_exactly_at_a_drain_horizon(self, time_limit, sharing):
+        # The first job's drain horizon is the burst's start, and round-off
+        # leaves it a 6e-4-byte residue there.  Opened one at a time, the
+        # zero-byte job's successor re-advances to that instant and snaps the
+        # residue closed *before* two more sessions halve its fair share —
+        # so the closed world may not let the burst join in one piece here.
+        horizon = 10000000.879345784
+        jobs = [(10000000.040484378, 1048576.7579544028),
+                (horizon, 0.0), (horizon, 3520.0), (horizon, 100.0)]
+        kwargs = dict(self.PIPE, sharing=sharing)
+        with time_limit():
+            probe = ReferenceScheduler(**kwargs)
+            probe.open(*jobs[0])
+            assert probe.next_completion() == horizon
+            assert LinkScheduler(**kwargs).simulate(jobs) == ReferenceScheduler(
+                **kwargs
+            ).simulate(jobs)
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    @pytest.mark.parametrize("base", [2.0**20, 1e7])
+    def test_event_loop_goes_idle(self, time_limit, sharing, base):
+        # Same-instant bursts and a straggler, drained the way the async
+        # trainer drains a link: pop at every next_completion until idle.
+        pair = _Pair(sharing, 0.02, base)
+        pair.apply(("open_many", 0.0, [
+            (220.0, {}), (2500.0, {}), (1.0, {"rate_cap": 5e5, "extra_latency_s": 0.01}),
+        ]))
+        pair.apply(("open", 0.001, (2.0**20 + 0.37, {})))
+        pair.apply(("open_many", 0.02, [(1250.0, {}), (1e-3, {})]))
+        with time_limit():
+            events = 0
+            while pair.ref.active_sessions:
+                pair.apply(("pop_next",))
+                pair.check()
+                events += 1
+        assert pair.live.active_sessions == 0
+        assert events <= 4 * len(pair.sessions) + 4
+        assert all(live.done_time is not None for live, _ in pair.sessions)

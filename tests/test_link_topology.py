@@ -199,6 +199,79 @@ class TestLinkFabric:
         assert results[2][0] == pytest.approx(10.0)
         assert results[2][1] == pytest.approx(0.0)
 
+    def _mixed(self):
+        """Two WAN regions; some workers capped, some slow to reach, some neither."""
+        topology = LinkTopology(
+            regions=(
+                RegionLink("west", bandwidth_gbps=0.01, latency_s=0.02),
+                RegionLink("east", bandwidth_gbps=0.004, latency_s=0.05),
+            ),
+            # Sparse, unordered ids: the route table must not assume 0..n-1.
+            worker_regions={7: "east", 0: "west", 3: "east", 12: "west", 5: "west", 9: "east"},
+            worker_bandwidth_gbps={3: 0.001, 12: 0.5, 5: 0.002},
+            worker_latency_s={7: 0.01, 5: 0.03},
+        )
+        return CostModel(bandwidth_gbps=0.1, latency_s=0.001), topology
+
+    def test_batch_pricing_equals_the_scalar_methods(self):
+        cost, topology = self._mixed()
+        fabric = LinkFabric(cost, topology)
+        worker_ids = [5, 0, 9, 3, 12, 7, 5]
+        nbytes = np.array([3520.0, 0.0, 1.0, 2.0**20 + 0.5, 250.0, 99370.0 * 4, 17.0])
+        channel = np.array([0.5, 0.001, 0.25, 900.0, 0.002, 40.0, 0.0])
+        assert fabric.solo_seconds_batch(worker_ids, nbytes).tolist() == [
+            fabric.solo_seconds(w, b) for w, b in zip(worker_ids, nbytes.tolist())
+        ]
+        assert fabric.uplink_seconds_batch(worker_ids, nbytes, channel).tolist() == [
+            fabric.uplink_seconds(w, b, c)
+            for w, b, c in zip(worker_ids, nbytes.tolist(), channel.tolist())
+        ]
+        with pytest.raises(ConfigurationError, match="worker 4 has no region"):
+            fabric.solo_seconds_batch([0, 4], np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("sharing", ["none", "fair", "fifo"])
+    def test_simulate_equals_per_region_scheduler_simulate(self, sharing):
+        cost, topology = self._mixed()
+        fabric = LinkFabric(cost, topology, sharing=sharing)
+        jobs = [
+            (0.0, 3520.0, 5), (0.0, 3520.0, 7), (0.0, 3520.0, 0), (0.25, 880.0, 3),
+            (0.0, 3520.0, 9), (0.01, 0.0, 12), (0.0, 3520.0, 12), (0.01, 7040.0, 0),
+            (0.3, 3520.0, 7), (0.0, 1e-7, 3),
+        ]
+        schedule = fabric.simulate(jobs)
+        assert schedule.shape == (len(jobs), 2)
+        expected = [None] * len(jobs)
+        for region in fabric.region_names():
+            rows = [i for i, job in enumerate(jobs) if fabric.region_of(job[2]) == region]
+            resolved = fabric.scheduler_for(region).simulate(
+                [jobs[i][:2] for i in rows],
+                session_kwargs=[fabric.session_kwargs(jobs[i][2]) for i in rows],
+            )
+            for i, outcome in zip(rows, resolved):
+                expected[i] = outcome
+        assert [tuple(row) for row in schedule.tolist()] == expected  # input order
+        # The same jobs as an (n, 3) array are the same call.
+        assert (fabric.simulate(np.array(jobs)) == schedule).all()
+
+    def test_simulate_validates_on_the_array_path(self):
+        cost, topology = self._mixed()
+        fabric = LinkFabric(cost, topology, sharing="fair")
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match="nbytes"):
+                fabric.simulate([(0.0, 10.0, 0), (0.0, bad, 5)])
+            with pytest.raises(ConfigurationError, match="now"):
+                fabric.simulate([(bad, 10.0, 0)])
+        with pytest.raises(ConfigurationError, match="cannot move backwards"):
+            fabric.simulate([(-1.0, 10.0, 0)])
+        with pytest.raises(ConfigurationError, match="worker 4 has no region"):
+            fabric.simulate([(0.0, 10.0, 4)])
+        assert fabric.simulate([]).shape == (0, 2)
+        # No topology: one symmetric pipe, any worker id.
+        plain = LinkFabric(cost, None, sharing="fair").simulate([(0.0, 10.0, 4), (0.0, 10.0, 99)])
+        assert plain.tolist() == [list(pair) for pair in LinkScheduler(
+            bandwidth_gbps=cost.bandwidth_gbps, latency_s=cost.latency_s, sharing="fair"
+        ).simulate([(0.0, 10.0), (0.0, 10.0)])]
+
     def test_region_scheduler_caps_at_cost_model_bandwidth(self):
         cost = CostModel(bandwidth_gbps=8e-9)  # 1 B/s server NIC
         topology = LinkTopology(

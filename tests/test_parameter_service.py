@@ -20,6 +20,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.builder import build_trainer
+from repro.cluster.codec import IdentityCodec, RandomKCodec, TopKCodec, shard_frame_bytes
+from repro.cluster.link import parse_link_profile
 from repro.cluster.checkpoint import (
     capture_training_state,
     load_training_state,
@@ -295,6 +297,125 @@ class TestServerFabric:
         state = service.state_dict()
         pins = {int(v): c for v, c in state["shards"][0]["pins"].items()}
         assert pins == trainer.server.pinned_versions()
+
+
+def _oracle_pushes(fabric, worker_ids, frames):
+    """The per-frame, per-shard ``+=`` loop the batch accounting replaced."""
+    local = cross = 0.0
+    for worker_id, frame in zip(worker_ids, frames):
+        if frame is None:
+            continue
+        region = fabric.region_of_worker(int(worker_id))
+        if fabric.kind == "replicas":
+            split = [frame.nbytes] * fabric.num_actors
+        else:
+            split = shard_frame_bytes(frame, [(s.lo, s.hi) for s in fabric.shards])
+        for shard, nbytes in zip(fabric.shards, split):
+            if shard.region == region:
+                local += float(nbytes)
+            else:
+                cross += float(nbytes)
+    return local, cross
+
+
+def _oracle_fetches(fabric, worker_ids, nbytes):
+    """The per-worker loop the batch fetch accounting replaced."""
+    dim = float(fabric.server.dim)
+    local = cross = 0.0
+    for worker_id, total in zip(worker_ids, nbytes):
+        total = float(total)
+        if total == 0.0:
+            continue
+        region = fabric.region_of_worker(int(worker_id))
+        if fabric.kind == "replicas":
+            if any(shard.region == region for shard in fabric.shards):
+                local += total
+            else:
+                cross += total
+            continue
+        for shard in fabric.shards:
+            share = total * (shard.width / dim)
+            if shard.region == region:
+                local += share
+            else:
+                cross += share
+    return local, cross
+
+
+class TestBatchAccounting:
+    """Batched push / fetch accounting leaves the counters ``==`` the loop's."""
+
+    #: Enough (worker, shard) entries per call that a pairwise or blocked sum
+    #: would round differently from the left-to-right one.
+    WORKERS = 48
+
+    def _service(self, spec, wan):
+        link_topology = parse_link_profile("wan:3x10mbit", self.WORKERS) if wan else None
+        return _fabric(spec, link_topology=link_topology)
+
+    @pytest.mark.parametrize("spec, wan", [
+        ("shards:2", False), ("shards:4", True), ("region-sharded", True),
+        ("replicas:2", True), ("replicas:3", False),
+    ])
+    def test_counters_equal_the_per_frame_oracle(self, rng, spec, wan):
+        fabric = self._service(spec, wan)
+        dim = fabric.server.dim
+        matrix = rng.standard_normal((self.WORKERS, dim))
+        worker_ids = rng.permutation(self.WORKERS).tolist()
+        batches = []
+        for codec in (IdentityCodec(), TopKCodec(k=7), RandomKCodec(k=7, rng=3)):
+            frames = codec.encode_batch(matrix)
+            frames[3] = None  # dropped on the wire
+            batches.append(frames)
+        ragged = TopKCodec(k=7).encode_batch(matrix)
+        ragged[5] = ragged[5].degraded(ragged[5].values[:2], indices=ragged[5].indices[:2])
+        batches.append(ragged)
+        batches.append([None] * self.WORKERS)
+        uneven = rng.random(self.WORKERS) * 1e4  # e.g. delta broadcasts of every size
+        uneven[::5] = 0.0
+        fetches = [
+            [220.0] * self.WORKERS,
+            uneven.tolist(),
+            [0.0] * self.WORKERS,
+        ]
+        expected = dict(fabric.counters)
+        for frames in batches:
+            fabric.account_pushes(worker_ids, frames)
+            local, cross = _oracle_pushes(fabric, worker_ids, frames)
+            expected["push_local_bytes"] += local
+            expected["push_cross_bytes"] += cross
+        for nbytes in fetches:
+            fabric.account_fetches(worker_ids, nbytes)
+            local, cross = _oracle_fetches(fabric, worker_ids, nbytes)
+            expected["fetch_local_bytes"] += local
+            expected["fetch_cross_bytes"] += cross
+        assert fabric.counters == expected
+        assert fabric.counters["push_local_bytes"] > 0 and fabric.counters["fetch_local_bytes"] > 0
+        if wan:
+            assert fabric.counters["push_cross_bytes"] > 0
+            assert fabric.counters["fetch_cross_bytes"] > 0
+
+    def test_one_frame_at_a_time_is_the_same_ledger(self, rng):
+        # The async trainer accounts per event: the per-call totals must be
+        # the floats a batch of one produces, call after call.
+        batched, single = self._service("region-sharded", True), self._service("region-sharded", True)
+        frames = IdentityCodec().encode_batch(rng.standard_normal((9, batched.server.dim)))
+        worker_ids = list(range(9))
+        for worker_id, frame in zip(worker_ids, frames):
+            single.account_pushes([worker_id], [frame])
+            single.account_fetches([worker_id], [frame.nbytes])
+            local, cross = _oracle_pushes(batched, [worker_id], [frame])
+            batched.counters["push_local_bytes"] += local
+            batched.counters["push_cross_bytes"] += cross
+            local, cross = _oracle_fetches(batched, [worker_id], [frame.nbytes])
+            batched.counters["fetch_local_bytes"] += local
+            batched.counters["fetch_cross_bytes"] += cross
+        assert single.counters == batched.counters
+
+    def test_unknown_worker_is_rejected(self):
+        fabric = self._service("region-sharded", True)
+        with pytest.raises(ConfigurationError, match="no region"):
+            fabric.account_fetches([0, self.WORKERS], [1.0, 1.0])
 
 
 # ----------------------------------------------------------- checkpoint/resume

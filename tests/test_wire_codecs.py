@@ -11,6 +11,8 @@ from repro.cluster.codec import (
     available_codecs,
     decode_frame,
     make_codec,
+    shard_frame_bytes,
+    shard_frame_bytes_batch,
 )
 from repro.cluster.cost_model import BYTES_PER_COORDINATE
 from repro.exceptions import ConfigurationError
@@ -195,3 +197,72 @@ class TestDegradedFrames:
     def test_dropped_frame_propagates_none(self, rng):
         frame = TopKCodec(k=4).encode(rng.standard_normal(16))
         assert frame.degraded(None) is None
+
+
+def _tiling(dim, num_shards):
+    """``[lo, hi)`` bounds of *num_shards* contiguous shards tiling *dim*."""
+    edges = np.linspace(0, dim, num_shards + 1).astype(int).tolist()
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class TestShardFrameBytesBatch:
+    """The batch pricing is the per-frame pricing, row by row, bit for bit."""
+
+    DIM = 37
+    CODECS = {
+        "identity": lambda: IdentityCodec(),
+        "top-k": lambda: TopKCodec(k=9),
+        "random-k": lambda: RandomKCodec(k=9, rng=5),
+        "qsgd": lambda: QSGDCodec(bits=4, rng=5),
+    }
+
+    def _frames(self, name, rng, n=6):
+        return self.CODECS[name]().encode_batch(rng.standard_normal((n, self.DIM)))
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_uniform_batches_equal_the_per_frame_function(self, rng, name, num_shards):
+        frames = self._frames(name, rng)
+        bounds = _tiling(self.DIM, num_shards)
+        batch = shard_frame_bytes_batch(frames, bounds)
+        assert batch.shape == (len(frames), num_shards)
+        assert batch.tolist() == [shard_frame_bytes(f, bounds).tolist() for f in frames]
+        if name == "random-k":
+            # The 8-byte seed tag travels to every shard: a real fan-out cost.
+            assert batch.sum(axis=1).tolist() == [9 * 4.0 + 8.0 * num_shards] * len(frames)
+        else:
+            np.testing.assert_allclose(batch.sum(axis=1), [f.nbytes for f in frames])
+
+    @pytest.mark.parametrize("name", ["top-k", "random-k"])
+    def test_ragged_batches_fall_back_to_the_per_frame_function(self, rng, name):
+        frames = self._frames(name, rng)
+        # Packet loss thinned one frame's (index, value) pairs.
+        frames[2] = frames[2].degraded(frames[2].values[:4], indices=frames[2].indices[:4])
+        bounds = _tiling(self.DIM, 4)
+        batch = shard_frame_bytes_batch(frames, bounds)
+        assert batch.tolist() == [shard_frame_bytes(f, bounds).tolist() for f in frames]
+
+    def test_mixed_framings_and_degraded_dense_frames(self, rng):
+        dense = self._frames("identity", rng, n=3)
+        dense[1] = dense[1].degraded(np.full(self.DIM, np.nan))  # priced like any other
+        bounds = _tiling(self.DIM, 2)
+        assert shard_frame_bytes_batch(dense, bounds).tolist() == [
+            shard_frame_bytes(f, bounds).tolist() for f in dense
+        ]
+        mixed = dense + self._frames("top-k", rng, n=2) + self._frames("random-k", rng, n=2)
+        assert shard_frame_bytes_batch(mixed, bounds).tolist() == [
+            shard_frame_bytes(f, bounds).tolist() for f in mixed
+        ]
+
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_bounds_that_do_not_tile_the_frame_are_rejected(self, rng, name):
+        frames = self._frames(name, rng)
+        for bounds in ([(0, 20), (20, 36)], [(0, 37), (37, 37)], []):
+            with pytest.raises(ConfigurationError) as single:
+                shard_frame_bytes(frames[0], bounds)
+            with pytest.raises(ConfigurationError) as batch:
+                shard_frame_bytes_batch(frames, bounds)
+            assert str(batch.value) == str(single.value)
+
+    def test_empty_batch(self):
+        assert shard_frame_bytes_batch([], _tiling(self.DIM, 3)).shape == (0, 3)
