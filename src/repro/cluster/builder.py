@@ -261,14 +261,15 @@ def build_trainer(
         arbitrarily fast regardless.
     server_topology:
         The parameter-service layout (``--server-topology`` analogue):
-        ``"single"`` / ``None`` keeps the one-server deployment,
+        ``"single"`` / ``None`` is the one-actor service,
         ``"shards:N"`` hosts ``N`` server actors each owning a contiguous
         parameter shard, ``"replicas:R"`` runs ``R`` deterministic
         full-model replicas, and ``"region-sharded"`` places one shard per
         WAN region of the link topology (requires a ``wan:`` profile).  A
         cluster spec's ``server_topology`` field applies when not given.
-        Trivial layouts (``shards:1`` / ``replicas:1``) are bit-identical —
-        parameters, timing and telemetry — to the single server.
+        Every layout runs on a :class:`~repro.cluster.service.ServerFabric`;
+        the one-actor ones (``single`` / ``shards:1`` / ``replicas:1``) run
+        the same code and differ only in their spec string.
     seed:
         Master seed; every worker / channel / attack derives an independent
         stream from it.
@@ -458,22 +459,19 @@ def build_trainer(
     if cluster_spec is not None and cluster_spec.server_node is None:
         cluster_spec = allocate_devices(cluster_spec, num_workers)
 
-    # Parameter service (PR 10): resolve the topology request against the
-    # wire topology.  ``None`` (no flag, no cluster field) builds no fabric
-    # at all — the trainers then take the exact legacy code path, as do
-    # trivial topologies via ``ServerFabric.is_trivial``.
+    # Parameter service: every deployment runs on a fabric, resolved against
+    # the wire topology.  No flag and no cluster field is ``single``, the
+    # one-actor fabric.
     topology_spec = server_topology
     if topology_spec is None and cluster_spec is not None:
         topology_spec = cluster_spec.server_topology
-    service = None
-    if topology_spec is not None:
-        service = ServerFabric(
-            server,
-            cost,
-            topology=parse_server_topology(topology_spec),
-            link_topology=topology,
-            link_sharing=link_sharing,
-        )
+    service = ServerFabric(
+        server,
+        cost,
+        topology=parse_server_topology(topology_spec),
+        link_topology=topology,
+        link_sharing=link_sharing,
+    )
 
     common = dict(
         service=service,

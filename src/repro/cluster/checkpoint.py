@@ -158,10 +158,10 @@ class TrainingState:
     #: (0.0 without a distance cache — and in older archives).
     distance_warm_debt: float = 0.0
     #: Parameter-service fabric state (:meth:`ServerFabric.state_dict`):
-    #: every shard's retained-version slice digests, the versions pinned for
-    #: live delta broadcasts, and the cumulative interserver counters.
-    #: ``None`` without a service — and in archives written before the
-    #: parameter service existed.
+    #: every shard's slice digest of the checkpointed version, the versions
+    #: pinned for live delta broadcasts, and the cumulative interserver
+    #: counters.  ``None`` only in archives written before the parameter
+    #: service existed (a one-actor fabric accepts them, others refuse).
     service_state: Optional[Dict] = None
 
 
@@ -243,11 +243,7 @@ def capture_training_state(trainer) -> TrainingState:
             for worker_id, session in getattr(trainer, "_downlink", {}).items()
         },
         distance_warm_debt=float(getattr(trainer, "_warm_debt", 0.0)),
-        service_state=(
-            trainer.service.state_dict()
-            if getattr(trainer, "service", None) is not None
-            else None
-        ),
+        service_state=trainer.service.state_dict(),
     )
 
 
@@ -312,22 +308,9 @@ def restore_training_state(trainer, state: TrainingState) -> None:
         # the uninterrupted run never paid for.
         trainer.server.track_version(version, replica)
         trainer.server.pin_version(version)
-    if state.service_state is not None:
-        if getattr(trainer, "service", None) is None:
-            raise ConfigurationError(
-                "checkpoint carries parameter-service state but the trainer was "
-                "built without a server topology; pass the same --server-topology "
-                "the checkpointed run used"
-            )
-        # After the downlink loop above, the server holds exactly the versions
-        # the fabric's digests must verify against; restore_state checks every
-        # retained slice digest and rejects divergent archives.
-        trainer.service.restore_state(state.service_state)
-    elif getattr(trainer, "service", None) is not None and not trainer.service.is_trivial:
-        raise ConfigurationError(
-            "trainer runs a non-trivial parameter service but the checkpoint has "
-            "no service state; it was written by an unsharded run"
-        )
+    # The fabric refuses an archive of another topology and verifies each
+    # shard's slice digest of the restored version against the store.
+    trainer.service.restore_state(state.service_state)
     trainer.clock.reset(state.sim_time)
 
 

@@ -14,9 +14,10 @@ trainers bracket their hot stages with :meth:`SimProfiler.section`, so a
     Transfer pricing: channel transfers, link-fabric solo times and shared
     pipe contention resolution.
 ``gar_kernel``
-    Aggregation: validation, the distance pass, trimming/averaging and
-    cost-model pricing — everything in the aggregation call *except* the
-    selection stage below.
+    The server stage, the same bracket in both engines: validation, the
+    distance pass, trimming/averaging, cost-model pricing and the
+    inter-server gather's pricing — *except* the selection stage below
+    and the optimizer step (outside the bracket: ``unaccounted_s``).
 ``gar_select``
     The GAR's selection stage (Krum score reduction + stable pick, Bulyan's
     iterated extraction, Brute's subset-diameter scan), split out of

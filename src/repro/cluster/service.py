@@ -13,10 +13,10 @@ server to that service:
   of the authoritative store, routes worker fetch/push traffic through
   per-shard sub-frames (:func:`repro.cluster.codec.shard_frame_bytes_batch`,
   a whole batch of frames at a time) priced against each shard's *regional*
-  placement, and prices the
-  inter-server shard gather — the wire that replaces the flat
-  :func:`repro.core.theory.shard_combine_flops` term — as real
-  :class:`~repro.cluster.link.LinkScheduler` sessions.
+  placement, runs the round's server stage (:meth:`ServerFabric.aggregate`:
+  validate, aggregate, price) and prices the inter-server shard gather —
+  the wire that replaces the flat :func:`repro.core.theory.shard_combine_flops`
+  term — as real :class:`~repro.cluster.link.LinkScheduler` sessions.
 
 Design contract (mirrors the PR-5 :class:`~repro.core.distance_cache.DistanceCache`
 precedent): the *data plane* stays on the audited single-store kernels —
@@ -25,11 +25,18 @@ the bytes the authoritative store holds, so aggregated gradients are
 bit-identical across topologies by construction.  What the service changes
 is the *simulated systems layer*: per-shard byte accounting (local versus
 cross-region), the measured gather wire on the aggregation critical path,
-replica fan-out and digest-sync costs, per-shard slices of the distance
-work, and per-shard version/pin bookkeeping for checkpoints.  A trivial
-topology (``shards:1`` / ``replicas:1``) therefore prices, times and
-telemeters **bit-identically** to the pre-service single server — the
-trainers skip every service hook when :attr:`ServerFabric.is_trivial`.
+replica fan-out and digest-sync costs, and per-shard version/pin
+bookkeeping for checkpoints.
+
+Every trainer talks to a fabric: ``single`` is the one-actor fabric and
+differs from ``shards:1`` / ``replicas:1`` only in its spec string.  The
+one-actor accounting rule lives here and nowhere else — with no inter-server
+wire, :meth:`~ServerFabric.account_pushes`, :meth:`~ServerFabric.account_fetches`
+and :meth:`~ServerFabric.gather_seconds` book nothing (the ``interserver``
+ledger stays all-zero) and the in-server combine keeps its analytic
+:func:`~repro.core.theory.shard_combine_flops` price.  The fabric keeps no
+version log of its own: a shard's slice digests are a pure function of the
+authoritative store, so nothing is hashed per update and nothing can drift.
 
 Shard routing is a pure function of ``(worker_id, shard_id, version)`` —
 no wall clock, no RNG (enforced by simlint rule SIM601).
@@ -46,7 +53,6 @@ import numpy as np
 from repro.cluster.codec import WireFrame, shard_frame_bytes_batch
 from repro.cluster.link import DEFAULT_REGION, LinkScheduler, LinkTopology
 from repro.core import theory
-from repro.core.distance_cache import split_pair_flops
 from repro.exceptions import ConfigurationError
 
 #: Bytes of one replica state digest (blake2b-16): what deterministic
@@ -192,18 +198,6 @@ def place_shards(num_shards: int, regions: Sequence[str]) -> List[str]:
     return [str(regions[i % len(regions)]) for i in range(num_shards)]
 
 
-def home_shard(worker_id: int, num_shards: int) -> int:
-    """The shard a worker's traffic is coordinated through: ``worker_id % N``.
-
-    A pure function of ``(worker_id, num_shards)`` — shard routing derives
-    only from ``(worker_id, shard_id, version)``, never from the wall clock
-    or an RNG (simlint SIM601).
-    """
-    if num_shards < 1:
-        raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    return int(worker_id) % int(num_shards)
-
-
 def _slice_digest(parameters: np.ndarray, lo: int, hi: int) -> bytes:
     """Content digest of one shard's slice of a parameter vector."""
     block = np.ascontiguousarray(parameters[lo:hi], dtype=np.float64)
@@ -302,10 +296,6 @@ class ServerFabric:
             [[shard.region == name for shard in self.shards] for name in region_names],
             dtype=bool,
         )
-        #: Per-shard version digests: ``shard_id -> {version: digest}``,
-        #: mirroring the authoritative store's retained-version lifecycle.
-        self._shard_versions: List[Dict[int, bytes]] = [dict() for _ in range(count)]
-        self.observe_update(server.version, server._parameters)
         #: Cumulative interserver counters (also pushed into the bound
         #: history so they surface in ``to_dict()['interserver']``).
         self.counters: Dict[str, float] = {
@@ -325,10 +315,11 @@ class ServerFabric:
     def is_trivial(self) -> bool:
         """Whether this service is indistinguishable from the single server.
 
-        One actor owning the whole model *is* the pre-service deployment:
-        the trainers skip every fabric hook, so ``shards:1`` / ``replicas:1``
-        stay bit-identical (parameters, timing and telemetry) to a run built
-        without a service.
+        One actor owning the whole model has no inter-server wire: the
+        accounting methods book nothing and the analytic in-server combine
+        stays charged, so ``single`` / ``shards:1`` / ``replicas:1`` are
+        bit-identical in parameters, timing and telemetry.  Private to this
+        module's pricing decisions — callers never branch on it.
         """
         return self.num_actors <= 1
 
@@ -486,8 +477,8 @@ class ServerFabric:
         ``(n, n)`` distance block plus its aggregated coordinate slice to
         the coordinator (shard 0) — the wire realisation of the flat
         :func:`repro.core.theory.shard_combine_flops` gather the analytic
-        cost model charges per extra core (the caller disables that term
-        and adds these measured seconds instead).  Replicated service:
+        cost model charges per extra core (:meth:`aggregate` disables that
+        term and returns these measured seconds instead).  Replicated service:
         after every update the replicas confirm agreement by exchanging
         16-byte state digests with the primary — deterministic replicas
         never ship models.
@@ -514,8 +505,6 @@ class ServerFabric:
                 self._interserver_session_kwargs(shard.region, coordinator.region)
             )
             total_bytes += nbytes
-        if not jobs:
-            return 0.0
         pipe = LinkScheduler(
             bandwidth_gbps=self.cost_model.bandwidth_gbps,
             latency_s=self.cost_model.latency_s,
@@ -534,50 +523,41 @@ class ServerFabric:
         self._record(**deltas)
         return seconds
 
-    def shard_distance_flops(self, charged_flops: float) -> np.ndarray:
-        """Split one round's charged distance flops across the shard slices.
+    # ----------------------------------------------------------- server stage
+    def aggregate(self, worker_ids: Sequence[int], matrix: np.ndarray):
+        """One round's server stage: validate once, aggregate, price, gather.
 
-        Each shard computes the distance contributions of its own coordinate
-        range (:func:`repro.core.distance_cache.split_pair_flops`), so the
-        per-shard share is proportional to slice width.  Replicas all do the
-        full work (deterministic state machines replay every round).
+        Returns ``(result, aggregation_seconds, gather_seconds)``, apart
+        because the engines associate the two durations differently.  A
+        distance cache attached to the server prices only the blocks it
+        computed (the aggregate is bit-identical either way).  Who pays for
+        combining the shards' partial results is decided here: a multi-actor
+        service drops the flat analytic combine term because the measured
+        gather replaces it; a one-actor service keeps it (``server_cores``
+        still combine in-server) and gathers in ``0.0`` seconds.
         """
-        if self.kind == "replicas":
-            return np.full(self.num_actors, float(charged_flops))
-        return split_pair_flops(charged_flops, self._bounds, self.server.dim)
-
-    # -------------------------------------------------------------- versions
-    def observe_update(self, version: int, parameters: np.ndarray) -> None:
-        """Register a new model version's per-shard slice digests.
-
-        Mirrors the authoritative store's bounded version log: digests of
-        versions the store evicted are pruned on the next observation, so
-        the per-shard stores and the single store always describe the same
-        version set.
-        """
-        parameters = np.asarray(parameters, dtype=np.float64)
-        retained = set(self.server.retained_versions())
-        for shard, versions in zip(self.shards, self._shard_versions):
-            versions[int(version)] = _slice_digest(parameters, shard.lo, shard.hi)
-            for stale in [v for v in versions if v not in retained]:
-                del versions[stale]
-
-    def shard_versions(self, shard_id: int) -> Dict[int, bytes]:
-        """The retained version digests of one shard (copy)."""
-        return dict(self._shard_versions[int(shard_id)])
+        self.server.validate_rows(worker_ids, matrix)
+        result, seconds = self.cost_model.aggregation_time_detailed(
+            self.server.gar,
+            matrix,
+            distance_cache=self.server.distance_cache,
+            charge_shard_combine=self.is_trivial,
+        )
+        return result, seconds, self.gather_seconds(len(worker_ids))
 
     # ------------------------------------------------------------ checkpoints
     def state_dict(self) -> Dict:
         """JSON-serialisable fabric state for checkpoints.
 
-        Covers every shard's version store (slice digests of the retained
-        versions), the pinned versions each shard must keep for live delta
-        broadcasts, and the cumulative interserver counters.  The distance
-        cache's per-shard slices are *derived* state — rebuilt from the
-        restored carry pool — so only their invalidation is recorded by
-        omission.
+        Covers, per shard, the slice digest of the version being
+        checkpointed (the only one whose bytes the archive carries, hence
+        the only one :meth:`restore_state` can verify), the pinned versions
+        each shard must keep for live delta broadcasts, and the cumulative
+        interserver counters.
         """
         pins = self.server.pinned_versions()
+        version = self.server.version
+        parameters = self.server.parameters
         return {
             "topology": self.topology.spec,
             "counters": {key: float(value) for key, value in self.counters.items()},
@@ -588,39 +568,53 @@ class ServerFabric:
                     "hi": shard.hi,
                     "region": shard.region,
                     "versions": {
-                        str(version): digest.hex()
-                        for version, digest in sorted(versions.items())
+                        str(version): _slice_digest(parameters, shard.lo, shard.hi).hex()
                     },
-                    "pins": {str(version): count for version, count in sorted(pins.items())},
+                    "pins": {str(pinned): count for pinned, count in sorted(pins.items())},
                 }
-                for shard, versions in zip(self.shards, self._shard_versions)
+                for shard in self.shards
             ],
         }
 
-    def restore_state(self, state: Dict) -> None:
+    def restore_state(self, state: Optional[Dict]) -> None:
         """Restore the fabric from :meth:`state_dict` output.
 
-        The authoritative store must already be restored (the checkpoint
-        layer re-registers and re-pins the workers' held versions first);
-        every shard's recorded slice digest is verified against the store's
-        actual bytes, so a corrupted or mismatched checkpoint fails loudly
-        instead of resuming from silently divergent shards.  Per-shard
-        distance slices are invalidated implicitly: the store's restore
-        already reset the cache, and the counters restart from the
+        The authoritative store must already be restored.  Every shard's
+        recorded slice digest of the *restored* version is verified against
+        the store's bytes — the checkpoint's own ``parameters`` — so a
+        corrupted or mismatched archive fails loudly instead of resuming
+        from silently divergent shards.  Held versions are not compared: the
+        checkpoint layer re-registers them from the workers' replicas
+        (:meth:`~repro.cluster.server.ParameterServer.track_version`),
+        reconstructions that are exact only under a lossless broadcast codec
+        and never consulted as delta bases.  The counters restart from the
         checkpointed cumulative values.
+
+        One-actor deployments are one deployment under three spellings, so
+        a one-actor fabric takes any one-actor archive: ``single``,
+        ``shards:1`` / ``replicas:1``, or ``None`` — an archive written
+        before the parameter service existed, which has nothing to restore.
+        A multi-actor fabric takes only its own topology.
         """
-        if state.get("topology") != self.topology.spec:
+        if state is None:
+            if self.is_trivial:
+                return
+            state = {"topology": "single"}
+        shards = state.get("shards", [])
+        if state.get("topology") != self.topology.spec and not (
+            self.is_trivial and len(shards) == 1
+        ):
             raise ConfigurationError(
                 f"checkpointed server topology {state.get('topology')!r} does not "
                 f"match the deployed topology {self.topology.spec!r}"
             )
-        shards = state.get("shards", [])
         if len(shards) != len(self.shards):
             raise ConfigurationError(
                 f"checkpoint covers {len(shards)} shards, the service has "
                 f"{len(self.shards)}"
             )
-        restored: List[Dict[int, bytes]] = []
+        version = self.server.version
+        parameters = self.server.parameters
         for shard, entry in zip(self.shards, shards):
             if (entry.get("lo"), entry.get("hi")) != (shard.lo, shard.hi):
                 raise ConfigurationError(
@@ -628,23 +622,17 @@ class ServerFabric:
                     f"({entry.get('lo')}, {entry.get('hi')}) do not match the "
                     f"service bounds ({shard.lo}, {shard.hi})"
                 )
-            versions: Dict[int, bytes] = {}
-            for version_text, digest_hex in entry.get("versions", {}).items():
-                version = int(version_text)
-                digest = bytes.fromhex(digest_hex)
-                if self.server.has_version(version):
-                    actual = _slice_digest(
-                        self.server.parameters_at(version), shard.lo, shard.hi
-                    )
-                    if actual != digest:
-                        raise ConfigurationError(
-                            f"shard {shard.shard_id} slice digest mismatch at "
-                            f"version {version}: the checkpoint does not "
-                            "describe the restored parameters"
-                        )
-                    versions[version] = digest
-            restored.append(versions)
-        self._shard_versions = restored
+            recorded = entry.get("versions", {}).get(str(version))
+            if recorded is None and self.is_trivial:
+                # One-actor archives written while the fabric mirrored the
+                # version log hold version 0's digest only: nothing to verify.
+                continue
+            if recorded != _slice_digest(parameters, shard.lo, shard.hi).hex():
+                raise ConfigurationError(
+                    f"shard {shard.shard_id} slice digest mismatch at "
+                    f"version {version}: the checkpoint does not "
+                    "describe the restored parameters"
+                )
         for key, value in state.get("counters", {}).items():
             if key in self.counters:
                 self.counters[key] = float(value)
@@ -665,5 +653,4 @@ __all__ = [
     "parse_server_topology",
     "shard_bounds",
     "place_shards",
-    "home_shard",
 ]

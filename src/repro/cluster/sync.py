@@ -26,7 +26,11 @@ Resilience caveat (documented, deliberate): the adversary is assumed
 arbitrarily fast, so Byzantine gradients arrive at time zero and are always
 inside the quorum.  A quorum of ``q`` gradients containing up to ``f``
 Byzantine ones therefore needs ``q >= minimum_workers(f)`` for the deployed
-GAR, which the server's cardinality check still enforces at every step.
+GAR, which the server's cardinality check enforces on every batch.  Where the
+first batch is at most ``q`` rows — the lock-step ``quorum`` policy and the
+event-driven engine — a smaller quorum is refused up front; lock-step
+``bounded-staleness`` is not, because it admits every arrival up to the cutoff
+(ties at the ``q``-th arrival, ``tau``-forced gradients) and can exceed ``q``.
 """
 
 from __future__ import annotations
@@ -220,11 +224,14 @@ class SyncPolicy(abc.ABC):
         self._num_workers: Optional[int] = None
         self._f: int = 0
 
-    def bind(self, *, num_workers: int, f: int) -> None:
+    def bind(self, *, num_workers: int, f: int, min_batch: int = 1) -> None:
         """Attach the policy to a cluster of *num_workers* tolerating *f*.
 
-        Rebinding clears any carried state: pending gradients belong to the
-        previous trainer's run and must never leak into a new one.
+        *min_batch* is the fewest rows the deployed aggregation rule accepts
+        (``gar.minimum_workers(f)``); quorum policies refuse a quorum below
+        it wherever the batch cannot exceed the quorum.  Rebinding clears
+        any carried state: pending gradients belong to the previous
+        trainer's run and must never leak into a new one.
         """
         if num_workers < 1:
             raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
@@ -355,6 +362,7 @@ class QuorumBasedPolicy(SyncPolicy):
         super().__init__()
         self.quorum = None if quorum is None else check_positive_int(quorum, "quorum")
         self._effective_quorum: Optional[int] = None
+        self._min_batch = 1
         self._pending: List[ArrivalEvent] = []
 
     @property
@@ -362,8 +370,8 @@ class QuorumBasedPolicy(SyncPolicy):
         """The quorum resolved at bind time (``None`` before binding)."""
         return self._effective_quorum
 
-    def bind(self, *, num_workers: int, f: int) -> None:
-        super().bind(num_workers=num_workers, f=f)
+    def bind(self, *, num_workers: int, f: int, min_batch: int = 1) -> None:
+        super().bind(num_workers=num_workers, f=f, min_batch=min_batch)
         resilience_floor = num_workers - f
         resolved = max(resilience_floor, 1) if self.quorum is None else self.quorum
         if resolved < resilience_floor:
@@ -377,6 +385,23 @@ class QuorumBasedPolicy(SyncPolicy):
                 f"quorum={resolved} exceeds the cluster size n={num_workers}"
             )
         self._effective_quorum = resolved
+        self._min_batch = int(min_batch)
+
+    def _check_min_batch(self) -> None:
+        """Refuse a quorum below the aggregation rule's minimum batch.
+
+        Called only where the first batch is at most the quorum — ``Quorum.bind``
+        (``collect`` admits ``delivered[:q]``) and :meth:`admission` (the
+        event-driven server aggregates the moment ``q`` are buffered) —
+        so step 0 would fail the rule's cardinality check.
+        """
+        if self._effective_quorum < self._min_batch:
+            raise ConfigurationError(
+                f"quorum={self._effective_quorum} is below the {self._min_batch} "
+                f"gradients the aggregation rule needs to tolerate f={self._f}: "
+                "the first batch is at most the quorum, so no step could complete "
+                f"(raise the quorum to at least {self._min_batch} or lower f)"
+            )
 
     def reset(self) -> None:
         self._pending = []
@@ -390,6 +415,7 @@ class QuorumBasedPolicy(SyncPolicy):
             raise ConfigurationError(
                 f"{type(self).__name__}.admission called before bind()"
             )
+        self._check_min_batch()
         return AdmissionPredicate(quorum=quorum, max_version_lag=max_version_lag)
 
     # --------------------------------------------------------- checkpointing
@@ -482,6 +508,10 @@ class Quorum(QuorumBasedPolicy):
                 f"stragglers must be one of {self.STRAGGLER_MODES}, got {stragglers!r}"
             )
         self.stragglers = stragglers
+
+    def bind(self, *, num_workers: int, f: int, min_batch: int = 1) -> None:
+        super().bind(num_workers=num_workers, f=f, min_batch=min_batch)
+        self._check_min_batch()
 
     def collect(self, events: List[ArrivalEvent], step: int, *, floor: float) -> SyncDecision:
         pool, delivered, quorum = self._pool_step(events, step)

@@ -606,9 +606,9 @@ class TrainingHistory:
     def interserver_summary(self) -> Dict[str, float]:
         """Aggregate parameter-service counters over the run (fixed keys).
 
-        All-zero when the run had no (non-trivial) parameter service, which
-        keeps single-server telemetry — and the ``shards:1`` bit-identity
-        contract — comparable across deployments.
+        All-zero on a one-actor parameter service (it has no inter-server
+        wire to book), which keeps single-server telemetry — and the
+        ``shards:1`` bit-identity contract — comparable across deployments.
         """
         return {
             key: float(self.interserver_counters.get(key, 0.0))

@@ -1,8 +1,11 @@
 """The training engines (the AggregaThor runner analogue).
 
 Two trainers share one engine core (:mod:`repro.cluster.events`, the
-versioned :class:`~repro.cluster.server.ParameterServer`, the validation +
-aggregation stage and the telemetry layer):
+versioned :class:`~repro.cluster.server.ParameterServer` behind its
+:class:`~repro.cluster.service.ServerFabric`, the telemetry layer) and one
+server stage (:meth:`BaseTrainer._aggregate`: open the distance-cache round,
+then the fabric validates once, aggregates, prices and gathers).  ``single``
+is the one-actor fabric, so no stage asks how many servers there are:
 
 :class:`SynchronousTrainer`
     The paper's lock-step protocol.  One training step flows through four
@@ -42,6 +45,10 @@ aggregation stage and the telemetry layer):
     :class:`~repro.cluster.events.EventLoop` is the only dispatcher: it
     coalesces same-time fetch / compute / push herds into runs for the
     batched handlers and sends a run of one to the per-event handler.
+    The vocabulary is six event kinds — ``fetch``, ``compute``, ``push``,
+    ``arrive``, ``update-done`` and ``link``; the inter-server gather is not
+    one of them, its seconds are part of the busy period that ends at
+    ``update-done``.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ from repro.cluster.events import Event, EventLoop
 from repro.cluster.fleet import (
     FleetComputeKernel,
     FleetState,
-    PendingBatch,
     PendingPool,
     fleet_computable,
 )
@@ -76,8 +82,8 @@ from repro.cluster.message import GradientMessage
 from repro.cluster.network import Channel, build_uplink_map
 from repro.cluster.profiler import SimProfiler
 from repro.cluster.server import ParameterServer
-from repro.cluster.service import ServerFabric
-from repro.cluster.sync import ArrivalEvent, FullSync, SyncDecision, SyncPolicy
+from repro.cluster.service import ServerFabric, parse_server_topology
+from repro.cluster.sync import ArrivalEvent, FullSync, SyncPolicy
 from repro.cluster.telemetry import EvalRecord, StepRecord, TrainingHistory
 from repro.cluster.worker import ByzantineWorker, HonestWorker, Worker, craft_fleet
 from repro.core.kernels import SELECTION_CLOCK
@@ -229,7 +235,10 @@ class BaseTrainer:
         self.clock = SimulatedClock()
         self.uplink_channels = build_uplink_map(ids, uplink_channels)
         self.sync_policy = sync_policy if sync_policy is not None else FullSync()
-        self.sync_policy.bind(num_workers=len(self.workers), f=server.gar.f)
+        self.sync_policy.bind(
+            num_workers=len(self.workers), f=server.gar.f,
+            min_batch=server.gar.minimum_workers(server.gar.f),
+        )
         self.straggler_model = straggler_model
         # Omitted straggler_rng = deterministic named stream, never fresh
         # entropy (SIM201); the builder always passes its dedicated stream,
@@ -309,17 +318,22 @@ class BaseTrainer:
         #: fixed for the trainer's lifetime, so the per-step property scan
         #: collapses to one array lookup).
         self._uplink_transparent_cache: Optional[np.ndarray] = None
-        #: Optional multi-actor parameter service (PR 10).  ``None`` and
-        #: trivial topologies (``shards:1`` / ``replicas:1``) both take the
-        #: exact legacy code path — the shards:1 bit-identity contract holds
-        #: by construction because ``_service_active`` gates every hook.
+        #: The parameter service every server-side stage goes through; a
+        #: hand-built trainer hosts the one-actor ``single`` fabric itself.
+        if service is None:
+            service = ServerFabric(
+                server, cost_model, topology=parse_server_topology(None),
+                link_topology=link_topology, link_sharing=link_sharing,
+            )
+        elif service.server is not server:
+            raise ConfigurationError(
+                "the service fabric wraps a different ParameterServer than the "
+                "one this trainer was given"
+            )
         self.service = service
-        self._service_active = service is not None and not service.is_trivial
         self.history = TrainingHistory(compact=bool(compact_telemetry))
         self.history.register_workers(ids)
-        if self._service_active:
-            assert service is not None
-            service.bind_history(self.history)
+        service.bind_history(self.history)
 
     def _uplink_transparent(self) -> np.ndarray:
         """Boolean mask: honest worker ``i``'s uplink channel is transparent."""
@@ -544,49 +558,54 @@ class BaseTrainer:
             return decode_frame(wire)
         return np.asarray(wire, dtype=np.float64)
 
-    # ------------------------------------------------- distance-cache round
-    def _distance_round_begin(self, admitted: Sequence[ArrivalEvent]) -> float:
-        """Open a cache round and warm the pre-quorum arrivals.
+    # ---------------------------------------------------------- server stage
+    def _aggregate(
+        self, worker_ids: Sequence[int], payloads: np.ndarray, arrival_times: np.ndarray
+    ):
+        """The round's server stage, shared by both engines.
+
+        Opens the distance-cache round, then asks the fabric to validate
+        once, aggregate and price the admitted ``(n, d)`` *payloads*.  The
+        optimizer update is the caller's: lock-step applies it at once, the
+        event loop when the server's busy period ends.  Returns ``(result,
+        aggregation_seconds, gather_seconds, warmed_flops)``; each engine
+        adds the overlap its own wait budget could not absorb
+        (:meth:`CostModel.distance_overlap_excess`) in its own association.
 
         Every admitted gradient that arrived strictly before the latest one
         was sitting in the server while it still waited — a pipelined server
-        computes those distance blocks off the critical path.  Returns the
-        warmed flops (including the previous round's carry-warm debt, which
-        also bills against this round's wait) so the caller can charge any
-        overlap the wait could not absorb
-        (:meth:`CostModel.distance_overlap_excess`).  No-op without a cache.
+        computes those distance blocks off the critical path.  The warmed
+        flops include the previous round's carry-warm debt, which also bills
+        against this round's wait (0.0 without a cache).
+        """
+        if not len(worker_ids):
+            raise TrainingError("every gradient was dropped this step; cannot make progress")
+        warmed = 0.0
+        cache = self.server.distance_cache
+        if cache is not None:
+            cache.begin_round()
+            warmed = self._warm_debt
+            self._warm_debt = 0.0
+            early = payloads[arrival_times < arrival_times.max()]
+            if early.size:
+                warmed += cache.warm(early)
+        with self._gar_section():
+            result, seconds, gather_seconds = self.service.aggregate(worker_ids, payloads)
+        return result, seconds, gather_seconds, warmed
+
+    def _distance_round_end(self, carry: Optional[np.ndarray]):
+        """Close the cache round against the carry pool's rows (``None`` = empty).
+
+        Callers hold a distance cache.  The carried rows re-submit
+        byte-identically next round, so their blocks are warmed and
+        everything else is evicted — the carry pool *is* the retention
+        policy.  The newly warmed flops are carried as debt into the next
+        round's wait budget (these rows arrived after the cutoff: the
+        overlap window for their blocks is the *coming* wait, not the one
+        that already passed).  Returns the round's
+        :class:`~repro.core.distance_cache.DistanceRoundStats`.
         """
         cache = self.server.distance_cache
-        if cache is None:
-            return 0.0
-        cache.begin_round()
-        warmed = self._warm_debt
-        self._warm_debt = 0.0
-        delivered = [e for e in admitted if e.delivered]
-        if delivered:
-            cutoff = max(e.arrival_time for e in delivered)
-            early = [e.payload for e in delivered if e.arrival_time < cutoff]
-            if early:
-                warmed += cache.warm(np.stack(early, axis=0))
-        return warmed
-
-    def _distance_round_end(self, pending: Sequence[ArrivalEvent]):
-        """Close the cache round against the policy's carry pool.
-
-        The carried rows re-submit byte-identically next step, so their
-        blocks are warmed and everything else is evicted — the carry pool
-        *is* the retention policy.  The newly warmed flops are carried as
-        debt into the next round's wait budget (these rows arrived after
-        the cutoff: the overlap window for their blocks is the *coming*
-        wait, not the one that already passed).  Returns the round's
-        :class:`~repro.core.distance_cache.DistanceRoundStats`, or ``None``
-        without a cache.
-        """
-        cache = self.server.distance_cache
-        if cache is None:
-            return None
-        rows = [e.payload for e in pending if e.delivered]
-        carry = np.stack(rows, axis=0) if rows else None
         if carry is not None:
             self._warm_debt += cache.warm(carry)
         return cache.end_round(carry)
@@ -1000,55 +1019,15 @@ class SynchronousTrainer(BaseTrainer):
                     regions=[self.fabric.region_of(wid) for wid in honest_ids],
                 )
                 fleet.account_bytes(sent=nbytes_honest, received=fetch_bytes)
-        if self._service_active:
-            assert self.service is not None
-            byz_ids = [m.worker_id for m in byzantine_messages]
-            self.service.account_pushes(honest_ids + byz_ids, frames)
-            self.service.account_fetches(self._worker_ids, all_fetch_bytes)
+        byz_ids = [m.worker_id for m in byzantine_messages]
+        self.service.account_pushes(honest_ids + byz_ids, frames)
+        self.service.account_fetches(self._worker_ids, all_fetch_bytes)
 
         if fleet_loss_array is not None:
             losses = fleet_loss_array[np.isfinite(fleet_loss_array)].tolist()
         else:
             losses = [m.loss for m in honest_messages if np.isfinite(m.loss)]
         return events, floor, losses, downlink_step_bytes
-
-    def _aggregate_and_update(
-        self, decision: SyncDecision
-    ) -> Tuple[List[int], StepDiagnostics, float]:
-        """Pipeline stage 4: validate once, aggregate with diagnostics, update.
-
-        The round is validated in one batched check and the admitted
-        payloads are stacked directly.  With a distance cache attached to
-        the server, the cost model prices only the distance blocks the cache
-        actually computed this round (the aggregated values stay
-        bit-identical either way).
-        """
-        admitted = decision.admitted
-        if not admitted:
-            raise TrainingError(
-                "every gradient was dropped this step; cannot make progress"
-            )
-        worker_ids = [e.message.worker_id for e in admitted]
-        matrix = np.stack([e.payload for e in admitted], axis=0)
-        self.server.validate_rows(worker_ids, matrix)
-        result, aggregation_time = self.cost_model.aggregation_time_detailed(
-            self.server.gar,
-            matrix,
-            distance_cache=self.server.distance_cache,
-            charge_shard_combine=not self._service_active,
-        )
-        if self._service_active:
-            assert self.service is not None
-            # The flat shard_combine_flops term was suppressed above; the
-            # measured inter-server gather wire time replaces it.
-            aggregation_time += self.service.gather_seconds(len(worker_ids))
-        wire_bytes = float(sum(e.wire_bytes for e in admitted))
-        self.server.apply_update(
-            result.gradient, worker_ids=worker_ids, wire_bytes=wire_bytes
-        )
-        if self._service_active:
-            self.service.observe_update(self.server.version, self.server.parameters)
-        return worker_ids, self._diagnostics(worker_ids, result, aggregation_time), wire_bytes
 
     # ------------------------------------------------------------------ step
     def run_step(self) -> StepRecord:
@@ -1073,25 +1052,41 @@ class SynchronousTrainer(BaseTrainer):
             self.peak_queue_size = max(self.peak_queue_size, len(arrivals))
             self.events_dispatched += len(drained)
 
+        # Stage 4: the admitted batch is validated once, aggregated with
+        # full diagnostics and the optimizer update applied.
         decision = self.sync_policy.collect(drained, step, floor=floor)
-        warmed_flops = self._distance_round_begin(decision.admitted)
-        with self._gar_section():
-            delivered_ids, diagnostics, wire_bytes = self._aggregate_and_update(decision)
+        admitted = decision.admitted
+        worker_ids = [e.message.worker_id for e in admitted]
+        payloads = [e.payload for e in admitted]
+        result, aggregation_time, gather_time, warmed_flops = self._aggregate(
+            worker_ids,
+            np.stack(payloads, axis=0) if payloads else np.zeros((0, dim)),
+            np.array([e.arrival_time for e in admitted]),
+        )
+        wire_bytes = float(sum(e.wire_bytes for e in admitted))
+        self.server.apply_update(
+            result.gradient, worker_ids=worker_ids, wire_bytes=wire_bytes
+        )
+        # Warming overlaps the quorum wait; charge only the overflow (0.0
+        # without a cache).
+        aggregation_time = (aggregation_time + gather_time) + (
+            self.cost_model.distance_overlap_excess(warmed_flops, decision.wait_time)
+        )
+        diagnostics = self._diagnostics(worker_ids, result, aggregation_time)
         cache_stats = None
         if self.server.distance_cache is not None:
-            # Warming overlaps the quorum wait; charge only the overflow.
-            diagnostics.aggregation_time += self.cost_model.distance_overlap_excess(
-                warmed_flops, decision.wait_time
+            carried = [e.payload for e in self.sync_policy.pending_events() if e.delivered]
+            cache_stats = self._distance_round_end(
+                np.stack(carried, axis=0) if carried else None
             )
-            cache_stats = self._distance_round_end(self.sync_policy.pending_events())
         update_time = self.cost_model.update_time(dim)
 
         compute_comm_time = decision.wait_time
-        self.clock.advance(compute_comm_time + diagnostics.aggregation_time + update_time)
+        self.clock.advance(compute_comm_time + aggregation_time + update_time)
         with self._section("telemetry"):
-            self.history.record_server_busy(diagnostics.aggregation_time + update_time)
+            self.history.record_server_busy(aggregation_time + update_time)
             self.history.record_version_lag_batch(
-                [event.staleness for event in decision.admitted]
+                [event.staleness for event in admitted]
             )
 
         record = StepRecord(
@@ -1099,9 +1094,9 @@ class SynchronousTrainer(BaseTrainer):
             sim_time=self.clock.now,
             mean_loss=float(np.mean(losses)) if losses else float("nan"),
             compute_comm_time=compute_comm_time,
-            aggregation_time=diagnostics.aggregation_time,
+            aggregation_time=aggregation_time,
             update_time=update_time,
-            gradients_received=len(delivered_ids),
+            gradients_received=len(worker_ids),
             dropped_stragglers=decision.dropped_stragglers,
             carried_gradients=decision.carried,
             stale_gradients=decision.stale_admitted,
@@ -1148,12 +1143,6 @@ class AsyncTrainer(BaseTrainer):
     FETCH, COMPUTE, PUSH, ARRIVE, UPDATE_DONE = (
         "fetch", "compute", "push", "arrive", "update-done",
     )
-    #: Inter-server gather stage (multi-actor parameter service only): the
-    #: shards' distance-block exchange / replica digest sync that must
-    #: complete before the GAR's selection can run.  Interposed between the
-    #: quorum fill and UPDATE_DONE; never scheduled when the service is
-    #: absent or trivial, so the legacy event vocabulary is untouched.
-    GATHER = "gather"
     #: Link-busy event: a provisional completion on one of the server's
     #: shared pipes.  Rescheduled (old event tombstoned) whenever an
     #: admission changes the contention picture.
@@ -1192,7 +1181,6 @@ class AsyncTrainer(BaseTrainer):
             self.COMPUTE: self._on_compute,
             self.PUSH: self._on_push,
             self.ARRIVE: self._on_arrive,
-            self.GATHER: self._on_gather,
             self.UPDATE_DONE: self._on_update_done,
             self.LINK: self._on_link,
         })
@@ -1326,9 +1314,7 @@ class AsyncTrainer(BaseTrainer):
         self.history.record_wire(
             event.worker_id, bytes_received=nbytes, downlink_delta=is_delta
         )
-        if self._service_active:
-            assert self.service is not None
-            self.service.account_fetches([event.worker_id], [nbytes])
+        self.service.account_fetches([event.worker_id], [nbytes])
         self._interval_downlink += nbytes
         if self._contended:
             key, _, extras = self._routes[event.worker_id]
@@ -1377,9 +1363,7 @@ class AsyncTrainer(BaseTrainer):
         self.history.record_wire(
             message.worker_id, bytes_sent=frame.nbytes, compression_error=error
         )
-        if self._service_active:
-            assert self.service is not None
-            self.service.account_pushes([message.worker_id], [frame])
+        self.service.account_pushes([message.worker_id], [frame])
         if self._contended:
             # The session's drain time replaces the solo wire time; the
             # channel's extra penalty (backoff, delays, jitter) rides on top.
@@ -1494,96 +1478,26 @@ class AsyncTrainer(BaseTrainer):
         # (the pool's drain lexsort reproduces the old dict sort exactly).
         batch = self._pending.drain()
         self._busy = True
-        warmed_flops = self._distance_round_begin_batch(batch)
-        with self._gar_section():
-            result, aggregation_time = self._aggregate_pending(batch)
-        if self.server.distance_cache is not None:
-            # Early arrivals were warmed while the buffer filled; charge only
-            # the overlap the inter-update window could not absorb.
-            budget = max(0.0, now - self._last_update_done)
-            aggregation_time += self.cost_model.distance_overlap_excess(
-                warmed_flops, budget
-            )
+        result, aggregation_time, gather_time, warmed_flops = self._aggregate(
+            [int(w) for w in batch.worker_ids], batch.payloads, batch.arrival_times
+        )
+        # Early arrivals were warmed while the buffer filled; charge only the
+        # overlap the inter-update window could not absorb (0.0 without a
+        # cache).
+        aggregation_time += self.cost_model.distance_overlap_excess(
+            warmed_flops, max(0.0, now - self._last_update_done)
+        )
         update_time = self.cost_model.update_time(self.server.dim)
-        if self._service_active:
-            assert self.service is not None
-            # Inter-server gather first: the shards' distance-block exchange
-            # (or replica digest sync) is a real wire session that must drain
-            # before the selection can run.  The server stays busy throughout.
-            gather_s = self.service.gather_seconds(len(batch))
-            self._loop.schedule(
-                self.GATHER,
-                now + gather_s,
-                payload=(batch, result, aggregation_time, gather_s, update_time, now),
-            )
-            return
+        # The inter-server gather (the shards' distance-block exchange or the
+        # replica digest sync, 0.0 with one actor) drains first, then the
+        # selection and the optimizer run; the server stays busy throughout.
+        # The sum is evaluated left to right: ``now + gather`` is the instant
+        # the gather ends.
         self._loop.schedule(
             self.UPDATE_DONE,
-            now + aggregation_time + update_time,
-            payload=(batch, result, aggregation_time, update_time, now),
+            now + gather_time + aggregation_time + update_time,
+            payload=(batch, result, aggregation_time + gather_time, update_time, now),
         )
-
-    def _on_gather(self, event: Event) -> None:
-        """Inter-server gather drained: run the selection + optimizer stages.
-
-        Re-emits the standard UPDATE_DONE payload with the gather seconds
-        folded into the reported aggregation time, so the step record and
-        ``record_server_busy`` account the full busy period exactly as the
-        sync path does when it adds :meth:`ServerFabric.gather_seconds`.
-        """
-        batch, result, aggregation_time, gather_s, update_time, started = event.payload
-        self._loop.schedule(
-            self.UPDATE_DONE,
-            event.time + aggregation_time + update_time,
-            payload=(batch, result, aggregation_time + gather_s, update_time, started),
-        )
-
-    def _aggregate_pending(self, batch: PendingBatch):
-        """Validate the drained batch once and aggregate it.
-
-        The pool hands over the payload matrix directly, so validation is
-        one batched
-        :meth:`~repro.cluster.server.ParameterServer.validate_rows` call.
-        Does *not* apply the optimizer update — the event loop applies it
-        when the server's busy period ends.  Returns
-        ``(result, aggregation_seconds)``.
-        """
-        if not len(batch):
-            raise TrainingError("every gradient was dropped this step; cannot make progress")
-        worker_ids = [int(w) for w in batch.worker_ids]
-        self.server.validate_rows(worker_ids, batch.payloads)
-        result, aggregation_time = self.cost_model.aggregation_time_detailed(
-            self.server.gar,
-            batch.payloads,
-            distance_cache=self.server.distance_cache,
-            charge_shard_combine=not self._service_active,
-        )
-        return result, aggregation_time
-
-    def _distance_round_begin_batch(self, batch: PendingBatch) -> float:
-        """:meth:`_distance_round_begin` over a drained SoA batch."""
-        cache = self.server.distance_cache
-        if cache is None:
-            return 0.0
-        cache.begin_round()
-        warmed = self._warm_debt
-        self._warm_debt = 0.0
-        if len(batch):
-            cutoff = batch.arrival_times.max()
-            early = batch.payloads[batch.arrival_times < cutoff]
-            if early.size:
-                warmed += cache.warm(early)
-        return warmed
-
-    def _distance_round_end_pool(self, pool: PendingPool):
-        """:meth:`_distance_round_end` against the live admission pool."""
-        cache = self.server.distance_cache
-        if cache is None:
-            return None
-        carry = pool.payload_matrix()
-        if carry is not None:
-            self._warm_debt += cache.warm(carry)
-        return cache.end_round(carry)
 
     def _on_update_done(self, event: Event) -> None:
         """Apply the optimizer update, bump the version, emit telemetry."""
@@ -1597,16 +1511,15 @@ class AsyncTrainer(BaseTrainer):
             worker_ids=worker_ids,
             wire_bytes=wire_bytes,
         )
-        if self._service_active:
-            assert self.service is not None
-            self.service.observe_update(self.server.version, self.server.parameters)
         self._busy = False
         diagnostics = self._diagnostics(worker_ids, result, aggregation_time)
         # Close the cache round against the admission buffer: gradients that
         # arrived during the busy period are the async carry pool — they will
         # enter the next batch byte-identically, so their blocks are warmed
         # (off-path) and everything else is evicted.
-        cache_stats = self._distance_round_end_pool(self._pending)
+        cache_stats = None
+        if self.server.distance_cache is not None:
+            cache_stats = self._distance_round_end(self._pending.payload_matrix())
 
         self.history.record_server_busy(aggregation_time + update_time)
         for worker_id, staleness in zip(worker_ids, batch.staleness):
@@ -1698,9 +1611,7 @@ class AsyncTrainer(BaseTrainer):
             self.history.record_wire_batch(
                 worker_ids, bytes_received=nbytes, downlink_delta=deltas
             )
-        if self._service_active:
-            assert self.service is not None
-            self.service.account_fetches(worker_ids, nbytes)
+        self.service.account_fetches(worker_ids, nbytes)
         for i in range(num):
             self._interval_downlink += float(nbytes[i])
         if self._contended:
@@ -1822,9 +1733,7 @@ class AsyncTrainer(BaseTrainer):
             self.history.record_wire_batch(
                 worker_ids, bytes_sent=frame_bytes, compression_error=errors
             )
-        if self._service_active:
-            assert self.service is not None
-            self.service.account_pushes(worker_ids, frames)
+        self.service.account_pushes(worker_ids, frames)
         if self._contended:
             touched: Dict[str, int] = {}
             by_pipe: Dict[str, List[tuple]] = {}

@@ -149,29 +149,6 @@ PAIR_FLOPS_PER_COORDINATE = 2.0
 ROW_FLOPS_PER_COORDINATE = 1.0
 
 
-def split_pair_flops(
-    charged_flops: float, bounds: "List[Tuple[int, int]]", dim: int
-) -> np.ndarray:
-    """Split one round's charged distance flops across contiguous shards.
-
-    Both charging conventions (:data:`PAIR_FLOPS_PER_COORDINATE` per pair
-    coordinate, :data:`ROW_FLOPS_PER_COORDINATE` per norm coordinate) price
-    flops *per coordinate*, so a parameter shard owning the contiguous range
-    ``[lo, hi)`` computes exactly ``(hi - lo) / d`` of every pair's (and
-    every norm's) work — its partial distance block over its own slice.
-    This is the per-shard slice of the :class:`DistanceCache` a sharded
-    parameter service accounts to each server actor.
-    """
-    if dim < 1:
-        raise ConfigurationError(f"dim must be >= 1, got {dim}")
-    widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
-    if len(widths) == 0 or (widths < 1).any() or int(widths.sum()) != dim:
-        raise ConfigurationError(
-            f"shard bounds {list(bounds)} do not tile a dim-{dim} model"
-        )
-    return float(charged_flops) * (widths / float(dim))
-
-
 class DistanceCache:
     """Fingerprint-keyed pairwise-distance cache with incremental pricing.
 
@@ -434,7 +411,6 @@ __all__ = [
     "DistanceRoundStats",
     "row_fingerprint",
     "row_fingerprints",
-    "split_pair_flops",
     "PAIR_FLOPS_PER_COORDINATE",
     "ROW_FLOPS_PER_COORDINATE",
 ]

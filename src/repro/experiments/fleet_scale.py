@@ -313,12 +313,11 @@ def run_scenario(
         "final_mean_loss": (
             trainer.history.steps[-1].mean_loss if trainer.history.steps else None
         ),
-    }
-    service = getattr(trainer, "service", None)
-    if service is not None and not service.is_trivial:
         # The measured inter-server wire ledger (per-shard push/fetch split
-        # and the gather sessions) is what the sharded scenarios report on.
-        node["interserver"] = trainer.history.interserver_summary()
+        # and the gather sessions) is what the sharded scenarios report on;
+        # it is all-zero on a one-actor service.
+        "interserver": trainer.history.interserver_summary(),
+    }
     if profile_split:
         profiler = SimProfiler()
         profiled = _build(scenario, profiler=profiler)
@@ -495,8 +494,8 @@ def _check_sharded_wan_cuts_cross_region_bytes(nodes: Dict) -> int:
     if node is None:
         return 0
     scenario = node["scenario"]
-    inter = node.get("interserver", {})
-    if not inter or inter.get("gather_bytes", 0.0) <= 0:
+    inter = node["interserver"]
+    if inter["gather_bytes"] <= 0:
         print(
             "FAIL: sharded_wan: no measured inter-server gather bytes "
             f"(interserver={inter})",

@@ -232,17 +232,16 @@ def _validate_cluster_flags(args) -> None:
         raise ConfigurationError(
             f"--server-cores must be >= 1, got {args.server_cores}"
         )
-    if args.server_topology is not None:
-        # Validate the grammar up front so the operator sees the flag name.
-        topology = parse_server_topology(args.server_topology)
-        if topology.kind == "region-sharded" and not str(
-            args.link_profile or ""
-        ).startswith("wan:"):
-            raise ConfigurationError(
-                "--server-topology region-sharded needs a WAN wire topology "
-                "to shard across; pass --link-profile "
-                "'wan:<regions>x<bandwidth>[/<latency>]'"
-            )
+    # Validate the grammar up front so the operator sees the flag name.
+    topology = parse_server_topology(args.server_topology)
+    if topology.kind == "region-sharded" and not str(
+        args.link_profile or ""
+    ).startswith("wan:"):
+        raise ConfigurationError(
+            "--server-topology region-sharded needs a WAN wire topology "
+            "to shard across; pass --link-profile "
+            "'wan:<regions>x<bandwidth>[/<latency>]'"
+        )
     if args.measured_aggregation and args.determinism_check:
         raise ConfigurationError(
             "--measured-aggregation is incompatible with --determinism-check: "

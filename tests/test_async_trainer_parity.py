@@ -21,6 +21,13 @@ persistent straggler), a WAN topology, delta broadcasts, lossy links,
 compact telemetry, a bounded-staleness admission predicate, and both
 adversary classes (deterministic sign-flip → one batched craft per version;
 RNG-drawing random attack → the per-worker fallback).
+
+A second grid holds the event-driven *server stage* — the one
+``BaseTrainer._aggregate`` spelling over ``ServerFabric.aggregate``, with the
+gather folded into ``update-done`` — against the parent's
+(``as_server_stage_reference``: per-engine ``_aggregate_pending`` and a
+seventh ``gather`` event), which the grid above cannot see drift because both
+of its arms run the live stage.
 """
 
 import numpy as np
@@ -30,7 +37,7 @@ from repro.cluster.builder import build_trainer
 from repro.cluster.cost_model import StragglerModel
 from repro.cluster.trainer import TrainerConfig
 from repro.data.datasets import gaussian_blobs
-from tests.trainer_reference import as_per_event_reference
+from tests.trainer_reference import as_per_event_reference, as_server_stage_reference
 
 SCENARIOS = {
     "identity": {},
@@ -54,7 +61,7 @@ SCENARIOS = {
 }
 
 
-def _run(overrides: dict, *, reference: bool = False):
+def _run(overrides: dict, *, reference=None, steps: int = 6):
     kwargs = dict(
         model="logistic",
         model_kwargs={"input_dim": 10, "num_classes": 5},
@@ -71,9 +78,9 @@ def _run(overrides: dict, *, reference: bool = False):
     )
     kwargs.update(overrides)
     trainer = build_trainer(**kwargs)
-    if reference:
-        trainer = as_per_event_reference(trainer)
-    history = trainer.run(TrainerConfig(max_steps=6, eval_every=0))
+    if reference is not None:
+        trainer = reference(trainer)
+    history = trainer.run(TrainerConfig(max_steps=steps, eval_every=0))
     return trainer, history
 
 
@@ -81,7 +88,7 @@ def _run(overrides: dict, *, reference: bool = False):
 def test_async_vectorized_drain_is_bit_identical_to_the_per_event_loop(name):
     overrides = SCENARIOS[name]
     vec_trainer, vec_history = _run(overrides)
-    loop_trainer, loop_history = _run(overrides, reference=True)
+    loop_trainer, loop_history = _run(overrides, reference=as_per_event_reference)
     np.testing.assert_array_equal(
         vec_trainer.server.parameters, loop_trainer.server.parameters
     )
@@ -100,7 +107,7 @@ def test_async_vectorized_parity_with_selection_gar():
         "codec_k": 8,
     }
     vec_trainer, vec_history = _run(overrides)
-    loop_trainer, loop_history = _run(overrides, reference=True)
+    loop_trainer, loop_history = _run(overrides, reference=as_per_event_reference)
     np.testing.assert_array_equal(
         vec_trainer.server.parameters, loop_trainer.server.parameters
     )
@@ -137,3 +144,52 @@ def test_async_vectorized_livelock_guard_still_fires():
     history = trainer.run(TrainerConfig(max_steps=2, eval_every=0))
     assert history.diverged
     assert "livelock" in history.divergence_reason
+
+
+#: Distance cache rows need a selection GAR for the cache to be queried.
+_CACHED = {"gar": "multi-krum", "declared_f": 2, "distance_cache": True}
+_WAN = {"link_profile": "wan:2x10mbit/5ms"}
+SERVER_STAGE_SCENARIOS = {
+    "single": {"server_topology": "single"},
+    "single_cache": {"server_topology": "single", **_CACHED},
+    "shards2": {"server_topology": "shards:2"},
+    "shards3_cache": {"server_topology": "shards:3", **_CACHED},
+    "region_sharded_wan_fair_cache": {
+        "server_topology": "region-sharded", "link_sharing": "fair", **_WAN, **_CACHED,
+    },
+    "replicas3_wan_fifo_bounded_staleness": {
+        "server_topology": "replicas:3", "link_sharing": "fifo", **_WAN,
+        "sync_policy": "bounded-staleness", "max_version_lag": 2,
+    },
+    "shards2_slow_worker_topk": {
+        "server_topology": "shards:2", "worker_speeds": {5: 0.05},
+        "codec": "top-k", "codec_k": 8,
+    },
+    "shards2_cores4_cache": {"server_topology": "shards:2", "server_cores": 4, **_CACHED},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERVER_STAGE_SCENARIOS))
+def test_async_server_stage_is_bit_identical_to_the_parent_stage(name):
+    """One server stage, one event fewer per multi-actor update, no float moved.
+
+    The cache x multi-actor rows are the only place the two engines' float
+    associations differ (``(analytic + excess) + gather`` here).
+    """
+    overrides = {"num_workers": 12, **SERVER_STAGE_SCENARIOS[name]}
+    steps = 15
+    trainer, history = _run(overrides, steps=steps)
+    ref_trainer, ref_history = _run(
+        overrides, reference=as_server_stage_reference, steps=steps
+    )
+    assert len(history.steps) == steps
+    np.testing.assert_array_equal(
+        trainer.server.parameters, ref_trainer.server.parameters
+    )
+    assert trainer.clock.now == ref_trainer.clock.now
+    assert history.to_dict() == ref_history.to_dict()
+    # The gather no longer costs an event: exactly one fewer per update when
+    # there is an inter-server wire, none when there is one actor.
+    saved = steps * (trainer.service.num_actors > 1)
+    assert trainer.events_dispatched == ref_trainer.events_dispatched - saved
+    assert len(trainer._loop._handlers) == 6

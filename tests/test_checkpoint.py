@@ -193,14 +193,14 @@ class TestTrainingStateResume:
             tiny_dataset, tiny_model_kwargs, "quorum", {"stragglers": "carry"}
         )
         state = capture_training_state(trainer)
-        smaller = build_trainer(
+        other_size = build_trainer(
             model="mlp", model_kwargs=tiny_model_kwargs, dataset=tiny_dataset,
-            gar="multi-krum", declared_f=2, num_workers=7, batch_size=16,
+            gar="multi-krum", declared_f=2, num_workers=11, batch_size=16,
             learning_rate=5e-3, seed=0, sync_policy="quorum",
             sync_kwargs={"stragglers": "carry"},
         )
         with pytest.raises(ConfigurationError, match="RNG streams"):
-            restore_training_state(smaller, state)
+            restore_training_state(other_size, state)
 
     def test_missing_training_state_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

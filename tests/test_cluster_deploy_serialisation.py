@@ -68,3 +68,23 @@ def test_builder_accepts_deserialised_cluster(tiny_dataset, tiny_model_kwargs, t
     )
     history = trainer.run(TrainerConfig(max_steps=5, eval_every=0))
     assert history.num_updates == 5
+
+
+def test_spec_server_topology_reaches_the_fabric(tiny_dataset, tiny_model_kwargs):
+    import dataclasses
+
+    from repro.cluster import build_trainer
+
+    spec = dataclasses.replace(ClusterSpec.homogeneous(5), server_topology="shards:2")
+    restored = ClusterSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert restored.server_topology == "shards:2"
+    kwargs = dict(
+        model="mlp", model_kwargs=tiny_model_kwargs, dataset=tiny_dataset,
+        gar="average", num_workers=4, batch_size=16, seed=0, cluster=restored,
+    )
+    trainer = build_trainer(**kwargs)
+    assert trainer.service.topology.spec == "shards:2"
+    assert trainer.cluster.server_topology == "shards:2"  # survives allocation
+    # The builder's own argument overrides the spec's field.
+    assert build_trainer(server_topology="replicas:3", **kwargs).service.num_actors == 3
+    assert build_trainer(server_topology="single", **kwargs).service.topology.spec == "single"

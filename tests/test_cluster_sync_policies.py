@@ -257,6 +257,62 @@ def test_quorum_above_cluster_size_rejected():
         policy.bind(num_workers=9, f=0)
 
 
+def test_quorum_below_the_rules_minimum_batch_rejected_at_bind():
+    # Bulyan f=4 needs 4f + 3 = 19 rows; the default quorum n - f is 15.
+    with pytest.raises(ConfigurationError, match=r"quorum=15 .* 19 gradients .* f=4"):
+        Quorum().bind(num_workers=19, f=4, min_batch=19)
+    policy = Quorum(quorum=19)
+    policy.bind(num_workers=19, f=4, min_batch=19)
+    assert policy.effective_quorum == 19
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+@pytest.mark.parametrize(
+    "gar, n, f, minimum", [("bulyan", 19, 4, 19), ("multi-krum", 11, 4, 11)]
+)
+def test_quorum_too_small_for_the_gar_fails_at_build_not_on_step_zero(
+    tiny_dataset, tiny_model_kwargs, mode, gar, n, f, minimum
+):
+    """The paper's own n=19, f=4 Bulyan deployment under the default quorum.
+
+    The server aggregates exactly the quorum's rows, so ``q = n - f`` below
+    the rule's own minimum used to build and then die on step 0 with a
+    ``ResilienceConditionError`` that ``trainer.run`` does not catch.
+    """
+    config = dict(gar=gar, num_workers=n, declared_f=f, mode=mode, sync_policy="quorum")
+    with pytest.raises(
+        ConfigurationError, match=rf"quorum={n - f} .* {minimum} gradients .* f={f}"
+    ):
+        make_trainer(tiny_dataset, tiny_model_kwargs, **config)
+    # A quorum the rule accepts builds and runs.
+    trainer = make_trainer(
+        tiny_dataset, tiny_model_kwargs, sync_kwargs={"quorum": minimum}, **config
+    )
+    history = trainer.run(TrainerConfig(max_steps=2, eval_every=0))
+    assert len(history.steps) == 2 and not history.diverged
+
+
+def test_lockstep_bounded_staleness_is_not_held_to_the_quorum_bound(
+    tiny_dataset, tiny_model_kwargs
+):
+    """Its batch is every arrival up to the cutoff, not the first ``q``.
+
+    A homogeneous fleet ties at the ``q``-th arrival, so all 19 gradients are
+    admitted and Bulyan f=4 runs under the default quorum of 15; only the
+    event-driven engine, which aggregates the moment ``q`` are buffered,
+    refuses the same policy at build.
+    """
+    config = dict(
+        gar="bulyan", num_workers=19, declared_f=4, sync_policy="bounded-staleness"
+    )
+    BoundedStaleness().bind(num_workers=19, f=4, min_batch=19)
+    trainer = make_trainer(tiny_dataset, tiny_model_kwargs, **config)
+    history = trainer.run(TrainerConfig(max_steps=2, eval_every=0))
+    assert [s.gradients_received for s in history.steps] == [19, 19]
+    with pytest.raises(ConfigurationError, match=r"quorum=15 .* 19 gradients .* f=4"):
+        make_trainer(tiny_dataset, tiny_model_kwargs, mode="async", **config)
+
+
 def test_quorum_requires_bind_before_collect():
     with pytest.raises(ConfigurationError, match="before bind"):
         Quorum().collect(make_events([0.1]), 0, floor=1e-4)

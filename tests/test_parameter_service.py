@@ -4,9 +4,10 @@ Two contracts anchor the service:
 
 * ``shards:1`` (and ``replicas:1``) is **bit-identical** to the plain
   single-server deployment — parameters, simulated clock and the full
-  telemetry export — because the trainers skip every fabric hook when the
-  topology is trivial.  The parity grid below pins that across the hot-path
-  branches (codecs, WAN, delta broadcasts, stragglers, async engine).
+  telemetry export — because every trainer runs the same code on a
+  ``ServerFabric`` (``single`` is the one-actor one) and a one-actor fabric
+  books no inter-server traffic.  The parity grid below pins that across the
+  hot-path branches (codecs, WAN, delta broadcasts, stragglers, async engine).
 * Non-trivial *sharding* never touches the data plane: the synchronous
   engine's parameters stay bit-identical to the unsharded run (the gather
   wire only shifts simulated time), while the byte ledger splits into
@@ -32,12 +33,11 @@ from repro.cluster.service import (
     REPLICA_DIGEST_BYTES,
     ServerFabric,
     ServerTopology,
-    home_shard,
     parse_server_topology,
     place_shards,
     shard_bounds,
 )
-from repro.cluster.trainer import TrainerConfig
+from repro.cluster.trainer import SynchronousTrainer, TrainerConfig
 from repro.data.datasets import gaussian_blobs
 from repro.exceptions import ConfigurationError
 
@@ -103,11 +103,6 @@ class TestShardGeometry:
         assert place_shards(1, ["solo"]) == ["solo"]
         with pytest.raises(ConfigurationError):
             place_shards(2, [])
-
-    def test_home_shard_is_pure_modulo(self):
-        assert [home_shard(w, 3) for w in range(6)] == [0, 1, 2, 0, 1, 2]
-        with pytest.raises(ConfigurationError):
-            home_shard(0, 0)
 
 
 # ------------------------------------------------------------- deployment grid
@@ -177,6 +172,30 @@ def test_replicas1_and_single_spec_are_also_trivial():
             trainer.server.parameters, plain_trainer.server.parameters
         )
         assert history.to_dict() == plain_history.to_dict()
+
+
+@pytest.mark.parametrize("spec", [None, "single"])
+def test_every_build_runs_on_a_fabric(spec):
+    trainer = _build(spec)
+    assert isinstance(trainer.service, ServerFabric)
+    assert trainer.service.topology.spec == "single"
+    assert trainer.service.server is trainer.server
+
+
+def test_hand_built_trainer_hosts_the_single_fabric():
+    built = _build(None)
+    hand = SynchronousTrainer(built.server, built.workers, built.cost_model)
+    assert hand.service.topology.spec == "single"
+    assert hand.service.server is built.server
+    assert hand.service._history is hand.history
+    hand.run(TrainerConfig(max_steps=2, eval_every=0))
+    assert not any(hand.history.interserver_summary().values())
+
+    elsewhere = _build("shards:2").service
+    with pytest.raises(ConfigurationError, match="different ParameterServer"):
+        SynchronousTrainer(
+            built.server, built.workers, built.cost_model, service=elsewhere
+        )
 
 
 def test_sync_sharding_leaves_the_data_plane_untouched():
@@ -271,13 +290,53 @@ class TestServerFabric:
         twin = _fabric()
         twin.restore_state(json.loads(json.dumps(state)))
         assert twin.counters == fabric.counters
-        for shard_id in range(fabric.num_shards):
-            assert twin.shard_versions(shard_id) == fabric.shard_versions(shard_id)
 
     def test_restore_rejects_topology_mismatch(self):
         state = _fabric("shards:2").state_dict()
         with pytest.raises(ConfigurationError, match="topology"):
             _fabric("shards:3").restore_state(state)
+
+    @pytest.mark.parametrize("spec", ["single", "shards:1", "replicas:1"])
+    def test_pre_service_archive_restores_into_one_actor(self, spec):
+        fabric = _fabric(spec)
+        fabric.restore_state(None)
+        assert all(value == 0.0 for value in fabric.counters.values())
+
+    @pytest.mark.parametrize("deployed", ["single", "shards:1", "replicas:1"])
+    @pytest.mark.parametrize("archived", ["single", "shards:1", "replicas:1"])
+    def test_one_actor_archives_are_interchangeable(self, archived, deployed):
+        state = _fabric(archived).state_dict()
+        _fabric(deployed).restore_state(state)
+        with pytest.raises(ConfigurationError, match="does not match the deployed"):
+            _fabric("shards:2").restore_state(state)
+        with pytest.raises(ConfigurationError, match="does not match the deployed"):
+            _fabric(deployed).restore_state(_fabric("shards:2").state_dict())
+
+    def test_one_actor_archive_without_the_restored_digest(self):
+        """Archives of the mirrored-log era hold version 0's digest only."""
+        trainer, _ = _run("shards:1")
+        service = trainer.service
+        assert trainer.server.version > 0
+        state = service.state_dict()
+        state["shards"][0]["versions"] = {"0": "00" * 16}
+        service.restore_state(state)
+        # A digest that *is* recorded for the restored version is still held to.
+        state["shards"][0]["versions"] = {str(trainer.server.version): "00" * 16}
+        with pytest.raises(ConfigurationError, match="digest mismatch"):
+            service.restore_state(state)
+        # A multi-actor archive always carried it: its absence is a mismatch.
+        sharded, _ = _run("shards:2")
+        state = sharded.service.state_dict()
+        state["shards"][0]["versions"] = {}
+        with pytest.raises(ConfigurationError, match="digest mismatch"):
+            sharded.service.restore_state(state)
+
+    def test_pre_service_archive_refused_by_multi_actor(self):
+        with pytest.raises(
+            ConfigurationError,
+            match="'single' does not match the deployed topology 'shards:2'",
+        ):
+            _fabric("shards:2").restore_state(None)
 
     def test_restore_rejects_divergent_digests(self):
         fabric = _fabric()
@@ -290,13 +349,13 @@ class TestServerFabric:
     def test_version_store_tracks_every_shard(self):
         trainer, _ = _run("shards:2")
         service = trainer.service
-        retained = set(trainer.server.retained_versions())
-        for shard_id in range(service.num_shards):
-            versions = service.shard_versions(shard_id)
-            assert set(versions) == retained
         state = service.state_dict()
-        pins = {int(v): c for v, c in state["shards"][0]["pins"].items()}
-        assert pins == trainer.server.pinned_versions()
+        assert len(state["shards"]) == service.num_shards
+        for entry in state["shards"]:
+            # Only the checkpointed version's digest: the one resume can verify.
+            assert set(entry["versions"]) == {str(trainer.server.version)}
+            pins = {int(v): c for v, c in entry["pins"].items()}
+            assert pins == trainer.server.pinned_versions()
 
 
 def _oracle_pushes(fabric, worker_ids, frames):
@@ -451,6 +510,76 @@ def test_resume_is_bit_identical_under_shards2_quorum_carry(tmp_path):
     assert resumed.service.counters == reference.service.counters
 
 
+@pytest.mark.parametrize(
+    "archived, deployed", [(None, "shards:1"), ("shards:1", None), ("replicas:1", "shards:1")]
+)
+def test_one_actor_spellings_resume_each_others_archives(archived, deployed):
+    """``single`` and ``shards:1`` differ only in their spec string."""
+    overrides = _quorum_overrides()
+    reference, _ = _run(None, overrides)
+
+    first = _build(archived, overrides)
+    first.run(TrainerConfig(max_steps=3, eval_every=0))
+    resumed = _build(deployed, overrides)
+    restore_training_state(resumed, capture_training_state(first))
+    resumed.run(TrainerConfig(max_steps=3, eval_every=0))
+    np.testing.assert_array_equal(
+        resumed.server.parameters, reference.server.parameters
+    )
+    assert resumed.clock.now == reference.clock.now
+
+
+_LOSSY_BROADCASTS = {
+    "top-k": {"broadcast_codec": "top-k", "broadcast_k": 8},
+    "random-k": {"broadcast_codec": "random-k", "broadcast_k": 8},
+    "qsgd": {"broadcast_codec": "qsgd", "broadcast_bits": 4},
+}
+
+
+def _lossy_overrides(topology, codec):
+    overrides = dict(_LOSSY_BROADCASTS[codec])
+    if topology == "region-sharded":
+        overrides["link_profile"] = "wan:2x10mbit/5ms"
+    return overrides
+
+
+@pytest.mark.parametrize("codec", sorted(_LOSSY_BROADCASTS))
+@pytest.mark.parametrize("topology", ["shards:2", "region-sharded", "replicas:2"])
+def test_resume_under_multi_actor_topology_with_lossy_broadcast(tmp_path, topology, codec):
+    """Regression: resume used to die on "shard 0 slice digest mismatch".
+
+    Restore re-registers each worker's held version from its *replica*, a
+    reconstruction that is exact only under a lossless broadcast codec, and
+    the fabric compared its digest of the logged vector against it.  Only
+    the restored version — the checkpoint's own ``parameters`` — is verified.
+    """
+    overrides = _lossy_overrides(topology, codec)
+    reference, _ = _run(topology, overrides)
+
+    first = _build(topology, overrides)
+    first.run(TrainerConfig(max_steps=3, eval_every=0))
+    path = save_training_state(capture_training_state(first), tmp_path / "lossy.npz")
+
+    resumed = _build(topology, overrides)
+    restore_training_state(resumed, load_training_state(path))
+    resumed.run(TrainerConfig(max_steps=3, eval_every=0))
+    np.testing.assert_array_equal(
+        resumed.server.parameters, reference.server.parameters
+    )
+    assert resumed.clock.now == reference.clock.now
+    assert resumed.service.counters == reference.service.counters
+
+
+def test_resume_still_refuses_corrupted_parameters():
+    overrides = _lossy_overrides("shards:2", "top-k")
+    first = _build("shards:2", overrides)
+    first.run(TrainerConfig(max_steps=3, eval_every=0))
+    state = capture_training_state(first)
+    state.parameters = state.parameters + 1e-9
+    with pytest.raises(ConfigurationError, match="slice digest mismatch"):
+        restore_training_state(_build("shards:2", overrides), state)
+
+
 def test_restore_rejects_service_mismatch():
     overrides = _quorum_overrides()
     sharded = _build("shards:2", overrides)
@@ -458,12 +587,18 @@ def test_restore_rejects_service_mismatch():
     sharded_state = capture_training_state(sharded)
 
     plain = _build(None, overrides)
-    with pytest.raises(ConfigurationError, match="without a server topology"):
+    with pytest.raises(
+        ConfigurationError,
+        match="'shards:2' does not match the deployed topology 'single'",
+    ):
         restore_training_state(plain, sharded_state)
 
     plain2 = _build(None, overrides)
     plain2.run(TrainerConfig(max_steps=2, eval_every=0))
     plain_state = capture_training_state(plain2)
     sharded2 = _build("shards:2", overrides)
-    with pytest.raises(ConfigurationError, match="no service state"):
+    with pytest.raises(
+        ConfigurationError,
+        match="'single' does not match the deployed topology 'shards:2'",
+    ):
         restore_training_state(sharded2, plain_state)

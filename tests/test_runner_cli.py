@@ -106,6 +106,15 @@ class TestClusterFlagHardening:
         )
         assert not summary["diverged"]
 
+    def test_default_quorum_below_the_gar_minimum_fails_before_training(self):
+        # The paper's deployment: Bulyan, n=19, f=4 -> default quorum 15 < 19.
+        bulyan = BASE_ARGS + ["--aggregator", "bulyan", "--nb-workers", "19",
+                              "--nb-decl-byz", "4", "--sync-policy", "quorum"]
+        with pytest.raises(ConfigurationError, match=r"quorum=15 .* 19 gradients"):
+            runner.run(bulyan, stream=io.StringIO())
+        summary = runner.run(bulyan + ["--quorum-size", "19"], stream=io.StringIO())
+        assert not summary["diverged"]
+
     def test_async_mode_with_full_sync_rejected(self):
         with pytest.raises(ConfigurationError, match="--mode async"):
             runner.run(BASE_ARGS + ["--mode", "async"], stream=io.StringIO())
@@ -269,6 +278,49 @@ class TestBroadcastAndLinkProfileFlags:
         assert raw["final_accuracy"] == delta["final_accuracy"]
         assert raw["total_time"] == delta["total_time"]
         assert raw["wire"]["bytes_received"] == delta["wire"]["bytes_received"]
+
+
+class TestServerTopologyFlag:
+    """--server-topology: every spelling runs on the one ServerFabric."""
+
+    def test_shards1_gives_the_default_summary(self):
+        plain = runner.run(BASE_ARGS + ["--aggregator", "average"], stream=io.StringIO())
+        shards1 = runner.run(
+            BASE_ARGS + ["--aggregator", "average", "--server-topology", "shards:1"],
+            stream=io.StringIO(),
+        )
+        assert shards1.pop("configuration")["server_topology"] == "shards:1"
+        assert plain.pop("configuration")["server_topology"] is None
+        assert shards1 == plain
+        assert not any(plain["interserver"].values())
+
+    def test_shards2_books_the_interserver_gather(self):
+        summary = runner.run(
+            BASE_ARGS + ["--aggregator", "average", "--server-topology", "shards:2"],
+            stream=io.StringIO(),
+        )
+        assert summary["interserver"]["gather_sessions"] > 0
+        assert summary["interserver"]["gather_bytes"] > 0
+
+    def test_malformed_topology_rejected(self):
+        with pytest.raises(ConfigurationError, match="malformed server topology"):
+            runner.run(BASE_ARGS + ["--server-topology", "mesh:3"], stream=io.StringIO())
+
+    def test_region_sharded_needs_a_wan_profile(self):
+        with pytest.raises(ConfigurationError, match="--link-profile"):
+            runner.run(
+                BASE_ARGS + ["--server-topology", "region-sharded"], stream=io.StringIO()
+            )
+
+    def test_async_sharded_run_replays_deterministically(self):
+        summary = runner.run(
+            BASE_ARGS + ["--aggregator", "average", "--mode", "async",
+                         "--sync-policy", "quorum", "--server-topology", "shards:2",
+                         "--determinism-check"],
+            stream=io.StringIO(),
+        )
+        assert summary["determinism_check"] == "ok"
+        assert summary["interserver"]["gather_sessions"] > 0
 
 
 class TestServerComputeFlags:
