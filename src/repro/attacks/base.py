@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.random import as_rng
+from repro.utils.validation import make_registered
 
 
 class Attack(abc.ABC):
@@ -90,13 +91,7 @@ def register_attack(name: str) -> Callable[[Type[Attack]], Type[Attack]]:
 
 def make_attack(name: str, **kwargs) -> Attack:
     """Instantiate a registered attack by name."""
-    try:
-        cls = ATTACK_REGISTRY[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown attack {name!r}; available: {sorted(ATTACK_REGISTRY)}"
-        ) from exc
-    return cls(**kwargs)
+    return make_registered(ATTACK_REGISTRY, "attack", name, kwargs)
 
 
 __all__ = ["Attack", "ATTACK_REGISTRY", "register_attack", "make_attack"]

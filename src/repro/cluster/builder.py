@@ -17,13 +17,13 @@ from repro.attacks.base import Attack, make_attack
 from repro.cluster.codec import WireCodec, make_codec
 from repro.cluster.cost_model import CostModel, StragglerModel
 from repro.cluster.deploy import ClusterSpec, allocate_devices
-from repro.cluster.link import SHARING_MODES, LinkTopology, parse_link_profile
+from repro.cluster.link import LinkTopology, parse_link_profile
 from repro.cluster.network import Channel, DelayedChannel, LossyChannel
 from repro.cluster.packets import RecoveryPolicy
 from repro.cluster.profiler import SimProfiler
 from repro.cluster.server import ParameterServer
 from repro.cluster.service import ServerFabric, parse_server_topology
-from repro.cluster.sync import FullSync, SyncPolicy, make_sync_policy
+from repro.cluster.sync import SyncPolicy, make_sync_policy
 from repro.cluster.trainer import AsyncTrainer, BaseTrainer, SynchronousTrainer
 from repro.cluster.worker import ByzantineWorker, HonestWorker, Worker
 from repro.core.base import GradientAggregationRule, make_gar
@@ -65,6 +65,19 @@ def _resolve_sync_policy(policy: Union[str, SyncPolicy], sync_kwargs: Optional[d
     if isinstance(policy, SyncPolicy):
         return policy
     return make_sync_policy(str(policy), **(sync_kwargs or {}))
+
+
+def _resolve_codec(codec: Union[str, WireCodec], k: Optional[int], bits: Optional[int],
+                   rng, options: tuple) -> WireCodec:
+    """A codec instance as given, or ``make_codec`` by name (*options*: its ``options``)."""
+    if not isinstance(codec, WireCodec):
+        return make_codec(codec, k=k, bits=bits, rng=rng, options=options)
+    if k is not None or bits is not None:
+        raise ConfigurationError(
+            f"{options[1]} / {options[2]} only apply when the {options[0]} is given "
+            "by name; configure a codec instance directly instead"
+        )
+    return codec
 
 
 def build_trainer(
@@ -120,6 +133,17 @@ def build_trainer(
 ) -> BaseTrainer:
     """Assemble a full simulated deployment and return its trainer.
 
+    Validation: this function checks only what relates its own keywords to
+    each other (worker-count ranges, ``max_version_lag`` needs
+    ``mode="async"``, the lossy options need lossy links, ``broadcast_k``
+    needs a ``broadcast_codec``).  Every other constraint is raised by the
+    layer that owns the concept — ``make_codec`` and the codec constructors,
+    the sync policy's ``bind`` / ``admission``, ``CostModel``,
+    ``ServerFabric``, the link layer, the ``make_*`` registries — and all of
+    them are reached before the per-worker model loop.  ``repro.runner`` adds
+    no check on top, so the CLI and the API raise the same
+    :class:`~repro.exceptions.ConfigurationError`.
+
     Parameters
     ----------
     model, model_kwargs:
@@ -169,17 +193,17 @@ def build_trainer(
         ``"sync"`` (default) builds the lock-step
         :class:`~repro.cluster.trainer.SynchronousTrainer`; ``"async"``
         builds the event-driven :class:`~repro.cluster.trainer.AsyncTrainer`,
-        which requires a quorum-shaped synchrony policy (``full-sync`` has no
-        event-stream form).
+        which needs a policy with an event-stream form (``full-sync`` has
+        none; its ``admission`` refuses).
     sync_policy, sync_kwargs:
         The synchrony policy (``--sync-policy`` analogue): a registered name
         (``"full-sync"``, ``"quorum"``, ``"bounded-staleness"``) or an
         instance.  The default reproduces the paper's fully synchronous
         protocol bit-identically.
     max_version_lag:
-        Async mode only: hard bound on the version lag of admitted
-        gradients; ``None`` defers to the policy (``tau`` for bounded
-        staleness, unbounded for plain quorum).
+        Async mode only (refused under ``mode="sync"``): hard bound on the
+        version lag of admitted gradients; ``None`` defers to the policy
+        (``tau`` for bounded staleness, unbounded for plain quorum).
     retain_versions:
         How many historical parameter vectors the server's versioned store
         keeps for :meth:`~repro.cluster.server.ParameterServer.parameters_at`
@@ -243,7 +267,8 @@ def build_trainer(
         region bottleneck instead of on one global pipe.
     lossy_links, lossy_drop_rate, lossy_policy:
         Put a lossy UDP-like uplink with the given drop rate and recovery
-        policy on this many workers (Figure 8).  Explicit ``uplink_channels``
+        policy on this many workers (Figure 8); a non-default rate or policy
+        with ``lossy_links=0`` is refused.  Explicit ``uplink_channels``
         entries take precedence.
     link_delays:
         Per-worker-id extra one-way uplink delay in seconds: the worker's
@@ -298,9 +323,17 @@ def build_trainer(
                 "is arbitrarily fast regardless)"
             )
 
-    if link_sharing not in SHARING_MODES:
+    if mode == "sync" and max_version_lag is not None:
         raise ConfigurationError(
-            f"link_sharing must be one of {SHARING_MODES}, got {link_sharing!r}"
+            f"max_version_lag={max_version_lag} only applies to mode='async'; "
+            "the lock-step engine has no model-version lag to bound"
+        )
+    if lossy_links == 0 and (
+        lossy_drop_rate != 0.0 or lossy_policy != RecoveryPolicy.RANDOM_FILL
+    ):
+        raise ConfigurationError(
+            "lossy_drop_rate / lossy_policy only apply to lossy uplinks, and "
+            "lossy_links is 0"
         )
     if link_profile is not None and link_topology is not None:
         raise ConfigurationError(
@@ -313,13 +346,20 @@ def build_trainer(
         if profile_text is None and cluster is not None:
             profile_text = cluster.link_profile
         topology = parse_link_profile(profile_text, num_workers)
-    if topology is not None:
-        topology.validate_workers(range(num_workers))
     f = num_byzantine if declared_f is None else int(declared_f)
     gar_instance = _resolve_gar(gar, f, gar_kwargs)
     optimizer_instance = _resolve_optimizer(optimizer, learning_rate, optimizer_kwargs)
     attack_instance = _resolve_attack(attack, attack_kwargs)
     sync_instance = _resolve_sync_policy(sync_policy, sync_kwargs)
+    # Everything that can refuse the deployment is resolved before the
+    # per-worker model loop, so a bad configuration fails in milliseconds at
+    # any fleet size.  The trainer binds the policy again (idempotent).
+    sync_instance.bind(
+        num_workers=num_workers, f=gar_instance.f,
+        min_batch=gar_instance.minimum_workers(gar_instance.f),
+    )
+    if mode == "async":
+        sync_instance.admission(max_version_lag=max_version_lag)
     cost = cost_model if cost_model is not None else CostModel()
     if server_cores is not None:
         cost = replace(cost, server_cores=int(server_cores))
@@ -345,36 +385,18 @@ def build_trainer(
         fleet_sample_rng,
     ) = rngs[2 * num_workers :]
 
-    if isinstance(codec, WireCodec):
-        if codec_k is not None or quantize_bits is not None:
-            raise ConfigurationError(
-                "codec_k / quantize_bits only apply when the codec is given by "
-                "name; configure a codec instance directly instead"
-            )
-        codec_instance = codec
-    else:
-        codec_instance = make_codec(
-            codec, k=codec_k, bits=quantize_bits, rng=codec_rng
+    codec_instance = _resolve_codec(
+        codec, codec_k, quantize_bits, codec_rng, ("codec", "codec_k", "quantize_bits")
+    )
+    if broadcast_codec is not None:
+        broadcast_instance = _resolve_codec(
+            broadcast_codec, broadcast_k, broadcast_bits, broadcast_rng,
+            ("broadcast_codec", "broadcast_k", "broadcast_bits"),
         )
-
-    if broadcast_codec is None:
-        if broadcast_k is not None or broadcast_bits is not None:
-            raise ConfigurationError(
-                "broadcast_k / broadcast_bits require a broadcast_codec"
-            )
+    elif broadcast_k is not None or broadcast_bits is not None:
+        raise ConfigurationError("broadcast_k / broadcast_bits require a broadcast_codec")
+    else:
         broadcast_instance = None
-    elif isinstance(broadcast_codec, WireCodec):
-        if broadcast_k is not None or broadcast_bits is not None:
-            raise ConfigurationError(
-                "broadcast_k / broadcast_bits only apply when the broadcast "
-                "codec is given by name; configure a codec instance directly "
-                "instead"
-            )
-        broadcast_instance = broadcast_codec
-    else:
-        broadcast_instance = make_codec(
-            broadcast_codec, k=broadcast_k, bits=broadcast_bits, rng=broadcast_rng
-        )
 
     def build_model() -> Sequential:
         kwargs = dict(model_kwargs or {})
@@ -385,12 +407,36 @@ def build_trainer(
 
     server_model = build_model()
     eval_model = build_model()
-    initial_parameters = server_model.get_parameters()
+    server = ParameterServer(
+        server_model.get_parameters(),
+        gar_instance,
+        optimizer_instance,
+        expected_workers=list(range(num_workers)),
+        retain_versions=retain_versions,
+        distance_cache=DistanceCache() if distance_cache else None,
+    )
+
+    cluster_spec = cluster
+    if cluster_spec is not None and cluster_spec.server_node is None:
+        cluster_spec = allocate_devices(cluster_spec, num_workers)
+
+    # Parameter service: every deployment runs on a fabric, resolved against
+    # the wire topology.  No flag and no cluster field is ``single``, the
+    # one-actor fabric.
+    topology_spec = server_topology
+    if topology_spec is None and cluster_spec is not None:
+        topology_spec = cluster_spec.server_topology
+    service = ServerFabric(
+        server,
+        cost,
+        topology=parse_server_topology(topology_spec),
+        link_topology=topology,
+        link_sharing=link_sharing,
+    )
 
     # Worker roles: the first `num_byzantine` ids are Byzantine, the next
     # `corrupted_workers` ids run on corrupted data, the rest are honest.
     workers: list[Worker] = []
-    num_honest = num_workers - num_byzantine
     corrupted_ids = set(range(num_byzantine, num_byzantine + corrupted_workers))
     for worker_id in range(num_workers):
         if worker_id < num_byzantine:
@@ -409,15 +455,6 @@ def build_trainer(
         worker_model = build_model()
         speed = (worker_speeds or {}).get(worker_id, 1.0)
         workers.append(HonestWorker(worker_id, worker_model, sampler, speed=speed))
-
-    server = ParameterServer(
-        initial_parameters,
-        gar_instance,
-        optimizer_instance,
-        expected_workers=[w.worker_id for w in workers],
-        retain_versions=retain_versions,
-        distance_cache=DistanceCache() if distance_cache else None,
-    )
 
     # Channels: lossy UDP-like links on the last `lossy_links` workers by
     # default (so the Byzantine ids, which come first, keep reliable links
@@ -455,24 +492,6 @@ def build_trainer(
     if uplink_channels:
         channels.update(uplink_channels)
 
-    cluster_spec = cluster
-    if cluster_spec is not None and cluster_spec.server_node is None:
-        cluster_spec = allocate_devices(cluster_spec, num_workers)
-
-    # Parameter service: every deployment runs on a fabric, resolved against
-    # the wire topology.  No flag and no cluster field is ``single``, the
-    # one-actor fabric.
-    topology_spec = server_topology
-    if topology_spec is None and cluster_spec is not None:
-        topology_spec = cluster_spec.server_topology
-    service = ServerFabric(
-        server,
-        cost,
-        topology=parse_server_topology(topology_spec),
-        link_topology=topology,
-        link_sharing=link_sharing,
-    )
-
     common = dict(
         service=service,
         sync_policy=sync_instance,
@@ -493,13 +512,6 @@ def build_trainer(
         test_set=(dataset.test_x, dataset.test_y),
     )
     if mode == "async":
-        if isinstance(sync_instance, FullSync):
-            raise ConfigurationError(
-                "mode='async' is incompatible with the full-sync policy: the "
-                "lock-step protocol has no event-stream form.  Pick a "
-                "quorum-shaped policy (sync_policy='quorum' or "
-                "'bounded-staleness'), or run mode='sync'."
-            )
         return AsyncTrainer(
             server, workers, cost, max_version_lag=max_version_lag, **common
         )

@@ -468,7 +468,7 @@ class QSGDCodec(WireCodec):
     def __init__(self, bits: int = 4, *, rng: SeedLike = None) -> None:
         if not self.MIN_BITS <= int(bits) <= self.MAX_BITS:
             raise ConfigurationError(
-                f"quantize_bits must be in [{self.MIN_BITS}, {self.MAX_BITS}], got {bits}"
+                f"qsgd bits must be in [{self.MIN_BITS}, {self.MAX_BITS}], got {bits}"
             )
         self.bits = int(bits)
         self.levels = 2 ** self.bits - 1
@@ -741,38 +741,43 @@ def make_codec(
     k: Optional[int] = None,
     bits: Optional[int] = None,
     rng: SeedLike = None,
+    options: Tuple[str, str, str] = ("codec", "codec_k", "quantize_bits"),
 ) -> WireCodec:
     """Instantiate a registered codec from declarative arguments.
 
     ``k`` configures the sparsifiers (required for ``top-k`` / ``random-k``,
     rejected elsewhere); ``bits`` configures ``qsgd`` (rejected elsewhere).
+    This is the one place those applicability rules live; the value ranges
+    are the codec constructors' own.  *options* is what the caller calls
+    ``(name, k, bits)`` — the builder passes its ``broadcast_*`` keywords for
+    the downlink codec — so a refusal names the option that was actually set.
     """
+    codec_option, k_option, bits_option = options
     name = str(name).lower()
     if name not in CODEC_REGISTRY:
         raise ConfigurationError(
-            f"unknown codec {name!r}; available: {available_codecs()}"
+            f"unknown {codec_option} {name!r}; available: {available_codecs()}"
+        )
+    if name in (TopKCodec.name, RandomKCodec.name):
+        if k is None:
+            raise ConfigurationError(
+                f"the {name} {codec_option} requires {k_option} (coordinates kept)"
+            )
+    elif k is not None:
+        raise ConfigurationError(
+            f"{k_option} only applies to the sparsifying codecs (top-k, "
+            f"random-k); the {codec_option} is {name!r}"
+        )
+    if bits is not None and name != QSGDCodec.name:
+        raise ConfigurationError(
+            f"{bits_option} only applies to the qsgd codec; the {codec_option} is {name!r}"
         )
     if name == IdentityCodec.name:
-        if k is not None:
-            raise ConfigurationError("codec_k only applies to sparsifying codecs (top-k, random-k)")
-        if bits is not None:
-            raise ConfigurationError("quantize_bits only applies to the qsgd codec")
         return IdentityCodec()
     if name == TopKCodec.name:
-        if bits is not None:
-            raise ConfigurationError("quantize_bits only applies to the qsgd codec")
-        if k is None:
-            raise ConfigurationError("the top-k codec requires codec_k")
         return TopKCodec(k)
     if name == RandomKCodec.name:
-        if bits is not None:
-            raise ConfigurationError("quantize_bits only applies to the qsgd codec")
-        if k is None:
-            raise ConfigurationError("the random-k codec requires codec_k")
         return RandomKCodec(k, rng=rng)
-    # qsgd
-    if k is not None:
-        raise ConfigurationError("codec_k only applies to sparsifying codecs (top-k, random-k)")
     return QSGDCodec(bits if bits is not None else 4, rng=rng)
 
 

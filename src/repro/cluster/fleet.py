@@ -11,9 +11,9 @@ is one vectorised call instead of ``n`` Python ones.
 Three pieces live here:
 
 :class:`FleetState`
-    The SoA mirror: worker ids, speeds, effective GFLOP/s, batch sizes,
-    cumulative byte counters, the most recent straggler draw, and the EF-SGD
-    error-feedback matrix.  The EF matrix is the subtle part — the trainer's
+    The SoA mirror: worker ids, speeds, effective GFLOP/s, batch sizes, the
+    most recent straggler draw, and the EF-SGD error-feedback matrix.  The
+    EF matrix is the subtle part — the trainer's
     ``_codec_memory`` dict (which checkpoints capture and restore) stays the
     canonical owner, and the fleet binds each dict value to a *row view* of
     its ``(n, d)`` matrix so vectorised residual writes and the dict observe
@@ -117,10 +117,6 @@ class FleetState:
         )
         #: Most recent straggler slowdown draw (ones before the first step).
         self.slowdowns = np.ones(self.num_workers, dtype=np.float64)
-        #: Cumulative wire-byte counters, updated by the vectorised trainer
-        #: path (mirrors of the telemetry series, kept for cheap inspection).
-        self.bytes_sent = np.zeros(self.num_workers, dtype=np.float64)
-        self.bytes_received = np.zeros(self.num_workers, dtype=np.float64)
         # EF-SGD residual storage (allocated on first bind).
         self._ef_matrix: Optional[np.ndarray] = None
         self._ef_views: List[Optional[np.ndarray]] = [None] * self.num_workers
@@ -151,16 +147,6 @@ class FleetState:
         else:
             self.slowdowns = straggler_model.sample(self.num_workers, rng)
         return self.slowdowns
-
-    # ----------------------------------------------------------- accounting
-    def account_bytes(
-        self, *, sent: Optional[np.ndarray] = None, received: Optional[np.ndarray] = None
-    ) -> None:
-        """Accumulate per-worker wire bytes for this round (vectorised)."""
-        if sent is not None:
-            self.bytes_sent += sent
-        if received is not None:
-            self.bytes_received += received
 
     # ------------------------------------------------------- error feedback
     def bind_error_feedback(self, memory: Dict[int, np.ndarray], dim: int) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.cluster.message import GradientMessage
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_non_negative_int, check_positive_int
+from repro.utils.validation import check_non_negative_int, check_positive_int, make_registered
 
 #: Event-time tie-break: events are processed in submission order (honest
 #: workers by id, then Byzantine workers), which keeps every policy
@@ -313,15 +313,15 @@ def register_sync_policy(name: str) -> Callable[[Type[SyncPolicy]], Type[SyncPol
 
 
 def make_sync_policy(name: str, **kwargs) -> SyncPolicy:
-    """Instantiate a registered synchrony policy by name."""
-    try:
-        cls = SYNC_POLICY_REGISTRY[name]
-    except KeyError as exc:
-        available = ", ".join(sorted(SYNC_POLICY_REGISTRY))
-        raise ConfigurationError(
-            f"unknown sync policy {name!r}; available: {available}"
-        ) from exc
-    return cls(**kwargs)
+    """Instantiate a registered synchrony policy by name.
+
+    *kwargs* must be parameters of that policy's constructor: an option the
+    policy does not take (``quorum`` for ``full-sync``, ``tau`` for
+    ``quorum``, ``stragglers`` for ``bounded-staleness``) is a
+    :class:`ConfigurationError` naming the parameters it does take, so an
+    operator's option is never accepted and then ignored.
+    """
+    return make_registered(SYNC_POLICY_REGISTRY, "sync policy", name, kwargs)
 
 
 def available_sync_policies() -> List[str]:

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,7 +77,7 @@ from repro.cluster.fleet import (
     PendingPool,
     fleet_computable,
 )
-from repro.cluster.link import SHARING_MODES, LinkFabric, LinkScheduler, LinkTopology
+from repro.cluster.link import LinkFabric, LinkScheduler, LinkTopology
 from repro.cluster.message import GradientMessage
 from repro.cluster.network import Channel, build_uplink_map
 from repro.cluster.profiler import SimProfiler
@@ -207,10 +207,6 @@ class BaseTrainer:
         ids = [w.worker_id for w in workers]
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"duplicate worker ids: {ids}")
-        if link_sharing not in SHARING_MODES:
-            raise ConfigurationError(
-                f"link_sharing must be one of {SHARING_MODES}, got {link_sharing!r}"
-            )
         if compute_mode not in COMPUTE_MODES:
             raise ConfigurationError(
                 f"compute_mode must be one of {COMPUTE_MODES}, got {compute_mode!r}"
@@ -297,8 +293,7 @@ class BaseTrainer:
         #: numerator).
         self.events_dispatched = 0
         #: SoA mirror of the honest fleet's numeric state (speeds, GFLOP/s,
-        #: EF-SGD residual matrix, byte counters); ``None`` without honest
-        #: workers.
+        #: EF-SGD residual matrix); ``None`` without honest workers.
         honest = self.honest_workers
         self._fleet = (
             FleetState(honest, worker_gflops=self._worker_gflops) if honest else None
@@ -677,8 +672,19 @@ class BaseTrainer:
         return False
 
     # ------------------------------------------------------------------- run
-    def run(self, config: TrainerConfig) -> TrainingHistory:
-        """Run the full training loop and return the telemetry history."""
+    def run(
+        self,
+        config: TrainerConfig,
+        *,
+        on_step: Optional[Callable[[StepRecord], None]] = None,
+    ) -> TrainingHistory:
+        """Run the full training loop and return the telemetry history.
+
+        *on_step* is called with the record of every applied update that did
+        not diverge, before its periodic evaluation — where a caller snapshots
+        or logs mid-run without splitting the run (each ``run`` call closes
+        with an evaluation, so chunked calls would change the telemetry).
+        """
         for _ in range(config.max_steps):
             try:
                 record = self.run_step()
@@ -687,6 +693,8 @@ class BaseTrainer:
                 break
             if self._check_divergence(config, record):
                 break
+            if on_step is not None:
+                on_step(record)
             if config.eval_every and (self.server.step % config.eval_every == 0):
                 accuracy = self.evaluate() if self.eval_model is not None else float("nan")
                 self.history.record_evaluation(
@@ -1018,7 +1026,6 @@ class SynchronousTrainer(BaseTrainer):
                     ),
                     regions=[self.fabric.region_of(wid) for wid in honest_ids],
                 )
-                fleet.account_bytes(sent=nbytes_honest, received=fetch_bytes)
         byz_ids = [m.worker_id for m in byzantine_messages]
         self.service.account_pushes(honest_ids + byz_ids, frames)
         self.service.account_fetches(self._worker_ids, all_fetch_bytes)
@@ -1159,10 +1166,6 @@ class AsyncTrainer(BaseTrainer):
         max_events_per_update: int = 20_000,
         **kwargs,
     ) -> None:
-        if max_version_lag is not None and max_version_lag < 0:
-            raise ConfigurationError(
-                f"max_version_lag must be non-negative, got {max_version_lag}"
-            )
         if max_events_per_update < 1:
             raise ConfigurationError(
                 f"max_events_per_update must be >= 1, got {max_events_per_update}"

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Tuple, Type
 import numpy as np
 
 from repro.exceptions import AggregationError, ConfigurationError, ResilienceConditionError
-from repro.utils.validation import GradientInput, stack_gradients
+from repro.utils.validation import GradientInput, make_registered, stack_gradients
 
 #: Resilience levels a GAR may advertise.
 RESILIENCE_LEVELS = ("none", "weak", "strong")
@@ -229,12 +229,7 @@ def register_gar(name: str) -> Callable[[Type[GradientAggregationRule]], Type[Gr
 
 def make_gar(name: str, **kwargs) -> GradientAggregationRule:
     """Instantiate a registered GAR by name (``--aggregator`` analogue)."""
-    try:
-        cls = GAR_REGISTRY[name]
-    except KeyError as exc:
-        available = ", ".join(sorted(GAR_REGISTRY))
-        raise ConfigurationError(f"unknown GAR {name!r}; available: {available}") from exc
-    return cls(**kwargs)
+    return make_registered(GAR_REGISTRY, "GAR", name, kwargs)
 
 
 def available_gars() -> list[str]:

@@ -21,9 +21,8 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.data.preprocessing import min_max_scale
-from repro.exceptions import ConfigurationError
 from repro.utils.random import SeedLike, as_rng
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, make_registered
 
 
 def gaussian_blobs(
@@ -206,13 +205,7 @@ DATASET_REGISTRY: Dict[str, Callable[..., Dataset]] = {
 
 def load_dataset(name: str, **kwargs) -> Dataset:
     """Instantiate a dataset generator by name."""
-    try:
-        factory = DATASET_REGISTRY[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown dataset {name!r}; available: {sorted(DATASET_REGISTRY)}"
-        ) from exc
-    return factory(**kwargs)
+    return make_registered(DATASET_REGISTRY, "dataset", name, kwargs)
 
 
 def available_datasets() -> list[str]:

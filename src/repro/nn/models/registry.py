@@ -6,6 +6,7 @@ from typing import Callable, Dict
 
 from repro.exceptions import ConfigurationError
 from repro.nn.model import Sequential
+from repro.utils.validation import make_registered
 
 #: name -> factory returning a freshly initialised Sequential model.
 MODEL_REGISTRY: Dict[str, Callable[..., Sequential]] = {}
@@ -26,13 +27,7 @@ def register_model(name: str):
 
 def make_model(name: str, **kwargs) -> Sequential:
     """Instantiate a registered model factory by name."""
-    try:
-        factory = MODEL_REGISTRY[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown model {name!r}; available: {sorted(MODEL_REGISTRY)}"
-        ) from exc
-    return factory(**kwargs)
+    return make_registered(MODEL_REGISTRY, "model", name, kwargs)
 
 
 def available_models() -> list[str]:

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.optim.schedules import FixedSchedule, LearningRateSchedule
+from repro.utils.validation import make_registered
 
 
 class Optimizer(abc.ABC):
@@ -119,13 +120,7 @@ def register_optimizer(name: str) -> Callable[[Type[Optimizer]], Type[Optimizer]
 
 def make_optimizer(name: str, **kwargs) -> Optimizer:
     """Instantiate a registered optimizer by name."""
-    try:
-        cls = OPTIMIZER_REGISTRY[name]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown optimizer {name!r}; available: {sorted(OPTIMIZER_REGISTRY)}"
-        ) from exc
-    return cls(**kwargs)
+    return make_registered(OPTIMIZER_REGISTRY, "optimizer", name, kwargs)
 
 
 __all__ = ["Optimizer", "OPTIMIZER_REGISTRY", "register_optimizer", "make_optimizer"]

@@ -14,6 +14,13 @@ sense for a simulation::
 
 Leaving ``--aggregator`` or ``--experiment`` empty prints the available
 registered names, exactly like the original runner does.
+
+The runner is argparse, the options the operator actually typed, and one
+:func:`~repro.cluster.builder.build_trainer` call.  It validates nothing a
+lower layer owns (:func:`_check_cli_only` and :func:`_straggler_model` hold
+the three checks only a command line can make), so a flag combination is
+refused with the same ``ConfigurationError`` text the API raises, and every
+parsed flag except the file paths is echoed in the summary's ``configuration``.
 """
 
 from __future__ import annotations
@@ -23,9 +30,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from repro.attacks.base import ATTACK_REGISTRY
 from repro.cluster.builder import build_trainer
-from repro.cluster.codec import CODEC_REGISTRY, QSGDCodec, available_codecs
+from repro.cluster.codec import available_codecs
 from repro.cluster.checkpoint import (
     Checkpoint,
     CheckpointManager,
@@ -33,7 +39,6 @@ from repro.cluster.checkpoint import (
 )
 from repro.cluster.cost_model import StragglerModel
 from repro.cluster.profiler import SimProfiler
-from repro.cluster.service import parse_server_topology
 from repro.cluster.sync import available_sync_policies
 from repro.cluster.trainer import TrainerConfig
 from repro.core.base import available_gars
@@ -41,6 +46,21 @@ from repro.data.datasets import available_datasets, load_dataset
 from repro.exceptions import ConfigurationError, ReproError, TrainingError
 from repro.nn.models.registry import available_models
 from repro.optim.base import OPTIMIZER_REGISTRY
+
+#: Flags that name files rather than the deployment: the only parsed options
+#: the summary's ``configuration`` block does not echo.
+FILE_PATH_FLAGS = ("checkpoint_dir", "output", "summary_csv")
+
+#: ``(flag, "listed" value, title, registry listing)``: an empty value for
+#: one of these flags prints the registered names instead of running.
+_LISTINGS = (
+    ("aggregator", "aggregators", "aggregators", available_gars),
+    ("experiment", "experiments", "experiments (models)", available_models),
+    ("dataset", "datasets", "datasets", available_datasets),
+    ("sync_policy", "sync-policies", "sync policies", available_sync_policies),
+    ("codec", "codecs", "codecs", available_codecs),
+    ("broadcast_codec", "broadcast-codecs", "broadcast codecs", available_codecs),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,16 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quorum-size", type=int, default=None,
                         help="gradients to wait for per step (quorum / bounded-staleness "
                              "policies; defaults to n - f)")
-    parser.add_argument("--straggler-policy", default="drop",
+    parser.add_argument("--straggler-policy", default=None,
                         choices=["drop", "carry"],
-                        help="what the quorum policy does with late gradients")
-    parser.add_argument("--staleness-bound", type=int, default=1,
-                        help="maximum gradient staleness tau (bounded-staleness policy)")
+                        help="what the quorum policy does with late gradients "
+                             "(default drop)")
+    parser.add_argument("--staleness-bound", type=int, default=None,
+                        help="maximum gradient staleness tau (bounded-staleness "
+                             "policy; default 1)")
     parser.add_argument("--straggler-model", default="none",
                         choices=["none", "lognormal", "pareto", "constant"],
                         help="heavy-tailed per-step compute slowdown distribution")
-    parser.add_argument("--straggler-prob", type=float, default=1.0,
-                        help="probability a worker straggles in a given step")
+    parser.add_argument("--straggler-prob", type=float, default=None,
+                        help="probability a worker straggles in a given step (default 1)")
     parser.add_argument("--straggler-intensity", type=float, default=None,
                         help="sigma (lognormal) / scale (pareto, constant) of the slowdown; "
                              "defaults per distribution (0.75 / 1.0 / 2.0)")
@@ -172,9 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "recommended at 1k+ workers)")
     parser.add_argument("--lossy-links", type=int, default=0,
                         help="number of worker uplinks using the lossy UDP-like transport")
-    parser.add_argument("--drop-rate", type=float, default=0.0, help="per-packet drop probability")
-    parser.add_argument("--recovery-policy", default="random-fill",
-                        choices=["drop-gradient", "nan-fill", "random-fill"])
+    parser.add_argument("--drop-rate", type=float, default=None,
+                        help="per-packet drop probability of the lossy links (default 0)")
+    parser.add_argument("--recovery-policy", default=None,
+                        choices=["drop-gradient", "nan-fill", "random-fill"],
+                        help="what a lossy link's receiver does with missing "
+                             "packets (default random-fill)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", default=None, help="write the run summary to this JSON file")
     parser.add_argument("--summary-csv", default=None, help="write the accuracy series to this CSV")
@@ -199,48 +224,19 @@ def _parse_kv_args(text: str) -> dict:
     return result
 
 
-def _validate_cluster_flags(args) -> None:
-    """Reject inconsistent synchrony / quorum flag combinations early.
+def _check_cli_only(args) -> None:
+    """The two constraints only a command line can state.
 
-    The builder and policy layers validate again, but the CLI checks produce
-    messages phrased in terms of the flags the operator actually typed.
+    Everything else is checked below ``build_trainer`` by the layer that owns
+    the concept.  These have no owner there: ``tau = 0`` is a valid
+    ``BoundedStaleness`` the CLI declines to offer, and the replay behind
+    ``--determinism-check`` is a runner feature.
     """
-    if args.staleness_bound < 1:
+    if args.staleness_bound is not None and args.staleness_bound < 1:
         raise ConfigurationError(
             f"--staleness-bound must be >= 1, got {args.staleness_bound}; a bound "
             "below 1 would forbid every carried gradient (use --sync-policy quorum "
             "--straggler-policy drop to discard stragglers instead)"
-        )
-    if args.quorum_size is not None:
-        n = args.nb_workers
-        f = args.nb_decl_byz if args.nb_decl_byz is not None else args.nb_real_byz
-        floor = n - f
-        if not floor <= args.quorum_size <= n:
-            raise ConfigurationError(
-                f"--quorum-size {args.quorum_size} is outside [n - f, n] = "
-                f"[{floor}, {n}] (n = --nb-workers = {n}, f = {f}); a quorum below "
-                "n - f could be outvoted by the adversary, and one above n can "
-                "never fill"
-            )
-    if args.mode == "async" and args.sync_policy == "full-sync":
-        raise ConfigurationError(
-            "--mode async is incompatible with --sync-policy full-sync: the "
-            "lock-step protocol has no event-stream form.  Pick --sync-policy "
-            "quorum or bounded-staleness, or drop --mode async."
-        )
-    if args.server_cores < 1:
-        raise ConfigurationError(
-            f"--server-cores must be >= 1, got {args.server_cores}"
-        )
-    # Validate the grammar up front so the operator sees the flag name.
-    topology = parse_server_topology(args.server_topology)
-    if topology.kind == "region-sharded" and not str(
-        args.link_profile or ""
-    ).startswith("wan:"):
-        raise ConfigurationError(
-            "--server-topology region-sharded needs a WAN wire topology "
-            "to shard across; pass --link-profile "
-            "'wan:<regions>x<bandwidth>[/<latency>]'"
         )
     if args.measured_aggregation and args.determinism_check:
         raise ConfigurationError(
@@ -251,142 +247,45 @@ def _validate_cluster_flags(args) -> None:
             "the two flags (the analytic cost model is the deterministic "
             "default)."
         )
-    _validate_codec_flags(args)
 
 
-def _validate_codec_flags(args) -> None:
-    """Reject inconsistent wire-codec flag combinations early."""
-    codec_class = CODEC_REGISTRY.get(args.codec)
-    if codec_class is None:
-        raise ConfigurationError(
-            f"unknown codec {args.codec!r}; available: {available_codecs()}"
-        )
-    sparsifying = bool(getattr(codec_class, "sparsifying", False))
-    sparsifier_names = sorted(
-        name for name, cls in CODEC_REGISTRY.items()
-        if getattr(cls, "sparsifying", False)
-    )
-    if args.codec_k is not None and not sparsifying:
-        raise ConfigurationError(
-            f"--codec-k only applies to the sparsifying codecs "
-            f"({', '.join(sparsifier_names)}); --codec is {args.codec!r}"
-        )
-    if sparsifying and args.codec_k is None:
-        raise ConfigurationError(
-            f"--codec {args.codec} requires --codec-k (coordinates kept per gradient)"
-        )
-    if args.codec_k is not None and args.codec_k < 1:
-        raise ConfigurationError(f"--codec-k must be >= 1, got {args.codec_k}")
-    if args.quantize_bits is not None and args.codec != "qsgd":
-        raise ConfigurationError(
-            f"--quantize-bits only applies to the qsgd codec; --codec is {args.codec!r}"
-        )
-    if args.quantize_bits is not None and not (
-        QSGDCodec.MIN_BITS <= args.quantize_bits <= QSGDCodec.MAX_BITS
-    ):
-        raise ConfigurationError(
-            f"--quantize-bits must be in [{QSGDCodec.MIN_BITS}, "
-            f"{QSGDCodec.MAX_BITS}], got {args.quantize_bits}"
-        )
-    _validate_broadcast_flags(args)
+def _typed(**options) -> dict:
+    """The *options* the operator typed (argparse leaves the rest ``None``): the
+    consumer, not the runner, supplies a default or refuses what does not apply."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
-def _validate_broadcast_flags(args) -> None:
-    """Reject inconsistent delta-broadcast flag combinations early."""
-    if args.broadcast_codec is None:
-        if args.broadcast_k is not None:
+def _straggler_model(args) -> Optional[StragglerModel]:
+    """Compose the three ``--straggler-*`` flags into a :class:`StragglerModel`."""
+    distribution = args.straggler_model
+    if distribution == "none":
+        if args.straggler_prob is not None or args.straggler_intensity is not None:
             raise ConfigurationError(
-                "--broadcast-k requires --broadcast-codec (top-k or random-k)"
+                "--straggler-prob / --straggler-intensity shape a straggler "
+                "distribution and --straggler-model is 'none'; pick lognormal, "
+                "pareto or constant"
             )
-        if args.broadcast_bits is not None:
-            raise ConfigurationError(
-                "--broadcast-bits requires --broadcast-codec qsgd"
-            )
-        return
-    codec_class = CODEC_REGISTRY.get(args.broadcast_codec)
-    if codec_class is None:
-        raise ConfigurationError(
-            f"unknown broadcast codec {args.broadcast_codec!r}; "
-            f"available: {available_codecs()}"
-        )
-    sparsifying = bool(getattr(codec_class, "sparsifying", False))
-    if args.broadcast_k is not None and not sparsifying:
-        raise ConfigurationError(
-            f"--broadcast-k only applies to sparsifying broadcast codecs; "
-            f"--broadcast-codec is {args.broadcast_codec!r}"
-        )
-    if sparsifying and args.broadcast_k is None:
-        raise ConfigurationError(
-            f"--broadcast-codec {args.broadcast_codec} requires --broadcast-k "
-            "(coordinates kept per delta broadcast)"
-        )
-    if args.broadcast_k is not None and args.broadcast_k < 1:
-        raise ConfigurationError(f"--broadcast-k must be >= 1, got {args.broadcast_k}")
-    if args.broadcast_bits is not None and args.broadcast_codec != "qsgd":
-        raise ConfigurationError(
-            f"--broadcast-bits only applies to the qsgd broadcast codec; "
-            f"--broadcast-codec is {args.broadcast_codec!r}"
-        )
-    if args.broadcast_bits is not None and not (
-        QSGDCodec.MIN_BITS <= args.broadcast_bits <= QSGDCodec.MAX_BITS
-    ):
-        raise ConfigurationError(
-            f"--broadcast-bits must be in [{QSGDCodec.MIN_BITS}, "
-            f"{QSGDCodec.MAX_BITS}], got {args.broadcast_bits}"
-        )
+        return None
+    # --straggler-intensity means sigma for lognormal and scale otherwise; the
+    # constructor's scale of 1.0 would make a constant slowdown no slowdown.
+    intensity = args.straggler_intensity
+    if intensity is None and distribution == "constant":
+        intensity = 2.0
+    shape = "sigma" if distribution == "lognormal" else "scale"
+    return StragglerModel(distribution, **_typed(prob=args.straggler_prob, **{shape: intensity}))
 
 
 def run(argv: Optional[Sequence[str]] = None, *, stream=None) -> dict:
     """Parse *argv*, run the session, and return the result summary dictionary."""
     out = stream if stream is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
-    if args.aggregator == "":
-        print("available aggregators: " + ", ".join(available_gars()), file=out)
-        return {"listed": "aggregators"}
-    if args.experiment == "":
-        print("available experiments (models): " + ", ".join(available_models()), file=out)
-        return {"listed": "experiments"}
-    if args.dataset == "":
-        print("available datasets: " + ", ".join(available_datasets()), file=out)
-        return {"listed": "datasets"}
-    if args.sync_policy == "":
-        print("available sync policies: " + ", ".join(available_sync_policies()), file=out)
-        return {"listed": "sync-policies"}
-    if args.codec == "":
-        print("available codecs: " + ", ".join(available_codecs()), file=out)
-        return {"listed": "codecs"}
-    if args.broadcast_codec == "":
-        print("available broadcast codecs: " + ", ".join(available_codecs()), file=out)
-        return {"listed": "broadcast-codecs"}
-    if args.attack is not None and args.attack not in ATTACK_REGISTRY:
-        raise ConfigurationError(
-            f"unknown attack {args.attack!r}; available: {sorted(ATTACK_REGISTRY)}"
-        )
-    _validate_cluster_flags(args)
-
-    sync_kwargs: dict = {}
-    if args.sync_policy == "quorum":
-        sync_kwargs = {"quorum": args.quorum_size, "stragglers": args.straggler_policy}
-    elif args.sync_policy == "bounded-staleness":
-        sync_kwargs = {"tau": args.staleness_bound, "quorum": args.quorum_size}
-    straggler_model = None
-    if args.straggler_model != "none":
-        # --straggler-intensity means sigma for lognormal and scale otherwise;
-        # each distribution gets its own sensible default.
-        defaults = {"lognormal": 0.75, "pareto": 1.0, "constant": 2.0}
-        intensity = (
-            args.straggler_intensity
-            if args.straggler_intensity is not None
-            else defaults[args.straggler_model]
-        )
-        straggler_model = StragglerModel(
-            distribution=args.straggler_model,
-            prob=args.straggler_prob,
-            sigma=intensity if args.straggler_model == "lognormal" else 0.75,
-            scale=intensity if args.straggler_model != "lognormal" else 1.0,
-        )
+    for flag, listed, title, available in _LISTINGS:
+        if getattr(args, flag) == "":
+            print(f"available {title}: " + ", ".join(available()), file=out)
+            return {"listed": listed}
+    _check_cli_only(args)
+    straggler_model = _straggler_model(args)
 
     def _run_session() -> tuple:
         """Build and run one full session from the parsed flags."""
@@ -415,7 +314,8 @@ def run(argv: Optional[Sequence[str]] = None, *, stream=None) -> dict:
             measured_aggregation=args.measured_aggregation,
             mode=args.mode,
             sync_policy=args.sync_policy,
-            sync_kwargs=sync_kwargs,
+            sync_kwargs=_typed(quorum=args.quorum_size, stragglers=args.straggler_policy,
+                               tau=args.staleness_bound),
             max_version_lag=args.max_version_lag,
             straggler_model=straggler_model,
             codec=args.codec,
@@ -429,69 +329,44 @@ def run(argv: Optional[Sequence[str]] = None, *, stream=None) -> dict:
             link_profile=args.link_profile,
             server_topology=args.server_topology,
             lossy_links=args.lossy_links,
-            lossy_drop_rate=args.drop_rate,
-            lossy_policy=args.recovery_policy,
             compute_mode=args.compute_mode,
             profiler=profiler,
             compact_telemetry=args.compact_telemetry,
             seed=args.seed,
+            **_typed(lossy_drop_rate=args.drop_rate, lossy_policy=args.recovery_policy),
         )
 
         manager = (
             CheckpointManager(args.checkpoint_dir) if args.checkpoint_delta > 0 else None
         )
-        config = TrainerConfig(max_steps=args.max_step, eval_every=args.evaluation_delta)
 
+        def snapshot() -> None:
+            manager.save(
+                Checkpoint(step=trainer.server.step, sim_time=trainer.clock.now,
+                           parameters=trainer.server.parameters)
+            )
+
+        def on_step(record) -> None:
+            if trainer.server.step % args.checkpoint_delta == 0:
+                snapshot()
+
+        config = TrainerConfig(max_steps=args.max_step, eval_every=args.evaluation_delta)
         if profiler is not None:
             profiler.start_run()
         try:
-            if manager is None:
-                history = trainer.run(config)
-            else:
-                # Run in checkpoint-sized chunks so snapshots land every checkpoint-delta steps.
-                remaining = args.max_step
-                history = trainer.history
-                while remaining > 0 and not history.diverged:
-                    chunk = min(args.checkpoint_delta, remaining)
-                    trainer.run(TrainerConfig(max_steps=chunk, eval_every=args.evaluation_delta))
-                    manager.save(
-                        Checkpoint(step=trainer.server.step, sim_time=trainer.clock.now,
-                                   parameters=trainer.server.parameters)
-                    )
-                    remaining -= chunk
-                history = trainer.history
+            # Snapshots come from inside the one run — every checkpoint-delta
+            # steps, plus the state the run ended in when that is off the
+            # grid — so checkpointing never changes the telemetry it snapshots.
+            history = trainer.run(config, on_step=on_step if manager else None)
+            if manager and (history.diverged or trainer.server.step % args.checkpoint_delta):
+                snapshot()
         finally:
             if profiler is not None:
                 profiler.stop_run()
 
         summary = history.to_dict()
         summary["configuration"] = {
-            "aggregator": args.aggregator,
-            "experiment": args.experiment,
-            "dataset": args.dataset,
-            "nb_workers": args.nb_workers,
-            "nb_real_byz": args.nb_real_byz,
-            "attack": args.attack,
-            "batch_size": args.batch_size,
-            "mode": args.mode,
-            "sync_policy": args.sync_policy,
-            "max_version_lag": args.max_version_lag,
-            "straggler_model": args.straggler_model,
-            "codec": args.codec,
-            "codec_k": args.codec_k,
-            "quantize_bits": args.quantize_bits,
-            "broadcast_codec": args.broadcast_codec,
-            "broadcast_k": args.broadcast_k,
-            "broadcast_bits": args.broadcast_bits,
-            "link_sharing": args.link_sharing,
-            "link_profile": args.link_profile,
-            "server_topology": args.server_topology,
-            "server_cores": args.server_cores,
-            "distance_cache": args.distance_cache,
-            "measured_aggregation": args.measured_aggregation,
-            "compute_mode": args.compute_mode,
-            "compact_telemetry": args.compact_telemetry,
-            "seed": args.seed,
+            flag: value for flag, value in vars(args).items() if flag not in FILE_PATH_FLAGS
         }
         return history, summary, profiler
 

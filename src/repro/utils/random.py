@@ -13,7 +13,16 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 SeedLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
+
+
+def _checked(seed: SeedLike) -> SeedLike:
+    """*seed*, after refusing the negative integers numpy rejects with a bare ``ValueError``."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def as_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -27,7 +36,7 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_checked(seed))
 
 
 def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
@@ -43,8 +52,9 @@ def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
         # Derive children by drawing fresh seed material from the generator.
         seeds = seed.integers(0, 2**63 - 1, size=count)
         return [np.random.default_rng(int(s)) for s in seeds]
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(count)]
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(_checked(seed))
+    return [np.random.default_rng(child) for child in seed.spawn(count)]
 
 
 #: Fixed namespace for :func:`component_seed` defaults.  The value is
@@ -95,7 +105,7 @@ def derive_seed(seed: SeedLike, *tags: Union[int, str]) -> int:
     elif seed is None:
         base = int(np.random.SeedSequence().generate_state(1)[0])
     else:
-        base = int(seed)
+        base = int(_checked(seed))
     material = [base]
     for tag in tags:
         if isinstance(tag, str):

@@ -8,7 +8,8 @@ surface.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import inspect
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +42,35 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
     return value
+
+
+def make_registered(registry: Mapping[str, Callable], kind: str, name: str, kwargs: dict):
+    """Call the factory registered under *name* with *kwargs*.
+
+    The body of every ``make_*`` / ``load_dataset`` registry factory: names
+    and keyword arguments arrive from outside (``--dataset-args bogus:3``),
+    so an unregistered name and a keyword the factory does not take are both
+    a :class:`ConfigurationError` — listing what is available / accepted —
+    never a bare ``KeyError`` or ``TypeError``.
+    """
+    try:
+        factory = registry[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown {kind} {name!r}; available: {', '.join(sorted(registry))}"
+        ) from None
+    try:
+        return factory(**kwargs)
+    except TypeError:
+        # Looked up only on failure: the happy path builds a model per worker.
+        accepted = inspect.signature(factory).parameters
+        unexpected = sorted(set(kwargs) - set(accepted))
+        if not unexpected or any(p.kind is p.VAR_KEYWORD for p in accepted.values()):
+            raise
+        raise ConfigurationError(
+            f"{kind} {name!r} has no parameter {', '.join(map(repr, unexpected))}; "
+            f"accepted: {', '.join(accepted) or '(none)'}"
+        ) from None
 
 
 def stack_gradients(gradients: GradientInput) -> np.ndarray:
@@ -95,6 +125,7 @@ __all__ = [
     "check_positive_int",
     "check_non_negative_int",
     "check_probability",
+    "make_registered",
     "stack_gradients",
     "check_gradient_matrix",
     "check_same_shape",

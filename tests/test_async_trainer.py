@@ -148,7 +148,7 @@ class TestAsyncEngine:
         assert trainer.admission.quorum == 7
 
     def test_full_sync_mode_async_rejected(self, tiny_dataset, tiny_model_kwargs):
-        with pytest.raises(ConfigurationError, match="incompatible"):
+        with pytest.raises(ConfigurationError, match="no event-stream"):
             make_async(tiny_dataset, tiny_model_kwargs, sync_policy="full-sync")
 
     def test_invalid_mode_rejected(self, tiny_dataset, tiny_model_kwargs):

@@ -316,12 +316,12 @@ class TestBroadcastBuilderValidation:
             _build(tiny_dataset, tiny_model_kwargs, broadcast_k=5)
 
     def test_broadcast_k_rejected_for_identity(self, tiny_dataset, tiny_model_kwargs):
-        with pytest.raises(ConfigurationError, match="codec_k"):
+        with pytest.raises(ConfigurationError, match="broadcast_k only applies"):
             _build(tiny_dataset, tiny_model_kwargs,
                    broadcast_codec="identity", broadcast_k=5)
 
     def test_broadcast_bits_rejected_for_topk(self, tiny_dataset, tiny_model_kwargs):
-        with pytest.raises(ConfigurationError, match="quantize_bits"):
+        with pytest.raises(ConfigurationError, match="broadcast_bits only applies"):
             _build(tiny_dataset, tiny_model_kwargs,
                    broadcast_codec="top-k", broadcast_k=5, broadcast_bits=4)
 
@@ -333,5 +333,5 @@ class TestBroadcastBuilderValidation:
                    broadcast_codec=TopKCodec(5), broadcast_k=5)
 
     def test_unknown_broadcast_codec_rejected(self, tiny_dataset, tiny_model_kwargs):
-        with pytest.raises(ConfigurationError, match="unknown codec"):
+        with pytest.raises(ConfigurationError, match="unknown broadcast_codec"):
             _build(tiny_dataset, tiny_model_kwargs, broadcast_codec="gzip")

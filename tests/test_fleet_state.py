@@ -77,14 +77,6 @@ class TestFleetState:
             drawn, model.sample(3, np.random.default_rng(5))
         )
 
-    def test_byte_accounting_accumulates(self):
-        fleet = FleetState(_make_workers(3), worker_gflops={i: 1.0 for i in range(3)})
-        fleet.account_bytes(sent=np.array([1.0, 2.0, 3.0]))
-        fleet.account_bytes(sent=np.array([1.0, 1.0, 1.0]),
-                            received=np.array([4.0, 4.0, 4.0]))
-        np.testing.assert_array_equal(fleet.bytes_sent, [2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(fleet.bytes_received, [4.0, 4.0, 4.0])
-
     def test_error_feedback_rows_alias_the_canonical_dict(self):
         fleet = FleetState(_make_workers(3), worker_gflops={i: 1.0 for i in range(3)})
         memory = {0: np.arange(4.0), 2: np.full(4, 7.0)}

@@ -583,7 +583,7 @@ class TestBuilderValidation:
                    quantize_bits=4)
 
     def test_unknown_link_sharing_rejected(self, tiny_dataset, tiny_model_kwargs):
-        with pytest.raises(ConfigurationError, match="link_sharing"):
+        with pytest.raises(ConfigurationError, match="link sharing must be one of"):
             _build(tiny_dataset, tiny_model_kwargs, link_sharing="weighted")
 
     def test_codec_instance_with_kwargs_rejected(self, tiny_dataset, tiny_model_kwargs):
