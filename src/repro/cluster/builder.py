@@ -10,6 +10,7 @@ experiment drivers.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Dict, Optional, Union
 
 
@@ -35,7 +36,7 @@ from repro.exceptions import ConfigurationError
 from repro.nn.model import Sequential
 from repro.nn.models.registry import make_model
 from repro.optim.base import Optimizer, make_optimizer
-from repro.utils.random import SeedLike, spawn_rngs
+from repro.utils.random import ChildStreams, SeedLike
 
 
 def _resolve_gar(gar: Union[str, GradientAggregationRule], f: int, gar_kwargs: Optional[dict]) -> GradientAggregationRule:
@@ -140,16 +141,20 @@ def build_trainer(
     layer that owns the concept — ``make_codec`` and the codec constructors,
     the sync policy's ``bind`` / ``admission``, ``CostModel``,
     ``ServerFabric``, the link layer, the ``make_*`` registries — and all of
-    them are reached before the per-worker model loop.  ``repro.runner`` adds
-    no check on top, so the CLI and the API raise the same
+    them are reached before any per-worker object is built, except what the
+    channel constructors (``lossy_drop_rate``'s range) and the trainer itself
+    (a cluster spec's node assignments) check.  ``repro.runner`` adds no check
+    on top, so the CLI and the API raise the same
     :class:`~repro.exceptions.ConfigurationError`.
 
     Parameters
     ----------
     model, model_kwargs:
         A registered model name (``--experiment`` analogue) or a factory
-        callable; instantiated once per worker plus once each for the server
-        and the evaluator.
+        callable; built for the server, for the evaluator, and for each honest
+        worker the first time its replica is read, in id order (reading
+        worker ``k``'s first builds every lower id's) — so a factory may be
+        called fewer than ``n + 2`` times, never in another order.
     dataset:
         The training/test data (each honest worker samples iid from the
         training split).
@@ -297,7 +302,8 @@ def build_trainer(
         the same code and differ only in their spec string.
     seed:
         Master seed; every worker / channel / attack derives an independent
-        stream from it.
+        stream from it, on first use: the stream at position ``i`` is a
+        function of ``(seed, i)`` alone, whichever others were ever made.
     """
     if mode not in ("sync", "async"):
         raise ConfigurationError(f"mode must be 'sync' or 'async', got {mode!r}")
@@ -321,6 +327,22 @@ def build_trainer(
                 f"worker_speeds id {worker_id} does not name an honest worker "
                 f"(honest ids are [{num_byzantine}, {num_workers}); the adversary "
                 "is arbitrarily fast regardless)"
+            )
+    for worker_id, jitter_s in (link_jitters or {}).items():
+        if jitter_s < 0:
+            raise ConfigurationError(
+                f"link_jitters values must be non-negative, got {jitter_s} "
+                f"for worker {worker_id}"
+            )
+    delayed_ids = sorted(set(link_delays or {}) | set(link_jitters or {}))
+    for worker_id in delayed_ids:
+        if not num_byzantine <= worker_id < num_workers:
+            # Byzantine senders have arbitrarily fast links in the threat
+            # model, so a delay on their uplink would be silently ignored.
+            raise ConfigurationError(
+                f"link_delays/link_jitters id {worker_id} does not name an "
+                f"honest worker (honest ids are [{num_byzantine}, {num_workers}); "
+                "the adversary is arbitrarily fast regardless)"
             )
 
     if mode == "sync" and max_version_lag is not None:
@@ -352,7 +374,7 @@ def build_trainer(
     attack_instance = _resolve_attack(attack, attack_kwargs)
     sync_instance = _resolve_sync_policy(sync_policy, sync_kwargs)
     # Everything that can refuse the deployment is resolved before the
-    # per-worker model loop, so a bad configuration fails in milliseconds at
+    # per-worker object loop, so a bad configuration fails in milliseconds at
     # any fleet size.  The trainer binds the policy again (idempotent).
     sync_instance.bind(
         num_workers=num_workers, f=gar_instance.f,
@@ -372,9 +394,9 @@ def build_trainer(
     # reproduce bit-identically — and wire randomness (channel drops, codec
     # draws) can never perturb the training streams (model init, batch
     # order, attacks).
-    rngs = spawn_rngs(seed, num_workers * 2 + 7)
-    worker_rngs = rngs[:num_workers]
-    channel_rngs = rngs[num_workers : 2 * num_workers]
+    # Positions are fixed; a stream is built when first indexed, so a fleet
+    # pays only for the sampler and channel streams its run draws from.
+    rngs = ChildStreams(seed, num_workers * 2 + 7)
     (
         corruption_rng,
         attack_rng,
@@ -383,7 +405,7 @@ def build_trainer(
         codec_rng,
         broadcast_rng,
         fleet_sample_rng,
-    ) = rngs[2 * num_workers :]
+    ) = (rngs[2 * num_workers + role] for role in range(7))
 
     codec_instance = _resolve_codec(
         codec, codec_k, quantize_bits, codec_rng, ("codec", "codec_k", "quantize_bits")
@@ -407,6 +429,17 @@ def build_trainer(
 
     server_model = build_model()
     eval_model = build_model()
+    # Honest replicas, in id order: asking for the k-th first builds every
+    # earlier one, so the k-th honest worker always gets the k-th factory
+    # call after these two whatever order the run touches workers in (the
+    # replicas share ``model_rng`` and a caller's factory may hold state).
+    replicas: list[Sequential] = []
+
+    def replica(k: int) -> Sequential:
+        while len(replicas) <= k:
+            replicas.append(build_model())
+        return replicas[k]
+
     server = ParameterServer(
         server_model.get_parameters(),
         gar_instance,
@@ -451,10 +484,13 @@ def build_trainer(
             # honestly-computed gradients are large and misleading.
             labels = permute_labels(labels, max(dataset.num_classes, 2), rng=corruption_rng)
             features = corrupt_features(features, scale=100.0, rng=corruption_rng)
-        sampler = MiniBatchSampler(features, labels, batch_size, rng=worker_rngs[worker_id])
-        worker_model = build_model()
+        sampler = MiniBatchSampler(
+            features, labels, batch_size, rng=partial(rngs.__getitem__, worker_id)
+        )
         speed = (worker_speeds or {}).get(worker_id, 1.0)
-        workers.append(HonestWorker(worker_id, worker_model, sampler, speed=speed))
+        workers.append(HonestWorker(
+            worker_id, partial(replica, worker_id - num_byzantine), sampler, speed=speed
+        ))
 
     # Channels: lossy UDP-like links on the last `lossy_links` workers by
     # default (so the Byzantine ids, which come first, keep reliable links
@@ -465,29 +501,14 @@ def build_trainer(
         channels[worker_id] = LossyChannel(
             drop_rate=lossy_drop_rate,
             policy=lossy_policy,
-            rng=channel_rngs[worker_id],
+            rng=rngs[num_workers + worker_id],
         )
-    for worker_id, jitter_s in (link_jitters or {}).items():
-        if jitter_s < 0:
-            raise ConfigurationError(
-                f"link_jitters values must be non-negative, got {jitter_s} "
-                f"for worker {worker_id}"
-            )
-    delayed_ids = sorted(set(link_delays or {}) | set(link_jitters or {}))
     for worker_id in delayed_ids:
-        if not num_byzantine <= worker_id < num_workers:
-            # Byzantine senders have arbitrarily fast links in the threat
-            # model, so a delay on their uplink would be silently ignored.
-            raise ConfigurationError(
-                f"link_delays/link_jitters id {worker_id} does not name an "
-                f"honest worker (honest ids are [{num_byzantine}, {num_workers}); "
-                "the adversary is arbitrarily fast regardless)"
-            )
         channels[worker_id] = DelayedChannel(
             channels.get(worker_id),
             delay_s=(link_delays or {}).get(worker_id, 0.0),
             jitter_s=(link_jitters or {}).get(worker_id, 0.0),
-            rng=channel_rngs[worker_id],
+            rng=rngs[num_workers + worker_id],
         )
     if uplink_channels:
         channels.update(uplink_channels)

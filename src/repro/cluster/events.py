@@ -104,9 +104,12 @@ class EventQueue:
 
     Cancelled events stay in the heap as tombstones (eager removal would be
     O(n) each), but the queue tracks them exactly: ``len()`` counts live
-    events only, and once tombstones outnumber the live entries the heap is
-    compacted in one O(n) pass — so mass link-reschedule cancellations can
-    never bloat it beyond 2x the live population.
+    events only, and a cancel that leaves tombstones outnumbering the live
+    entries compacts the heap in one O(n) pass — so mass link-reschedule
+    cancellations can never bloat it beyond 2x the population that was live
+    at the cancel.  The bound is a cancel-time one: a ``pop`` only shrinks the
+    heap, so it does not re-run the trigger, and tombstones may outnumber a
+    live population that pops have since drained.
     """
 
     #: Compaction trigger: rebuild once tombstones exceed both this floor and

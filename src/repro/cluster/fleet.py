@@ -4,7 +4,8 @@ The per-worker hot paths — compute-time pricing, straggler draws, EF-SGD
 memory updates, byte accounting — were all written as Python loops over
 worker objects, which is fine at the paper's 19 workers and hopeless at the
 ROADMAP's 1k–10k.  This module keeps the worker *objects* as the API surface
-(they still own samplers, models and identities) but mirrors the numeric
+(they still own samplers and identities, and a model replica once something
+reads it — the batched kernel below reads one) but mirrors the numeric
 per-worker state into contiguous numpy arrays, so each fleet-wide operation
 is one vectorised call instead of ``n`` Python ones.
 

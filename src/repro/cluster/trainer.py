@@ -306,7 +306,10 @@ class BaseTrainer:
         self._fleet_kernel: Optional[FleetComputeKernel] = None
         if compute_mode == "fleet" and honest and broadcast_codec is None:
             uniform_batch = len({w.batch_size for w in honest}) == 1
-            uniform_dim = len({w.model.num_parameters for w in honest}) == 1
+            # Only replicas that exist are compared (hand-passed, or the kernel's; an unread
+            # factory replica is not in ``vars(w)``): one factory's share a dimension.
+            uniform_dim = len({w.model.num_parameters for w in honest
+                               if w is honest[0] or "model" in vars(w)}) == 1
             if uniform_batch and uniform_dim and fleet_computable(honest[0].model):
                 self._fleet_kernel = FleetComputeKernel(honest[0].model)
         #: Lazily-cached per-honest-worker transparency mask (channels are

@@ -9,6 +9,8 @@ observe every honest gradient before crafting its own).
 from __future__ import annotations
 
 import abc
+from functools import cached_property
+from typing import Callable, Union
 
 import numpy as np
 
@@ -60,7 +62,10 @@ class HonestWorker(Worker):
         Index of the worker in the cluster.
     model:
         The worker's local model replica (architecture identical to the
-        server's; parameters are overwritten by each model broadcast).
+        server's; parameters are overwritten by each model broadcast), or a
+        zero-argument callable returning it, called the first time something
+        reads ``.model`` — the builder's fleets pay for a replica only when
+        a worker runs its own backprop.
     sampler:
         The worker's private mini-batch sampler.  "Corrupted data" workers
         (Figure 7) are honest workers whose sampler draws from a corrupted
@@ -68,12 +73,21 @@ class HonestWorker(Worker):
     """
 
     def __init__(
-        self, worker_id: int, model: Sequential, sampler: MiniBatchSampler,
-        *, speed: float = 1.0,
+        self, worker_id: int, model: Union[Sequential, Callable[[], Sequential]],
+        sampler: MiniBatchSampler, *, speed: float = 1.0,
     ) -> None:
         super().__init__(worker_id, speed=speed)
-        self.model = model
+        if isinstance(model, Sequential):
+            self.model = model
+        elif callable(model):
+            self._build_model = model
+        else:
+            raise ConfigurationError(f"model must be a Sequential or a factory, got {model!r}")
         self.sampler = sampler
+
+    @cached_property
+    def model(self) -> Sequential:
+        return self._build_model()
 
     @property
     def is_byzantine(self) -> bool:

@@ -8,7 +8,8 @@ AggregaThor makes (unlike Draco, no agreement on data ordering is needed).
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from functools import cached_property
+from typing import Callable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +30,9 @@ class MiniBatchSampler:
         250 and 20).
     rng:
         Seed or generator; each worker owns an independent sampler stream.
+        A zero-argument callable returning the generator (the builder's
+        per-worker stream) is called on the first draw, or when a checkpoint
+        reads the stream, so a sampler that never draws never builds one.
     """
 
     def __init__(
@@ -37,7 +41,7 @@ class MiniBatchSampler:
         labels: np.ndarray,
         batch_size: int,
         *,
-        rng: SeedLike = None,
+        rng: Union[SeedLike, Callable[[], np.random.Generator]] = None,
     ) -> None:
         features = np.asarray(features)
         labels = np.asarray(labels)
@@ -50,8 +54,15 @@ class MiniBatchSampler:
         self.features = features
         self.labels = labels
         self.batch_size = check_positive_int(batch_size, "batch_size")
-        self._rng = as_rng(rng)
+        if callable(rng):
+            self._make_rng = rng
+        else:
+            self._rng = as_rng(rng)
         self._num_samples = int(features.shape[0])
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return self._make_rng()
 
     @property
     def num_samples(self) -> int:

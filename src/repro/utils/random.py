@@ -39,22 +39,58 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(_checked(seed))
 
 
+class ChildStreams:
+    """The *count* independent child streams of one seed, each built on first index.
+
+    Stream ``i`` is a function of ``(seed, i)`` alone: for an integer seed it
+    is seeded by ``SeedSequence(entropy, spawn_key=parent.spawn_key + (i,))``,
+    the very child :meth:`numpy.random.SeedSequence.spawn` builds, so it is
+    bit-identical whether or not any other stream was ever made.  Indexing
+    twice returns the same ``Generator`` object.  What fixes the parent's own
+    state stays eager: a ``Generator`` parent draws its *count* child seeds
+    here, and a caller's ``SeedSequence`` advances ``n_children_spawned``.
+    """
+
+    def __init__(self, seed: SeedLike, count: int) -> None:
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        self._count = int(count)
+        self._made: dict[int, np.random.Generator] = {}
+        if isinstance(seed, np.random.Generator):
+            # Derive children by drawing fresh seed material from the generator.
+            seeds = seed.integers(0, 2**63 - 1, size=count)
+            self._child_seed = lambda i: int(seeds[i])
+            return
+        first = 0
+        if isinstance(seed, np.random.SeedSequence):
+            first = seed.n_children_spawned
+            seed.spawn(count)  # the counter is read-only: spawning is what advances it
+        else:
+            seed = np.random.SeedSequence(_checked(seed))
+        self._child_seed = lambda i: np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key + (first + i,), pool_size=seed.pool_size
+        )
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> np.random.Generator:
+        if not 0 <= index < self._count:
+            raise IndexError(f"stream {index} of {self._count}")
+        if index not in self._made:
+            self._made[index] = np.random.default_rng(self._child_seed(index))
+        return self._made[index]
+
+
 def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
     """Derive *count* independent generators from a single seed.
 
     Independence is provided by :class:`numpy.random.SeedSequence` spawning,
     so each worker / channel in a simulated cluster observes its own stream
-    while the whole experiment stays reproducible from one integer.
+    while the whole experiment stays reproducible from one integer.  The
+    eager form of :class:`ChildStreams`, for callers that use every stream.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children by drawing fresh seed material from the generator.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(_checked(seed))
-    return [np.random.default_rng(child) for child in seed.spawn(count)]
+    return list(ChildStreams(seed, count))
 
 
 #: Fixed namespace for :func:`component_seed` defaults.  The value is
@@ -115,4 +151,4 @@ def derive_seed(seed: SeedLike, *tags: Union[int, str]) -> int:
     return int(np.random.SeedSequence(material).generate_state(1)[0])
 
 
-__all__ = ["SeedLike", "as_rng", "spawn_rngs", "derive_seed", "component_seed", "fresh_rng"]
+__all__ = ["SeedLike", "as_rng", "ChildStreams", "spawn_rngs", "derive_seed", "component_seed", "fresh_rng"]

@@ -5,14 +5,14 @@ would be O(n) per cancel) and compacts lazily once they dominate.  That
 bookkeeping has to be airtight under *any* interleaving of push / cancel /
 pop / peek: a cancelled event must never dispatch, ``len()`` must always
 count live events only, and the lazy compaction must keep the heap within a
-constant factor of the live population.  Hypothesis drives the queue with
+constant factor of the population that was live at the last cancel.  Hypothesis drives the queue with
 random operation sequences against a plain-list shadow model.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster.events import Event, EventQueue
 from repro.exceptions import TrainingError
@@ -31,6 +31,29 @@ _operations = st.lists(
 )
 
 
+def _cancel_time_bound(queue):
+    """What ``_note_cancel`` guarantees the moment a cancel returns.
+
+    No compaction means ``tombstones <= floor`` or ``2 * tombstones <= heap``,
+    i.e. tombstones are at most the floor or the live count.  It is a
+    cancel-time bound by design: ``pop`` never creates a tombstone and only
+    shrinks the heap, so it does not re-run the trigger, and the live count
+    may later fall below the tombstones it left behind — which can then only
+    go down until the next cancel.
+    """
+    return max(queue.COMPACT_MIN_TOMBSTONES, len(queue))
+
+
+def _cancel(queue, event, bound):
+    """Cancel *event*; the bound in force afterwards (a no-op cancel keeps *bound*)."""
+    fresh = not (event.cancelled or event._popped)
+    event.cancel()
+    if fresh:
+        bound = _cancel_time_bound(queue)
+        assert queue.tombstones <= bound, "a cancel left the trigger unevaluated"
+    return bound
+
+
 def _live_order(events):
     """The shadow model's dispatch order: live events by (time, order)."""
     return sorted(
@@ -44,6 +67,7 @@ def _live_order(events):
 def test_interleaved_push_cancel_pop_peek_never_yields_a_cancelled_event(ops):
     queue = EventQueue()
     pushed = []  # every event ever pushed, in push order
+    bound = queue.COMPACT_MIN_TOMBSTONES  # as of the most recent cancel
 
     def register(event):
         event._popped = False
@@ -58,7 +82,7 @@ def test_interleaved_push_cancel_pop_peek_never_yields_a_cancelled_event(ops):
         elif name == "cancel" and pushed:
             # Cancelling an already-popped or already-cancelled event must be
             # a harmless no-op, so the strategy picks from *all* events.
-            pushed[arg % len(pushed)].cancel()
+            bound = _cancel(queue, pushed[arg % len(pushed)], bound)
         elif name == "pop":
             live = _live_order(pushed)
             if not live:
@@ -86,10 +110,9 @@ def test_interleaved_push_cancel_pop_peek_never_yields_a_cancelled_event(ops):
         assert bool(queue) == bool(live)
         assert queue.pushed == len(pushed)
         # Lazy compaction bound: tombstones may linger below the trigger
-        # floor, but can never outnumber the live population beyond it.
-        assert queue.tombstones <= max(
-            queue.COMPACT_MIN_TOMBSTONES, len(live) + 1
-        ), "tombstones escaped the compaction bound"
+        # floor, but can never outnumber the population that was live at the
+        # most recent cancel (pops in between only ever lower the count).
+        assert queue.tombstones <= bound, "tombstones escaped the compaction bound"
 
     # Drain what's left: every remaining live event, in order, none cancelled.
     remaining = list(queue.drain())
@@ -133,6 +156,18 @@ def test_mass_cancellation_compacts_the_heap(times, cancel_mask, seed):
         max_size=10,
     )
 )
+@example(
+    # Found by hypothesis on untouched events.py: the two pops of the last
+    # round drain live events after the last cancel, ending on 15 live, 17
+    # tombstones — legal under the cancel-time bound, but it broke the
+    # ``tombstones <= max(floor, live + 1)`` this test used to assert after pops.
+    rounds=[
+        ([0.0] + [1.0] * 10 + [0.0] + [1.0] * 4, [0, 3, 4, 5, 6, 7, 12], 0),
+        ([0.0] * 9, [310, 322, 13327, 4294967295], 3),
+        ([0.0] * 9, [14, 15, 21, 42, 77, 81], 0),
+        ([0.0] * 4, [1], 2),
+    ]
+)
 def test_cancel_push_many_interleavings_preserve_order_across_compaction(rounds):
     """Pop order survives lazy compactions triggered mid-sequence.
 
@@ -145,13 +180,14 @@ def test_cancel_push_many_interleavings_preserve_order_across_compaction(rounds)
     """
     queue = EventQueue()
     pushed = []
+    bound = queue.COMPACT_MIN_TOMBSTONES  # as of the most recent cancel
     for times, cancels, pops in rounds:
         for event in queue.push_many([Event(time=t, kind="test") for t in times]):
             event._popped = False
             pushed.append(event)
         for pick in cancels:
             if pushed:
-                pushed[pick % len(pushed)].cancel()
+                bound = _cancel(queue, pushed[pick % len(pushed)], bound)
         for _ in range(pops):
             live = _live_order(pushed)
             if not live:
@@ -161,7 +197,7 @@ def test_cancel_push_many_interleavings_preserve_order_across_compaction(rounds)
             event._popped = True
         live = _live_order(pushed)
         assert len(queue) == len(live)
-        assert queue.tombstones <= max(queue.COMPACT_MIN_TOMBSTONES, len(live) + 1)
+        assert queue.tombstones <= bound  # pops never add a tombstone
     assert list(queue.drain()) == _live_order(pushed)
 
 

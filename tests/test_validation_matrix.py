@@ -80,6 +80,11 @@ INVALID = [
     ("more-regions-than-workers", {"link_profile": "wan:12x1mbit"},
      ["--link-profile", "wan:12x1mbit"]),
     ("link-sharing", {"link_sharing": "weighted"}, None),
+    # --- per-worker link maps (owner: build_trainer; neither has a runner flag)
+    ("negative-link-jitter", {"link_jitters": {3: -0.1}}, None),
+    ("link-jitter-id-out-of-range", {"link_jitters": {42: 0.1}}, None),
+    ("link-delay-on-a-byzantine-id",
+     {"num_byzantine": 2, "attack": "sign-flip", "link_delays": {1: 0.5}}, None),
     # --- registries
     ("unknown-attack", {"attack": "ddos"}, ["--attack", "ddos"]),
     ("unknown-aggregator", {"gar": "blockchain"}, ["--aggregator", "blockchain"]),
@@ -149,6 +154,31 @@ def test_cli_and_api_raise_the_same_error(dataset, kwargs, argv, monkeypatch, ca
         assert runner.main() == 1
         assert capsys.readouterr().err == f"error: {next(iter(messages))}\n"
     assert len(messages) == 1, messages
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"link_jitters": {3: -0.1}},
+     "link_jitters values must be non-negative, got -0.1 for worker 3"),
+    ({"link_delays": {11: 0.5}},
+     "link_delays/link_jitters id 11 does not name an honest worker (honest ids "
+     "are [2, 11); the adversary is arbitrarily fast regardless)"),
+    ({"link_jitters": {1: 0.5}},
+     "link_delays/link_jitters id 1 does not name an honest worker (honest ids "
+     "are [2, 11); the adversary is arbitrarily fast regardless)"),
+])
+def test_link_map_refusals_come_before_any_per_worker_object(dataset, kwargs, message, monkeypatch):
+    """Both used to be raised after the worker loop: 0.5 s late at 10,000 workers."""
+    from repro.cluster import builder
+
+    built = []
+    for name in ("HonestWorker", "ByzantineWorker", "MiniBatchSampler"):
+        cls = getattr(builder, name)
+        monkeypatch.setattr(
+            builder, name, lambda *a, _cls=cls, **k: built.append(_cls) or _cls(*a, **k))
+    assert _api_error(dataset, {"num_byzantine": 2, "attack": "sign-flip", **kwargs}) == message
+    assert built == []
+    build_trainer(dataset=dataset, **{**BASE_KWARGS, "link_jitters": {3: 0.1}})
+    assert len(built) == 22  # the wrappers do count: 11 samplers + 11 workers
 
 
 def test_messages_name_the_option_in_its_owners_spelling(dataset):
