@@ -234,10 +234,7 @@ def capture_training_state(trainer) -> TrainingState:
             label: generator.bit_generator.state
             for label, generator in _trainer_rngs(trainer).items()
         },
-        codec_memory={
-            int(worker_id): residual.copy()
-            for worker_id, residual in getattr(trainer, "_codec_memory", {}).items()
-        },
+        codec_memory=trainer._fleet.state_dict() if trainer._fleet is not None else {},
         downlink_sessions={
             int(worker_id): (int(session.version), session.replica.copy())
             for worker_id, session in getattr(trainer, "_downlink", {}).items()
@@ -289,10 +286,8 @@ def restore_training_state(trainer, state: TrainingState) -> None:
     trainer._warm_debt = float(state.distance_warm_debt)
     for label, rng_state in state.rng_states.items():
         expected[label].bit_generator.state = rng_state
-    trainer._codec_memory = {
-        int(worker_id): np.asarray(residual, dtype=np.float64).copy()
-        for worker_id, residual in state.codec_memory.items()
-    }
+    if trainer._fleet is not None:
+        trainer._fleet.load_state_dict(state.codec_memory, trainer.server.dim)
     from repro.cluster.trainer import DownlinkSession
 
     trainer._downlink = {}

@@ -145,31 +145,24 @@ class WireCodec(abc.ABC):
     def encode(self, gradient: np.ndarray) -> WireFrame:
         """Produce the wire frame for *gradient* (a flat float vector)."""
 
-    def encode_batch(self, matrix: np.ndarray) -> List[WireFrame]:
-        """Encode every row of an ``(n, d)`` matrix; one frame per row.
-
-        The contract is exact per-frame parity with :meth:`encode`: calling
-        ``encode_batch(M)`` must produce bit-identical frames (values,
-        indices, scales, bytes) — and consume PRNG draws in the same order —
-        as ``[encode(M[i]) for i in range(n)]``.  The base implementation is
-        that loop; codecs override it with a single vectorised pass where
-        numpy's batched kernels provably match the per-row ones.
-        """
-        matrix = self._matrix(matrix)
-        return [self.encode(matrix[i]) for i in range(matrix.shape[0])]
-
     def encode_decode_batch(
         self, matrix: np.ndarray
     ) -> Tuple[List[WireFrame], np.ndarray]:
-        """Encode every row and return ``(frames, decoded)`` in one pass.
+        """Encode every row of an ``(n, d)`` matrix: ``(frames, decoded)``.
 
-        ``decoded[i]`` is bit-identical to ``decode_frame(frames[i])`` — the
-        server-side reconstruction of what worker ``i`` sent.  The base
-        implementation encodes then batch-decodes; codecs that already hold
-        the batch payload arrays override it to build ``decoded`` directly
+        The contract is exact per-frame parity with :meth:`encode`: the
+        frames must be bit-identical (values, indices, scales, bytes) — and
+        consume PRNG draws in the same order — as ``[encode(M[i]) for i in
+        range(n)]``, and ``decoded[i]`` bit-identical to
+        ``decode_frame(frames[i])``, the server-side reconstruction of what
+        worker ``i`` sent.  The base implementation is that loop, then one
+        batched decode; codecs override it with a single vectorised pass
+        where numpy's batched kernels provably match the per-row ones, and
+        build ``decoded`` from the batch payload arrays they already hold
         (one scatter / rescale) instead of re-stacking ``n`` frame payloads.
         """
-        frames = self.encode_batch(matrix)
+        matrix = self._matrix(matrix)
+        frames = [self.encode(matrix[i]) for i in range(matrix.shape[0])]
         return frames, decode_frames(frames)
 
     def decode(self, frame: WireFrame) -> np.ndarray:
@@ -205,7 +198,7 @@ class WireCodec(abc.ABC):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ConfigurationError(
-                f"encode_batch expects an (n, d) matrix, got shape {matrix.shape}"
+                f"encode_decode_batch expects an (n, d) matrix, got shape {matrix.shape}"
             )
         if matrix.shape[0] == 0 or matrix.shape[1] == 0:
             raise ConfigurationError("cannot encode an empty gradient batch")
@@ -228,20 +221,16 @@ class IdentityCodec(WireCodec):
             codec=self.name,
         )
 
-    def encode_batch(self, matrix: np.ndarray) -> List[WireFrame]:
-        matrix = self._matrix(matrix)
-        dim = matrix.shape[1]
-        nbytes = self.frame_bytes(dim)
-        return [
-            WireFrame(dim=dim, values=matrix[i], nbytes=nbytes, codec=self.name)
-            for i in range(matrix.shape[0])
-        ]
-
     def encode_decode_batch(
         self, matrix: np.ndarray
     ) -> Tuple[List[WireFrame], np.ndarray]:
         matrix = self._matrix(matrix)
-        frames = self.encode_batch(matrix)
+        dim = matrix.shape[1]
+        nbytes = self.frame_bytes(dim)
+        frames = [
+            WireFrame(dim=dim, values=matrix[i], nbytes=nbytes, codec=self.name)
+            for i in range(matrix.shape[0])
+        ]
         # Dense decode is ``values * scale`` with scale exactly 1.0, which is
         # bit-preserving for every IEEE value.
         return frames, matrix * 1.0
@@ -290,34 +279,6 @@ class TopKCodec(WireCodec):
             nbytes=self.frame_bytes(values.size), codec=self.name,
         )
 
-    def encode_batch(self, matrix: np.ndarray) -> List[WireFrame]:
-        matrix = self._matrix(matrix)
-        n, dim = matrix.shape
-        k = self._effective_k(dim)
-        nbytes = self.frame_bytes(dim)
-        if k >= dim:
-            return [
-                WireFrame(
-                    dim=dim, values=matrix[i].copy(), indices=np.arange(dim),
-                    nbytes=nbytes, codec=self.name,
-                )
-                for i in range(n)
-            ]
-        # np.argpartition with axis=1 applies introselect row-wise with the
-        # same pivot walk as the 1-D call, so the selected (and then sorted)
-        # support matches the per-row encode exactly, ties included.
-        # simlint: disable=SIM301 tie arrangement pinned against the 1-D path
-        support = np.argpartition(np.abs(matrix), dim - k, axis=1)[:, -k:]
-        indices = np.sort(support, axis=1)
-        kept = np.take_along_axis(matrix, indices, axis=1)
-        return [
-            WireFrame(
-                dim=dim, values=kept[i], indices=indices[i],
-                nbytes=nbytes, codec=self.name,
-            )
-            for i in range(n)
-        ]
-
     def encode_decode_batch(
         self, matrix: np.ndarray
     ) -> Tuple[List[WireFrame], np.ndarray]:
@@ -326,10 +287,19 @@ class TopKCodec(WireCodec):
         k = self._effective_k(dim)
         nbytes = self.frame_bytes(dim)
         if k >= dim:
-            return self.encode_batch(matrix), matrix.copy()
-        # Same selection as encode_batch; the frames take row views of the
-        # batch arrays and the decode scatters those same arrays over zeros
-        # — no per-frame restacking.
+            frames = [
+                WireFrame(
+                    dim=dim, values=matrix[i].copy(), indices=np.arange(dim),
+                    nbytes=nbytes, codec=self.name,
+                )
+                for i in range(n)
+            ]
+            return frames, matrix.copy()
+        # np.argpartition with axis=1 applies introselect row-wise with the
+        # same pivot walk as the 1-D call, so the selected (and then sorted)
+        # support matches the per-row encode exactly, ties included.  The
+        # frames take row views of the batch arrays and the decode scatters
+        # those same arrays over zeros — no per-frame restacking.
         # simlint: disable=SIM301 tie arrangement pinned against the 1-D path
         support = np.argpartition(np.abs(matrix), dim - k, axis=1)[:, -k:]
         indices = np.sort(support, axis=1)
@@ -365,7 +335,7 @@ class RandomKCodec(WireCodec):
     smallest of ``d`` uniform draws — a uniform random ``k``-subset.  The
     uniform plane is the *only* PRNG consumption, and an ``(n, d)`` batch
     draw advances the PCG64 stream exactly as ``n`` sequential ``(d,)``
-    draws do, so ``encode_batch`` needs one draw per batch while staying
+    draws do, so ``encode_decode_batch`` needs one draw per batch while staying
     frame-for-frame aligned with the per-row encode (the shared-seed
     receiver derives identical supports either way).  Earlier revisions
     drew each support via a per-row ``Generator.choice`` call, whose
@@ -404,22 +374,6 @@ class RandomKCodec(WireCodec):
             scale=scale, nbytes=self.frame_bytes(values.size), codec=self.name,
             shared_support=True,
         )
-
-    def encode_batch(self, matrix: np.ndarray) -> List[WireFrame]:
-        matrix = self._matrix(matrix)
-        n, dim = matrix.shape
-        k = self._effective_k(dim)
-        scale = dim / k
-        nbytes = self.frame_bytes(dim)
-        indices = self._supports(n, dim, k)
-        kept = np.take_along_axis(matrix, indices, axis=1) * scale
-        return [
-            WireFrame(
-                dim=dim, values=kept[i], indices=indices[i], scale=scale,
-                nbytes=nbytes, codec=self.name, shared_support=True,
-            )
-            for i in range(n)
-        ]
 
     def encode_decode_batch(
         self, matrix: np.ndarray
@@ -498,7 +452,9 @@ class QSGDCodec(WireCodec):
             codec=self.name,
         )
 
-    def encode_batch(self, matrix: np.ndarray) -> List[WireFrame]:
+    def encode_decode_batch(
+        self, matrix: np.ndarray
+    ) -> Tuple[List[WireFrame], np.ndarray]:
         matrix = self._matrix(matrix)
         n, dim = matrix.shape
         # One batched row-norm reduction: summing the last axis of the
@@ -508,7 +464,7 @@ class QSGDCodec(WireCodec):
         if not (np.isfinite(norms).all() and (norms != 0.0).all()):
             # Zero/non-finite rows consume no PRNG draws in encode(); batching
             # the draws would misalign the stream, so fall back to the loop.
-            return [self.encode(matrix[i]) for i in range(n)]
+            return super().encode_decode_batch(matrix)
         nbytes = self.frame_bytes(dim)
         ratio = np.abs(matrix) / norms[:, None] * self.levels
         low = np.floor(ratio)
@@ -517,29 +473,15 @@ class QSGDCodec(WireCodec):
         level = low + (self._rng.random((n, dim)) < (ratio - low))
         values = np.sign(matrix) * level
         scales = norms / self.levels
-        return [
+        frames = [
             WireFrame(
                 dim=dim, values=values[i], scale=float(scales[i]),
                 nbytes=nbytes, codec=self.name,
             )
             for i in range(n)
         ]
-
-    def encode_decode_batch(
-        self, matrix: np.ndarray
-    ) -> Tuple[List[WireFrame], np.ndarray]:
-        frames = self.encode_batch(matrix)
-        n = len(frames)
-        if n and all(
-            frame.indices is None and np.asarray(frame.values).size == frame.dim
-            for frame in frames
-        ):
-            # Dense rescale from the frames' payload rows (the batch path
-            # emits views of one (n, d) array, so the stack is one copy).
-            values = np.stack([frame.values for frame in frames])
-            scales = np.array([frame.scale for frame in frames], dtype=np.float64)
-            return frames, values * scales[:, None]
-        return frames, decode_frames(frames)
+        # Dense rescale of the payload plane the frames are row views of.
+        return frames, values * scales[:, None]
 
     def frame_bytes(self, dim: int) -> float:
         # (bits + sign) per coordinate, plus one float32 norm.
@@ -598,7 +540,7 @@ def decode_frames(frames: Sequence[WireFrame]) -> np.ndarray:
 
     Row ``i`` is bit-identical to ``decode_frame(frames[i])``.  Homogeneous
     batches (all sparse with equal support size, or all dense with equal
-    payload length — the shape every codec's ``encode_batch`` emits) decode
+    payload length — the shape every codec's ``encode_decode_batch`` emits) decode
     as one vectorised scatter or one broadcast multiply; ragged batches
     (e.g. frames degraded by packet loss) fall back to the per-frame loop.
     """
@@ -680,7 +622,7 @@ def shard_frame_bytes_batch(
     Row ``i`` is bit-identical to ``shard_frame_bytes(frames[i], bounds)``
     (the same elementwise operations, broadcast over the batch).  Uniform
     batches — all dense with one ``dim``, or all sparse with one support
-    size and one framing, the shape every codec's ``encode_batch`` emits —
+    size and one framing, the shape every codec's ``encode_decode_batch`` emits —
     are priced in one pass: dense rows are ``nbytes[:, None] * (widths /
     dim)``; sparse rows count each shard's resident indices with a single
     comparison of the stacked supports against the shard edges.  Ragged

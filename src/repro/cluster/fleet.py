@@ -13,14 +13,13 @@ Three pieces live here:
 
 :class:`FleetState`
     The SoA mirror: worker ids, speeds, effective GFLOP/s, batch sizes, the
-    most recent straggler draw, and the EF-SGD error-feedback matrix.  The
-    EF matrix is the subtle part — the trainer's
-    ``_codec_memory`` dict (which checkpoints capture and restore) stays the
-    canonical owner, and the fleet binds each dict value to a *row view* of
-    its ``(n, d)`` matrix so vectorised residual writes and the dict observe
-    the same storage.  A checkpoint restore swaps fresh arrays into the dict;
-    :meth:`FleetState.bind_error_feedback` detects that by identity and
-    re-absorbs the restored values before the next batched encode.
+    most recent straggler draw, and the EF-SGD error-feedback store: one
+    ``(n, d)`` residual matrix plus a has-memory mask, the only place a
+    worker's codec residual lives.  Every encode path indexes it by fleet
+    row — the lock-step codec stage over all rows, the async run handlers
+    over the run's rows, the scalar per-event encode over one — and
+    checkpoints read and write it as ``{worker_id: residual}`` through
+    :meth:`FleetState.state_dict` / :meth:`FleetState.load_state_dict`.
 
 :class:`FleetComputeKernel`
     An opt-in batched gradient kernel (``compute_mode="fleet"``): all honest
@@ -90,6 +89,11 @@ class FleetState:
         assignment), keyed by worker id.
     """
 
+    #: Mirrors of what the worker objects were built with, and a draw that
+    #: :meth:`sample_slowdowns` replaces before every read: a resumed run
+    #: rebuilds them, only the error-feedback store is state.
+    _CHECKPOINT_EXEMPT = ("workers", "speeds", "batch_sizes", "slowdowns")
+
     def __init__(
         self,
         workers: Sequence[HonestWorker],
@@ -118,9 +122,10 @@ class FleetState:
         )
         #: Most recent straggler slowdown draw (ones before the first step).
         self.slowdowns = np.ones(self.num_workers, dtype=np.float64)
-        # EF-SGD residual storage (allocated on first bind).
-        self._ef_matrix: Optional[np.ndarray] = None
-        self._ef_views: List[Optional[np.ndarray]] = [None] * self.num_workers
+        #: EF-SGD residual rows (allocated by the first store or restore) and
+        #: which of them hold a residual yet: read ``ef_memory[rows]`` only
+        #: where the mask is set.
+        self.ef_memory: Optional[np.ndarray] = None
         self.ef_has_memory = np.zeros(self.num_workers, dtype=bool)
 
     # ------------------------------------------------------------- timing
@@ -150,51 +155,31 @@ class FleetState:
         return self.slowdowns
 
     # ------------------------------------------------------- error feedback
-    def bind_error_feedback(self, memory: Dict[int, np.ndarray], dim: int) -> np.ndarray:
-        """Bind the trainer's EF dict to this fleet's ``(n, d)`` residual matrix.
+    def remember_residuals(self, rows, residuals: np.ndarray) -> None:
+        """Replace the EF residuals of *rows* (one fleet row, or an index array)."""
+        if self.ef_memory is None:
+            self.ef_memory = np.zeros((self.num_workers, np.shape(residuals)[-1]))
+        self.ef_memory[rows] = residuals
+        self.ef_has_memory[rows] = True
 
-        The dict stays canonical (checkpoints capture and restore it); the
-        matrix rows are its storage.  Any dict value that is not *our* row
-        view — a checkpoint restore, or a worker encoding for the first
-        time — is absorbed by copying it into the row and rebinding the dict
-        entry to the view, so subsequent vectorised writes and dict reads
-        alias the same memory.  Returns the matrix.
-        """
-        if self._ef_matrix is None or self._ef_matrix.shape[1] != dim:
-            self._ef_matrix = np.zeros((self.num_workers, dim), dtype=np.float64)
-            self._ef_views = [self._ef_matrix[i] for i in range(self.num_workers)]
-            self.ef_has_memory[:] = False
-        for i, wid in enumerate(self.worker_ids):
-            value = memory.get(int(wid))
-            if value is None:
-                self.ef_has_memory[i] = False
-                continue
-            if value is not self._ef_views[i]:
-                flat = np.asarray(value, dtype=np.float64).ravel()
-                if flat.size != dim:
-                    raise ConfigurationError(
-                        f"error-feedback memory for worker {int(wid)} has size "
-                        f"{flat.size}, expected {dim}"
-                    )
-                self._ef_matrix[i] = flat
-                memory[int(wid)] = self._ef_views[i]
-            self.ef_has_memory[i] = True
-        return self._ef_matrix
+    def state_dict(self) -> Dict[int, np.ndarray]:
+        """The EF store as ``{worker_id: residual copy}``, rows that hold one only."""
+        return {
+            int(self.worker_ids[row]): self.ef_memory[row].copy()
+            for row in np.flatnonzero(self.ef_has_memory)
+        }
 
-    def store_residuals(
-        self, memory: Dict[int, np.ndarray], residuals: np.ndarray
-    ) -> None:
-        """Write this round's EF residuals and expose them through the dict."""
-        assert self._ef_matrix is not None
-        self._ef_matrix[:] = residuals
-        for i, wid in enumerate(self.worker_ids):
-            memory[int(wid)] = self._ef_views[i]
-        self.ef_has_memory[:] = True
-
-    @property
-    def ef_matrix(self) -> Optional[np.ndarray]:
-        """The bound EF residual matrix (``None`` before the first bind)."""
-        return self._ef_matrix
+    def load_state_dict(self, memory: Dict[int, np.ndarray], dim: int) -> None:
+        """Replace the EF store with *memory*; absent workers carry nothing."""
+        self.ef_has_memory[:] = False
+        for worker_id, residual in memory.items():
+            flat = np.asarray(residual, dtype=np.float64).ravel()
+            if flat.size != dim:
+                raise ConfigurationError(
+                    f"error-feedback memory for worker {int(worker_id)} has size "
+                    f"{flat.size}, expected {dim}"
+                )
+            self.remember_residuals(self.row_of[int(worker_id)], flat)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FleetState(n={self.num_workers})"

@@ -1038,11 +1038,6 @@ class LinkFabric:
         self.topology = topology
         self.sharing = sharing
 
-    @property
-    def has_topology(self) -> bool:
-        """Whether per-worker / per-region link characteristics are in play."""
-        return self.topology is not None
-
     # ------------------------------------------------------------- routing
     def region_names(self) -> Tuple[str, ...]:
         """Names of the bottleneck pipes (one per region; ``core`` if none)."""

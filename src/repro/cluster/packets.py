@@ -81,7 +81,13 @@ class Packetizer:
         self.coordinates_per_packet = check_positive_int(
             coordinates_per_packet, "coordinates_per_packet"
         )
-        self.policy = RecoveryPolicy(policy)
+        try:
+            self.policy = RecoveryPolicy(policy)
+        except ValueError:
+            raise ConfigurationError(
+                f"unknown recovery policy {policy!r}; available: "
+                f"{[member.value for member in RecoveryPolicy]}"
+            ) from None
         # Omitted rng = deterministic named stream, never fresh entropy
         # (SIM201); only the RANDOM_FILL policy ever draws from it.
         self._rng = as_rng(component_seed(rng, "packetizer"))

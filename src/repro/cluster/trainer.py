@@ -65,7 +65,6 @@ from repro.cluster.codec import (
     WireCodec,
     WireFrame,
     decode_frame,
-    decode_frames,
     encode_delta,
 )
 from repro.cluster.cost_model import CostModel, StragglerModel
@@ -176,6 +175,28 @@ class BaseTrainer:
     detection and the outer :meth:`run` loop.  Subclasses implement
     :meth:`run_step` — "advance the simulation until one more model update
     has been applied".
+
+    An honest worker's round trip is four stages, each with one body here —
+    fleet rows in, arrays out — that the lock-step step calls over all
+    workers and the async run handlers over the run's rows:
+
+    1. :meth:`_frame_fetches` — fetch framing: the snapshot each worker
+       reconstructs, its priced downlink bytes, whether it was a delta.
+    2. :meth:`_compute_gradients` — compute: messages, losses and the
+       gradient matrix (the fleet kernel iff every row shares a snapshot).
+    3. :meth:`_encode_rows` — encode: error feedback against the fleet's
+       row store, one batched codec pass, frames + decoded + errors.
+    4. :meth:`_price_uplinks` — uplink pricing: what each channel
+       delivered, its solo seconds and its penalty over the ideal wire time.
+
+    Only what differs sits between them in each engine: how contention is
+    resolved (one closed-world ``fabric.simulate`` per step against
+    event-driven ``open_many`` sessions), when the adversary crafts, the
+    straggler draws (``sample(n)`` once per step against ``sample(1)`` per
+    event — different stream consumption) and the arrival's form
+    (:class:`~repro.cluster.sync.ArrivalEvent` objects against ``arrive``
+    events).  The async per-event handlers are the run-of-one spelling;
+    their scalar :meth:`_encode` reads and writes the same row store.
     """
 
     def __init__(
@@ -267,7 +288,6 @@ class BaseTrainer:
         self.error_feedback = bool(error_feedback) and not isinstance(
             self.codec, IdentityCodec
         )
-        self._codec_memory: Dict[int, np.ndarray] = {}
         self.eval_model = eval_model
         self.test_set = test_set
         if (eval_model is None) != (test_set is None):
@@ -292,8 +312,9 @@ class BaseTrainer:
         #: Total events dispatched across the run (the benchmark's events/s
         #: numerator).
         self.events_dispatched = 0
-        #: SoA mirror of the honest fleet's numeric state (speeds, GFLOP/s,
-        #: EF-SGD residual matrix); ``None`` without honest workers.
+        #: SoA mirror of the honest fleet's numeric state (speeds, GFLOP/s)
+        #: and the one store of EF-SGD residuals, a row per honest worker;
+        #: ``None`` without honest workers.
         honest = self.honest_workers
         self._fleet = (
             FleetState(honest, worker_gflops=self._worker_gflops) if honest else None
@@ -536,15 +557,15 @@ class BaseTrainer:
             return self._raw_codec.encode(gradient), 0.0
         signal = np.asarray(gradient, dtype=np.float64).ravel()
         if self.error_feedback and worker_id is not None:
-            memory = self._codec_memory.get(worker_id)
-            if memory is not None:
-                signal = signal + memory
+            row = self._fleet.row_of[worker_id]
+            if self._fleet.ef_has_memory[row]:
+                signal = signal + self._fleet.ef_memory[row]
         frame = self.codec.encode(signal)
         if isinstance(self.codec, IdentityCodec):
             return frame, 0.0
         residual = signal - decode_frame(frame)
         if self.error_feedback and worker_id is not None:
-            self._codec_memory[worker_id] = residual
+            self._fleet.remember_residuals(row, residual)
         return frame, float(np.linalg.norm(residual))
 
     @staticmethod
@@ -555,6 +576,134 @@ class BaseTrainer:
         if isinstance(wire, WireFrame):
             return decode_frame(wire)
         return np.asarray(wire, dtype=np.float64)
+
+    # --------------------------------------------------- worker-side stages
+    def _frame_fetches(
+        self, worker_ids: Sequence[int]
+    ) -> Tuple[List[Tuple[int, np.ndarray]], np.ndarray, np.ndarray]:
+        """Fetch-framing stage: one model fetch by each of *worker_ids*.
+
+        Returns ``(snapshots, nbytes, is_delta)`` in the given order: the
+        ``(version, parameters)`` each worker reconstructs, the priced
+        broadcast bytes, and whether a delta frame crossed the wire.
+        Without a broadcast codec every fetch is the same raw full-state
+        frame, so one parameter snapshot is shared across the workers
+        instead of copied once each.  With one the framing stays sequential
+        in the given order: delta broadcasts consult and mutate per-worker
+        sessions and the broadcast codec's PRNG stream.
+        """
+        num = len(worker_ids)
+        version = self.server.version
+        with self._section("codec"):
+            if self.broadcast_codec is None:
+                raw_bytes = self.cost_model.gradient_bytes(self.server.dim)
+                snapshot = (version, self.server.parameters)
+                return [snapshot] * num, np.full(num, raw_bytes), np.zeros(num, dtype=bool)
+            snapshots = []
+            nbytes = np.zeros(num)
+            deltas = np.zeros(num, dtype=bool)
+            for i, worker_id in enumerate(worker_ids):
+                parameters, nbytes[i], deltas[i] = self._encode_broadcast(worker_id)
+                snapshots.append((version, parameters))
+        return snapshots, nbytes, deltas
+
+    def _compute_gradients(
+        self,
+        workers: Sequence[HonestWorker],
+        snapshots: Sequence[Tuple[int, np.ndarray]],
+    ) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
+        """Compute stage: each worker's gradient estimate on its snapshot.
+
+        Returns ``(messages, losses, gradients)`` in worker order.  The
+        fleet kernel (``compute_mode="fleet"``, the documented
+        statistically-equivalent mode) batches all backprops into one pass
+        when every row computes on the same snapshot: the kernel gate
+        implies no broadcast codec, so same-version snapshots are
+        byte-equal copies of the same stored parameters.  Otherwise each
+        worker runs its own backprop (the exact path) on the parameters it
+        reconstructed from its own downlink frame, and the samplers draw
+        sequentially in worker order, so every per-worker RNG stream
+        advances as if each worker had run alone.
+        """
+        version0, parameters0 = snapshots[0]
+        with self._section("compute"):
+            if self._fleet_kernel is not None and all(
+                version == version0 for version, _ in snapshots
+            ):
+                return self._fleet_gradients(workers, parameters0, version0)
+            messages = [
+                worker.compute_gradient(parameters, version)
+                for worker, (version, parameters) in zip(workers, snapshots)
+            ]
+        losses = np.array([m.loss for m in messages])
+        return messages, losses, np.stack([m.gradient for m in messages], axis=0)
+
+    def _encode_rows(
+        self, rows: np.ndarray, gradients: np.ndarray
+    ) -> Tuple[List[WireFrame], np.ndarray, np.ndarray]:
+        """Encode stage: the batched codec over the gradients of fleet *rows*.
+
+        Returns ``(frames, decoded, errors)``: the wire frames, the
+        server-side reconstruction of each (``decode_frames`` is
+        deterministic, so it doubles as the payload of every frame that
+        crosses its channel untouched) and the compression-error norms.
+        Frames are encoded in row order — the order sequential encodes
+        would consume the codec PRNG in.  EF-SGD memory is added only to
+        rows that carry one (a blanket ``+ 0.0`` would flip negative zeros)
+        and the new residuals (what the frames failed to express) replace
+        it in the fleet's row store.
+        """
+        with self._section("codec"):
+            if self.error_feedback:
+                signals = gradients.copy()
+                carried = self._fleet.ef_has_memory[rows]
+                if carried.any():
+                    signals[carried] = (
+                        gradients[carried] + self._fleet.ef_memory[rows[carried]]
+                    )
+            else:
+                signals = gradients
+            frames, decoded = self.codec.encode_decode_batch(signals)
+            if isinstance(self.codec, IdentityCodec):
+                return frames, decoded, np.zeros(len(frames))
+            residuals = signals - decoded
+            # Per-row 1-D norms (sqrt of the row's own dot product — the
+            # exact arithmetic np.linalg.norm applies to a 1-D vector, minus
+            # the per-call wrapper).
+            errors = np.array(
+                [float(np.sqrt(residuals[i] @ residuals[i])) for i in range(len(frames))]
+            )
+            if self.error_feedback:
+                self._fleet.remember_residuals(rows, residuals)
+        return frames, decoded, errors
+
+    def _price_uplinks(
+        self, rows: np.ndarray, frames: Sequence[WireFrame]
+    ) -> Tuple[List[Optional[WireFrame]], np.ndarray, np.ndarray, np.ndarray]:
+        """Uplink-pricing stage: the *frames* of fleet *rows* cross their channels.
+
+        Returns ``(wires, nbytes, seconds, penalty)``: what each channel
+        delivered (the frame, a degraded copy, or ``None`` for a drop), the
+        priced frame bytes, the channel's solo transfer seconds, and those
+        seconds' excess over the ideal wire time — the backoff, delays and
+        jitter that ride on top where a contended link's drain replaces the
+        solo wire time.  Transparent channels (the reliable loss-free
+        default, no randomness by contract) pay exactly the ideal time, one
+        batched call; every other channel keeps its own ``transfer_frame``
+        call — per-channel RNG streams are independent, so the split cannot
+        reorder any draws.
+        """
+        # Every frame prices at the codec's frame_bytes(dim) — the batch
+        # encode stamps one shared value — so the byte vector is a fill.
+        nbytes = np.full(len(frames), frames[0].nbytes)
+        wires: List[Optional[WireFrame]] = list(frames)
+        with self._section("link_drain"):
+            ideal = self.cost_model.transfer_time_batch(nbytes)
+            seconds = ideal.copy()
+            for i in np.flatnonzero(~self._uplink_transparent()[rows]):
+                channel = self.uplink_channels[int(self._fleet.worker_ids[rows[i]])]
+                wires[i], seconds[i] = channel.transfer_frame(frames[i], self.cost_model)
+        return wires, nbytes, seconds, seconds - ideal
 
     # ---------------------------------------------------------- server stage
     def _aggregate(
@@ -776,44 +925,25 @@ class SynchronousTrainer(BaseTrainer):
         egress, although only honest completions gate the step's wait floor
         (the adversary never extends the critical path on its own behalf).
 
-        The stage works array-at-a-time over the
+        The step is the four :class:`BaseTrainer` worker stages over the
         :class:`~repro.cluster.fleet.FleetState` row order (= honest worker
         order) and is bit-identical to the per-worker loop frozen in
         ``tests/trainer_reference.py``: each elementwise array operation
-        produces the floats the per-worker scalar operation would.  Stream
-        order is preserved everywhere randomness is involved: samplers draw
-        per worker in worker order, the codec's batched encode consumes its
-        PRNG exactly as sequential encodes would, and only channels whose
-        transfer is transparent (no randomness by contract) are priced in a
-        single batched call — every other channel keeps its own
-        ``transfer_frame`` call.  ``compute_mode="fleet"`` additionally
-        routes honest backprop through the batched kernel (opt-in, not
-        bitwise).
+        produces the floats the per-worker scalar operation would, and each
+        stage keeps the stream order its docstring states.
         """
         honest = self.honest_workers
         fleet = self._fleet
         num_honest = len(honest)
         honest_ids = [w.worker_id for w in honest]
+        rows = np.arange(num_honest)
 
         # Downlink framing per fetching worker, in worker-id order (Byzantine
-        # ids come first — the deterministic FIFO egress tie-break).  Without
-        # a broadcast codec every fetch is the same raw full-state frame, so
-        # the step's one parameter snapshot is shared across workers instead
-        # of copied n times.
-        if self.broadcast_codec is None:
-            raw_bytes = self.cost_model.gradient_bytes(dim)
-            fetches: Dict[int, Tuple[np.ndarray, float, bool]] = {
-                worker.worker_id: (parameters, raw_bytes, False)
-                for worker in self.workers
-            }
-        else:
-            fetches = {
-                worker.worker_id: self._encode_broadcast(worker.worker_id)
-                for worker in self.workers
-            }
-        # Per-worker fetch bytes in ``workers`` order (= the dict's order, so
-        # the step total is the same left-to-right sum).
-        all_fetch_bytes = np.array([f[1] for f in fetches.values()], dtype=np.float64)
+        # ids come first — the deterministic FIFO egress tie-break); the
+        # step total is the left-to-right sum over ``workers`` order.
+        snapshots, all_fetch_bytes, all_fetch_delta = self._frame_fetches(
+            self._worker_ids.tolist()
+        )
         downlink_step_bytes = float(sum(all_fetch_bytes.tolist()))
         fetch_bytes = all_fetch_bytes[self._honest_rows]
         with self._section("link_drain"):
@@ -827,27 +957,22 @@ class SynchronousTrainer(BaseTrainer):
                 )
                 downlink_times = schedule[self._honest_rows, 0]
                 downlink_delays = schedule[self._honest_rows, 1]
-                byz_delays = dict(
-                    zip(
-                        self._worker_ids[self._byzantine_rows].tolist(),
-                        schedule[self._byzantine_rows, 1].tolist(),
-                    )
-                )
+                byz_delays = schedule[self._byzantine_rows, 1]
                 floor = float(downlink_times.max())
             else:
                 downlink_times = self.fabric.solo_seconds_batch(honest_ids, fetch_bytes)
                 downlink_delays = np.zeros(num_honest)
-                byz_delays = {w.worker_id: 0.0 for w in self.byzantine_workers}
+                byz_delays = np.zeros(len(self._byzantine_rows))
                 floor = float(downlink_times.max()) if num_honest else 0.0
         with self._section("telemetry"):
-            for worker in self.byzantine_workers:
-                _, nbytes, is_delta = fetches[worker.worker_id]
+            for row, delay in zip(self._byzantine_rows.tolist(), byz_delays.tolist()):
+                worker_id = int(self._worker_ids[row])
                 self.history.record_wire(
-                    worker.worker_id,
-                    bytes_received=nbytes,
-                    queueing_delay=byz_delays[worker.worker_id],
-                    downlink_delta=is_delta,
-                    region=self.fabric.region_of(worker.worker_id),
+                    worker_id,
+                    bytes_received=all_fetch_bytes[row],
+                    queueing_delay=delay,
+                    downlink_delta=all_fetch_delta[row],
+                    region=self.fabric.region_of(worker_id),
                 )
         slowdowns = (
             fleet.sample_slowdowns(self.straggler_model, self._straggler_rng)
@@ -855,38 +980,24 @@ class SynchronousTrainer(BaseTrainer):
             else np.ones(num_honest)
         )
 
-        # Stage 1: honest gradients.  The fleet kernel batches all backprops
-        # into one pass when eligible; otherwise each worker runs its own
-        # (the exact path), on the parameters it reconstructed from its own
-        # downlink frame.  Either way the samplers draw sequentially in
-        # worker order, so every per-worker RNG stream advances as if each
-        # worker had run alone.
+        # Stage 1: honest gradients, priced array-at-a-time when the fleet
+        # kernel's one shared replica gives every row's flops.
         honest_messages: List[GradientMessage] = []
-        fleet_matrix: Optional[np.ndarray] = None
-        fleet_loss_array: Optional[np.ndarray] = None
-        with self._section("compute"):
-            if self._fleet_kernel is not None and honest:
-                honest_messages, fleet_loss_array, fleet_matrix = (
-                    self._fleet_gradients(honest, parameters, step)
-                )
+        loss_array = np.zeros(0)
+        honest_matrix = np.zeros((0, dim))
+        compute_times = np.zeros(num_honest)
+        if honest:
+            honest_messages, loss_array, honest_matrix = self._compute_gradients(
+                honest, [snapshots[i] for i in self._honest_rows]
+            )
+            if self._fleet_kernel is not None:
                 compute_times = fleet.compute_times(
                     self.cost_model, self._fleet_kernel.model.flops_per_sample()
                 )
             else:
-                compute_times = np.zeros(num_honest)
                 for index, worker in enumerate(honest):
-                    honest_messages.append(
-                        worker.compute_gradient(fetches[worker.worker_id][0], step)
-                    )
                     compute_times[index] = self._compute_time(worker, dim)
         path_times = downlink_times + compute_times * slowdowns
-
-        if fleet_matrix is not None:
-            honest_matrix = fleet_matrix
-        elif honest_messages:
-            honest_matrix = np.stack([m.gradient for m in honest_messages], axis=0)
-        else:
-            honest_matrix = np.zeros((0, dim))
 
         # Stage 2: Byzantine gradients (crafted with full knowledge of the
         # honest ones; the adversary never extends the step's critical path).
@@ -896,67 +1007,18 @@ class SynchronousTrainer(BaseTrainer):
                 self.byzantine_workers, parameters, honest_matrix, step
             )
 
-        # Stage 3a: batched codec.  Honest frames are encoded before the
-        # Byzantine raw frames, in worker order — the order sequential
-        # encodes would consume the codec PRNG in.  EF-SGD memory is added
-        # only to rows that carry one (a blanket ``+ 0.0`` would flip
-        # negative zeros) and the new residual matrix lands in the fleet's
-        # EF storage, whose rows the canonical ``_codec_memory`` dict aliases.
+        # Stage 3: honest frames are encoded before the Byzantine raw
+        # frames (the codec PRNG order of sequential encodes), then cross
+        # their uplink channels.
         honest_frames: List[WireFrame] = []
-        honest_errors: List[float] = []
         delivered_honest: List[Optional[WireFrame]] = []
-        decoded_cache: Optional[np.ndarray] = None
-        with self._section("codec"):
-            if honest_messages:
-                if self.error_feedback and fleet is not None:
-                    ef = fleet.bind_error_feedback(self._codec_memory, dim)
-                    signals = honest_matrix.copy()
-                    mask = fleet.ef_has_memory
-                    if mask.any():
-                        signals[mask] = honest_matrix[mask] + ef[mask]
-                else:
-                    signals = honest_matrix
-                honest_frames, decoded_cache = self.codec.encode_decode_batch(signals)
-                if isinstance(self.codec, IdentityCodec):
-                    honest_errors = [0.0] * num_honest
-                else:
-                    residuals = signals - decoded_cache
-                    # Per-row 1-D norms (sqrt of the row's own dot product —
-                    # the exact arithmetic np.linalg.norm applies to a 1-D
-                    # vector, minus the per-call wrapper).
-                    honest_errors = [
-                        float(np.sqrt(residuals[i] @ residuals[i]))
-                        for i in range(num_honest)
-                    ]
-                    if self.error_feedback and fleet is not None:
-                        fleet.store_residuals(self._codec_memory, residuals)
-
-        # Stage 3b: uplink transfers.  Transparent channels (the reliable
-        # loss-free default) are priced in one batched call; every other
-        # channel keeps its own transfer_frame call — per-channel RNG
-        # streams are independent, so the split cannot reorder any draws.
-        # Every honest frame prices at the codec's frame_bytes(dim) — the
-        # batch encode stamps one shared value — so the byte vector is a fill.
-        nbytes_honest = (
-            np.full(num_honest, honest_frames[0].nbytes)
-            if honest_frames
-            else np.zeros(0)
-        )
-        solo_honest = np.zeros(num_honest)
-        delivered_honest = list(honest_frames)
-        with self._section("link_drain"):
-            if num_honest:
-                transparent = self._uplink_transparent()
-                if transparent.any():
-                    solo_honest[transparent] = self.cost_model.transfer_time_batch(
-                        nbytes_honest[transparent]
-                    )
-                for i in np.flatnonzero(~transparent):
-                    arrived, seconds = self.uplink_channels[honest_ids[i]].transfer_frame(
-                        honest_frames[i], self.cost_model
-                    )
-                    delivered_honest[i] = arrived
-                    solo_honest[i] = seconds
+        decoded = honest_matrix
+        honest_errors = nbytes_honest = solo_honest = penalty = np.zeros(0)
+        if honest:
+            honest_frames, decoded, honest_errors = self._encode_rows(rows, honest_matrix)
+            delivered_honest, nbytes_honest, solo_honest, penalty = self._price_uplinks(
+                rows, honest_frames
+            )
 
         # Byzantine submissions: raw framing, per-channel transfer.
         byz_frames: List[WireFrame] = []
@@ -976,30 +1038,21 @@ class SynchronousTrainer(BaseTrainer):
                     np.column_stack([path_times, nbytes_honest, honest_ids])
                 )
                 uplink_delays = schedule[:, 1]
-                ideal = self.cost_model.transfer_time_batch(nbytes_honest)
-                path_times = schedule[:, 0] + (solo_honest - ideal)
+                path_times = schedule[:, 0] + penalty
             elif num_honest:
                 path_times = path_times + self.fabric.uplink_seconds_batch(
                     honest_ids, nbytes_honest, solo_honest
                 )
 
         # Arrival assembly.  When every honest frame crossed its channel
-        # untouched (the transparent fast path), the server-side decode is
-        # one batched pass; degraded or dropped frames decode individually.
+        # untouched (the transparent fast path), the matrix the encode stage
+        # already decoded is the payload batch; degraded or dropped frames
+        # decode individually.
         frames = honest_frames + byz_frames
         delivered = delivered_honest + byz_delivered
         with self._section("codec"):
-            if honest_messages and all(
-                delivered[i] is frames[i] for i in range(num_honest)
-            ):
-                # decode_frames is deterministic, so the matrix already
-                # decoded for the EF residuals doubles as the payload batch.
-                payload_matrix = (
-                    decoded_cache
-                    if decoded_cache is not None
-                    else decode_frames(honest_frames)
-                )
-                honest_payloads = [payload_matrix[i] for i in range(num_honest)]
+            if all(delivered[i] is frames[i] for i in range(num_honest)):
+                honest_payloads = [decoded[i] for i in range(num_honest)]
             else:
                 honest_payloads = [self._decode(delivered[i]) for i in range(num_honest)]
         events: List[ArrivalEvent] = []
@@ -1023,21 +1076,15 @@ class SynchronousTrainer(BaseTrainer):
                     bytes_sent=nbytes_honest,
                     bytes_received=fetch_bytes,
                     queueing_delay=downlink_delays + uplink_delays,
-                    compression_error=np.array(honest_errors),
-                    downlink_delta=np.array(
-                        [fetches[wid][2] for wid in honest_ids], dtype=bool
-                    ),
+                    compression_error=honest_errors,
+                    downlink_delta=all_fetch_delta[self._honest_rows],
                     regions=[self.fabric.region_of(wid) for wid in honest_ids],
                 )
         byz_ids = [m.worker_id for m in byzantine_messages]
         self.service.account_pushes(honest_ids + byz_ids, frames)
         self.service.account_fetches(self._worker_ids, all_fetch_bytes)
 
-        if fleet_loss_array is not None:
-            losses = fleet_loss_array[np.isfinite(fleet_loss_array)].tolist()
-        else:
-            losses = [m.loss for m in honest_messages if np.isfinite(m.loss)]
-        return events, floor, losses, downlink_step_bytes
+        return events, floor, loss_array[np.isfinite(loss_array)].tolist(), downlink_step_bytes
 
     # ------------------------------------------------------------------ step
     def run_step(self) -> StepRecord:
@@ -1580,39 +1627,49 @@ class AsyncTrainer(BaseTrainer):
     # holds it against the same trainer with the run handlers unregistered).
     # Cancelled-before-dispatch link reschedules are the one elision — only
     # ``peak_queue_size`` can observe it.
-    @staticmethod
-    def _surviving_reschedules(touched: Dict[str, int]) -> Dict[int, str]:
-        """Invert ``pipe → last-open position`` into ``position → pipe``.
+    def _open_run_sessions(
+        self,
+        now: float,
+        direction: int,
+        worker_ids: Sequence[int],
+        nbytes: np.ndarray,
+        payloads: Sequence[tuple],
+    ) -> Dict[int, str]:
+        """Admit a run's transfers on the contended pipes of one *direction*.
 
-        The per-event handlers reschedule a pipe after every open, but only
-        the reschedule issued by the pipe's last toucher survives to dispatch
-        — earlier ones are tombstoned by the next open on the same pipe.  The
-        run handlers therefore skip the doomed intermediates and emit
-        each pipe's one surviving link event exactly where the per-event
-        push sequence placed it: immediately after the last open.  Each run
-        position touches exactly one pipe, so the inversion is lossless and
-        the caller's position walk fires one reschedule per pipe instead of
-        rescanning every pipe at every position.
+        *direction* indexes a worker's route: 0 the downlink pipe, 1 the
+        uplink.  Each pipe takes its members as one admission burst — a
+        single clock advance and in-order admits (same sessions, same floats
+        as n opens).  Returns ``run position → pipe`` for the reschedules
+        the caller must issue: the per-event handlers reschedule a pipe
+        after every open, but only the one issued by the pipe's last
+        toucher survives to dispatch (the next open on the same pipe
+        tombstones the earlier ones), so the doomed intermediates are
+        skipped and each pipe's one surviving link event must be emitted
+        where the per-event push sequence placed it — immediately after the
+        run position of its last open.  Each position touches exactly one
+        pipe, so inverting ``pipe → last position`` is lossless.
         """
-        return {last: key for key, last in touched.items()}
+        last_open: Dict[str, int] = {}
+        by_pipe: Dict[str, List[tuple]] = {}
+        with self._section("link_drain"):
+            for i, worker_id in enumerate(worker_ids):
+                route = self._routes[worker_id]
+                key = route[direction]
+                by_pipe.setdefault(key, []).append(
+                    (float(nbytes[i]), worker_id, route[2], payloads[i])
+                )
+                last_open[key] = i
+            for key, specs in by_pipe.items():
+                self._links[key].open_many(now, specs)
+        return {last: key for key, last in last_open.items()}
 
     def _on_fetch_batch(self, events: List[Event]) -> None:
         """Batched :meth:`_on_fetch` over one same-time run of fetches."""
         now = events[0].time
         num = len(events)
         worker_ids = [e.worker_id for e in events]
-        # Downlink framing stays sequential in pop order: delta broadcasts
-        # consult and mutate per-worker sessions and the broadcast codec's
-        # PRNG stream (raw framing is a cheap per-worker tuple).
-        snapshots: List[tuple] = []
-        nbytes = np.zeros(num)
-        deltas = np.zeros(num, dtype=bool)
-        with self._section("codec"):
-            for i, event in enumerate(events):
-                parameters, b, is_delta = self._encode_broadcast(event.worker_id)
-                snapshots.append((self.server.version, parameters))
-                nbytes[i] = b
-                deltas[i] = is_delta
+        snapshots, nbytes, deltas = self._frame_fetches(worker_ids)
         with self._section("telemetry"):
             self.history.record_wire_batch(
                 worker_ids, bytes_received=nbytes, downlink_delta=deltas
@@ -1621,21 +1678,10 @@ class AsyncTrainer(BaseTrainer):
         for i in range(num):
             self._interval_downlink += float(nbytes[i])
         if self._contended:
-            touched: Dict[str, int] = {}
-            by_pipe: Dict[str, List[tuple]] = {}
-            with self._section("link_drain"):
-                for i, event in enumerate(events):
-                    key, _, extras = self._routes[event.worker_id]
-                    by_pipe.setdefault(key, []).append((
-                        float(nbytes[i]), event.worker_id, extras,
-                        (self.COMPUTE, snapshots[i]),
-                    ))
-                    touched[key] = i
-                # One admission burst per pipe: a single clock advance and
-                # in-order admits (same sessions, same floats as n opens).
-                for key, specs in by_pipe.items():
-                    self._links[key].open_many(now, specs)
-            surviving = self._surviving_reschedules(touched)
+            surviving = self._open_run_sessions(
+                now, 0, worker_ids, nbytes,
+                [(self.COMPUTE, snapshot) for snapshot in snapshots],
+            )
             for i in sorted(surviving):
                 self._reschedule_link(surviving[i])
             return
@@ -1649,26 +1695,7 @@ class AsyncTrainer(BaseTrainer):
     def _on_compute_batch(self, events: List[Event]) -> None:
         """Batched :meth:`_on_compute` over one same-time run of computes."""
         workers = [self._workers_by_id[e.worker_id] for e in events]
-        messages: List[GradientMessage] = []
-        # Fleet kernel fast path: one batched backward over the shared model
-        # when every run member computes on the same snapshot (gated to
-        # ``--compute-mode fleet`` — the documented statistically-equivalent
-        # mode, exactly as on the sync path).  The exact path keeps one
-        # backprop per worker, preserving each worker's sampler stream.
-        # The fleet kernel requires one shared snapshot: the kernel gate
-        # implies no broadcast codec, so same-version snapshots are
-        # byte-equal copies of the same stored parameters.
-        version0, params0 = events[0].payload
-        use_fleet = self._fleet_kernel is not None and all(
-            e.payload[0] == version0 for e in events[1:]
-        )
-        with self._section("compute"):
-            if use_fleet:
-                messages, _, _ = self._fleet_gradients(workers, params0, version0)
-            else:
-                for worker, event in zip(workers, events):
-                    version, parameters = event.payload
-                    messages.append(worker.compute_gradient(parameters, version))
+        messages, _, _ = self._compute_gradients(workers, [e.payload for e in events])
         dim = self.server.dim
         specs = []
         for i, (worker, event) in enumerate(zip(workers, events)):
@@ -1687,50 +1714,14 @@ class AsyncTrainer(BaseTrainer):
     def _on_push_batch(self, events: List[Event]) -> None:
         """Batched :meth:`_on_push` over one same-time run of pushes."""
         now = events[0].time
-        num = len(events)
         messages: List[GradientMessage] = [e.payload for e in events]
         worker_ids = [m.worker_id for m in messages]
-        # Codec stage: one batched encode/decode over the run (per-frame
-        # PRNG parity with sequential encode is the codec batch contract).
-        with self._section("codec"):
-            signals = np.stack(
-                [np.asarray(m.gradient, dtype=np.float64).ravel() for m in messages]
-            )
-            if self.error_feedback:
-                for i, wid in enumerate(worker_ids):
-                    memory = self._codec_memory.get(wid)
-                    if memory is not None:
-                        signals[i] = signals[i] + memory
-            frames, decoded = self.codec.encode_decode_batch(signals)
-            if isinstance(self.codec, IdentityCodec):
-                errors = np.zeros(num)
-            else:
-                residuals = signals - decoded
-                errors = np.array(
-                    [float(np.sqrt(residuals[i] @ residuals[i])) for i in range(num)]
-                )
-                if self.error_feedback:
-                    for i, wid in enumerate(worker_ids):
-                        self._codec_memory[wid] = residuals[i]
-        # Uplink channels: transparent ones price as one batched call, every
-        # other channel keeps its own transfer_frame (independent RNG
-        # streams, so the split cannot reorder any draws).
-        frame_bytes = np.array([frame.nbytes for frame in frames])
-        wires: List[Optional[WireFrame]] = list(frames)
-        seconds = np.zeros(num)
-        with self._section("link_drain"):
-            transparent = np.array(
-                [self.uplink_channels[wid].is_transparent for wid in worker_ids],
-                dtype=bool,
-            )
-            if transparent.any():
-                seconds[transparent] = self.cost_model.transfer_time_batch(
-                    frame_bytes[transparent]
-                )
-            for i in np.flatnonzero(~transparent):
-                wires[i], seconds[i] = self.uplink_channels[worker_ids[i]].transfer_frame(
-                    frames[i], self.cost_model
-                )
+        rows = np.array([self._fleet.row_of[wid] for wid in worker_ids], dtype=np.intp)
+        frames, _, errors = self._encode_rows(
+            rows,
+            np.stack([np.asarray(m.gradient, dtype=np.float64).ravel() for m in messages]),
+        )
+        wires, frame_bytes, seconds, penalty = self._price_uplinks(rows, frames)
         with self._section("telemetry"):
             for i, wid in enumerate(worker_ids):
                 timeline = self.history.timeline_for(wid)
@@ -1741,26 +1732,13 @@ class AsyncTrainer(BaseTrainer):
             )
         self.service.account_pushes(worker_ids, frames)
         if self._contended:
-            touched: Dict[str, int] = {}
-            by_pipe: Dict[str, List[tuple]] = {}
-            with self._section("link_drain"):
-                ideal = self.cost_model.transfer_time_batch(frame_bytes)
-                for i, wid in enumerate(worker_ids):
-                    penalty = float(seconds[i] - ideal[i])
-                    _, key, extras = self._routes[wid]
-                    by_pipe.setdefault(key, []).append((
-                        float(frame_bytes[i]), wid, extras,
-                        (self.ARRIVE, (messages[i], wires[i], penalty)),
-                    ))
-                    touched[key] = i
-                # One admission burst per pipe: a single clock advance and
-                # in-order admits (same sessions, same floats as n opens).
-                for key, specs in by_pipe.items():
-                    self._links[key].open_many(now, specs)
+            surviving = self._open_run_sessions(
+                now, 1, worker_ids, frame_bytes,
+                [(self.ARRIVE, arrival) for arrival in zip(messages, wires, penalty.tolist())],
+            )
             # The surviving reschedules stay interleaved with the FETCH
             # pushes exactly as the per-event cascade placed them — the
             # relative order stamps decide same-time pop order.
-            surviving = self._surviving_reschedules(touched)
             for i, wid in enumerate(worker_ids):
                 key = surviving.get(i)
                 if key is not None:

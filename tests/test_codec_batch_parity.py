@@ -1,11 +1,11 @@
 """Batched codec paths: per-frame bit parity with the sequential encodes.
 
-``encode_batch`` must consume each codec's PRNG exactly as ``n`` sequential
-``encode`` calls would and stamp identical frames; ``encode_decode_batch``
-additionally returns the decoded matrix in the same pass, whose row ``i``
-must be bit-identical to ``decode_frame(frames[i])``.  These contracts are
-what lets the vectorised trainer reuse one decoded matrix for both the
-EF-SGD residuals and the server-side arrival payloads.
+``encode_decode_batch`` must consume each codec's PRNG exactly as ``n``
+sequential ``encode`` calls would and stamp identical frames, and returns the
+decoded matrix in the same pass, whose row ``i`` must be bit-identical to
+``decode_frame(frames[i])``.  These contracts are what lets the trainers'
+encode stage reuse one decoded matrix for both the EF-SGD residuals and the
+server-side arrival payloads.
 """
 
 import numpy as np
@@ -60,7 +60,7 @@ def test_encode_batch_matches_sequential_encodes(codec_index):
     matrix = _matrix(np.random.default_rng(0))
     batched_codec = _codecs(seed=42)[codec_index]
     sequential_codec = _codecs(seed=42)[codec_index]
-    batch_frames = batched_codec.encode_batch(matrix)
+    batch_frames = batched_codec.encode_decode_batch(matrix)[0]
     seq_frames = [sequential_codec.encode(row) for row in matrix]
     _assert_frames_equal(batch_frames, seq_frames)
 
@@ -71,7 +71,7 @@ def test_encode_decode_batch_matches_per_frame_decode(codec_index):
     one_pass_codec = _codecs(seed=7)[codec_index]
     reference_codec = _codecs(seed=7)[codec_index]
     frames, decoded = one_pass_codec.encode_decode_batch(matrix)
-    _assert_frames_equal(frames, reference_codec.encode_batch(matrix))
+    _assert_frames_equal(frames, [reference_codec.encode(row) for row in matrix])
     assert decoded.shape == matrix.shape
     for i, frame in enumerate(frames):
         np.testing.assert_array_equal(decoded[i], decode_frame(frame))
@@ -95,8 +95,8 @@ def test_batched_rng_codecs_stay_in_stream_across_calls():
     matrix = _matrix(np.random.default_rng(2), n=6)
     for make in (lambda: RandomKCodec(k=8, rng=3), lambda: QSGDCodec(bits=4, rng=3)):
         mixed, reference = make(), make()
-        got = list(mixed.encode_batch(matrix[:3])) + [
+        got = mixed.encode_decode_batch(matrix[:3])[0] + [
             mixed.encode(matrix[3])
-        ] + mixed.encode_batch(matrix[4:])
+        ] + mixed.encode_decode_batch(matrix[4:])[0]
         want = [reference.encode(row) for row in matrix]
         _assert_frames_equal(got, want)

@@ -201,6 +201,61 @@ def test_cancel_push_many_interleavings_preserve_order_across_compaction(rounds)
     assert list(queue.drain()) == _live_order(pushed)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_push_many_of_any_size_equals_sequential_pushes(data):
+    """``push_many`` sifts a small batch and heapifies a large one: same queue.
+
+    Batch sizes run from 1 up to several times the live heap, so both sides
+    of the choice (and the boundary between them) are drawn; pops between the
+    batches leave a heap that is not a sorted list.  Against a twin queue fed
+    by sequential ``push`` calls the order stamps, the high-water mark and
+    the whole pop sequence must be equal.
+    """
+    batched, sequential = EventQueue(), EventQueue()
+    for _ in range(data.draw(st.integers(1, 8))):
+        size = data.draw(st.integers(1, max(4, 4 * len(batched))))
+        times = data.draw(st.lists(_times, min_size=size, max_size=size))
+        got = batched.push_many([Event(time=t, kind="test") for t in times])
+        want = [sequential.push(Event(time=t, kind="test")) for t in times]
+        assert [e.order for e in got] == [e.order for e in want]
+        assert batched.peak_size == sequential.peak_size
+        assert len(batched) == len(sequential)
+        for _ in range(data.draw(st.integers(0, len(batched)))):
+            a, b = batched.pop(), sequential.pop()
+            assert (a.time, a.order) == (b.time, b.order)
+    assert [(e.time, e.order) for e in batched.drain()] == [
+        (e.time, e.order) for e in sequential.drain()
+    ]
+
+
+def test_one_event_batches_into_a_large_heap_sift(monkeypatch, time_limit):
+    """2,000 one-event ``push_many`` calls into a 5,000-entry heap never heapify.
+
+    Re-heapifying the whole heap per call is O(heap): on a straggler-spread
+    async fleet, where nearly every run is a run of one, it was a third of
+    the host time.  The bulk insertion that fills the heap still heapifies.
+    """
+    from repro.cluster import events as events_module
+
+    heapifies = []
+    real_heapify = events_module.heapq.heapify
+    monkeypatch.setattr(
+        events_module.heapq, "heapify",
+        lambda heap: (heapifies.append(len(heap)), real_heapify(heap))[1],
+    )
+    queue = EventQueue()
+    queue.push_many([Event(time=float(i % 97), kind="test") for i in range(5000)])
+    assert heapifies == [5000]
+    with time_limit():
+        for i in range(2000):
+            queue.push_many([Event(time=float(i % 89) + 0.5, kind="test")])
+    assert heapifies == [5000]
+    assert queue.peak_size == len(queue) == 7000
+    drained = [(e.time, e.order) for e in queue.drain()]
+    assert drained == sorted(drained)
+
+
 def test_compaction_fires_at_the_boundary_and_preserves_order():
     """Engineered crossing: one cancel trips compaction, order is unchanged.
 

@@ -77,45 +77,45 @@ class TestFleetState:
             drawn, model.sample(3, np.random.default_rng(5))
         )
 
-    def test_error_feedback_rows_alias_the_canonical_dict(self):
+    def test_stored_residuals_read_back_by_row_and_by_worker_id(self):
+        workers = _make_workers(4)
+        for worker in workers:  # ids need not be row numbers
+            worker.worker_id += 10
+        fleet = FleetState(workers, worker_gflops={10 + i: 1.0 for i in range(4)})
+        assert fleet.ef_memory is None and not fleet.ef_has_memory.any()
+        assert fleet.state_dict() == {}
+        # A run of two rows, out of order, then one scalar-path row.
+        fleet.remember_residuals(np.array([2, 0]), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        fleet.remember_residuals(3, np.array([7.0, -0.0, 9.0]))
+        np.testing.assert_array_equal(fleet.ef_has_memory, [True, False, True, True])
+        np.testing.assert_array_equal(
+            fleet.ef_memory[[0, 2, 3]], [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0], [7.0, -0.0, 9.0]]
+        )
+        assert np.signbit(fleet.ef_memory[3, 1])
+        state = fleet.state_dict()
+        assert sorted(state) == [10, 12, 13]
+        assert state[12].tolist() == [1.0, 2.0, 3.0]
+        # The archive holds copies: a later round must not rewrite it.
+        fleet.remember_residuals(2, np.zeros(3))
+        assert state[12].tolist() == [1.0, 2.0, 3.0]
+
+    def test_restore_into_rows_nothing_had_written(self):
         fleet = FleetState(_make_workers(3), worker_gflops={i: 1.0 for i in range(3)})
-        memory = {0: np.arange(4.0), 2: np.full(4, 7.0)}
-        matrix = fleet.bind_error_feedback(memory, dim=4)
-        np.testing.assert_array_equal(matrix[0], np.arange(4.0))
-        np.testing.assert_array_equal(matrix[2], np.full(4, 7.0))
+        restored = {2: np.array([9.0, 8.0, 7.0]), 0: [1.0, 2.0, 3.0]}
+        fleet.load_state_dict(restored, dim=3)
         np.testing.assert_array_equal(fleet.ef_has_memory, [True, False, True])
-        # The dict entries were rebound to row views: a vectorised write to
-        # the matrix is immediately visible through the dict.
-        matrix[0, 0] = 42.0
-        assert memory[0][0] == 42.0
-        assert memory[0].base is matrix
+        np.testing.assert_array_equal(fleet.ef_memory[2], [9.0, 8.0, 7.0])
+        restored[2][0] = -1.0  # the store owns its rows
+        assert fleet.ef_memory[2, 0] == 9.0
+        # A second restore replaces the store: absent workers carry nothing.
+        fleet.load_state_dict({1: np.ones(3)}, dim=3)
+        np.testing.assert_array_equal(fleet.ef_has_memory, [False, True, False])
+        assert sorted(fleet.state_dict()) == [1]
 
-    def test_store_residuals_exposes_every_row(self):
-        fleet = FleetState(_make_workers(2), worker_gflops={0: 1.0, 1: 1.0})
-        memory = {}
-        fleet.bind_error_feedback(memory, dim=3)
-        residuals = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        fleet.store_residuals(memory, residuals)
-        np.testing.assert_array_equal(memory[0], [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(memory[1], [4.0, 5.0, 6.0])
-        assert fleet.ef_has_memory.all()
-
-    def test_checkpoint_restore_is_reabsorbed(self):
-        # A restore swaps fresh arrays into the dict; the next bind must
-        # copy them back into the matrix and re-alias the entries.
-        fleet = FleetState(_make_workers(2), worker_gflops={0: 1.0, 1: 1.0})
-        memory = {}
-        fleet.bind_error_feedback(memory, dim=3)
-        fleet.store_residuals(memory, np.zeros((2, 3)))
-        memory[1] = np.array([9.0, 8.0, 7.0])  # the "restored" array
-        matrix = fleet.bind_error_feedback(memory, dim=3)
-        np.testing.assert_array_equal(matrix[1], [9.0, 8.0, 7.0])
-        assert memory[1].base is matrix
-
-    def test_bind_rejects_wrong_sized_memory(self):
+    def test_wrong_size_restore_is_a_configuration_error(self):
         fleet = FleetState(_make_workers(1), worker_gflops={0: 1.0})
-        with pytest.raises(ConfigurationError):
-            fleet.bind_error_feedback({0: np.zeros(5)}, dim=3)
+        with pytest.raises(ConfigurationError, match="size 5, expected 3"):
+            fleet.load_state_dict({0: np.zeros(5)}, dim=3)
 
 
 class TestFleetComputeKernel:

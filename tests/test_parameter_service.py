@@ -423,10 +423,10 @@ class TestBatchAccounting:
         worker_ids = rng.permutation(self.WORKERS).tolist()
         batches = []
         for codec in (IdentityCodec(), TopKCodec(k=7), RandomKCodec(k=7, rng=3)):
-            frames = codec.encode_batch(matrix)
+            frames = codec.encode_decode_batch(matrix)[0]
             frames[3] = None  # dropped on the wire
             batches.append(frames)
-        ragged = TopKCodec(k=7).encode_batch(matrix)
+        ragged = TopKCodec(k=7).encode_decode_batch(matrix)[0]
         ragged[5] = ragged[5].degraded(ragged[5].values[:2], indices=ragged[5].indices[:2])
         batches.append(ragged)
         batches.append([None] * self.WORKERS)
@@ -458,7 +458,9 @@ class TestBatchAccounting:
         # The async trainer accounts per event: the per-call totals must be
         # the floats a batch of one produces, call after call.
         batched, single = self._service("region-sharded", True), self._service("region-sharded", True)
-        frames = IdentityCodec().encode_batch(rng.standard_normal((9, batched.server.dim)))
+        frames = IdentityCodec().encode_decode_batch(
+            rng.standard_normal((9, batched.server.dim))
+        )[0]
         worker_ids = list(range(9))
         for worker_id, frame in zip(worker_ids, frames):
             single.account_pushes([worker_id], [frame])

@@ -108,6 +108,7 @@ INVALID = [
      ["--recovery-policy", "nan-fill"]),
     ("drop-rate-out-of-range", {"lossy_links": 2, "lossy_drop_rate": 7.0},
      ["--lossy-links", "2", "--drop-rate", "7"]),
+    ("unknown-recovery-policy", {"lossy_links": 1, "lossy_policy": "bogus"}, None),
     # --- outside input that used to leave as a Python traceback
     ("traceback-dataset-args", {"dataset_kwargs": {"bogus": 3}}, ["--dataset-args", "bogus:3"]),
     ("traceback-experiment-args", {"model_kwargs": {"bogus": 3}},
@@ -191,6 +192,19 @@ def test_messages_name_the_option_in_its_owners_spelling(dataset):
     assert "has no parameter 'tau'; accepted: quorum, stragglers" in _cli_error(
         ["--staleness-bound", "4", "--sync-policy", "quorum"])
     assert "accepted: num_train, num_test" in _cli_error(["--dataset-args", "bogus:3"])
+
+
+def test_unknown_recovery_policy_names_the_valid_ones_from_both_spellings(dataset, capsys):
+    """The API used to leak the enum's bare ``ValueError``; the CLI refuses by ``choices``."""
+    policies = ["drop-gradient", "nan-fill", "random-fill"]
+    assert _api_error(dataset, {"lossy_links": 1, "lossy_policy": "bogus"}) == (
+        f"unknown recovery policy 'bogus'; available: {policies}")
+    with pytest.raises(SystemExit) as raised:
+        runner.build_parser().parse_args(["--lossy-links", "1", "--recovery-policy", "bogus"])
+    assert raised.value.code == 2
+    refusal = capsys.readouterr().err
+    assert "--recovery-policy: invalid choice: 'bogus'" in refusal
+    assert all(policy in refusal for policy in policies)
 
 
 def test_every_flag_is_forwarded_echoed_or_a_file_path(monkeypatch, tmp_path):

@@ -217,7 +217,7 @@ class TestShardFrameBytesBatch:
     }
 
     def _frames(self, name, rng, n=6):
-        return self.CODECS[name]().encode_batch(rng.standard_normal((n, self.DIM)))
+        return self.CODECS[name]().encode_decode_batch(rng.standard_normal((n, self.DIM)))[0]
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     @pytest.mark.parametrize("name", sorted(CODECS))

@@ -257,14 +257,15 @@ class TestErrorFeedback:
         trainer = _build(tiny_dataset, tiny_model_kwargs, codec="top-k", codec_k=10)
         assert trainer.error_feedback
         trainer.run(TrainerConfig(max_steps=2, eval_every=0))
-        assert sorted(trainer._codec_memory) == [w.worker_id for w in trainer.honest_workers]
-        assert all(np.linalg.norm(m) > 0 for m in trainer._codec_memory.values())
+        memory = trainer._fleet.state_dict()
+        assert sorted(memory) == [w.worker_id for w in trainer.honest_workers]
+        assert all(np.linalg.norm(m) > 0 for m in memory.values())
 
     def test_identity_codec_disables_error_feedback(self, tiny_dataset, tiny_model_kwargs):
         trainer = _build(tiny_dataset, tiny_model_kwargs)
         assert not trainer.error_feedback
         trainer.run(TrainerConfig(max_steps=2, eval_every=0))
-        assert trainer._codec_memory == {}
+        assert trainer._fleet.state_dict() == {}
 
     def test_error_feedback_improves_aggressive_sparsification(
         self, tiny_dataset, tiny_model_kwargs

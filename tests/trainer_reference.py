@@ -20,6 +20,14 @@ parent's bodies, the ``observe_update`` call
 is gone with the fabric's version mirror, and ``_aggregate_and_update`` left
 the stage-name assertion (it only exists here now).
 
+NOTE (fourth sanctioned edit, "one spelling per stage"): the lock-step
+reference borrows the live scalar ``BaseTrainer._encode`` per worker, and its
+error-feedback residual now lives in the fleet's row store
+(``FleetState.ef_memory`` / ``ef_has_memory``) instead of a ``_codec_memory``
+dict — same floats, bodies here unchanged.  ``as_loop_reference`` now also
+asserts that ``_encode`` and the four worker-stage methods the live collect
+is made of exist on ``BaseTrainer`` and are not shadowed here.
+
 The per-event async handlers need no frozen copy:
 :class:`~repro.cluster.events.EventLoop` owns the run coalescing, so
 :func:`as_per_event_reference` turns a live ``AsyncTrainer`` into its own
@@ -45,7 +53,12 @@ from repro.cluster.fleet import PendingBatch
 from repro.cluster.message import GradientMessage
 from repro.cluster.sync import ArrivalEvent, SyncDecision
 from repro.cluster.telemetry import StepRecord
-from repro.cluster.trainer import AsyncTrainer, StepDiagnostics, SynchronousTrainer
+from repro.cluster.trainer import (
+    AsyncTrainer,
+    BaseTrainer,
+    StepDiagnostics,
+    SynchronousTrainer,
+)
 from repro.cluster.worker import craft_fleet
 from repro.exceptions import TrainingError
 
@@ -393,6 +406,10 @@ def as_loop_reference(trainer: SynchronousTrainer) -> SynchronousTrainer:
     # and the differential grid comparing the live path with itself.
     for stage in ("_collect_arrivals", "run_step"):
         assert stage in SynchronousTrainer.__dict__, stage
+    for stage in ("_frame_fetches", "_compute_gradients", "_encode_rows",
+                  "_price_uplinks", "_encode"):
+        assert stage in BaseTrainer.__dict__, stage
+        assert stage not in ReferenceSynchronousTrainer.__dict__, stage
     trainer.__class__ = ReferenceSynchronousTrainer
     return trainer
 
