@@ -15,14 +15,21 @@ Both trainers honour this ordering:
 * :class:`~repro.cluster.trainer.SynchronousTrainer` hands each step's
   arrivals to the synchrony policy in ``(arrival time, submission order)``
   order — one stable argsort, which is exactly the order an
-  :class:`EventQueue` would pop them in, without building the heap (the
+  :class:`EventQueue` would pop them in, without building the queue (the
   frozen ``tests/trainer_reference.py`` still drains a real queue and must
   agree bit for bit);
 * :class:`~repro.cluster.trainer.AsyncTrainer` runs every worker's
   fetch → compute → transfer loop as chained events on an
   :class:`EventLoop` against the server's versioned model store, letting
-  staleness and pipelining emerge naturally.  Its fetch / compute / push
-  herds are dispatched as *runs* (see :meth:`EventLoop.on_run`).
+  staleness and pipelining emerge naturally.  Its fetch / compute / push /
+  arrive herds are dispatched as *runs* (see :meth:`EventLoop.on_run`).
+
+The queue is keyed by timestamp — a heap of the distinct pending times, and
+per time a *bucket* of that instant's events in insertion order — because
+the workloads are herds: on a homogeneous fleet a round's 1,000 events of a
+kind share one float, and a bucket turns their 1,000 heap pops into one
+slice (:meth:`EventQueue.pop_run`).  Insertion order within a bucket is
+``(time, order)`` order because order stamps only grow.
 
 Determinism contract: pushing the same events in the same order always pops
 them in the same order — ties on ``time`` are broken by the queue's monotone
@@ -34,8 +41,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Container, Deque, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Tuple, Union,
+)
 
 from repro.cluster.clock import SimulatedClock
 from repro.exceptions import ConfigurationError, TrainingError
@@ -61,7 +72,7 @@ class Event:
         deterministic tie-break for equal timestamps.
     cancelled:
         Tombstone flag set by :meth:`cancel`.  Cancelled events stay in the
-        heap (removal would be O(n)) but are silently skipped at dispatch —
+        queue (removal would be O(n)) but are silently skipped at dispatch —
         the mechanism behind reschedulable link-busy events, whose
         provisional completion times move every time the shared link's
         membership changes.
@@ -74,7 +85,7 @@ class Event:
     order: int = -1
     cancelled: bool = False
     #: The queue currently holding the event (set at push time, cleared once
-    #: the event leaves the heap) — lets :meth:`cancel` keep the owning
+    #: the event is popped) — lets :meth:`cancel` keep the owning
     #: queue's live/tombstone accounting exact without an O(n) scan.
     _queue: Optional["EventQueue"] = field(default=None, repr=False, compare=False)
 
@@ -102,36 +113,70 @@ class EventQueue:
     insertion counter stamped at push time — so equal-time events always pop
     in the order they were pushed, independent of payload contents.
 
-    Cancelled events stay in the heap as tombstones (eager removal would be
-    O(n) each), but the queue tracks them exactly: ``len()`` counts live
+    The queue is keyed by timestamp: a binary heap of the *distinct* pending
+    times, and per time a **bucket** holding that instant's events in
+    insertion order.  Order stamps are globally monotone, so first-in
+    first-out within a bucket *is* ``(time, order)`` order and the pop
+    sequence is the one a single heap of ``(time, order, event)`` tuples
+    produces (frozen as ``tests/event_queue_reference.py``, held ``==`` by a
+    hypothesis state machine); ``0.0`` and ``-0.0`` share a bucket exactly as
+    their heap tuples compared equal on time.  A same-instant herd of n
+    events then costs one heap operation instead of n, and
+    :meth:`pop_run` hands a whole run over as one slice of its bucket.
+
+    A bucket is the lone :class:`Event` itself until a second event arrives
+    at its time, and a ``deque`` from then on.  Measured on the
+    all-distinct-times mix of ``bench/micro.py::events_mix`` (5.2 ms a pass
+    on the single heap, 3.3 ms of it constructing the 6,000 events): a
+    ``deque`` per timestamp costs 6.9 ms (+32 %), the promote-on-second-push
+    form 5.5 ms (+6 %).
+
+    Cancelled events stay in their bucket as tombstones (eager removal would
+    be O(n) each), but the queue tracks them exactly: ``len()`` counts live
     events only, and a cancel that leaves tombstones outnumbering the live
-    entries compacts the heap in one O(n) pass — so mass link-reschedule
+    entries compacts the queue in one O(n) pass — so mass link-reschedule
     cancellations can never bloat it beyond 2x the population that was live
     at the cancel.  The bound is a cancel-time one: a ``pop`` only shrinks the
-    heap, so it does not re-run the trigger, and tombstones may outnumber a
+    queue, so it does not re-run the trigger, and tombstones may outnumber a
     live population that pops have since drained.
     """
 
     #: Compaction trigger: rebuild once tombstones exceed both this floor and
-    #: half the heap (small heaps aren't worth the heapify).
+    #: half the held entries (small queues aren't worth the pass).
     COMPACT_MIN_TOMBSTONES = 16
 
     def __init__(self) -> None:
-        self._heap: List[tuple] = []
+        #: Min-heap of the distinct times that have a bucket.
+        self._times: List[float] = []
+        #: time → that instant's events in push order (see the class note).
+        self._buckets: Dict[float, Union[Event, Deque[Event]]] = {}
         self._counter = 0
+        self._live = 0
         self._tombstones = 0
-        #: High-water mark of the heap (live + tombstones) over the queue's
-        #: lifetime — the benchmark's peak-heap-size metric.
+        #: High-water mark of the held entries (live + tombstones) over the
+        #: queue's lifetime — the benchmark's peak-queue-size metric.
         self.peak_size = 0
 
     def push(self, event: Event) -> Event:
         """Insert *event*, stamping its tie-break ``order``; returns it."""
+        # :meth:`push_many`'s loop body, spelt out: the per-event schedule of
+        # a straggler-spread fleet lands here, and going through the batch
+        # form cost the all-distinct-times mix 5.2 -> 6.0 ms.
         event.order = self._counter
         event._queue = self
-        heapq.heappush(self._heap, (event.time, event.order, event))
         self._counter += 1
-        if len(self._heap) > self.peak_size:
-            self.peak_size = len(self._heap)
+        self._live += 1
+        time = event.time
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = event
+            heapq.heappush(self._times, time)
+        elif type(bucket) is deque:
+            bucket.append(event)
+        else:
+            self._buckets[time] = deque((bucket, event))
+        if self._live + self._tombstones > self.peak_size:
+            self.peak_size = self._live + self._tombstones
         return event
 
     def push_many(self, events: Sequence[Event]) -> List[Event]:
@@ -139,42 +184,56 @@ class EventQueue:
 
         Order stamps are assigned in sequence, so the result is
         indistinguishable from pushing the events one by one — equal-time
-        events still pop in the order they appear in *events*.  Pop order is
-        a function of the unique ``(time, order)`` keys alone, so k sifts
-        and one heapify are interchangeable: a batch small against the heap
-        (a link completion burst, a run handler on a straggler-spread fleet)
-        sifts each event in, O(k log n), where re-heapifying the whole heap
-        would cost O(n) per call; a bulk insertion heapifies once.
+        events still pop in the order they appear in *events*.  Each event
+        is one append to its bucket (a heap operation only for a time not
+        yet pending), whatever the batch size.
         """
-        heap = self._heap
-        sift = len(events) * len(heap).bit_length() < len(heap)
+        buckets = self._buckets
+        order = self._counter
         for event in events:
-            event.order = self._counter
+            event.order = order
             event._queue = self
-            self._counter += 1
-            if sift:
-                heapq.heappush(heap, (event.time, event.order, event))
+            order += 1
+            time = event.time
+            bucket = buckets.get(time)
+            if bucket is None:
+                buckets[time] = event
+                heapq.heappush(self._times, time)
+            elif type(bucket) is deque:
+                bucket.append(event)
             else:
-                heap.append((event.time, event.order, event))
-        if not sift:
-            heapq.heapify(heap)
-        if len(heap) > self.peak_size:
-            self.peak_size = len(heap)
+                buckets[time] = deque((bucket, event))
+        self._live += order - self._counter
+        self._counter = order
+        if self._live + self._tombstones > self.peak_size:
+            self.peak_size = self._live + self._tombstones
         return list(events)
 
     def _note_cancel(self) -> None:
-        """One live heap entry became a tombstone; compact when they dominate."""
+        """One live entry became a tombstone; compact when they dominate."""
+        self._live -= 1
         self._tombstones += 1
         if (
             self._tombstones > self.COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2 > len(self._heap)
+            and self._tombstones > self._live
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every tombstone and re-heapify the survivors (O(n))."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
+        """Drop every tombstone and every bucket they emptied (O(n))."""
+        buckets: Dict[float, Union[Event, Deque[Event]]] = {}
+        for time, bucket in self._buckets.items():
+            if type(bucket) is deque:
+                live = [event for event in bucket if not event.cancelled]
+                if len(live) > 1:
+                    buckets[time] = deque(live)
+                elif live:
+                    buckets[time] = live[0]
+            elif not bucket.cancelled:
+                buckets[time] = bucket
+        self._buckets = buckets
+        self._times = list(buckets)
+        heapq.heapify(self._times)
         self._tombstones = 0
 
     def pop(self) -> Event:
@@ -184,20 +243,92 @@ class EventQueue:
         holds only tombstones (or nothing) is a :class:`TrainingError` —
         exactly the emptiness :meth:`peek` reports as ``None``.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
+        times = self._times
+        buckets = self._buckets
+        while times:
+            event = bucket = buckets[times[0]]
+            if type(bucket) is deque:
+                event = bucket.popleft()
+                if not bucket:
+                    del buckets[heapq.heappop(times)]
+            else:
+                del buckets[heapq.heappop(times)]
             if not event.cancelled:
                 event._queue = None
+                self._live -= 1
                 return event
             self._tombstones -= 1
         raise TrainingError("cannot pop from an empty event queue")
 
+    def pop_run(
+        self, budget: float, kinds: Optional[Container[str]] = None
+    ) -> List[Event]:
+        """Remove and return the earliest live event and its run.
+
+        The run is the live events that follow it with the same ``time`` and
+        ``kind`` and nothing live in between, at most *budget* events in all:
+        ``pop()``, then ``pop()`` again while under budget and ``peek()``
+        shows a head of the same time and kind — taken as one slice of the
+        head bucket instead.  A budget of one is exactly :meth:`pop`, and so
+        is a head whose kind is not in *kinds* (``None``: every kind runs).
+        """
+        head = self.peek()
+        if head is None:
+            raise TrainingError("cannot pop from an empty event queue")
+        if budget <= 1 or (kinds is not None and head.kind not in kinds):
+            return [self.pop()]
+        bucket = self._buckets[self._times[0]]
+        if bucket is head:
+            head._queue = None
+            run = [head]
+            exhausted = True
+        else:
+            kind = head.kind
+            run = []
+            taken = 0  # bucket entries consumed: the run and the tombstones inside it
+            for event in bucket:
+                if len(run) >= budget:
+                    break
+                if not event.cancelled:
+                    if event.kind != kind:
+                        break
+                    event._queue = None
+                    run.append(event)
+                taken += 1
+            self._tombstones -= taken - len(run)
+            exhausted = taken == len(bucket)
+            if not exhausted:
+                for _ in range(taken):
+                    bucket.popleft()
+        self._live -= len(run)
+        if exhausted:
+            del self._buckets[heapq.heappop(self._times)]
+            if len(run) < budget:
+                self.peek()  # under budget, the sequential form peeks at the next bucket
+        return run
+
     def peek(self) -> Optional[Event]:
-        """The earliest live event without removing it (``None`` when empty)."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+        """The earliest live event without removing it (``None`` when empty).
+
+        Leading tombstones, and the buckets they were all of, are discarded.
+        """
+        times = self._times
+        buckets = self._buckets
+        while times:
+            event = bucket = buckets[times[0]]
+            if type(bucket) is deque:
+                event = bucket[0]
+                if not event.cancelled:
+                    return event
+                bucket.popleft()
+                if not bucket:
+                    del buckets[heapq.heappop(times)]
+            elif not event.cancelled:
+                return event
+            else:
+                del buckets[heapq.heappop(times)]
             self._tombstones -= 1
-        return self._heap[0][2] if self._heap else None
+        return None
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the earliest live event (``None`` when empty)."""
@@ -216,13 +347,13 @@ class EventQueue:
 
     @property
     def tombstones(self) -> int:
-        """Cancelled entries still occupying heap slots."""
+        """Cancelled entries still occupying a bucket slot."""
         return self._tombstones
 
     def __len__(self) -> int:
-        # Live events only: tombstones occupy heap slots but will never
+        # Live events only: tombstones occupy bucket slots but will never
         # dispatch, so counting them would contradict pop()'s error contract.
-        return len(self._heap) - self._tombstones
+        return self._live
 
     def __bool__(self) -> bool:
         # Truthiness means "something will dispatch": tombstones don't count.
@@ -249,22 +380,27 @@ class EventLoop:
     contract would silently break).
 
     A kind may additionally register a *run handler* with :meth:`on_run`.
-    :meth:`run_until` then pops the consecutive heap heads sharing the
-    first one's ``(time, kind)`` as one run and hands the whole list to the
-    run handler; a run of one goes to the kind's per-event handler, chosen
-    from the run length alone.  (A run of one keeps its own handler because
-    the batched form's numpy call overhead at n = 1 measured 1.8x the wall
-    time on a straggler-spread 1,000-worker fleet, where nearly every run
-    is a run of one.)  Bit-identity argument: run members are
-    consecutive heap heads, and handlers only ever *push* events — every
-    new event is stamped with a higher insertion order than the remaining
-    run members and can never pop before them (times in the past are
-    rejected), so the per-event loop would have dispatched the run back to
-    back anyway.  A run handler must therefore replay its kind's per-event
-    effects in pop order wherever an RNG stream or float accumulation order
-    is observable, and issue its pushes in the sequence the per-event
-    handler would (:meth:`schedule_many` stamps orders like sequential
-    :meth:`schedule` calls).
+    :meth:`run_until` then pops the consecutive queue heads sharing the
+    first one's ``(time, kind)`` as one run (one :meth:`EventQueue.pop_run`
+    slice) and hands the whole list to the run handler; a run of one goes to
+    the kind's per-event handler, chosen from the run length alone.  (A run
+    of one keeps its own handler because the batched form's numpy call
+    overhead at n = 1 measured 1.8x the wall time on a straggler-spread
+    1,000-worker fleet, where nearly every run is a run of one.)  The async
+    trainer registers all four kinds of the worker round trip — fetch,
+    compute, push and arrive.  The ``arrive`` run handler is a loop over the
+    per-event admission body, not arrays: a numpy admission path bought
+    3-5 % on 1,000-event runs and made the handler 2x slower on the
+    4-event runs of a contended WAN fleet.  Bit-identity argument: run
+    members are consecutive queue heads, and handlers only ever *push*
+    events — every new event is stamped with a higher insertion order than
+    the remaining run members and can never pop before them (times in the
+    past are rejected), so the per-event loop would have dispatched the run
+    back to back anyway.  A run handler must therefore replay its kind's
+    per-event effects in pop order wherever an RNG stream or float
+    accumulation order is observable, and issue its pushes in the sequence
+    the per-event handler would (:meth:`schedule_many` stamps orders like
+    sequential :meth:`schedule` calls).
     """
 
     clock: SimulatedClock = field(default_factory=SimulatedClock)
@@ -323,42 +459,42 @@ class EventLoop:
 
         One validation pass plus one :meth:`EventQueue.push_many` —
         equivalent to calling :meth:`schedule` per spec (same order stamps,
-        same pop order) without paying n ``heappush`` calls for a bulk
-        insertion such as the async engine's initial per-worker fetch fan-out.
+        same pop order, same errors).  ``now <= time < inf`` is the whole
+        check — the clock never reads below zero, so it subsumes finite and
+        non-negative — and with it passed the seven fields are filled
+        directly: :class:`Event`'s constructor would re-validate each event
+        (a dataclass ``__init__`` and ``__post_init__``, 0.55 us against
+        0.17 us).  Nothing is pushed unless every spec is valid.
         """
         events = []
         now = self.clock.now
         for kind, time, worker_id, payload in specs:
-            if time < now:
-                raise ConfigurationError(
-                    f"cannot schedule {kind!r} at {time:.9f}, before now ({now:.9f})"
-                )
-            events.append(
-                Event(time=time, kind=kind, worker_id=worker_id, payload=payload)
-            )
+            if not now <= time < math.inf:
+                if time < now:
+                    raise ConfigurationError(
+                        f"cannot schedule {kind!r} at {time:.9f}, before now ({now:.9f})"
+                    )
+                Event(time=time, kind=kind)  # raises: NaN or infinite
+            event = object.__new__(Event)
+            event.time = float(time)
+            event.kind = kind
+            event.worker_id = worker_id
+            event.payload = payload
+            event.order = -1
+            event.cancelled = False
+            event._queue = None
+            events.append(event)
         return self.queue.push_many(events)
 
     def _pop_run(self, budget: float) -> List[Event]:
-        """Pop the next event (advancing the clock to it) and its run.
+        """Pop the next event and its run, advancing the clock to them.
 
         For a kind with a run handler, the consecutive heads sharing the
         event's ``(time, kind)`` follow it, at most *budget* events in all;
         every other kind pops alone.
         """
-        queue = self.queue
-        event = queue.pop()
-        self.clock.advance_to(event.time)
-        run = [event]
-        if event.kind in self._run_handlers:
-            head = queue.peek()
-            while (
-                len(run) < budget
-                and head is not None
-                and head.time == event.time
-                and head.kind == event.kind
-            ):
-                run.append(queue.pop())
-                head = queue.peek()
+        run = self.queue.pop_run(budget, self._run_handlers)
+        self.clock.advance_to(run[0].time)
         return run
 
     def _dispatch(self, budget: float) -> List[Event]:

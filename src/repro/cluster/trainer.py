@@ -53,6 +53,7 @@ is the one-actor fabric, so no stage asks how many servers there are:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -1237,13 +1238,14 @@ class AsyncTrainer(BaseTrainer):
             self.UPDATE_DONE: self._on_update_done,
             self.LINK: self._on_link,
         })
-        # The fetch → compute → push chain fires in herds whenever worker
-        # paths share a timestamp (homogeneous fleets, uncontended links):
-        # the loop hands each same-time run of two or more to the batched
-        # twin and keeps the per-event handler for a run of one.
+        # The fetch → compute → push → arrive chain fires in herds whenever
+        # worker paths share a timestamp (homogeneous fleets, uncontended
+        # links): the loop hands each same-time run of two or more to the
+        # batched twin and keeps the per-event handler for a run of one.
         self._loop.on_run(self.FETCH, self._on_fetch_batch)
         self._loop.on_run(self.COMPUTE, self._on_compute_batch)
         self._loop.on_run(self.PUSH, self._on_push_batch)
+        self._loop.on_run(self.ARRIVE, self._on_arrive_batch)
 
         #: Shared-link schedulers and their pending provisional completion
         #: events, one pipe per direction *and* region bottleneck (keys
@@ -1439,8 +1441,13 @@ class AsyncTrainer(BaseTrainer):
         self._loop.schedule(self.FETCH, event.time, worker_id=message.worker_id)
 
     # ------------------------------------------------------------ server side
-    def _on_arrive(self, event: Event) -> None:
-        """Admission control over the live stream, then a quorum check."""
+    def _admit_arrival(self, event: Event) -> bool:
+        """Admission control for one arrival; whether it was buffered.
+
+        Decode, then drop a lost wire, reject an over-stale version, and let
+        a fresher gradient supersede the worker's buffered one — the body
+        both ``arrive`` handlers run per event, and the pool's one writer.
+        """
         message, wire = event.payload
         wire_bytes = wire.nbytes if isinstance(wire, WireFrame) else 0.0
         payload = self._decode(wire)
@@ -1448,12 +1455,12 @@ class AsyncTrainer(BaseTrainer):
         if payload is None:
             timeline.channel_dropped += 1
             self._interval["channel_dropped"] += 1
-            return
+            return False
         lag = self.server.version - message.step
         if not self.admission.admit(lag):
             timeline.stale_rejected += 1
             self._interval["stale_rejected"] += 1
-            return
+            return False
         existing_step = self._pending.step_of(message.worker_id)
         if existing_step is not None:
             # One buffered gradient per worker: the fresher model version
@@ -1463,7 +1470,7 @@ class AsyncTrainer(BaseTrainer):
             timeline.superseded += 1
             self._interval["superseded"] += 1
             if message.step < existing_step:
-                return
+                return False
         worker = self._workers_by_id[message.worker_id]
         self._pending.put(
             message.worker_id,
@@ -1475,10 +1482,15 @@ class AsyncTrainer(BaseTrainer):
             wire_bytes=wire_bytes if not worker.is_byzantine else 0.0,
             loss=message.loss,
         )
-        self._maybe_fire_byzantine(event.time)
-        self._maybe_aggregate(event.time)
+        return True
 
-    def _maybe_fire_byzantine(self, now: float) -> None:
+    def _on_arrive(self, event: Event) -> None:
+        """Admission control over the live stream, then a quorum check."""
+        if self._admit_arrival(event):
+            self._maybe_fire_byzantine(event.time)
+            self._maybe_aggregate(event.time)
+
+    def _maybe_fire_byzantine(self, now: float) -> float:
         """Byzantine workers inject once enough honest traffic is observable.
 
         The adversary watches the wire and fires at the last possible moment:
@@ -1487,12 +1499,16 @@ class AsyncTrainer(BaseTrainer):
         crafts a gradient from the honest traffic observed so far and it
         arrives instantly (unbounded compute, arbitrarily fast links),
         stamped with the server's current version so it is never stale.
+
+        Returns how many more buffered honest gradients it takes before the
+        adversary can fire: ``inf`` once it has at this version.
         """
         byzantine = self.byzantine_workers
         if not byzantine or self._byz_fired_version >= self.server.version:
-            return
-        if self._pending.honest_count < max(1, self.admission.quorum - len(byzantine)):
-            return
+            return math.inf
+        room = max(1, self.admission.quorum - len(byzantine)) - self._pending.honest_count
+        if room > 0:
+            return room
         self._byz_fired_version = self.server.version
         observed = self._pending.honest_matrix()
         parameters = self.server.parameters
@@ -1504,11 +1520,16 @@ class AsyncTrainer(BaseTrainer):
             (self.ARRIVE, now, message.worker_id, (message, message.gradient))
             for message in messages
         )
+        return math.inf
 
-    def _maybe_aggregate(self, now: float) -> None:
-        """Start an aggregation if the buffer fills a quorum and the server is free."""
+    def _maybe_aggregate(self, now: float) -> float:
+        """Start an aggregation if the buffer fills a quorum and the server is free.
+
+        Returns how many more buffered gradients it takes before one can
+        start: ``inf`` while the server is busy, this aggregation included.
+        """
         if self._busy:
-            return
+            return math.inf
         # Re-check the lag bound against the version the update will apply
         # to: gradients admitted earlier may have aged past the bound while
         # the buffer was filling.  The scan only runs when the version moved
@@ -1524,7 +1545,7 @@ class AsyncTrainer(BaseTrainer):
                 self.history.timeline_for(worker_id).stale_rejected += 1
                 self._interval["stale_rejected"] += 1
         if not self.admission.batch_ready(len(self._pending)):
-            return
+            return self.admission.quorum - len(self._pending)
 
         # Deterministic aggregation order: honest workers by id, then
         # Byzantine workers by id — the same shape the lock-step batch has
@@ -1551,6 +1572,7 @@ class AsyncTrainer(BaseTrainer):
             now + gather_time + aggregation_time + update_time,
             payload=(batch, result, aggregation_time + gather_time, update_time, now),
         )
+        return math.inf
 
     def _on_update_done(self, event: Event) -> None:
         """Apply the optimizer update, bump the version, emit telemetry."""
@@ -1754,6 +1776,32 @@ class AsyncTrainer(BaseTrainer):
             )
             specs.append((self.FETCH, now, wid, None))
         self._loop.schedule_many(specs)
+
+    def _on_arrive_batch(self, events: List[Event]) -> None:
+        """:meth:`_on_arrive` over one same-time run of arrivals.
+
+        The admission body replays per event in pop order; the two triggers
+        are consulted only where one can fire.  The run's first buffered
+        arrival always consults them — when the version moved since the last
+        stale rescan, the rescan must follow that arrival's ``put`` and
+        precede the next (a worker's over-stale buffered entry counts as
+        superseded by the first, as stale-rejected from then on).  Each
+        consultation says how many more buffered arrivals its trigger needs:
+        until the version moves both are pure functions of two counts an
+        admitted arrival raises by at most one, so they are no-ops until the
+        nearer one is reached.  A trigger that fires mid-run (the adversary's
+        same-instant arrivals queue behind the run, the server turns busy)
+        only changes the room left for the rest of it.
+        """
+        now = events[0].time
+        room = 1
+        for event in events:
+            if self._admit_arrival(event):
+                room -= 1
+                if room <= 0:
+                    room = min(
+                        self._maybe_fire_byzantine(now), self._maybe_aggregate(now)
+                    )
 
 
 __all__ = [

@@ -9,6 +9,7 @@ observe every honest gradient before crafting its own).
 from __future__ import annotations
 
 import abc
+import math
 from functools import cached_property
 from typing import Callable, Union
 
@@ -39,8 +40,8 @@ class Worker(abc.ABC):
     def __init__(self, worker_id: int, *, speed: float = 1.0) -> None:
         if worker_id < 0:
             raise ConfigurationError(f"worker_id must be non-negative, got {worker_id}")
-        if speed <= 0:
-            raise ConfigurationError(f"speed must be positive, got {speed}")
+        if not 0 < speed < math.inf:  # false for NaN too
+            raise ConfigurationError(f"speed must be positive and finite, got {speed}")
         self.worker_id = int(worker_id)
         self.speed = float(speed)
 

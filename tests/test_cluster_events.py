@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation core (repro.cluster.events)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,18 @@ class TestEventQueue:
             orders.append([e.payload for e in queue.drain()])
         assert orders[0] == orders[1]
 
+    def test_pop_run_takes_the_head_and_its_same_time_and_kind_followers(self):
+        queue = EventQueue()
+        queue.push_many(
+            [Event(time=1.0, kind=kind, worker_id=i) for i, kind in enumerate("aaabaa")]
+        )
+        assert [e.worker_id for e in queue.pop_run(math.inf)] == [0, 1, 2]
+        assert [e.worker_id for e in queue.pop_run(math.inf, kinds={"a"})] == [3]
+        assert [e.worker_id for e in queue.pop_run(1)] == [4]
+        assert [e.worker_id for e in queue.pop_run(math.inf, kinds={"a"})] == [5]
+        with pytest.raises(TrainingError):
+            queue.pop_run(math.inf)
+
 
 class TestClockAuthority:
     def test_advance_to_is_monotone(self):
@@ -90,6 +104,44 @@ class TestClockAuthority:
         loop.step()
         with pytest.raises(ConfigurationError):
             loop.schedule("tick", 0.5)
+
+    @pytest.mark.parametrize("bad,message", [
+        (0.5, r"cannot schedule 'tick' at 0\.500000000, before now \(1\.000000000\)"),
+        # The clock never reads below zero, so a negative time is always a
+        # time in the past and is reported as one.
+        (-1.0, r"cannot schedule 'tick' at -1\.000000000, before now \(1\.000000000\)"),
+        (float("nan"), "event time must be finite and non-negative, got nan"),
+        (float("inf"), "event time must be finite and non-negative, got inf"),
+    ])
+    def test_bad_times_are_refused_and_leave_the_queue_untouched(self, bad, message):
+        """``schedule`` and ``schedule_many`` refuse alike, before pushing anything.
+
+        The batch puts the bad spec *second*: the valid event before it is
+        built but must not be pushed, and the order counter must not move.
+        """
+        loop = EventLoop()
+        loop.on("tick", lambda e: None)
+        loop.schedule("tick", 1.0)
+        loop.step()
+        kept = loop.schedule("tick", 2.0)
+        for attempt in (
+            lambda: loop.schedule("tick", bad),
+            lambda: loop.schedule_many([("tick", 3.0, 1, None), ("tick", bad, 2, None)]),
+        ):
+            with pytest.raises(ConfigurationError, match=message):
+                attempt()
+            assert len(loop.queue) == 1 and loop.queue.pushed == 2
+            assert loop.queue.peek() is kept
+        assert loop.schedule("tick", 3.0).order == 2
+
+    def test_schedule_many_builds_the_events_the_constructor_would(self):
+        loop = EventLoop()
+        built = loop.schedule_many([("a", 1, 4, "x"), ("b", np.float64(0.5), -1, None)])
+        assert built == [
+            Event(time=1.0, kind="a", worker_id=4, payload="x", order=0),
+            Event(time=0.5, kind="b", order=1),
+        ]
+        assert all(type(e.time) is float and e._queue is loop.queue for e in built)
 
     def test_unhandled_kind_rejected(self):
         loop = EventLoop()

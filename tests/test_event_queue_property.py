@@ -6,16 +6,22 @@ bookkeeping has to be airtight under *any* interleaving of push / cancel /
 pop / peek: a cancelled event must never dispatch, ``len()`` must always
 count live events only, and the lazy compaction must keep the heap within a
 constant factor of the population that was live at the last cancel.  Hypothesis drives the queue with
-random operation sequences against a plain-list shadow model.
+random operation sequences against a plain-list shadow model, and — the
+state machine at the end — against the single-heap queue it replaced, frozen
+as ``tests/event_queue_reference.py``.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.cluster.events import Event, EventQueue
 from repro.exceptions import TrainingError
+from tests import event_queue_reference as reference
 
 _times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False, width=32)
 
@@ -204,13 +210,12 @@ def test_cancel_push_many_interleavings_preserve_order_across_compaction(rounds)
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_push_many_of_any_size_equals_sequential_pushes(data):
-    """``push_many`` sifts a small batch and heapifies a large one: same queue.
+    """``push_many`` of any batch size leaves the queue sequential pushes would.
 
-    Batch sizes run from 1 up to several times the live heap, so both sides
-    of the choice (and the boundary between them) are drawn; pops between the
-    batches leave a heap that is not a sorted list.  Against a twin queue fed
-    by sequential ``push`` calls the order stamps, the high-water mark and
-    the whole pop sequence must be equal.
+    Batch sizes run from 1 up to several times the live size, with pops
+    between the batches.  Against a twin queue fed by sequential ``push``
+    calls the order stamps, the high-water mark and the whole pop sequence
+    must be equal.
     """
     batched, sequential = EventQueue(), EventQueue()
     for _ in range(data.draw(st.integers(1, 8))):
@@ -229,28 +234,18 @@ def test_push_many_of_any_size_equals_sequential_pushes(data):
     ]
 
 
-def test_one_event_batches_into_a_large_heap_sift(monkeypatch, time_limit):
-    """2,000 one-event ``push_many`` calls into a 5,000-entry heap never heapify.
+def test_one_event_batches_into_a_large_queue(time_limit):
+    """2,000 one-event ``push_many`` calls into a 5,000-entry queue stay cheap.
 
-    Re-heapifying the whole heap per call is O(heap): on a straggler-spread
-    async fleet, where nearly every run is a run of one, it was a third of
-    the host time.  The bulk insertion that fills the heap still heapifies.
+    On a straggler-spread async fleet nearly every run is a run of one, so a
+    one-event batch must cost O(log n), never O(queue) (re-heapifying the
+    single heap per call was once a third of that fleet's host time).
     """
-    from repro.cluster import events as events_module
-
-    heapifies = []
-    real_heapify = events_module.heapq.heapify
-    monkeypatch.setattr(
-        events_module.heapq, "heapify",
-        lambda heap: (heapifies.append(len(heap)), real_heapify(heap))[1],
-    )
     queue = EventQueue()
     queue.push_many([Event(time=float(i % 97), kind="test") for i in range(5000)])
-    assert heapifies == [5000]
     with time_limit():
         for i in range(2000):
             queue.push_many([Event(time=float(i % 89) + 0.5, kind="test")])
-    assert heapifies == [5000]
     assert queue.peak_size == len(queue) == 7000
     drained = [(e.time, e.order) for e in queue.drain()]
     assert drained == sorted(drained)
@@ -279,3 +274,131 @@ def test_compaction_fires_at_the_boundary_and_preserves_order():
     early = queue.push_many([Event(time=0.5, kind="test"), Event(time=0.25, kind="test")])
     drained = list(queue.drain())
     assert drained == [early[1], early[0]] + list(events[floor + 1 :])
+
+
+def _key(event):
+    """What must agree between the two queues' events (the sign of zero too)."""
+    return (
+        event.time, math.copysign(1.0, event.time), event.order, event.kind,
+        event.worker_id,
+    )
+
+
+#: Herds: three timestamps, two of which (``0.0`` / ``-0.0``) are one instant.
+_herd_times = st.sampled_from([0.0, -0.0, 1.0])
+#: All but distinct: the lone-event side of the bucket representation.
+_spread_times = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+_specs = st.tuples(st.one_of(_herd_times, _spread_times), st.sampled_from("ab"))
+
+
+class QueueAgainstFrozenHeap(RuleBasedStateMachine):
+    """The bucketed queue and the frozen single heap, fed the same operations.
+
+    Every rule applies one public operation to both and compares what it
+    returns; after every rule the observable counters must be equal.  Two
+    kinds let a run end inside a herd; cancels pick from every event ever
+    pushed, so live, already-cancelled and already-popped events are all hit.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.live = EventQueue()
+        self.frozen = reference.EventQueue()
+        self.pushed = []  # (live event, frozen event) in push order
+
+    def _make(self, specs):
+        start = len(self.pushed)
+        pairs = [
+            (
+                Event(time=time, kind=kind, worker_id=start + i),
+                reference.Event(time=time, kind=kind, worker_id=start + i),
+            )
+            for i, (time, kind) in enumerate(specs)
+        ]
+        self.pushed.extend(pairs)
+        return [a for a, _ in pairs], [b for _, b in pairs]
+
+    @rule(spec=_specs)
+    def push(self, spec):
+        (a,), (b,) = self._make([spec])
+        assert self.live.push(a) is a
+        self.frozen.push(b)
+        assert _key(a) == _key(b)
+
+    @rule(data=st.data())
+    def push_many(self, data):
+        # From one event to several times the live size (capped: sizes compound).
+        size = data.draw(st.integers(1, min(64, max(4, 3 * len(self.live)))))
+        herd = data.draw(st.booleans())
+        times = _herd_times if herd else _spread_times
+        specs = data.draw(
+            st.lists(st.tuples(times, st.sampled_from("ab")), min_size=size, max_size=size)
+        )
+        mine, theirs = self._make(specs)
+        got = self.live.push_many(mine)
+        want = self.frozen.push_many(theirs)
+        assert [_key(e) for e in got] == [_key(e) for e in want]
+
+    @rule()
+    def pop(self):
+        if not len(self.frozen):
+            with pytest.raises(TrainingError):
+                self.frozen.pop()
+            with pytest.raises(TrainingError):
+                self.live.pop()
+        else:
+            assert _key(self.live.pop()) == _key(self.frozen.pop())
+
+    @rule(
+        budget=st.one_of(st.integers(1, 6), st.just(math.inf)),
+        kinds=st.sampled_from([None, "a", "b", ""]),
+    )
+    def pop_run(self, budget, kinds):
+        if not len(self.frozen):
+            with pytest.raises(TrainingError):
+                self.live.pop_run(budget, kinds)
+            return
+        got = self.live.pop_run(budget, kinds)
+        if kinds is not None and self.frozen.peek().kind not in kinds:
+            budget = 1  # a kind without a run handler pops alone
+        want = reference.pop_run(self.frozen, budget)
+        assert [_key(e) for e in got] == [_key(e) for e in want]
+        assert all(e._queue is None for e in got)
+
+    @rule()
+    def peek(self):
+        head, want = self.live.peek(), self.frozen.peek()
+        assert (head is None) == (want is None)
+        if head is not None:
+            assert _key(head) == _key(want)
+        assert self.live.peek_time() == self.frozen.peek_time()
+
+    @precondition(lambda self: self.pushed)
+    @rule(pick=st.integers(min_value=0))
+    def cancel(self, pick):
+        a, b = self.pushed[pick % len(self.pushed)]
+        a.cancel()
+        b.cancel()
+        assert a.cancelled and b.cancelled
+
+    @rule()
+    def drain(self):
+        assert [_key(e) for e in self.live.drain()] == [
+            _key(e) for e in self.frozen.drain()
+        ]
+
+    @invariant()
+    def counters_agree(self):
+        # Before ``bool()``: it peeks, which discards leading tombstones.
+        assert self.live.tombstones == self.frozen.tombstones
+        assert self.live.peak_size == self.frozen.peak_size
+        assert len(self.live) == len(self.frozen)
+        assert self.live.pushed == self.frozen.pushed
+        assert bool(self.live) == bool(self.frozen)
+        assert self.live.tombstones == self.frozen.tombstones
+
+
+TestQueueAgainstFrozenHeap = QueueAgainstFrozenHeap.TestCase
+TestQueueAgainstFrozenHeap.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)

@@ -193,3 +193,7 @@ def test_each_worker_stage_has_exactly_one_calling_function():
             "_on_fetch_batch", "_on_compute_batch", "_on_push_batch"
         }, stage
         assert len(callers) == 2, (stage, callers)
+    # One admission body: the pool has one writer, which both ``arrive``
+    # handlers (and nothing else) run per event.
+    assert _callers(tree, "put") == {"_admit_arrival"}
+    assert _callers(tree, "_admit_arrival") == {"_on_arrive", "_on_arrive_batch"}

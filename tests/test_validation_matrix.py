@@ -85,6 +85,12 @@ INVALID = [
     ("link-jitter-id-out-of-range", {"link_jitters": {42: 0.1}}, None),
     ("link-delay-on-a-byzantine-id",
      {"num_byzantine": 2, "attack": "sign-flip", "link_delays": {1: 0.5}}, None),
+    # --- per-worker compute speed (owner: Worker.__init__; no runner flag).  NaN
+    # used to build: the async engine died in its event loop on step 0 and the
+    # lock-step engine ran to the end on a NaN compute time.
+    ("worker-speed-nan", {"worker_speeds": {3: float("nan")}}, None),
+    ("worker-speed-inf", {"worker_speeds": {3: float("inf")}}, None),
+    ("worker-speed-negative-inf", {"worker_speeds": {3: float("-inf")}}, None),
     # --- registries
     ("unknown-attack", {"attack": "ddos"}, ["--attack", "ddos"]),
     ("unknown-aggregator", {"gar": "blockchain"}, ["--aggregator", "blockchain"]),

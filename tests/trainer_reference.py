@@ -28,11 +28,20 @@ dict — same floats, bodies here unchanged.  ``as_loop_reference`` now also
 asserts that ``_encode`` and the four worker-stage methods the live collect
 is made of exist on ``BaseTrainer`` and are not shadowed here.
 
+NOTE (fifth sanctioned edit, "same-instant herds all the way through"):
+``arrive`` joined the run kinds, so :func:`as_per_event_reference` asserts
+four registered run handlers before clearing them, and
+:func:`as_server_stage_reference` unregisters the ``arrive`` run handler,
+which spaces its consultations by the room the live triggers return — the
+frozen ``_maybe_aggregate`` is the parent's, where arrivals were dispatched
+one by one, and returns none; bodies here unchanged.
+
 The per-event async handlers need no frozen copy:
 :class:`~repro.cluster.events.EventLoop` owns the run coalescing, so
 :func:`as_per_event_reference` turns a live ``AsyncTrainer`` into its own
 per-event reference by unregistering the run handlers (every run is then a
-run of one and reaches ``_on_fetch`` / ``_on_compute`` / ``_on_push``).  The
+run of one and reaches ``_on_fetch`` / ``_on_compute`` / ``_on_push`` /
+``_on_arrive``).  The
 event-driven *server stage* does: :class:`ReferenceAsyncTrainer` freezes the
 parent's ``_maybe_aggregate`` / ``_on_gather`` / ``_aggregate_pending`` /
 ``_distance_round_begin_batch`` — the quorum fill that schedules a seventh
@@ -417,7 +426,7 @@ def as_loop_reference(trainer: SynchronousTrainer) -> SynchronousTrainer:
 def as_per_event_reference(trainer: AsyncTrainer) -> AsyncTrainer:
     """Unregister the run handlers: every event reaches its per-event handler."""
     assert type(trainer) is AsyncTrainer
-    assert set(trainer._loop._run_handlers) == {"fetch", "compute", "push"}
+    assert set(trainer._loop._run_handlers) == {"fetch", "compute", "push", "arrive"}
     trainer._loop._run_handlers.clear()
     return trainer
 
@@ -541,7 +550,9 @@ def as_server_stage_reference(trainer: AsyncTrainer) -> AsyncTrainer:
     The handlers registered at construction stay bound to the live class
     (``_on_arrive`` and ``_on_update_done`` reach ``_maybe_aggregate`` through
     ``self``, so they find the frozen one); only ``gather``, which the live
-    vocabulary no longer has, needs registering.
+    vocabulary no longer has, needs registering.  Arrivals are dispatched
+    per event, as the parent did: the live ``arrive`` run handler spaces its
+    consultations by what the live ``_maybe_aggregate`` returns.
     """
     assert type(trainer) is AsyncTrainer
     # A stage renamed under ``src/`` would leave its override here unreached
@@ -550,4 +561,5 @@ def as_server_stage_reference(trainer: AsyncTrainer) -> AsyncTrainer:
         assert stage in AsyncTrainer.__dict__, stage
     trainer.__class__ = ReferenceAsyncTrainer
     trainer._loop.on(ReferenceAsyncTrainer.GATHER, trainer._on_gather)
+    del trainer._loop._run_handlers["arrive"]
     return trainer
