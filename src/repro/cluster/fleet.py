@@ -5,9 +5,10 @@ memory updates, byte accounting — were all written as Python loops over
 worker objects, which is fine at the paper's 19 workers and hopeless at the
 ROADMAP's 1k–10k.  This module keeps the worker *objects* as the API surface
 (they still own samplers and identities, and a model replica once something
-reads it — the batched kernel below reads one) but mirrors the numeric
-per-worker state into contiguous numpy arrays, so each fleet-wide operation
-is one vectorised call instead of ``n`` Python ones.
+reads it — the batched kernel below reads one, the replica loop of exact
+compute reads each) but mirrors the numeric per-worker state into contiguous
+numpy arrays, so each fleet-wide operation is one vectorised call instead of
+``n`` Python ones.
 
 Three pieces live here:
 
@@ -29,11 +30,17 @@ Three pieces live here:
     kernel supports Dense/Conv2D/ResidualBlock chains (convolutions are
     lowered to im2col so per-worker weight grads come from one contraction)
     interleaved with per-sample stateless layers, under the two built-in
-    losses; anything else falls back to per-worker compute.  Fleet
-    compute is *statistically equivalent* to the per-worker path (same
-    batches, same estimator, deterministic under the same seeds) but not
-    bitwise identical — summation orders differ — which is why the default
-    ``compute_mode="exact"`` never uses it.
+    losses (each worker's loss normalised by its own batch, through the
+    losses' ``stacked`` form); anything else falls back to exact compute.
+    Fleet compute is *statistically equivalent* to the per-worker path
+    (same batches, same estimator, deterministic under the same seeds) but
+    not bitwise identical — summation orders differ — which is why the
+    default ``compute_mode="exact"`` never uses it.  Exact compute has a
+    stacked form of its own that *is* bitwise identical, for ``Dense``
+    chains only: :meth:`~repro.nn.model.Sequential.stacked_loss_and_gradients`
+    runs each ``Dense`` as one ``np.matmul`` over the per-worker slices (the
+    gemm each replica would call) where this kernel contracts the stacked
+    batch with einsums.
 
 :class:`PendingPool`
     The async trainer's admission buffer in SoA form: at most one pending
@@ -58,7 +65,7 @@ from repro.nn.layers.dense import Dense
 from repro.nn.layers.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
 from repro.nn.layers.reshape import Flatten
 from repro.nn.layers.residual import ResidualBlock
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy, softmax
+from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 
 #: Activation layers whose backward is elementwise and therefore batches
@@ -275,6 +282,7 @@ class FleetComputeKernel:
             stacked_x = np.asarray(batches_x, dtype=np.float64).reshape(
                 n * batch, *batches_x.shape[2:]
             )
+            targets = np.asarray(batches_y)
         else:
             n = len(batches_x)
             if n == 0 or len(batches_y) != n:
@@ -287,10 +295,14 @@ class FleetComputeKernel:
             stacked_x = np.concatenate(
                 [np.asarray(x, dtype=np.float64) for x in batches_x]
             )
+            targets = np.stack([np.asarray(y) for y in batches_y])
         model.set_parameters(parameters)
         outputs = model.forward(stacked_x, training=True)
 
-        losses, grad = self._loss_and_grad(model, outputs, batches_y, n, batch)
+        # Each worker's loss normalises over its own batch: the stacked
+        # gradient is the per-sample one divided by the per-worker size.
+        losses, grad = model.loss.stacked(outputs.reshape(n, batch, *outputs.shape[1:]), targets)
+        grad = grad.reshape(outputs.shape)
 
         # Batched backward: stateless layers reuse their stacked caches;
         # parameterised layers get per-worker weight/bias grads from one
@@ -384,52 +396,6 @@ class FleetComputeKernel:
         _, _, h, w = input_shape
         _, _, (ph0, _), (pw0, _) = layer._geometry(h, w)
         return grad_padded[:, :, ph0 : ph0 + h, pw0 : pw0 + w], chunks
-
-    @staticmethod
-    def _loss_and_grad(
-        model: Sequential,
-        outputs: np.ndarray,
-        batches_y: Sequence[np.ndarray],
-        n: int,
-        batch: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-worker losses and the stacked output gradient.
-
-        Each worker's loss normalises over *its own* batch, so the stacked
-        gradient is the per-sample loss gradient divided by the per-worker
-        batch size — not by the stacked row count.
-        """
-        if isinstance(model.loss, SoftmaxCrossEntropy):
-            if isinstance(batches_y, np.ndarray):
-                labels = batches_y.reshape(-1).astype(np.intp)
-            else:
-                labels = np.concatenate(
-                    [np.asarray(y) for y in batches_y]
-                ).astype(np.intp)
-            if labels.min() < 0 or labels.max() >= outputs.shape[1]:
-                raise ConfigurationError(
-                    f"labels must lie in [0, {outputs.shape[1] - 1}]"
-                )
-            probs = softmax(outputs)
-            rows = np.arange(labels.shape[0])
-            picked = probs[rows, labels]
-            per_sample = -np.log(np.maximum(picked, 1e-300))
-            losses = per_sample.reshape(n, batch).mean(axis=1)
-            grad = probs
-            grad[rows, labels] -= 1.0
-            grad = grad / batch
-            return losses, grad
-        if isinstance(batches_y, np.ndarray):
-            targets = np.asarray(batches_y, dtype=np.float64).reshape(outputs.shape)
-        else:
-            targets = np.concatenate(
-                [np.asarray(y, dtype=np.float64) for y in batches_y]
-            ).reshape(outputs.shape)
-        diff = outputs - targets
-        losses = (diff ** 2).reshape(n, -1).mean(axis=1)
-        per_worker_size = outputs.size // n
-        grad = 2.0 * diff / per_worker_size
-        return losses, grad
 
 
 class PendingBatch:

@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,15 +85,22 @@ from repro.cluster.server import ParameterServer
 from repro.cluster.service import ServerFabric, parse_server_topology
 from repro.cluster.sync import ArrivalEvent, FullSync, SyncPolicy
 from repro.cluster.telemetry import EvalRecord, StepRecord, TrainingHistory
-from repro.cluster.worker import ByzantineWorker, HonestWorker, Worker, craft_fleet
+from repro.cluster.worker import (
+    ByzantineWorker,
+    HonestWorker,
+    Worker,
+    compute_stacked,
+    craft_fleet,
+)
 from repro.core.kernels import SELECTION_CLOCK
+from repro.data.sampler import sample_stacked
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.model import Sequential
 from repro.utils.random import SeedLike, as_rng, component_seed
 
-#: Accepted honest-gradient compute modes.  ``exact`` runs every worker's own
-#: backprop (bit-identical to the seed); ``fleet`` batches all honest
-#: gradients through one :class:`~repro.cluster.fleet.FleetComputeKernel`
+#: Accepted honest-gradient compute modes.  ``exact`` returns every worker's
+#: own backprop bit for bit (bit-identical to the seed); ``fleet`` batches all
+#: honest gradients through one :class:`~repro.cluster.fleet.FleetComputeKernel`
 #: pass when the model supports it (statistically equivalent, not bitwise).
 COMPUTE_MODES = ("exact", "fleet")
 
@@ -184,7 +191,9 @@ class BaseTrainer:
     1. :meth:`_frame_fetches` — fetch framing: the snapshot each worker
        reconstructs, its priced downlink bytes, whether it was a delta.
     2. :meth:`_compute_gradients` — compute: messages, losses and the
-       gradient matrix (the fleet kernel iff every row shares a snapshot).
+       gradient matrix (the fleet kernel iff every row shares a snapshot,
+       else :meth:`_exact_gradients`: one stacked exact pass, or the
+       replica loop where the model cannot be stacked).
     3. :meth:`_encode_rows` — encode: error feedback against the fleet's
        row store, one batched codec pass, frames + decoded + errors.
     4. :meth:`_price_uplinks` — uplink pricing: what each channel
@@ -334,6 +343,10 @@ class BaseTrainer:
                                if w is honest[0] or "model" in vars(w)}) == 1
             if uniform_batch and uniform_dim and fleet_computable(honest[0].model):
                 self._fleet_kernel = FleetComputeKernel(honest[0].model)
+        #: The model whose layers the stacked exact pass runs
+        #: (:func:`~repro.cluster.worker.compute_stacked`), or ``None``
+        #: where every honest worker runs its own backprop instead.
+        self._stacked_model = self._stacked_pass_model()
         #: Lazily-cached per-honest-worker transparency mask (channels are
         #: fixed for the trainer's lifetime, so the per-step property scan
         #: collapses to one array lookup).
@@ -413,13 +426,36 @@ class BaseTrainer:
             ]
         return self._byzantine_workers_cache
 
+    def _stacked_pass_model(self) -> Optional[Sequential]:
+        """The architecture the stacked exact pass runs, or ``None`` for the replica loop.
+
+        The evaluator's model (the builder makes it and every replica with
+        one factory, so no replica is built to ask), or the first honest
+        replica's in a trainer built without one.  A model property decides,
+        not a size: ``None`` where a forward carries per-replica state
+        (Dropout streams, BatchNorm statistics, the loop ``Conv2D``), where
+        the honest fleet mixes batch sizes, or where a replica that exists
+        (hand-passed) has another architecture.
+        """
+        honest = self.honest_workers
+        if not honest or (self._fleet.batch_sizes != self._fleet.batch_sizes[0]).any():
+            return None
+        model = self.eval_model if self.eval_model is not None else honest[0].model
+        signature = model.stacked_signature()
+        if signature is None or model.num_parameters != self.server.dim:
+            return None
+        # An unread factory replica is not in ``vars(w)`` and is not built to compare.
+        if any(w.model.stacked_signature() != signature for w in honest if "model" in vars(w)):
+            return None
+        return model
+
     def _compute_time(self, worker: HonestWorker, dim: int) -> float:
         """Nominal (pre-straggler) gradient-computation time of *worker*."""
         return self.cost_model.gradient_compute_time(
             dim,
             worker.batch_size,
             gflops=self._worker_gflops[worker.worker_id] * worker.speed,
-            flops_per_sample=worker.model.flops_per_sample(),
+            flops_per_sample=worker.flops_per_sample(),
         )
 
     def _fleet_gradients(
@@ -436,22 +472,16 @@ class BaseTrainer:
         assert self._fleet_kernel is not None
         samplers = [worker.sampler for worker in workers]
         shared = samplers[0]
-        if all(
+        if self._fleet_sample_rng is not None and all(
             s.features is shared.features and s.labels is shared.labels
             for s in samplers
         ):
-            if self._fleet_sample_rng is not None:
-                indices = self._fleet_sample_rng.integers(
-                    0, shared.num_samples, size=(len(workers), shared.batch_size)
-                )
-            else:
-                indices = np.stack([s.sample_indices() for s in samplers])
-            batches_x: Any = shared.features[indices]
-            batches_y: Any = shared.labels[indices]
+            indices = self._fleet_sample_rng.integers(
+                0, shared.num_samples, size=(len(workers), shared.batch_size)
+            )
+            batches_x, batches_y = shared.features[indices], shared.labels[indices]
         else:
-            batches = [s.sample() for s in samplers]
-            batches_x = [batch[0] for batch in batches]
-            batches_y = [batch[1] for batch in batches]
+            batches_x, batches_y = sample_stacked(samplers)
         losses, gradients = self._fleet_kernel.compute(parameters, batches_x, batches_y)
         loss_list = losses.tolist()
         messages = [
@@ -620,11 +650,10 @@ class BaseTrainer:
         statistically-equivalent mode) batches all backprops into one pass
         when every row computes on the same snapshot: the kernel gate
         implies no broadcast codec, so same-version snapshots are
-        byte-equal copies of the same stored parameters.  Otherwise each
-        worker runs its own backprop (the exact path) on the parameters it
-        reconstructed from its own downlink frame, and the samplers draw
-        sequentially in worker order, so every per-worker RNG stream
-        advances as if each worker had run alone.
+        byte-equal copies of the same stored parameters.  Otherwise the
+        exact path (:meth:`_exact_gradients`) computes each worker's
+        gradient on the parameters it reconstructed from its own downlink
+        frame.
         """
         version0, parameters0 = snapshots[0]
         with self._section("compute"):
@@ -632,10 +661,29 @@ class BaseTrainer:
                 version == version0 for version, _ in snapshots
             ):
                 return self._fleet_gradients(workers, parameters0, version0)
-            messages = [
-                worker.compute_gradient(parameters, version)
-                for worker, (version, parameters) in zip(workers, snapshots)
-            ]
+            return self._exact_gradients(workers, snapshots)
+
+    def _exact_gradients(
+        self,
+        workers: Sequence[HonestWorker],
+        snapshots: Sequence[Tuple[int, np.ndarray]],
+    ) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
+        """Exact compute: what each worker's own backprop returns, bit for bit.
+
+        One stacked pass over the run (:func:`~repro.cluster.worker.compute_stacked`)
+        where the deployment's model can be stacked, so no replica is ever
+        built; otherwise the replica loop, each worker's
+        :meth:`~repro.cluster.worker.HonestWorker.compute_gradient` in
+        worker order.  Either way the samplers draw sequentially in worker
+        order, so every per-worker RNG stream advances as if each worker
+        had run alone.
+        """
+        if self._stacked_model is not None:
+            return compute_stacked(workers, snapshots, self._stacked_model)
+        messages = [
+            worker.compute_gradient(parameters, version)
+            for worker, (version, parameters) in zip(workers, snapshots)
+        ]
         losses = np.array([m.loss for m in messages])
         return messages, losses, np.stack([m.gradient for m in messages], axis=0)
 
@@ -1388,10 +1436,13 @@ class AsyncTrainer(BaseTrainer):
         )
 
     def _on_compute(self, event: Event) -> None:
-        """Worker received the model; compute a gradient on its own batch."""
+        """Worker received the model; compute a gradient on its own batch.
+
+        Always the exact path, whatever the compute mode: a run of one
+        through :meth:`_compute_gradients` would reach the fleet kernel.
+        """
         worker = self._workers_by_id[event.worker_id]
-        version, parameters = event.payload
-        message = worker.compute_gradient(parameters, version)
+        (message,), _, _ = self._exact_gradients([worker], [event.payload])
         slowdown = (
             float(self.straggler_model.sample(1, self._straggler_rng)[0])
             if self.straggler_model is not None

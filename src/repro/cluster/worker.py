@@ -3,7 +3,10 @@
 Honest workers hold a local copy of the model graph, draw their own iid
 mini-batches and compute gradient estimates; Byzantine workers are controlled
 by an :mod:`repro.attacks` attack object (which, per the threat model, may
-observe every honest gradient before crafting its own).
+observe every honest gradient before crafting its own).  Each side has a
+fleet form that mints a run's messages in one call: :func:`compute_stacked`
+(every honest gradient from one stacked exact pass) and :func:`craft_fleet`
+(every Byzantine gradient from one joint craft).
 """
 
 from __future__ import annotations
@@ -11,12 +14,12 @@ from __future__ import annotations
 import abc
 import math
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cluster.message import GradientMessage
-from repro.data.sampler import MiniBatchSampler
+from repro.data.sampler import MiniBatchSampler, sample_stacked
 from repro.exceptions import ConfigurationError
 from repro.nn.model import Sequential
 from repro.utils.random import SeedLike, as_rng, component_seed
@@ -57,6 +60,11 @@ class Worker(abc.ABC):
 class HonestWorker(Worker):
     """A correct worker: computes an unbiased gradient estimate each step.
 
+    The estimate is this worker's own backprop — :meth:`compute_gradient` on
+    its replica, or its row of one :func:`compute_stacked` pass over a run
+    of workers, bit for bit the same — and the cost model prices it at
+    :meth:`flops_per_sample`.
+
     Parameters
     ----------
     worker_id:
@@ -66,7 +74,8 @@ class HonestWorker(Worker):
         server's; parameters are overwritten by each model broadcast), or a
         zero-argument callable returning it, called the first time something
         reads ``.model`` — the builder's fleets pay for a replica only when
-        a worker runs its own backprop.
+        a worker runs its own backprop.  A worker whose gradients come from
+        :func:`compute_stacked` never reads it.
     sampler:
         The worker's private mini-batch sampler.  "Corrupted data" workers
         (Figure 7) are honest workers whose sampler draws from a corrupted
@@ -85,10 +94,25 @@ class HonestWorker(Worker):
         else:
             raise ConfigurationError(f"model must be a Sequential or a factory, got {model!r}")
         self.sampler = sampler
+        #: Forward flops per sample :func:`compute_stacked` measured the
+        #: last time it computed this worker's gradient; ``None`` until then.
+        self.stacked_flops: Optional[float] = None
 
     @cached_property
     def model(self) -> Sequential:
         return self._build_model()
+
+    def flops_per_sample(self) -> float:
+        """Forward flops per sample this worker's gradient is priced at.
+
+        What the stacked pass measured once it has computed for this worker
+        (the value its replica's forward would have read); otherwise the
+        replica's own :meth:`~repro.nn.model.Sequential.flops_per_sample`,
+        building the replica if nothing had.
+        """
+        if self.stacked_flops is not None:
+            return self.stacked_flops
+        return self.model.flops_per_sample()
 
     @property
     def is_byzantine(self) -> bool:
@@ -170,6 +194,36 @@ class ByzantineWorker(Worker):
         return GradientMessage(worker_id=self.worker_id, step=step, gradient=row, loss=float("nan"))
 
 
+def compute_stacked(
+    workers: Sequence[HonestWorker],
+    snapshots: Sequence[Tuple[int, np.ndarray]],
+    model: Sequential,
+) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
+    """Every honest gradient of a run from one stacked exact pass.
+
+    ``workers[i]`` computes on ``snapshots[i] = (version, parameters)``;
+    *model* is the deployment's architecture, one with the workers'
+    :meth:`~repro.nn.model.Sequential.stacked_signature`.  The samplers draw
+    in worker order (:func:`~repro.data.sampler.sample_stacked`) and
+    :meth:`~repro.nn.model.Sequential.stacked_loss_and_gradients` returns
+    what each worker's :meth:`HonestWorker.compute_gradient` would, bit for
+    bit, without a replica.  Each worker keeps the measured flops for its
+    pricing.  Returns ``(messages, losses, gradients)`` in worker order.
+    """
+    batch_x, batch_y = sample_stacked([worker.sampler for worker in workers])
+    losses, gradients, flops = model.stacked_loss_and_gradients(
+        [parameters for _, parameters in snapshots], batch_x, batch_y
+    )
+    loss_list = losses.tolist()
+    messages = []
+    for i, (worker, (version, _)) in enumerate(zip(workers, snapshots)):
+        worker.stacked_flops = flops
+        messages.append(
+            GradientMessage.trusted(worker.worker_id, version, gradients[i], loss_list[i])
+        )
+    return messages, losses, gradients
+
+
 def craft_fleet(
     byzantine_workers,
     parameters: np.ndarray,
@@ -230,4 +284,4 @@ def craft_fleet(
     ]
 
 
-__all__ = ["Worker", "HonestWorker", "ByzantineWorker", "craft_fleet"]
+__all__ = ["Worker", "HonestWorker", "ByzantineWorker", "compute_stacked", "craft_fleet"]

@@ -9,7 +9,7 @@ AggregaThor makes (unlike Draco, no agreement on data ordering is needed).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterator, Tuple, Union
+from typing import Callable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,4 +88,24 @@ class MiniBatchSampler:
             yield self.sample()
 
 
-__all__ = ["MiniBatchSampler"]
+def sample_stacked(samplers: Sequence[MiniBatchSampler]) -> Tuple[np.ndarray, np.ndarray]:
+    """One :meth:`~MiniBatchSampler.sample` per sampler, stacked: ``(k, b, ...)`` arrays.
+
+    The samplers draw their indices in the given order, each from its own
+    stream, as ``k`` sequential ``sample()`` calls would.  Samplers over one
+    training set are gathered with one fancy index; otherwise (a
+    corrupted-data worker holds its own copy) each gathers its own rows.
+    All samplers must share a batch size.
+    """
+    indices = [sampler.sample_indices() for sampler in samplers]
+    first = samplers[0]
+    if all(s.features is first.features and s.labels is first.labels for s in samplers):
+        rows = np.array(indices)
+        return first.features[rows], first.labels[rows]
+    return (
+        np.array([s.features[i] for s, i in zip(samplers, indices)]),
+        np.array([s.labels[i] for s, i in zip(samplers, indices)]),
+    )
+
+
+__all__ = ["MiniBatchSampler", "sample_stacked"]

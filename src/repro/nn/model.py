@@ -9,15 +9,23 @@ workers — so the model exposes ``get_parameters`` / ``set_parameters`` /
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.nn.layers.activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.layers.base import Layer
-from repro.nn.losses import SoftmaxCrossEntropy, softmax
+from repro.nn.layers.dense import Dense
+from repro.nn.layers.reshape import Flatten
+from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy, softmax
 from repro.nn.parameter import Parameter
 from repro.utils.flatten import flatten_arrays, unflatten_array
+
+#: Parameter-free layers whose every output row depends on its own input row
+#: alone: :meth:`Sequential.stacked_loss_and_gradients` runs them on ``k``
+#: workers' rows at once.
+_PER_SAMPLE_LAYERS = (ReLU, LeakyReLU, Sigmoid, Tanh, Flatten)
 
 
 class Sequential:
@@ -146,6 +154,130 @@ class Sequential:
             loss_value += 0.5 * self.l2 * float(params @ params)
             gradient = gradient + self.l2 * params
         return float(loss_value), gradient
+
+    def stacked_signature(self) -> Optional[tuple]:
+        """What :meth:`stacked_loss_and_gradients` computes for this model.
+
+        ``None`` when it cannot run the model: a layer other than
+        :class:`Dense` and the per-sample stateless layers (a forward with
+        per-replica state — a Dropout stream, BatchNorm statistics, the loop
+        ``Conv2D`` — is out), a loss other than the two built-in ones, or no
+        ``Dense`` at all.  Two models with equal signatures compute the same
+        function of the same flat parameters.
+        """
+        if type(self.loss) not in (SoftmaxCrossEntropy, MeanSquaredError):
+            return None
+        layers = []
+        for layer in self.layers:
+            if type(layer) is Dense:
+                layers.append((Dense, layer.in_features, layer.out_features, layer.use_bias))
+            elif type(layer) is LeakyReLU:
+                layers.append((LeakyReLU, layer.negative_slope))
+            elif type(layer) in _PER_SAMPLE_LAYERS:
+                layers.append((type(layer),))
+            else:
+                return None
+        if not any(layer[0] is Dense for layer in layers):
+            return None
+        return type(self.loss), self.l2, tuple(layers)
+
+    def stacked_loss_and_gradients(
+        self, parameters: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        """:meth:`loss_and_gradient` of ``k`` workers in one forward and one backward.
+
+        ``parameters[i]`` is worker ``i``'s flat snapshot and ``x[i]`` /
+        ``y[i]`` its mini-batch (``x`` is ``(k, b, ...)``).  Returns the
+        ``(k,)`` losses, the ``(k, d)`` gradients and the forward flops per
+        sample — bit for bit what ``k`` replicas loaded with those snapshots
+        return from :meth:`loss_and_gradient` and then
+        :meth:`flops_per_sample`.  Only for a model with a
+        :meth:`stacked_signature`; the model's own parameters are neither
+        read nor written.
+
+        Each :class:`Dense` is one ``np.matmul`` over the ``k`` slices — the
+        gemm a replica calls, on the same operands — and the stateless
+        layers run their own forward and backward on the ``(k * b, ...)``
+        rows.  Gradients accumulate into zeros as a replica's do (a ``-0.0``
+        leaves as ``+0.0``), every loss normalises by its own batch and
+        every L2 term reads its own snapshot.  A snapshot object shared by
+        every worker is broadcast, never copied ``k`` times; a wrong-size one
+        raises :meth:`set_parameters`' error.
+        """
+        dim = self.num_parameters
+        flats = [np.asarray(flat, dtype=np.float64) for flat in parameters]
+        for flat in flats:
+            if flat.size != dim:
+                raise ValueError(f"flat vector has {flat.size} elements but shapes require {dim}")
+        num = len(flats)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] != num or np.shape(y)[0] != num:
+            raise ConfigurationError(
+                f"{num} snapshots need {num} mini-batches, got {x.shape[0]} and "
+                f"{np.shape(y)[0]}"
+            )
+        first = flats[0]
+        if all(flat is first for flat in flats):
+            stack, lead = first.reshape(dim), ()
+        else:
+            stack, lead = np.array([flat.reshape(dim) for flat in flats]), (num,)
+        batch = x.shape[1]
+        rows = x.reshape(num * batch, *x.shape[2:])
+        forward_flops = 0.0
+        # Per Dense (by layer index): its stacked input, weight view and the
+        # offsets of its weight and bias in the flat parameter vector.
+        saved = {}
+        offset = 0
+        for index, layer in enumerate(self.layers):
+            if type(layer) is not Dense:
+                rows = layer.forward(rows, training=True)
+                continue
+            fan_in, fan_out = layer.in_features, layer.out_features
+            if rows.ndim != 2 or rows.shape[1] != fan_in:
+                raise ConfigurationError(
+                    f"Dense expected input of shape (batch, {fan_in}), got "
+                    f"{(batch,) + rows.shape[1:]}"
+                )
+            forward_flops += 2.0 * batch * fan_in * fan_out
+            inputs = rows.reshape(num, batch, fan_in)
+            weight = stack[..., offset : offset + fan_in * fan_out].reshape(
+                *lead, fan_in, fan_out
+            )
+            saved[index] = (inputs, weight, offset, offset + fan_in * fan_out)
+            offset += fan_in * fan_out
+            out = np.matmul(inputs, weight)
+            if layer.use_bias:
+                out = out + stack[..., offset : offset + fan_out].reshape(*lead, 1, fan_out)
+                offset += fan_out
+            rows = out.reshape(num * batch, fan_out)
+
+        losses, grad = self.loss.stacked(rows.reshape(num, batch, *rows.shape[1:]), y)
+        grad = grad.reshape(rows.shape)
+        gradients = np.zeros((num, dim))
+        first_dense = min(saved)
+        for index in range(len(self.layers) - 1, first_dense - 1, -1):
+            layer = self.layers[index]
+            if index not in saved:
+                grad = layer.backward(grad)
+                continue
+            inputs, weight, weight_at, bias_at = saved[index]
+            fan_in, fan_out = layer.in_features, layer.out_features
+            grad3 = grad.reshape(num, batch, fan_out)
+            gradients[:, weight_at:bias_at] += np.matmul(
+                inputs.transpose(0, 2, 1), grad3
+            ).reshape(num, fan_in * fan_out)
+            if layer.use_bias:
+                gradients[:, bias_at : bias_at + fan_out] += grad3.sum(axis=1)
+            if index > first_dense:
+                grad = np.matmul(grad3, weight.swapaxes(-1, -2)).reshape(num * batch, fan_in)
+        if self.l2 > 0.0:
+            if lead:
+                squares = np.matmul(stack[:, None, :], stack[:, :, None]).reshape(num)
+            else:
+                squares = float(stack @ stack)
+            losses = losses + 0.5 * self.l2 * squares
+            gradients = gradients + self.l2 * stack
+        return losses, gradients, forward_flops / batch
 
     # ------------------------------------------------------------ inference
     def predict_proba(self, x: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:

@@ -64,8 +64,11 @@ class TestSoftmaxCrossEntropy:
             SoftmaxCrossEntropy().forward(np.zeros(4), np.zeros(4, dtype=int))
 
     def test_negative_l2_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SoftmaxCrossEntropy(l2=-1.0)
+        # L2 is the model's (``Sequential(l2=...)``): the loss takes no l2 at
+        # all rather than storing one it would never apply.
+        for l2 in (-1.0, 0.0, 0.5):
+            with pytest.raises(TypeError):
+                SoftmaxCrossEntropy(l2=l2)
 
 
 class TestMeanSquaredError:

@@ -179,6 +179,10 @@ def test_each_worker_stage_has_exactly_one_calling_function():
     tree = ast.parse(Path(trainer_module.__file__).read_text())
     assert _callers(tree, "encode_decode_batch") == {"_encode_rows"}
     assert _callers(tree, "_fleet_gradients") == {"_compute_gradients"}
+    # Exact compute: the stacked pass, and the replica loop as its one fallback.
+    assert _callers(tree, "compute_gradient") == {"_exact_gradients"}
+    assert _callers(tree, "compute_stacked") == {"_exact_gradients"}
+    assert _callers(tree, "_exact_gradients") == {"_compute_gradients", "_on_compute"}
     assert _callers(tree, "open_many") == {"_open_run_sessions"}
     # Honest uplinks: the batched ideal wire time is priced in one place, and
     # the only other transfer_frame calls are the per-event push and the
