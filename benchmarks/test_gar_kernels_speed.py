@@ -1,4 +1,4 @@
-"""Selection-only microbenchmark: vectorised GAR kernels vs the loops.
+"""GAR kernel microbenchmark: vectorised selection vs the loops, and trimming.
 
 PR 8 replaced the per-candidate Python selection loops of Bulyan and Brute
 with batched kernels (:func:`repro.core.kernels.bulyan_select` /
@@ -8,7 +8,11 @@ retained as oracles (``_bulyan_selection`` is also ``NaiveBulyan``'s path,
 end-to-end win is the repository benchmark's ``bulyan_attack_600``; this
 file times the *selection stage alone* — distances precomputed, no trainer,
 no trimming — at n ∈ {100, 1000} so a kernel-level regression is
-attributable without a whole run.
+attributable without a whole run.  Bulyan's trimming phase,
+:func:`repro.core.kernels.trimmed_mean_around_median`, is timed on its own
+at the paper's (theta, d) = (11, 99,370) against the frozen ``np.median``
+oracle of ``tests/test_core_kernels.py``, the end-to-end win being
+``paper_bulyan_lossy``'s.
 
 All assertions are same-machine wall-clock ratios (min over repeats, the
 same idiom as the distance-cache microbench — except the seconds-long n = 1000
@@ -24,7 +28,8 @@ import numpy as np
 
 from repro.core.brute import Brute
 from repro.core.bulyan import _bulyan_selection
-from repro.core.kernels import brute_select, bulyan_select
+from repro.core.kernels import brute_select, bulyan_select, trimmed_mean_around_median
+from tests.test_core_kernels import oracle_trimmed_mean_around_median
 
 #: f as a twentieth of n: the paper's deployments keep f small relative to
 #: the fleet, which is exactly the regime where the loop's theta ~ n rounds
@@ -75,6 +80,32 @@ def test_bulyan_selection_kernel_never_loses_at_n_100():
     print(f"\nbulyan selection n=100: loop {loop_s*100:.2f}ms, "
           f"vectorised {vec_s*100:.2f}ms, {speedup:.1f}x")
     assert vec_s <= loop_s * 1.2, (loop_s, vec_s)
+
+
+def test_trimming_kernel_is_at_least_1_4x_the_median_oracle_at_paper_scale():
+    """Bulyan's coordinate phase at the paper's 19-worker, f = 4 deployment.
+
+    theta = 11 selected rows, beta = 3 kept per coordinate, d = 99,370 (the
+    MLP).  The frozen oracle is the ``np.median`` + ``argpartition`` spelling
+    the kernel replaced; ``np.median``'s NaN-sentinel partition is most of
+    the gap (1.65-1.82x when the middle-kth kernel landed).
+    """
+    selection = np.random.default_rng(11).standard_normal((11, 99_370))
+    kernel = lambda: trimmed_mean_around_median(selection, 3)  # noqa: E731
+    oracle = lambda: oracle_trimmed_mean_around_median(selection, 3)  # noqa: E731
+    assert kernel().tobytes() == oracle().tobytes()
+    # Min over repeats, the two arms interleaved so a slow stretch of a
+    # shared host hits both alike.
+    oracle_s = kernel_s = float("inf")
+    for _ in range(7):
+        oracle_s = min(oracle_s, timeit.timeit(oracle, number=3))
+        kernel_s = min(kernel_s, timeit.timeit(kernel, number=3))
+    speedup = oracle_s / kernel_s
+    print(f"\ntrimming (11, 99370): np.median oracle {oracle_s/3*1e3:.1f}ms, "
+          f"kernel {kernel_s/3*1e3:.1f}ms, {speedup:.2f}x")
+    assert speedup >= 1.4, (
+        f"middle-kth trimming kernel is only {speedup:.2f}x the np.median oracle"
+    )
 
 
 def test_brute_selection_kernel_is_at_least_3x_on_a_wide_scan():

@@ -39,7 +39,10 @@ update the scores"):
 * the number of neighbours entering each score is the Multi-Krum value
   ``n - f - 2`` fixed from the *original* ``n`` (clamped to the remaining pool
   size), so the first iteration is exactly Multi-Krum's scoring pass;
-* the trimmed phase is fully vectorised over coordinates.
+* the trimmed phase (:func:`repro.core.kernels.trimmed_mean_around_median`)
+  takes the median of the finite selection (a non-finite selected row raises
+  ``AggregationError`` first) from one middle-kth partition, not
+  ``np.median``'s NaN-sentinel sweep, bytes-equal to the ``np.median`` oracle.
 
 A reference implementation recomputing the distances from scratch at every
 iteration is provided as :class:`NaiveBulyan` for the ablation benchmark and

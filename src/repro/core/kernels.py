@@ -143,36 +143,52 @@ def neighbour_sum_scores(distances: np.ndarray, num_neighbours: int) -> np.ndarr
 def trimmed_mean_around_median(selection: np.ndarray, beta: int) -> np.ndarray:
     """Coordinate-wise average of the *beta* values closest to the median.
 
-    ``selection`` has shape ``(theta, d)``; the result has shape ``(d,)``.
-    Fully vectorised: the *beta* smallest absolute deviations from the median
-    are found per coordinate with ``np.argpartition``.  This is Bulyan's
-    second (trimming) phase.
+    ``selection`` is ``(theta, d)`` and must be **finite**: ``Bulyan._aggregate``
+    refuses a non-finite selected row and ``MeaMed._aggregate`` passes the
+    output of :func:`fill_non_finite_extremes`.  The median is one partition
+    at the middle order statistic(s), without ``np.median``'s NaN sentinel
+    (for even ``theta`` the two middle values, averaged by ``np.median``'s
+    ``mean``).  On finite input it is unique up to the sign of zero, which
+    ``|x - median|``, written into the partition's buffer, cannot see: the
+    result is bytes-equal to the ``np.median`` oracle's.
     """
     theta, _ = selection.shape
     if beta < 1:
         raise ResilienceConditionError(f"trimming needs beta >= 1, got {beta}")
     if beta >= theta:
         return selection.mean(axis=0)
-    median = np.median(selection, axis=0)
-    return mean_around_center(selection, median, beta)
+    half = theta // 2
+    if theta % 2:
+        deviation = np.partition(selection, half, axis=0)
+        median = deviation[half].copy()
+    else:
+        deviation = np.partition(selection, [half - 1, half], axis=0)
+        median = deviation[half - 1:half + 1].mean(axis=0)
+    np.subtract(selection, median, out=deviation)
+    np.abs(deviation, out=deviation)
+    return _mean_of_closest(selection, deviation, beta)
 
 
 def mean_around_center(matrix: np.ndarray, center: np.ndarray, keep: int) -> np.ndarray:
     """Per-coordinate mean of the *keep* values closest to *center*.
 
-    The common core of MeaMed / Phocas (centre = median / trimmed mean) and
-    of Bulyan's trimming phase (centre = median of the selection set).
+    Phocas's rule (centre = the coordinate-wise trimmed mean); the median
+    centre is :func:`trimmed_mean_around_median`.
     """
     n = matrix.shape[0]
     if keep >= n:
         return matrix.mean(axis=0)
-    deviation = np.abs(matrix - center[None, :])
+    return _mean_of_closest(matrix, np.abs(matrix - center[None, :]), keep)
+
+
+def _mean_of_closest(matrix: np.ndarray, deviation: np.ndarray, keep: int) -> np.ndarray:
+    """Per-coordinate mean of the *keep* rows of *matrix* with least *deviation*."""
     # simlint: disable=SIM301 boundary ties are resolved per-coordinate by
     # introselect pivot order; the arrangement is pinned bit-for-bit by the
-    # frozen GAR oracles in tests/test_gar_oracles.py.
+    # frozen oracles oracle_trimmed_mean_around_median and oracle_meamed in
+    # tests/test_core_kernels.py.
     idx = np.argpartition(deviation, keep - 1, axis=0)[:keep, :]
-    closest = np.take_along_axis(matrix, idx, axis=0)
-    return closest.mean(axis=0)
+    return np.take_along_axis(matrix, idx, axis=0).mean(axis=0)
 
 
 def fill_non_finite_extremes(matrix: np.ndarray) -> np.ndarray:
@@ -184,8 +200,8 @@ def fill_non_finite_extremes(matrix: np.ndarray) -> np.ndarray:
     mean-around-median) push them to the trimmed tails at the coordinate's
     own scale.  Substituting the *global* matrix extremes instead would turn
     a NaN in a small-magnitude coordinate into a cross-scale outlier: the
-    moment ``keep`` exceeds that coordinate's finite count,
-    :func:`mean_around_center` averages the substituted value in and the
+    moment ``keep`` exceeds that coordinate's finite count, MeaMed's
+    :func:`trimmed_mean_around_median` averages the substituted value in and the
     output is dragged towards an unrelated coordinate's range.  Coordinates
     with no finite entries at all fall back to ``+1`` / ``-1``.  Returns the
     input unchanged (no copy) when it is already finite.

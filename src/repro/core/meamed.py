@@ -15,13 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import AggregationResult, GradientAggregationRule, register_gar
-from repro.core.kernels import fill_non_finite_extremes, mean_around_center
+from repro.core.kernels import (
+    fill_non_finite_extremes,
+    mean_around_center,
+    trimmed_mean_around_median,
+)
 from repro.exceptions import ResilienceConditionError
 
 
 @register_gar("meamed")
 class MeaMed(GradientAggregationRule):
-    """Mean-around-median: average the ``n - f`` values nearest the median, per coordinate."""
+    """Mean-around-median: average the ``n - f`` values nearest the median, per coordinate.
+
+    After the non-finite fill it is Bulyan's trimming kernel with ``beta = n - f``.
+    """
 
     resilience = "weak"
     supports_non_finite = True
@@ -37,8 +44,7 @@ class MeaMed(GradientAggregationRule):
         if keep < 1:
             raise ResilienceConditionError(f"MeaMed needs n - f >= 1, got n={n}, f={self.f}")
         clean = fill_non_finite_extremes(matrix)
-        center = np.median(clean, axis=0)
-        return AggregationResult(gradient=mean_around_center(clean, center, keep))
+        return AggregationResult(gradient=trimmed_mean_around_median(clean, keep))
 
 
 @register_gar("phocas")

@@ -3,15 +3,25 @@
 The oracles below are frozen copies of the pre-refactor helper code that used
 to live inline in ``krum.py`` / ``bulyan.py`` / ``meamed.py``; the kernel
 extraction must reproduce them bit-for-bit on random and NaN/Inf-laced
-inputs.  The closed-form ``max_byzantine`` is pinned against the documented
-O(n) scan fallback for every registered rule.
+inputs, compared with ``tobytes()`` so that the sign of zero counts.  The
+closed-form ``max_byzantine`` is pinned against the documented O(n) scan
+fallback for every registered rule.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import GAR_REGISTRY, Brute, Bulyan, MeaMed, MultiKrum, Phocas, kernels
+from repro.core import (
+    GAR_REGISTRY,
+    Brute,
+    Bulyan,
+    CoordinateWiseMedian,
+    MeaMed,
+    MultiKrum,
+    Phocas,
+    kernels,
+)
 from repro.core.base import GradientAggregationRule
 from repro.exceptions import ConfigurationError, ResilienceConditionError
 
@@ -126,6 +136,13 @@ def oracle_meamed(matrix, f):
     return np.take_along_axis(clean, idx, axis=0).mean(axis=0)
 
 
+def assert_bytes_equal(actual, expected):
+    """``==`` that also sees the sign of zero: same dtype, shape and bytes."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
 def lace_non_finite(matrix, rng, num_rows):
     """Poison *num_rows* rows with NaN / ±Inf coordinates (in place copy)."""
     laced = matrix.copy()
@@ -155,11 +172,37 @@ def matrices(min_n=5, max_n=16, max_d=12, lace=False):
     return build()
 
 
+@st.composite
+def tied_selections(draw, parity):
+    """Strategy: a ``(theta, d)`` matrix with ``theta % 2 == parity``, tie-laden.
+
+    Every column is a draw from a small exact grid, so the median, the
+    deviations around it and the kept set's boundary all tie: exact zeros of
+    both signs, duplicate rows, and values placed symmetrically about each
+    column's centre (equal ``|x - median|`` on both sides).
+    """
+    theta = 2 * draw(st.integers(0 if parity else 1, 8)) + parity
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    kind = draw(st.sampled_from(["signed_zeros", "duplicates", "symmetric"]))
+    if kind == "signed_zeros":
+        matrix = rng.choice(np.array([0.0, -0.0, 0.5, -0.5, 1.0]), size=(theta, d))
+    elif kind == "duplicates":
+        base = rng.choice(np.array([-0.0, 0.0, 1.0, 2.0]), size=(max(1, theta // 3), d))
+        matrix = base[rng.integers(0, base.shape[0], size=theta)]
+    else:
+        centre = rng.choice(np.array([0.0, -0.0, 1.5, -3.0]), size=d)
+        offsets = rng.integers(-2, 3, size=(theta, d)) * 0.25
+        matrix = centre[None, :] + offsets
+        matrix[rng.random((theta, d)) < 0.2] = -0.0
+    return matrix * draw(st.sampled_from([1.0, -1.0, 1e-3]))
+
+
 # ------------------------------------------------------------- kernel parity
 @settings(max_examples=60, deadline=None)
 @given(matrix=matrices(), seed=st.integers(0, 2**31))
 def test_pairwise_distances_match_oracle_on_clean_input(matrix, seed):
-    np.testing.assert_array_equal(
+    assert_bytes_equal(
         kernels.pairwise_squared_distances(matrix),
         oracle_pairwise_squared_distances(matrix),
     )
@@ -168,7 +211,7 @@ def test_pairwise_distances_match_oracle_on_clean_input(matrix, seed):
 @settings(max_examples=60, deadline=None)
 @given(matrix=matrices(lace=True))
 def test_pairwise_distances_match_oracle_on_laced_input(matrix):
-    np.testing.assert_array_equal(
+    assert_bytes_equal(
         kernels.pairwise_squared_distances(matrix),
         oracle_pairwise_squared_distances(matrix),
     )
@@ -181,7 +224,7 @@ def test_neighbour_sum_scores_match_oracle(matrix, f):
     if n - f - 2 < 1:
         return
     distances = kernels.pairwise_squared_distances(matrix)
-    np.testing.assert_array_equal(
+    assert_bytes_equal(
         kernels.neighbour_sum_scores(distances, n - f - 2),
         oracle_krum_scores(distances, f),
     )
@@ -190,7 +233,7 @@ def test_neighbour_sum_scores_match_oracle(matrix, f):
 @settings(max_examples=60, deadline=None)
 @given(matrix=matrices(lace=True))
 def test_fill_non_finite_extremes_matches_oracle(matrix):
-    np.testing.assert_array_equal(
+    assert_bytes_equal(
         kernels.fill_non_finite_extremes(matrix), oracle_fill_non_finite(matrix)
     )
 
@@ -198,10 +241,66 @@ def test_fill_non_finite_extremes_matches_oracle(matrix):
 @settings(max_examples=60, deadline=None)
 @given(matrix=matrices(), beta=st.integers(1, 20))
 def test_trimmed_mean_around_median_matches_oracle(matrix, beta):
-    np.testing.assert_array_equal(
+    assert_bytes_equal(
         kernels.trimmed_mean_around_median(matrix, beta),
         oracle_trimmed_mean_around_median(matrix, beta),
     )
+
+
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd-theta", "even-theta"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_trimmed_mean_around_median_matches_oracle_on_ties(parity, data):
+    matrix = data.draw(tied_selections(parity))
+    beta = data.draw(st.integers(1, matrix.shape[0]))
+    assert_bytes_equal(
+        kernels.trimmed_mean_around_median(matrix, beta),
+        oracle_trimmed_mean_around_median(matrix, beta),
+    )
+
+
+@pytest.mark.parametrize("parity", [1, 0], ids=["odd-n", "even-n"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_meamed_matches_oracle_on_ties(parity, data):
+    matrix = data.draw(tied_selections(parity))
+    f = data.draw(st.integers(0, (matrix.shape[0] - 1) // 2))
+    assert_bytes_equal(MeaMed(f=f).aggregate(matrix), oracle_meamed(matrix, f))
+
+
+def test_trimmed_phase_matches_oracles_at_the_paper_scale():
+    # The paper's deployment: n = 19, f = 4, so theta = 11, beta = 3, at the
+    # MLP's d = 99,370; MeaMed over the same 11 rows keeps n - f = 7.
+    matrix = np.random.default_rng(19).standard_normal((11, 99_370))
+    assert_bytes_equal(
+        kernels.trimmed_mean_around_median(matrix, 3),
+        oracle_trimmed_mean_around_median(matrix, 3),
+    )
+    assert_bytes_equal(MeaMed(f=4).aggregate(matrix), oracle_meamed(matrix, 4))
+    # bulyan_attack_600's even theta = 560 (f = 20, beta = 520, d = 55): tall
+    # enough that a partition at kth = 280 alone does not always leave the
+    # lower middle value at row 279 (one column of this draw).
+    selection = np.random.default_rng(600).standard_normal((560, 55))
+    assert_bytes_equal(
+        kernels.trimmed_mean_around_median(selection, 520),
+        oracle_trimmed_mean_around_median(selection, 520),
+    )
+
+
+def test_coordinate_wise_median_keeps_np_median_for_the_sign_of_zero():
+    """Why ``CoordinateWiseMedian`` does not take the middle-kth partition.
+
+    Its output *is* the median, so the sign of a zero median shows there,
+    where the trimming kernel reads the centre only through ``|x - c|``.
+    Over all 2**11 sign patterns of an 11-row zero column, the middle element
+    of ``np.partition`` and ``np.median`` disagree in bytes somewhere.
+    """
+    bits = (np.arange(2**11)[None, :] >> np.arange(11)[:, None]) & 1
+    columns = np.where(bits == 1, -0.0, 0.0)
+    partitioned = np.partition(columns, 5, axis=0)[5]
+    median = np.median(columns, axis=0)
+    assert partitioned.tobytes() != median.tobytes()
+    assert_bytes_equal(CoordinateWiseMedian(f=4).aggregate(columns), median)
 
 
 # ---------------------------------------------------------------- GAR parity
@@ -220,8 +319,8 @@ def test_multi_krum_matches_pre_refactor_output(matrix, f, lace_seed):
     if not np.isfinite(matrix[expected_sel]).all():
         return  # the oracle itself would reject this input
     result = gar.aggregate_detailed(matrix)
-    np.testing.assert_array_equal(result.gradient, expected)
-    np.testing.assert_array_equal(result.selected_indices, expected_sel)
+    assert_bytes_equal(result.gradient, expected)
+    assert_bytes_equal(result.selected_indices, expected_sel)
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,8 +336,8 @@ def test_bulyan_matches_pre_refactor_output(matrix, f, lace_seed):
     if not np.isfinite(matrix[expected_sel]).all():
         return
     result = Bulyan(f=f).aggregate_detailed(matrix)
-    np.testing.assert_array_equal(result.gradient, expected)
-    np.testing.assert_array_equal(result.selected_indices, expected_sel)
+    assert_bytes_equal(result.gradient, expected)
+    assert_bytes_equal(result.selected_indices, expected_sel)
 
 
 @settings(max_examples=50, deadline=None)
@@ -247,9 +346,7 @@ def test_meamed_matches_pre_refactor_output(matrix, f):
     n = matrix.shape[0]
     if n < 2 * f + 1:
         return
-    np.testing.assert_array_equal(
-        MeaMed(f=f).aggregate(matrix), oracle_meamed(matrix, f)
-    )
+    assert_bytes_equal(MeaMed(f=f).aggregate(matrix), oracle_meamed(matrix, f))
 
 
 def test_selection_gars_import_kernels_only_from_kernel_module():

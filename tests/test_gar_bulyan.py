@@ -1,10 +1,45 @@
 """Tests for Bulyan (optimised and reference implementations)."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import Bulyan, CoordinateWiseMedian, MultiKrum, NaiveBulyan
 from repro.exceptions import AggregationError, ResilienceConditionError
+
+
+def _qualified_callers(tree, callee):
+    """``Class.method`` / ``function`` names of the innermost functions calling *callee*."""
+    found = set()
+
+    def visit(node, scope, owner):
+        if isinstance(node, ast.ClassDef):
+            scope = scope + (node.name,)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = ".".join(scope + (node.name,))
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == callee:
+                found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, owner)
+
+    visit(tree, (), None)
+    return found
+
+
+def test_trimming_kernel_has_exactly_the_two_finite_input_callers():
+    # trimmed_mean_around_median assumes finite input; these two callers are
+    # the ones that guarantee it (Bulyan's AggregationError, MeaMed's fill).
+    callers = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        callers |= _qualified_callers(ast.parse(path.read_text()), "trimmed_mean_around_median")
+    assert callers == {"Bulyan._aggregate", "MeaMed._aggregate"}
 
 
 @pytest.fixture
@@ -56,6 +91,19 @@ class TestBulyan:
         result = Bulyan(f=4).aggregate_detailed(gradients)
         indices = result.selected_indices.tolist()
         assert len(indices) == len(set(indices))
+
+    def test_more_non_finite_rows_than_f_are_refused(self, rng, monkeypatch):
+        # n = 7, f = 1: theta = 5 selected rows but only 4 finite ones, so a
+        # NaN row is selected and the rule must refuse it before the trimming
+        # kernel, whose precondition is finite input, ever runs.
+        matrix = rng.standard_normal((7, 6))
+        matrix[[1, 3, 5]] = np.nan
+        monkeypatch.setattr(
+            "repro.core.bulyan.trimmed_mean_around_median",
+            lambda *args: pytest.fail("the trimming kernel ran on a non-finite selection"),
+        )
+        with pytest.raises(AggregationError, match="non-finite"):
+            Bulyan(f=1).aggregate(matrix)
 
     def test_nan_submissions_tolerated(self, bulyan_gradients):
         gradients, _ = bulyan_gradients
