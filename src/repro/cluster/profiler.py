@@ -37,6 +37,10 @@ trainers bracket their hot stages with :meth:`SimProfiler.section`, so a
     Async link-event bookkeeping: cancelling a pipe's stale completion
     event and scheduling the next one whenever a session opens or drains
     (previously invisible inside ``event_dispatch``).
+``admission``
+    Async admission control per arrival (``AsyncTrainer._admit_arrival``):
+    decode, drop / stale / supersede bookkeeping and the pending-pool
+    write — never the quorum and adversary triggers that follow it.
 
 Anything not bracketed is the residue between ``wall_clock_s`` and the sum
 of the subsystems — deliberately visible, so a future hot spot outside the
@@ -55,6 +59,7 @@ SUBSYSTEMS = (
     "codec",
     "link_drain",
     "link_reschedule",
+    "admission",
     "gar_kernel",
     "gar_select",
     "telemetry",

@@ -12,8 +12,10 @@ The metrics mirror the paper's evaluation section:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from itertools import compress
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -154,24 +156,12 @@ class WorkerTimeline:
 
     def to_dict(self) -> Dict:
         """JSON-serialisable form."""
-        return {
-            "worker_id": self.worker_id,
-            "rounds_completed": self.rounds_completed,
-            "admitted": self.admitted,
-            "superseded": self.superseded,
-            "stale_rejected": self.stale_rejected,
-            "channel_dropped": self.channel_dropped,
-            "compute_seconds": self.compute_seconds,
-            "transfer_seconds": self.transfer_seconds,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "bytes_received_full": self.bytes_received_full,
-            "bytes_received_delta": self.bytes_received_delta,
-            "full_fetches": self.full_fetches,
-            "delta_fetches": self.delta_fetches,
-            "queueing_delay_seconds": self.queueing_delay_seconds,
-            "compression_error": self.compression_error,
-        }
+        return {name: getattr(self, name) for name in _TIMELINE_FIELDS}
+
+
+#: :class:`WorkerTimeline`'s fields in declaration order: its export keys and
+#: the columns of :meth:`TrainingHistory._timeline_columns`.
+_TIMELINE_FIELDS = tuple(spec.name for spec in fields(WorkerTimeline))
 
 
 @dataclass
@@ -382,50 +372,53 @@ class TrainingHistory:
         np.add.at(cols["queueing_delay_seconds"], rows, queueing)
         np.add.at(cols["compression_error"], rows, error)
         if regions is not None:
-            for i, region in enumerate(regions):
-                if region is not None and queueing[i]:
+            for i in np.flatnonzero(queueing).tolist():
+                region = regions[i]
+                if region is not None:
                     self.region_queueing_seconds[region] = (
                         self.region_queueing_seconds.get(region, 0.0) + float(queueing[i])
                     )
+
+    def _timeline_columns(self) -> Tuple[List[int], Dict[str, list]]:
+        """The merged per-worker timelines as ``(ids, {field: values})``.
+
+        One list per :class:`WorkerTimeline` field, one entry per id.  In
+        compact mode the ids are ascending and each wire column is the
+        object's counter plus the array-held column, one array add per
+        field — the IEEE add the attribute-by-attribute merge performed
+        (a worker without a wire row keeps its object's counters).  Outside
+        compact mode the columns are read off the objects in the store's
+        insertion order, the order :meth:`wire_summary` has always summed.
+        """
+        timelines = self.worker_timelines
+        if self.compact:
+            touched = compress(self._wire_ids, self._wire_touched.tolist())
+            ids = sorted(set(touched).union(timelines))
+        else:
+            ids = list(timelines)
+        blank = WorkerTimeline(worker_id=-1)
+        bases = [timelines.get(wid, blank) for wid in ids]
+        columns = {name: list(map(attrgetter(name), bases)) for name in _TIMELINE_FIELDS}
+        columns["worker_id"] = ids
+        if self.compact:
+            rows = np.array([self._wire_row.get(wid, -1) for wid in ids], dtype=np.intp)
+            for name, column in self._wire_cols.items():
+                merged = np.array(columns[name], dtype=column.dtype)
+                np.add(merged, column[rows], out=merged, where=rows >= 0)
+                columns[name] = merged.tolist()
+        return ids, columns
 
     def merged_timelines(self) -> Dict[int, WorkerTimeline]:
         """Per-worker timelines with compact wire columns folded back in.
 
         Outside compact mode this *is* :attr:`worker_timelines`.  In compact
-        mode, each exported timeline starts from the worker's object record
-        (round counters, compute/transfer seconds) and adds the array-held
-        wire columns — producing exactly the timelines the object-per-step
-        path would have built.
+        mode, one timeline per row of :meth:`_timeline_columns` — exactly
+        the timelines the object-per-step path would have built.
         """
         if not self.compact:
             return self.worker_timelines
-        merged: Dict[int, WorkerTimeline] = {}
-        touched_ids = [
-            wid
-            for wid in self._wire_ids
-            if self._wire_touched[self._wire_row[wid]]
-        ]
-        for wid in sorted(set(touched_ids) | set(self.worker_timelines)):
-            base = self.worker_timelines.get(wid)
-            timeline = (
-                WorkerTimeline(worker_id=wid)
-                if base is None
-                else WorkerTimeline(**{**base.to_dict()})
-            )
-            row = self._wire_row.get(wid)
-            if row is not None:
-                for name in _WIRE_FLOAT_COLUMNS:
-                    setattr(
-                        timeline, name,
-                        getattr(timeline, name) + float(self._wire_cols[name][row]),
-                    )
-                for name in _WIRE_INT_COLUMNS:
-                    setattr(
-                        timeline, name,
-                        getattr(timeline, name) + int(self._wire_cols[name][row]),
-                    )
-            merged[wid] = timeline
-        return merged
+        ids, columns = self._timeline_columns()
+        return {wid: WorkerTimeline(*row) for wid, row in zip(ids, zip(*columns.values()))}
 
     def record_interserver(
         self,
@@ -502,18 +495,6 @@ class TrainingHistory:
             return float("nan")
         return max(e.accuracy for e in self.evaluations)
 
-    def accuracy_over_time(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(times, accuracies)`` arrays — the Figure 3(a)-style series."""
-        times = np.array([e.sim_time for e in self.evaluations])
-        accs = np.array([e.accuracy for e in self.evaluations])
-        return times, accs
-
-    def accuracy_over_updates(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(steps, accuracies)`` arrays — the Figure 3(b)-style series."""
-        steps = np.array([e.step for e in self.evaluations])
-        accs = np.array([e.accuracy for e in self.evaluations])
-        return steps, accs
-
     @property
     def total_wire_bytes(self) -> float:
         """Encoded uplink bytes admitted into updates over the whole run."""
@@ -563,23 +544,18 @@ class TrainingHistory:
         per-update step records while ``bytes_received`` sums the per-worker
         timelines — the two reconcile whenever both sides were recorded.
         """
-        timelines = self.merged_timelines().values()
-        return {
-            "wire_bytes": self.total_wire_bytes,
-            "downlink_bytes": self.total_downlink_bytes,
-            "bytes_sent": float(sum(t.bytes_sent for t in timelines)),
-            "bytes_received": float(sum(t.bytes_received for t in timelines)),
-            "bytes_received_full": float(
-                sum(t.bytes_received_full for t in timelines)
-            ),
-            "bytes_received_delta": float(
-                sum(t.bytes_received_delta for t in timelines)
-            ),
-            "queueing_delay_seconds": float(
-                sum(t.queueing_delay_seconds for t in timelines)
-            ),
-            "compression_error": float(sum(t.compression_error for t in timelines)),
-        }
+        return self._wire_totals(self._timeline_columns()[1])
+
+    def _wire_totals(self, columns: Dict[str, list]) -> Dict[str, float]:
+        """:meth:`wire_summary` over :meth:`_timeline_columns`' *columns*.
+
+        Builtin left-to-right ``sum()`` in the columns' order, never the
+        pairwise ``np.sum``: the totals keep the bits they have always had.
+        """
+        totals = {"wire_bytes": self.total_wire_bytes, "downlink_bytes": self.total_downlink_bytes}
+        for name in _WIRE_FLOAT_COLUMNS:
+            totals[name] = float(sum(columns[name]))
+        return totals
 
     def distance_cache_summary(self) -> Dict[str, float]:
         """Aggregate distance-cache counters over the run.
@@ -720,6 +696,12 @@ class TrainingHistory:
 
     def to_dict(self) -> Dict:
         """JSON-serialisable summary of the run."""
+        ids, columns = self._timeline_columns()
+        # Compact ids are already ascending: stream the rows rather than
+        # hold a sorted copy of all of them beside the export's dicts.
+        rows = zip(ids, zip(*columns.values()))
+        if not self.compact:
+            rows = sorted(rows)
         return {
             "num_updates": self.num_updates,
             "total_time": self.total_time,
@@ -728,7 +710,7 @@ class TrainingHistory:
             "throughput": self.throughput(),
             "latency_breakdown": self.latency_breakdown(),
             "sync": self.sync_summary(),
-            "wire": self.wire_summary(),
+            "wire": self._wire_totals(columns),
             "distance_cache": self.distance_cache_summary(),
             "region_queueing": self.region_queueing_summary(),
             "interserver": self.interserver_summary(),
@@ -736,10 +718,7 @@ class TrainingHistory:
             "version_lag_histogram": {
                 str(lag): count for lag, count in self.version_lag_histogram().items()
             },
-            "worker_timelines": {
-                str(wid): timeline.to_dict()
-                for wid, timeline in sorted(self.merged_timelines().items())
-            },
+            "worker_timelines": {str(wid): dict(zip(columns, row)) for wid, row in rows},
             "diverged": self.diverged,
             "divergence_reason": self.divergence_reason,
             "evaluations": [

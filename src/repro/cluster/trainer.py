@@ -282,6 +282,11 @@ class BaseTrainer:
         if link_topology is not None:
             link_topology.validate_workers(ids)
         self.fabric = LinkFabric(cost_model, link_topology, sharing=link_sharing)
+        #: Each honest worker's (static) region, the label of its queueing
+        #: delay — resolved only where a contended link can queue.
+        self._honest_regions = [
+            self.fabric.region_of(wid) for wid in self._worker_ids[self._honest_rows].tolist()
+        ] if self._contended else None
         #: Optional downlink codec: when set, model fetches travel as
         #: codec-encoded version deltas against the worker's held state
         #: (``None`` keeps the raw full-state framing of the seed wire).
@@ -716,12 +721,10 @@ class BaseTrainer:
             if isinstance(self.codec, IdentityCodec):
                 return frames, decoded, np.zeros(len(frames))
             residuals = signals - decoded
-            # Per-row 1-D norms (sqrt of the row's own dot product — the
-            # exact arithmetic np.linalg.norm applies to a 1-D vector, minus
-            # the per-call wrapper).
-            errors = np.array(
-                [float(np.sqrt(residuals[i] @ residuals[i])) for i in range(len(frames))]
-            )
+            # Per-row 1-D norms: each stacked (1, d) @ (d, 1) is the BLAS dot
+            # np.linalg.norm applies to one row.  Not einsum: it sums in
+            # another order, and its norms differ in the last bits.
+            errors = np.sqrt((residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0])
             if self.error_feedback:
                 self._fleet.remember_residuals(rows, residuals)
         return frames, decoded, errors
@@ -1127,7 +1130,7 @@ class SynchronousTrainer(BaseTrainer):
                     queueing_delay=downlink_delays + uplink_delays,
                     compression_error=honest_errors,
                     downlink_delta=all_fetch_delta[self._honest_rows],
-                    regions=[self.fabric.region_of(wid) for wid in honest_ids],
+                    regions=self._honest_regions,
                 )
         byz_ids = [m.worker_id for m in byzantine_messages]
         self.service.account_pushes(honest_ids + byz_ids, frames)
@@ -1537,7 +1540,12 @@ class AsyncTrainer(BaseTrainer):
 
     def _on_arrive(self, event: Event) -> None:
         """Admission control over the live stream, then a quorum check."""
-        if self._admit_arrival(event):
+        if self.profiler is None:
+            admitted = self._admit_arrival(event)
+        else:
+            with self.profiler.section("admission"):
+                admitted = self._admit_arrival(event)
+        if admitted:
             self._maybe_fire_byzantine(event.time)
             self._maybe_aggregate(event.time)
 
@@ -1847,7 +1855,14 @@ class AsyncTrainer(BaseTrainer):
         now = events[0].time
         room = 1
         for event in events:
-            if self._admit_arrival(event):
+            if self.profiler is None:
+                admitted = self._admit_arrival(event)
+            else:
+                # Only the admission body: the triggers below keep their
+                # own sections, which a wider bracket would count twice.
+                with self.profiler.section("admission"):
+                    admitted = self._admit_arrival(event)
+            if admitted:
                 room -= 1
                 if room <= 0:
                     room = min(

@@ -195,12 +195,6 @@ class TestTelemetry:
         assert breakdown["aggregation"] == pytest.approx(0.03)
         assert breakdown["total"] == pytest.approx(0.1)
 
-    def test_series_extraction(self):
-        times, accs = self.make_history().accuracy_over_time()
-        steps, _ = self.make_history().accuracy_over_updates()
-        assert times.shape == accs.shape == (5,)
-        assert steps[0] == 1
-
     def test_empty_history(self):
         history = TrainingHistory()
         assert history.num_updates == 0

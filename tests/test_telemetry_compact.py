@@ -3,8 +3,12 @@
 ``TrainingHistory(compact=True)`` replaces the per-worker timeline objects'
 per-step attribute bumps with preallocated column arrays — the difference
 must be invisible to every consumer: ``to_dict``, the wire summary, the
-region summary and the merged per-worker timelines.
+region summary and the merged per-worker timelines.  Exports are compared
+as ``json.dumps(..., sort_keys=True)`` bytes: dict ``==`` would pass
+``1 == 1.0`` and ``-0.0 == 0.0``.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +17,10 @@ from repro.cluster.builder import build_trainer
 from repro.cluster.telemetry import TrainingHistory
 from repro.cluster.trainer import TrainerConfig
 from repro.data.datasets import gaussian_blobs
+
+
+def dumps(document) -> str:
+    return json.dumps(document, sort_keys=True)
 
 
 def _run(compact: bool, **overrides) -> TrainingHistory:
@@ -40,7 +48,7 @@ def test_compact_history_exports_identically():
     loop = _run(compact=False)
     compact = _run(compact=True)
     assert compact.compact and not loop.compact
-    assert compact.to_dict() == loop.to_dict()
+    assert dumps(compact.to_dict()) == dumps(loop.to_dict())
 
 
 def test_compact_history_exports_identically_with_lossy_links_and_wan():
@@ -48,14 +56,16 @@ def test_compact_history_exports_identically_with_lossy_links_and_wan():
                 link_profile="wan:3x10mbit/5ms", link_sharing="fair")
     compact = _run(compact=True, lossy_links=3, lossy_drop_rate=0.3,
                    link_profile="wan:3x10mbit/5ms", link_sharing="fair")
-    assert compact.to_dict() == loop.to_dict()
+    assert dumps(compact.to_dict()) == dumps(loop.to_dict())
 
 
 def test_compact_wire_summary_and_regions_match():
     loop = _run(compact=False, link_profile="wan:3x10mbit/5ms", link_sharing="fair")
     compact = _run(compact=True, link_profile="wan:3x10mbit/5ms", link_sharing="fair")
-    assert compact.wire_summary() == loop.wire_summary()
-    assert compact.region_queueing_summary() == loop.region_queueing_summary()
+    assert dumps(compact.wire_summary()) == dumps(loop.wire_summary())
+    assert dumps(compact.region_queueing_summary()) == dumps(
+        loop.region_queueing_summary()
+    )
 
 
 def test_compact_merged_timelines_match_object_timelines():
@@ -65,7 +75,7 @@ def test_compact_merged_timelines_match_object_timelines():
     merged_compact = compact.merged_timelines()
     assert set(merged_loop) == set(merged_compact)
     for wid in merged_loop:
-        assert merged_compact[wid] == merged_loop[wid], f"worker {wid}"
+        assert dumps(merged_compact[wid].to_dict()) == dumps(merged_loop[wid].to_dict()), wid
 
 
 def test_record_version_lag_batch_matches_singles():
