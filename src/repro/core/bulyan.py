@@ -18,9 +18,9 @@ Optimisations, following the paper ("MULTI-KRUM performs the distance
 computations only on the first iteration of BULYAN; the next iterations only
 update the scores"):
 
-* the ``(n, n)`` pairwise distance matrix is computed **once**; every
-  selection iteration merely restricts the score reduction to the still-active
-  rows and never recomputes the ``O(n^2 d)`` distances;
+* the ``(n, n)`` pairwise distance matrix is computed **once** (finished in
+  its Gram buffer); every selection iteration merely restricts the score
+  reduction to the still-active rows and never recomputes the distances;
 * selection is the update-only :func:`repro.core.kernels.bulyan_select`
   kernel, which takes that sentence literally from round 0.  With ``r`` gradients extracted, a score sums the
   ``n - f - 2`` smallest of the ``n - r - 1`` remaining distances of a row,
@@ -31,7 +31,9 @@ update the scores"):
   it).  So ``score = running row sum - first e remaining tail entries``:
   each round subtracts the winner's column from the row sums, O(n), plus
   O(n f) of tail-table reads while ``e > 0`` — no round rescans or copies
-  the remaining submatrix.  The per-round rescan loop below
+  the remaining submatrix.  Tables and row sums come from row blocks of a
+  small scratch: no ``n x n`` temporary to fault in afresh every step, and
+  the distances are never written.  The per-round rescan loop below
   (:func:`_bulyan_selection`) is not a mode of :class:`Bulyan`: it is
   :class:`NaiveBulyan`'s path and the tests' oracle, and its score
   arithmetic is what the kernel re-runs, for the tied rows only, when a

@@ -84,12 +84,27 @@ class SelectionClock:
 SELECTION_CLOCK = SelectionClock()
 
 
+#: Entries per row block of the ``(n, n)`` kernels below (256 KiB of float64,
+#: 54 rows at n = 600): one such scratch replaces their ``n x n`` temporaries.
+_ROW_BLOCK_ENTRIES = 32_768
+
+
+def _row_blocks(n: int, dtype=np.float64):
+    """``(lo, hi, scratch, diagonal)`` per row block: *scratch* is a ``(hi - lo, n)``
+    view of one shared buffer, *diagonal* indexes the block's self entries."""
+    rows = max(1, min(n, _ROW_BLOCK_ENTRIES // max(n, 1)))
+    buffer = np.empty((rows, n), dtype=dtype)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        yield lo, hi, buffer[:hi - lo], (np.arange(hi - lo), np.arange(lo, hi))
+
+
 def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:
     """Dense ``(n, n)`` matrix of squared Euclidean distances between rows.
 
     Rows containing non-finite values are treated as infinitely far from every
     other row (and from each other), so that selection-based rules never pick
-    them.  The diagonal is zero.
+    them.  The diagonal is zero; the Gram product's buffer becomes the output.
     """
     finite = np.isfinite(matrix)
     all_finite = bool(finite.all())
@@ -97,11 +112,13 @@ def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:
     as_is = all_finite and matrix.dtype.kind == "f"
     safe = matrix if as_is else np.where(finite, matrix, 0.0)
     sq_norms = np.einsum("ij,ij->i", safe, safe)
-    gram = safe @ safe.T  # (sq_i + sq_j) - 2 * gram, in that order, in place
-    gram *= 2.0
-    dist = sq_norms[:, None] + sq_norms[None, :]
-    np.subtract(dist, gram, out=dist)
-    np.maximum(dist, 0.0, out=dist)  # clip tiny negatives from round-off
+    dist = safe @ safe.T  # (sq_i + sq_j) - 2 * gram, in that order, by row blocks
+    dist *= 2.0
+    for lo, hi, block, _ in _row_blocks(dist.shape[0], dist.dtype):
+        rows = dist[lo:hi]
+        np.add(sq_norms[lo:hi, None], sq_norms[None, :], out=block)
+        np.subtract(block, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)  # clip tiny negatives from round-off
     if not all_finite:
         bad = ~finite.all(axis=1)
         dist[bad, :] = np.inf
@@ -127,7 +144,8 @@ def neighbour_sum_scores(distances: np.ndarray, num_neighbours: int) -> np.ndarr
 
     This is the Krum score reduction: the diagonal (self-distance) is
     excluded, infinite distances saturate at :data:`HUGE` so the sum stays
-    finite, and the partition keeps the reduction linear per row.
+    finite, and the partition keeps the reduction linear per row.  Rows score
+    alike in any block: a block-sized scratch copy is all that is written.
     """
     n = distances.shape[0]
     if not 1 <= num_neighbours <= n - 1:
@@ -135,9 +153,12 @@ def neighbour_sum_scores(distances: np.ndarray, num_neighbours: int) -> np.ndarr
             f"neighbour-sum scoring needs 1 <= num_neighbours <= n - 1, "
             f"got num_neighbours={num_neighbours} for n={n}"
         )
-    off_diag = distances.copy()
-    np.fill_diagonal(off_diag, np.inf)
-    return _partition_sum(off_diag, num_neighbours)
+    scores = np.empty(n, dtype=distances.dtype)
+    for lo, hi, block, diagonal in _row_blocks(n, distances.dtype):
+        np.copyto(block, distances[lo:hi])
+        block[diagonal] = np.inf
+        scores[lo:hi] = _partition_sum(block, num_neighbours)
+    return scores
 
 
 def trimmed_mean_around_median(selection: np.ndarray, beta: int) -> np.ndarray:
@@ -264,8 +285,12 @@ def bulyan_select(distances: np.ndarray, f: int, theta: int) -> np.ndarray:
 
     with ``rowsum`` maintained by subtracting each winner's column ("the
     next iterations only update the scores"): one argpartition and one sum
-    over the matrix, then O(n f) for each of the first ``f + 1`` rounds and
-    O(n) for every later one (``e = 0``) — O(n^2 + theta n) in all.
+    per row, then O(n f) for each of the first ``f + 1`` rounds (on tables
+    stored rank-major, ``(f + 1, n)``) and O(n) for every later one
+    (``e = 0``) — O(n^2 + theta n) in all.  Tables and row sums are built
+    from row blocks of a small scratch, not a capped copy of the matrix: no
+    ``n x n`` temporary (faulted in afresh every step), and *distances* is
+    never written, so it may be read-only.
 
     The running differences round differently from the reference's fresh
     partition sums, so every ``argmin`` is guarded by a rigorous drift bound.
@@ -286,48 +311,61 @@ def bulyan_select(distances: np.ndarray, f: int, theta: int) -> np.ndarray:
             f"Bulyan selection needs 1 <= theta <= n, got theta={theta} for n={n}"
         )
     tail = f + 1
-    # Capped as in neighbour_sum_scores.  The diagonal is kept out of the tail
-    # tables (-1 sorts below every distance), then zeroed for the row sums.
-    capped = np.minimum(distances, HUGE)
-    np.fill_diagonal(capped, -1.0)
-    # simlint: disable=SIM301 only the tail *values* enter a score, and every
-    # valid top-(f+1) set of a row holds the same values whichever tied column
-    # the partition kept; each winner is guarded against the reference anyway.
-    tail_cols = np.argpartition(capped, n - tail, axis=1)[:, n - tail:]
-    tail_vals = np.take_along_axis(capped, tail_cols, axis=1)
+    # Capped as in neighbour_sum_scores, by row blocks (rows reduce alone).  The
+    # diagonal is kept out of the tail tables (-1 sorts below every distance).
+    tail_cols = np.empty((n, tail), dtype=np.intp)
+    tail_vals = np.empty((n, tail))
+    row_sums = np.empty(n)
+    for lo, hi, block, diagonal in _row_blocks(n):
+        np.minimum(distances[lo:hi], HUGE, out=block)
+        block[diagonal] = -1.0
+        # simlint: disable=SIM301 only the tail *values* enter a score, and
+        # every valid top-(f+1) set of a row holds the same values whichever
+        # tied column the partition kept; each winner is guarded anyway.
+        cols = np.argpartition(block, n - tail, axis=1)[:, n - tail:]
+        tail_cols[lo:hi] = cols
+        tail_vals[lo:hi] = np.take_along_axis(block, cols, axis=1)
+        block[diagonal] = 0.0
+        row_sums[lo:hi] = block.sum(axis=1)
+    narrow = np.min_scalar_type(tail)  # dtype of the alive counts
     order = np.argsort(-tail_vals, axis=1, kind="stable")
-    tail_cols = np.take_along_axis(tail_cols, order, axis=1)
-    tail_vals = np.take_along_axis(tail_vals, order, axis=1)
-    np.fill_diagonal(capped, 0.0)
-    row_sums = capped.sum(axis=1)
+    tail_cols = np.ascontiguousarray(np.take_along_axis(tail_cols, order, axis=1).T)
+    tail_vals = np.ascontiguousarray(np.take_along_axis(tail_vals, order, axis=1).T)
     # Drift bound per row: every term is non-negative, so all intermediate
     # magnitudes stay below the initial row sum S0 and the classic summation
     # bound gives |computed - exact| <= operations * eps * S0, with at most
-    # 2n + 1 operations here and under n in the reference's fresh sums.
+    # 2n + 2 here and under n in the reference's fresh sums.  Rounds track lower
+    # ends (score - bound): one above the least upper end is provably larger.
     err_bound = 4.0 * n * np.finfo(np.float64).eps * row_sums
+    low = row_sums - err_bound
+    # An entry above HUGE is in its row's tail (or NaNs fill it), so when no
+    # rank-0 entry reaches HUGE, capping a column changes nothing.
+    capped = not (tail_vals[0] < HUGE).all()
     active = np.ones(n, dtype=bool)
     selected = np.empty(theta, dtype=np.intp)
     for rounds in range(theta):
         excluded = tail - rounds
-        scores = row_sums  # +inf on extracted rows
+        lower = low  # +inf on extracted rows
         if excluded > 0:
             alive = active[tail_cols]
-            largest = alive & (np.cumsum(alive, axis=1, dtype=np.int32) <= excluded)
-            scores = row_sums - np.add.reduce(tail_vals, axis=1, where=largest)
-        winner = int(np.argmin(scores))
-        near = np.flatnonzero(scores <= scores[winner] + err_bound + err_bound[winner])
-        if near.size > 1:
+            largest = alive & (np.cumsum(alive, axis=0, dtype=narrow) <= excluded)
+            lower = low - np.add.reduce(tail_vals, axis=0, where=largest)
+        winner = int(lower.argmin())
+        near = lower <= lower[winner] + 2.0 * err_bound[winner]
+        if np.count_nonzero(near) > 1:
             # Not provably the reference winner: score the rows inside the
             # bound exactly as the reference loop does, first minimum wins.
+            near = np.flatnonzero(near)
             remaining = np.flatnonzero(active)
-            block = distances[np.ix_(near, remaining)]
+            block = np.take(distances[near], remaining, axis=1)
             block[np.arange(near.size), np.searchsorted(remaining, near)] = np.inf
             exact = _partition_sum(block, min(n_neighbors, remaining.size - 1))
             winner = int(near[int(np.argmin(exact))])
         selected[rounds] = winner
         active[winner] = False
-        row_sums -= capped[:, winner]
-        row_sums[winner] = np.inf
+        column = distances[:, winner]
+        low -= np.minimum(column, HUGE) if capped else column
+        low[winner] = np.inf
     return selected
 
 
