@@ -242,11 +242,14 @@ def build_trainer(
         round (EF-SGD memory compensation; default on, a no-op under the
         identity codec).
     compute_mode:
-        ``"exact"`` (default) runs every honest worker's own backprop;
-        ``"fleet"`` batches all honest gradients through one
-        :class:`~repro.cluster.fleet.FleetComputeKernel` pass when the model
-        supports it (statistically equivalent, not bitwise — falls back to
-        exact per-worker compute otherwise).
+        Where honest mini-batches come from; every gradient is the worker's
+        own backprop on its batch, bit for bit, in both modes.
+        ``"exact"`` (default) draws each worker's batch from its own stream;
+        ``"fleet"`` takes a stacked pass's batches from one fleet-wide
+        ``(n, b)`` draw where the workers share a training set (iid uniform
+        too, but other indices).  A model without a
+        :meth:`~repro.nn.model.Sequential.stacked_signature` runs the
+        replica loop on per-worker draws in both modes.
     profiler:
         Optional :class:`~repro.cluster.profiler.SimProfiler`; when given,
         the trainer brackets its subsystems (event dispatch, codec, link

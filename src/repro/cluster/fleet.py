@@ -4,13 +4,12 @@ The per-worker hot paths — compute-time pricing, straggler draws, EF-SGD
 memory updates, byte accounting — were all written as Python loops over
 worker objects, which is fine at the paper's 19 workers and hopeless at the
 ROADMAP's 1k–10k.  This module keeps the worker *objects* as the API surface
-(they still own samplers and identities, and a model replica once something
-reads it — the batched kernel below reads one, the replica loop of exact
-compute reads each) but mirrors the numeric per-worker state into contiguous
-numpy arrays, so each fleet-wide operation is one vectorised call instead of
-``n`` Python ones.
+(they still own samplers and identities, and a model replica once the
+replica loop of a non-stackable model reads it) but mirrors the numeric
+per-worker state into contiguous numpy arrays, so each fleet-wide operation
+is one vectorised call instead of ``n`` Python ones.
 
-Three pieces live here:
+Two pieces live here:
 
 :class:`FleetState`
     The SoA mirror: worker ids, speeds, effective GFLOP/s, batch sizes, the
@@ -21,26 +20,6 @@ Three pieces live here:
     over the run's rows, the scalar per-event encode over one — and
     checkpoints read and write it as ``{worker_id: residual}`` through
     :meth:`FleetState.state_dict` / :meth:`FleetState.load_state_dict`.
-
-:class:`FleetComputeKernel`
-    An opt-in batched gradient kernel (``compute_mode="fleet"``): all honest
-    workers' mini-batches are stacked into one forward pass over a single
-    scratch replica, and the backward pass keeps per-worker parameter
-    gradients via batched einsums instead of ``n`` separate backprops.  The
-    kernel supports Dense/Conv2D/ResidualBlock chains (convolutions are
-    lowered to im2col so per-worker weight grads come from one contraction)
-    interleaved with per-sample stateless layers, under the two built-in
-    losses (each worker's loss normalised by its own batch, through the
-    losses' ``stacked`` form); anything else falls back to exact compute.
-    Fleet compute is *statistically equivalent* to the per-worker path
-    (same batches, same estimator, deterministic under the same seeds) but
-    not bitwise identical — summation orders differ — which is why the
-    default ``compute_mode="exact"`` never uses it.  Exact compute has a
-    stacked form of its own that *is* bitwise identical, for ``Dense``
-    chains only: :meth:`~repro.nn.model.Sequential.stacked_loss_and_gradients`
-    runs each ``Dense`` as one ``np.matmul`` over the per-worker slices (the
-    gemm each replica would call) where this kernel contracts the stacked
-    batch with einsums.
 
 :class:`PendingPool`
     The async trainer's admission buffer in SoA form: at most one pending
@@ -59,28 +38,7 @@ import numpy as np
 from repro.cluster.cost_model import CostModel, StragglerModel
 from repro.cluster.worker import HonestWorker
 from repro.exceptions import ConfigurationError
-from repro.nn.layers.activations import LeakyReLU, ReLU, Sigmoid, Tanh
-from repro.nn.layers.conv import Conv2D, col2im
-from repro.nn.layers.dense import Dense
-from repro.nn.layers.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
-from repro.nn.layers.reshape import Flatten
-from repro.nn.layers.residual import ResidualBlock
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
-
-#: Activation layers whose backward is elementwise and therefore batches
-#: transparently across stacked worker rows.
-_ELEMENTWISE_LAYERS = (ReLU, LeakyReLU, Sigmoid, Tanh)
-
-#: Parameter-free layers whose backward is per-sample (each output row
-#: depends only on its own input row), so stacking workers along the batch
-#: axis leaves their semantics untouched.
-_STATELESS_LAYERS = _ELEMENTWISE_LAYERS + (
-    MaxPool2D,
-    AvgPool2D,
-    GlobalAvgPool2D,
-    Flatten,
-)
 
 
 class FleetState:
@@ -192,210 +150,21 @@ class FleetState:
         return f"FleetState(n={self.num_workers})"
 
 
-# --------------------------------------------------------------------------
-# Batched gradient kernel
-# --------------------------------------------------------------------------
-
-def fleet_computable(model: Sequential) -> bool:
-    """Whether :class:`FleetComputeKernel` can batch this model's gradients.
-
-    Supported: chains of :class:`Dense`, :class:`Conv2D` and
-    :class:`ResidualBlock` layers interleaved with parameter-free
-    per-sample layers (activations, pooling, flatten), under softmax
-    cross-entropy or MSE loss, with at least one parameterised layer.
-    BatchNorm and Dropout are out — batch statistics and RNG-per-forward
-    both break the stacked-batch equivalence.
-    """
-    if not isinstance(model.loss, (SoftmaxCrossEntropy, MeanSquaredError)):
-        return False
-    has_parameters = False
-    for layer in model.layers:
-        if isinstance(layer, (Dense, Conv2D, ResidualBlock)):
-            has_parameters = True
-        elif not isinstance(layer, _STATELESS_LAYERS):
-            return False
-    return has_parameters
-
-
 class FleetComputeKernel:
-    """One forward/backward pass computing every honest worker's gradient.
+    """Every worker's ``(losses, gradients)`` on one shared snapshot.
 
-    The scratch *model* is a worker replica: its parameters are overwritten
-    with the broadcast vector, its layer caches are consumed by the batched
-    backward, and its accumulated grads are never touched (per-worker weight
-    gradients are computed out-of-place with einsums).
-
-    All workers must hold the same parameter vector and use the same batch
-    size — the trainer gates on both before routing compute here.
+    Exists only for ``bench/micro.py``'s import: the trainer's one gradient
+    path is :func:`~repro.cluster.worker.compute_stacked`, and no code in
+    ``src/`` calls this.
     """
 
     def __init__(self, model: Sequential) -> None:
-        if not fleet_computable(model):
-            raise ConfigurationError(
-                "fleet compute supports Dense/Conv2D/ResidualBlock models with "
-                "per-sample stateless layers and softmax cross-entropy or MSE "
-                f"loss; got {model.name!r}"
-            )
         self.model = model
-        # Flip every convolution (including those inside residual blocks) to
-        # the im2col implementation: the cached column tensors are what the
-        # batched backward contracts into per-worker weight gradients.  This
-        # changes the scratch replica's summation order — covered by fleet
-        # mode's statistically-equivalent contract.
-        for conv in self._convolutions(model):
-            conv.impl = "im2col"
-
-    @staticmethod
-    def _convolutions(model: Sequential):
-        for layer in model.layers:
-            if isinstance(layer, Conv2D):
-                yield layer
-            elif isinstance(layer, ResidualBlock):
-                yield layer.conv1
-                yield layer.conv2
-                if layer.projection is not None:
-                    yield layer.projection
 
     def compute(
-        self,
-        parameters: np.ndarray,
-        batches_x: Sequence[np.ndarray],
-        batches_y: Sequence[np.ndarray],
+        self, parameters: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-worker ``(losses, gradients)`` for stacked mini-batches.
-
-        ``batches_x[i]`` / ``batches_y[i]`` is worker ``i``'s mini-batch;
-        returns losses of shape ``(n,)`` and gradients of shape ``(n, d)``,
-        row ``i`` being the same estimator worker ``i``'s own backprop would
-        produce (up to floating-point summation order).  ``batches_x`` /
-        ``batches_y`` may also be pre-stacked arrays with a leading
-        ``(n, batch)`` — the shape one fleet-wide gather over a shared
-        training set produces — which skips the per-worker concatenation.
-        """
-        model = self.model
-        if isinstance(batches_x, np.ndarray) and batches_x.ndim >= 2:
-            n, batch = int(batches_x.shape[0]), int(batches_x.shape[1])
-            if n == 0 or np.asarray(batches_y).shape[0] != n:
-                raise ConfigurationError(
-                    "fleet compute needs matched, non-empty batches"
-                )
-            stacked_x = np.asarray(batches_x, dtype=np.float64).reshape(
-                n * batch, *batches_x.shape[2:]
-            )
-            targets = np.asarray(batches_y)
-        else:
-            n = len(batches_x)
-            if n == 0 or len(batches_y) != n:
-                raise ConfigurationError(
-                    "fleet compute needs matched, non-empty batches"
-                )
-            batch = int(np.asarray(batches_x[0]).shape[0])
-            if any(np.asarray(x).shape[0] != batch for x in batches_x):
-                raise ConfigurationError("fleet compute needs a uniform batch size")
-            stacked_x = np.concatenate(
-                [np.asarray(x, dtype=np.float64) for x in batches_x]
-            )
-            targets = np.stack([np.asarray(y) for y in batches_y])
-        model.set_parameters(parameters)
-        outputs = model.forward(stacked_x, training=True)
-
-        # Each worker's loss normalises over its own batch: the stacked
-        # gradient is the per-sample one divided by the per-worker size.
-        losses, grad = model.loss.stacked(outputs.reshape(n, batch, *outputs.shape[1:]), targets)
-        grad = grad.reshape(outputs.shape)
-
-        # Batched backward: stateless layers reuse their stacked caches;
-        # parameterised layers get per-worker weight/bias grads from one
-        # einsum each, assembled in forward-layer parameter order.
-        per_layer: List[List[np.ndarray]] = []
-        for layer in reversed(model.layers):
-            grad, chunks = self._layer_backward(layer, grad, n, batch)
-            if chunks:
-                per_layer.append(chunks)
-
-        columns: List[np.ndarray] = []
-        for chunks in reversed(per_layer):
-            columns.extend(chunks)
-        gradients = np.concatenate(columns, axis=1)
-
-        if model.l2 > 0.0:
-            params = model.get_parameters()
-            losses = losses + 0.5 * model.l2 * float(params @ params)
-            gradients = gradients + model.l2 * params
-        return losses, gradients
-
-    def _layer_backward(
-        self, layer, grad: np.ndarray, n: int, batch: int
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """One layer of the stacked backward pass.
-
-        Returns ``(grad_input, chunks)`` where *chunks* holds this layer's
-        per-worker parameter gradients — each ``(n, p_i)``, in the layer's
-        own :meth:`parameters` order — and *grad_input* is the stacked
-        ``(n*batch, ...)`` gradient to feed the previous layer.
-        """
-        if isinstance(layer, Dense):
-            x = layer._cache_input.reshape(n, batch, layer.in_features)
-            g = grad.reshape(n, batch, layer.out_features)
-            chunks = [np.einsum("nbi,nbo->nio", x, g).reshape(n, -1)]
-            if layer.bias is not None:
-                chunks.append(g.sum(axis=1))
-            return grad @ layer.weight.data.T, chunks
-        if isinstance(layer, Conv2D):
-            return self._conv_backward(layer, grad, n, batch)
-        if isinstance(layer, ResidualBlock):
-            g = layer.relu2.backward(grad)
-            grad_main, chunks2 = self._conv_backward(layer.conv2, g, n, batch)
-            grad_main = layer.relu1.backward(grad_main)
-            grad_main, chunks1 = self._conv_backward(layer.conv1, grad_main, n, batch)
-            chunks = chunks1 + chunks2
-            if layer.projection is not None:
-                grad_skip, chunks_p = self._conv_backward(layer.projection, g, n, batch)
-                chunks += chunks_p
-            else:
-                grad_skip = g
-            return grad_main + grad_skip, chunks
-        # Parameter-free per-sample layer: the stacked backward is the
-        # plain backward.
-        return layer.backward(grad), []
-
-    @staticmethod
-    def _conv_backward(
-        layer: Conv2D, grad: np.ndarray, n: int, batch: int
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Per-worker weight/bias grads and the input grad for one Conv2D.
-
-        Contracts the layer's cached im2col columns against the output
-        gradient with an ``n``-batched einsum (per-worker, out-of-place —
-        the replica's accumulated grads are never touched); the input
-        gradient is one stacked contraction plus a :func:`col2im` scatter.
-        """
-        tag = layer._cache[0] if layer._cache else None
-        if tag != "im2col":
-            raise ConfigurationError(
-                "fleet conv backward needs an im2col forward cache; "
-                f"got {tag!r} (was the forward run with impl='im2col'?)"
-            )
-        _, cols, input_shape, padded_shape, out_h, out_w = layer._cache
-        out_channels = layer.out_channels
-        length = out_h * out_w
-        g = np.asarray(grad, dtype=np.float64).reshape(n, batch, out_channels, length)
-        cols4 = cols.reshape(n, batch, cols.shape[1], length)
-        chunks = [np.einsum("nbkl,nbol->nok", cols4, g, optimize=True).reshape(n, -1)]
-        if layer.bias is not None:
-            chunks.append(g.sum(axis=(1, 3)))
-        grad_cols = np.einsum(
-            "nol,ok->nkl",
-            g.reshape(n * batch, out_channels, length),
-            layer.weight.data.reshape(out_channels, -1),
-            optimize=True,
-        )
-        kh, kw = layer.kernel_size
-        sh, sw = layer.stride
-        grad_padded = col2im(grad_cols, padded_shape, kh, kw, sh, sw, out_h, out_w)
-        _, _, h, w = input_shape
-        _, _, (ph0, _), (pw0, _) = layer._geometry(h, w)
-        return grad_padded[:, :, ph0 : ph0 + h, pw0 : pw0 + w], chunks
+        return self.model.stacked_loss_and_gradients([parameters] * len(x), x, y)[:2]
 
 
 class PendingBatch:
@@ -638,7 +407,6 @@ class PendingPool:
 __all__ = [
     "FleetState",
     "FleetComputeKernel",
-    "fleet_computable",
     "PendingBatch",
     "PendingPool",
 ]

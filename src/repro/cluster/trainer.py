@@ -71,12 +71,7 @@ from repro.cluster.codec import (
 from repro.cluster.cost_model import CostModel, StragglerModel
 from repro.cluster.deploy import ClusterSpec
 from repro.cluster.events import Event, EventLoop
-from repro.cluster.fleet import (
-    FleetComputeKernel,
-    FleetState,
-    PendingPool,
-    fleet_computable,
-)
+from repro.cluster.fleet import FleetState, PendingPool
 from repro.cluster.link import LinkFabric, LinkScheduler, LinkTopology
 from repro.cluster.message import GradientMessage
 from repro.cluster.network import Channel, build_uplink_map
@@ -98,10 +93,11 @@ from repro.exceptions import ConfigurationError, TrainingError
 from repro.nn.model import Sequential
 from repro.utils.random import SeedLike, as_rng, component_seed
 
-#: Accepted honest-gradient compute modes.  ``exact`` returns every worker's
-#: own backprop bit for bit (bit-identical to the seed); ``fleet`` batches all
-#: honest gradients through one :class:`~repro.cluster.fleet.FleetComputeKernel`
-#: pass when the model supports it (statistically equivalent, not bitwise).
+#: Accepted honest-gradient compute modes.  Both compute every worker's own
+#: backprop bit for bit; they differ in where the mini-batches come from.
+#: ``exact`` draws each from the worker's own stream; ``fleet`` takes a
+#: stacked run's from one ``(n, b)`` draw on a fleet-wide stream where the
+#: workers share a training set.
 COMPUTE_MODES = ("exact", "fleet")
 
 
@@ -191,9 +187,9 @@ class BaseTrainer:
     1. :meth:`_frame_fetches` — fetch framing: the snapshot each worker
        reconstructs, its priced downlink bytes, whether it was a delta.
     2. :meth:`_compute_gradients` — compute: messages, losses and the
-       gradient matrix (the fleet kernel iff every row shares a snapshot,
-       else :meth:`_exact_gradients`: one stacked exact pass, or the
-       replica loop where the model cannot be stacked).
+       gradient matrix (:meth:`_exact_gradients`: one stacked exact pass on
+       the compute mode's mini-batches, or the replica loop where the model
+       cannot be stacked).
     3. :meth:`_encode_rows` — encode: error feedback against the fleet's
        row store, one batched codec pass, frames + decoded + errors.
     4. :meth:`_price_uplinks` — uplink pricing: what each channel
@@ -314,11 +310,10 @@ class BaseTrainer:
         self._warm_debt = 0.0
         self.compute_mode = compute_mode
         #: Dedicated stream for fleet-mode mini-batch draws: one
-        #: ``(n, b)`` bounded-integer call replaces n per-worker calls.
-        #: Fleet compute is statistically equivalent (not bitwise) to the
-        #: exact path by contract, so the draws need not come from the
-        #: per-worker streams; ``None`` (e.g. a hand-built trainer) falls
-        #: back to per-worker draws.
+        #: ``(n, b)`` bounded-integer call replaces n per-worker calls (iid
+        #: uniform either way, but not the per-worker streams' indices);
+        #: ``None`` (e.g. a hand-built trainer) falls back to per-worker
+        #: draws.
         self._fleet_sample_rng = fleet_sample_rng
         #: Optional per-subsystem time accounting (``--profile``).
         self.profiler = profiler
@@ -334,20 +329,6 @@ class BaseTrainer:
         self._fleet = (
             FleetState(honest, worker_gflops=self._worker_gflops) if honest else None
         )
-        #: Batched gradient kernel for ``compute_mode="fleet"``.  Only built
-        #: when every honest worker computes on identical parameters (no
-        #: broadcast codec), shares one batch size, and the architecture is
-        #: fleet-computable; otherwise honest compute falls back to the
-        #: per-worker exact path (the documented fleet-kernel contract).
-        self._fleet_kernel: Optional[FleetComputeKernel] = None
-        if compute_mode == "fleet" and honest and broadcast_codec is None:
-            uniform_batch = len({w.batch_size for w in honest}) == 1
-            # Only replicas that exist are compared (hand-passed, or the kernel's; an unread
-            # factory replica is not in ``vars(w)``): one factory's share a dimension.
-            uniform_dim = len({w.model.num_parameters for w in honest
-                               if w is honest[0] or "model" in vars(w)}) == 1
-            if uniform_batch and uniform_dim and fleet_computable(honest[0].model):
-                self._fleet_kernel = FleetComputeKernel(honest[0].model)
         #: The model whose layers the stacked exact pass runs
         #: (:func:`~repro.cluster.worker.compute_stacked`), or ``None``
         #: where every honest worker runs its own backprop instead.
@@ -462,38 +443,6 @@ class BaseTrainer:
             gflops=self._worker_gflops[worker.worker_id] * worker.speed,
             flops_per_sample=worker.flops_per_sample(),
         )
-
-    def _fleet_gradients(
-        self, workers: Sequence[HonestWorker], parameters: np.ndarray, step: int
-    ) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
-        """One batched backward for *workers*, all computing on *parameters*.
-
-        Returns ``(messages, losses, gradients)`` in worker order.  Workers
-        sharing one training set take their mini-batches from one fleet-wide
-        draw + row gather on the dedicated stream when the trainer owns one
-        (iid uniform either way — fleet compute is a statistically
-        equivalent mode, not a bitwise one), from per-worker draws otherwise.
-        """
-        assert self._fleet_kernel is not None
-        samplers = [worker.sampler for worker in workers]
-        shared = samplers[0]
-        if self._fleet_sample_rng is not None and all(
-            s.features is shared.features and s.labels is shared.labels
-            for s in samplers
-        ):
-            indices = self._fleet_sample_rng.integers(
-                0, shared.num_samples, size=(len(workers), shared.batch_size)
-            )
-            batches_x, batches_y = shared.features[indices], shared.labels[indices]
-        else:
-            batches_x, batches_y = sample_stacked(samplers)
-        losses, gradients = self._fleet_kernel.compute(parameters, batches_x, batches_y)
-        loss_list = losses.tolist()
-        messages = [
-            GradientMessage.trusted(worker.worker_id, step, gradients[i], loss_list[i])
-            for i, worker in enumerate(workers)
-        ]
-        return messages, losses, gradients
 
     def _section(self, name: str):
         """Profiler bracket for subsystem *name*; a no-op without a profiler."""
@@ -650,41 +599,53 @@ class BaseTrainer:
     ) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
         """Compute stage: each worker's gradient estimate on its snapshot.
 
-        Returns ``(messages, losses, gradients)`` in worker order.  The
-        fleet kernel (``compute_mode="fleet"``, the documented
-        statistically-equivalent mode) batches all backprops into one pass
-        when every row computes on the same snapshot: the kernel gate
-        implies no broadcast codec, so same-version snapshots are
-        byte-equal copies of the same stored parameters.  Otherwise the
-        exact path (:meth:`_exact_gradients`) computes each worker's
-        gradient on the parameters it reconstructed from its own downlink
-        frame.
+        Returns :meth:`_exact_gradients`' ``(messages, losses, gradients)``
+        in worker order, each worker computing on the parameters it
+        reconstructed from its own downlink frame.  The compute mode only
+        picks the mini-batches of a stacked pass: under ``"fleet"``,
+        workers sharing one training set take theirs from one ``(n, b)``
+        draw on the fleet stream; otherwise each sampler draws its own.
         """
-        version0, parameters0 = snapshots[0]
         with self._section("compute"):
-            if self._fleet_kernel is not None and all(
-                version == version0 for version, _ in snapshots
+            batch = None
+            shared = workers[0].sampler
+            if (
+                self.compute_mode == "fleet"
+                and self._fleet_sample_rng is not None
+                and self._stacked_model is not None
+                and all(
+                    w.sampler.features is shared.features
+                    and w.sampler.labels is shared.labels
+                    for w in workers
+                )
             ):
-                return self._fleet_gradients(workers, parameters0, version0)
-            return self._exact_gradients(workers, snapshots)
+                indices = self._fleet_sample_rng.integers(
+                    0, shared.num_samples, size=(len(workers), shared.batch_size)
+                )
+                batch = shared.features[indices], shared.labels[indices]
+            return self._exact_gradients(workers, snapshots, batch)
 
     def _exact_gradients(
         self,
         workers: Sequence[HonestWorker],
         snapshots: Sequence[Tuple[int, np.ndarray]],
+        batch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
-        """Exact compute: what each worker's own backprop returns, bit for bit.
+        """What each worker's own backprop returns on its mini-batch, bit for bit.
 
         One stacked pass over the run (:func:`~repro.cluster.worker.compute_stacked`)
         where the deployment's model can be stacked, so no replica is ever
-        built; otherwise the replica loop, each worker's
+        built, on the stacked *batch* when one is given; otherwise the
+        replica loop, each worker's
         :meth:`~repro.cluster.worker.HonestWorker.compute_gradient` in
-        worker order.  Either way the samplers draw sequentially in worker
-        order, so every per-worker RNG stream advances as if each worker
-        had run alone.
+        worker order.  Without a *batch* the samplers draw sequentially in
+        worker order, so every per-worker RNG stream advances as if each
+        worker had run alone.
         """
         if self._stacked_model is not None:
-            return compute_stacked(workers, snapshots, self._stacked_model)
+            if batch is None:
+                batch = sample_stacked([worker.sampler for worker in workers])
+            return compute_stacked(workers, snapshots, self._stacked_model, batch)
         messages = [
             worker.compute_gradient(parameters, version)
             for worker, (version, parameters) in zip(workers, snapshots)
@@ -1032,8 +993,8 @@ class SynchronousTrainer(BaseTrainer):
             else np.ones(num_honest)
         )
 
-        # Stage 1: honest gradients, priced array-at-a-time when the fleet
-        # kernel's one shared replica gives every row's flops.
+        # Stage 1: honest gradients, priced array-at-a-time when the stacked
+        # pass measured every row's flops.
         honest_messages: List[GradientMessage] = []
         loss_array = np.zeros(0)
         honest_matrix = np.zeros((0, dim))
@@ -1042,9 +1003,9 @@ class SynchronousTrainer(BaseTrainer):
             honest_messages, loss_array, honest_matrix = self._compute_gradients(
                 honest, [snapshots[i] for i in self._honest_rows]
             )
-            if self._fleet_kernel is not None:
+            if self._stacked_model is not None:
                 compute_times = fleet.compute_times(
-                    self.cost_model, self._fleet_kernel.model.flops_per_sample()
+                    self.cost_model, honest[0].flops_per_sample()
                 )
             else:
                 for index, worker in enumerate(honest):
@@ -1441,8 +1402,8 @@ class AsyncTrainer(BaseTrainer):
     def _on_compute(self, event: Event) -> None:
         """Worker received the model; compute a gradient on its own batch.
 
-        Always the exact path, whatever the compute mode: a run of one
-        through :meth:`_compute_gradients` would reach the fleet kernel.
+        The worker's own draw, whatever the compute mode: a run of one
+        keeps its sampler's stream exact.
         """
         worker = self._workers_by_id[event.worker_id]
         (message,), _, _ = self._exact_gradients([worker], [event.payload])

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cluster.message import GradientMessage
-from repro.data.sampler import MiniBatchSampler, sample_stacked
+from repro.data.sampler import MiniBatchSampler
 from repro.exceptions import ConfigurationError
 from repro.nn.model import Sequential
 from repro.utils.random import SeedLike, as_rng, component_seed
@@ -198,29 +198,31 @@ def compute_stacked(
     workers: Sequence[HonestWorker],
     snapshots: Sequence[Tuple[int, np.ndarray]],
     model: Sequential,
+    batch: Tuple[np.ndarray, np.ndarray],
 ) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
     """Every honest gradient of a run from one stacked exact pass.
 
-    ``workers[i]`` computes on ``snapshots[i] = (version, parameters)``;
-    *model* is the deployment's architecture, one with the workers'
-    :meth:`~repro.nn.model.Sequential.stacked_signature`.  The samplers draw
-    in worker order (:func:`~repro.data.sampler.sample_stacked`) and
+    ``workers[i]`` computes on ``snapshots[i] = (version, parameters)`` and
+    the mini-batch ``(batch[0][i], batch[1][i])`` — its own draw
+    (:func:`~repro.data.sampler.sample_stacked`) or its row of a fleet-wide
+    one; *model* is the deployment's architecture, one with the workers'
+    :meth:`~repro.nn.model.Sequential.stacked_signature`.
     :meth:`~repro.nn.model.Sequential.stacked_loss_and_gradients` returns
-    what each worker's :meth:`HonestWorker.compute_gradient` would, bit for
-    bit, without a replica.  Each worker keeps the measured flops for its
-    pricing.  Returns ``(messages, losses, gradients)`` in worker order.
+    what each worker's replica would on that batch, bit for bit, without a
+    replica.  Each worker keeps the measured flops for its pricing.
+    Returns ``(messages, losses, gradients)`` in worker order.
     """
-    batch_x, batch_y = sample_stacked([worker.sampler for worker in workers])
     losses, gradients, flops = model.stacked_loss_and_gradients(
-        [parameters for _, parameters in snapshots], batch_x, batch_y
+        [parameters for _, parameters in snapshots], *batch
     )
-    loss_list = losses.tolist()
-    messages = []
-    for i, (worker, (version, _)) in enumerate(zip(workers, snapshots)):
+    for worker in workers:
         worker.stacked_flops = flops
-        messages.append(
-            GradientMessage.trusted(worker.worker_id, version, gradients[i], loss_list[i])
+    messages = [
+        GradientMessage.trusted(worker.worker_id, version, gradient, loss)
+        for worker, (version, _), gradient, loss in zip(
+            workers, snapshots, gradients, losses.tolist()
         )
+    ]
     return messages, losses, gradients
 
 

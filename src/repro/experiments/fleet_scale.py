@@ -31,15 +31,15 @@ The grid:
     loop's run coalescing + O(1) admission bookkeeping carry the load.
 ``wan_delta``
     Async delta broadcasts on a shared WAN profile with fair link sharing
-    — the contended links exercise the ``link_reschedule`` path.  A
-    broadcast codec gates the fleet kernel off, so the scenario runs the
-    exact compute path.
+    — the contended links exercise the ``link_reschedule`` path.  Its
+    workers draw their own mini-batches (``compute_mode="exact"``).
 ``bulyan_attack``
     Bulyan under an active sign-flip adversary: the batched crafting path
     runs against a GAR whose O(n^2) distance work dominates.
 ``conv_fleet``
-    A conv model (``small-cnn``) on synthetic CIFAR under the fleet
-    compute kernel — the im2col stacked-batch backward.
+    A conv model (``small-cnn``) on synthetic CIFAR in fleet mode: a conv
+    model has no stacked pass, so this measures the replica loop — every
+    worker's own backprop on its own replica.
 ``sync_10k``
     The lock-step scenario at 10,000 workers — one order of magnitude past
     the standard grid and the ROADMAP's upper fleet target.  The smoke job
@@ -91,8 +91,9 @@ from repro.experiments.export import format_table, results_to_json
 #: simulator overhead (event routing, codec framing, telemetry) while the
 #: 55-parameter logistic model keeps the actual math negligible.  The top-k
 #: codec exercises the batched sparsifier (selection + scatter), the median
-#: GAR the dense coordinate-wise kernel; the fleet compute kernel and
-#: compact telemetry are how a deployment this size is meant to be run.
+#: GAR the dense coordinate-wise kernel; fleet mode's one shared
+#: mini-batch draw and compact telemetry are how a deployment this size is
+#: meant to be run.
 STANDARD_SCENARIO: Dict = {
     "num_workers": 1000,
     "num_byzantine": 0,
@@ -135,7 +136,7 @@ SCENARIOS: Dict[str, Dict] = {
     "wan_delta": {
         **STANDARD_SCENARIO,
         "num_workers": 400,
-        # A broadcast codec gates the fleet kernel off: run the exact path.
+        # Each worker draws its own mini-batches.
         "compute_mode": "exact",
         "compact_telemetry": False,
         "extra": {
@@ -533,10 +534,10 @@ def _check_sharded_wan_cuts_cross_region_bytes(nodes: Dict) -> int:
 def _determinism_check(grid: Dict[str, Dict]) -> int:
     """Replay every scenario twice; any telemetry drift fails.
 
-    The fleet compute kernel, the batched codec and the batched Byzantine
-    crafting draw from dedicated RNG streams, so two builds from the same
-    seed must produce byte-identical histories — on the exact path *and*
-    the statistically-equivalent fleet path, in every regime of the grid.
+    Fleet mode's shared mini-batch draw, the batched codec and the batched
+    Byzantine crafting draw from dedicated RNG streams, so two builds from
+    the same seed must produce byte-identical histories — in both compute
+    modes, in every regime of the grid.
     """
     import json
 

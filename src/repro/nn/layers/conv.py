@@ -14,15 +14,12 @@ Two interchangeable implementations share the layer:
     K axis follows the weight's own ``(C, kh, kw)`` ravel order, so the
     forward is a single ``einsum("nkl,ok->nol")`` and both weight and
     input gradients are single contractions too (plus a ``col2im``
-    scatter-add).  The column tensor is also what lets the fleet compute
-    kernel extract *per-worker* weight gradients from one stacked backward
-    pass.
+    scatter-add).
 
 The two produce the same convolution up to floating-point summation order
 (they accumulate the ``C*kh*kw`` reduction in different orders), so results
 agree to high relative tolerance but are not bit-identical — which is why
-``"loop"`` stays the default and only the statistically-equivalent fleet
-compute path flips layers to ``"im2col"``.
+``"loop"`` stays the default and ``"im2col"`` is opt-in per layer.
 """
 
 from __future__ import annotations
@@ -236,8 +233,8 @@ class Conv2D(Layer):
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward pass")
         # Dispatch on which forward produced the cache, not on self.impl —
-        # the fleet kernel flips impl between forwards and each backward
-        # must consume the matching cache.
+        # impl may be flipped between a forward and its backward, and each
+        # backward must consume the matching cache.
         if self._cache[0] == "im2col":
             return self._backward_im2col(grad_output)
         _, padded, input_shape, out_h, out_w = self._cache

@@ -201,24 +201,27 @@ class Sequential:
         rows.  Gradients accumulate into zeros as a replica's do (a ``-0.0``
         leaves as ``+0.0``), every loss normalises by its own batch and
         every L2 term reads its own snapshot.  A snapshot object shared by
-        every worker is broadcast, never copied ``k`` times; a wrong-size one
-        raises :meth:`set_parameters`' error.
+        every worker is validated once and broadcast, never copied ``k``
+        times; a wrong-size one raises :meth:`set_parameters`' error.
         """
         dim = self.num_parameters
-        flats = [np.asarray(flat, dtype=np.float64) for flat in parameters]
+        num = len(parameters)
+        shared = num > 0 and all(flat is parameters[0] for flat in parameters)
+        flats = [
+            np.asarray(flat, dtype=np.float64)
+            for flat in (parameters[:1] if shared else parameters)
+        ]
         for flat in flats:
             if flat.size != dim:
                 raise ValueError(f"flat vector has {flat.size} elements but shapes require {dim}")
-        num = len(flats)
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != num or np.shape(y)[0] != num:
             raise ConfigurationError(
                 f"{num} snapshots need {num} mini-batches, got {x.shape[0]} and "
                 f"{np.shape(y)[0]}"
             )
-        first = flats[0]
-        if all(flat is first for flat in flats):
-            stack, lead = first.reshape(dim), ()
+        if shared:
+            stack, lead = flats[0].reshape(dim), ()
         else:
             stack, lead = np.array([flat.reshape(dim) for flat in flats]), (num,)
         batch = x.shape[1]

@@ -184,10 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "the output JSON but never in the determinism comparison "
                              "(host timings are machine-dependent)")
     parser.add_argument("--compute-mode", default="exact", choices=["exact", "fleet"],
-                        help="honest gradient computation: exact (every worker's own "
-                             "backprop, bit-identical to the seed) or fleet (one "
-                             "batched kernel pass over all honest workers — "
-                             "statistically equivalent, not bitwise)")
+                        help="where honest mini-batches come from: exact (each "
+                             "worker's own stream) or fleet (one fleet-wide draw "
+                             "per stacked pass); every gradient is the worker's own "
+                             "backprop on its batch in both")
     parser.add_argument("--compact-telemetry", action="store_true",
                         help="store per-worker wire counters in preallocated arrays "
                              "instead of per-worker objects (identical exports; "

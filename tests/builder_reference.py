@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.fleet import FleetComputeKernel
 from repro.nn.models.registry import make_model
 from repro.utils.random import _checked
 
@@ -88,14 +87,10 @@ def as_eager_reference(trainer, *, seed, model, model_kwargs=None):
         worker_model = build_model()
         worker.model = worker_model
 
-    # The parent's ``BaseTrainer.__init__`` (trainer.py:311 there) made the
-    # fleet kernel from the first honest replica once the loop above had run.
-    # The kernel and that worker share the object — its convolutions are
-    # flipped to im2col and ``flops_per_sample`` reads its last forward — so
-    # the kernel moves onto the eager replica with the worker.
-    if trainer._fleet_kernel is not None:
-        honest = trainer.honest_workers
-        trainer._fleet_kernel = FleetComputeKernel(honest[0].model)
+    # NOTE: this used to re-make the trainer's fleet compute kernel on the
+    # first eager replica, because that kernel borrowed worker 0's replica.
+    # The kernel is gone: fleet mode runs the stacked pass, which reads no
+    # replica, so nothing else has to follow the replicas.
     return trainer
 
 

@@ -6,25 +6,24 @@ positions, im2col contracts the whole ``C*kh*kw`` axis at once).  The
 documented contract is *statistically equivalent, not bit-identical*:
 forward activations, input gradients and parameter gradients agree to
 ``rtol=1e-10`` (observed differences sit at a few float64 ulps, ~1e-15
-relative), which is why ``impl="loop"`` stays the layer default and only
-the fleet compute path — already stat-equivalent — flips layers to im2col.
+relative), which is why ``impl="loop"`` stays the layer default and
+``impl="im2col"`` is opt-in.
 
-The fleet-kernel half of the file checks the extension that motivated
-im2col: per-worker weight gradients for Conv2D / ResidualBlock / pooling
-models extracted from one stacked backward pass.
+The last tests check that fleet mode leaves a conv model on exact mode's
+replica loop, every convolution on the default loop implementation.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.cluster.builder import build_trainer
-from repro.cluster.fleet import FleetComputeKernel, fleet_computable
 from repro.cluster.trainer import TrainerConfig
 from repro.data.datasets import synthetic_cifar
 from repro.exceptions import ConfigurationError
-from repro.nn.layers import BatchNorm, Conv2D, Dense, Dropout, Flatten, ReLU
+from repro.nn.layers import Conv2D, ResidualBlock
 from repro.nn.layers.conv import col2im, im2col
-from repro.nn.models import resnet_like, small_cnn
 
 #: The documented parity tolerance between the two conv implementations.
 RTOL = 1e-10
@@ -111,63 +110,20 @@ def test_invalid_impl_rejected():
 
 
 # --------------------------------------------------------------------------
-# Fleet kernel over convolutional models
+# Convolutional models under fleet mode
 # --------------------------------------------------------------------------
 
-def _tiny_resnet():
-    return resnet_like(
-        image_size=8, stage_channels=(4, 8), blocks_per_stage=1, rng=5
-    )
+CONV_MODELS = {
+    "resnet": ("resnet-like", {"image_size": 8, "stage_channels": (4, 8), "blocks_per_stage": 1}),
+    "cnn": ("small-cnn", {"image_size": 8}),
+}
 
 
-@pytest.mark.parametrize(
-    "factory,name", [(_tiny_resnet, "resnet"), (lambda: small_cnn(rng=5), "cnn")]
-)
-def test_fleet_kernel_matches_per_worker_backprop_on_conv_models(factory, name):
-    model = factory()
-    assert fleet_computable(model)
-    reference = factory()
-    kernel = FleetComputeKernel(model)
-    rng = np.random.default_rng(0)
-    n, batch = 3, 4
-    params = model.get_parameters()
-    xs = rng.standard_normal((n, batch, 3, 8, 8))
-    ys = rng.integers(0, 10, size=(n, batch))
-    losses, grads = kernel.compute(params, xs, ys)
-    assert grads.shape == (n, params.size)
-    for i in range(n):
-        reference.set_parameters(params)
-        loss, grad = reference.loss_and_gradient(xs[i], ys[i])
-        np.testing.assert_allclose(losses[i], loss, rtol=RTOL, atol=ATOL)
-        np.testing.assert_allclose(grads[i], grad, rtol=1e-9, atol=1e-11)
-
-
-def test_fleet_kernel_flips_all_convolutions_to_im2col():
-    model = _tiny_resnet()
-    FleetComputeKernel(model)
-    convs = list(FleetComputeKernel._convolutions(model))
-    assert convs  # stem + residual-block internals (incl. projections)
-    assert all(conv.impl == "im2col" for conv in convs)
-
-
-def test_fleet_computable_rejects_batch_statistics_and_dropout():
-    base = [Conv2D(3, 4, 3, rng=0), ReLU(), Flatten(), Dense(4 * 64, 10, rng=1)]
-    from repro.nn.model import Sequential
-
-    assert fleet_computable(Sequential(base))
-    assert not fleet_computable(
-        Sequential([Conv2D(3, 4, 3, rng=0), BatchNorm(4), Flatten(), Dense(4 * 64, 10, rng=1)])
-    )
-    assert not fleet_computable(
-        Sequential([Conv2D(3, 4, 3, rng=0), Dropout(0.5), Flatten(), Dense(4 * 64, 10, rng=1)])
-    )
-    assert not fleet_computable(Sequential([Flatten()]))  # nothing parameterised
-
-
-def test_resnet_like_trains_under_fleet_compute_mode():
-    trainer = build_trainer(
-        model="resnet-like",
-        model_kwargs={"image_size": 8, "stage_channels": (4, 8), "blocks_per_stage": 1},
+def _conv_trainer(name, compute_mode):
+    model, model_kwargs = CONV_MODELS[name]
+    return build_trainer(
+        model=model,
+        model_kwargs=model_kwargs,
         dataset=synthetic_cifar(num_train=400, image_size=8, rng=3),
         gar="median",
         num_workers=6,
@@ -177,9 +133,43 @@ def test_resnet_like_trains_under_fleet_compute_mode():
         batch_size=8,
         learning_rate=0.05,
         seed=11,
-        compute_mode="fleet",
+        compute_mode=compute_mode,
     )
-    assert trainer._fleet_kernel is not None
-    history = trainer.run(TrainerConfig(max_steps=3, eval_every=0))
-    assert not history.diverged
-    assert np.isfinite(trainer.server.parameters).all()
+
+
+def _convolutions(model):
+    for layer in model.layers:
+        if isinstance(layer, Conv2D):
+            yield layer
+        elif isinstance(layer, ResidualBlock):
+            yield layer.conv1
+            yield layer.conv2
+            if layer.projection is not None:
+                yield layer.projection
+
+
+@pytest.mark.parametrize("name", sorted(CONV_MODELS))
+def test_conv_models_run_fleet_mode_to_exact_modes_bytes(name):
+    """A conv model has no stacked pass: fleet mode runs exact mode's replica loop."""
+    outcomes = []
+    for compute_mode in ("exact", "fleet"):
+        trainer = _conv_trainer(name, compute_mode)
+        assert trainer._stacked_model is None
+        history = trainer.run(TrainerConfig(max_steps=3, eval_every=0))
+        assert not history.diverged
+        outcomes.append((
+            json.dumps(history.to_dict(), sort_keys=True),
+            trainer.server.parameters.tobytes(),
+        ))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_fleet_mode_leaves_every_convolution_on_the_loop_impl():
+    """No compute mode flips a layer to im2col: fleet replicas convolve as exact ones do."""
+    trainer = _conv_trainer("resnet", "fleet")
+    trainer.run(TrainerConfig(max_steps=1, eval_every=0))
+    models = [trainer.eval_model] + [worker.model for worker in trainer.honest_workers]
+    convolutions = [conv for model in models for conv in _convolutions(model)]
+    # Stem plus residual-block internals (projections included) of every model.
+    assert len(convolutions) > len(models)
+    assert {conv.impl for conv in convolutions} == {"loop"}

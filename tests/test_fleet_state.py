@@ -1,14 +1,17 @@
-"""Structure-of-arrays fleet state and the batched fleet compute kernel."""
+"""Structure-of-arrays fleet state and the fleet compute mode."""
+
+import copy
+import json
 
 import numpy as np
 import pytest
 
 from repro.cluster.builder import build_trainer
 from repro.cluster.cost_model import CostModel, StragglerModel
-from repro.cluster.fleet import FleetComputeKernel, FleetState, fleet_computable
+from repro.cluster.fleet import FleetState
 from repro.cluster.trainer import TrainerConfig
 from repro.cluster.worker import HonestWorker
-from repro.data.datasets import gaussian_blobs, synthetic_cifar
+from repro.data.datasets import gaussian_blobs
 from repro.data.sampler import MiniBatchSampler
 from repro.exceptions import ConfigurationError
 from repro.nn.models.registry import make_model
@@ -118,80 +121,78 @@ class TestFleetState:
             fleet.load_state_dict({0: np.zeros(5)}, dim=3)
 
 
-class TestFleetComputeKernel:
-    def test_fleet_computable_gates_on_architecture(self):
-        assert fleet_computable(make_model("logistic", input_dim=4, num_classes=3, rng=0))
-        assert fleet_computable(
-            make_model("mlp", input_dim=4, hidden=(8,), num_classes=3, rng=0)
+class TestFleetModeGradients:
+    @pytest.mark.parametrize("model,model_kwargs", [
+        ("logistic", {"input_dim": 6, "num_classes": 3}),
+        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3}),
+    ])
+    def test_rows_are_each_workers_own_backprop_on_the_shared_draw(self, model, model_kwargs):
+        trainer = build_trainer(
+            model=model, model_kwargs=model_kwargs, compute_mode="fleet",
+            dataset=gaussian_blobs(num_train=60, num_test=10, num_classes=3, dim=6, rng=0),
+            gar="median", num_workers=7, num_byzantine=0, declared_f=1, batch_size=5, seed=13,
         )
-        # Conv/residual/pooling models batch too since the im2col kernel.
-        assert fleet_computable(
-            make_model(
-                "resnet-like", image_size=8, stage_channels=(4,),
-                blocks_per_stage=1, num_classes=3, rng=0,
-            )
+        honest = trainer.honest_workers
+        draws = copy.deepcopy(trainer._fleet_sample_rng)
+        parameters = trainer.server.parameters
+        _, losses, gradients = trainer._compute_gradients(
+            honest, [(0, parameters)] * len(honest)
         )
-        # Dropout draws an RNG mask per forward, which would make one
-        # stacked pass diverge from per-worker passes — gated out.
-        assert not fleet_computable(
-            make_model(
-                "mlp", input_dim=4, hidden=(8,), num_classes=3, dropout=0.5, rng=0
-            )
-        )
-
-    def test_rows_match_per_worker_backprop(self):
-        workers = _make_workers(6, batch_size=5)
-        kernel = FleetComputeKernel(
-            make_model("logistic", input_dim=6, num_classes=3, rng=7)
-        )
-        parameters = workers[0].model.get_parameters()
-        batches = [w.sampler.sample() for w in workers]
-        losses, grads = kernel.compute(
-            parameters, [b[0] for b in batches], [b[1] for b in batches]
-        )
-        assert losses.shape == (6,) and grads.shape == (6, parameters.size)
-        for i, worker in enumerate(workers):
+        shared = honest[0].sampler
+        indices = draws.integers(0, shared.num_samples, size=(len(honest), shared.batch_size))
+        for i, worker in enumerate(honest):
             worker.model.set_parameters(parameters)
-            loss, grad = worker.model.loss_and_gradient(*batches[i])
-            assert losses[i] == pytest.approx(loss, rel=1e-12)
-            np.testing.assert_allclose(grads[i], grad, rtol=1e-10, atol=1e-12)
+            loss, gradient = worker.model.loss_and_gradient(
+                shared.features[indices[i]], shared.labels[indices[i]]
+            )
+            assert losses[i] == loss
+            assert gradients[i].tobytes() == gradient.tobytes()
 
-    def test_prestacked_arrays_match_list_of_batches(self):
-        workers = _make_workers(4, batch_size=3)
-        kernel = FleetComputeKernel(
-            make_model("logistic", input_dim=6, num_classes=3, rng=7)
+    @pytest.mark.parametrize("model,model_kwargs,stacked", [
+        ("logistic", {"input_dim": 6, "num_classes": 3}, True),
+        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3}, True),
+        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3, "dropout": 0.5}, False),
+        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3, "l2": 0.1}, True),
+    ], ids=["logistic", "mlp", "mlp-dropout", "mlp-l2"])
+    def test_fleet_mode_stacks_exactly_the_models_with_a_signature(
+        self, model, model_kwargs, stacked
+    ):
+        trainer = build_trainer(
+            model=model, model_kwargs=model_kwargs, compute_mode="fleet",
+            dataset=gaussian_blobs(num_train=60, num_test=10, num_classes=3, dim=6, rng=0),
+            gar="median", num_workers=5, num_byzantine=0, declared_f=1, batch_size=5, seed=13,
         )
-        parameters = workers[0].model.get_parameters()
-        shared = workers[0].sampler
-        indices = np.stack([w.sampler.sample_indices() for w in workers])
-        stacked_losses, stacked_grads = kernel.compute(
-            parameters, shared.features[indices], shared.labels[indices]
-        )
-        list_losses, list_grads = kernel.compute(
-            parameters,
-            [shared.features[row] for row in indices],
-            [shared.labels[row] for row in indices],
-        )
-        np.testing.assert_array_equal(stacked_losses, list_losses)
-        np.testing.assert_array_equal(stacked_grads, list_grads)
+        assert (trainer.eval_model.stacked_signature() is not None) is stacked
+        assert (trainer._stacked_model is trainer.eval_model) is stacked
 
-    def test_rejects_unsupported_model(self):
-        dropout_mlp = make_model(
-            "mlp", input_dim=4, hidden=(8,), num_classes=3, dropout=0.5, rng=0
+    def test_the_shared_draw_leaves_every_worker_sampler_untouched(self):
+        trainer = build_trainer(
+            model="logistic", model_kwargs={"input_dim": 6, "num_classes": 3},
+            compute_mode="fleet",
+            dataset=gaussian_blobs(num_train=60, num_test=10, num_classes=3, dim=6, rng=0),
+            gar="median", num_workers=4, num_byzantine=0, declared_f=1, batch_size=3, seed=13,
         )
-        with pytest.raises(ConfigurationError):
-            FleetComputeKernel(dropout_mlp)
+        honest = trainer.honest_workers
+        before = [w.sampler._rng.bit_generator.state for w in honest]
+        draws = copy.deepcopy(trainer._fleet_sample_rng)
+        draws.integers(0, honest[0].sampler.num_samples, size=(len(honest), 3))
+        parameters = trainer.server.parameters
+        trainer._compute_gradients(honest, [(0, parameters)] * len(honest))
+        assert [w.sampler._rng.bit_generator.state for w in honest] == before
+        # One (n, b) draw per round on the fleet stream, no more.
+        assert trainer._fleet_sample_rng.bit_generator.state == draws.bit_generator.state
 
-    def test_rejects_mismatched_batches(self):
-        kernel = FleetComputeKernel(
-            make_model("logistic", input_dim=6, num_classes=3, rng=7)
-        )
-        parameters = kernel.model.get_parameters()
-        x = np.zeros((3, 6))
-        with pytest.raises(ConfigurationError):
-            kernel.compute(parameters, [x, np.zeros((2, 6))], [np.zeros(3), np.zeros(2)])
-        with pytest.raises(ConfigurationError):
-            kernel.compute(parameters, [], [])
+    def test_a_batch_count_other_than_the_snapshot_count_raises(self):
+        model = make_model("logistic", input_dim=6, num_classes=3, rng=7)
+        snapshots = [model.get_parameters()] * 3
+        with pytest.raises(ConfigurationError, match="3 snapshots need 3 mini-batches"):
+            model.stacked_loss_and_gradients(
+                snapshots, np.zeros((2, 4, 6)), np.zeros((2, 4), dtype=int)
+            )
+        with pytest.raises(ConfigurationError, match="3 snapshots need 3 mini-batches"):
+            model.stacked_loss_and_gradients(
+                snapshots, np.zeros((3, 4, 6)), np.zeros((2, 4), dtype=int)
+            )
 
 
 class TestFleetTrainerMode:
@@ -235,19 +236,25 @@ class TestFleetTrainerMode:
         assert final_fleet < h_fleet.steps[0].mean_loss  # it learns
         assert final_fleet == pytest.approx(final_exact, rel=0.25)
 
-    def test_fleet_mode_falls_back_for_unsupported_models(self):
-        trainer = self._build(
-            model="mlp",
-            model_kwargs={
-                "input_dim": 10, "hidden": (8,), "num_classes": 4, "dropout": 0.5,
-            },
-            dataset=gaussian_blobs(num_train=48, num_classes=4, dim=10, rng=1),
-            compute_mode="fleet",
-            num_workers=6,
-            num_byzantine=0,
-            attack=None,
-            batch_size=4,
-        )
-        assert trainer._fleet_kernel is None  # gated out, not an error
-        history = trainer.run(TrainerConfig(max_steps=1, eval_every=0))
-        assert len(history.steps) == 1
+    def test_a_model_without_a_stacked_pass_runs_fleet_mode_to_exact_modes_bytes(self):
+        """A Dropout MLP has no stacked pass: both modes run the replica loop on per-worker draws."""
+        outcomes = []
+        for compute_mode in ("exact", "fleet"):
+            trainer = self._build(
+                model_kwargs={
+                    "input_dim": 10, "hidden": (8,), "num_classes": 4, "dropout": 0.5,
+                },
+                dataset=gaussian_blobs(num_train=48, num_classes=4, dim=10, rng=1),
+                compute_mode=compute_mode,
+                num_workers=6,
+                num_byzantine=0,
+                attack=None,
+                batch_size=4,
+            )
+            assert trainer._stacked_model is None
+            history = trainer.run(TrainerConfig(max_steps=3, eval_every=0))
+            outcomes.append((
+                json.dumps(history.to_dict(), sort_keys=True),
+                trainer.server.parameters.tobytes(),
+            ))
+        assert outcomes[0] == outcomes[1]

@@ -169,6 +169,20 @@ def test_a_wrong_size_snapshot_raises_set_parameters_error():
     assert str(stacked.value) == str(replica.value)
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "among-distinct"])
+def test_a_wrong_size_snapshot_raises_set_parameters_error_once_validated(shared):
+    """A snapshot every worker shares is checked once; one bad row among distinct ones is found."""
+    model = make_model("logistic", input_dim=3, num_classes=2, rng=0)
+    good = np.zeros(model.num_parameters)
+    bad = np.zeros(model.num_parameters + 2)
+    snapshots = [bad] * 4 if shared else [good, good.copy(), bad, good.copy()]
+    with pytest.raises(ValueError) as replica:
+        model.set_parameters(bad)
+    with pytest.raises(ValueError) as stacked:
+        model.stacked_loss_and_gradients(snapshots, np.zeros((4, 1, 3)), np.zeros((4, 1), int))
+    assert str(stacked.value) == str(replica.value)
+
+
 def test_a_bad_label_or_input_raises_the_replica_error():
     model = make_model("logistic", input_dim=3, num_classes=2, rng=0)
     snapshots = [np.zeros(model.num_parameters)] * 2

@@ -64,9 +64,9 @@ def runs(monkeypatch):
     seen = []
     compute_stacked = trainer_module.compute_stacked
 
-    def recording(workers, snapshots, model):
+    def recording(workers, snapshots, model, batch):
         seen.append((len(workers), len({id(p) for _, p in snapshots})))
-        return compute_stacked(workers, snapshots, model)
+        return compute_stacked(workers, snapshots, model, batch)
 
     monkeypatch.setattr(trainer_module, "compute_stacked", recording)
     return seen
@@ -209,16 +209,10 @@ def test_an_exact_run_prices_every_worker_at_the_measured_flops():
     assert {worker.stacked_flops for worker in trainer.honest_workers} == {MEASURED}
 
 
-def test_async_fleet_mode_keeps_its_borrowed_replica_quirk():
-    """The fleet kernel's worker 0 reads its measured forward, the rest their replicas' 2d.
-
-    Pricing the herds through ``FleetState.compute_times`` instead is a
-    declared digest move of its own, not this change.
-    """
+def test_async_fleet_mode_prices_every_worker_at_the_measured_flops():
+    """Herds and runs of one alike compute in the stacked pass: no replica is built to price one."""
     trainer = build_trainer(mode="async", sync_policy="quorum", compute_mode="fleet",
                             **LOGISTIC)
-    assert _priced_at(trainer) == [FALLBACK] * 6
     trainer.run(TrainerConfig(max_steps=3, eval_every=0))
-    assert _priced_at(trainer) == [MEASURED] + [FALLBACK] * 5
-    # Workers 1-5 only ever computed in herds: their 2d is their replicas' read.
-    assert [worker.stacked_flops for worker in trainer.honest_workers[1:]] == [None] * 5
+    assert not any("model" in vars(worker) for worker in trainer.honest_workers)
+    assert _priced_at(trainer) == [MEASURED] * 6

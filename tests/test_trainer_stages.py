@@ -5,8 +5,9 @@ stage methods (fetch framing, compute, encode, uplink pricing); the async
 per-event handlers are the run-of-one spelling, whose scalar ``_encode`` and
 per-channel ``transfer_frame`` the two array stages must equal bit for bit on
 any subset and order of fleet rows — the error-feedback row store and every
-PRNG stream included.  The last test counts callers in the syntax tree, so a
-second spelling of a stage cannot come back unnoticed.
+PRNG stream included.  The last two tests count callers in the syntax tree,
+so a second spelling of a stage, or a second gradient function, cannot come
+back unnoticed.
 """
 
 import ast
@@ -178,8 +179,8 @@ def _callers(tree, callee):
 def test_each_worker_stage_has_exactly_one_calling_function():
     tree = ast.parse(Path(trainer_module.__file__).read_text())
     assert _callers(tree, "encode_decode_batch") == {"_encode_rows"}
-    assert _callers(tree, "_fleet_gradients") == {"_compute_gradients"}
-    # Exact compute: the stacked pass, and the replica loop as its one fallback.
+    # One compute stage in both modes: the stacked pass, and the replica loop
+    # as its one fallback.
     assert _callers(tree, "compute_gradient") == {"_exact_gradients"}
     assert _callers(tree, "compute_stacked") == {"_exact_gradients"}
     assert _callers(tree, "_exact_gradients") == {"_compute_gradients", "_on_compute"}
@@ -201,3 +202,27 @@ def test_each_worker_stage_has_exactly_one_calling_function():
     # handlers (and nothing else) run per event.
     assert _callers(tree, "put") == {"_admit_arrival"}
     assert _callers(tree, "_admit_arrival") == {"_on_arrive", "_on_arrive_batch"}
+
+
+def test_one_function_in_src_computes_a_stacked_gradient():
+    """``compute_stacked`` is the only caller of the stacked pass but the benchmark's adapter."""
+    root = Path(trainer_module.__file__).parents[1]
+    callers, naming = set(), set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == (
+            "stacked_loss_and_gradients"
+        ):
+            callers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in sorted(root.rglob("*.py")):
+        source = path.read_text()
+        visit(ast.parse(source), None)
+        if "FleetComputeKernel" in source:
+            naming.add(path.relative_to(root).as_posix())
+    assert callers == {"compute_stacked", "FleetComputeKernel.compute"}
+    assert naming == {"cluster/fleet.py"}
