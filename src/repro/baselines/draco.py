@@ -96,13 +96,6 @@ class RepetitionCode:
         """Number of distinct mini-batches decoded per step."""
         return self.num_workers // self.redundancy
 
-    def group_of(self, worker_id: int) -> Optional[int]:
-        """Group index of a worker, or ``None`` when the worker is idle."""
-        if worker_id < 0 or worker_id >= self.num_workers:
-            raise ConfigurationError(f"worker_id {worker_id} out of range")
-        group = worker_id // self.redundancy
-        return group if group < self.num_groups else None
-
     def members(self, group: int) -> List[int]:
         """Worker ids belonging to *group*."""
         if group < 0 or group >= self.num_groups:

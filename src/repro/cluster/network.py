@@ -46,15 +46,12 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.codec import IdentityCodec, WireFrame
+from repro.cluster.codec import WireFrame
 from repro.cluster.cost_model import CostModel
 from repro.cluster.packets import Packetizer, RecoveryPolicy
 from repro.exceptions import ConfigurationError
 from repro.utils.random import SeedLike, component_seed, spawn_rngs
 from repro.utils.validation import check_probability
-
-#: Shared raw framing used by the payload-level compatibility API.
-_RAW = IdentityCodec()
 
 
 class Channel(abc.ABC):
@@ -86,21 +83,6 @@ class Channel(abc.ABC):
         backoff, structural delay, jitter) — the
         :class:`~repro.cluster.link.LinkScheduler` adds contention on top.
         """
-
-    def transfer(
-        self, payload: np.ndarray, cost_model: CostModel
-    ) -> Tuple[Optional[np.ndarray], float]:
-        """Payload-level compatibility API: raw (identity) framing.
-
-        Wraps *payload* in an identity frame, runs :meth:`transfer_frame`,
-        and unwraps — so a bare float vector still travels exactly as it did
-        before codecs existed (same bytes, same RNG draws, same degradation).
-        """
-        frame = _RAW.encode(payload)
-        delivered, seconds = self.transfer_frame(frame, cost_model)
-        if delivered is None:
-            return None, seconds
-        return np.asarray(delivered.values, dtype=np.float64).copy(), seconds
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

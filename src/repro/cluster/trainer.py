@@ -418,10 +418,9 @@ class BaseTrainer:
         The evaluator's model (the builder makes it and every replica with
         one factory, so no replica is built to ask), or the first honest
         replica's in a trainer built without one.  A model property decides,
-        not a size: ``None`` where a forward carries per-replica state
-        (Dropout streams, BatchNorm statistics, the loop ``Conv2D``), where
-        the honest fleet mixes batch sizes, or where a replica that exists
-        (hand-passed) has another architecture.
+        not a size: ``None`` where the model has no stacked signature (Dropout
+        streams, convolutions), where the honest fleet mixes batch sizes, or
+        where a replica that exists (hand-passed) has another architecture.
         """
         honest = self.honest_workers
         if not honest or (self._fleet.batch_sizes != self._fleet.batch_sizes[0]).any():

@@ -341,10 +341,6 @@ class DistanceCache:
         """Number of cached unordered distance pairs."""
         return len(self._pairs)
 
-    def knows_row(self, row: np.ndarray) -> bool:
-        """Whether *row* (by content) is fingerprint-cached."""
-        return row_fingerprint(row) in self._rows
-
     # -------------------------------------------------------------- internals
     @staticmethod
     def _pair_key(fp_a: bytes, fp_b: bytes) -> Tuple[bytes, bytes]:

@@ -7,7 +7,6 @@ from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.pooling import MaxPool2D, AvgPool2D, GlobalAvgPool2D
 from repro.nn.layers.reshape import Flatten
 from repro.nn.layers.dropout import Dropout
-from repro.nn.layers.batchnorm import BatchNorm
 from repro.nn.layers.residual import ResidualBlock
 
 __all__ = [
@@ -23,6 +22,5 @@ __all__ = [
     "GlobalAvgPool2D",
     "Flatten",
     "Dropout",
-    "BatchNorm",
     "ResidualBlock",
 ]

@@ -1,25 +1,15 @@
-"""2-D convolution layer (NCHW layout).
+"""2-D convolution layer (NCHW layout), lowered to 2-D gemms.
 
-Two interchangeable implementations share the layer:
+The padded input is unfolded into a ``(C*kh*kw, N*out_h*out_w)`` column
+matrix whose row axis follows the weight's own ``(C, kh, kw)`` ravel order
+(:func:`im2col`), so each contraction is one 2-D ``np.matmul``:
 
-``"loop"`` (the default)
-    Vectorised over batch and spatial dimensions; the only Python loop is
-    over the ``kh * kw`` kernel positions (25 iterations for the paper's
-    5x5 kernels), each a single ``einsum`` on a strided view of the padded
-    input.
+* forward: ``W(O, K) @ cols``;
+* weight gradient: ``g(O, N*L) @ cols.T``;
+* input gradient: ``W.T @ g``, scattered back by :func:`col2im`.
 
-``"im2col"``
-    Lowers the convolution to one matrix contraction: the padded input is
-    unfolded into a ``(batch, C*kh*kw, out_h*out_w)`` column tensor whose
-    K axis follows the weight's own ``(C, kh, kw)`` ravel order, so the
-    forward is a single ``einsum("nkl,ok->nol")`` and both weight and
-    input gradients are single contractions too (plus a ``col2im``
-    scatter-add).
-
-The two produce the same convolution up to floating-point summation order
-(they accumulate the ``C*kh*kw`` reduction in different orders), so results
-agree to high relative tolerance but are not bit-identical — which is why
-``"loop"`` stays the default and ``"im2col"`` is opt-in per layer.
+A training forward caches only the padded input; the backward rebuilds the
+columns, so no ``(K, N*L)`` matrix outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -65,22 +55,23 @@ def valid_output(in_size: int, kernel: int, stride: int) -> int:
 def im2col(
     padded: np.ndarray, kh: int, kw: int, sh: int, sw: int, out_h: int, out_w: int
 ) -> np.ndarray:
-    """Unfold a padded NCHW tensor into ``(N, C*kh*kw, out_h*out_w)`` columns.
+    """Unfold a padded NCHW tensor into ``(C*kh*kw, N*out_h*out_w)`` columns.
 
-    The K axis is ordered ``(C, kh, kw)`` — the same ravel order as a
+    The row axis is ordered ``(C, kh, kw)`` — the ravel order of a
     ``(O, C, kh, kw)`` convolution weight — so ``weight.reshape(O, -1)``
-    contracts against it directly.  Built from a zero-copy strided view,
-    then materialised once (the contraction wants contiguous memory).
+    multiplies it directly; the column axis is ``(N, out_h, out_w)``.  Built
+    from a zero-copy strided view, then materialised once (the gemm wants
+    contiguous memory).
     """
     n, c = padded.shape[:2]
     s0, s1, s2, s3 = padded.strides
     view = np.lib.stride_tricks.as_strided(
         padded,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * sh, s3 * sw),
+        shape=(c, kh, kw, n, out_h, out_w),
+        strides=(s1, s2, s3, s0, s2 * sh, s3 * sw),
         writeable=False,
     )
-    return np.ascontiguousarray(view).reshape(n, c * kh * kw, out_h * out_w)
+    return np.ascontiguousarray(view).reshape(c * kh * kw, n * out_h * out_w)
 
 
 def col2im(
@@ -93,21 +84,20 @@ def col2im(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
-    """Scatter-add ``(N, C*kh*kw, out_h*out_w)`` columns back to padded NCHW.
+    """Scatter-add ``(C*kh*kw, N*out_h*out_w)`` columns back to padded NCHW.
 
     The adjoint of :func:`im2col`: overlapping kernel windows must *sum*
     into the image, so the scatter loops over the ``kh*kw`` positions and
-    adds each slice into a strided view of the output.
+    adds each slice into a strided view of a channel-major buffer, returned
+    as an NCHW view.
     """
-    n, c = padded_shape[:2]
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    grad_padded = np.zeros(padded_shape, dtype=np.float64)
+    n, c, height, width = padded_shape
+    cols = cols.reshape(c, kh, kw, n, out_h, out_w)
+    grad_padded = np.zeros((c, n, height, width), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            grad_padded[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw] += cols[
-                :, :, i, j
-            ]
-    return grad_padded
+            grad_padded[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw] += cols[:, i, j]
+    return grad_padded.transpose(1, 0, 2, 3)
 
 
 class Conv2D(Layer):
@@ -124,13 +114,7 @@ class Conv2D(Layer):
     padding:
         ``"same"`` (TensorFlow SAME semantics, used by the Table-1 CNN) or
         ``"valid"``.
-    impl:
-        ``"loop"`` (default) or ``"im2col"`` — see the module docstring.
-        Mutable at any time; each backward consumes the cache its own
-        forward produced, so flipping between forwards is safe.
     """
-
-    IMPLS = ("loop", "im2col")
 
     def __init__(
         self,
@@ -142,7 +126,6 @@ class Conv2D(Layer):
         padding: str = "same",
         use_bias: bool = True,
         weight_init: str = "he",
-        impl: str = "loop",
         rng: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -154,10 +137,6 @@ class Conv2D(Layer):
         if padding not in ("same", "valid"):
             raise ConfigurationError(f"padding must be 'same' or 'valid', got {padding!r}")
         self.padding = padding
-        impl = str(impl).lower()
-        if impl not in self.IMPLS:
-            raise ConfigurationError(f"impl must be one of {self.IMPLS}, got {impl!r}")
-        self.impl = impl
 
         init = get_initializer(weight_init)
         generator = as_rng(rng)
@@ -200,84 +179,42 @@ class Conv2D(Layer):
             )
         n, _, h, w = x.shape
         kh, kw = self.kernel_size
-        sh, sw = self.stride
         out_h, out_w, (ph0, ph1), (pw0, pw1) = self._geometry(h, w)
         self.last_forward_flops = (
             2.0 * n * self.out_channels * self.in_channels * kh * kw * out_h * out_w
         )
         padded = np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)))
-        if self.impl == "im2col":
-            cols = im2col(padded, kh, kw, sh, sw, out_h, out_w)
-            out = np.einsum(
-                "nkl,ok->nol", cols, self.weight.data.reshape(self.out_channels, -1),
-                optimize=True,
-            ).reshape(n, self.out_channels, out_h, out_w)
-            if self.bias is not None:
-                out += self.bias.data[None, :, None, None]
-            if training:
-                self._cache = ("im2col", cols, x.shape, padded.shape, out_h, out_w)
-            return out
-        out = np.zeros((n, self.out_channels, out_h, out_w), dtype=np.float64)
-        for i in range(kh):
-            for j in range(kw):
-                patch = padded[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw]
-                out += np.einsum("ncyx,oc->noyx", patch, self.weight.data[:, :, i, j],
-                                 optimize=True)
+        out = self.weight.data.reshape(self.out_channels, -1) @ self._columns(padded, out_h, out_w)
         if self.bias is not None:
-            out += self.bias.data[None, :, None, None]
+            out += self.bias.data[:, None]
         if training:
-            self._cache = ("loop", padded, x.shape, out_h, out_w)
-        return out
+            self._cache = (padded, h, w, out_h, out_w)
+        return out.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward pass")
-        # Dispatch on which forward produced the cache, not on self.impl —
-        # impl may be flipped between a forward and its backward, and each
-        # backward must consume the matching cache.
-        if self._cache[0] == "im2col":
-            return self._backward_im2col(grad_output)
-        _, padded, input_shape, out_h, out_w = self._cache
-        kh, kw = self.kernel_size
-        sh, sw = self.stride
-        grad_padded = np.zeros_like(padded)
-        for i in range(kh):
-            for j in range(kw):
-                patch = padded[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw]
-                self.weight.grad[:, :, i, j] += np.einsum(
-                    "ncyx,noyx->oc", patch, grad_output, optimize=True
-                )
-                grad_padded[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw] += np.einsum(
-                    "noyx,oc->ncyx", grad_output, self.weight.data[:, :, i, j], optimize=True
-                )
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=(0, 2, 3))
-        # Strip padding to recover the gradient w.r.t. the original input.
-        _, _, h, w = input_shape
-        _, _, (ph0, _), (pw0, _) = self._geometry(h, w)
-        return grad_padded[:, :, ph0 : ph0 + h, pw0 : pw0 + w]
-
-    def _backward_im2col(self, grad_output: np.ndarray) -> np.ndarray:
-        _, cols, input_shape, padded_shape, out_h, out_w = self._cache
-        kh, kw = self.kernel_size
-        sh, sw = self.stride
-        n = grad_output.shape[0]
-        g = np.asarray(grad_output, dtype=np.float64).reshape(
-            n, self.out_channels, out_h * out_w
+        padded, h, w, out_h, out_w = self._cache
+        g = np.asarray(grad_output, dtype=np.float64).transpose(1, 0, 2, 3).reshape(
+            self.out_channels, -1
         )
-        self.weight.grad += np.einsum("nkl,nol->ok", cols, g, optimize=True).reshape(
+        self.weight.grad += (g @ self._columns(padded, out_h, out_w).T).reshape(
             self.weight.grad.shape
         )
         if self.bias is not None:
-            self.bias.grad += g.sum(axis=(0, 2))
-        grad_cols = np.einsum(
-            "nol,ok->nkl", g, self.weight.data.reshape(self.out_channels, -1),
-            optimize=True,
-        )
-        grad_padded = col2im(grad_cols, padded_shape, kh, kw, sh, sw, out_h, out_w)
-        _, _, h, w = input_shape
+            self.bias.grad += g.sum(axis=1)
+        kh, kw = self.kernel_size
+        sh, sw = self.stride
+        grad_cols = self.weight.data.reshape(self.out_channels, -1).T @ g
+        grad_padded = col2im(grad_cols, padded.shape, kh, kw, sh, sw, out_h, out_w)
+        # Strip padding to recover the gradient w.r.t. the original input.
         _, _, (ph0, _), (pw0, _) = self._geometry(h, w)
         return grad_padded[:, :, ph0 : ph0 + h, pw0 : pw0 + w]
+
+    def _columns(self, padded: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+        kh, kw = self.kernel_size
+        sh, sw = self.stride
+        return im2col(padded, kh, kw, sh, sw, out_h, out_w)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

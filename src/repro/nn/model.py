@@ -18,7 +18,7 @@ from repro.nn.layers.activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.layers.base import Layer
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.reshape import Flatten
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy, softmax
+from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
 from repro.nn.parameter import Parameter
 from repro.utils.flatten import flatten_arrays, unflatten_array
 
@@ -159,11 +159,11 @@ class Sequential:
         """What :meth:`stacked_loss_and_gradients` computes for this model.
 
         ``None`` when it cannot run the model: a layer other than
-        :class:`Dense` and the per-sample stateless layers (a forward with
-        per-replica state — a Dropout stream, BatchNorm statistics, the loop
-        ``Conv2D`` — is out), a loss other than the two built-in ones, or no
-        ``Dense`` at all.  Two models with equal signatures compute the same
-        function of the same flat parameters.
+        :class:`Dense` and the per-sample stateless layers (a Dropout stream
+        is per-replica state; a ``Conv2D`` has no stacked form yet), a loss
+        other than the two built-in ones, or no ``Dense`` at all.  Two models
+        with equal signatures compute the same function of the same flat
+        parameters.
         """
         if type(self.loss) not in (SoftmaxCrossEntropy, MeanSquaredError):
             return None
@@ -283,10 +283,6 @@ class Sequential:
         return losses, gradients, forward_flops / batch
 
     # ------------------------------------------------------------ inference
-    def predict_proba(self, x: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
-        """Class probabilities (softmax over the final logits)."""
-        return softmax(self.predict_logits(x, batch_size=batch_size))
-
     def predict_logits(self, x: np.ndarray, batch_size: Optional[int] = None) -> np.ndarray:
         """Raw model outputs in evaluation mode, optionally mini-batched."""
         x = np.asarray(x, dtype=np.float64)

@@ -37,13 +37,11 @@ class TestRepetitionCode:
         assert code.redundancy == 3
         assert code.num_groups == 3
         assert code.members(0) == [0, 1, 2]
-        assert code.group_of(4) == 1
-        assert code.group_of(8) == 2
 
     def test_idle_workers(self):
         code = RepetitionCode(num_workers=10, f=1)
         assert code.num_groups == 3
-        assert code.group_of(9) is None
+        assert 9 not in [w for group in range(code.num_groups) for w in code.members(group)]
 
     def test_too_few_workers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -51,8 +49,6 @@ class TestRepetitionCode:
 
     def test_invalid_queries(self):
         code = RepetitionCode(num_workers=9, f=1)
-        with pytest.raises(ConfigurationError):
-            code.group_of(99)
         with pytest.raises(ConfigurationError):
             code.members(5)
 

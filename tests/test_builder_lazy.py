@@ -104,16 +104,14 @@ class StatefulFactory:
 
 
 MODELS = {
-    "logistic": (lambda: "logistic", {"input_dim": 8, "num_classes": 3}, BLOBS, 3),
+    "logistic": (lambda: "logistic", {"input_dim": 8, "num_classes": 3}, BLOBS),
     "mlp-dropout": (lambda: "mlp", {"input_dim": 8, "hidden": (6,), "num_classes": 3,
-                                    "dropout": 0.5}, BLOBS, 3),
+                                    "dropout": 0.5}, BLOBS),
     "small-cnn": (lambda: "small-cnn", {"image_size": 4, "channels": 1, "num_classes": 3,
-                                        "conv_filters": 2, "fc1": 6, "fc2": 4}, IMAGES, 1),
-    "stateful-factory": (StatefulFactory, {"input_dim": 8, "num_classes": 3}, BLOBS, 3),
+                                        "conv_filters": 2, "fc1": 6, "fc2": 4}, IMAGES),
+    "stateful-factory": (StatefulFactory, {"input_dim": 8, "num_classes": 3}, BLOBS),
 }
-# (factory of the ``model`` argument, model_kwargs, dataset, steps a grid row runs: the
-# default conv forward is a Python loop over kernel positions, so the CNN rows buy one
-# step — every replica read, every sampler drawn once.)
+# (factory of the ``model`` argument, model_kwargs, dataset)
 LINKS = {
     "reliable": {},
     "lossy": {"lossy_links": 2, "lossy_drop_rate": 0.1},
@@ -124,7 +122,7 @@ NUM_WORKERS = 7
 
 def _build(mode, compute, model, links, seed_kind):
     """``(trainer, reference kwargs)`` — every call gets fresh, equal seed and factory."""
-    factory, model_kwargs, dataset, _ = MODELS[model]
+    factory, model_kwargs, dataset = MODELS[model]
     kwargs = dict(
         model=factory(), model_kwargs=model_kwargs, dataset=dataset, gar="median",
         num_workers=NUM_WORKERS, num_byzantine=1, declared_f=1, attack="random",
@@ -147,8 +145,7 @@ def _run(trainer, steps=3):
 def test_lazy_build_runs_to_the_eager_builds_bytes(mode, compute, model, links, seed_kind):
     lazy, _ = _build(mode, compute, model, links, seed_kind)
     built, reference = _build(mode, compute, model, links, seed_kind)
-    steps = MODELS[model][3]
-    assert _run(lazy, steps) == _run(as_eager_reference(built, **reference), steps)
+    assert _run(lazy) == _run(as_eager_reference(built, **reference))
 
 
 def test_a_replica_asked_for_out_of_order_is_the_one_id_order_builds():

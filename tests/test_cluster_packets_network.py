@@ -12,6 +12,7 @@ from repro.cluster import (
     ReliableChannel,
 )
 from repro.exceptions import ConfigurationError, NetworkError
+from tests.channel_testing import transfer
 
 
 class TestPacketizer:
@@ -97,7 +98,7 @@ class TestPacketizer:
 class TestReliableChannel:
     def test_payload_delivered_intact(self, rng):
         payload = rng.standard_normal(500)
-        delivered, seconds = ReliableChannel().transfer(payload, CostModel())
+        delivered, seconds = transfer(ReliableChannel(), payload, CostModel())
         np.testing.assert_array_equal(delivered, payload)
         assert seconds > 0
 
@@ -108,15 +109,15 @@ class TestReliableChannel:
     def test_packet_loss_slows_transfer_down(self, rng):
         payload = rng.standard_normal(100_000)
         cost_model = CostModel()
-        _, clean = ReliableChannel(drop_rate=0.0).transfer(payload, cost_model)
-        _, lossy = ReliableChannel(drop_rate=0.10).transfer(payload, cost_model)
+        _, clean = transfer(ReliableChannel(drop_rate=0.0), payload, cost_model)
+        _, lossy = transfer(ReliableChannel(drop_rate=0.10), payload, cost_model)
         assert lossy > 2 * clean
 
     def test_higher_loss_is_slower(self, rng):
         payload = rng.standard_normal(50_000)
         cost_model = CostModel()
-        _, mild = ReliableChannel(drop_rate=0.01).transfer(payload, cost_model)
-        _, severe = ReliableChannel(drop_rate=0.20).transfer(payload, cost_model)
+        _, mild = transfer(ReliableChannel(drop_rate=0.01), payload, cost_model)
+        _, severe = transfer(ReliableChannel(drop_rate=0.20), payload, cost_model)
         assert severe > mild
 
     def test_invalid_parameters(self):
@@ -130,21 +131,21 @@ class TestDelayedChannel:
     def test_adds_fixed_delay_on_top_of_inner_transfer(self, rng):
         payload = rng.standard_normal(500)
         cost_model = CostModel()
-        _, base = ReliableChannel().transfer(payload, cost_model)
-        delivered, slowed = DelayedChannel(delay_s=0.25).transfer(payload, cost_model)
+        _, base = transfer(ReliableChannel(), payload, cost_model)
+        delivered, slowed = transfer(DelayedChannel(delay_s=0.25), payload, cost_model)
         np.testing.assert_array_equal(delivered, payload)
         assert slowed == pytest.approx(base + 0.25)
 
     def test_jitter_is_bounded_and_deterministic_per_seed(self, rng):
         payload = rng.standard_normal(100)
         cost_model = CostModel()
-        _, base = ReliableChannel().transfer(payload, cost_model)
+        _, base = transfer(ReliableChannel(), payload, cost_model)
         times_a = [
-            DelayedChannel(jitter_s=0.5, rng=7).transfer(payload, cost_model)[1]
+            transfer(DelayedChannel(jitter_s=0.5, rng=7), payload, cost_model)[1]
             for _ in range(3)
         ]
         times_b = [
-            DelayedChannel(jitter_s=0.5, rng=7).transfer(payload, cost_model)[1]
+            transfer(DelayedChannel(jitter_s=0.5, rng=7), payload, cost_model)[1]
             for _ in range(3)
         ]
         assert times_a == times_b
@@ -152,8 +153,8 @@ class TestDelayedChannel:
 
     def test_wraps_lossy_inner_channel(self, rng):
         inner = LossyChannel(drop_rate=1.0, policy=RecoveryPolicy.DROP_GRADIENT, rng=0)
-        delivered, seconds = DelayedChannel(inner, delay_s=0.1).transfer(
-            rng.standard_normal(600), CostModel()
+        delivered, seconds = transfer(
+            DelayedChannel(inner, delay_s=0.1), rng.standard_normal(600), CostModel()
         )
         assert delivered is None  # the inner drop semantics survive the wrapper
         assert seconds > 0.1
@@ -168,27 +169,27 @@ class TestDelayedChannel:
 class TestLossyChannel:
     def test_no_loss_is_transparent(self, rng):
         payload = rng.standard_normal(600)
-        delivered, _ = LossyChannel(drop_rate=0.0, rng=0).transfer(payload, CostModel())
+        delivered, _ = transfer(LossyChannel(drop_rate=0.0, rng=0), payload, CostModel())
         np.testing.assert_array_equal(delivered, payload)
 
     def test_transfer_time_unaffected_by_loss(self, rng):
         payload = rng.standard_normal(100_000)
         cost_model = CostModel()
-        _, clean = LossyChannel(drop_rate=0.0, rng=0).transfer(payload, cost_model)
-        _, lossy = LossyChannel(drop_rate=0.3, rng=0).transfer(payload, cost_model)
+        _, clean = transfer(LossyChannel(drop_rate=0.0, rng=0), payload, cost_model)
+        _, lossy = transfer(LossyChannel(drop_rate=0.3, rng=0), payload, cost_model)
         assert lossy == pytest.approx(clean)
 
     def test_random_fill_corrupts_some_coordinates(self, rng):
         payload = rng.standard_normal(10_000)
         channel = LossyChannel(drop_rate=0.3, policy="random-fill", rng=3)
-        delivered, _ = channel.transfer(payload, CostModel())
+        delivered, _ = transfer(channel, payload, CostModel())
         assert delivered is not None
         assert not np.allclose(delivered, payload)
 
     def test_nan_fill_marks_losses(self, rng):
         payload = rng.standard_normal(10_000)
         channel = LossyChannel(drop_rate=0.3, policy="nan-fill", rng=3)
-        delivered, _ = channel.transfer(payload, CostModel())
+        delivered, _ = transfer(channel, payload, CostModel())
         assert np.isnan(delivered).any()
         finite = np.isfinite(delivered)
         np.testing.assert_array_equal(delivered[finite], payload[finite])
@@ -196,13 +197,13 @@ class TestLossyChannel:
     def test_drop_gradient_policy_can_return_none(self, rng):
         payload = rng.standard_normal(10_000)
         channel = LossyChannel(drop_rate=0.9, policy="drop-gradient", rng=3)
-        delivered, _ = channel.transfer(payload, CostModel())
+        delivered, _ = transfer(channel, payload, CostModel())
         assert delivered is None
 
     def test_reordering_with_random_fill(self, rng):
         payload = rng.standard_normal(2048)
         channel = LossyChannel(drop_rate=0.0, reorder_rate=1.0, policy="random-fill", rng=5)
-        delivered, _ = channel.transfer(payload, CostModel())
+        delivered, _ = transfer(channel, payload, CostModel())
         # All coordinates arrive but possibly at the wrong offsets.
         assert delivered is not None
         assert sorted(delivered.tolist()) == pytest.approx(sorted(payload.tolist()))
@@ -210,6 +211,6 @@ class TestLossyChannel:
     def test_statistical_loss_rate(self, rng):
         payload = rng.standard_normal(256 * 200)  # 200 packets
         channel = LossyChannel(drop_rate=0.25, policy="nan-fill", rng=7)
-        delivered, _ = channel.transfer(payload, CostModel())
+        delivered, _ = transfer(channel, payload, CostModel())
         lost_fraction = np.isnan(delivered).mean()
         assert 0.15 < lost_fraction < 0.35

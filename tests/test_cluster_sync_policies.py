@@ -24,6 +24,7 @@ from repro.cluster import (
 from repro.cluster.message import GradientMessage
 from repro.cluster.sync import ArrivalEvent, available_sync_policies
 from repro.exceptions import ConfigurationError, TrainingError
+from tests.channel_testing import transfer
 
 
 COMMON = dict(
@@ -81,7 +82,7 @@ def reference_seed_step(trainer):
     delivered = []
     for path_index, message in enumerate(honest_messages + byzantine_messages):
         channel = trainer.uplink_channels[message.worker_id]
-        payload, seconds = channel.transfer(message.gradient, trainer.cost_model)
+        payload, seconds = transfer(channel, message.gradient, trainer.cost_model)
         if path_index < len(honest_messages):
             path_times[path_index] += seconds
         if payload is None:

@@ -1,10 +1,10 @@
-"""Tests for Dropout, BatchNorm and ResidualBlock."""
+"""Tests for Dropout and ResidualBlock."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.nn.layers import BatchNorm, Dropout, ResidualBlock
+from repro.nn.layers import Dropout, ResidualBlock
 
 from tests.nn_testing import check_layer_gradients
 
@@ -45,45 +45,6 @@ class TestDropout:
             Dropout(1.0)
         with pytest.raises(ConfigurationError):
             Dropout(-0.1)
-
-
-class TestBatchNorm:
-    def test_normalises_batch_statistics(self, rng):
-        layer = BatchNorm(5)
-        x = 3.0 + 2.0 * rng.standard_normal((64, 5))
-        out = layer.forward(x, training=True)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-7)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_running_statistics_updated(self, rng):
-        layer = BatchNorm(3, momentum=0.5)
-        x = 10.0 + rng.standard_normal((32, 3))
-        layer.forward(x, training=True)
-        assert (layer.running_mean > 1.0).all()
-
-    def test_eval_mode_uses_running_statistics(self, rng):
-        layer = BatchNorm(3, momentum=0.0)  # running stats = last batch stats
-        x = rng.standard_normal((64, 3)) * 4 + 1
-        layer.forward(x, training=True)
-        out = layer.forward(x, training=False)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-6)
-
-    def test_gamma_beta_are_parameters(self):
-        layer = BatchNorm(7)
-        assert layer.num_parameters == 14
-
-    def test_wrong_feature_count_raises(self, rng):
-        with pytest.raises(ConfigurationError):
-            BatchNorm(3).forward(rng.standard_normal((4, 5)))
-
-    def test_gradients_numerically(self, rng):
-        check_layer_gradients(BatchNorm(4), (6, 4), rng=rng, atol=1e-4, rtol=1e-3)
-
-    def test_eval_backward_raises(self, rng):
-        layer = BatchNorm(3)
-        layer.forward(rng.standard_normal((4, 3)), training=False)
-        with pytest.raises(RuntimeError):
-            layer.backward(np.ones((4, 3)))
 
 
 class TestResidualBlock:

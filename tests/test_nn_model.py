@@ -121,15 +121,18 @@ class TestInference:
         assert preds.shape == (10,)
         assert ((preds >= 0) & (preds < 3)).all()
 
-    def test_predict_proba_rows_sum_to_one(self, small_model, rng):
-        probs = small_model.predict_proba(rng.standard_normal((5, 6)))
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
-
     def test_batched_prediction_matches_full(self, small_model, rng):
         x = rng.standard_normal((23, 6))
         np.testing.assert_allclose(
             small_model.predict_logits(x), small_model.predict_logits(x, batch_size=5)
         )
+
+    def test_accuracy_is_the_share_of_rows_whose_argmax_matches(self, small_model, rng):
+        x = rng.standard_normal((20, 6))
+        y = small_model.predict(x)
+        y[:5] = (y[:5] + 1) % 3
+        assert small_model.accuracy(x, y) == 0.75
+        assert small_model.accuracy(x, y, batch_size=7) == 0.75
 
     def test_accuracy_bounds(self, small_model, rng):
         x = rng.standard_normal((20, 6))

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.data.sampler import MiniBatchSampler, sample_stacked
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import (
-    BatchNorm, Conv2D, Dense, Dropout, Flatten, LeakyReLU, ReLU, Sigmoid, Tanh,
+    Conv2D, Dense, Dropout, Flatten, LeakyReLU, ReLU, Sigmoid, Tanh,
 )
 from repro.nn.losses import MeanSquaredError
 from repro.nn.model import Sequential
@@ -252,7 +252,7 @@ def test_samplers_draw_in_worker_order_and_gather_their_own_rows():
 # ------------------------------------------------------------------- the gate
 @pytest.mark.parametrize("layers", [
     [Dense(4, 3), Dropout(0.5), Dense(3, 2)],
-    [Dense(4, 4), BatchNorm(4), Dense(4, 2)],
+    [Dense(4, 3), Dropout(0.0), Dense(3, 2)],
     [Conv2D(1, 2, 3), Flatten(), Dense(8, 2)],
     [Flatten(), ReLU()],
 ])

@@ -7,6 +7,7 @@ from repro.cluster import CostModel, DelayedChannel, LossyChannel, RecoveryPolic
 from repro.cluster.codec import RandomKCodec, TopKCodec, decode_frame
 from repro.cluster.trainer import TrainerConfig
 from repro.exceptions import ConfigurationError
+from tests.channel_testing import transfer
 
 
 def _build(tiny_dataset, tiny_model_kwargs, **overrides):
@@ -68,7 +69,7 @@ class TestWireRngIsolation:
         channel = LossyChannel(drop_rate=0.0, policy="random-fill", rng=9)
         before_wire = channel._wire_rng.bit_generator.state
         before_fill = channel.packetizer._rng.bit_generator.state
-        channel.transfer(rng.standard_normal(1000), CostModel())
+        transfer(channel, rng.standard_normal(1000), CostModel())
         assert channel._wire_rng.bit_generator.state == before_wire
         assert channel.packetizer._rng.bit_generator.state == before_fill
 
@@ -87,7 +88,7 @@ class TestWireRngIsolation:
         payload = rng.standard_normal(2048)
         fill_before = fresh_a.packetizer._rng.bit_generator.state
         nan_fill = LossyChannel(drop_rate=0.5, policy="nan-fill", rng=4)
-        nan_fill.transfer(payload, CostModel())
+        transfer(nan_fill, payload, CostModel())
         # NaN fill never draws garbage: only the drop stream advanced.
         assert nan_fill.packetizer._rng.bit_generator.state == fill_before
         assert nan_fill._wire_rng.bit_generator.state != fresh_a._wire_rng.bit_generator.state
@@ -339,8 +340,8 @@ class TestJitterRngIsolation:
         payload = rng.standard_normal(64)
         cost = CostModel()
         for _ in range(3):
-            _, sa = a.transfer(payload, cost)
-            _, sb = b.transfer(payload, cost)
+            _, sa = transfer(a, payload, cost)
+            _, sb = transfer(b, payload, cost)
             assert sa == sb
 
     def test_jitter_draws_do_not_perturb_inner_lossy_streams(self, rng):
@@ -353,13 +354,13 @@ class TestJitterRngIsolation:
         payload = rng.standard_normal(2048)
         cost = CostModel()
         for _ in range(2):
-            wrapped.transfer(payload, cost)
+            transfer(wrapped, payload, cost)
 
         parent_b = np.random.default_rng(11)
         inner_b = LossyChannel(drop_rate=0.4, rng=parent_b)
         np.random.default_rng(0)  # unrelated draw, must not matter
         for _ in range(2):
-            inner_b.transfer(payload, cost)
+            transfer(inner_b, payload, cost)
         # Same number of transfers -> identical wire-stream states, jitter or not.
         assert (
             inner_a._wire_rng.bit_generator.state
