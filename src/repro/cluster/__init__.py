@@ -54,7 +54,7 @@ from repro.cluster.network import (
 )
 from repro.cluster.sync import (
     AdmissionPredicate,
-    ArrivalEvent,
+    ArrivalBatch,
     BoundedStaleness,
     FullSync,
     Quorum,
@@ -116,7 +116,7 @@ __all__ = [
     "EventLoop",
     "EventQueue",
     "AdmissionPredicate",
-    "ArrivalEvent",
+    "ArrivalBatch",
     "SyncDecision",
     "SyncPolicy",
     "FullSync",

@@ -275,14 +275,8 @@ def restore_training_state(trainer, state: TrainingState) -> None:
         # the uninterrupted run exactly (retention keeps precisely the carry
         # pool's rows), so resumed runs charge bit-identical aggregation
         # times.
-        rows = [
-            np.asarray(e.payload, dtype=np.float64)
-            for e in trainer.sync_policy.pending_events()
-            if e.delivered
-        ]
-        trainer.server.distance_cache.rebuild(
-            np.stack(rows, axis=0) if rows else None
-        )
+        pending = trainer.sync_policy.pending()
+        trainer.server.distance_cache.rebuild(pending.payloads if len(pending) else None)
     trainer._warm_debt = float(state.distance_warm_debt)
     for label, rng_state in state.rng_states.items():
         expected[label].bit_generator.state = rng_state

@@ -336,7 +336,11 @@ class ParameterServer:
                 version=self.step,
                 sim_time=float(sim_time),
                 num_gradients=0 if worker_ids is None else len(worker_ids),
-                worker_ids=None if worker_ids is None else tuple(int(w) for w in worker_ids),
+                worker_ids=(
+                    None
+                    if worker_ids is None
+                    else tuple(np.asarray(worker_ids, dtype=np.int64).tolist())
+                ),
                 wire_bytes=float(wire_bytes),
             )
         )

@@ -22,6 +22,13 @@ construction.  This module turns that choice into a policy object consumed by
     more than ``tau`` steps behind, so the server waits for any gradient
     whose staleness would otherwise exceed the bound.
 
+A lock-step step reaches its policy as one :class:`ArrivalBatch` — the
+step's arrivals in columns, its payloads one ``(m, d)`` matrix — and the
+policy decides on arrays: the ``(arrival_time, order)`` drain is one
+``np.lexsort``, the admitted batch is a row selection the GAR aggregates as
+it is, and the carry pool is itself a batch.  The list-of-events policies
+this replaced are frozen in ``tests/sync_reference.py``.
+
 Resilience caveat (documented, deliberate): the adversary is assumed
 arbitrarily fast, so Byzantine gradients arrive at time zero and are always
 inside the quorum.  A quorum of ``q`` gradients containing up to ``f``
@@ -37,118 +44,112 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
-from repro.cluster.message import GradientMessage
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import check_non_negative_int, check_positive_int, make_registered
 
-#: Event-time tie-break: events are processed in submission order (honest
-#: workers by id, then Byzantine workers), which keeps every policy
-#: deterministic for equal arrival times.
+
+#: The per-row columns of an :class:`ArrivalBatch`, in field order.
+_COLUMNS = (
+    "worker_ids", "steps", "losses", "payloads", "delivered", "arrival_times",
+    "honest", "order", "wire_bytes", "staleness",
+)
 
 
-@dataclass
-class ArrivalEvent:
-    """One gradient's journey to the server within a step.
+@dataclass(eq=False)
+class ArrivalBatch:
+    """One step's gradient arrivals at the server, one row per gradient.
+
+    Structure of arrays: entry ``i`` of every column describes the same
+    gradient, so a step of ``m`` arrivals is a dozen arrays, not ``m``
+    objects.
 
     Attributes
     ----------
-    message:
-        The gradient message as computed/crafted by the worker.  Its ``step``
-        field records the model version the gradient was computed on, which is
-        what staleness is measured against.
-    payload:
-        What survived the uplink channel (``None`` when the transport dropped
-        the whole gradient — the event still carries its timing).
-    arrival_time:
-        Seconds after the step's model broadcast at which the gradient reaches
-        the server.  Byzantine gradients arrive at time zero (the threat model
-        grants the adversary unbounded compute and arbitrarily fast links).
+    worker_ids, steps, losses:
+        The sender, the model version the gradient was computed on (what
+        staleness is measured against) and the sender's reported loss (NaN
+        for Byzantine senders).
+    payloads, delivered:
+        The ``(m, d)`` matrix of what survived each uplink channel, and
+        whether anything did: a dropped gradient still has its timing, but
+        its payload row holds nothing.
+    arrival_times:
+        Seconds after the step's model broadcast at which each gradient
+        reaches the server; Byzantine gradients arrive at time zero (the
+        threat model's adversary is arbitrarily fast).
     honest:
-        Whether the sender is an honest worker (Byzantine arrivals never
-        extend a synchronous step's critical path).
-    staleness:
-        Age of the gradient in steps at admission time; stamped by the policy.
+        Whether the sender is honest (Byzantine arrivals never extend a
+        synchronous step's critical path).
     order:
         Submission index within the step (honest workers by id, then
-        Byzantine workers).  Admitted batches are restored to submission
-        order before aggregation so that the GAR's floating-point reduction
-        order — and hence the trajectory — never depends on arrival jitter;
+        Byzantine workers).  Arrivals drain by ``(arrival_time, order)`` and
+        an admitted batch aggregates in ``order``, so the GAR's reduction
+        order — hence the trajectory — never depends on arrival jitter;
         carried gradients sort before fresh ones.
     wire_bytes:
-        Encoded uplink bytes the gradient cost on the wire (0 for Byzantine
-        submissions — the threat model's adversary pays nothing — and for
-        events recorded before the codec stage existed).
+        Encoded uplink bytes each gradient cost (0 for Byzantine senders:
+        the adversary pays nothing).
+    staleness:
+        Age of each gradient in steps at admission; stamped by the policy.
+    gradients:
+        The senders' own gradients, as row blocks stacked in row order (the
+        honest matrix, then the crafted rows): a carried row is
+        checkpointed as it was sent.  :meth:`take` leaves them behind.
     """
 
-    message: GradientMessage
-    payload: Optional[np.ndarray]
-    arrival_time: float
-    honest: bool
-    staleness: int = 0
-    order: int = 0
-    wire_bytes: float = 0.0
+    worker_ids: np.ndarray
+    steps: np.ndarray
+    losses: np.ndarray
+    payloads: np.ndarray
+    delivered: np.ndarray
+    arrival_times: np.ndarray
+    honest: np.ndarray
+    order: np.ndarray
+    wire_bytes: np.ndarray
+    staleness: np.ndarray
+    gradients: Tuple[np.ndarray, ...] = ()
 
-    @property
-    def delivered(self) -> bool:
-        """Whether the gradient's payload actually reached the server."""
-        return self.payload is not None
+    def __len__(self) -> int:
+        return len(self.worker_ids)
 
+    @classmethod
+    def empty(cls) -> "ArrivalBatch":
+        """No arrivals (an empty carry pool)."""
+        return cls(*(np.zeros((0, 0) if name == "payloads" else 0) for name in _COLUMNS))
 
-@dataclass
-class SyncDecision:
-    """What the policy decided for one step.
+    def take(self, index: np.ndarray) -> "ArrivalBatch":
+        """The rows at *index*, in that order, without the senders' gradients."""
+        return ArrivalBatch(*(getattr(self, name)[index] for name in _COLUMNS))
 
-    Attributes
-    ----------
-    admitted:
-        Events whose payloads enter the GAR this step, in admission order.
-    wait_time:
-        Simulated seconds between the model broadcast and the moment the
-        server starts aggregating (the step's compute + communication time).
-    dropped_stragglers:
-        Delivered gradients discarded because they missed the quorum.
-    carried:
-        Delivered gradients deferred into the next step's pool.
-    stale_admitted:
-        Admitted gradients with staleness >= 1.
-    max_staleness:
-        Largest staleness among the admitted gradients.
-    """
+    def gradient_rows(self, index: np.ndarray) -> np.ndarray:
+        """The senders' gradients of the rows at *index*."""
+        blocks = self.gradients
+        return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks))[index]
 
-    admitted: List[ArrivalEvent]
-    wait_time: float
-    dropped_stragglers: int = 0
-    carried: int = 0
-    stale_admitted: int = 0
-    max_staleness: int = 0
-
-
-def _stamp_staleness(events: List[ArrivalEvent], step: int) -> None:
-    for event in events:
-        event.staleness = max(step - event.message.step, 0)
+    @staticmethod
+    def concat(first: "ArrivalBatch", second: "ArrivalBatch") -> "ArrivalBatch":
+        """*first*'s rows, then *second*'s (an empty side costs no copy)."""
+        if not len(first):
+            return second
+        if not len(second):
+            return first
+        return ArrivalBatch(
+            *(np.concatenate([getattr(first, n), getattr(second, n)]) for n in _COLUMNS),
+            gradients=first.gradients + second.gradients,
+        )
 
 
-def _honest_horizon(events: List[ArrivalEvent], floor: float) -> float:
-    """Latest honest arrival (delivered or not) — the full-synchrony wait."""
-    times = [e.arrival_time for e in events if e.honest]
-    return max(times) if times else floor
+#: A checkpointed pending row's keys, in :meth:`QuorumBasedPolicy.state_dict` order.
+_PENDING_KEYS = (
+    "worker_id", "step", "loss", "gradient", "payload", "arrival_time", "honest",
+    "staleness", "order",
+)
 
-
-def _by_arrival(events: List[ArrivalEvent]) -> List[ArrivalEvent]:
-    """Events sorted by arrival time, ties broken by submission order."""
-    return sorted(events, key=lambda e: (e.arrival_time, e.order))
-
-
-def _in_submission_order(events: List[ArrivalEvent]) -> List[ArrivalEvent]:
-    """Restore the deterministic batch order the GAR aggregates in."""
-    return sorted(events, key=lambda e: e.order)
-
-
-#: Order offset applied to carried events so they sort before fresh ones.
+#: Order offset applied to carried rows so they sort before fresh ones.
 CARRY_ORDER_OFFSET = 10**6
 
 
@@ -193,18 +194,111 @@ class AdmissionPredicate:
         return pending >= self.quorum
 
 
-def _carry_event(event: ArrivalEvent, wait: float) -> ArrivalEvent:
-    """Defer *event* into the next step's pool.
+@dataclass
+class SyncDecision:
+    """What the policy decided for one step.
+
+    Attributes
+    ----------
+    admitted:
+        The rows whose payloads enter the GAR this step, in submission
+        order.
+    wait_time:
+        Simulated seconds between the model broadcast and the moment the
+        server starts aggregating (the step's compute + communication time).
+    dropped_stragglers:
+        Delivered gradients discarded because they missed the quorum.
+    carried:
+        Delivered gradients deferred into the next step's pool.
+    stale_admitted:
+        Admitted gradients with staleness >= 1.
+    max_staleness:
+        Largest staleness among the admitted gradients.
+    """
+
+    admitted: ArrivalBatch
+    wait_time: float
+    dropped_stragglers: int = 0
+    carried: int = 0
+    stale_admitted: int = 0
+    max_staleness: int = 0
+
+
+def _first_max(times: np.ndarray, sequence: np.ndarray, default: float) -> float:
+    """``max`` over ``times[sequence]`` as Python takes it: the first maximum.
+
+    ``-0.0 == 0.0``, so which of two tied zeros is "the" maximum decides the
+    sign bit of the wait; ``np.argmax`` keeps the first, as ``max`` does.
+    """
+    if not sequence.size:
+        return default
+    values = times[sequence]
+    return float(values[np.argmax(values)])
+
+
+def _stamp_and_drain(pool: ArrivalBatch, step: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Stamp each row's staleness; return the drain and its delivered rows.
+
+    The drain is the event queue's pop order — by arrival time, ties broken
+    by submission order — as one stable lexsort.
+    """
+    pool.staleness = np.maximum(step - pool.steps, 0)
+    drain = np.lexsort((pool.order, pool.arrival_times))
+    return drain, drain[pool.delivered[drain]]
+
+
+def _honest_horizon(pool: ArrivalBatch, sequence: np.ndarray, floor: float) -> float:
+    """Latest honest arrival (delivered or not) — the full-synchrony wait."""
+    return _first_max(pool.arrival_times, sequence[pool.honest[sequence]], floor)
+
+
+def _admitted(pool: ArrivalBatch, index: np.ndarray) -> ArrivalBatch:
+    """The rows at *index*, restored to submission order: the GAR's batch.
+
+    The identity selection (every row, already in order — a full-sync step
+    where everything arrived) hands *pool* over as it is.
+    """
+    index = index[np.argsort(pool.order[index], kind="stable")]
+    if index.size == len(pool) and (index == np.arange(index.size)).all():
+        return pool
+    return pool.take(index)
+
+
+def _quorum_decision(
+    pool: ArrivalBatch, index: np.ndarray, wait: float, *, dropped: int = 0, carried: int = 0
+) -> SyncDecision:
+    """A quorum policy's decision: admit the rows at *index*, count the stale ones."""
+    admitted = _admitted(pool, index)
+    stale = admitted.staleness[admitted.staleness > 0]
+    return SyncDecision(
+        admitted=admitted,
+        wait_time=wait,
+        dropped_stragglers=dropped,
+        carried=carried,
+        stale_admitted=int(stale.size),
+        max_staleness=int(stale.max()) if stale.size else 0,
+    )
+
+
+def _carry(pool: ArrivalBatch, rows: np.ndarray, wait: float) -> ArrivalBatch:
+    """Defer the *rows* of *pool* into the next step's pool.
 
     A carried gradient keeps its residual lateness: it becomes available
     ``arrival - wait`` seconds into the next step (clamped at zero), which
     preserves arrival-rate conservation — the server can never admit
     gradients faster than the workers produce them.  It also ages by one
-    step and sorts before fresh submissions.
+    step and sorts before fresh submissions.  It keeps the sender's
+    gradient, for the checkpoint.
     """
-    event.arrival_time = max(0.0, event.arrival_time - wait)
-    event.order -= CARRY_ORDER_OFFSET
-    return event
+    if not rows.size:
+        return ArrivalBatch.empty()
+    carried = pool.take(rows)
+    residual = carried.arrival_times - wait
+    # max(0.0, residual) as Python takes it: 0.0 unless strictly later.
+    carried.arrival_times = np.where(residual > 0.0, residual, 0.0)
+    carried.order = carried.order - CARRY_ORDER_OFFSET
+    carried.gradients = (pool.gradient_rows(rows),)
+    return carried
 
 
 class SyncPolicy(abc.ABC):
@@ -212,9 +306,9 @@ class SyncPolicy(abc.ABC):
 
     A policy is bound to one trainer via :meth:`bind` (which receives the
     cluster dimensions and validates the policy's parameters against them)
-    and consumes one list of :class:`ArrivalEvent` per step via
-    :meth:`collect`.  Policies may be stateful (carried gradients); state is
-    cleared by :meth:`reset`.
+    and consumes one :class:`ArrivalBatch` per step via :meth:`collect`.
+    Policies may be stateful (carried gradients); state is cleared by
+    :meth:`reset`.
     """
 
     #: Registry name, set by :func:`register_sync_policy`.
@@ -244,14 +338,15 @@ class SyncPolicy(abc.ABC):
     def reset(self) -> None:
         """Drop carried state (e.g. when reusing a policy across runs)."""
 
-    def pending_events(self) -> List[ArrivalEvent]:
+    def pending(self) -> ArrivalBatch:
         """The carried-gradient pool awaiting the next step (empty if stateless).
 
         Exposed so the cluster layer can key derived state — notably the
         distance cache's retention — to exactly the rows that will re-submit
-        next step; mutating the returned list does not affect the policy.
+        next step.  Every pending row was delivered.  Read it, do not
+        mutate it: it is the policy's own pool.
         """
-        return []
+        return ArrivalBatch.empty()
 
     # -------------------------------------------------------- admission view
     def admission(self, *, max_version_lag: Optional[int] = None) -> AdmissionPredicate:
@@ -281,11 +376,13 @@ class SyncPolicy(abc.ABC):
             )
 
     @abc.abstractmethod
-    def collect(self, events: List[ArrivalEvent], step: int, *, floor: float) -> SyncDecision:
-        """Decide which of this step's *events* are admitted and when.
+    def collect(self, batch: ArrivalBatch, step: int, *, floor: float) -> SyncDecision:
+        """Decide which of this step's arrivals are admitted and when.
 
-        *floor* is the minimum wait (the model-broadcast time), used when a
-        step has no honest arrivals to wait on.
+        *batch* holds the step's arrivals in any row order: the server
+        drains them by ``(arrival_time, order)`` itself.  *floor* is the
+        minimum wait (the model-broadcast time), used when a step has no
+        honest arrivals to wait on.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -339,14 +436,14 @@ class FullSync(SyncPolicy):
     pre-pipeline implementation.
     """
 
-    def collect(self, events: List[ArrivalEvent], step: int, *, floor: float) -> SyncDecision:
-        _stamp_staleness(events, step)
-        # The trainer now hands events in deterministic *arrival* order (it
-        # drains them from the event queue); restoring submission order keeps
-        # the aggregation batch — and hence the floating-point trajectory —
-        # bit-identical to the seed protocol.
-        admitted = _in_submission_order([e for e in events if e.delivered])
-        return SyncDecision(admitted=admitted, wait_time=_honest_horizon(events, floor))
+    def collect(self, batch: ArrivalBatch, step: int, *, floor: float) -> SyncDecision:
+        drain, delivered = _stamp_and_drain(batch, step)
+        # Restoring submission order keeps the aggregation batch — and hence
+        # the floating-point trajectory — bit-identical to the seed protocol.
+        return SyncDecision(
+            admitted=_admitted(batch, delivered),
+            wait_time=_honest_horizon(batch, drain, floor),
+        )
 
 
 class QuorumBasedPolicy(SyncPolicy):
@@ -363,7 +460,7 @@ class QuorumBasedPolicy(SyncPolicy):
         self.quorum = None if quorum is None else check_positive_int(quorum, "quorum")
         self._effective_quorum: Optional[int] = None
         self._min_batch = 1
-        self._pending: List[ArrivalEvent] = []
+        self._pending = ArrivalBatch.empty()
 
     @property
     def effective_quorum(self) -> Optional[int]:
@@ -404,10 +501,10 @@ class QuorumBasedPolicy(SyncPolicy):
             )
 
     def reset(self) -> None:
-        self._pending = []
+        self._pending = ArrivalBatch.empty()
 
-    def pending_events(self) -> List[ArrivalEvent]:
-        return list(self._pending)
+    def pending(self) -> ArrivalBatch:
+        return self._pending
 
     def admission(self, *, max_version_lag: Optional[int] = None) -> AdmissionPredicate:
         quorum = self._effective_quorum
@@ -426,53 +523,63 @@ class QuorumBasedPolicy(SyncPolicy):
         degraded) delivered payload are kept, so a restored pool aggregates
         exactly what the interrupted run would have.
         """
-        return {
-            "pending": [
-                {
-                    "worker_id": e.message.worker_id,
-                    "step": e.message.step,
-                    "loss": e.message.loss,
-                    "gradient": np.asarray(e.message.gradient, dtype=np.float64),
-                    "payload": np.asarray(e.payload, dtype=np.float64),
-                    "arrival_time": e.arrival_time,
-                    "honest": e.honest,
-                    "staleness": e.staleness,
-                    "order": e.order,
-                }
-                for e in self._pending
-            ]
-        }
+        pool = self._pending
+        if not len(pool):
+            return {"pending": []}
+        columns = (
+            pool.worker_ids.tolist(), pool.steps.tolist(), pool.losses.tolist(),
+            list(pool.gradient_rows(np.arange(len(pool)))), list(pool.payloads),
+            pool.arrival_times.tolist(), pool.honest.tolist(), pool.staleness.tolist(),
+            pool.order.tolist(),
+        )
+        return {"pending": [dict(zip(_PENDING_KEYS, row)) for row in zip(*columns)]}
 
     def load_state_dict(self, state: Dict) -> None:
-        self._pending = [
-            ArrivalEvent(
-                message=GradientMessage(
-                    worker_id=int(entry["worker_id"]),
-                    step=int(entry["step"]),
-                    gradient=np.asarray(entry["gradient"], dtype=np.float64),
-                    loss=float(entry["loss"]),
-                ),
-                payload=np.asarray(entry["payload"], dtype=np.float64),
-                arrival_time=float(entry["arrival_time"]),
-                honest=bool(entry["honest"]),
-                staleness=int(entry["staleness"]),
-                order=int(entry["order"]),
-            )
-            for entry in state.get("pending", [])
-        ]
+        entries = state.get("pending", [])
+        if not entries:
+            self._pending = ArrivalBatch.empty()
+            return
 
-    def _pool_step(self, events: List[ArrivalEvent], step: int):
-        """Merge pending + fresh events; return ``(pool, delivered, quorum)``."""
+        def column(key, dtype):
+            return np.array([entry[key] for entry in entries], dtype=dtype)
+
+        def rows(key):
+            return np.stack([np.asarray(e[key], dtype=np.float64) for e in entries])
+
+        self._pending = ArrivalBatch(
+            worker_ids=column("worker_id", np.int64),
+            steps=column("step", np.int64),
+            losses=column("loss", np.float64),
+            payloads=rows("payload"),
+            delivered=np.ones(len(entries), dtype=bool),
+            arrival_times=column("arrival_time", np.float64),
+            honest=column("honest", bool),
+            order=column("order", np.int64),
+            # A restored pool prices its rows at nothing on the wire, as it
+            # always has: the archive does not carry them.
+            wire_bytes=np.zeros(len(entries)),
+            staleness=column("staleness", np.int64),
+            gradients=(rows("gradient"),),
+        )
+
+    def _pool_step(self, batch: ArrivalBatch, step: int):
+        """Merge pending + fresh rows; return ``(pool, sequence, delivered, quorum)``.
+
+        *sequence* is the order the pool is scanned for its honest horizon:
+        the pending rows as the pool holds them, then the fresh ones as
+        they drained.
+        """
         quorum = self._effective_quorum
         if quorum is None:
             raise ConfigurationError(
                 f"{type(self).__name__}.collect called before bind()"
             )
-        pool = self._pending + list(events)
-        self._pending = []
-        _stamp_staleness(pool, step)
-        delivered = _by_arrival([e for e in pool if e.delivered])
-        return pool, delivered, quorum
+        carried = len(self._pending)
+        pool = ArrivalBatch.concat(self._pending, batch)
+        self._pending = ArrivalBatch.empty()
+        drain, delivered = _stamp_and_drain(pool, step)
+        sequence = np.concatenate([np.arange(carried), drain[drain >= carried]])
+        return pool, sequence, delivered, quorum
 
 
 @register_sync_policy("quorum")
@@ -490,7 +597,7 @@ class Quorum(QuorumBasedPolicy):
         What happens to delivered gradients that miss the quorum:
         ``"drop"`` discards them, ``"carry"`` defers them into the next
         step's pool, where they arrive with their residual lateness
-        (``arrival - wait``, see :func:`_carry_event`) and staleness >= 1,
+        (``arrival - wait``, see :func:`_carry`) and staleness >= 1,
         so a badly late gradient can miss the next quorum too.  The carry
         queue holds at most one pending gradient per worker — a newer late
         gradient supersedes a staler pending one, and the superseded
@@ -513,47 +620,36 @@ class Quorum(QuorumBasedPolicy):
         super().bind(num_workers=num_workers, f=f, min_batch=min_batch)
         self._check_min_batch()
 
-    def collect(self, events: List[ArrivalEvent], step: int, *, floor: float) -> SyncDecision:
-        pool, delivered, quorum = self._pool_step(events, step)
+    def collect(self, batch: ArrivalBatch, step: int, *, floor: float) -> SyncDecision:
+        pool, sequence, delivered, quorum = self._pool_step(batch, step)
 
-        if len(delivered) < quorum:
+        if delivered.size < quorum:
             # Not enough survivors to fill the quorum: the server waits out
             # every honest path before concluding nothing more is coming.
-            admitted, late = delivered, []
-            wait = _honest_horizon(pool, floor)
+            admitted, late = delivered, delivered[:0]
+            wait = _honest_horizon(pool, sequence, floor)
         else:
             admitted = delivered[:quorum]
-            wait = max((e.arrival_time for e in admitted), default=floor)
+            wait = _first_max(pool.arrival_times, admitted, floor)
             late = delivered[quorum:]
 
-        dropped = carried = 0
+        carried = 0
         if self.stragglers == "carry":
-            # One pending slot per worker: the newest late gradient wins,
-            # superseded ones are shed as drops (keeps the queue bounded).
-            newest: Dict[int, ArrivalEvent] = {}
-            for event in late:
-                previous = newest.get(event.message.worker_id)
-                if previous is None or event.message.step >= previous.message.step:
-                    if previous is not None:
-                        dropped += 1
-                    newest[event.message.worker_id] = event
-                else:
-                    dropped += 1
-            self._pending = [_carry_event(e, wait) for e in newest.values()]
-            carried = len(self._pending)
-        else:
-            dropped = len(late)
-
-        admitted = _in_submission_order(admitted)
-        stale = [e.staleness for e in admitted if e.staleness > 0]
-        return SyncDecision(
-            admitted=admitted,
-            wait_time=wait,
-            dropped_stragglers=dropped,
-            carried=carried,
-            stale_admitted=len(stale),
-            max_staleness=max(stale, default=0),
-        )
+            # One pending slot per worker: the newest late gradient wins (on
+            # equal steps the later arrival), superseded ones are shed as
+            # drops (keeps the queue bounded).  The pool keeps the workers in
+            # the order of their first late arrival.
+            workers = pool.worker_ids[late]
+            position = np.arange(late.size)
+            by_worker = np.lexsort((position, pool.steps[late], workers))
+            last = np.ones(late.size, dtype=bool)
+            last[:-1] = workers[by_worker][1:] != workers[by_worker][:-1]
+            _, first_seen = np.unique(workers, return_index=True)
+            newest = late[by_worker[last][np.argsort(first_seen, kind="stable")]]
+            self._pending = _carry(pool, newest, wait)
+            carried = int(newest.size)
+        dropped = int(late.size) - carried
+        return _quorum_decision(pool, admitted, wait, dropped=dropped, carried=carried)
 
 
 @register_sync_policy("bounded-staleness")
@@ -577,42 +673,31 @@ class BoundedStaleness(QuorumBasedPolicy):
         lag = self.tau if max_version_lag is None else max_version_lag
         return super().admission(max_version_lag=lag)
 
-    def collect(self, events: List[ArrivalEvent], step: int, *, floor: float) -> SyncDecision:
-        pool, delivered, quorum = self._pool_step(events, step)
+    def collect(self, batch: ArrivalBatch, step: int, *, floor: float) -> SyncDecision:
+        pool, sequence, delivered, quorum = self._pool_step(batch, step)
+        times = pool.arrival_times
 
-        if len(delivered) < quorum:
-            wait = _honest_horizon(pool, floor)
-            admitted, late = delivered, []
+        if delivered.size < quorum:
+            wait = _honest_horizon(pool, sequence, floor)
+            admitted, late = delivered, delivered[:0]
         else:
             # Natural cutoff: the quorum-th arrival.  The staleness bound can
             # push the cutoff later: a gradient carried once more would have
-            # staleness (step + 1 - message.step), and if that exceeds tau the
+            # staleness (step + 1 - its step), and if that exceeds tau the
             # server must absorb it *this* step.
-            wait = delivered[quorum - 1].arrival_time
-            for event in delivered[quorum:]:
-                if step + 1 - event.message.step > self.tau:
-                    wait = max(wait, event.arrival_time)
-            admitted = [e for e in delivered if e.arrival_time <= wait]
-            late = [e for e in delivered if e.arrival_time > wait]
+            beyond = delivered[quorum:]
+            forced = beyond[step + 1 - pool.steps[beyond] > self.tau]
+            wait = _first_max(times, np.concatenate([delivered[quorum - 1:quorum], forced]), floor)
+            admitted = delivered[times[delivered] <= wait]
+            late = delivered[times[delivered] > wait]
 
-        for event in late:
-            _carry_event(event, wait)
-        self._pending = late
-
-        admitted = _in_submission_order(admitted)
-        stale = [e.staleness for e in admitted if e.staleness > 0]
-        return SyncDecision(
-            admitted=admitted,
-            wait_time=wait,
-            carried=len(late),
-            stale_admitted=len(stale),
-            max_staleness=max(stale, default=0),
-        )
+        self._pending = _carry(pool, late, wait)
+        return _quorum_decision(pool, admitted, wait, carried=int(late.size))
 
 
 __all__ = [
     "AdmissionPredicate",
-    "ArrivalEvent",
+    "ArrivalBatch",
     "SyncDecision",
     "SyncPolicy",
     "QuorumBasedPolicy",

@@ -11,7 +11,6 @@ The metrics mirror the paper's evaluation section:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import compress
 from operator import attrgetter
@@ -467,10 +466,14 @@ class TrainingHistory:
 
         Synchronous rounds are overwhelmingly all-fresh (every lag zero), so
         the common case is one dictionary bump instead of one per gradient.
+        New lags join the dictionary in the order they first occur in
+        *lags* — its key order is part of the exported document.
         """
-        counts = Counter(int(lag) for lag in lags)
-        for lag, count in counts.items():
-            self.version_lag_counts[lag] = self.version_lag_counts.get(lag, 0) + count
+        lags = np.asarray(lags, dtype=np.int64)
+        values, first, counts = np.unique(lags, return_index=True, return_counts=True)
+        for i in np.argsort(first, kind="stable").tolist():
+            lag = int(values[i])
+            self.version_lag_counts[lag] = self.version_lag_counts.get(lag, 0) + int(counts[i])
 
     # --------------------------------------------------------------- metrics
     @property

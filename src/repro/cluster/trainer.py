@@ -22,13 +22,16 @@ is the one-actor fabric, so no stage asks how many servers there are:
        gradients, possibly as a function of every honest gradient
        (omniscient adversary), and submit them instantly.
     3. **Transfer** — every gradient travels over that worker's uplink
-       channel and becomes an :class:`~repro.cluster.sync.ArrivalEvent`;
-       the step's arrivals are ordered by ``(arrival time, submission
-       order)``, the pop order of :class:`~repro.cluster.events.EventQueue`.
+       channel and becomes one row of the step's
+       :class:`~repro.cluster.sync.ArrivalBatch` (its payload a row of one
+       ``(m, d)`` matrix, its timing a column entry).
     4. **Synchrony + aggregation** — the configured
-       :class:`~repro.cluster.sync.SyncPolicy` decides which arrivals the
-       server waits for; the admitted batch is validated once, aggregated by
-       the GAR with full diagnostics, and the optimizer update is applied.
+       :class:`~repro.cluster.sync.SyncPolicy` drains the batch by
+       ``(arrival time, submission order)``, the pop order of
+       :class:`~repro.cluster.events.EventQueue`, and decides which arrivals
+       the server waits for; the admitted rows are validated once,
+       aggregated by the GAR with full diagnostics, and the optimizer update
+       is applied.
 
     With the default ``FullSync`` policy the step is bit-identical to the
     seed implementation's lock-step protocol.
@@ -78,7 +81,7 @@ from repro.cluster.network import Channel, build_uplink_map
 from repro.cluster.profiler import SimProfiler
 from repro.cluster.server import ParameterServer
 from repro.cluster.service import ServerFabric, parse_server_topology
-from repro.cluster.sync import ArrivalEvent, FullSync, SyncPolicy
+from repro.cluster.sync import ArrivalBatch, FullSync, SyncPolicy
 from repro.cluster.telemetry import EvalRecord, StepRecord, TrainingHistory
 from repro.cluster.worker import (
     ByzantineWorker,
@@ -186,8 +189,8 @@ class BaseTrainer:
 
     1. :meth:`_frame_fetches` — fetch framing: the snapshot each worker
        reconstructs, its priced downlink bytes, whether it was a delta.
-    2. :meth:`_compute_gradients` — compute: messages, losses and the
-       gradient matrix (:meth:`_exact_gradients`: one stacked exact pass on
+    2. :meth:`_compute_gradients` — compute: the losses and the gradient
+       matrix (:meth:`_exact_gradients`: one stacked exact pass on
        the compute mode's mini-batches, or the replica loop where the model
        cannot be stacked).
     3. :meth:`_encode_rows` — encode: error feedback against the fleet's
@@ -199,9 +202,10 @@ class BaseTrainer:
     resolved (one closed-world ``fabric.simulate`` per step against
     event-driven ``open_many`` sessions), when the adversary crafts, the
     straggler draws (``sample(n)`` once per step against ``sample(1)`` per
-    event — different stream consumption) and the arrival's form
-    (:class:`~repro.cluster.sync.ArrivalEvent` objects against ``arrive``
-    events).  The async per-event handlers are the run-of-one spelling;
+    event — different stream consumption) and the arrival's form (one
+    :class:`~repro.cluster.sync.ArrivalBatch` per step against ``arrive``
+    events carrying a :class:`~repro.cluster.message.GradientMessage`
+    each).  The async per-event handlers are the run-of-one spelling;
     their scalar :meth:`_encode` reads and writes the same row store.
     """
 
@@ -595,11 +599,11 @@ class BaseTrainer:
         self,
         workers: Sequence[HonestWorker],
         snapshots: Sequence[Tuple[int, np.ndarray]],
-    ) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Compute stage: each worker's gradient estimate on its snapshot.
 
-        Returns :meth:`_exact_gradients`' ``(messages, losses, gradients)``
-        in worker order, each worker computing on the parameters it
+        Returns :meth:`_exact_gradients`' ``(losses, gradients)`` in worker
+        order, each worker computing on the parameters it
         reconstructed from its own downlink frame.  The compute mode only
         picks the mini-batches of a stacked pass: under ``"fleet"``,
         workers sharing one training set take theirs from one ``(n, b)``
@@ -629,7 +633,7 @@ class BaseTrainer:
         workers: Sequence[HonestWorker],
         snapshots: Sequence[Tuple[int, np.ndarray]],
         batch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """What each worker's own backprop returns on its mini-batch, bit for bit.
 
         One stacked pass over the run (:func:`~repro.cluster.worker.compute_stacked`)
@@ -650,7 +654,22 @@ class BaseTrainer:
             for worker, (version, parameters) in zip(workers, snapshots)
         ]
         losses = np.array([m.loss for m in messages])
-        return messages, losses, np.stack([m.gradient for m in messages], axis=0)
+        return losses, np.stack([m.gradient for m in messages], axis=0)
+
+    @staticmethod
+    def _messages(
+        workers: Sequence[HonestWorker],
+        snapshots: Sequence[Tuple[int, np.ndarray]],
+        losses: np.ndarray,
+        gradients: np.ndarray,
+    ) -> List[GradientMessage]:
+        """The compute stage's rows as messages: the async events' payloads."""
+        return [
+            GradientMessage.trusted(worker.worker_id, version, gradient, loss)
+            for worker, (version, _), gradient, loss in zip(
+                workers, snapshots, gradients, losses.tolist()
+            )
+        ]
 
     def _encode_rows(
         self, rows: np.ndarray, gradients: np.ndarray
@@ -918,10 +937,10 @@ class SynchronousTrainer(BaseTrainer):
     # -------------------------------------------------------------- pipeline
     def _collect_arrivals(
         self, parameters: np.ndarray, step: int, dim: int
-    ) -> Tuple[List[ArrivalEvent], float, List[float], float]:
+    ) -> Tuple[ArrivalBatch, float, List[float], float]:
         """Pipeline stages 1-3: compute, craft, encode + transfer.
 
-        Returns the step's arrival events (submission order: honest workers,
+        Returns the step's arrival batch (submission order: honest workers,
         then Byzantine workers), the wait floor (when the model broadcast
         finished reaching the last honest worker), the honest losses for the
         step's mean-loss metric, and the step's broadcast (downlink) bytes.
@@ -994,12 +1013,11 @@ class SynchronousTrainer(BaseTrainer):
 
         # Stage 1: honest gradients, priced array-at-a-time when the stacked
         # pass measured every row's flops.
-        honest_messages: List[GradientMessage] = []
         loss_array = np.zeros(0)
         honest_matrix = np.zeros((0, dim))
         compute_times = np.zeros(num_honest)
         if honest:
-            honest_messages, loss_array, honest_matrix = self._compute_gradients(
+            loss_array, honest_matrix = self._compute_gradients(
                 honest, [snapshots[i] for i in self._honest_rows]
             )
             if self._stacked_model is not None:
@@ -1023,25 +1041,25 @@ class SynchronousTrainer(BaseTrainer):
         # frames (the codec PRNG order of sequential encodes), then cross
         # their uplink channels.
         honest_frames: List[WireFrame] = []
-        delivered_honest: List[Optional[WireFrame]] = []
+        honest_wires: List[Optional[WireFrame]] = []
         decoded = honest_matrix
         honest_errors = nbytes_honest = solo_honest = penalty = np.zeros(0)
         if honest:
             honest_frames, decoded, honest_errors = self._encode_rows(rows, honest_matrix)
-            delivered_honest, nbytes_honest, solo_honest, penalty = self._price_uplinks(
+            honest_wires, nbytes_honest, solo_honest, penalty = self._price_uplinks(
                 rows, honest_frames
             )
 
         # Byzantine submissions: raw framing, per-channel transfer.
         byz_frames: List[WireFrame] = []
-        byz_delivered: List[Optional[WireFrame]] = []
+        byz_wires: List[Optional[WireFrame]] = []
         for message in byzantine_messages:
             frame, _ = self._encode(message.gradient, honest=False)
             arrived, _ = self.uplink_channels[message.worker_id].transfer_frame(
                 frame, self.cost_model
             )
             byz_frames.append(frame)
-            byz_delivered.append(arrived)
+            byz_wires.append(arrived)
 
         uplink_delays = np.zeros(num_honest)
         with self._section("link_drain"):
@@ -1056,33 +1074,47 @@ class SynchronousTrainer(BaseTrainer):
                     honest_ids, nbytes_honest, solo_honest
                 )
 
-        # Arrival assembly.  When every honest frame crossed its channel
-        # untouched (the transparent fast path), the matrix the encode stage
-        # already decoded is the payload batch; degraded or dropped frames
-        # decode individually.
-        frames = honest_frames + byz_frames
-        delivered = delivered_honest + byz_delivered
+        # Arrival assembly: one batch row per gradient, honest workers then
+        # Byzantine ones.  The matrix the encode stage decoded is the honest
+        # payload block — a frame that crossed its channel untouched decodes
+        # to its row bit for bit — so only frames a lossy channel degraded
+        # or dropped, and the Byzantine frames, decode one by one.
+        num_byz = len(byzantine_messages)
+        num_rows = num_honest + num_byz
+        delivered = np.ones(num_rows, dtype=bool)
         with self._section("codec"):
-            if all(delivered[i] is frames[i] for i in range(num_honest)):
-                honest_payloads = [decoded[i] for i in range(num_honest)]
-            else:
-                honest_payloads = [self._decode(delivered[i]) for i in range(num_honest)]
-        events: List[ArrivalEvent] = []
-        for order, message in enumerate(honest_messages + byzantine_messages):
-            is_honest = order < num_honest
-            events.append(
-                ArrivalEvent(
-                    message=message,
-                    payload=honest_payloads[order] if is_honest
-                    else self._decode(delivered[order]),
-                    arrival_time=float(path_times[order]) if is_honest else 0.0,
-                    honest=is_honest,
-                    order=order,
-                    wire_bytes=frames[order].nbytes if is_honest else 0.0,
-                )
+            payloads = (
+                np.concatenate([decoded, np.zeros((num_byz, dim))]) if num_byz else decoded
             )
+            touched = [
+                (i, honest_wires[i])
+                for i in np.flatnonzero(~self._uplink_transparent()).tolist()
+                if honest_wires[i] is not honest_frames[i]
+            ]
+            for i, wire in touched + list(enumerate(byz_wires, num_honest)):
+                payload = self._decode(wire)
+                if payload is None:
+                    delivered[i] = False
+                else:
+                    payloads[i] = payload
+        batch = ArrivalBatch(
+            worker_ids=np.array(honest_ids + [m.worker_id for m in byzantine_messages]),
+            steps=np.full(num_rows, step),
+            losses=np.concatenate([loss_array, [m.loss for m in byzantine_messages]]),
+            payloads=payloads,
+            delivered=delivered,
+            arrival_times=np.concatenate([path_times, np.zeros(num_byz)]),
+            honest=np.arange(num_rows) < num_honest,
+            order=np.arange(num_rows),
+            wire_bytes=np.concatenate([nbytes_honest, np.zeros(num_byz)]),
+            staleness=np.zeros(num_rows, dtype=np.int64),
+            gradients=(
+                honest_matrix,
+                np.array([m.gradient for m in byzantine_messages]).reshape(num_byz, dim),
+            ),
+        )
         with self._section("telemetry"):
-            if honest_messages:
+            if num_honest:
                 self.history.record_wire_batch(
                     honest_ids,
                     bytes_sent=nbytes_honest,
@@ -1092,11 +1124,10 @@ class SynchronousTrainer(BaseTrainer):
                     downlink_delta=all_fetch_delta[self._honest_rows],
                     regions=self._honest_regions,
                 )
-        byz_ids = [m.worker_id for m in byzantine_messages]
-        self.service.account_pushes(honest_ids + byz_ids, frames)
+        self.service.account_pushes(batch.worker_ids.tolist(), honest_frames + byz_frames)
         self.service.account_fetches(self._worker_ids, all_fetch_bytes)
 
-        return events, floor, loss_array[np.isfinite(loss_array)].tolist(), downlink_step_bytes
+        return batch, floor, loss_array[np.isfinite(loss_array)].tolist(), downlink_step_bytes
 
     # ------------------------------------------------------------------ step
     def run_step(self) -> StepRecord:
@@ -1105,34 +1136,26 @@ class SynchronousTrainer(BaseTrainer):
         step = self.server.step
         dim = self.server.dim
 
-        arrivals, floor, losses, downlink_bytes = self._collect_arrivals(
+        batch, floor, losses, downlink_bytes = self._collect_arrivals(
             parameters, step, dim
         )
 
-        # The policy sees the arrivals in event-queue order: by arrival time,
-        # ties broken by submission order.  One stable argsort over the
-        # arrival times *is* that drain (sort by time, ties by push index),
-        # without n Event objects and n heap pops per step.
+        # The policy drains the batch in event-queue order — by arrival time,
+        # ties broken by submission order, one lexsort — without n Event
+        # objects and n heap pops per step.
         with self._section("event_dispatch"):
-            order = np.argsort(
-                np.array([a.arrival_time for a in arrivals]), kind="stable"
-            )
-            drained = [arrivals[i] for i in order]
-            self.peak_queue_size = max(self.peak_queue_size, len(arrivals))
-            self.events_dispatched += len(drained)
+            decision = self.sync_policy.collect(batch, step, floor=floor)
+        self.peak_queue_size = max(self.peak_queue_size, len(batch))
+        self.events_dispatched += len(batch)
 
-        # Stage 4: the admitted batch is validated once, aggregated with
+        # Stage 4: the admitted rows are validated once, aggregated with
         # full diagnostics and the optimizer update applied.
-        decision = self.sync_policy.collect(drained, step, floor=floor)
         admitted = decision.admitted
-        worker_ids = [e.message.worker_id for e in admitted]
-        payloads = [e.payload for e in admitted]
+        worker_ids = admitted.worker_ids.tolist()
         result, aggregation_time, gather_time, warmed_flops = self._aggregate(
-            worker_ids,
-            np.stack(payloads, axis=0) if payloads else np.zeros((0, dim)),
-            np.array([e.arrival_time for e in admitted]),
+            worker_ids, admitted.payloads, admitted.arrival_times
         )
-        wire_bytes = float(sum(e.wire_bytes for e in admitted))
+        wire_bytes = float(sum(admitted.wire_bytes.tolist()))
         self.server.apply_update(
             result.gradient, worker_ids=worker_ids, wire_bytes=wire_bytes
         )
@@ -1144,19 +1167,15 @@ class SynchronousTrainer(BaseTrainer):
         diagnostics = self._diagnostics(worker_ids, result, aggregation_time)
         cache_stats = None
         if self.server.distance_cache is not None:
-            carried = [e.payload for e in self.sync_policy.pending_events() if e.delivered]
-            cache_stats = self._distance_round_end(
-                np.stack(carried, axis=0) if carried else None
-            )
+            pending = self.sync_policy.pending()
+            cache_stats = self._distance_round_end(pending.payloads if len(pending) else None)
         update_time = self.cost_model.update_time(dim)
 
         compute_comm_time = decision.wait_time
         self.clock.advance(compute_comm_time + aggregation_time + update_time)
         with self._section("telemetry"):
             self.history.record_server_busy(aggregation_time + update_time)
-            self.history.record_version_lag_batch(
-                [event.staleness for event in admitted]
-            )
+            self.history.record_version_lag_batch(admitted.staleness)
 
         record = StepRecord(
             step=step,
@@ -1405,7 +1424,9 @@ class AsyncTrainer(BaseTrainer):
         keeps its sampler's stream exact.
         """
         worker = self._workers_by_id[event.worker_id]
-        (message,), _, _ = self._exact_gradients([worker], [event.payload])
+        (message,) = self._messages(
+            [worker], [event.payload], *self._exact_gradients([worker], [event.payload])
+        )
         slowdown = (
             float(self.straggler_model.sample(1, self._straggler_rng)[0])
             if self.straggler_model is not None
@@ -1736,7 +1757,10 @@ class AsyncTrainer(BaseTrainer):
     def _on_compute_batch(self, events: List[Event]) -> None:
         """Batched :meth:`_on_compute` over one same-time run of computes."""
         workers = [self._workers_by_id[e.worker_id] for e in events]
-        messages, _, _ = self._compute_gradients(workers, [e.payload for e in events])
+        snapshots = [e.payload for e in events]
+        messages = self._messages(
+            workers, snapshots, *self._compute_gradients(workers, snapshots)
+        )
         dim = self.server.dim
         specs = []
         for i, (worker, event) in enumerate(zip(workers, events)):

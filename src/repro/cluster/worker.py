@@ -4,9 +4,9 @@ Honest workers hold a local copy of the model graph, draw their own iid
 mini-batches and compute gradient estimates; Byzantine workers are controlled
 by an :mod:`repro.attacks` attack object (which, per the threat model, may
 observe every honest gradient before crafting its own).  Each side has a
-fleet form that mints a run's messages in one call: :func:`compute_stacked`
-(every honest gradient from one stacked exact pass) and :func:`craft_fleet`
-(every Byzantine gradient from one joint craft).
+fleet form that serves a whole run in one call: :func:`compute_stacked`
+(every honest gradient from one stacked exact pass, as arrays) and
+:func:`craft_fleet` (every Byzantine gradient from one joint craft).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import math
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -199,7 +199,7 @@ def compute_stacked(
     snapshots: Sequence[Tuple[int, np.ndarray]],
     model: Sequential,
     batch: Tuple[np.ndarray, np.ndarray],
-) -> Tuple[List[GradientMessage], np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Every honest gradient of a run from one stacked exact pass.
 
     ``workers[i]`` computes on ``snapshots[i] = (version, parameters)`` and
@@ -210,20 +210,16 @@ def compute_stacked(
     :meth:`~repro.nn.model.Sequential.stacked_loss_and_gradients` returns
     what each worker's replica would on that batch, bit for bit, without a
     replica.  Each worker keeps the measured flops for its pricing.
-    Returns ``(messages, losses, gradients)`` in worker order.
+    Returns ``(losses, gradients)`` in worker order — arrays, no message
+    per worker: the lock-step step carries them into its arrival batch as
+    they are.
     """
     losses, gradients, flops = model.stacked_loss_and_gradients(
         [parameters for _, parameters in snapshots], *batch
     )
     for worker in workers:
         worker.stacked_flops = flops
-    messages = [
-        GradientMessage.trusted(worker.worker_id, version, gradient, loss)
-        for worker, (version, _), gradient, loss in zip(
-            workers, snapshots, gradients, losses.tolist()
-        )
-    ]
-    return messages, losses, gradients
+    return losses, gradients
 
 
 def craft_fleet(

@@ -168,12 +168,11 @@ class TestTrainingStateResume:
             tiny_dataset, tiny_model_kwargs, "quorum", {"stragglers": "carry"}
         )
         restore_training_state(restored, reloaded)
-        for original, roundtripped in zip(pending, restored.sync_policy._pending):
-            assert roundtripped.message.worker_id == original.message.worker_id
-            assert roundtripped.message.step == original.message.step
-            assert roundtripped.arrival_time == original.arrival_time
-            assert roundtripped.order == original.order
-            np.testing.assert_array_equal(roundtripped.payload, original.payload)
+        roundtripped = restored.sync_policy.pending()
+        for column in ("worker_ids", "steps", "arrival_times", "order", "payloads"):
+            np.testing.assert_array_equal(
+                getattr(roundtripped, column), getattr(pending, column)
+            )
 
     def test_policy_mismatch_rejected(self, tiny_dataset, tiny_model_kwargs):
         trainer = self._make_trainer(

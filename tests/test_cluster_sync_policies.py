@@ -22,7 +22,7 @@ from repro.cluster import (
     make_sync_policy,
 )
 from repro.cluster.message import GradientMessage
-from repro.cluster.sync import ArrivalEvent, available_sync_policies
+from repro.cluster.sync import ArrivalBatch, available_sync_policies
 from repro.exceptions import ConfigurationError, TrainingError
 from tests.channel_testing import transfer
 
@@ -193,21 +193,22 @@ def test_quorum_n_equals_full_sync(tiny_dataset, tiny_model_kwargs, scenario):
 
 # ------------------------------------------------------- quorum properties
 def make_events(arrival_times, *, dropped=(), step=0, dim=3):
-    events = []
-    for order, arrival in enumerate(arrival_times):
-        gradient = np.full(dim, float(order))
-        events.append(
-            ArrivalEvent(
-                message=GradientMessage(
-                    worker_id=order, step=step, gradient=gradient, loss=0.0
-                ),
-                payload=None if order in dropped else gradient,
-                arrival_time=float(arrival),
-                honest=True,
-                order=order,
-            )
-        )
-    return events
+    n = len(arrival_times)
+    rows = np.arange(n)
+    gradients = np.repeat(rows[:, None].astype(float), dim, axis=1)
+    return ArrivalBatch(
+        worker_ids=rows,
+        steps=np.full(n, step),
+        losses=np.zeros(n),
+        payloads=gradients,
+        delivered=~np.isin(rows, list(dropped)),
+        arrival_times=np.asarray(arrival_times, dtype=float),
+        honest=np.ones(n, dtype=bool),
+        order=rows,
+        wire_bytes=np.zeros(n),
+        staleness=np.zeros(n, dtype=np.int64),
+        gradients=(gradients,),
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -228,7 +229,7 @@ def test_quorum_never_admits_fewer_than_n_minus_f(n, f_fraction, seed):
         decision = policy.collect(events, step, floor=1e-4)
         assert len(decision.admitted) >= n - f
         # Every admitted gradient had arrived by the time the server stopped waiting.
-        assert all(e.arrival_time <= decision.wait_time for e in decision.admitted)
+        assert (decision.admitted.arrival_times <= decision.wait_time).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -328,8 +329,8 @@ def test_quorum_carry_keeps_one_pending_slot_per_worker():
     second = policy.collect(make_events([0.1, 0.2, 5.0], step=1), 1, floor=1e-4)
     assert second.carried == 1
     assert second.dropped_stragglers == 1  # the superseded step-0 gradient
-    assert len(policy._pending) == 1
-    assert policy._pending[0].message.step == 1
+    assert len(policy.pending()) == 1
+    assert policy.pending().steps[0] == 1
 
 
 def test_quorum_carried_gradients_keep_residual_lateness():
@@ -339,7 +340,7 @@ def test_quorum_carried_gradients_keep_residual_lateness():
     assert decision.wait_time == pytest.approx(0.2)
     # The straggler arrived 4.8 s after the cutoff; it is not available at
     # the very start of the next step.
-    assert policy._pending[0].arrival_time == pytest.approx(4.8)
+    assert policy.pending().arrival_times[0] == pytest.approx(4.8)
 
 
 def test_quorum_falls_back_to_full_wait_when_quorum_unreachable():
@@ -363,9 +364,9 @@ def test_bounded_staleness_never_exceeds_tau(n, tau, seed):
         events = make_events(rng.exponential(1.0, size=n) ** 2, step=step)
         decision = policy.collect(events, step, floor=1e-4)
         assert decision.max_staleness <= tau
-        assert all(e.staleness <= tau for e in decision.admitted)
+        assert (decision.admitted.staleness <= tau).all()
         # Nothing pending may already be older than the bound allows.
-        assert all(step + 1 - e.message.step <= tau for e in policy._pending)
+        assert (step + 1 - policy.pending().steps <= tau).all()
 
 
 def test_bounded_staleness_tau_zero_admits_every_delivered_gradient():
@@ -420,9 +421,9 @@ def test_reset_clears_carried_state():
     policy = Quorum(quorum=2, stragglers="carry")
     policy.bind(num_workers=3, f=1)
     policy.collect(make_events([0.1, 0.2, 5.0]), 0, floor=1e-4)
-    assert policy._pending
+    assert len(policy.pending())
     policy.reset()
-    assert not policy._pending
+    assert not len(policy.pending())
 
 
 def test_rebind_clears_carried_state():
@@ -431,9 +432,9 @@ def test_rebind_clears_carried_state():
     policy = Quorum(quorum=2, stragglers="carry")
     policy.bind(num_workers=3, f=1)
     policy.collect(make_events([0.1, 0.2, 5.0]), 0, floor=1e-4)
-    assert policy._pending
+    assert len(policy.pending())
     policy.bind(num_workers=3, f=1)
-    assert not policy._pending
+    assert not len(policy.pending())
 
 
 def test_worker_speeds_reject_non_honest_ids(tiny_dataset, tiny_model_kwargs):

@@ -114,6 +114,12 @@ class TestParameterServer:
         np.testing.assert_allclose(new_params, -0.1)
         assert server.step == 1
 
+    def test_update_log_keeps_worker_ids_as_python_ints(self):
+        server = self.make_server(dim=4)
+        server.apply_update(np.zeros(4), worker_ids=np.array([7, 2, 5]))
+        ids = server.update_log[-1].worker_ids
+        assert ids == (7, 2, 5) and all(type(w) is int for w in ids)
+
     def test_rejects_unknown_worker(self):
         server = self.make_server(dim=4, expected=[0, 1])
         foreign = GradientMessage(worker_id=9, step=0, gradient=np.ones(4))

@@ -486,12 +486,9 @@ class TestTrainerIntegration:
         restore_training_state(target, state)
         cache = target.server.distance_cache
         # Only the restored carry pool's rows survive the rebuild.
-        pending = [
-            e for e in target.sync_policy.pending_events()
-            if e.delivered and np.isfinite(e.payload).all()
-        ]
+        pending = target.sync_policy.pending().payloads
         assert cache.known_rows == len(
-            {row_fingerprint(e.payload) for e in pending}
+            {row_fingerprint(row) for row in pending if np.isfinite(row).all()}
         )
 
     def test_async_cache_runs_deterministically(self, carry_dataset):

@@ -135,7 +135,7 @@ class TestFleetModeGradients:
         honest = trainer.honest_workers
         draws = copy.deepcopy(trainer._fleet_sample_rng)
         parameters = trainer.server.parameters
-        _, losses, gradients = trainer._compute_gradients(
+        losses, gradients = trainer._compute_gradients(
             honest, [(0, parameters)] * len(honest)
         )
         shared = honest[0].sampler

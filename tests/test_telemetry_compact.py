@@ -88,3 +88,11 @@ def test_record_version_lag_batch_matches_singles():
     assert batched.version_lag_counts == single.version_lag_counts
     batched.record_version_lag_batch([])  # empty round is a no-op
     assert batched.version_lag_counts == single.version_lag_counts
+    # An int array (the lock-step batch's staleness column) counts the same
+    # and adds new lags in first-occurrence order: the exported key order.
+    more = [5, 1, 4, 5, 0]
+    for lag in more:
+        single.record_version_lag(lag)
+    batched.record_version_lag_batch(np.array(more, dtype=np.int64))
+    assert list(batched.version_lag_counts.items()) == list(single.version_lag_counts.items())
+    assert all(type(lag) is int for lag in batched.version_lag_counts)

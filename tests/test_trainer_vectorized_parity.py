@@ -13,8 +13,10 @@ a byte-identical telemetry export.
 These scenarios deliberately sweep every hot-path branch: all four codecs
 (with and without error feedback), stragglers, link contention (also with a
 persistent straggler whose push starts after every other transfer has
-landed), a WAN topology, delta broadcasts, lossy links and compact
-telemetry.
+landed), a WAN topology, delta broadcasts, lossy links, compact
+telemetry, and the three policies that decide on more than "everything":
+``quorum`` dropping and carrying its stragglers (the carry pool under a
+distance cache) and ``bounded-staleness`` at τ = 1 on lossy links.
 """
 
 import numpy as np
@@ -42,6 +44,22 @@ SCENARIOS = {
     "broadcast_delta": {"broadcast_codec": "top-k", "broadcast_k": 8},
     "lossy": {"lossy_links": 3, "lossy_drop_rate": 0.3},
     "compact_telemetry": {"compact_telemetry": True},
+    "quorum_drop": {"sync_policy": "quorum", "straggler_model": StragglerModel("pareto")},
+    "quorum_carry": {
+        "sync_policy": "quorum",
+        "sync_kwargs": {"stragglers": "carry"},
+        "straggler_model": StragglerModel("pareto"),
+        "gar": "multi-krum",
+        "num_workers": 12,
+        "distance_cache": True,
+    },
+    "bounded_staleness": {
+        "sync_policy": "bounded-staleness",
+        "sync_kwargs": {"tau": 1},
+        "straggler_model": StragglerModel("pareto"),
+        "lossy_links": 3,
+        "lossy_drop_rate": 0.3,
+    },
 }
 
 

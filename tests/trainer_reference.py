@@ -36,6 +36,13 @@ which spaces its consultations by the room the live triggers return — the
 frozen ``_maybe_aggregate`` is the parent's, where arrivals were dispatched
 one by one, and returns none; bodies here unchanged.
 
+NOTE (sixth sanctioned edit, "the lock-step step in columns"): the live
+policies decide on one ``ArrivalBatch`` per step, so the list-of-``ArrivalEvent``
+policies this reference hands its events to are frozen beside it in
+``tests/sync_reference.py``; ``ArrivalEvent`` / ``SyncDecision`` come from
+there and :func:`as_loop_reference` swaps the trainer's policy for its
+frozen twin (same parameters, same binding).  Bodies here unchanged.
+
 The per-event async handlers need no frozen copy:
 :class:`~repro.cluster.events.EventLoop` owns the run coalescing, so
 :func:`as_per_event_reference` turns a live ``AsyncTrainer`` into its own
@@ -60,7 +67,6 @@ from repro.cluster.codec import WireFrame
 from repro.cluster.events import Event, EventQueue
 from repro.cluster.fleet import PendingBatch
 from repro.cluster.message import GradientMessage
-from repro.cluster.sync import ArrivalEvent, SyncDecision
 from repro.cluster.telemetry import StepRecord
 from repro.cluster.trainer import (
     AsyncTrainer,
@@ -70,6 +76,7 @@ from repro.cluster.trainer import (
 )
 from repro.cluster.worker import craft_fleet
 from repro.exceptions import TrainingError
+from tests.sync_reference import ArrivalEvent, SyncDecision, frozen_twin
 
 
 class _ParentServiceGate:
@@ -420,6 +427,7 @@ def as_loop_reference(trainer: SynchronousTrainer) -> SynchronousTrainer:
         assert stage in BaseTrainer.__dict__, stage
         assert stage not in ReferenceSynchronousTrainer.__dict__, stage
     trainer.__class__ = ReferenceSynchronousTrainer
+    trainer.sync_policy = frozen_twin(trainer.sync_policy)
     return trainer
 
 
