@@ -10,6 +10,12 @@ always priced on the *encoded* bytes, and the lossy transport packetizes the
 encoded payload — so drops, reordering and garbage fill hit compressed
 frames, exactly as they would on a real UDP wire.
 
+A fleet's round is encoded as one :class:`FrameBatch` — the ``(n, m)``
+payload plane, the ``(n, k)`` supports and the ``(n,)`` scales in columns —
+by :meth:`WireCodec.encode_decode_batch`.  A :class:`WireFrame` is minted
+from it (:meth:`FrameBatch.frame`) only where one frame has to travel on
+its own: through a lossy channel, or inside one async ``arrive`` event.
+
 Implemented codecs
 ------------------
 ``identity``
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,9 +61,10 @@ _KEEP_INDICES = object()
 class WireFrame:
     """One encoded gradient as it crosses the wire.
 
-    A slotted dataclass: at fleet scale one frame is built per worker per
-    step, so the slot layout trims both the per-frame footprint and the
-    construction cost of the batch encode paths.
+    A slotted dataclass.  Batch encodes keep their frames in columns
+    (:class:`FrameBatch`); a frame is built where one gradient travels on
+    its own — a scalar encode, a row of a batch crossing a channel that can
+    degrade it, an async ``arrive`` event, a delta broadcast.
 
     Attributes
     ----------
@@ -129,6 +136,92 @@ class WireFrame:
         )
 
 
+@dataclass(slots=True)
+class FrameBatch:
+    """A batch of ``n`` encoded gradients of one codec, in columns.
+
+    Row ``i`` is the :class:`WireFrame` that :meth:`frame` mints: the
+    ``values[i]`` payload, its ``indices[i]`` support (``None`` for dense
+    codecs) and its ``scales[i]`` (``None`` meaning 1.0 for every row).
+    Every frame of a batch prices at the codec's ``frame_bytes(dim)``, so
+    the batch holds one ``nbytes``.
+    """
+
+    dim: int
+    codec: str
+    values: np.ndarray
+    indices: Optional[np.ndarray] = None
+    scales: Optional[np.ndarray] = None
+    nbytes: float = 0.0
+    shared_support: bool = False
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def frame(self, i: int) -> WireFrame:
+        """Row *i* as a :class:`WireFrame` of row views."""
+        return WireFrame(
+            dim=self.dim, values=self.values[i],
+            indices=None if self.indices is None else self.indices[i],
+            scale=1.0 if self.scales is None else float(self.scales[i]),
+            nbytes=self.nbytes, codec=self.codec, shared_support=self.shared_support,
+        )
+
+    @classmethod
+    def stack(cls, frames: Sequence[WireFrame]) -> "FrameBatch":
+        """The batch whose rows are *frames* — one codec, dim, price and shape."""
+        first = frames[0]
+        layouts = {
+            (f.dim, f.codec, f.nbytes, f.shared_support, np.shape(f.values),
+             None if f.indices is None else np.shape(f.indices))
+            for f in frames
+        }
+        if len(layouts) != 1:
+            raise ConfigurationError(
+                "a frame batch needs frames of one codec, dim, price and shape"
+            )
+        return cls(
+            dim=first.dim, codec=first.codec,
+            values=np.stack([np.asarray(f.values, dtype=np.float64) for f in frames]),
+            indices=None if first.indices is None else np.stack([f.indices for f in frames]),
+            scales=np.array([f.scale for f in frames], dtype=np.float64),
+            nbytes=first.nbytes, shared_support=first.shared_support,
+        )
+
+    def decode(self) -> np.ndarray:
+        """The ``(n, dim)`` server-side reconstruction; row ``i`` is ``decode_frame(frame(i))``.
+
+        Sparse rows scatter their values over zeros; dense rows rescale by
+        their scale (an exact 1.0 is bit-preserving for every IEEE value).
+        """
+        if self.indices is not None:
+            decoded = np.zeros((len(self), self.dim), dtype=np.float64)
+            np.put_along_axis(decoded, self.indices, self.values, axis=1)
+            return decoded
+        return self.values * (1.0 if self.scales is None else self.scales[:, None])
+
+    def shard_bytes(self, bounds: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Every row's :func:`shard_frame_bytes`: an ``(n, num_shards)`` matrix.
+
+        Row ``i`` is bit-identical to ``shard_frame_bytes(frame(i), bounds)``
+        (the same elementwise operations, broadcast over the batch): dense
+        rows split ``nbytes`` by shard width; sparse rows count each shard's
+        resident indices with one comparison of the supports against the
+        shard edges.
+        """
+        widths = _shard_widths(bounds, self.dim)
+        if self.indices is None:
+            return np.tile(self.nbytes * (widths / float(self.dim)), (len(self), 1))
+        # Indices below each edge, differenced: what searchsorted on the
+        # sorted support returns, without the sort.
+        edges = np.array([lo for lo, _ in bounds] + [bounds[-1][1]])
+        below = (self.indices[:, None, :] < edges[None, :, None]).sum(axis=2)
+        counts = np.diff(below, axis=1).astype(np.float64)
+        if self.shared_support:
+            return counts * BYTES_PER_COORDINATE + 8.0
+        return counts * (self.nbytes / max(self.indices.shape[1], 1))
+
+
 class WireCodec(abc.ABC):
     """Encode a flat gradient into a wire frame and back."""
 
@@ -145,25 +238,21 @@ class WireCodec(abc.ABC):
     def encode(self, gradient: np.ndarray) -> WireFrame:
         """Produce the wire frame for *gradient* (a flat float vector)."""
 
-    def encode_decode_batch(
-        self, matrix: np.ndarray
-    ) -> Tuple[List[WireFrame], np.ndarray]:
-        """Encode every row of an ``(n, d)`` matrix: ``(frames, decoded)``.
+    def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
+        """Encode every row of an ``(n, d)`` matrix: ``(batch, decoded)``.
 
-        The contract is exact per-frame parity with :meth:`encode`: the
-        frames must be bit-identical (values, indices, scales, bytes) — and
-        consume PRNG draws in the same order — as ``[encode(M[i]) for i in
-        range(n)]``, and ``decoded[i]`` bit-identical to
-        ``decode_frame(frames[i])``, the server-side reconstruction of what
-        worker ``i`` sent.  The base implementation is that loop, then one
-        batched decode; codecs override it with a single vectorised pass
-        where numpy's batched kernels provably match the per-row ones, and
-        build ``decoded`` from the batch payload arrays they already hold
-        (one scatter / rescale) instead of re-stacking ``n`` frame payloads.
+        The contract is exact per-frame parity with :meth:`encode`:
+        ``batch.frame(i)`` must be bit-identical (values, indices, scale,
+        bytes) — and the PRNG draws consumed in the same order — to
+        ``encode(M[i])`` in a loop over ``i``, and ``decoded[i]`` to
+        ``decode_frame(batch.frame(i))``, the server-side reconstruction of
+        what worker ``i`` sent.  The base implementation is that loop,
+        stacked into one batch; codecs override it with a single vectorised
+        pass where numpy's batched kernels provably match the per-row ones.
         """
         matrix = self._matrix(matrix)
-        frames = [self.encode(matrix[i]) for i in range(matrix.shape[0])]
-        return frames, decode_frames(frames)
+        batch = FrameBatch.stack([self.encode(row) for row in matrix])
+        return batch, batch.decode()
 
     def decode(self, frame: WireFrame) -> np.ndarray:
         """Reconstruct a ``frame.dim``-dimensional gradient estimate.
@@ -221,19 +310,13 @@ class IdentityCodec(WireCodec):
             codec=self.name,
         )
 
-    def encode_decode_batch(
-        self, matrix: np.ndarray
-    ) -> Tuple[List[WireFrame], np.ndarray]:
+    def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
         matrix = self._matrix(matrix)
         dim = matrix.shape[1]
-        nbytes = self.frame_bytes(dim)
-        frames = [
-            WireFrame(dim=dim, values=matrix[i], nbytes=nbytes, codec=self.name)
-            for i in range(matrix.shape[0])
-        ]
-        # Dense decode is ``values * scale`` with scale exactly 1.0, which is
-        # bit-preserving for every IEEE value.
-        return frames, matrix * 1.0
+        batch = FrameBatch(
+            dim=dim, codec=self.name, values=matrix, nbytes=self.frame_bytes(dim)
+        )
+        return batch, batch.decode()
 
     def frame_bytes(self, dim: int) -> float:
         return float(dim) * BYTES_PER_COORDINATE
@@ -279,41 +362,28 @@ class TopKCodec(WireCodec):
             nbytes=self.frame_bytes(values.size), codec=self.name,
         )
 
-    def encode_decode_batch(
-        self, matrix: np.ndarray
-    ) -> Tuple[List[WireFrame], np.ndarray]:
+    def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
         matrix = self._matrix(matrix)
         n, dim = matrix.shape
         k = self._effective_k(dim)
-        nbytes = self.frame_bytes(dim)
         if k >= dim:
-            frames = [
-                WireFrame(
-                    dim=dim, values=matrix[i].copy(), indices=np.arange(dim),
-                    nbytes=nbytes, codec=self.name,
-                )
-                for i in range(n)
-            ]
-            return frames, matrix.copy()
+            batch = FrameBatch(
+                dim=dim, codec=self.name, values=matrix.copy(),
+                indices=np.broadcast_to(np.arange(dim), (n, dim)),
+                nbytes=self.frame_bytes(dim),
+            )
+            return batch, matrix.copy()
         # np.argpartition with axis=1 applies introselect row-wise with the
         # same pivot walk as the 1-D call, so the selected (and then sorted)
-        # support matches the per-row encode exactly, ties included.  The
-        # frames take row views of the batch arrays and the decode scatters
-        # those same arrays over zeros — no per-frame restacking.
+        # support matches the per-row encode exactly, ties included.
         # simlint: disable=SIM301 tie arrangement pinned against the 1-D path
         support = np.argpartition(np.abs(matrix), dim - k, axis=1)[:, -k:]
         indices = np.sort(support, axis=1)
-        kept = np.take_along_axis(matrix, indices, axis=1)
-        frames = [
-            WireFrame(
-                dim=dim, values=kept[i], indices=indices[i],
-                nbytes=nbytes, codec=self.name,
-            )
-            for i in range(n)
-        ]
-        decoded = np.zeros((n, dim), dtype=np.float64)
-        np.put_along_axis(decoded, indices, kept, axis=1)
-        return frames, decoded
+        batch = FrameBatch(
+            dim=dim, codec=self.name, values=np.take_along_axis(matrix, indices, axis=1),
+            indices=indices, nbytes=self.frame_bytes(dim),
+        )
+        return batch, batch.decode()
 
     def frame_bytes(self, dim: int) -> float:
         # 4-byte index + float32 value per kept coordinate.
@@ -375,26 +445,19 @@ class RandomKCodec(WireCodec):
             shared_support=True,
         )
 
-    def encode_decode_batch(
-        self, matrix: np.ndarray
-    ) -> Tuple[List[WireFrame], np.ndarray]:
+    def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
         matrix = self._matrix(matrix)
         n, dim = matrix.shape
         k = self._effective_k(dim)
         scale = dim / k
-        nbytes = self.frame_bytes(dim)
         indices = self._supports(n, dim, k)
-        kept = np.take_along_axis(matrix, indices, axis=1) * scale
-        frames = [
-            WireFrame(
-                dim=dim, values=kept[i], indices=indices[i], scale=scale,
-                nbytes=nbytes, codec=self.name, shared_support=True,
-            )
-            for i in range(n)
-        ]
-        decoded = np.zeros((n, dim), dtype=np.float64)
-        np.put_along_axis(decoded, indices, kept, axis=1)
-        return frames, decoded
+        batch = FrameBatch(
+            dim=dim, codec=self.name,
+            values=np.take_along_axis(matrix, indices, axis=1) * scale,
+            indices=indices, scales=np.full(n, scale), nbytes=self.frame_bytes(dim),
+            shared_support=True,
+        )
+        return batch, batch.decode()
 
     def frame_bytes(self, dim: int) -> float:
         # Shared-seed support: k float32 values + one 8-byte seed tag.
@@ -452,9 +515,7 @@ class QSGDCodec(WireCodec):
             codec=self.name,
         )
 
-    def encode_decode_batch(
-        self, matrix: np.ndarray
-    ) -> Tuple[List[WireFrame], np.ndarray]:
+    def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
         matrix = self._matrix(matrix)
         n, dim = matrix.shape
         # One batched row-norm reduction: summing the last axis of the
@@ -465,23 +526,16 @@ class QSGDCodec(WireCodec):
             # Zero/non-finite rows consume no PRNG draws in encode(); batching
             # the draws would misalign the stream, so fall back to the loop.
             return super().encode_decode_batch(matrix)
-        nbytes = self.frame_bytes(dim)
         ratio = np.abs(matrix) / norms[:, None] * self.levels
         low = np.floor(ratio)
         # One (n, d) draw advances the PCG64 stream exactly as n sequential
         # (d,) draws do, so the rounding coins match the per-row path.
         level = low + (self._rng.random((n, dim)) < (ratio - low))
-        values = np.sign(matrix) * level
-        scales = norms / self.levels
-        frames = [
-            WireFrame(
-                dim=dim, values=values[i], scale=float(scales[i]),
-                nbytes=nbytes, codec=self.name,
-            )
-            for i in range(n)
-        ]
-        # Dense rescale of the payload plane the frames are row views of.
-        return frames, values * scales[:, None]
+        batch = FrameBatch(
+            dim=dim, codec=self.name, values=np.sign(matrix) * level,
+            scales=norms / self.levels, nbytes=self.frame_bytes(dim),
+        )
+        return batch, batch.decode()
 
     def frame_bytes(self, dim: int) -> float:
         # (bits + sign) per coordinate, plus one float32 norm.
@@ -535,41 +589,14 @@ def decode_frame(frame: WireFrame) -> np.ndarray:
     return values * frame.scale
 
 
-def decode_frames(frames: Sequence[WireFrame]) -> np.ndarray:
-    """Decode a batch of frames into one ``(n, dim)`` matrix in a single pass.
-
-    Row ``i`` is bit-identical to ``decode_frame(frames[i])``.  Homogeneous
-    batches (all sparse with equal support size, or all dense with equal
-    payload length — the shape every codec's ``encode_decode_batch`` emits) decode
-    as one vectorised scatter or one broadcast multiply; ragged batches
-    (e.g. frames degraded by packet loss) fall back to the per-frame loop.
-    """
-    if len(frames) == 0:
-        raise ConfigurationError("cannot decode an empty frame batch")
-    dim = frames[0].dim
-    if any(frame.dim != dim for frame in frames):
-        raise ConfigurationError("decode_frames needs frames of equal dim")
-    sparse = frames[0].indices is not None
-    uniform = all(
-        (frame.indices is not None) == sparse
-        and np.asarray(frame.values).ndim == 1
-        and (
-            (sparse and frame.indices.shape == frames[0].indices.shape
-             and np.asarray(frame.values).shape == frame.indices.shape)
-            or (not sparse and np.asarray(frame.values).size == dim)
-        )
-        for frame in frames
-    )
-    if not uniform:
-        return np.stack([decode_frame(frame) for frame in frames])
-    values = np.stack([np.asarray(frame.values, dtype=np.float64) for frame in frames])
-    if sparse:
-        out = np.zeros((len(frames), dim), dtype=np.float64)
-        indices = np.stack([frame.indices for frame in frames])
-        np.put_along_axis(out, indices, values, axis=1)
-        return out
-    scales = np.array([frame.scale for frame in frames], dtype=np.float64)
-    return values * scales[:, None]
+def _shard_widths(bounds: Sequence[Tuple[int, int]], dim: int) -> np.ndarray:
+    """The widths of shard *bounds*, which must tile a *dim*-coordinate frame."""
+    if not bounds:
+        raise ConfigurationError("shard_frame_bytes needs at least one shard")
+    widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
+    if (widths < 1).any() or int(widths.sum()) != dim:
+        raise ConfigurationError(f"shard bounds {list(bounds)} do not tile a dim-{dim} frame")
+    return widths
 
 
 def shard_frame_bytes(
@@ -594,13 +621,7 @@ def shard_frame_bytes(
       cut at the shard boundaries, so bytes split proportionally to shard
       width and sum exactly to the frame's priced bytes.
     """
-    if not bounds:
-        raise ConfigurationError("shard_frame_bytes needs at least one shard")
-    widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
-    if (widths < 1).any() or int(widths.sum()) != frame.dim:
-        raise ConfigurationError(
-            f"shard bounds {list(bounds)} do not tile a dim-{frame.dim} frame"
-        )
+    widths = _shard_widths(bounds, frame.dim)
     if frame.indices is not None:
         edges = np.array([lo for lo, _ in bounds] + [bounds[-1][1]])
         counts = np.diff(np.searchsorted(np.sort(frame.indices), edges)).astype(
@@ -612,55 +633,6 @@ def shard_frame_bytes(
             return counts * BYTES_PER_COORDINATE + 8.0
         return counts * (frame.nbytes / k)
     return frame.nbytes * (widths / float(frame.dim))
-
-
-def shard_frame_bytes_batch(
-    frames: Sequence[WireFrame], bounds: Sequence[Tuple[int, int]]
-) -> np.ndarray:
-    """:func:`shard_frame_bytes` for a batch: an ``(n, num_shards)`` matrix.
-
-    Row ``i`` is bit-identical to ``shard_frame_bytes(frames[i], bounds)``
-    (the same elementwise operations, broadcast over the batch).  Uniform
-    batches — all dense with one ``dim``, or all sparse with one support
-    size and one framing, the shape every codec's ``encode_decode_batch`` emits —
-    are priced in one pass: dense rows are ``nbytes[:, None] * (widths /
-    dim)``; sparse rows count each shard's resident indices with a single
-    comparison of the stacked supports against the shard edges.  Ragged
-    batches (e.g. frames thinned by packet loss) fall back to the per-frame
-    function, exactly as :func:`decode_frames` does, and so does a batch
-    the bounds do not tile (for the same ``ConfigurationError``).
-    """
-    if not bounds:
-        raise ConfigurationError("shard_frame_bytes needs at least one shard")
-    if len(frames) == 0:
-        return np.zeros((0, len(bounds)))
-    first = frames[0]
-    sparse = first.indices is not None
-    widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
-    uniform = (widths >= 1).all() and int(widths.sum()) == first.dim and all(
-        frame.dim == first.dim
-        and (frame.indices is not None) == sparse
-        and (
-            not sparse
-            or (frame.indices.shape == first.indices.shape
-                and frame.shared_support == first.shared_support)
-        )
-        for frame in frames
-    )
-    if not uniform:
-        return np.stack([shard_frame_bytes(frame, bounds) for frame in frames])
-    nbytes = np.array([frame.nbytes for frame in frames], dtype=np.float64)
-    if not sparse:
-        return nbytes[:, None] * (widths / float(first.dim))
-    # Indices below each edge, differenced: what searchsorted on the sorted
-    # support returns, without the sort.
-    edges = np.array([lo for lo, _ in bounds] + [bounds[-1][1]])
-    supports = np.stack([np.ravel(frame.indices) for frame in frames])
-    below = (supports[:, None, :] < edges[None, :, None]).sum(axis=2)
-    counts = np.diff(below, axis=1).astype(np.float64)
-    if first.shared_support:
-        return counts * BYTES_PER_COORDINATE + 8.0
-    return counts * (nbytes / max(supports.shape[1], 1))[:, None]
 
 
 #: Registered codec factories, keyed by name.
@@ -725,6 +697,7 @@ def make_codec(
 
 __all__ = [
     "WireFrame",
+    "FrameBatch",
     "WireCodec",
     "IdentityCodec",
     "TopKCodec",
@@ -733,9 +706,7 @@ __all__ = [
     "CODEC_REGISTRY",
     "available_codecs",
     "decode_frame",
-    "decode_frames",
     "encode_delta",
     "make_codec",
     "shard_frame_bytes",
-    "shard_frame_bytes_batch",
 ]

@@ -77,6 +77,14 @@ class FleetState:
         self.batch_sizes = np.array(
             [w.batch_size for w in self.workers], dtype=np.float64
         )
+        #: Whether every worker samples one training set (the same features
+        #: and labels objects): a fleet-mode run then draws its mini-batches
+        #: from it in one call.
+        first = self.workers[0].sampler
+        self.one_training_set = all(
+            w.sampler.features is first.features and w.sampler.labels is first.labels
+            for w in self.workers
+        )
         # Effective throughput: the cost model's per-worker hardware draw
         # scaled by the worker's persistent speed multiplier.
         self.gflops = (

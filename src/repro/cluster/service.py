@@ -11,7 +11,7 @@ server to that service:
   :class:`ServerTopology`;
 * :class:`ServerFabric` hosts the resolved :class:`ShardSpec` actors on top
   of the authoritative store, routes worker fetch/push traffic through
-  per-shard sub-frames (:func:`repro.cluster.codec.shard_frame_bytes_batch`,
+  per-shard sub-frames (:meth:`repro.cluster.codec.FrameBatch.shard_bytes`,
   a whole batch of frames at a time) priced against each shard's *regional*
   placement, runs the round's server stage (:meth:`ServerFabric.aggregate`:
   validate, aggregate, price) and prices the inter-server shard gather —
@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.codec import WireFrame, shard_frame_bytes_batch
+from repro.cluster.codec import FrameBatch
 from repro.cluster.link import DEFAULT_REGION, LinkScheduler, LinkTopology
 from repro.core import theory
 from repro.exceptions import ConfigurationError
@@ -389,33 +389,32 @@ class ServerFabric:
             })
 
     def account_pushes(
-        self, worker_ids: Sequence[int], frames: Sequence[Optional[WireFrame]]
+        self, worker_ids: Sequence[int], batches: Sequence[FrameBatch]
     ) -> None:
-        """Account one batch of uplink frames fanning out across the actors.
+        """Account uplink frames fanning out across the actors.
 
+        *batches* hold the sent frames in *worker_ids* order, one row each.
         Sharded service: each frame splits into per-shard sub-frames
-        (:func:`~repro.cluster.codec.shard_frame_bytes_batch` prices the
-        whole batch at once); the sub-frame for the shard placed in the
-        worker's own region is local, the rest cross the WAN.  Replicated
-        service: the worker multicasts the whole frame to every replica.
-        Dropped frames (``None``) cost nothing.  The two totals are ordered
-        sums (:meth:`_record_split`), so the counters are bit-identical to
-        accounting the frames one at a time.  Arrival *times* are untouched
-        — the uplink's admission schedule is priced on the worker's own path
-        exactly as in the single-server deployment (the slices travel in
-        parallel); the fan-out is a byte-accounting effect.
+        (:meth:`~repro.cluster.codec.FrameBatch.shard_bytes` prices a whole
+        batch at once); the sub-frame for the shard placed in the worker's
+        own region is local, the rest cross the WAN.  Replicated service:
+        the worker multicasts the whole frame to every replica.  The
+        batches' splits are concatenated in row order and the two totals
+        are ordered sums (:meth:`_record_split`), so the counters are
+        bit-identical to accounting the frames one at a time.  Arrival
+        *times* are untouched — the uplink's admission schedule is priced on
+        the worker's own path exactly as in the single-server deployment
+        (the slices travel in parallel); the fan-out is a byte-accounting
+        effect.
         """
         if self.is_trivial:
             return
-        sent = [i for i, frame in enumerate(frames) if frame is not None]
-        frames = [frames[i] for i in sent]
-        worker_ids = np.asarray(worker_ids, dtype=np.intp)[sent]
         if self.kind == "replicas":
-            nbytes = np.array([frame.nbytes for frame in frames], dtype=np.float64)
-            split = np.broadcast_to(nbytes[:, None], (len(frames), self.num_actors))
+            splits = [np.full((len(batch), self.num_actors), batch.nbytes) for batch in batches]
         else:
-            split = shard_frame_bytes_batch(frames, self._bounds)
-        self._record_split("push", split, self._locality(worker_ids))
+            splits = [batch.shard_bytes(self._bounds) for batch in batches]
+        split = np.concatenate(splits) if splits else np.zeros((0, self.num_actors))
+        self._record_split("push", split, self._locality(np.asarray(worker_ids, dtype=np.intp)))
 
     def account_fetches(
         self, worker_ids: Sequence[int], nbytes: Sequence[float]

@@ -146,7 +146,7 @@ class ArrivalBatch:
 #: A checkpointed pending row's keys, in :meth:`QuorumBasedPolicy.state_dict` order.
 _PENDING_KEYS = (
     "worker_id", "step", "loss", "gradient", "payload", "arrival_time", "honest",
-    "staleness", "order",
+    "staleness", "order", "wire_bytes",
 )
 
 #: Order offset applied to carried rows so they sort before fresh ones.
@@ -530,7 +530,7 @@ class QuorumBasedPolicy(SyncPolicy):
             pool.worker_ids.tolist(), pool.steps.tolist(), pool.losses.tolist(),
             list(pool.gradient_rows(np.arange(len(pool)))), list(pool.payloads),
             pool.arrival_times.tolist(), pool.honest.tolist(), pool.staleness.tolist(),
-            pool.order.tolist(),
+            pool.order.tolist(), pool.wire_bytes.tolist(),
         )
         return {"pending": [dict(zip(_PENDING_KEYS, row)) for row in zip(*columns)]}
 
@@ -555,9 +555,11 @@ class QuorumBasedPolicy(SyncPolicy):
             arrival_times=column("arrival_time", np.float64),
             honest=column("honest", bool),
             order=column("order", np.int64),
-            # A restored pool prices its rows at nothing on the wire, as it
-            # always has: the archive does not carry them.
-            wire_bytes=np.zeros(len(entries)),
+            # An archive written before the pool kept its wire bytes restores
+            # them as 0.0.
+            wire_bytes=np.array(
+                [entry.get("wire_bytes", 0.0) for entry in entries], dtype=np.float64
+            ),
             staleness=column("staleness", np.int64),
             gradients=(rows("gradient"),),
         )

@@ -18,6 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 #: Float-valued wire columns of :class:`WorkerTimeline`, in declaration order
 #: (the compact history preallocates one array per column).
 _WIRE_FLOAT_COLUMNS = (
@@ -199,6 +201,8 @@ class TrainingHistory:
     def __post_init__(self) -> None:
         self._wire_row: Dict[int, int] = {}
         self._wire_ids: List[int] = []
+        #: ``_wire_row`` as an array indexed by worker id (-1 = no row).
+        self._wire_table = np.zeros(0, dtype=np.intp)
         self._wire_cols: Dict[str, np.ndarray] = {}
         self._wire_touched = np.zeros(0, dtype=bool)
 
@@ -238,6 +242,10 @@ class TrainingHistory:
         new_ids = [int(wid) for wid in worker_ids if int(wid) not in self._wire_row]
         if not new_ids:
             return
+        if min(new_ids) < 0:
+            raise ConfigurationError(
+                f"compact wire columns need non-negative worker ids, got {min(new_ids)}"
+            )
         for wid in new_ids:
             self._wire_row[wid] = len(self._wire_ids)
             self._wire_ids.append(wid)
@@ -259,6 +267,9 @@ class TrainingHistory:
         touched[: self._wire_touched.size] = self._wire_touched
         self._wire_cols = grown
         self._wire_touched = touched
+        ids = np.array(self._wire_ids, dtype=np.intp)
+        self._wire_table = np.full(ids.max() + 1, -1, dtype=np.intp)
+        self._wire_table[ids] = np.arange(total)
 
     def record_wire(
         self,
@@ -330,8 +341,10 @@ class TrainingHistory:
         (``None`` means all-zero); ``downlink_delta`` may be a scalar or a
         per-worker boolean array (broadcast-codec steps mix full resyncs and
         deltas).  In compact mode the whole batch lands as a handful of
-        indexed numpy adds; otherwise it degrades to per-worker
-        :meth:`record_wire` calls with identical semantics.
+        indexed numpy adds — the rows are one lookup in the id-indexed row
+        table, and each region's queueing total one ordered running sum —
+        so its Python does not grow with the batch; otherwise it degrades to
+        per-worker :meth:`record_wire` calls with identical semantics.
         """
         n = len(worker_ids)
 
@@ -357,8 +370,11 @@ class TrainingHistory:
                     region=regions[i] if regions is not None else None,
                 )
             return
-        self.register_workers(worker_ids)
-        rows = np.array([self._wire_row[int(wid)] for wid in worker_ids], dtype=np.intp)
+        ids = np.asarray(worker_ids, dtype=np.intp)
+        table = self._wire_table
+        if ids.size and (ids.min() < 0 or ids.max() >= table.size or (table[ids] < 0).any()):
+            self.register_workers(ids.tolist())
+        rows = self._wire_table[ids]
         cols = self._wire_cols
         self._wire_touched[rows] = True
         np.add.at(cols["bytes_sent"], rows, sent)
@@ -371,11 +387,16 @@ class TrainingHistory:
         np.add.at(cols["queueing_delay_seconds"], rows, queueing)
         np.add.at(cols["compression_error"], rows, error)
         if regions is not None:
-            for i in np.flatnonzero(queueing).tolist():
-                region = regions[i]
+            queued = np.flatnonzero(queueing)
+            labels = np.asarray(regions, dtype=object)[queued]
+            # Per region, in first-queued order, the total the per-worker
+            # ``+=`` loop reaches: cumsum adds left to right.
+            for region in dict.fromkeys(labels.tolist()):
                 if region is not None:
-                    self.region_queueing_seconds[region] = (
-                        self.region_queueing_seconds.get(region, 0.0) + float(queueing[i])
+                    delays = queueing[queued[labels == region]]
+                    prior = self.region_queueing_seconds.get(region, 0.0)
+                    self.region_queueing_seconds[region] = float(
+                        np.cumsum(np.concatenate([[prior], delays]))[-1]
                     )
 
     def _timeline_columns(self) -> Tuple[List[int], Dict[str, list]]:

@@ -65,6 +65,7 @@ import numpy as np
 
 from repro.cluster.clock import SimulatedClock
 from repro.cluster.codec import (
+    FrameBatch,
     IdentityCodec,
     WireCodec,
     WireFrame,
@@ -194,9 +195,12 @@ class BaseTrainer:
        the compute mode's mini-batches, or the replica loop where the model
        cannot be stacked).
     3. :meth:`_encode_rows` — encode: error feedback against the fleet's
-       row store, one batched codec pass, frames + decoded + errors.
-    4. :meth:`_price_uplinks` — uplink pricing: what each channel
-       delivered, its solo seconds and its penalty over the ideal wire time.
+       row store, one batched codec pass: one
+       :class:`~repro.cluster.codec.FrameBatch` + decoded + errors.
+    4. :meth:`_price_uplinks` — uplink pricing: the rows a channel handed
+       back changed or dropped, the solo seconds and their penalty over the
+       ideal wire time.  A frame is minted only for a row whose channel is
+       not transparent.
 
     Only what differs sits between them in each engine: how contention is
     resolved (one closed-world ``fabric.simulate`` per step against
@@ -244,13 +248,10 @@ class BaseTrainer:
             )
         self.server = server
         self.workers = list(workers)
-        #: Cached role partitions — cluster membership is fixed at
-        #: construction, so the per-call isinstance scans the properties
-        #: used to run are paid exactly once.
-        self._honest_workers_cache: Optional[List[HonestWorker]] = None
-        self._byzantine_workers_cache: Optional[List[ByzantineWorker]] = None
         #: Worker ids in ``workers`` order and each role's rows in it: a
         #: step's per-worker wire arrays are built and indexed with these.
+        #: Cluster membership is fixed at construction, so the role scan is
+        #: paid once.
         self._worker_ids = np.array(ids, dtype=np.intp)
         self._honest_rows = np.flatnonzero(
             [isinstance(w, HonestWorker) for w in self.workers]
@@ -258,6 +259,8 @@ class BaseTrainer:
         self._byzantine_rows = np.flatnonzero(
             [isinstance(w, ByzantineWorker) for w in self.workers]
         )
+        self._honest_workers = [self.workers[i] for i in self._honest_rows.tolist()]
+        self._byzantine_workers = [self.workers[i] for i in self._byzantine_rows.tolist()]
         self.cost_model = cost_model
         self.clock = SimulatedClock()
         self.uplink_channels = build_uplink_map(ids, uplink_channels)
@@ -284,9 +287,9 @@ class BaseTrainer:
         self.fabric = LinkFabric(cost_model, link_topology, sharing=link_sharing)
         #: Each honest worker's (static) region, the label of its queueing
         #: delay — resolved only where a contended link can queue.
-        self._honest_regions = [
+        self._honest_regions = np.array([
             self.fabric.region_of(wid) for wid in self._worker_ids[self._honest_rows].tolist()
-        ] if self._contended else None
+        ], dtype=object) if self._contended else None
         #: Optional downlink codec: when set, model fetches travel as
         #: codec-encoded version deltas against the worker's held state
         #: (``None`` keeps the raw full-state framing of the seed wire).
@@ -337,6 +340,9 @@ class BaseTrainer:
         #: (:func:`~repro.cluster.worker.compute_stacked`), or ``None``
         #: where every honest worker runs its own backprop instead.
         self._stacked_model = self._stacked_pass_model()
+        #: Forward flops per sample the stacked pass measured (a property of
+        #: the architecture); ``None`` until it first runs.
+        self._stacked_flops: Optional[float] = None
         #: Lazily-cached per-honest-worker transparency mask (channels are
         #: fixed for the trainer's lifetime, so the per-step property scan
         #: collapses to one array lookup).
@@ -359,14 +365,19 @@ class BaseTrainer:
         service.bind_history(self.history)
 
     def _uplink_transparent(self) -> np.ndarray:
-        """Boolean mask: honest worker ``i``'s uplink channel is transparent."""
+        """Boolean mask: honest worker ``i``'s uplink channel is transparent.
+
+        Each distinct channel object is asked once (the builder shares one
+        default channel across the fleet).
+        """
         if self._uplink_transparent_cache is None:
+            channels = [
+                self.uplink_channels[wid]
+                for wid in self._worker_ids[self._honest_rows].tolist()
+            ]
+            verdicts = {channel: channel.is_transparent for channel in dict.fromkeys(channels)}
             self._uplink_transparent_cache = np.array(
-                [
-                    self.uplink_channels[w.worker_id].is_transparent
-                    for w in self.honest_workers
-                ],
-                dtype=bool,
+                [verdicts[channel] for channel in channels], dtype=bool
             )
         return self._uplink_transparent_cache
 
@@ -401,20 +412,12 @@ class BaseTrainer:
     @property
     def honest_workers(self) -> List[HonestWorker]:
         """The correct workers."""
-        if self._honest_workers_cache is None:
-            self._honest_workers_cache = [
-                w for w in self.workers if isinstance(w, HonestWorker)
-            ]
-        return self._honest_workers_cache
+        return self._honest_workers
 
     @property
     def byzantine_workers(self) -> List[ByzantineWorker]:
         """The adversary-controlled workers."""
-        if self._byzantine_workers_cache is None:
-            self._byzantine_workers_cache = [
-                w for w in self.workers if isinstance(w, ByzantineWorker)
-            ]
-        return self._byzantine_workers_cache
+        return self._byzantine_workers
 
     def _stacked_pass_model(self) -> Optional[Sequential]:
         """The architecture the stacked exact pass runs, or ``None`` for the replica loop.
@@ -439,12 +442,18 @@ class BaseTrainer:
         return model
 
     def _compute_time(self, worker: HonestWorker, dim: int) -> float:
-        """Nominal (pre-straggler) gradient-computation time of *worker*."""
+        """Nominal (pre-straggler) gradient-computation time of *worker*.
+
+        Priced at the forward flops per sample the stacked pass measured
+        once it has run (what every replica's forward would read), else at
+        the worker's replica's own.
+        """
+        flops = self._stacked_flops
         return self.cost_model.gradient_compute_time(
             dim,
             worker.batch_size,
             gflops=self._worker_gflops[worker.worker_id] * worker.speed,
-            flops_per_sample=worker.flops_per_sample(),
+            flops_per_sample=worker.flops_per_sample() if flops is None else flops,
         )
 
     def _section(self, name: str):
@@ -531,18 +540,14 @@ class BaseTrainer:
         )
 
     def _encode(
-        self, gradient: np.ndarray, *, honest: bool, worker_id: Optional[int] = None
+        self, gradient: np.ndarray, *, worker_id: Optional[int] = None
     ) -> Tuple[WireFrame, float]:
-        """Codec stage of the uplink: returns ``(frame, compression_error)``.
+        """Codec stage of one honest uplink: returns ``(frame, compression_error)``.
 
-        Byzantine gradients take the raw framing — the adversary controls
-        its wire bytes outright, so no codec stands between it and the
-        server — and report zero compression error.  With error feedback
-        the worker's carried residual is added before encoding and the new
-        residual (what this frame failed to express) replaces it.
+        With error feedback the worker's carried residual is added before
+        encoding and the new residual (what this frame failed to express)
+        replaces it.
         """
-        if not honest:
-            return self._raw_codec.encode(gradient), 0.0
         signal = np.asarray(gradient, dtype=np.float64).ravel()
         if self.error_feedback and worker_id is not None:
             row = self._fleet.row_of[worker_id]
@@ -604,10 +609,12 @@ class BaseTrainer:
 
         Returns :meth:`_exact_gradients`' ``(losses, gradients)`` in worker
         order, each worker computing on the parameters it
-        reconstructed from its own downlink frame.  The compute mode only
-        picks the mini-batches of a stacked pass: under ``"fleet"``,
-        workers sharing one training set take theirs from one ``(n, b)``
-        draw on the fleet stream; otherwise each sampler draws its own.
+        reconstructed from its own downlink frame (*snapshots* as
+        :meth:`_exact_gradients` takes them).  The compute mode only picks
+        the mini-batches of a stacked pass: under ``"fleet"``, where the
+        honest fleet shares one training set, the workers take theirs from
+        one ``(n, b)`` draw on the fleet stream; otherwise each sampler
+        draws its own.
         """
         with self._section("compute"):
             batch = None
@@ -616,11 +623,7 @@ class BaseTrainer:
                 self.compute_mode == "fleet"
                 and self._fleet_sample_rng is not None
                 and self._stacked_model is not None
-                and all(
-                    w.sampler.features is shared.features
-                    and w.sampler.labels is shared.labels
-                    for w in workers
-                )
+                and self._fleet.one_training_set
             ):
                 indices = self._fleet_sample_rng.integers(
                     0, shared.num_samples, size=(len(workers), shared.batch_size)
@@ -636,10 +639,13 @@ class BaseTrainer:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """What each worker's own backprop returns on its mini-batch, bit for bit.
 
-        One stacked pass over the run (:func:`~repro.cluster.worker.compute_stacked`)
-        where the deployment's model can be stacked, so no replica is ever
-        built, on the stacked *batch* when one is given; otherwise the
-        replica loop, each worker's
+        *snapshots* holds each worker's ``(version, parameters)``, or one
+        pair every worker shares (the lock-step fetch without a broadcast
+        codec).  One stacked pass over the run
+        (:func:`~repro.cluster.worker.compute_stacked`) where the
+        deployment's model can be stacked, so no replica is ever built, on
+        the stacked *batch* when one is given — its measured flops price
+        every worker from then on; otherwise the replica loop, each worker's
         :meth:`~repro.cluster.worker.HonestWorker.compute_gradient` in
         worker order.  Without a *batch* the samplers draw sequentially in
         worker order, so every per-worker RNG stream advances as if each
@@ -648,7 +654,12 @@ class BaseTrainer:
         if self._stacked_model is not None:
             if batch is None:
                 batch = sample_stacked([worker.sampler for worker in workers])
-            return compute_stacked(workers, snapshots, self._stacked_model, batch)
+            losses, gradients, self._stacked_flops = compute_stacked(
+                snapshots, self._stacked_model, batch
+            )
+            return losses, gradients
+        if len(snapshots) == 1:
+            snapshots = snapshots * len(workers)
         messages = [
             worker.compute_gradient(parameters, version)
             for worker, (version, parameters) in zip(workers, snapshots)
@@ -673,18 +684,18 @@ class BaseTrainer:
 
     def _encode_rows(
         self, rows: np.ndarray, gradients: np.ndarray
-    ) -> Tuple[List[WireFrame], np.ndarray, np.ndarray]:
+    ) -> Tuple[FrameBatch, np.ndarray, np.ndarray]:
         """Encode stage: the batched codec over the gradients of fleet *rows*.
 
-        Returns ``(frames, decoded, errors)``: the wire frames, the
-        server-side reconstruction of each (``decode_frames`` is
-        deterministic, so it doubles as the payload of every frame that
-        crosses its channel untouched) and the compression-error norms.
-        Frames are encoded in row order — the order sequential encodes
-        would consume the codec PRNG in.  EF-SGD memory is added only to
-        rows that carry one (a blanket ``+ 0.0`` would flip negative zeros)
-        and the new residuals (what the frames failed to express) replace
-        it in the fleet's row store.
+        Returns ``(batch, decoded, errors)``: the rows' wire frames as one
+        :class:`~repro.cluster.codec.FrameBatch`, the server-side
+        reconstruction of each (decoding is deterministic, so it doubles
+        as the payload of every frame that crosses its channel untouched)
+        and the compression-error norms.  Frames are encoded in row order —
+        the order sequential encodes would consume the codec PRNG in.
+        EF-SGD memory is added only to rows that carry one (a blanket
+        ``+ 0.0`` would flip negative zeros) and the new residuals (what the
+        frames failed to express) replace it in the fleet's row store.
         """
         with self._section("codec"):
             if self.error_feedback:
@@ -696,9 +707,9 @@ class BaseTrainer:
                     )
             else:
                 signals = gradients
-            frames, decoded = self.codec.encode_decode_batch(signals)
+            batch, decoded = self.codec.encode_decode_batch(signals)
             if isinstance(self.codec, IdentityCodec):
-                return frames, decoded, np.zeros(len(frames))
+                return batch, decoded, np.zeros(len(rows))
             residuals = signals - decoded
             # Per-row 1-D norms: each stacked (1, d) @ (d, 1) is the BLAS dot
             # np.linalg.norm applies to one row.  Not einsum: it sums in
@@ -706,35 +717,39 @@ class BaseTrainer:
             errors = np.sqrt((residuals[:, None, :] @ residuals[:, :, None])[:, 0, 0])
             if self.error_feedback:
                 self._fleet.remember_residuals(rows, residuals)
-        return frames, decoded, errors
+        return batch, decoded, errors
 
     def _price_uplinks(
-        self, rows: np.ndarray, frames: Sequence[WireFrame]
-    ) -> Tuple[List[Optional[WireFrame]], np.ndarray, np.ndarray, np.ndarray]:
-        """Uplink-pricing stage: the *frames* of fleet *rows* cross their channels.
+        self, rows: np.ndarray, batch: FrameBatch
+    ) -> Tuple[Dict[int, Optional[WireFrame]], np.ndarray, np.ndarray, np.ndarray]:
+        """Uplink-pricing stage: the *batch* frames of fleet *rows* cross their channels.
 
-        Returns ``(wires, nbytes, seconds, penalty)``: what each channel
-        delivered (the frame, a degraded copy, or ``None`` for a drop), the
-        priced frame bytes, the channel's solo transfer seconds, and those
-        seconds' excess over the ideal wire time — the backoff, delays and
-        jitter that ride on top where a contended link's drain replaces the
-        solo wire time.  Transparent channels (the reliable loss-free
-        default, no randomness by contract) pay exactly the ideal time, one
-        batched call; every other channel keeps its own ``transfer_frame``
-        call — per-channel RNG streams are independent, so the split cannot
-        reorder any draws.
+        Returns ``(touched, nbytes, seconds, penalty)``: ``batch position →
+        what the channel delivered`` for just the rows whose channel handed
+        back something other than the frame (a degraded copy, or ``None``
+        for a drop — every other row arrives as encoded), the priced frame
+        bytes, the channel's solo transfer seconds, and those seconds'
+        excess over the ideal wire time — the backoff, delays and jitter
+        that ride on top where a contended link's drain replaces the solo
+        wire time.  Transparent channels (the reliable loss-free default, no
+        randomness by contract) pay exactly the ideal time, one batched
+        call, and no frame is minted for them; every other channel keeps
+        its own ``transfer_frame`` call on its row's frame — per-channel RNG
+        streams are independent, so the split cannot reorder any draws.
         """
-        # Every frame prices at the codec's frame_bytes(dim) — the batch
-        # encode stamps one shared value — so the byte vector is a fill.
-        nbytes = np.full(len(frames), frames[0].nbytes)
-        wires: List[Optional[WireFrame]] = list(frames)
+        # Every frame of a batch prices at the codec's frame_bytes(dim).
+        nbytes = np.full(len(rows), batch.nbytes)
+        touched: Dict[int, Optional[WireFrame]] = {}
         with self._section("link_drain"):
             ideal = self.cost_model.transfer_time_batch(nbytes)
             seconds = ideal.copy()
-            for i in np.flatnonzero(~self._uplink_transparent()[rows]):
+            for i in np.flatnonzero(~self._uplink_transparent()[rows]).tolist():
                 channel = self.uplink_channels[int(self._fleet.worker_ids[rows[i]])]
-                wires[i], seconds[i] = channel.transfer_frame(frames[i], self.cost_model)
-        return wires, nbytes, seconds, seconds - ideal
+                frame = batch.frame(i)
+                wire, seconds[i] = channel.transfer_frame(frame, self.cost_model)
+                if wire is not frame:
+                    touched[i] = wire
+        return touched, nbytes, seconds, seconds - ideal
 
     # ---------------------------------------------------------- server stage
     def _aggregate(
@@ -811,13 +826,13 @@ class BaseTrainer:
         *worker_ids* is the submission-ordered id of each aggregated row, so
         the GAR's selected indices translate to worker identities.
         """
-        selected = (
-            tuple(worker_ids[int(i)] for i in result.selected_indices)
-            if result.selected_indices is not None
-            else None
-        )
+        selected = None
+        if result.selected_indices is not None:
+            rows = np.asarray(result.selected_indices, dtype=np.intp)
+            selected = tuple(np.asarray(worker_ids)[rows].tolist())
         scores = (
-            tuple(float(s) for s in result.scores) if result.scores is not None else None
+            tuple(np.asarray(result.scores, dtype=np.float64).tolist())
+            if result.scores is not None else None
         )
         return StepDiagnostics(
             aggregation_time=aggregation_time,
@@ -966,7 +981,7 @@ class SynchronousTrainer(BaseTrainer):
         honest = self.honest_workers
         fleet = self._fleet
         num_honest = len(honest)
-        honest_ids = [w.worker_id for w in honest]
+        honest_ids = self._worker_ids[self._honest_rows]
         rows = np.arange(num_honest)
 
         # Downlink framing per fetching worker, in worker-id order (Byzantine
@@ -1017,13 +1032,14 @@ class SynchronousTrainer(BaseTrainer):
         honest_matrix = np.zeros((0, dim))
         compute_times = np.zeros(num_honest)
         if honest:
+            # Without a broadcast codec every fetch shares one snapshot.
             loss_array, honest_matrix = self._compute_gradients(
-                honest, [snapshots[i] for i in self._honest_rows]
+                honest,
+                snapshots[:1] if self.broadcast_codec is None
+                else [snapshots[i] for i in self._honest_rows.tolist()],
             )
             if self._stacked_model is not None:
-                compute_times = fleet.compute_times(
-                    self.cost_model, honest[0].flops_per_sample()
-                )
+                compute_times = fleet.compute_times(self.cost_model, self._stacked_flops)
             else:
                 for index, worker in enumerate(honest):
                     compute_times[index] = self._compute_time(worker, dim)
@@ -1036,30 +1052,37 @@ class SynchronousTrainer(BaseTrainer):
             byzantine_messages = craft_fleet(
                 self.byzantine_workers, parameters, honest_matrix, step
             )
+        num_byz = len(byzantine_messages)
+        byz_matrix = np.array([m.gradient for m in byzantine_messages]).reshape(num_byz, dim)
 
         # Stage 3: honest frames are encoded before the Byzantine raw
         # frames (the codec PRNG order of sequential encodes), then cross
-        # their uplink channels.
-        honest_frames: List[WireFrame] = []
-        honest_wires: List[Optional[WireFrame]] = []
+        # their uplink channels.  ``touched`` maps a batch row to what a
+        # channel handed back in place of its frame.
+        sent: List[FrameBatch] = []
+        touched: Dict[int, Optional[WireFrame]] = {}
         decoded = honest_matrix
         honest_errors = nbytes_honest = solo_honest = penalty = np.zeros(0)
         if honest:
-            honest_frames, decoded, honest_errors = self._encode_rows(rows, honest_matrix)
-            honest_wires, nbytes_honest, solo_honest, penalty = self._price_uplinks(
-                rows, honest_frames
+            honest_batch, decoded, honest_errors = self._encode_rows(rows, honest_matrix)
+            touched, nbytes_honest, solo_honest, penalty = self._price_uplinks(
+                rows, honest_batch
             )
+            sent.append(honest_batch)
 
-        # Byzantine submissions: raw framing, per-channel transfer.
-        byz_frames: List[WireFrame] = []
-        byz_wires: List[Optional[WireFrame]] = []
-        for message in byzantine_messages:
-            frame, _ = self._encode(message.gradient, honest=False)
-            arrived, _ = self.uplink_channels[message.worker_id].transfer_frame(
-                frame, self.cost_model
-            )
-            byz_frames.append(frame)
-            byz_wires.append(arrived)
+        # Byzantine submissions: one raw identity batch (the adversary
+        # controls its wire bytes outright), per-channel transfer.
+        byz_payloads = byz_matrix
+        if num_byz:
+            byz_batch, byz_payloads = self._raw_codec.encode_decode_batch(byz_matrix)
+            sent.append(byz_batch)
+            for j, message in enumerate(byzantine_messages):
+                frame = byz_batch.frame(j)
+                arrived, _ = self.uplink_channels[message.worker_id].transfer_frame(
+                    frame, self.cost_model
+                )
+                if arrived is not frame:
+                    touched[num_honest + j] = arrived
 
         uplink_delays = np.zeros(num_honest)
         with self._section("link_drain"):
@@ -1075,30 +1098,22 @@ class SynchronousTrainer(BaseTrainer):
                 )
 
         # Arrival assembly: one batch row per gradient, honest workers then
-        # Byzantine ones.  The matrix the encode stage decoded is the honest
-        # payload block — a frame that crossed its channel untouched decodes
-        # to its row bit for bit — so only frames a lossy channel degraded
-        # or dropped, and the Byzantine frames, decode one by one.
-        num_byz = len(byzantine_messages)
+        # Byzantine ones.  The matrices the encode stages decoded are the
+        # payload blocks — a frame that crossed its channel untouched
+        # decodes to its row bit for bit — so only the frames a channel
+        # degraded or dropped decode one by one.
         num_rows = num_honest + num_byz
         delivered = np.ones(num_rows, dtype=bool)
         with self._section("codec"):
-            payloads = (
-                np.concatenate([decoded, np.zeros((num_byz, dim))]) if num_byz else decoded
-            )
-            touched = [
-                (i, honest_wires[i])
-                for i in np.flatnonzero(~self._uplink_transparent()).tolist()
-                if honest_wires[i] is not honest_frames[i]
-            ]
-            for i, wire in touched + list(enumerate(byz_wires, num_honest)):
+            payloads = np.concatenate([decoded, byz_payloads]) if num_byz else decoded
+            for i, wire in touched.items():
                 payload = self._decode(wire)
                 if payload is None:
                     delivered[i] = False
                 else:
                     payloads[i] = payload
         batch = ArrivalBatch(
-            worker_ids=np.array(honest_ids + [m.worker_id for m in byzantine_messages]),
+            worker_ids=np.concatenate([honest_ids, self._worker_ids[self._byzantine_rows]]),
             steps=np.full(num_rows, step),
             losses=np.concatenate([loss_array, [m.loss for m in byzantine_messages]]),
             payloads=payloads,
@@ -1108,10 +1123,7 @@ class SynchronousTrainer(BaseTrainer):
             order=np.arange(num_rows),
             wire_bytes=np.concatenate([nbytes_honest, np.zeros(num_byz)]),
             staleness=np.zeros(num_rows, dtype=np.int64),
-            gradients=(
-                honest_matrix,
-                np.array([m.gradient for m in byzantine_messages]).reshape(num_byz, dim),
-            ),
+            gradients=(honest_matrix, byz_matrix),
         )
         with self._section("telemetry"):
             if num_honest:
@@ -1124,7 +1136,7 @@ class SynchronousTrainer(BaseTrainer):
                     downlink_delta=all_fetch_delta[self._honest_rows],
                     regions=self._honest_regions,
                 )
-        self.service.account_pushes(batch.worker_ids.tolist(), honest_frames + byz_frames)
+        self.service.account_pushes(batch.worker_ids, sent)
         self.service.account_fetches(self._worker_ids, all_fetch_bytes)
 
         return batch, floor, loss_array[np.isfinite(loss_array)].tolist(), downlink_step_bytes
@@ -1443,9 +1455,7 @@ class AsyncTrainer(BaseTrainer):
         message: GradientMessage = event.payload
         channel = self.uplink_channels[message.worker_id]
         with self._section("codec"):
-            frame, error = self._encode(
-                message.gradient, honest=True, worker_id=message.worker_id
-            )
+            frame, error = self._encode(message.gradient, worker_id=message.worker_id)
         wire, seconds = channel.transfer_frame(frame, self.cost_model)
         timeline = self.history.timeline_for(message.worker_id)
         timeline.rounds_completed += 1
@@ -1453,7 +1463,7 @@ class AsyncTrainer(BaseTrainer):
         self.history.record_wire(
             message.worker_id, bytes_sent=frame.nbytes, compression_error=error
         )
-        self.service.account_pushes([message.worker_id], [frame])
+        self.service.account_pushes([message.worker_id], [FrameBatch.stack([frame])])
         if self._contended:
             # The session's drain time replaces the solo wire time; the
             # channel's extra penalty (backoff, delays, jitter) rides on top.
@@ -1782,11 +1792,15 @@ class AsyncTrainer(BaseTrainer):
         messages: List[GradientMessage] = [e.payload for e in events]
         worker_ids = [m.worker_id for m in messages]
         rows = np.array([self._fleet.row_of[wid] for wid in worker_ids], dtype=np.intp)
-        frames, _, errors = self._encode_rows(
+        batch, _, errors = self._encode_rows(
             rows,
             np.stack([np.asarray(m.gradient, dtype=np.float64).ravel() for m in messages]),
         )
-        wires, frame_bytes, seconds, penalty = self._price_uplinks(rows, frames)
+        touched, frame_bytes, seconds, penalty = self._price_uplinks(rows, batch)
+        # One frame per ``arrive`` event: what the channel handed back.
+        wires = [
+            touched[i] if i in touched else batch.frame(i) for i in range(len(messages))
+        ]
         with self._section("telemetry"):
             for i, wid in enumerate(worker_ids):
                 timeline = self.history.timeline_for(wid)
@@ -1795,7 +1809,7 @@ class AsyncTrainer(BaseTrainer):
             self.history.record_wire_batch(
                 worker_ids, bytes_sent=frame_bytes, compression_error=errors
             )
-        self.service.account_pushes(worker_ids, frames)
+        self.service.account_pushes(worker_ids, [batch])
         if self._contended:
             surviving = self._open_run_sessions(
                 now, 1, worker_ids, frame_bytes,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import math
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,24 +94,17 @@ class HonestWorker(Worker):
         else:
             raise ConfigurationError(f"model must be a Sequential or a factory, got {model!r}")
         self.sampler = sampler
-        #: Forward flops per sample :func:`compute_stacked` measured the
-        #: last time it computed this worker's gradient; ``None`` until then.
-        self.stacked_flops: Optional[float] = None
 
     @cached_property
     def model(self) -> Sequential:
         return self._build_model()
 
     def flops_per_sample(self) -> float:
-        """Forward flops per sample this worker's gradient is priced at.
+        """Forward flops per sample of this worker's replica (built if nothing had).
 
-        What the stacked pass measured once it has computed for this worker
-        (the value its replica's forward would have read); otherwise the
-        replica's own :meth:`~repro.nn.model.Sequential.flops_per_sample`,
-        building the replica if nothing had.
+        The trainers price a stacked run at the flops the pass measured
+        instead — the value every replica's forward would read.
         """
-        if self.stacked_flops is not None:
-            return self.stacked_flops
         return self.model.flops_per_sample()
 
     @property
@@ -195,31 +188,30 @@ class ByzantineWorker(Worker):
 
 
 def compute_stacked(
-    workers: Sequence[HonestWorker],
     snapshots: Sequence[Tuple[int, np.ndarray]],
     model: Sequential,
     batch: Tuple[np.ndarray, np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, float]:
     """Every honest gradient of a run from one stacked exact pass.
 
-    ``workers[i]`` computes on ``snapshots[i] = (version, parameters)`` and
-    the mini-batch ``(batch[0][i], batch[1][i])`` — its own draw
-    (:func:`~repro.data.sampler.sample_stacked`) or its row of a fleet-wide
-    one; *model* is the deployment's architecture, one with the workers'
-    :meth:`~repro.nn.model.Sequential.stacked_signature`.
+    Worker ``i`` of the run computes on ``snapshots[i] = (version,
+    parameters)`` — or on ``snapshots[0]`` when it is the one snapshot the
+    whole run shares — and the mini-batch ``(batch[0][i], batch[1][i])``:
+    its own draw (:func:`~repro.data.sampler.sample_stacked`) or its row of
+    a fleet-wide one.  *model* is the deployment's architecture, one with
+    the workers' :meth:`~repro.nn.model.Sequential.stacked_signature`.
     :meth:`~repro.nn.model.Sequential.stacked_loss_and_gradients` returns
     what each worker's replica would on that batch, bit for bit, without a
-    replica.  Each worker keeps the measured flops for its pricing.
-    Returns ``(losses, gradients)`` in worker order — arrays, no message
-    per worker: the lock-step step carries them into its arrival batch as
-    they are.
+    replica.  Returns ``(losses, gradients, flops_per_sample)`` in worker
+    order — arrays, no message per worker: the lock-step step carries them
+    into its arrival batch as they are — and the forward flops per sample
+    the trainer prices every worker at.
     """
-    losses, gradients, flops = model.stacked_loss_and_gradients(
+    if len(snapshots) == 1:
+        return model.stacked_loss_and_gradients(snapshots[0][1], *batch)
+    return model.stacked_loss_and_gradients(
         [parameters for _, parameters in snapshots], *batch
     )
-    for worker in workers:
-        worker.stacked_flops = flops
-    return losses, gradients
 
 
 def craft_fleet(

@@ -340,6 +340,11 @@ class QuorumBasedPolicy(SyncPolicy):
                     "honest": e.honest,
                     "staleness": e.staleness,
                     "order": e.order,
+                    # NOTE: fixed in both this frozen file and the live policy:
+                    # without the key a restored pool priced its rows at 0
+                    # wire bytes, so the first step after a resume under
+                    # quorum carry reported fewer bytes than the straight run.
+                    "wire_bytes": e.wire_bytes,
                 }
                 for e in self._pending
             ]
@@ -359,6 +364,7 @@ class QuorumBasedPolicy(SyncPolicy):
                 honest=bool(entry["honest"]),
                 staleness=int(entry["staleness"]),
                 order=int(entry["order"]),
+                wire_bytes=float(entry.get("wire_bytes", 0.0)),
             )
             for entry in state.get("pending", [])
         ]

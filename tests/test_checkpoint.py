@@ -174,6 +174,55 @@ class TestTrainingStateResume:
                 getattr(roundtripped, column), getattr(pending, column)
             )
 
+    @staticmethod
+    def _carry_at_12(dataset):
+        from repro.cluster import StragglerModel, build_trainer
+
+        return build_trainer(
+            dataset=dataset, model="logistic",
+            model_kwargs={"input_dim": 10, "num_classes": 5}, num_workers=12,
+            declared_f=2, gar="median", batch_size=4, seed=7, sync_policy="quorum",
+            sync_kwargs={"stragglers": "carry"},
+            straggler_model=StragglerModel(
+                distribution="pareto", alpha=1.5, scale=1.0, prob=0.4
+            ),
+        )
+
+    def test_a_restored_carry_pool_keeps_its_wire_bytes(self, tmp_path):
+        """The first step after a resume reports the straight run's wire bytes."""
+        from repro.cluster import TrainerConfig
+        from repro.data.datasets import load_dataset
+
+        dataset = load_dataset("blobs", num_train=400, num_test=50, num_classes=5,
+                               dim=10, rng=0)
+        straight = self._carry_at_12(dataset)
+        straight.run(TrainerConfig(max_steps=5, eval_every=0))
+        interrupted = self._carry_at_12(dataset)
+        interrupted.run(TrainerConfig(max_steps=3, eval_every=0))
+        assert len(interrupted.sync_policy.pending())  # a carried pool to restore
+        state = load_training_state(
+            save_training_state(capture_training_state(interrupted), tmp_path / "carry")
+        )
+        resumed = self._carry_at_12(dataset)
+        restore_training_state(resumed, state)
+        assert resumed.sync_policy.pending().wire_bytes.tolist() == (
+            interrupted.sync_policy.pending().wire_bytes.tolist()
+        )
+        resumed.run(TrainerConfig(max_steps=2, eval_every=0))
+        # 10 admitted 220-byte frames; a pool restored at 0 bytes reported 880.
+        assert resumed.history.steps[0].wire_bytes == straight.history.steps[3].wire_bytes == 2200.0
+        assert [s.wire_bytes for s in resumed.history.steps] == [
+            s.wire_bytes for s in straight.history.steps[3:]
+        ]
+        assert resumed.server.parameters.tobytes() == straight.server.parameters.tobytes()
+
+        # An archive written before the pool kept its wire bytes restores 0.0.
+        for entry in state.policy_state["pending"]:
+            del entry["wire_bytes"]
+        old = self._carry_at_12(dataset)
+        restore_training_state(old, state)
+        assert not old.sync_policy.pending().wire_bytes.any()
+
     def test_policy_mismatch_rejected(self, tiny_dataset, tiny_model_kwargs):
         trainer = self._make_trainer(
             tiny_dataset, tiny_model_kwargs, "quorum", {"stragglers": "carry"}

@@ -21,7 +21,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.builder import build_trainer
-from repro.cluster.codec import IdentityCodec, RandomKCodec, TopKCodec, shard_frame_bytes
+from repro.cluster.codec import (
+    FrameBatch, IdentityCodec, RandomKCodec, TopKCodec, shard_frame_bytes,
+)
 from repro.cluster.link import parse_link_profile
 from repro.cluster.checkpoint import (
     capture_training_state,
@@ -362,8 +364,6 @@ def _oracle_pushes(fabric, worker_ids, frames):
     """The per-frame, per-shard ``+=`` loop the batch accounting replaced."""
     local = cross = 0.0
     for worker_id, frame in zip(worker_ids, frames):
-        if frame is None:
-            continue
         region = fabric.region_of_worker(int(worker_id))
         if fabric.kind == "replicas":
             split = [frame.nbytes] * fabric.num_actors
@@ -421,15 +421,16 @@ class TestBatchAccounting:
         dim = fabric.server.dim
         matrix = rng.standard_normal((self.WORKERS, dim))
         worker_ids = rng.permutation(self.WORKERS).tolist()
-        batches = []
-        for codec in (IdentityCodec(), TopKCodec(k=7), RandomKCodec(k=7, rng=3)):
-            frames = codec.encode_decode_batch(matrix)[0]
-            frames[3] = None  # dropped on the wire
-            batches.append(frames)
-        ragged = TopKCodec(k=7).encode_decode_batch(matrix)[0]
-        ragged[5] = ragged[5].degraded(ragged[5].values[:2], indices=ragged[5].indices[:2])
-        batches.append(ragged)
-        batches.append([None] * self.WORKERS)
+        codecs = (IdentityCodec(), TopKCodec(k=7), RandomKCodec(k=7, rng=3))
+        calls = [[codec.encode_decode_batch(matrix)[0]] for codec in codecs]
+        # One call over several batches (the lock-step step's honest rows,
+        # then its raw Byzantine ones): their splits concatenate in row order.
+        cut = self.WORKERS - 5
+        calls.append([
+            TopKCodec(k=7).encode_decode_batch(matrix[:cut])[0],
+            IdentityCodec().encode_decode_batch(matrix[cut:])[0],
+        ])
+        calls.append([])
         uneven = rng.random(self.WORKERS) * 1e4  # e.g. delta broadcasts of every size
         uneven[::5] = 0.0
         fetches = [
@@ -438,9 +439,11 @@ class TestBatchAccounting:
             [0.0] * self.WORKERS,
         ]
         expected = dict(fabric.counters)
-        for frames in batches:
-            fabric.account_pushes(worker_ids, frames)
-            local, cross = _oracle_pushes(fabric, worker_ids, frames)
+        for batches in calls:
+            ids = worker_ids[: sum(len(batch) for batch in batches)]
+            fabric.account_pushes(ids, batches)
+            frames = [batch.frame(i) for batch in batches for i in range(len(batch))]
+            local, cross = _oracle_pushes(fabric, ids, frames)
             expected["push_local_bytes"] += local
             expected["push_cross_bytes"] += cross
         for nbytes in fetches:
@@ -458,12 +461,13 @@ class TestBatchAccounting:
         # The async trainer accounts per event: the per-call totals must be
         # the floats a batch of one produces, call after call.
         batched, single = self._service("region-sharded", True), self._service("region-sharded", True)
-        frames = IdentityCodec().encode_decode_batch(
+        batch = IdentityCodec().encode_decode_batch(
             rng.standard_normal((9, batched.server.dim))
         )[0]
         worker_ids = list(range(9))
-        for worker_id, frame in zip(worker_ids, frames):
-            single.account_pushes([worker_id], [frame])
+        for worker_id in worker_ids:
+            frame = batch.frame(worker_id)
+            single.account_pushes([worker_id], [FrameBatch.stack([frame])])
             single.account_fetches([worker_id], [frame.nbytes])
             local, cross = _oracle_pushes(batched, [worker_id], [frame])
             batched.counters["push_local_bytes"] += local

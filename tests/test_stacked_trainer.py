@@ -64,9 +64,9 @@ def runs(monkeypatch):
     seen = []
     compute_stacked = trainer_module.compute_stacked
 
-    def recording(workers, snapshots, model, batch):
-        seen.append((len(workers), len({id(p) for _, p in snapshots})))
-        return compute_stacked(workers, snapshots, model, batch)
+    def recording(snapshots, model, batch):
+        seen.append((len(batch[0]), len({id(p) for _, p in snapshots})))
+        return compute_stacked(snapshots, model, batch)
 
     monkeypatch.setattr(trainer_module, "compute_stacked", recording)
     return seen
@@ -206,7 +206,7 @@ def test_an_exact_run_prices_every_worker_at_the_measured_flops():
     assert _priced_at(trainer) == [FALLBACK] * 6  # today's read: a never-run replica
     trainer.run(TrainerConfig(max_steps=2, eval_every=0))
     assert _priced_at(trainer) == [MEASURED] * 6
-    assert {worker.stacked_flops for worker in trainer.honest_workers} == {MEASURED}
+    assert trainer._stacked_flops == MEASURED
 
 
 def test_async_fleet_mode_prices_every_worker_at_the_measured_flops():

@@ -95,16 +95,17 @@ def test_encode_stage_equals_sequential_scalar_encodes(
     dim = staged.server.dim
     for number, rows in enumerate(rounds):
         gradients = _gradients(seed + number, len(rows), dim)
-        frames, decoded, errors = staged._encode_rows(
+        batch, decoded, errors = staged._encode_rows(
             np.array(rows, dtype=np.intp), gradients.copy()
         )
         expected = [
-            scalar._encode(
-                gradients[i], honest=True, worker_id=int(scalar._fleet.worker_ids[row])
-            )
+            scalar._encode(gradients[i], worker_id=int(scalar._fleet.worker_ids[row]))
             for i, row in enumerate(rows)
         ]
-        assert [_frame_fields(f) for f in frames] == [_frame_fields(f) for f, _ in expected]
+        assert len(batch) == len(rows)
+        assert [_frame_fields(batch.frame(i)) for i in range(len(rows))] == [
+            _frame_fields(f) for f, _ in expected
+        ]
         assert errors.tolist() == [error for _, error in expected]
         for i, (frame, _) in enumerate(expected):
             assert _bits(decoded[i]) == _bits(decode_frame(frame))
@@ -134,19 +135,22 @@ def test_uplink_pricing_equals_per_row_transfer_frame(dataset, codec, rounds, se
     for number, rows in enumerate(rounds):
         gradients = _gradients(seed + number, len(rows), dim)
         index = np.array(rows, dtype=np.intp)
-        frames, _, _ = staged._encode_rows(index, gradients.copy())
-        twin_frames, _, _ = scalar._encode_rows(index, gradients.copy())
-        wires, nbytes, seconds, penalty = staged._price_uplinks(index, frames)
+        batch, _, _ = staged._encode_rows(index, gradients.copy())
+        twin_batch, _, _ = scalar._encode_rows(index, gradients.copy())
+        touched, nbytes, seconds, penalty = staged._price_uplinks(index, batch)
         for i, row in enumerate(rows):
             worker_id = int(scalar._fleet.worker_ids[row])
+            twin_frame = twin_batch.frame(i)
             arrived, solo = scalar.uplink_channels[worker_id].transfer_frame(
-                twin_frames[i], scalar.cost_model
+                twin_frame, scalar.cost_model
             )
-            assert _frame_fields(wires[i]) == _frame_fields(arrived)
-            assert (wires[i] is frames[i]) == (arrived is twin_frames[i])
-            assert nbytes[i] == twin_frames[i].nbytes
+            # Only the rows a channel handed back changed or dropped are reported.
+            assert (i in touched) == (arrived is not twin_frame)
+            wire = touched[i] if i in touched else batch.frame(i)
+            assert _frame_fields(wire) == _frame_fields(arrived)
+            assert nbytes[i] == twin_frame.nbytes
             assert seconds[i] == solo
-            assert penalty[i] == solo - scalar.cost_model.transfer_time(twin_frames[i].nbytes)
+            assert penalty[i] == solo - scalar.cost_model.transfer_time(twin_frame.nbytes)
         for worker_id in range(1, NUM_WORKERS):
             assert [
                 (label, rng.bit_generator.state)
@@ -178,7 +182,9 @@ def _callers(tree, callee):
 
 def test_each_worker_stage_has_exactly_one_calling_function():
     tree = ast.parse(Path(trainer_module.__file__).read_text())
-    assert _callers(tree, "encode_decode_batch") == {"_encode_rows"}
+    # The honest encode stage, and the lock-step step's one raw identity
+    # batch of Byzantine frames.
+    assert _callers(tree, "encode_decode_batch") == {"_encode_rows", "_collect_arrivals"}
     # One compute stage in both modes: the stacked pass, and the replica loop
     # as its one fallback.
     assert _callers(tree, "compute_gradient") == {"_exact_gradients"}

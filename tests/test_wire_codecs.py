@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.codec import (
+    FrameBatch,
     IdentityCodec,
     QSGDCodec,
     RandomKCodec,
@@ -12,10 +13,10 @@ from repro.cluster.codec import (
     decode_frame,
     make_codec,
     shard_frame_bytes,
-    shard_frame_bytes_batch,
 )
 from repro.cluster.cost_model import BYTES_PER_COORDINATE
 from repro.exceptions import ConfigurationError
+from tests.codec_reference import frames_of, shard_frame_bytes_batch
 
 
 class TestIdentityCodec:
@@ -206,7 +207,7 @@ def _tiling(dim, num_shards):
 
 
 class TestShardFrameBytesBatch:
-    """The batch pricing is the per-frame pricing, row by row, bit for bit."""
+    """``FrameBatch.shard_bytes`` is the per-frame pricing, row by row, bit for bit."""
 
     DIM = 37
     CODECS = {
@@ -216,53 +217,61 @@ class TestShardFrameBytesBatch:
         "qsgd": lambda: QSGDCodec(bits=4, rng=5),
     }
 
-    def _frames(self, name, rng, n=6):
+    def _batch(self, name, rng, n=6):
         return self.CODECS[name]().encode_decode_batch(rng.standard_normal((n, self.DIM)))[0]
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     @pytest.mark.parametrize("name", sorted(CODECS))
-    def test_uniform_batches_equal_the_per_frame_function(self, rng, name, num_shards):
-        frames = self._frames(name, rng)
+    def test_batches_equal_the_per_frame_function(self, rng, name, num_shards):
+        batch = self._batch(name, rng)
+        frames = frames_of(batch)
         bounds = _tiling(self.DIM, num_shards)
-        batch = shard_frame_bytes_batch(frames, bounds)
-        assert batch.shape == (len(frames), num_shards)
-        assert batch.tolist() == [shard_frame_bytes(f, bounds).tolist() for f in frames]
+        split = batch.shard_bytes(bounds)
+        assert split.shape == (len(frames), num_shards)
+        assert split.tolist() == [shard_frame_bytes(f, bounds).tolist() for f in frames]
+        assert split.tolist() == shard_frame_bytes_batch(frames, bounds).tolist()
         if name == "random-k":
             # The 8-byte seed tag travels to every shard: a real fan-out cost.
-            assert batch.sum(axis=1).tolist() == [9 * 4.0 + 8.0 * num_shards] * len(frames)
+            assert split.sum(axis=1).tolist() == [9 * 4.0 + 8.0 * num_shards] * len(frames)
         else:
-            np.testing.assert_allclose(batch.sum(axis=1), [f.nbytes for f in frames])
+            np.testing.assert_allclose(split.sum(axis=1), [f.nbytes for f in frames])
 
     @pytest.mark.parametrize("name", ["top-k", "random-k"])
-    def test_ragged_batches_fall_back_to_the_per_frame_function(self, rng, name):
-        frames = self._frames(name, rng)
-        # Packet loss thinned one frame's (index, value) pairs.
+    def test_a_thinned_frame_is_priced_alone_and_never_stacked(self, rng, name):
+        frames = frames_of(self._batch(name, rng))
+        # Packet loss thinned one frame's (index, value) pairs: it no longer
+        # shares the batch's shape, and only the per-frame function prices it.
         frames[2] = frames[2].degraded(frames[2].values[:4], indices=frames[2].indices[:4])
+        with pytest.raises(ConfigurationError, match="one codec, dim, price and shape"):
+            FrameBatch.stack(frames)
         bounds = _tiling(self.DIM, 4)
-        batch = shard_frame_bytes_batch(frames, bounds)
-        assert batch.tolist() == [shard_frame_bytes(f, bounds).tolist() for f in frames]
+        assert shard_frame_bytes(frames[2], bounds).tolist() == (
+            shard_frame_bytes_batch(frames, bounds)[2].tolist()
+        )
 
-    def test_mixed_framings_and_degraded_dense_frames(self, rng):
-        dense = self._frames("identity", rng, n=3)
+    def test_degraded_dense_rows_and_mixed_framings_concatenate_in_row_order(self, rng):
+        dense = frames_of(self._batch("identity", rng, n=3))
         dense[1] = dense[1].degraded(np.full(self.DIM, np.nan))  # priced like any other
-        bounds = _tiling(self.DIM, 2)
-        assert shard_frame_bytes_batch(dense, bounds).tolist() == [
-            shard_frame_bytes(f, bounds).tolist() for f in dense
+        batches = [
+            FrameBatch.stack(dense), self._batch("top-k", rng, n=2),
+            self._batch("random-k", rng, n=2),
         ]
-        mixed = dense + self._frames("top-k", rng, n=2) + self._frames("random-k", rng, n=2)
-        assert shard_frame_bytes_batch(mixed, bounds).tolist() == [
+        bounds = _tiling(self.DIM, 2)
+        mixed = [frame for batch in batches for frame in frames_of(batch)]
+        assert np.concatenate([b.shard_bytes(bounds) for b in batches]).tolist() == [
             shard_frame_bytes(f, bounds).tolist() for f in mixed
         ]
 
     @pytest.mark.parametrize("name", sorted(CODECS))
     def test_bounds_that_do_not_tile_the_frame_are_rejected(self, rng, name):
-        frames = self._frames(name, rng)
+        batch = self._batch(name, rng)
         for bounds in ([(0, 20), (20, 36)], [(0, 37), (37, 37)], []):
             with pytest.raises(ConfigurationError) as single:
-                shard_frame_bytes(frames[0], bounds)
-            with pytest.raises(ConfigurationError) as batch:
-                shard_frame_bytes_batch(frames, bounds)
-            assert str(batch.value) == str(single.value)
+                shard_frame_bytes(batch.frame(0), bounds)
+            with pytest.raises(ConfigurationError) as batched:
+                batch.shard_bytes(bounds)
+            assert str(batched.value) == str(single.value)
 
     def test_empty_batch(self):
-        assert shard_frame_bytes_batch([], _tiling(self.DIM, 3)).shape == (0, 3)
+        empty = FrameBatch(dim=self.DIM, codec="identity", values=np.zeros((0, self.DIM)))
+        assert empty.shard_bytes(_tiling(self.DIM, 3)).shape == (0, 3)

@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.codec import WireFrame
+from repro.cluster.codec import FrameBatch, WireFrame
 from repro.cluster.events import Event, EventQueue
 from repro.cluster.fleet import PendingBatch
 from repro.cluster.message import GradientMessage
@@ -232,10 +232,12 @@ class ReferenceSynchronousTrainer(_ParentServiceGate, SynchronousTrainer):
         errors: List[float] = []
         for order, message in enumerate(honest_messages + byzantine_messages):
             channel = self.uplink_channels[message.worker_id]
-            frame, error = self._encode(
-                message.gradient, honest=order < num_honest,
-                worker_id=message.worker_id,
-            )
+            # Byzantine gradients take the raw framing: the adversary
+            # controls its wire bytes outright.
+            if order < num_honest:
+                frame, error = self._encode(message.gradient, worker_id=message.worker_id)
+            else:
+                frame, error = self._raw_codec.encode(message.gradient), 0.0
             arrived, seconds = channel.transfer_frame(frame, self.cost_model)
             frames.append(frame)
             delivered.append(arrived)
@@ -290,7 +292,9 @@ class ReferenceSynchronousTrainer(_ParentServiceGate, SynchronousTrainer):
             assert self.service is not None
             all_messages = honest_messages + byzantine_messages
             self.service.account_pushes(
-                [m.worker_id for m in all_messages], frames
+                [m.worker_id for m in all_messages],
+                [FrameBatch.stack(part) for part in (frames[:num_honest], frames[num_honest:])
+                 if part],
             )
             self.service.account_fetches(
                 [w.worker_id for w in self.workers],
