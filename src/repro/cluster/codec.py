@@ -201,15 +201,36 @@ class FrameBatch:
         return self.values * (1.0 if self.scales is None else self.scales[:, None])
 
     def shard_bytes(self, bounds: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Every row's :func:`shard_frame_bytes`: an ``(n, num_shards)`` matrix.
+        """Every row's priced bytes split into per-shard sub-frame bytes: ``(n, num_shards)``.
 
-        Row ``i`` is bit-identical to ``shard_frame_bytes(frame(i), bounds)``
-        (the same elementwise operations, broadcast over the batch): dense
-        rows split ``nbytes`` by shard width; sparse rows count each shard's
-        resident indices with one comparison of the supports against the
-        shard edges.
+        When the server side is a sharded parameter service, a worker's push
+        fans out as one sub-frame per contiguous coordinate shard ``[lo,
+        hi)``.  This prices that fan-out from the frames alone — no
+        re-encoding:
+
+        * **Explicit-index sparse frames** (top-k): each shard receives
+          exactly its resident ``(index, value)`` pairs, priced at the
+          codec's per-coordinate rate (``nbytes / k``), so the split sums
+          exactly to the frame's priced bytes.
+        * **Shared-support sparse frames** (random-k): values split by
+          resident count at ``BYTES_PER_COORDINATE`` each, but the 8-byte
+          seed tag must travel to *every* shard (each endpoint re-derives
+          the full support independently) — a real fan-out overhead of
+          ``8 * (num_shards - 1)`` bytes over the unsharded frame.
+        * **Dense frames** (identity, qsgd, dense deltas): the payload plane
+          is cut at the shard boundaries, so bytes split proportionally to
+          shard width and sum exactly to the frame's priced bytes.
+
+        Residency is counted with one comparison of the supports against
+        the shard edges, for every row at once.
         """
-        widths = _shard_widths(bounds, self.dim)
+        if not bounds:
+            raise ConfigurationError("shard_frame_bytes needs at least one shard")
+        widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
+        if (widths < 1).any() or int(widths.sum()) != self.dim:
+            raise ConfigurationError(
+                f"shard bounds {list(bounds)} do not tile a dim-{self.dim} frame"
+            )
         if self.indices is None:
             return np.tile(self.nbytes * (widths / float(self.dim)), (len(self), 1))
         # Indices below each edge, differenced: what searchsorted on the
@@ -218,6 +239,7 @@ class FrameBatch:
         below = (self.indices[:, None, :] < edges[None, :, None]).sum(axis=2)
         counts = np.diff(below, axis=1).astype(np.float64)
         if self.shared_support:
+            # k float32 values split by residency; the seed tag replicates.
             return counts * BYTES_PER_COORDINATE + 8.0
         return counts * (self.nbytes / max(self.indices.shape[1], 1))
 
@@ -589,50 +611,15 @@ def decode_frame(frame: WireFrame) -> np.ndarray:
     return values * frame.scale
 
 
-def _shard_widths(bounds: Sequence[Tuple[int, int]], dim: int) -> np.ndarray:
-    """The widths of shard *bounds*, which must tile a *dim*-coordinate frame."""
-    if not bounds:
-        raise ConfigurationError("shard_frame_bytes needs at least one shard")
-    widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
-    if (widths < 1).any() or int(widths.sum()) != dim:
-        raise ConfigurationError(f"shard bounds {list(bounds)} do not tile a dim-{dim} frame")
-    return widths
-
-
 def shard_frame_bytes(
     frame: WireFrame, bounds: Sequence[Tuple[int, int]]
 ) -> np.ndarray:
     """Split one frame's priced bytes into per-shard sub-frame bytes.
 
-    When the server side is a sharded parameter service, a worker's push
-    fans out as one sub-frame per contiguous coordinate shard ``[lo, hi)``.
-    This prices that fan-out from the frame alone — no re-encoding:
-
-    * **Explicit-index sparse frames** (top-k): each shard receives exactly
-      its resident ``(index, value)`` pairs, priced at the codec's
-      per-coordinate rate (``nbytes / k``), so the split sums exactly to
-      the frame's priced bytes.
-    * **Shared-support sparse frames** (random-k): values split by resident
-      count at ``BYTES_PER_COORDINATE`` each, but the 8-byte seed tag must
-      travel to *every* shard (each endpoint re-derives the full support
-      independently) — a real fan-out overhead of ``8 * (num_shards - 1)``
-      bytes over the unsharded frame.
-    * **Dense frames** (identity, qsgd, dense deltas): the payload plane is
-      cut at the shard boundaries, so bytes split proportionally to shard
-      width and sum exactly to the frame's priced bytes.
+    :meth:`FrameBatch.shard_bytes` of the one-frame batch — any frame,
+    one a lossy channel thinned included.
     """
-    widths = _shard_widths(bounds, frame.dim)
-    if frame.indices is not None:
-        edges = np.array([lo for lo, _ in bounds] + [bounds[-1][1]])
-        counts = np.diff(np.searchsorted(np.sort(frame.indices), edges)).astype(
-            np.float64
-        )
-        k = max(int(np.asarray(frame.indices).size), 1)
-        if frame.shared_support:
-            # k float32 values split by residency; the seed tag replicates.
-            return counts * BYTES_PER_COORDINATE + 8.0
-        return counts * (frame.nbytes / k)
-    return frame.nbytes * (widths / float(frame.dim))
+    return FrameBatch.stack([frame]).shard_bytes(bounds)[0]
 
 
 #: Registered codec factories, keyed by name.

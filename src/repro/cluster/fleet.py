@@ -57,7 +57,7 @@ class FleetState:
     #: Mirrors of what the worker objects were built with, and a draw that
     #: :meth:`sample_slowdowns` replaces before every read: a resumed run
     #: rebuilds them, only the error-feedback store is state.
-    _CHECKPOINT_EXEMPT = ("workers", "speeds", "batch_sizes", "slowdowns")
+    _CHECKPOINT_EXEMPT = ("workers", "speeds", "batch_sizes", "training_sets", "slowdowns")
 
     def __init__(
         self,
@@ -77,14 +77,14 @@ class FleetState:
         self.batch_sizes = np.array(
             [w.batch_size for w in self.workers], dtype=np.float64
         )
-        #: Whether every worker samples one training set (the same features
-        #: and labels objects): a fleet-mode run then draws its mini-batches
-        #: from it in one call.
-        first = self.workers[0].sampler
-        self.one_training_set = all(
-            w.sampler.features is first.features and w.sampler.labels is first.labels
+        #: Each row's training set: the index of its sampler's (features,
+        #: labels) objects among the fleet's distinct pairs.  A fleet-mode
+        #: run whose rows share one draws its mini-batches in one call.
+        sets: Dict[Tuple[int, int], int] = {}
+        self.training_sets = np.array([
+            sets.setdefault((id(w.sampler.features), id(w.sampler.labels)), len(sets))
             for w in self.workers
-        )
+        ], dtype=np.intp)
         # Effective throughput: the cost model's per-worker hardware draw
         # scaled by the worker's persistent speed multiplier.
         self.gflops = (

@@ -365,19 +365,14 @@ class BaseTrainer:
         service.bind_history(self.history)
 
     def _uplink_transparent(self) -> np.ndarray:
-        """Boolean mask: honest worker ``i``'s uplink channel is transparent.
-
-        Each distinct channel object is asked once (the builder shares one
-        default channel across the fleet).
-        """
+        """Boolean mask: honest worker ``i``'s uplink channel is transparent."""
         if self._uplink_transparent_cache is None:
-            channels = [
-                self.uplink_channels[wid]
-                for wid in self._worker_ids[self._honest_rows].tolist()
-            ]
-            verdicts = {channel: channel.is_transparent for channel in dict.fromkeys(channels)}
             self._uplink_transparent_cache = np.array(
-                [verdicts[channel] for channel in channels], dtype=bool
+                [
+                    self.uplink_channels[w.worker_id].is_transparent
+                    for w in self.honest_workers
+                ],
+                dtype=bool,
             )
         return self._uplink_transparent_cache
 
@@ -602,6 +597,7 @@ class BaseTrainer:
 
     def _compute_gradients(
         self,
+        rows: np.ndarray,
         workers: Sequence[HonestWorker],
         snapshots: Sequence[Tuple[int, np.ndarray]],
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -609,12 +605,11 @@ class BaseTrainer:
 
         Returns :meth:`_exact_gradients`' ``(losses, gradients)`` in worker
         order, each worker computing on the parameters it
-        reconstructed from its own downlink frame (*snapshots* as
-        :meth:`_exact_gradients` takes them).  The compute mode only picks
-        the mini-batches of a stacked pass: under ``"fleet"``, where the
-        honest fleet shares one training set, the workers take theirs from
-        one ``(n, b)`` draw on the fleet stream; otherwise each sampler
-        draws its own.
+        reconstructed from its own downlink frame.  The compute mode only
+        picks the mini-batches of a stacked pass: under ``"fleet"``,
+        workers sharing one training set (their fleet *rows* carry one
+        training-set id) take theirs from one ``(n, b)`` draw on the fleet
+        stream; otherwise each sampler draws its own.
         """
         with self._section("compute"):
             batch = None
@@ -623,12 +618,13 @@ class BaseTrainer:
                 self.compute_mode == "fleet"
                 and self._fleet_sample_rng is not None
                 and self._stacked_model is not None
-                and self._fleet.one_training_set
             ):
-                indices = self._fleet_sample_rng.integers(
-                    0, shared.num_samples, size=(len(workers), shared.batch_size)
-                )
-                batch = shared.features[indices], shared.labels[indices]
+                sets = self._fleet.training_sets[rows]
+                if (sets == sets[0]).all():
+                    indices = self._fleet_sample_rng.integers(
+                        0, shared.num_samples, size=(len(workers), shared.batch_size)
+                    )
+                    batch = shared.features[indices], shared.labels[indices]
             return self._exact_gradients(workers, snapshots, batch)
 
     def _exact_gradients(
@@ -639,9 +635,7 @@ class BaseTrainer:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """What each worker's own backprop returns on its mini-batch, bit for bit.
 
-        *snapshots* holds each worker's ``(version, parameters)``, or one
-        pair every worker shares (the lock-step fetch without a broadcast
-        codec).  One stacked pass over the run
+        One stacked pass over the run
         (:func:`~repro.cluster.worker.compute_stacked`) where the
         deployment's model can be stacked, so no replica is ever built, on
         the stacked *batch* when one is given — its measured flops price
@@ -658,8 +652,6 @@ class BaseTrainer:
                 snapshots, self._stacked_model, batch
             )
             return losses, gradients
-        if len(snapshots) == 1:
-            snapshots = snapshots * len(workers)
         messages = [
             worker.compute_gradient(parameters, version)
             for worker, (version, parameters) in zip(workers, snapshots)
@@ -1032,11 +1024,8 @@ class SynchronousTrainer(BaseTrainer):
         honest_matrix = np.zeros((0, dim))
         compute_times = np.zeros(num_honest)
         if honest:
-            # Without a broadcast codec every fetch shares one snapshot.
             loss_array, honest_matrix = self._compute_gradients(
-                honest,
-                snapshots[:1] if self.broadcast_codec is None
-                else [snapshots[i] for i in self._honest_rows.tolist()],
+                rows, honest, [snapshots[i] for i in self._honest_rows.tolist()]
             )
             if self._stacked_model is not None:
                 compute_times = fleet.compute_times(self.cost_model, self._stacked_flops)
@@ -1767,9 +1756,10 @@ class AsyncTrainer(BaseTrainer):
     def _on_compute_batch(self, events: List[Event]) -> None:
         """Batched :meth:`_on_compute` over one same-time run of computes."""
         workers = [self._workers_by_id[e.worker_id] for e in events]
+        rows = np.array([self._fleet.row_of[e.worker_id] for e in events], dtype=np.intp)
         snapshots = [e.payload for e in events]
         messages = self._messages(
-            workers, snapshots, *self._compute_gradients(workers, snapshots)
+            workers, snapshots, *self._compute_gradients(rows, workers, snapshots)
         )
         dim = self.server.dim
         specs = []

@@ -195,11 +195,10 @@ def compute_stacked(
     """Every honest gradient of a run from one stacked exact pass.
 
     Worker ``i`` of the run computes on ``snapshots[i] = (version,
-    parameters)`` — or on ``snapshots[0]`` when it is the one snapshot the
-    whole run shares — and the mini-batch ``(batch[0][i], batch[1][i])``:
-    its own draw (:func:`~repro.data.sampler.sample_stacked`) or its row of
-    a fleet-wide one.  *model* is the deployment's architecture, one with
-    the workers' :meth:`~repro.nn.model.Sequential.stacked_signature`.
+    parameters)`` and the mini-batch ``(batch[0][i], batch[1][i])``: its own
+    draw (:func:`~repro.data.sampler.sample_stacked`) or its row of a
+    fleet-wide one.  *model* is the deployment's architecture, one with the
+    workers' :meth:`~repro.nn.model.Sequential.stacked_signature`.
     :meth:`~repro.nn.model.Sequential.stacked_loss_and_gradients` returns
     what each worker's replica would on that batch, bit for bit, without a
     replica.  Returns ``(losses, gradients, flops_per_sample)`` in worker
@@ -207,8 +206,6 @@ def compute_stacked(
     into its arrival batch as they are — and the forward flops per sample
     the trainer prices every worker at.
     """
-    if len(snapshots) == 1:
-        return model.stacked_loss_and_gradients(snapshots[0][1], *batch)
     return model.stacked_loss_and_gradients(
         [parameters for _, parameters in snapshots], *batch
     )

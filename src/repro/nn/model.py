@@ -9,7 +9,7 @@ workers — so the model exposes ``get_parameters`` / ``set_parameters`` /
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,13 +182,12 @@ class Sequential:
         return type(self.loss), self.l2, tuple(layers)
 
     def stacked_loss_and_gradients(
-        self, parameters: Union[np.ndarray, Sequence[np.ndarray]], x: np.ndarray, y: np.ndarray
+        self, parameters: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, float]:
         """:meth:`loss_and_gradient` of ``k`` workers in one forward and one backward.
 
-        ``parameters[i]`` is worker ``i``'s flat snapshot — or *parameters*
-        is one flat array every worker shares — and ``x[i]`` / ``y[i]`` its
-        mini-batch (``x`` is ``(k, b, ...)``).  Returns the
+        ``parameters[i]`` is worker ``i``'s flat snapshot and ``x[i]`` /
+        ``y[i]`` its mini-batch (``x`` is ``(k, b, ...)``).  Returns the
         ``(k,)`` losses, the ``(k, d)`` gradients and the forward flops per
         sample — bit for bit what ``k`` replicas loaded with those snapshots
         return from :meth:`loss_and_gradient` and then
@@ -201,17 +200,14 @@ class Sequential:
         layers run their own forward and backward on the ``(k * b, ...)``
         rows.  Gradients accumulate into zeros as a replica's do (a ``-0.0``
         leaves as ``+0.0``), every loss normalises by its own batch and
-        every L2 term reads its own snapshot.  A snapshot shared by every
-        worker (passed as one array, or as one object ``k`` times) is
-        validated once and broadcast, never copied ``k`` times; a wrong-size
-        one raises :meth:`set_parameters`' error.
+        every L2 term reads its own snapshot.  A snapshot object shared by
+        every worker is validated once and broadcast, never copied ``k``
+        times; a wrong-size one raises :meth:`set_parameters`' error.
         """
         dim = self.num_parameters
-        if isinstance(parameters, np.ndarray):
-            num, shared, parameters = len(x), True, [parameters]
-        else:
-            num = len(parameters)
-            shared = num > 0 and all(flat is parameters[0] for flat in parameters)
+        num = len(parameters)
+        # One object k times: an identity test with no Python call per row.
+        shared = num > 0 and len(set(map(id, parameters))) == 1
         flats = [
             np.asarray(flat, dtype=np.float64)
             for flat in (parameters[:1] if shared else parameters)

@@ -1,13 +1,14 @@
-"""The list-of-frames batch functions ``FrameBatch`` replaced, frozen as oracles.
+"""The list-of-frames shard pricing and decode ``FrameBatch`` replaced, frozen as oracles.
 
 Before the codecs' ``encode_decode_batch`` returned one
 :class:`~repro.cluster.codec.FrameBatch`, a batch was a list of
 :class:`~repro.cluster.codec.WireFrame` objects, decoded by
-:func:`decode_frames` and priced per shard by :func:`shard_frame_bytes_batch`.
-Both are kept verbatim here: ``FrameBatch.decode`` and
-``FrameBatch.shard_bytes`` are held ``==`` to them (and to the per-frame
-:func:`~repro.cluster.codec.decode_frame` /
-:func:`~repro.cluster.codec.shard_frame_bytes`, which stay in ``src/``).
+:func:`decode_frames` and priced per shard by :func:`shard_frame_bytes_batch`
+on top of the per-frame :func:`shard_frame_bytes`.  All three are kept
+verbatim here: ``FrameBatch.decode`` and ``FrameBatch.shard_bytes`` (and so
+:func:`repro.cluster.codec.shard_frame_bytes`, its one-frame batch) are held
+``==`` to them and to the per-frame
+:func:`~repro.cluster.codec.decode_frame`, which stays in ``src/``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.codec import WireFrame, decode_frame, shard_frame_bytes
+from repro.cluster.codec import WireFrame, decode_frame
 from repro.cluster.cost_model import BYTES_PER_COORDINATE
 from repro.exceptions import ConfigurationError
 
@@ -56,6 +57,48 @@ def decode_frames(frames: Sequence[WireFrame]) -> np.ndarray:
         return out
     scales = np.array([frame.scale for frame in frames], dtype=np.float64)
     return values * scales[:, None]
+
+
+def shard_frame_bytes(
+    frame: WireFrame, bounds: Sequence[Tuple[int, int]]
+) -> np.ndarray:
+    """Split one frame's priced bytes into per-shard sub-frame bytes.
+
+    When the server side is a sharded parameter service, a worker's push
+    fans out as one sub-frame per contiguous coordinate shard ``[lo, hi)``.
+    This prices that fan-out from the frame alone — no re-encoding:
+
+    * **Explicit-index sparse frames** (top-k): each shard receives exactly
+      its resident ``(index, value)`` pairs, priced at the codec's
+      per-coordinate rate (``nbytes / k``), so the split sums exactly to
+      the frame's priced bytes.
+    * **Shared-support sparse frames** (random-k): values split by resident
+      count at ``BYTES_PER_COORDINATE`` each, but the 8-byte seed tag must
+      travel to *every* shard (each endpoint re-derives the full support
+      independently) — a real fan-out overhead of ``8 * (num_shards - 1)``
+      bytes over the unsharded frame.
+    * **Dense frames** (identity, qsgd, dense deltas): the payload plane is
+      cut at the shard boundaries, so bytes split proportionally to shard
+      width and sum exactly to the frame's priced bytes.
+    """
+    if not bounds:
+        raise ConfigurationError("shard_frame_bytes needs at least one shard")
+    widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
+    if (widths < 1).any() or int(widths.sum()) != frame.dim:
+        raise ConfigurationError(
+            f"shard bounds {list(bounds)} do not tile a dim-{frame.dim} frame"
+        )
+    if frame.indices is not None:
+        edges = np.array([lo for lo, _ in bounds] + [bounds[-1][1]])
+        counts = np.diff(np.searchsorted(np.sort(frame.indices), edges)).astype(
+            np.float64
+        )
+        k = max(int(np.asarray(frame.indices).size), 1)
+        if frame.shared_support:
+            # k float32 values split by residency; the seed tag replicates.
+            return counts * BYTES_PER_COORDINATE + 8.0
+        return counts * (frame.nbytes / k)
+    return frame.nbytes * (widths / float(frame.dim))
 
 
 def shard_frame_bytes_batch(

@@ -136,7 +136,7 @@ class TestFleetModeGradients:
         draws = copy.deepcopy(trainer._fleet_sample_rng)
         parameters = trainer.server.parameters
         losses, gradients = trainer._compute_gradients(
-            honest, [(0, parameters)] * len(honest)
+            np.arange(len(honest)), honest, [(0, parameters)] * len(honest)
         )
         shared = honest[0].sampler
         indices = draws.integers(0, shared.num_samples, size=(len(honest), shared.batch_size))
@@ -177,10 +177,36 @@ class TestFleetModeGradients:
         draws = copy.deepcopy(trainer._fleet_sample_rng)
         draws.integers(0, honest[0].sampler.num_samples, size=(len(honest), 3))
         parameters = trainer.server.parameters
-        trainer._compute_gradients(honest, [(0, parameters)] * len(honest))
+        trainer._compute_gradients(
+            np.arange(len(honest)), honest, [(0, parameters)] * len(honest)
+        )
         assert [w.sampler._rng.bit_generator.state for w in honest] == before
         # One (n, b) draw per round on the fleet stream, no more.
         assert trainer._fleet_sample_rng.bit_generator.state == draws.bit_generator.state
+
+    def test_a_run_takes_the_shared_draw_iff_its_own_workers_share_a_training_set(self):
+        # Two corrupted workers hold their own data copies, so the fleet as a
+        # whole samples three training sets; a run (an async batch of
+        # computes) made only of clean workers still shares one.
+        trainer = build_trainer(
+            model="logistic", model_kwargs={"input_dim": 6, "num_classes": 3},
+            compute_mode="fleet", corrupted_workers=2,
+            dataset=gaussian_blobs(num_train=60, num_test=10, num_classes=3, dim=6, rng=0),
+            gar="median", num_workers=7, num_byzantine=0, declared_f=1, batch_size=3, seed=13,
+        )
+        honest = trainer.honest_workers
+        assert trainer._fleet.training_sets.tolist() == [0, 1, 2, 2, 2, 2, 2]
+        parameters = trainer.server.parameters
+        for rows, shared in (([2, 4, 6], True), ([0, 3], False), ([1], True)):
+            run = [honest[i] for i in rows]
+            samplers = [w.sampler._rng.bit_generator.state for w in honest]
+            draws = trainer._fleet_sample_rng.bit_generator.state
+            trainer._compute_gradients(np.array(rows), run, [(0, parameters)] * len(run))
+            assert (trainer._fleet_sample_rng.bit_generator.state != draws) is shared
+            moved = [
+                i for i, w in enumerate(honest) if w.sampler._rng.bit_generator.state != samplers[i]
+            ]
+            assert moved == ([] if shared else rows)
 
     def test_a_batch_count_other_than_the_snapshot_count_raises(self):
         model = make_model("logistic", input_dim=6, num_classes=3, rng=7)

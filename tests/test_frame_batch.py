@@ -19,10 +19,9 @@ from repro.cluster.codec import (
     TopKCodec,
     WireFrame,
     decode_frame,
-    shard_frame_bytes,
 )
 from repro.exceptions import ConfigurationError
-from tests.codec_reference import decode_frames, shard_frame_bytes_batch
+from tests.codec_reference import decode_frames, shard_frame_bytes, shard_frame_bytes_batch
 
 DIM = 23
 CODECS = {

@@ -21,9 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.builder import build_trainer
-from repro.cluster.codec import (
-    FrameBatch, IdentityCodec, RandomKCodec, TopKCodec, shard_frame_bytes,
-)
+from repro.cluster.codec import FrameBatch, IdentityCodec, RandomKCodec, TopKCodec
 from repro.cluster.link import parse_link_profile
 from repro.cluster.checkpoint import (
     capture_training_state,
@@ -42,6 +40,7 @@ from repro.cluster.service import (
 from repro.cluster.trainer import SynchronousTrainer, TrainerConfig
 from repro.data.datasets import gaussian_blobs
 from repro.exceptions import ConfigurationError
+from tests.codec_reference import shard_frame_bytes
 
 
 # --------------------------------------------------------------------- grammar

@@ -17,6 +17,7 @@ from repro.cluster.codec import (
 from repro.cluster.cost_model import BYTES_PER_COORDINATE
 from repro.exceptions import ConfigurationError
 from tests.codec_reference import frames_of, shard_frame_bytes_batch
+from tests.codec_reference import shard_frame_bytes as frozen_shard_frame_bytes
 
 
 class TestIdentityCodec:
@@ -228,7 +229,7 @@ class TestShardFrameBytesBatch:
         bounds = _tiling(self.DIM, num_shards)
         split = batch.shard_bytes(bounds)
         assert split.shape == (len(frames), num_shards)
-        assert split.tolist() == [shard_frame_bytes(f, bounds).tolist() for f in frames]
+        assert split.tolist() == [frozen_shard_frame_bytes(f, bounds).tolist() for f in frames]
         assert split.tolist() == shard_frame_bytes_batch(frames, bounds).tolist()
         if name == "random-k":
             # The 8-byte seed tag travels to every shard: a real fan-out cost.
@@ -247,7 +248,7 @@ class TestShardFrameBytesBatch:
         bounds = _tiling(self.DIM, 4)
         assert shard_frame_bytes(frames[2], bounds).tolist() == (
             shard_frame_bytes_batch(frames, bounds)[2].tolist()
-        )
+        ) == frozen_shard_frame_bytes(frames[2], bounds).tolist()
 
     def test_degraded_dense_rows_and_mixed_framings_concatenate_in_row_order(self, rng):
         dense = frames_of(self._batch("identity", rng, n=3))
@@ -259,7 +260,7 @@ class TestShardFrameBytesBatch:
         bounds = _tiling(self.DIM, 2)
         mixed = [frame for batch in batches for frame in frames_of(batch)]
         assert np.concatenate([b.shard_bytes(bounds) for b in batches]).tolist() == [
-            shard_frame_bytes(f, bounds).tolist() for f in mixed
+            frozen_shard_frame_bytes(f, bounds).tolist() for f in mixed
         ]
 
     @pytest.mark.parametrize("name", sorted(CODECS))
@@ -267,7 +268,7 @@ class TestShardFrameBytesBatch:
         batch = self._batch(name, rng)
         for bounds in ([(0, 20), (20, 36)], [(0, 37), (37, 37)], []):
             with pytest.raises(ConfigurationError) as single:
-                shard_frame_bytes(batch.frame(0), bounds)
+                frozen_shard_frame_bytes(batch.frame(0), bounds)
             with pytest.raises(ConfigurationError) as batched:
                 batch.shard_bytes(bounds)
             assert str(batched.value) == str(single.value)
