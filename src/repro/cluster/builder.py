@@ -151,10 +151,9 @@ def build_trainer(
     ----------
     model, model_kwargs:
         A registered model name (``--experiment`` analogue) or a factory
-        callable; built for the server, for the evaluator, and for each honest
-        worker the first time its replica is read, in id order (reading
-        worker ``k``'s first builds every lower id's) — so a factory may be
-        called fewer than ``n + 2`` times, never in another order.
+        callable; built twice, for the server and for the evaluator, whose
+        architecture every honest gradient's stacked pass runs — no worker
+        holds a model.
     dataset:
         The training/test data (each honest worker samples iid from the
         training split).
@@ -242,14 +241,12 @@ def build_trainer(
         round (EF-SGD memory compensation; default on, a no-op under the
         identity codec).
     compute_mode:
-        Where honest mini-batches come from; every gradient is the worker's
-        own backprop on its batch, bit for bit, in both modes.
+        Where honest mini-batches come from; every gradient comes from the
+        stacked exact pass on its worker's batch in both modes.
         ``"exact"`` (default) draws each worker's batch from its own stream;
         ``"fleet"`` takes a stacked pass's batches from one fleet-wide
         ``(n, b)`` draw where the workers share a training set (iid uniform
-        too, but other indices).  A model without a
-        :meth:`~repro.nn.model.Sequential.stacked_signature` runs the
-        replica loop on per-worker draws in both modes.
+        too, but other indices).
     profiler:
         Optional :class:`~repro.cluster.profiler.SimProfiler`; when given,
         the trainer brackets its subsystems (event dispatch, codec, link
@@ -398,8 +395,10 @@ def build_trainer(
     # draws) can never perturb the training streams (model init, batch
     # order, attacks).
     # Positions are fixed; a stream is built when first indexed, so a fleet
-    # pays only for the sampler and channel streams its run draws from.
-    rngs = ChildStreams(seed, num_workers * 2 + 7)
+    # pays only for the sampler and channel streams its run draws from (the
+    # per-worker Dropout mask streams after the roles only where the model
+    # has a Dropout layer).
+    rngs = ChildStreams(seed, num_workers * 3 + 7)
     (
         corruption_rng,
         attack_rng,
@@ -432,16 +431,6 @@ def build_trainer(
 
     server_model = build_model()
     eval_model = build_model()
-    # Honest replicas, in id order: asking for the k-th first builds every
-    # earlier one, so the k-th honest worker always gets the k-th factory
-    # call after these two whatever order the run touches workers in (the
-    # replicas share ``model_rng`` and a caller's factory may hold state).
-    replicas: list[Sequential] = []
-
-    def replica(k: int) -> Sequential:
-        while len(replicas) <= k:
-            replicas.append(build_model())
-        return replicas[k]
 
     server = ParameterServer(
         server_model.get_parameters(),
@@ -492,7 +481,8 @@ def build_trainer(
         )
         speed = (worker_speeds or {}).get(worker_id, 1.0)
         workers.append(HonestWorker(
-            worker_id, partial(replica, worker_id - num_byzantine), sampler, speed=speed
+            worker_id, sampler, speed=speed,
+            dropout_rng=partial(rngs.__getitem__, 2 * num_workers + 7 + worker_id),
         ))
 
     # Channels: lossy UDP-like links on the last `lossy_links` workers by

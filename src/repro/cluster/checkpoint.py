@@ -195,12 +195,15 @@ def _trainer_rngs(trainer) -> Dict[str, np.random.Generator]:
     Byzantine workers may share one attack generator and workers may share
     one default channel; labels are per-consumer, so a shared generator is
     captured (and restored) once per label — restoring the same state twice
-    is idempotent.
+    is idempotent.  Each honest worker's Dropout mask stream is one only for
+    a model with a Dropout layer, so other models' archives keep their keys.
     """
     rngs: Dict[str, np.random.Generator] = {}
     for worker in trainer.workers:
         if isinstance(worker, HonestWorker):
             rngs[f"sampler:{worker.worker_id}"] = worker.sampler._rng
+            if trainer.eval_model.has_dropout:
+                rngs[f"dropout:{worker.worker_id}"] = worker.dropout_rng
         else:
             rngs[f"attack:{worker.worker_id}"] = worker._rng
     for worker_id, channel in sorted(trainer.uplink_channels.items()):

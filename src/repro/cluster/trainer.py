@@ -192,8 +192,7 @@ class BaseTrainer:
        reconstructs, its priced downlink bytes, whether it was a delta.
     2. :meth:`_compute_gradients` — compute: the losses and the gradient
        matrix (:meth:`_exact_gradients`: one stacked exact pass on
-       the compute mode's mini-batches, or the replica loop where the model
-       cannot be stacked).
+       the compute mode's mini-batches).
     3. :meth:`_encode_rows` — encode: error feedback against the fleet's
        row store, one batched codec pass: one
        :class:`~repro.cluster.codec.FrameBatch` + decoded + errors.
@@ -233,7 +232,7 @@ class BaseTrainer:
         fleet_sample_rng: Optional[np.random.Generator] = None,
         profiler: Optional[SimProfiler] = None,
         compact_telemetry: bool = False,
-        eval_model: Optional[Sequential] = None,
+        eval_model: Sequential,
         test_set: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         service: Optional[ServerFabric] = None,
     ) -> None:
@@ -306,10 +305,10 @@ class BaseTrainer:
         self.error_feedback = bool(error_feedback) and not isinstance(
             self.codec, IdentityCodec
         )
+        #: The deployment's architecture: the evaluator's model, and the
+        #: one every honest gradient's stacked pass runs.
         self.eval_model = eval_model
         self.test_set = test_set
-        if (eval_model is None) != (test_set is None):
-            raise ConfigurationError("eval_model and test_set must be provided together")
         self._worker_gflops = self._resolve_worker_gflops()
         #: Distance flops warmed at the previous round's end (the carry
         #: pool's blocks): physically computed after that round's cutoff, so
@@ -336,10 +335,19 @@ class BaseTrainer:
         self._fleet = (
             FleetState(honest, worker_gflops=self._worker_gflops) if honest else None
         )
-        #: The model whose layers the stacked exact pass runs
-        #: (:func:`~repro.cluster.worker.compute_stacked`), or ``None``
-        #: where every honest worker runs its own backprop instead.
-        self._stacked_model = self._stacked_pass_model()
+        # Every honest gradient is one stacked pass of the evaluator's model
+        # over a run of workers: a deployment it cannot serve is refused.
+        eval_model.check_stacked()
+        if eval_model.num_parameters != server.dim:
+            raise ConfigurationError(
+                f"the model has {eval_model.num_parameters} parameters but the server "
+                f"holds {server.dim}"
+            )
+        if honest and (self._fleet.batch_sizes != self._fleet.batch_sizes[0]).any():
+            raise ConfigurationError(
+                "honest workers must share one batch size (their gradients come from one "
+                f"stacked pass), got {sorted(set(self._fleet.batch_sizes.tolist()))}"
+            )
         #: Forward flops per sample the stacked pass measured (a property of
         #: the architecture); ``None`` until it first runs.
         self._stacked_flops: Optional[float] = None
@@ -414,41 +422,17 @@ class BaseTrainer:
         """The adversary-controlled workers."""
         return self._byzantine_workers
 
-    def _stacked_pass_model(self) -> Optional[Sequential]:
-        """The architecture the stacked exact pass runs, or ``None`` for the replica loop.
-
-        The evaluator's model (the builder makes it and every replica with
-        one factory, so no replica is built to ask), or the first honest
-        replica's in a trainer built without one.  A model property decides,
-        not a size: ``None`` where the model has no stacked signature (Dropout
-        streams, convolutions), where the honest fleet mixes batch sizes, or
-        where a replica that exists (hand-passed) has another architecture.
-        """
-        honest = self.honest_workers
-        if not honest or (self._fleet.batch_sizes != self._fleet.batch_sizes[0]).any():
-            return None
-        model = self.eval_model if self.eval_model is not None else honest[0].model
-        signature = model.stacked_signature()
-        if signature is None or model.num_parameters != self.server.dim:
-            return None
-        # An unread factory replica is not in ``vars(w)`` and is not built to compare.
-        if any(w.model.stacked_signature() != signature for w in honest if "model" in vars(w)):
-            return None
-        return model
-
     def _compute_time(self, worker: HonestWorker, dim: int) -> float:
         """Nominal (pre-straggler) gradient-computation time of *worker*.
 
-        Priced at the forward flops per sample the stacked pass measured
-        once it has run (what every replica's forward would read), else at
-        the worker's replica's own.
+        Priced at the forward flops per sample the stacked pass measured,
+        so only after a pass has run.
         """
-        flops = self._stacked_flops
         return self.cost_model.gradient_compute_time(
             dim,
             worker.batch_size,
             gflops=self._worker_gflops[worker.worker_id] * worker.speed,
-            flops_per_sample=worker.flops_per_sample() if flops is None else flops,
+            flops_per_sample=self._stacked_flops,
         )
 
     def _section(self, name: str):
@@ -614,11 +598,7 @@ class BaseTrainer:
         with self._section("compute"):
             batch = None
             shared = workers[0].sampler
-            if (
-                self.compute_mode == "fleet"
-                and self._fleet_sample_rng is not None
-                and self._stacked_model is not None
-            ):
+            if self.compute_mode == "fleet" and self._fleet_sample_rng is not None:
                 sets = self._fleet.training_sets[rows]
                 if (sets == sets[0]).all():
                     indices = self._fleet_sample_rng.integers(
@@ -633,31 +613,23 @@ class BaseTrainer:
         snapshots: Sequence[Tuple[int, np.ndarray]],
         batch: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """What each worker's own backprop returns on its mini-batch, bit for bit.
+        """Each worker's gradient on its snapshot and mini-batch: one stacked pass.
 
-        One stacked pass over the run
-        (:func:`~repro.cluster.worker.compute_stacked`) where the
-        deployment's model can be stacked, so no replica is ever built, on
-        the stacked *batch* when one is given — its measured flops price
-        every worker from then on; otherwise the replica loop, each worker's
-        :meth:`~repro.cluster.worker.HonestWorker.compute_gradient` in
-        worker order.  Without a *batch* the samplers draw sequentially in
-        worker order, so every per-worker RNG stream advances as if each
-        worker had run alone.
+        :func:`~repro.cluster.worker.compute_stacked` over the run, on the
+        stacked *batch* when one is given — its measured flops price every
+        worker from then on.  Without a *batch* the samplers draw
+        sequentially in worker order, so every per-worker RNG stream
+        advances as if each worker had run alone; a model with Dropout
+        draws each worker's masks from that worker's own stream, in worker
+        order.
         """
-        if self._stacked_model is not None:
-            if batch is None:
-                batch = sample_stacked([worker.sampler for worker in workers])
-            losses, gradients, self._stacked_flops = compute_stacked(
-                snapshots, self._stacked_model, batch
-            )
-            return losses, gradients
-        messages = [
-            worker.compute_gradient(parameters, version)
-            for worker, (version, parameters) in zip(workers, snapshots)
-        ]
-        losses = np.array([m.loss for m in messages])
-        return losses, np.stack([m.gradient for m in messages], axis=0)
+        if batch is None:
+            batch = sample_stacked([worker.sampler for worker in workers])
+        rngs = [worker.dropout_rng for worker in workers] if self.eval_model.has_dropout else None
+        losses, gradients, self._stacked_flops = compute_stacked(
+            snapshots, self.eval_model, batch, rngs
+        )
+        return losses, gradients
 
     @staticmethod
     def _messages(
@@ -840,8 +812,8 @@ class BaseTrainer:
     # ------------------------------------------------------------------ eval
     def evaluate(self) -> float:
         """Top-1 cross-accuracy of the server's current model on the test set."""
-        if self.eval_model is None or self.test_set is None:
-            raise ConfigurationError("no evaluation model / test set configured")
+        if self.test_set is None:
+            raise ConfigurationError("no test set configured")
         self.eval_model.set_parameters(self.server.parameters)
         features, labels = self.test_set
         return self.eval_model.accuracy(features, labels)
@@ -886,7 +858,7 @@ class BaseTrainer:
             if on_step is not None:
                 on_step(record)
             if config.eval_every and (self.server.step % config.eval_every == 0):
-                accuracy = self.evaluate() if self.eval_model is not None else float("nan")
+                accuracy = self.evaluate() if self.test_set is not None else float("nan")
                 self.history.record_evaluation(
                     EvalRecord(step=self.server.step, sim_time=self.clock.now, accuracy=accuracy)
                 )
@@ -897,7 +869,7 @@ class BaseTrainer:
                 ):
                     break
         # Always finish with one evaluation so short runs report an accuracy.
-        if self.eval_model is not None and not self.history.diverged:
+        if self.test_set is not None and not self.history.diverged:
             if not self.history.evaluations or self.history.evaluations[-1].step != self.server.step:
                 self.history.record_evaluation(
                     EvalRecord(step=self.server.step, sim_time=self.clock.now, accuracy=self.evaluate())
@@ -935,8 +907,9 @@ class SynchronousTrainer(BaseTrainer):
         throughput is taken from its host node (shared equally between
         co-located workers).
     eval_model:
-        A model replica used for accuracy evaluation (its parameters are
-        overwritten before each evaluation).
+        The deployment's model: every honest gradient is its stacked pass
+        over a run of workers, and accuracy evaluation loads the server's
+        parameters into it.
     test_set:
         ``(features, labels)`` used for the top-1 cross-accuracy metric.
     """
@@ -1018,8 +991,8 @@ class SynchronousTrainer(BaseTrainer):
             else np.ones(num_honest)
         )
 
-        # Stage 1: honest gradients, priced array-at-a-time when the stacked
-        # pass measured every row's flops.
+        # Stage 1: honest gradients, priced array-at-a-time at the flops the
+        # stacked pass measured.
         loss_array = np.zeros(0)
         honest_matrix = np.zeros((0, dim))
         compute_times = np.zeros(num_honest)
@@ -1027,11 +1000,7 @@ class SynchronousTrainer(BaseTrainer):
             loss_array, honest_matrix = self._compute_gradients(
                 rows, honest, [snapshots[i] for i in self._honest_rows.tolist()]
             )
-            if self._stacked_model is not None:
-                compute_times = fleet.compute_times(self.cost_model, self._stacked_flops)
-            else:
-                for index, worker in enumerate(honest):
-                    compute_times[index] = self._compute_time(worker, dim)
+            compute_times = fleet.compute_times(self.cost_model, self._stacked_flops)
         path_times = downlink_times + compute_times * slowdowns
 
         # Stage 2: Byzantine gradients (crafted with full knowledge of the

@@ -1,12 +1,12 @@
 """Worker processes of the simulated cluster.
 
-Honest workers hold a local copy of the model graph, draw their own iid
-mini-batches and compute gradient estimates; Byzantine workers are controlled
-by an :mod:`repro.attacks` attack object (which, per the threat model, may
-observe every honest gradient before crafting its own).  Each side has a
-fleet form that serves a whole run in one call: :func:`compute_stacked`
-(every honest gradient from one stacked exact pass, as arrays) and
-:func:`craft_fleet` (every Byzantine gradient from one joint craft).
+Honest workers draw their own iid mini-batches (and Dropout masks) and hold
+no model: every honest gradient of a run comes from :func:`compute_stacked`,
+one stacked exact pass of the deployment's model over the run, as arrays.
+Byzantine workers are controlled by an :mod:`repro.attacks` attack object
+(which, per the threat model, may observe every honest gradient before
+crafting its own); :func:`craft_fleet` serves a whole run of them from one
+joint craft.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import math
 from functools import cached_property
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,52 +60,40 @@ class Worker(abc.ABC):
 class HonestWorker(Worker):
     """A correct worker: computes an unbiased gradient estimate each step.
 
-    The estimate is this worker's own backprop — :meth:`compute_gradient` on
-    its replica, or its row of one :func:`compute_stacked` pass over a run
-    of workers, bit for bit the same — and the cost model prices it at
-    :meth:`flops_per_sample`.
+    The estimate is this worker's row of one :func:`compute_stacked` pass
+    over a run of workers — the deployment's model run on the worker's own
+    snapshot, mini-batch and Dropout stream.  A worker holds no model.
 
     Parameters
     ----------
     worker_id:
         Index of the worker in the cluster.
-    model:
-        The worker's local model replica (architecture identical to the
-        server's; parameters are overwritten by each model broadcast), or a
-        zero-argument callable returning it, called the first time something
-        reads ``.model`` — the builder's fleets pay for a replica only when
-        a worker runs its own backprop.  A worker whose gradients come from
-        :func:`compute_stacked` never reads it.
     sampler:
         The worker's private mini-batch sampler.  "Corrupted data" workers
         (Figure 7) are honest workers whose sampler draws from a corrupted
         copy of the dataset.
+    dropout_rng:
+        Seed or generator of the worker's Dropout masks, or a zero-argument
+        callable returning it (the builder's per-worker stream), called the
+        first time something reads :attr:`dropout_rng` — only a model with
+        a Dropout layer does.  Omitted: a deterministic stream named after
+        the worker.
     """
 
     def __init__(
-        self, worker_id: int, model: Union[Sequential, Callable[[], Sequential]],
-        sampler: MiniBatchSampler, *, speed: float = 1.0,
+        self, worker_id: int, sampler: MiniBatchSampler, *, speed: float = 1.0,
+        dropout_rng: Union[SeedLike, Callable[[], np.random.Generator]] = None,
     ) -> None:
         super().__init__(worker_id, speed=speed)
-        if isinstance(model, Sequential):
-            self.model = model
-        elif callable(model):
-            self._build_model = model
-        else:
-            raise ConfigurationError(f"model must be a Sequential or a factory, got {model!r}")
         self.sampler = sampler
+        self._make_dropout_rng = dropout_rng if callable(dropout_rng) else (
+            lambda: as_rng(component_seed(dropout_rng, f"dropout:{self.worker_id}"))
+        )
 
     @cached_property
-    def model(self) -> Sequential:
-        return self._build_model()
-
-    def flops_per_sample(self) -> float:
-        """Forward flops per sample of this worker's replica (built if nothing had).
-
-        The trainers price a stacked run at the flops the pass measured
-        instead — the value every replica's forward would read.
-        """
-        return self.model.flops_per_sample()
+    def dropout_rng(self) -> np.random.Generator:
+        """The stream this worker's Dropout masks come from, in forward order."""
+        return self._make_dropout_rng()
 
     @property
     def is_byzantine(self) -> bool:
@@ -115,13 +103,6 @@ class HonestWorker(Worker):
     def batch_size(self) -> int:
         """Mini-batch size used by this worker."""
         return self.sampler.batch_size
-
-    def compute_gradient(self, parameters: np.ndarray, step: int) -> GradientMessage:
-        """One gradient estimation: load the broadcast model, sample, backprop."""
-        self.model.set_parameters(parameters)
-        batch_x, batch_y = self.sampler.sample()
-        loss, gradient = self.model.loss_and_gradient(batch_x, batch_y)
-        return GradientMessage(worker_id=self.worker_id, step=step, gradient=gradient, loss=loss)
 
 
 class ByzantineWorker(Worker):
@@ -191,23 +172,24 @@ def compute_stacked(
     snapshots: Sequence[Tuple[int, np.ndarray]],
     model: Sequential,
     batch: Tuple[np.ndarray, np.ndarray],
+    rngs: Optional[Sequence[np.random.Generator]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Every honest gradient of a run from one stacked exact pass.
 
     Worker ``i`` of the run computes on ``snapshots[i] = (version,
-    parameters)`` and the mini-batch ``(batch[0][i], batch[1][i])``: its own
+    parameters)``, the mini-batch ``(batch[0][i], batch[1][i])`` — its own
     draw (:func:`~repro.data.sampler.sample_stacked`) or its row of a
-    fleet-wide one.  *model* is the deployment's architecture, one with the
-    workers' :meth:`~repro.nn.model.Sequential.stacked_signature`.
-    :meth:`~repro.nn.model.Sequential.stacked_loss_and_gradients` returns
-    what each worker's replica would on that batch, bit for bit, without a
-    replica.  Returns ``(losses, gradients, flops_per_sample)`` in worker
-    order — arrays, no message per worker: the lock-step step carries them
-    into its arrival batch as they are — and the forward flops per sample
-    the trainer prices every worker at.
+    fleet-wide one — and, for a model with Dropout, the mask stream
+    ``rngs[i]``.  *model* is the deployment's architecture:
+    :meth:`~repro.nn.model.Sequential.stacked_loss_and_gradients` runs it
+    for every worker at once, reading and writing none of its parameters.
+    Returns ``(losses, gradients, flops_per_sample)`` in worker order —
+    arrays, no message per worker: the lock-step step carries them into its
+    arrival batch as they are — and the forward flops per sample the
+    trainer prices every worker at.
     """
     return model.stacked_loss_and_gradients(
-        [parameters for _, parameters in snapshots], *batch
+        [parameters for _, parameters in snapshots], *batch, rngs
     )
 
 

@@ -37,9 +37,9 @@ The grid:
     Bulyan under an active sign-flip adversary: the batched crafting path
     runs against a GAR whose O(n^2) distance work dominates.
 ``conv_fleet``
-    A conv model (``small-cnn``) on synthetic CIFAR in fleet mode: a conv
-    model has no stacked pass, so this measures the replica loop — every
-    worker's own backprop on its own replica.
+    A conv model (``small-cnn``) on synthetic CIFAR in fleet mode: the
+    stacked pass's conv form — each worker slice's im2col gemms in turn —
+    on one shared ``(n, b)`` draw.
 ``sync_10k``
     The lock-step scenario at 10,000 workers — one order of magnitude past
     the standard grid and the ROADMAP's upper fleet target.  The smoke job

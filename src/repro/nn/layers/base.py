@@ -4,6 +4,15 @@ Layers are stateful forward/backward operators.  ``forward`` caches whatever
 it needs for ``backward``; ``backward`` receives the gradient with respect to
 the layer's output, accumulates gradients into the layer's parameters, and
 returns the gradient with respect to the layer's input.
+
+The stacked form of a layer, for ``Sequential.stacked_loss_and_gradients``:
+``stacked_forward(rows, num, parameters, rngs) -> (rows, cache)`` on ``num``
+workers' ``(num * b, ...)`` rows, *parameters* the layer's slice of their
+flat snapshots (``(size,)`` when one is shared, else ``(num, size)``), and
+``stacked_backward(grad, num, cache, grads, input_grad)``, which adds into
+each worker's zeroed row of *grads* and returns the input gradient only when
+*input_grad*.  Per worker, both compute the floats ``forward`` / ``backward``
+would.
 """
 
 from __future__ import annotations
@@ -41,13 +50,13 @@ class Layer(abc.ABC):
 
     def zero_grad(self) -> None:
         """Reset parameter gradients."""
-        for param in self._parameters:
+        for param in self.parameters():
             param.zero_grad()
 
     @property
     def num_parameters(self) -> int:
         """Total scalar parameter count."""
-        return int(sum(p.size for p in self._parameters))
+        return int(sum(p.size for p in self.parameters()))
 
     # ----------------------------------------------------------------- api
     @abc.abstractmethod

@@ -162,54 +162,91 @@ class Conv2D(Layer):
             out_w, pw0, pw1 = valid_output(w, kw, sw), 0, 0
         return out_h, out_w, (ph0, ph1), (pw0, pw1)
 
-    def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Output ``(channels, height, width)`` for an input ``(channels, height, width)``."""
-        c, h, w = input_shape
-        if c != self.in_channels:
-            raise ConfigurationError(f"expected {self.in_channels} input channels, got {c}")
-        out_h, out_w, _, _ = self._geometry(h, w)
-        return (self.out_channels, out_h, out_w)
-
     # ------------------------------------------------------------------ forward
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ConfigurationError(
-                f"Conv2D expected input of shape (batch, {self.in_channels}, H, W), got {x.shape}"
-            )
-        n, _, h, w = x.shape
-        kh, kw = self.kernel_size
-        out_h, out_w, (ph0, ph1), (pw0, pw1) = self._geometry(h, w)
-        self.last_forward_flops = (
-            2.0 * n * self.out_channels * self.in_channels * kh * kw * out_h * out_w
-        )
-        padded = np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)))
-        out = self.weight.data.reshape(self.out_channels, -1) @ self._columns(padded, out_h, out_w)
-        if self.bias is not None:
-            out += self.bias.data[:, None]
-        if training:
-            self._cache = (padded, h, w, out_h, out_w)
-        return out.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
+        out, cache = self.stacked_forward(x, 1, None, None)
+        self._cache = cache if training else None
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before a training-mode forward pass")
-        padded, h, w, out_h, out_w = self._cache
-        g = np.asarray(grad_output, dtype=np.float64).transpose(1, 0, 2, 3).reshape(
-            self.out_channels, -1
-        )
-        self.weight.grad += (g @ self._columns(padded, out_h, out_w).T).reshape(
-            self.weight.grad.shape
-        )
+        grads = np.zeros((1, self.num_parameters))
+        grad_input = self.stacked_backward(grad_output, 1, self._cache, grads, True)
+        self.weight.grad += grads[0, : self.weight.size].reshape(self.weight.grad.shape)
         if self.bias is not None:
-            self.bias.grad += g.sum(axis=1)
+            self.bias.grad += grads[0, self.weight.size :]
+        return grad_input
+
+    def stacked_forward(self, rows, num, parameters, rngs):
+        """:meth:`forward` of ``num`` workers' ``(num * b, C, H, W)`` rows, one slice at a time.
+
+        Each worker's slice runs one gemm on columns built and dropped for
+        that slice alone; a shared weight is broadcast to every slice, never
+        run as one wide gemm, and *parameters* ``None`` means the layer's
+        own (:meth:`forward` is the run of one).  The output is channel-major.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        batch = rows.shape[0] // num
+        if rows.ndim != 4 or rows.shape[1] != self.in_channels:
+            raise ConfigurationError(
+                f"Conv2D expected input of shape (batch, {self.in_channels}, H, W), got "
+                f"{(batch,) + rows.shape[1:]}"
+            )
+        _, _, h, w = rows.shape
+        kh, kw = self.kernel_size
+        out_h, out_w, (ph0, ph1), (pw0, pw1) = self._geometry(h, w)
+        self.last_forward_flops = (
+            2.0 * batch * self.out_channels * self.in_channels * kh * kw * out_h * out_w
+        )
+        padded = np.pad(rows, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)))
+        out = np.empty((self.out_channels, num * batch, out_h, out_w))
+        for i in range(num):
+            part = slice(i * batch, (i + 1) * batch)
+            weight, bias = self._slice(parameters, i)
+            gemm = weight @ self._columns(padded[part], out_h, out_w)
+            if bias is not None:
+                gemm += bias[:, None]
+            out[:, part] = gemm.reshape(self.out_channels, batch, out_h, out_w)
+        return out.transpose(1, 0, 2, 3), (padded, parameters, h, w, out_h, out_w)
+
+    def stacked_backward(self, grad, num, cache, grads, input_grad):
+        """:meth:`backward` of the :meth:`stacked_forward` rows, one worker slice at a time.
+
+        Per slice: ``g @ cols.T``, the row sums of ``g`` and, when
+        *input_grad*, ``W.T @ g`` scattered by :func:`col2im`.
+        """
+        padded, parameters, h, w, out_h, out_w = cache
         kh, kw = self.kernel_size
         sh, sw = self.stride
-        grad_cols = self.weight.data.reshape(self.out_channels, -1).T @ g
-        grad_padded = col2im(grad_cols, padded.shape, kh, kw, sh, sw, out_h, out_w)
-        # Strip padding to recover the gradient w.r.t. the original input.
         _, _, (ph0, _), (pw0, _) = self._geometry(h, w)
-        return grad_padded[:, :, ph0 : ph0 + h, pw0 : pw0 + w]
+        batch, size = padded.shape[0] // num, self.weight.size
+        grad_input = np.empty((num * batch, self.in_channels, h, w)) if input_grad else None
+        for i in range(num):
+            part = slice(i * batch, (i + 1) * batch)
+            g = np.asarray(grad[part], dtype=np.float64).transpose(1, 0, 2, 3).reshape(
+                self.out_channels, -1
+            )
+            grads[i, :size] += (g @ self._columns(padded[part], out_h, out_w).T).reshape(size)
+            if self.bias is not None:
+                grads[i, size:] += g.sum(axis=1)
+            if input_grad:
+                weight, _ = self._slice(parameters, i)
+                grad_padded = col2im(
+                    weight.T @ g, padded[part].shape, kh, kw, sh, sw, out_h, out_w
+                )
+                grad_input[part] = grad_padded[:, :, ph0 : ph0 + h, pw0 : pw0 + w]
+        return grad_input
+
+    def _slice(self, parameters, i: int):
+        """Worker *i*'s ``(O, C*kh*kw)`` weight and ``(O,)`` bias (or ``None``) views."""
+        if parameters is None:
+            weight, bias = self.weight.data, self.bias.data if self.bias is not None else None
+        else:
+            flat = parameters if parameters.ndim == 1 else parameters[i]
+            weight = flat[: self.weight.size]
+            bias = flat[self.weight.size :] if self.bias is not None else None
+        return weight.reshape(self.out_channels, -1), bias
 
     def _columns(self, padded: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         kh, kw = self.kernel_size

@@ -71,6 +71,37 @@ class Dense(Layer):
             self.bias.grad += grad_output.sum(axis=0)
         return grad_output @ self.weight.data.T
 
+    def stacked_forward(self, rows, num, parameters, rngs):
+        """:meth:`forward` of ``num`` workers: one ``np.matmul`` over their slices."""
+        fan_in, fan_out = self.in_features, self.out_features
+        batch = rows.shape[0] // num
+        if rows.ndim != 2 or rows.shape[1] != fan_in:
+            raise ConfigurationError(
+                f"Dense expected input of shape (batch, {fan_in}), got "
+                f"{(batch,) + rows.shape[1:]}"
+            )
+        self.last_forward_flops = 2.0 * batch * fan_in * fan_out
+        lead = parameters.shape[:-1]
+        inputs = rows.reshape(num, batch, fan_in)
+        weight = parameters[..., : fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+        out = np.matmul(inputs, weight)
+        if self.use_bias:
+            out = out + parameters[..., fan_in * fan_out :].reshape(*lead, 1, fan_out)
+        return out.reshape(num * batch, fan_out), (inputs, weight)
+
+    def stacked_backward(self, grad, num, cache, grads, input_grad):
+        """:meth:`backward` of the :meth:`stacked_forward` rows."""
+        inputs, weight = cache
+        fan_in, fan_out = self.in_features, self.out_features
+        grad3 = grad.reshape(num, -1, fan_out)
+        grads[:, : fan_in * fan_out] += np.matmul(
+            inputs.transpose(0, 2, 1), grad3
+        ).reshape(num, fan_in * fan_out)
+        if self.use_bias:
+            grads[:, fan_in * fan_out :] += grad3.sum(axis=1)
+        if input_grad:
+            return np.matmul(grad3, weight.swapaxes(-1, -2)).reshape(-1, fan_in)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dense({self.in_features}, {self.out_features})"
 

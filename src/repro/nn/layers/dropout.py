@@ -32,19 +32,30 @@ class Dropout(Layer):
 
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if not training or self.rate == 0.0:
+        if not training:
             self._mask = None
             return x
+        out, self._mask = self.stacked_forward(x, 1, None, [self._rng])
+        return out
+
+    def stacked_forward(self, rows, num, parameters, rngs):
+        """:meth:`forward` of ``num`` workers, worker ``i``'s mask drawn from ``rngs[i]``."""
+        if self.rate == 0.0:
+            return rows, None
+        if rngs is None:
+            raise ConfigurationError("a stacked Dropout needs one mask stream per worker")
         keep = 1.0 - self.rate
-        mask = (self._rng.random(x.shape) < keep) / keep
-        self._mask = mask
-        return x * mask
+        shape = (rows.shape[0] // num,) + rows.shape[1:]
+        mask = np.concatenate([(rng.random(shape) < keep) / keep for rng in rngs])
+        return rows * mask, mask
+
+    def stacked_backward(self, grad, num, cache, grads, input_grad):
+        """:meth:`backward` of the :meth:`stacked_forward` rows."""
+        return grad if cache is None else grad * cache
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            # Forward ran in evaluation mode (or rate == 0): identity gradient.
-            return grad_output
-        return grad_output * self._mask
+        # No mask (an evaluation-mode forward, or rate 0): identity gradient.
+        return self.stacked_backward(grad_output, 1, self._mask, None, True)
 
 
 __all__ = ["Dropout"]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
@@ -11,8 +9,8 @@ from repro.nn.layers.base import Layer
 from repro.nn.layers.conv import _pair, same_padding, valid_output
 
 
-class _Pool2D(Layer):
-    """Shared plumbing for max / average pooling."""
+class MaxPool2D(Layer):
+    """Max pooling (the Table-1 CNN uses 3x3 windows with stride 2, SAME padding)."""
 
     def __init__(self, pool_size, *, stride=None, padding: str = "same") -> None:
         super().__init__()
@@ -35,12 +33,6 @@ class _Pool2D(Layer):
             out_w, pw0, pw1 = valid_output(w, kw, sw), 0, 0
         return out_h, out_w, (ph0, ph1), (pw0, pw1)
 
-    def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Output ``(channels, height, width)`` given an input spatial shape."""
-        c, h, w = input_shape
-        out_h, out_w, _, _ = self._geometry(h, w)
-        return (c, out_h, out_w)
-
     def _windows(self, padded: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
         """Stack the pooling windows: shape ``(kh*kw, N, C, out_h, out_w)``."""
         kh, kw = self.pool_size
@@ -51,10 +43,6 @@ class _Pool2D(Layer):
             for j in range(kw)
         ]
         return np.stack(slices, axis=0)
-
-
-class MaxPool2D(_Pool2D):
-    """Max pooling (the Table-1 CNN uses 3x3 windows with stride 2, SAME padding)."""
 
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -93,38 +81,6 @@ class MaxPool2D(_Pool2D):
         return grad_padded[:, :, ph0 : ph0 + h, pw0 : pw0 + w]
 
 
-class AvgPool2D(_Pool2D):
-    """Average pooling (padding positions count as zeros in the average)."""
-
-    def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 4:
-            raise ConfigurationError(f"AvgPool2D expected NCHW input, got shape {x.shape}")
-        n, c, h, w = x.shape
-        out_h, out_w, (ph0, ph1), (pw0, pw1) = self._geometry(h, w)
-        padded = np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)))
-        windows = self._windows(padded, out_h, out_w)
-        out = windows.mean(axis=0)
-        if training:
-            self._cache = (x.shape, padded.shape, out_h, out_w)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before a training-mode forward pass")
-        input_shape, padded_shape, out_h, out_w = self._cache
-        kh, kw = self.pool_size
-        sh, sw = self.stride
-        grad_padded = np.zeros(padded_shape, dtype=np.float64)
-        share = grad_output / float(kh * kw)
-        for i in range(kh):
-            for j in range(kw):
-                grad_padded[:, :, i : i + out_h * sh : sh, j : j + out_w * sw : sw] += share
-        _, _, h, w = input_shape
-        _, _, (ph0, _), (pw0, _) = self._geometry(h, w)
-        return grad_padded[:, :, ph0 : ph0 + h, pw0 : pw0 + w]
-
-
 class GlobalAvgPool2D(Layer):
     """Global spatial average: ``(N, C, H, W) -> (N, C)``."""
 
@@ -149,4 +105,4 @@ class GlobalAvgPool2D(Layer):
         ).copy()
 
 
-__all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
+__all__ = ["MaxPool2D", "GlobalAvgPool2D"]

@@ -43,35 +43,21 @@ class ResidualBlock(Layer):
             if self.needs_projection
             else None
         )
-        self._cache: tuple | None = None
+        #: The convolutions in parameter order.
+        self.convs = [self.conv1, self.conv2] + (
+            [self.projection] if self.projection is not None else []
+        )
 
     def parameters(self) -> List[Parameter]:
-        params = self.conv1.parameters() + self.conv2.parameters()
-        if self.projection is not None:
-            params += self.projection.parameters()
-        return params
-
-    def zero_grad(self) -> None:
-        self.conv1.zero_grad()
-        self.conv2.zero_grad()
-        if self.projection is not None:
-            self.projection.zero_grad()
-
-    def output_shape(self, input_shape):
-        """Output ``(channels, height, width)`` given an input spatial shape."""
-        shape = self.conv1.output_shape(input_shape)
-        return self.conv2.output_shape(shape)
+        return [param for conv in self.convs for param in conv.parameters()]
 
     def forward(self, x: np.ndarray, *, training: bool = True) -> np.ndarray:
         main = self.conv1(x, training=training)
         main = self.relu1(main, training=training)
         main = self.conv2(main, training=training)
         skip = self.projection(x, training=training) if self.projection is not None else x
-        self.last_forward_flops = self.conv1.last_forward_flops + self.conv2.last_forward_flops
-        if self.projection is not None:
-            self.last_forward_flops += self.projection.last_forward_flops
-        out = main + skip
-        return self.relu2(out, training=training)
+        self.last_forward_flops = sum(conv.last_forward_flops for conv in self.convs)
+        return self.relu2(main + skip, training=training)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad = self.relu2.backward(grad_output)
@@ -80,6 +66,36 @@ class ResidualBlock(Layer):
         grad_main = self.conv1.backward(grad_main)
         grad_skip = self.projection.backward(grad) if self.projection is not None else grad
         return grad_main + grad_skip
+
+    def stacked_forward(self, rows, num, parameters, rngs):
+        """:meth:`forward` of ``num`` workers, made of the convolutions' stacked forms."""
+        bounds = np.cumsum([0] + [conv.num_parameters for conv in self.convs]).tolist()
+        params = [parameters[..., a:b] for a, b in zip(bounds, bounds[1:])]
+        main, cache1 = self.conv1.stacked_forward(rows, num, params[0], rngs)
+        main, cache2 = self.conv2.stacked_forward(self.relu1(main), num, params[1], rngs)
+        skip, cache3 = (
+            self.projection.stacked_forward(rows, num, params[2], rngs)
+            if self.projection is not None
+            else (rows, None)
+        )
+        self.last_forward_flops = sum(conv.last_forward_flops for conv in self.convs)
+        return self.relu2(main + skip), (bounds, cache1, cache2, cache3)
+
+    def stacked_backward(self, grad, num, cache, grads, input_grad):
+        """:meth:`backward` of the :meth:`stacked_forward` rows."""
+        bounds, cache1, cache2, cache3 = cache
+        slices = [grads[:, a:b] for a, b in zip(bounds, bounds[1:])]
+        grad = self.relu2.backward(grad)
+        grad_main = self.conv2.stacked_backward(grad, num, cache2, slices[1], True)
+        grad_main = self.conv1.stacked_backward(
+            self.relu1.backward(grad_main), num, cache1, slices[0], input_grad
+        )
+        grad_skip = (
+            self.projection.stacked_backward(grad, num, cache3, slices[2], input_grad)
+            if self.projection is not None
+            else grad
+        )
+        return grad_main + grad_skip if input_grad else None
 
 
 __all__ = ["ResidualBlock"]

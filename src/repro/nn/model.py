@@ -16,16 +16,17 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.nn.layers.activations import LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.layers.base import Layer
-from repro.nn.layers.dense import Dense
+from repro.nn.layers.dropout import Dropout
+from repro.nn.layers.pooling import GlobalAvgPool2D, MaxPool2D
 from repro.nn.layers.reshape import Flatten
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.parameter import Parameter
 from repro.utils.flatten import flatten_arrays, unflatten_array
 
 #: Parameter-free layers whose every output row depends on its own input row
-#: alone: :meth:`Sequential.stacked_loss_and_gradients` runs them on ``k``
-#: workers' rows at once.
-_PER_SAMPLE_LAYERS = (ReLU, LeakyReLU, Sigmoid, Tanh, Flatten)
+#: alone: :meth:`Sequential.stacked_loss_and_gradients` runs their own
+#: forward and backward on ``k`` workers' rows at once.
+_PER_SAMPLE_LAYERS = (ReLU, LeakyReLU, Sigmoid, Tanh, Flatten, MaxPool2D, GlobalAvgPool2D)
 
 
 class Sequential:
@@ -67,6 +68,9 @@ class Sequential:
         self.name = str(name)
         self._shapes = [p.shape for p in self.parameters()]
         self._num_parameters = sum(math.prod(shape) for shape in self._shapes)
+        #: Whether a gradient draws Dropout masks: the stacked pass then
+        #: needs one mask stream per worker.
+        self.has_dropout = any(isinstance(layer, Dropout) for layer in self.layers)
         self._last_forward_flops: float = 0.0
         self._last_batch_size: int = 0
 
@@ -155,54 +159,50 @@ class Sequential:
             gradient = gradient + self.l2 * params
         return float(loss_value), gradient
 
-    def stacked_signature(self) -> Optional[tuple]:
-        """What :meth:`stacked_loss_and_gradients` computes for this model.
+    def check_stacked(self) -> None:
+        """Raise :class:`ConfigurationError` unless :meth:`stacked_loss_and_gradients` runs this model.
 
-        ``None`` when it cannot run the model: a layer other than
-        :class:`Dense` and the per-sample stateless layers (a Dropout stream
-        is per-replica state; a ``Conv2D`` has no stacked form yet), a loss
-        other than the two built-in ones, or no ``Dense`` at all.  Two models
-        with equal signatures compute the same function of the same flat
-        parameters.
+        Every layer must be a per-sample one or have a stacked form (see
+        :mod:`repro.nn.layers.base`), and the loss a ``stacked`` one.
         """
-        if type(self.loss) not in (SoftmaxCrossEntropy, MeanSquaredError):
-            return None
-        layers = []
-        for layer in self.layers:
-            if type(layer) is Dense:
-                layers.append((Dense, layer.in_features, layer.out_features, layer.use_bias))
-            elif type(layer) is LeakyReLU:
-                layers.append((LeakyReLU, layer.negative_slope))
-            elif type(layer) in _PER_SAMPLE_LAYERS:
-                layers.append((type(layer),))
-            else:
-                return None
-        if not any(layer[0] is Dense for layer in layers):
-            return None
-        return type(self.loss), self.l2, tuple(layers)
+        missing = [
+            type(layer).__name__ for layer in self.layers
+            if type(layer) not in _PER_SAMPLE_LAYERS and not hasattr(layer, "stacked_forward")
+        ] + ([] if hasattr(self.loss, "stacked") else [type(self.loss).__name__])
+        if missing:
+            raise ConfigurationError(
+                f"{missing[0]} has no stacked form: a worker's gradient is computed only by "
+                "Sequential.stacked_loss_and_gradients"
+            )
 
     def stacked_loss_and_gradients(
-        self, parameters: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray
+        self,
+        parameters: Sequence[np.ndarray],
+        x: np.ndarray,
+        y: np.ndarray,
+        rngs: Optional[Sequence[np.random.Generator]] = None,
     ) -> Tuple[np.ndarray, np.ndarray, float]:
         """:meth:`loss_and_gradient` of ``k`` workers in one forward and one backward.
 
-        ``parameters[i]`` is worker ``i``'s flat snapshot and ``x[i]`` /
-        ``y[i]`` its mini-batch (``x`` is ``(k, b, ...)``).  Returns the
-        ``(k,)`` losses, the ``(k, d)`` gradients and the forward flops per
-        sample — bit for bit what ``k`` replicas loaded with those snapshots
-        return from :meth:`loss_and_gradient` and then
-        :meth:`flops_per_sample`.  Only for a model with a
-        :meth:`stacked_signature`; the model's own parameters are neither
-        read nor written.
+        ``parameters[i]`` is worker ``i``'s flat snapshot, ``x[i]`` /
+        ``y[i]`` its mini-batch (``x`` is ``(k, b, ...)``) and ``rngs[i]``
+        the stream of its :class:`Dropout` masks (only a Dropout model needs
+        them).  Returns the ``(k,)`` losses, the ``(k, d)`` gradients and the
+        forward flops per sample — bit for bit what ``k`` copies of the model
+        loaded with those snapshots (their Dropout layers drawing from those
+        streams) return from :meth:`loss_and_gradient` and then
+        :meth:`flops_per_sample`.  Only for a model :meth:`check_stacked`
+        accepts; the model's own parameters are neither read nor written.
 
-        Each :class:`Dense` is one ``np.matmul`` over the ``k`` slices — the
-        gemm a replica calls, on the same operands — and the stateless
-        layers run their own forward and backward on the ``(k * b, ...)``
-        rows.  Gradients accumulate into zeros as a replica's do (a ``-0.0``
-        leaves as ``+0.0``), every loss normalises by its own batch and
-        every L2 term reads its own snapshot.  A snapshot object shared by
-        every worker is validated once and broadcast, never copied ``k``
-        times; a wrong-size one raises :meth:`set_parameters`' error.
+        The pass is one loop over the layers: a layer with a stacked form
+        runs it (each gemm the one a worker's own pass calls, on the same
+        operands), a per-sample layer its own forward and backward on the
+        ``(k * b, ...)`` rows.  Gradients
+        accumulate into zeros as a worker's own do (a ``-0.0`` leaves as
+        ``+0.0``), every loss normalises by its own batch and every L2 term
+        reads its own snapshot.  A snapshot object shared by every worker
+        is validated once and broadcast, never copied ``k`` times; a
+        wrong-size one raises :meth:`set_parameters`' error.
         """
         dim = self.num_parameters
         num = len(parameters)
@@ -222,63 +222,48 @@ class Sequential:
                 f"{np.shape(y)[0]}"
             )
         if shared:
-            stack, lead = flats[0].reshape(dim), ()
+            stack = flats[0].reshape(dim)
         else:
-            stack, lead = np.array([flat.reshape(dim) for flat in flats]), (num,)
+            stack = np.array([flat.reshape(dim) for flat in flats])
         batch = x.shape[1]
         rows = x.reshape(num * batch, *x.shape[2:])
-        forward_flops = 0.0
-        # Per Dense (by layer index): its stacked input, weight view and the
-        # offsets of its weight and bias in the flat parameter vector.
-        saved = {}
+        # Per layer: its offset and size in the flat vector and its cache.
+        saved = []
         offset = 0
-        for index, layer in enumerate(self.layers):
-            if type(layer) is not Dense:
+        for layer in self.layers:
+            size = layer.num_parameters
+            cache = None
+            if type(layer) in _PER_SAMPLE_LAYERS:
                 rows = layer.forward(rows, training=True)
-                continue
-            fan_in, fan_out = layer.in_features, layer.out_features
-            if rows.ndim != 2 or rows.shape[1] != fan_in:
-                raise ConfigurationError(
-                    f"Dense expected input of shape (batch, {fan_in}), got "
-                    f"{(batch,) + rows.shape[1:]}"
+            else:
+                rows, cache = layer.stacked_forward(
+                    rows, num, stack[..., offset : offset + size], rngs
                 )
-            forward_flops += 2.0 * batch * fan_in * fan_out
-            inputs = rows.reshape(num, batch, fan_in)
-            weight = stack[..., offset : offset + fan_in * fan_out].reshape(
-                *lead, fan_in, fan_out
-            )
-            saved[index] = (inputs, weight, offset, offset + fan_in * fan_out)
-            offset += fan_in * fan_out
-            out = np.matmul(inputs, weight)
-            if layer.use_bias:
-                out = out + stack[..., offset : offset + fan_out].reshape(*lead, 1, fan_out)
-                offset += fan_out
-            rows = out.reshape(num * batch, fan_out)
+            saved.append((offset, size, cache))
+            offset += size
+        forward_flops = float(sum(layer.last_forward_flops for layer in self.layers))
 
         losses, grad = self.loss.stacked(rows.reshape(num, batch, *rows.shape[1:]), y)
         grad = grad.reshape(rows.shape)
         gradients = np.zeros((num, dim))
-        first_dense = min(saved)
-        for index in range(len(self.layers) - 1, first_dense - 1, -1):
+        # Layers before the first parameterised one need no backward.
+        first = next(
+            (index for index, (_, size, _) in enumerate(saved) if size), len(self.layers)
+        )
+        for index in range(len(self.layers) - 1, first - 1, -1):
             layer = self.layers[index]
-            if index not in saved:
+            offset, size, cache = saved[index]
+            if type(layer) in _PER_SAMPLE_LAYERS:
                 grad = layer.backward(grad)
-                continue
-            inputs, weight, weight_at, bias_at = saved[index]
-            fan_in, fan_out = layer.in_features, layer.out_features
-            grad3 = grad.reshape(num, batch, fan_out)
-            gradients[:, weight_at:bias_at] += np.matmul(
-                inputs.transpose(0, 2, 1), grad3
-            ).reshape(num, fan_in * fan_out)
-            if layer.use_bias:
-                gradients[:, bias_at : bias_at + fan_out] += grad3.sum(axis=1)
-            if index > first_dense:
-                grad = np.matmul(grad3, weight.swapaxes(-1, -2)).reshape(num * batch, fan_in)
-        if self.l2 > 0.0:
-            if lead:
-                squares = np.matmul(stack[:, None, :], stack[:, :, None]).reshape(num)
             else:
+                grad = layer.stacked_backward(
+                    grad, num, cache, gradients[:, offset : offset + size], index > first
+                )
+        if self.l2 > 0.0:
+            if shared:
                 squares = float(stack @ stack)
+            else:
+                squares = np.matmul(stack[:, None, :], stack[:, :, None]).reshape(num)
             losses = losses + 0.5 * self.l2 * squares
             gradients = gradients + self.l2 * stack
         return losses, gradients, forward_flops / batch

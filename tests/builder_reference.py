@@ -5,20 +5,28 @@ seed up front (``spawn_rngs(seed, 2n + 7)``, one ``Generator`` per position)
 and called the model factory once per honest worker inside the worker loop.
 ``src/`` now derives stream ``i`` when it is first indexed
 (:class:`repro.utils.random.ChildStreams`) and builds worker ``k``'s replica
-when something first reads ``worker.model`` — after every lower id's.  The two
+when something first reads ``worker.model`` — after every lower id's (since
+retired: workers hold no model).  The two
 eager bodies below are the parent's, verbatim, and they are the definition of
 "bit-identical" for the lazy build: ``tests/test_builder_lazy.py`` holds every
 stream position, a {mode} x {compute} x {model} x {links} x {seed kind} grid
-of whole runs, an out-of-order replica case and a checkpoint round trip to
+of whole runs, an out-of-order stream case and a checkpoint round trip to
 ``==`` against them.  Do not edit the bodies below.
+
+NOTE (first sanctioned edit, "one gradient path"): workers hold no model any
+more — every honest gradient is the stacked pass of the evaluator's model —
+and each honest worker's Dropout masks come from its own stream, appended
+after the seven role streams (``2n + 7 + worker_id`` of ``3n + 7``).  The
+eager spawn is therefore ``3n + 7`` long and the worker loop assigns each
+honest worker's Dropout stream where it used to build and assign a replica.
 
 :func:`spawn_rngs` is ``repro/utils/random.py::spawn_rngs`` as it stood (it
 borrows the live ``_checked`` seed guard: a refusal, not a derivation).
 :func:`as_eager_reference` is the slice of
 ``repro/cluster/builder.py::build_trainer`` from ``rngs = spawn_rngs(...)`` to
 the end of the worker loop, kept to the lines that make a stream or a model,
-and *applied to a built trainer*: each honest worker's sampler stream and
-model replica are overwritten with the eagerly made ones.  It therefore needs
+and *applied to a built trainer*: each honest worker's sampler and Dropout
+streams are overwritten with the eagerly made ones.  It therefore needs
 a seed and a model factory *equal to but distinct from* the ones the trainer
 was built with — a ``Generator``, a ``SeedSequence`` or a stateful factory is
 consumed by a build.
@@ -46,16 +54,16 @@ def spawn_rngs(seed, count):
 
 
 def as_eager_reference(trainer, *, seed, model, model_kwargs=None):
-    """Overwrite *trainer*'s sampler streams and replicas with the parent's eager ones.
+    """Overwrite *trainer*'s sampler and Dropout streams with the parent's eager ones.
 
     Call it on a freshly built trainer, before anything drew from a sampler
-    or read a replica.  Returns the trainer; the server's initial parameters
+    or a Dropout stream.  Returns the trainer; the server's initial parameters
     are checked against the eagerly built server model on the way (the
     ``model_rng`` position and the factory's first call).
     """
     workers = trainer.workers
     num_workers = len(workers)
-    rngs = spawn_rngs(seed, num_workers * 2 + 7)
+    rngs = spawn_rngs(seed, num_workers * 3 + 7)
     worker_rngs = rngs[:num_workers]
     channel_rngs = rngs[num_workers : 2 * num_workers]  # noqa: F841 (the parent's slice)
     (
@@ -66,7 +74,8 @@ def as_eager_reference(trainer, *, seed, model, model_kwargs=None):
         codec_rng,
         broadcast_rng,
         fleet_sample_rng,
-    ) = rngs[2 * num_workers :]
+    ) = rngs[2 * num_workers : 2 * num_workers + 7]
+    dropout_rngs = rngs[2 * num_workers + 7 :]
 
     def build_model():
         kwargs = dict(model_kwargs or {})
@@ -84,8 +93,7 @@ def as_eager_reference(trainer, *, seed, model, model_kwargs=None):
         if worker.is_byzantine:
             continue
         worker.sampler._rng = worker_rngs[worker_id]
-        worker_model = build_model()
-        worker.model = worker_model
+        worker.dropout_rng = dropout_rngs[worker_id]
 
     # NOTE: this used to re-make the trainer's fleet compute kernel on the
     # first eager replica, because that kernel borrowed worker 0's replica.

@@ -1,8 +1,8 @@
 """A build that costs what the run will use — and changes no simulated float.
 
 ``build_trainer`` derives child stream ``i`` of the master seed when it is
-first indexed and builds honest worker ``k``'s model replica when something
-first reads it (after every lower id's).  The parent commit's eager
+first indexed (an honest worker's Dropout stream only when a Dropout model
+first draws masks) and builds two models, the server's and the evaluator's.  The parent commit's eager
 construction is frozen in ``tests/builder_reference.py``; everything here is
 a differential ``==`` against it, plus the host-independent *count* that
 guards the gain: how many ``Generator``s and ``Sequential``s a 10,000-worker
@@ -148,33 +148,24 @@ def test_lazy_build_runs_to_the_eager_builds_bytes(mode, compute, model, links, 
     assert _run(lazy) == _run(as_eager_reference(built, **reference))
 
 
-def test_a_replica_asked_for_out_of_order_is_the_one_id_order_builds():
-    """Worker 5 backprops before worker 0 on a Dropout MLP: both replicas are the eager ones.
-
-    ``mlp`` derives each replica's ``Dropout`` stream from the shared
-    ``model_rng`` after a variable-length ``he_normal`` draw, so a replica
-    built out of turn would get another worker's mask stream.
-    """
+def test_a_dropout_stream_asked_for_out_of_order_is_the_eager_one():
+    """Worker 5's masks are drawn before worker 0's: each still gets its own eager stream."""
     lazy, _ = _build("sync", "exact", "mlp-dropout", "reliable", "int")
     built, reference = _build("sync", "exact", "mlp-dropout", "reliable", "int")
     eager = as_eager_reference(built, **reference)
-    parameters = lazy.server.parameters
     for worker_id in (5, 1, 3, 6, 2, 4):  # id 0 is the Byzantine worker
-        ours = lazy.workers[worker_id].compute_gradient(parameters, step=0)
-        theirs = eager.workers[worker_id].compute_gradient(parameters, step=0)
-        assert ours.loss == theirs.loss
-        assert ours.gradient.tobytes() == theirs.gradient.tobytes()
+        ours = lazy.workers[worker_id].dropout_rng
+        assert ours is lazy.workers[worker_id].dropout_rng
+        assert _draws(ours) == _draws(eager.workers[worker_id].dropout_rng)
 
 
-def test_one_factory_call_per_replica_read_and_none_before():
+def test_the_factory_is_called_for_the_server_and_the_evaluator_only():
     factory = StatefulFactory()
     trainer = build_trainer(model=factory, model_kwargs=MODELS["logistic"][1], dataset=BLOBS,
                             gar="median", num_workers=NUM_WORKERS, declared_f=1, seed=0)
-    assert factory.calls == 2  # the server's and the evaluator's
-    assert trainer.workers[4].model is trainer.workers[4].model
-    assert factory.calls == 2 + 5  # workers 0..4, in id order
-    trainer.workers[2].model
-    assert factory.calls == 2 + 5
+    assert factory.calls == 2
+    trainer.run(TrainerConfig(max_steps=2, eval_every=2))
+    assert factory.calls == 2
 
 
 # ------------------------------------------------------------------ checkpoint
@@ -271,9 +262,12 @@ def test_a_bad_seed_or_non_model_is_refused_at_construction():
         MiniBatchSampler(BLOBS.train_x, BLOBS.train_y, 4, rng=-1)
     with pytest.raises(TypeError):
         MiniBatchSampler(BLOBS.train_x, BLOBS.train_y, 4, rng="seven")
-    with pytest.raises(ConfigurationError, match="model must be a Sequential or a factory"):
-        HonestWorker(0, "logistic", sampler)
-    model = make_model("logistic", input_dim=8, num_classes=3, rng=0)
-    assert HonestWorker(0, model, sampler).model is model
+    # Omitted, a worker's Dropout stream is a deterministic one named after it.
+    assert _draws(HonestWorker(3, sampler).dropout_rng) == (
+        _draws(HonestWorker(3, sampler).dropout_rng)
+    )
+    assert _draws(HonestWorker(3, sampler).dropout_rng) != (
+        _draws(HonestWorker(4, sampler).dropout_rng)
+    )
     generator = np.random.default_rng(4)
     assert MiniBatchSampler(BLOBS.train_x, BLOBS.train_y, 4, rng=generator)._rng is generator

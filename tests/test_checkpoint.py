@@ -223,6 +223,41 @@ class TestTrainingStateResume:
         restore_training_state(old, state)
         assert not old.sync_policy.pending().wire_bytes.any()
 
+    def test_a_dropout_model_resumes_bit_identically(self, tmp_path):
+        """Each honest worker's Dropout mask stream is training state.
+
+        A run resumed after 3 steps draws the masks the straight 6-step run
+        draws; a model without Dropout keeps its archive's keys.
+        """
+        from repro.cluster import TrainerConfig, build_trainer
+        from repro.data.datasets import gaussian_blobs
+
+        dataset = gaussian_blobs(num_train=120, num_test=20, num_classes=4, dim=8, rng=1)
+
+        def build(dropout):
+            return build_trainer(
+                model="mlp", dataset=dataset, gar="median", num_workers=6, declared_f=1,
+                batch_size=4, seed=5,
+                model_kwargs={"input_dim": 8, "hidden": 6, "num_classes": 4, "dropout": dropout},
+            )
+
+        straight = build(0.5)
+        straight.run(TrainerConfig(max_steps=6, eval_every=0))
+        first = build(0.5)
+        first.run(TrainerConfig(max_steps=3, eval_every=0))
+        state = load_training_state(
+            save_training_state(capture_training_state(first), tmp_path / "dropout.npz")
+        )
+        assert sorted(k for k in state.rng_states if k.startswith("dropout:")) == [
+            f"dropout:{worker_id}" for worker_id in range(6)
+        ]
+        resumed = build(0.5)
+        restore_training_state(resumed, state)
+        resumed.run(TrainerConfig(max_steps=3, eval_every=0))
+        assert resumed.server.parameters.tobytes() == straight.server.parameters.tobytes()
+        plain = capture_training_state(build(0.0)).rng_states
+        assert not any(label.startswith("dropout:") for label in plain)
+
     def test_policy_mismatch_rejected(self, tiny_dataset, tiny_model_kwargs):
         trainer = self._make_trainer(
             tiny_dataset, tiny_model_kwargs, "quorum", {"stragglers": "carry"}

@@ -25,6 +25,7 @@ from repro.cluster.message import GradientMessage
 from repro.cluster.sync import ArrivalBatch, available_sync_policies
 from repro.exceptions import ConfigurationError, TrainingError
 from tests.channel_testing import transfer
+from tests.replica_reference import compute_gradient, replica
 
 
 COMMON = dict(
@@ -54,13 +55,13 @@ def reference_seed_step(trainer):
     path_times = []
     downlink_time = trainer.cost_model.transfer_time(trainer.cost_model.gradient_bytes(dim))
     for worker in trainer.honest_workers:
-        message = worker.compute_gradient(parameters, step)
+        message = compute_gradient(trainer, worker, parameters, step)
         honest_messages.append(message)
         compute_time = trainer.cost_model.gradient_compute_time(
             dim,
             worker.batch_size,
             gflops=trainer._worker_gflops[worker.worker_id],
-            flops_per_sample=worker.model.flops_per_sample(),
+            flops_per_sample=replica(trainer, worker).flops_per_sample(),
         )
         path_times.append(downlink_time + compute_time)
 

@@ -17,15 +17,12 @@ from repro.cluster import (
 from repro.core import Average, MultiKrum
 from repro.data import MiniBatchSampler
 from repro.exceptions import ConfigurationError, TrainingError
-from repro.nn.models import mlp
 from repro.optim import SGD
 
 
 @pytest.fixture
-def worker_setup(tiny_dataset):
-    model = mlp(input_dim=8, hidden=(12,), num_classes=3, rng=0)
-    sampler = MiniBatchSampler(tiny_dataset.train_x, tiny_dataset.train_y, 16, rng=0)
-    return model, sampler
+def sampler(tiny_dataset):
+    return MiniBatchSampler(tiny_dataset.train_x, tiny_dataset.train_y, 16, rng=0)
 
 
 class TestMessages:
@@ -45,31 +42,18 @@ class TestMessages:
 
 
 class TestHonestWorker:
-    def test_compute_gradient_message(self, worker_setup):
-        model, sampler = worker_setup
-        worker = HonestWorker(0, model, sampler)
-        params = model.get_parameters()
-        message = worker.compute_gradient(params, step=0)
-        assert message.worker_id == 0
-        assert message.gradient.shape == params.shape
-        assert np.isfinite(message.loss)
+    def test_holds_its_sampler_and_no_model(self, sampler):
+        worker = HonestWorker(0, sampler)
+        assert worker.sampler is sampler
         assert not worker.is_byzantine
+        assert not hasattr(worker, "model")
 
-    def test_uses_broadcast_parameters(self, worker_setup, rng):
-        model, sampler = worker_setup
-        worker = HonestWorker(0, model, sampler)
-        new_params = rng.standard_normal(model.num_parameters)
-        worker.compute_gradient(new_params, step=0)
-        np.testing.assert_allclose(model.get_parameters(), new_params)
+    def test_batch_size_property(self, sampler):
+        assert HonestWorker(0, sampler).batch_size == 16
 
-    def test_batch_size_property(self, worker_setup):
-        model, sampler = worker_setup
-        assert HonestWorker(0, model, sampler).batch_size == 16
-
-    def test_negative_id_rejected(self, worker_setup):
-        model, sampler = worker_setup
+    def test_negative_id_rejected(self, sampler):
         with pytest.raises(ConfigurationError):
-            HonestWorker(-1, model, sampler)
+            HonestWorker(-1, sampler)
 
 
 class TestByzantineWorker:

@@ -10,13 +10,11 @@ forward activations, input gradients and parameter gradients agree to
 relative).
 
 Each layer's gemm is bytes-equal to its slice of one stacked ``np.matmul``
-over many layers' operands, which is what a stacked pass over conv models
-would run.  The last tests hold whole conv models (residual blocks included)
-to the oracle's loss and gradient, and check that fleet mode leaves a conv
-model on exact mode's replica loop.
+over many layers' operands — the gemms a stacked pass over conv models runs
+per worker slice.  The last tests hold whole conv models (residual blocks
+included) to the oracle's loss and gradient, and check that fleet mode runs
+a conv model on the shared draw.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -131,7 +129,11 @@ def test_a_training_forward_caches_the_padded_input_and_no_columns():
 @pytest.mark.parametrize("k", [5, 19, 50])
 @pytest.mark.parametrize("kernel,stride,padding", [(5, 1, "same"), (3, 2, "valid")])
 def test_each_layers_gemms_are_their_slice_of_one_stacked_matmul(k, kernel, stride, padding):
-    """k layers, distinct weights and batches: forward and weight grad == one stacked gemm."""
+    """k layers, distinct weights and batches: each gemm == its slice of one stacked gemm.
+
+    Forward, weight grad, bias grad and input grad (``W.T @ g`` scattered by
+    ``col2im``) alike.
+    """
     rng = np.random.default_rng(k)
     convs = [Conv2D(3, 4, kernel, stride=stride, padding=padding, rng=seed) for seed in range(k)]
     for conv in convs:
@@ -139,8 +141,7 @@ def test_each_layers_gemms_are_their_slice_of_one_stacked_matmul(k, kernel, stri
     batches = rng.standard_normal((k, 2, 3, 9, 9))
     outputs = [conv(x) for conv, x in zip(convs, batches)]
     grads = rng.standard_normal((k,) + outputs[0].shape)
-    for conv, g in zip(convs, grads):
-        conv.backward(g)
+    input_grads = [conv.backward(g) for conv, g in zip(convs, grads)]
 
     _, _, out_h, out_w = outputs[0].shape
     columns = np.stack([
@@ -150,10 +151,18 @@ def test_each_layers_gemms_are_their_slice_of_one_stacked_matmul(k, kernel, stri
     g = np.ascontiguousarray(grads.transpose(0, 2, 1, 3, 4)).reshape(k, 4, -1)
     forward = np.matmul(weights, columns)
     weight_grads = np.matmul(g, columns.transpose(0, 2, 1))
+    bias_grads = g.sum(axis=2)
+    grad_columns = np.matmul(weights.transpose(0, 2, 1), g)
     for i, conv in enumerate(convs):
         expected = (forward[i] + conv.bias.data[:, None]).reshape(4, 2, out_h, out_w)
         assert outputs[i].tobytes() == expected.transpose(1, 0, 2, 3).tobytes()
         assert conv.weight.grad.tobytes() == weight_grads[i].tobytes()
+        assert conv.bias.grad.tobytes() == bias_grads[i].tobytes()
+        padded = conv._cache[0]
+        scattered = col2im(grad_columns[i], padded.shape, *conv.kernel_size, *conv.stride,
+                           out_h, out_w)
+        _, _, (ph0, _), (pw0, _) = conv._geometry(9, 9)
+        assert input_grads[i].tobytes() == scattered[:, :, ph0 : ph0 + 9, pw0 : pw0 + 9].tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -211,17 +220,12 @@ def _conv_trainer(name, compute_mode):
 
 
 @pytest.mark.parametrize("name", sorted(CONV_MODELS))
-def test_conv_models_run_fleet_mode_to_exact_modes_bytes(name):
-    """A conv model has no stacked pass: fleet mode runs exact mode's replica loop."""
-    outcomes = []
-    for compute_mode in ("exact", "fleet"):
-        trainer = _conv_trainer(name, compute_mode)
-        assert trainer._stacked_model is None
-        history = trainer.run(TrainerConfig(max_steps=3, eval_every=0))
-        assert not history.diverged
-        outcomes.append((
-            json.dumps(history.to_dict(), sort_keys=True),
-            trainer.server.parameters.tobytes(),
-        ))
-    assert outcomes[0] == outcomes[1]
-
+def test_conv_models_run_fleet_mode_on_the_shared_draw(name):
+    """A conv model's fleet mode takes one ``(n, b)`` draw and leaves every sampler alone."""
+    trainer = _conv_trainer(name, "fleet")
+    draws = trainer._fleet_sample_rng.bit_generator.state
+    samplers = [w.sampler._rng.bit_generator.state for w in trainer.honest_workers]
+    history = trainer.run(TrainerConfig(max_steps=3, eval_every=0))
+    assert not history.diverged
+    assert trainer._fleet_sample_rng.bit_generator.state != draws
+    assert [w.sampler._rng.bit_generator.state for w in trainer.honest_workers] == samplers

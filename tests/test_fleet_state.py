@@ -1,7 +1,6 @@
 """Structure-of-arrays fleet state and the fleet compute mode."""
 
 import copy
-import json
 
 import numpy as np
 import pytest
@@ -11,10 +10,11 @@ from repro.cluster.cost_model import CostModel, StragglerModel
 from repro.cluster.fleet import FleetState
 from repro.cluster.trainer import TrainerConfig
 from repro.cluster.worker import HonestWorker
-from repro.data.datasets import gaussian_blobs
+from repro.data.datasets import gaussian_blobs, synthetic_cifar
 from repro.data.sampler import MiniBatchSampler
 from repro.exceptions import ConfigurationError
 from repro.nn.models.registry import make_model
+from tests.replica_reference import replica
 
 
 def _make_workers(n=5, *, batch_size=4, dim=6, num_classes=3, speeds=None):
@@ -23,9 +23,8 @@ def _make_workers(n=5, *, batch_size=4, dim=6, num_classes=3, speeds=None):
     workers = []
     for i in range(n):
         sampler = MiniBatchSampler(data.train_x, data.train_y, batch_size, rng=100 + i)
-        model = make_model("logistic", input_dim=dim, num_classes=num_classes, rng=7)
         speed = (speeds or {}).get(i, 1.0)
-        workers.append(HonestWorker(i, model, sampler, speed=speed))
+        workers.append(HonestWorker(i, sampler, speed=speed))
     return workers
 
 
@@ -52,11 +51,12 @@ class TestFleetState:
         cost = CostModel()
         gflops = {w.worker_id: 0.5 + 0.1 * w.worker_id for w in workers}
         fleet = FleetState(workers, worker_gflops=gflops)
-        fps = workers[0].model.flops_per_sample()
+        model = make_model("logistic", input_dim=6, num_classes=3, rng=7)
+        fps = model.flops_per_sample()
         times = fleet.compute_times(cost, fps)
         for i, worker in enumerate(workers):
             expected = cost.gradient_compute_time(
-                worker.model.num_parameters,
+                model.num_parameters,
                 worker.batch_size,
                 gflops=gflops[worker.worker_id] * worker.speed,
                 flops_per_sample=fps,
@@ -125,11 +125,18 @@ class TestFleetModeGradients:
     @pytest.mark.parametrize("model,model_kwargs", [
         ("logistic", {"input_dim": 6, "num_classes": 3}),
         ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3}),
+        ("small-cnn", {"image_size": 4, "channels": 1, "num_classes": 3, "conv_filters": 2,
+                       "fc1": 6, "fc2": 4}),
     ])
     def test_rows_are_each_workers_own_backprop_on_the_shared_draw(self, model, model_kwargs):
+        dataset = (
+            synthetic_cifar(num_train=60, num_test=10, image_size=4, channels=1, num_classes=3,
+                            rng=0)
+            if model == "small-cnn"
+            else gaussian_blobs(num_train=60, num_test=10, num_classes=3, dim=6, rng=0)
+        )
         trainer = build_trainer(
-            model=model, model_kwargs=model_kwargs, compute_mode="fleet",
-            dataset=gaussian_blobs(num_train=60, num_test=10, num_classes=3, dim=6, rng=0),
+            model=model, model_kwargs=model_kwargs, compute_mode="fleet", dataset=dataset,
             gar="median", num_workers=7, num_byzantine=0, declared_f=1, batch_size=5, seed=13,
         )
         honest = trainer.honest_workers
@@ -141,29 +148,31 @@ class TestFleetModeGradients:
         shared = honest[0].sampler
         indices = draws.integers(0, shared.num_samples, size=(len(honest), shared.batch_size))
         for i, worker in enumerate(honest):
-            worker.model.set_parameters(parameters)
-            loss, gradient = worker.model.loss_and_gradient(
+            model = replica(trainer, worker)
+            model.set_parameters(parameters)
+            loss, gradient = model.loss_and_gradient(
                 shared.features[indices[i]], shared.labels[indices[i]]
             )
             assert losses[i] == loss
             assert gradients[i].tobytes() == gradient.tobytes()
 
-    @pytest.mark.parametrize("model,model_kwargs,stacked", [
-        ("logistic", {"input_dim": 6, "num_classes": 3}, True),
-        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3}, True),
-        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3, "dropout": 0.5}, False),
-        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3, "l2": 0.1}, True),
+    @pytest.mark.parametrize("model,model_kwargs", [
+        ("logistic", {"input_dim": 6, "num_classes": 3}),
+        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3}),
+        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3, "dropout": 0.5}),
+        ("mlp", {"input_dim": 6, "hidden": (5,), "num_classes": 3, "l2": 0.1}),
     ], ids=["logistic", "mlp", "mlp-dropout", "mlp-l2"])
-    def test_fleet_mode_stacks_exactly_the_models_with_a_signature(
-        self, model, model_kwargs, stacked
-    ):
+    def test_fleet_mode_takes_the_shared_draw_for_every_model(self, model, model_kwargs):
         trainer = build_trainer(
             model=model, model_kwargs=model_kwargs, compute_mode="fleet",
             dataset=gaussian_blobs(num_train=60, num_test=10, num_classes=3, dim=6, rng=0),
             gar="median", num_workers=5, num_byzantine=0, declared_f=1, batch_size=5, seed=13,
         )
-        assert (trainer.eval_model.stacked_signature() is not None) is stacked
-        assert (trainer._stacked_model is trainer.eval_model) is stacked
+        draws = trainer._fleet_sample_rng.bit_generator.state
+        samplers = [w.sampler._rng.bit_generator.state for w in trainer.honest_workers]
+        trainer.run(TrainerConfig(max_steps=1, eval_every=0))
+        assert trainer._fleet_sample_rng.bit_generator.state != draws
+        assert [w.sampler._rng.bit_generator.state for w in trainer.honest_workers] == samplers
 
     def test_the_shared_draw_leaves_every_worker_sampler_untouched(self):
         trainer = build_trainer(
@@ -261,26 +270,3 @@ class TestFleetTrainerMode:
         assert np.isfinite(final_fleet)
         assert final_fleet < h_fleet.steps[0].mean_loss  # it learns
         assert final_fleet == pytest.approx(final_exact, rel=0.25)
-
-    def test_a_model_without_a_stacked_pass_runs_fleet_mode_to_exact_modes_bytes(self):
-        """A Dropout MLP has no stacked pass: both modes run the replica loop on per-worker draws."""
-        outcomes = []
-        for compute_mode in ("exact", "fleet"):
-            trainer = self._build(
-                model_kwargs={
-                    "input_dim": 10, "hidden": (8,), "num_classes": 4, "dropout": 0.5,
-                },
-                dataset=gaussian_blobs(num_train=48, num_classes=4, dim=10, rng=1),
-                compute_mode=compute_mode,
-                num_workers=6,
-                num_byzantine=0,
-                attack=None,
-                batch_size=4,
-            )
-            assert trainer._stacked_model is None
-            history = trainer.run(TrainerConfig(max_steps=3, eval_every=0))
-            outcomes.append((
-                json.dumps(history.to_dict(), sort_keys=True),
-                trainer.server.parameters.tobytes(),
-            ))
-        assert outcomes[0] == outcomes[1]

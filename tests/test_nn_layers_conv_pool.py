@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.nn.layers import AvgPool2D, Conv2D, Flatten, GlobalAvgPool2D, MaxPool2D
+from repro.nn.layers import Conv2D, Flatten, GlobalAvgPool2D, MaxPool2D
 from repro.nn.layers.conv import same_padding, valid_output
 
 from tests.nn_testing import check_layer_gradients
@@ -78,10 +78,6 @@ class TestConv2D:
         with pytest.raises(ConfigurationError):
             Conv2D(1, 1, 3, padding="reflect")
 
-    def test_output_shape_helper(self):
-        layer = Conv2D(3, 16, 5, stride=1, padding="same")
-        assert layer.output_shape((3, 32, 32)) == (16, 32, 32)
-
     def test_gradients_numerically_same_padding(self, rng):
         check_layer_gradients(Conv2D(2, 3, 3, padding="same", rng=rng), (2, 2, 4, 4), rng=rng)
 
@@ -125,19 +121,8 @@ class TestMaxPool2D:
         )
         np.testing.assert_allclose(grad, numeric, atol=1e-6)
 
-    def test_output_shape_helper(self):
-        assert MaxPool2D(3, stride=2, padding="same").output_shape((64, 32, 32)) == (64, 16, 16)
-
 
 class TestAvgAndGlobalPool:
-    def test_avg_pool_semantics(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = AvgPool2D(2, stride=2, padding="valid").forward(x)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_gradients(self, rng):
-        check_layer_gradients(AvgPool2D(2, stride=2, padding="valid"), (1, 2, 4, 4), rng=rng)
-
     def test_global_avg_pool(self, rng):
         x = rng.standard_normal((3, 5, 4, 4))
         out = GlobalAvgPool2D().forward(x)

@@ -86,7 +86,3 @@ class TestResidualBlock:
             ResidualBlock(2, 2, rng=0), (1, 2, 4, 4), rng=np.random.default_rng(9),
             atol=1e-4, rtol=1e-3,
         )
-
-    def test_output_shape_helper(self):
-        block = ResidualBlock(3, 8, stride=2, rng=0)
-        assert block.output_shape((3, 8, 8)) == (8, 4, 4)

@@ -185,7 +185,9 @@ def test_every_build_runs_on_a_fabric(spec):
 
 def test_hand_built_trainer_hosts_the_single_fabric():
     built = _build(None)
-    hand = SynchronousTrainer(built.server, built.workers, built.cost_model)
+    hand = SynchronousTrainer(
+        built.server, built.workers, built.cost_model, eval_model=built.eval_model
+    )
     assert hand.service.topology.spec == "single"
     assert hand.service.server is built.server
     assert hand.service._history is hand.history
@@ -195,7 +197,8 @@ def test_hand_built_trainer_hosts_the_single_fabric():
     elsewhere = _build("shards:2").service
     with pytest.raises(ConfigurationError, match="different ParameterServer"):
         SynchronousTrainer(
-            built.server, built.workers, built.cost_model, service=elsewhere
+            built.server, built.workers, built.cost_model, eval_model=built.eval_model,
+            service=elsewhere,
         )
 
 

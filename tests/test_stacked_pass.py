@@ -1,12 +1,15 @@
 """The stacked exact pass against ``k`` replicas, compared as bytes.
 
 ``Sequential.stacked_loss_and_gradients`` must return, for every worker of a
-run, the bytes a replica loaded with that worker's snapshot returns from
-``loss_and_gradient`` and then ``flops_per_sample``.  The property test draws
-the models the pass serves; each test after it names one way a stacked pass
-can drift from the replicas, with an input that trips it.
+run, the bytes a replica loaded with that worker's snapshot (its Dropout
+layers drawing from that worker's stream) returns from ``loss_and_gradient``
+and then ``flops_per_sample``.  The property tests draw the models the pass
+serves — Dense chains and conv chains with pooling and residual blocks; each
+test after them names one way a stacked pass can drift from the replicas,
+with an input that trips it.
 """
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -16,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 from repro.data.sampler import MiniBatchSampler, sample_stacked
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import (
-    Conv2D, Dense, Dropout, Flatten, LeakyReLU, ReLU, Sigmoid, Tanh,
+    Conv2D, Dense, Dropout, Flatten, GlobalAvgPool2D, Layer, LeakyReLU, MaxPool2D, ReLU,
+    ResidualBlock, Sigmoid, Tanh,
 )
+from repro.nn.layers import conv as conv_module
 from repro.nn.losses import MeanSquaredError
 from repro.nn.model import Sequential
 from repro.nn.models.registry import make_model
@@ -30,10 +35,13 @@ ACTIVATIONS = {
 }
 
 
-def _replicas(model, snapshots, x, y):
+def _replicas(model, snapshots, x, y, rngs=None):
     """``(losses, gradients, flops)`` of one replica per worker, in worker order."""
     losses, gradients, flops = [], [], []
-    for snapshot, batch_x, batch_y in zip(snapshots, x, y):
+    for i, (snapshot, batch_x, batch_y) in enumerate(zip(snapshots, x, y)):
+        for layer in model.layers:
+            if isinstance(layer, Dropout):
+                layer._rng = rngs[i]
         model.set_parameters(snapshot)
         loss, gradient = model.loss_and_gradient(batch_x, batch_y)
         losses.append(loss)
@@ -42,9 +50,9 @@ def _replicas(model, snapshots, x, y):
     return np.array(losses), np.stack(gradients), np.array(flops)
 
 
-def _assert_bytes_equal(model, snapshots, x, y):
-    stacked = model.stacked_loss_and_gradients(snapshots, x, y)
-    losses, gradients, flops = _replicas(model, snapshots, x, y)
+def _assert_bytes_equal(model, snapshots, x, y, rngs=None):
+    stacked = model.stacked_loss_and_gradients(snapshots, x, y, copy.deepcopy(rngs))
+    losses, gradients, flops = _replicas(model, snapshots, x, y, rngs)
     assert stacked[0].tobytes() == losses.tobytes()
     assert stacked[1].tobytes() == gradients.tobytes()
     assert np.full(len(snapshots), stacked[2]).tobytes() == flops.tobytes()
@@ -62,6 +70,8 @@ def _runs(draw):
         activation = draw(st.sampled_from([None, *sorted(ACTIVATIONS)]))
         if activation is not None:
             layers.append(ACTIVATIONS[activation]())
+        if i < len(widths) - 2 and draw(st.booleans()):
+            layers.append(Dropout(draw(st.sampled_from([0.0, 0.5]))))
     mse = draw(st.booleans())
     model = Sequential(
         layers, loss=MeanSquaredError() if mse else None, l2=draw(st.sampled_from([0.0, 0.3]))
@@ -85,11 +95,62 @@ def _runs(draw):
     return model, snapshots, x, y
 
 
+def _streams(num, seed):
+    return [np.random.default_rng([seed, i]) for i in range(num)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(run=_runs())
 def test_the_stacked_pass_returns_the_replicas_bytes(run):
     model, snapshots, x, y = run
-    assert model.stacked_signature() is not None
+    model.check_stacked()
+    _assert_bytes_equal(model, snapshots, x, y, _streams(len(snapshots), 0))
+
+
+@st.composite
+def _conv_runs(draw):
+    """A conv chain (pooling, residual blocks, either head) and one run of ``k`` workers."""
+    channels, size = draw(st.integers(1, 3)), draw(st.integers(3, 7))
+    width = draw(st.integers(1, 4))
+    kernel, stride = draw(st.sampled_from([(1, 1), (3, 1), (3, 2), (2, 2), (5, 1)]))
+    padding = "same" if kernel > size else draw(st.sampled_from(["same", "valid"]))
+    layers = [
+        Conv2D(channels, width, kernel, stride=stride, padding=padding,
+               use_bias=draw(st.booleans()), rng=0),
+        ReLU(),
+    ]
+    if draw(st.booleans()):
+        layers.append(MaxPool2D(draw(st.sampled_from([2, 3])), stride=2, padding="same"))
+    if draw(st.booleans()):
+        layers.append(ResidualBlock(width, draw(st.integers(1, 4)),
+                                    stride=draw(st.sampled_from([1, 2])), rng=1))
+    probe = np.zeros((1, channels, size, size))
+    for layer in layers:
+        probe = layer.forward(probe, training=False)
+    shape = probe.shape[1:]
+    classes = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        layers += [GlobalAvgPool2D(), Dense(shape[0], classes, rng=2)]
+    else:
+        layers += [Flatten(), Dense(int(np.prod(shape)), classes, rng=2)]
+    model = Sequential(layers, l2=draw(st.sampled_from([0.0, 0.3])))
+    num, batch = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    generator = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = generator.standard_normal((num, batch, channels, size, size))
+    y = generator.integers(0, classes, size=(num, batch))
+    dim = model.num_parameters
+    if draw(st.booleans()):
+        snapshots = [generator.standard_normal(dim) * 0.5] * num
+    else:
+        snapshots = [generator.standard_normal(dim) * 0.5 for _ in range(num)]
+    return model, snapshots, x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_conv_runs())
+def test_the_stacked_pass_returns_the_replicas_bytes_on_conv_chains(run):
+    model, snapshots, x, y = run
+    model.check_stacked()
     _assert_bytes_equal(model, snapshots, x, y)
 
 
@@ -249,25 +310,97 @@ def test_samplers_draw_in_worker_order_and_gather_their_own_rows():
         ]
 
 
-# ------------------------------------------------------------------- the gate
-@pytest.mark.parametrize("layers", [
-    [Dense(4, 3), Dropout(0.5), Dense(3, 2)],
-    [Dense(4, 3), Dropout(0.0), Dense(3, 2)],
-    [Conv2D(1, 2, 3), Flatten(), Dense(8, 2)],
-    [Flatten(), ReLU()],
-])
-def test_models_with_per_replica_state_or_no_dense_have_no_signature(layers):
-    assert Sequential(layers).stacked_signature() is None
+def test_a_dense_after_a_global_pool_reads_the_layout_a_workers_conv_hands_it():
+    """A conv's output is channel-major, so a global pool's rows are column-major.
+
+    The Dense gemm after it then runs with a transposed operand, as it did
+    before the stacked pass existed; a row-major conv output rounds the
+    resnet head differently at this size and would move every resnet run.
+    """
+    model = make_model("resnet-like", image_size=16, stage_channels=(8, 16),
+                       blocks_per_stage=1, rng=0)
+    generator = np.random.default_rng(1)
+    out = model.layers[0].forward(generator.standard_normal((10, 3, 16, 16)))
+    assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+    pooled = GlobalAvgPool2D().forward(model.layers[1].forward(out))
+    assert pooled.flags.f_contiguous and not pooled.flags.c_contiguous
+    x = generator.standard_normal((3, 10, 3, 16, 16))
+    y = generator.integers(0, 10, size=(3, 10))
+    snapshot = model.get_parameters()
+    _assert_bytes_equal(model, [snapshot] * 3, x, y)
+    _assert_bytes_equal(model, [snapshot + 0.01 * i for i in range(3)], x, y)
 
 
-def test_signatures_name_the_computation_not_the_weights():
-    first = make_model("mlp", input_dim=4, hidden=3, num_classes=2, rng=0)
-    again = make_model("mlp", input_dim=4, hidden=3, num_classes=2, rng=9)
-    wider = make_model("mlp", input_dim=4, hidden=5, num_classes=2, rng=0)
-    regularised = make_model("mlp", input_dim=4, hidden=3, num_classes=2, l2=0.1, rng=0)
-    assert first.stacked_signature() == again.stacked_signature()
-    assert first.stacked_signature() != wider.stacked_signature()
-    assert first.stacked_signature() != regularised.stacked_signature()
-    assert Sequential([Dense(2, 2), LeakyReLU(0.1)]).stacked_signature() != (
-        Sequential([Dense(2, 2), LeakyReLU(0.2)]).stacked_signature()
-    )
+def test_dropout_masks_come_from_each_workers_own_stream_in_worker_order():
+    model = make_model("mlp", input_dim=4, hidden=(5, 3), num_classes=2, dropout=0.5, rng=0)
+    generator = np.random.default_rng(2)
+    x, y = generator.standard_normal((3, 6, 4)), generator.integers(0, 2, size=(3, 6))
+    snapshots = [model.get_parameters()] * 3
+    streams = _streams(3, 7)
+    _assert_bytes_equal(model, snapshots, x, y, streams)
+    # Swapping two workers' streams swaps their rows, and only theirs.
+    swapped = [streams[1], streams[0], streams[2]]
+    straight = model.stacked_loss_and_gradients(snapshots, x, y, copy.deepcopy(streams))
+    crossed = model.stacked_loss_and_gradients(snapshots, x, y, copy.deepcopy(swapped))
+    assert straight[1][2].tobytes() == crossed[1][2].tobytes()
+    assert straight[1][0].tobytes() != crossed[1][0].tobytes()
+    with pytest.raises(ConfigurationError, match="one mask stream per worker"):
+        model.stacked_loss_and_gradients(snapshots, x, y)
+
+
+def test_a_stacked_conv_pass_holds_one_slices_columns_not_k():
+    """Columns are built per worker slice: the peak grows by less than a slice's per worker.
+
+    Holding every slice's ``(C*kh*kw, b*L)`` columns at once would add at
+    least one slice's columns per extra worker; the rest of the pass (inputs,
+    activations, pool windows, gradients) adds less than that.
+    """
+    model = make_model("small-cnn", image_size=8, channels=3, conv_filters=4, fc1=8, fc2=4,
+                       rng=0)
+    batch, columns = 4, []
+    im2col = conv_module.im2col
+
+    def recording(*args):
+        made = im2col(*args)
+        columns.append(made.nbytes)
+        return made
+
+    def peak(num):
+        generator = np.random.default_rng(num)
+        x = generator.standard_normal((num, batch, 3, 8, 8))
+        y = generator.integers(0, 10, size=(num, batch))
+        snapshots = [model.get_parameters()] * num
+        return _peak_bytes(lambda: model.stacked_loss_and_gradients(snapshots, x, y))
+
+    conv_module.im2col = recording
+    try:
+        peak(1)
+    finally:
+        conv_module.im2col = im2col
+    one_slice = max(columns)
+    assert one_slice == 3 * 5 * 5 * batch * 8 * 8 * 8  # the first conv's columns
+    small, large = peak(8), peak(24)
+    assert small >= one_slice
+    assert (large - small) / 16 < 0.75 * one_slice, (small, large, one_slice)
+
+
+def test_a_layer_or_loss_without_a_stacked_form_is_refused():
+    class Identity(Layer):
+        def forward(self, x, *, training=True):
+            return x
+
+        def backward(self, grad_output):
+            return grad_output
+
+    class L1:
+        def forward(self, outputs, targets):
+            return 0.0
+
+    with pytest.raises(ConfigurationError, match="Identity has no stacked form"):
+        Sequential([Dense(2, 2), Identity()]).check_stacked()
+    with pytest.raises(ConfigurationError, match="L1 has no stacked form"):
+        Sequential([Dense(2, 2)], loss=L1()).check_stacked()
+    for name, kwargs in [("logistic", {}), ("mlp", {"dropout": 0.5}), ("small-cnn", {}),
+                         ("cifar-cnn", {"image_size": 8}),
+                         ("resnet-like", {"image_size": 8, "stage_channels": (2,)})]:
+        make_model(name, rng=0, **kwargs).check_stacked()

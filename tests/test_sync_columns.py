@@ -298,7 +298,6 @@ def test_a_lock_step_step_mints_one_batch_and_no_honest_message(monkeypatch, pol
             gar="median", num_workers=num_workers, num_byzantine=2, declared_f=2,
             attack="sign-flip", batch_size=4, seed=7, **policy,
         )
-        assert trainer._stacked_model is not None
         minted.clear()
         built.clear()
         history = trainer.run(TrainerConfig(max_steps=2, eval_every=0))

@@ -185,9 +185,8 @@ def test_each_worker_stage_has_exactly_one_calling_function():
     # The honest encode stage, and the lock-step step's one raw identity
     # batch of Byzantine frames.
     assert _callers(tree, "encode_decode_batch") == {"_encode_rows", "_collect_arrivals"}
-    # One compute stage in both modes: the stacked pass, and the replica loop
-    # as its one fallback.
-    assert _callers(tree, "compute_gradient") == {"_exact_gradients"}
+    # One compute stage in both modes and both engines: the stacked pass.
+    assert _callers(tree, "compute_gradient") == set()
     assert _callers(tree, "compute_stacked") == {"_exact_gradients"}
     assert _callers(tree, "_exact_gradients") == {"_compute_gradients", "_on_compute"}
     assert _callers(tree, "open_many") == {"_open_run_sessions"}

@@ -43,6 +43,12 @@ policies this reference hands its events to are frozen beside it in
 there and :func:`as_loop_reference` swaps the trainer's policy for its
 frozen twin (same parameters, same binding).  Bodies here unchanged.
 
+NOTE (seventh sanctioned edit, "one gradient path"): ``HonestWorker`` holds
+no replica and has no ``compute_gradient`` any more, so the per-worker loop
+calls the frozen body in ``tests/replica_reference.py`` on the worker's
+replica there (which also stores the replica's measured flops where the live
+``_compute_time`` prices them).  Bodies here otherwise unchanged.
+
 The per-event async handlers need no frozen copy:
 :class:`~repro.cluster.events.EventLoop` owns the run coalescing, so
 :func:`as_per_event_reference` turns a live ``AsyncTrainer`` into its own
@@ -76,6 +82,7 @@ from repro.cluster.trainer import (
 )
 from repro.cluster.worker import craft_fleet
 from repro.exceptions import TrainingError
+from tests.replica_reference import compute_gradient
 from tests.sync_reference import ArrivalEvent, SyncDecision, frozen_twin
 
 
@@ -202,7 +209,7 @@ class ReferenceSynchronousTrainer(_ParentServiceGate, SynchronousTrainer):
         honest_messages: List[GradientMessage] = []
         path_times: List[float] = []
         for index, worker in enumerate(honest):
-            message = worker.compute_gradient(fetches[worker.worker_id][0], step)
+            message = compute_gradient(self, worker, fetches[worker.worker_id][0], step)
             honest_messages.append(message)
             compute_time = self._compute_time(worker, dim)
             path_times.append(downlink_times[index] + compute_time * float(slowdowns[index]))
