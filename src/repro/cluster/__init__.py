@@ -87,7 +87,7 @@ from repro.cluster.checkpoint import (
     write_history_json,
     write_summary_csv,
 )
-from repro.cluster.replicated_server import ReplicatedParameterServer, majority_model
+from repro.cluster.service import majority_model
 
 __all__ = [
     "SimulatedClock",
@@ -162,6 +162,5 @@ __all__ = [
     "load_checkpoint",
     "write_summary_csv",
     "write_history_json",
-    "ReplicatedParameterServer",
     "majority_model",
 ]

@@ -250,10 +250,10 @@ class CostModel:
     ) -> tuple[AggregationResult, float]:
         """Aggregate a pre-validated matrix, keeping the GAR's diagnostics.
 
-        *matrix* must be the float64 ``(n, d)`` matrix produced by
-        :meth:`repro.cluster.server.ParameterServer.stack_submissions` (or an
-        equivalently validated one): the GAR's single-validation fast path is
-        used, and the returned :class:`~repro.core.base.AggregationResult`
+        *matrix* must be a float64 ``(n, d)`` matrix already checked by
+        :meth:`repro.cluster.server.ParameterServer.validate_rows` (as
+        :meth:`repro.cluster.service.ServerFabric.aggregate` does): the GAR's
+        single-validation fast path is used, and the returned :class:`~repro.core.base.AggregationResult`
         carries the selection indices / scores for telemetry.  In measured
         mode the host wall-clock duration of the NumPy call is used directly;
         in analytic mode (default) the duration comes from the flop model,

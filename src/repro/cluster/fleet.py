@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.cost_model import CostModel, StragglerModel
+from repro.cluster.sync import ArrivalBatch
 from repro.cluster.worker import HonestWorker
 from repro.exceptions import ConfigurationError
 from repro.nn.model import Sequential
@@ -172,51 +173,6 @@ class FleetComputeKernel:
         self, parameters: np.ndarray, x: np.ndarray, y: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         return self.model.stacked_loss_and_gradients([parameters] * len(x), x, y)[:2]
-
-
-class PendingBatch:
-    """One drained admission batch in structure-of-arrays form.
-
-    Produced by :meth:`PendingPool.drain`, already in the deterministic
-    aggregation order (honest workers by id, then Byzantine workers by id —
-    the same shape the lock-step batch has).  All arrays are row-aligned:
-    entry ``i`` of every field describes the same buffered gradient, and
-    ``payloads[i]`` is its decoded vector.
-    """
-
-    __slots__ = (
-        "worker_ids",
-        "steps",
-        "arrival_times",
-        "staleness",
-        "wire_bytes",
-        "losses",
-        "honest",
-        "payloads",
-    )
-
-    def __init__(
-        self,
-        worker_ids: np.ndarray,
-        steps: np.ndarray,
-        arrival_times: np.ndarray,
-        staleness: np.ndarray,
-        wire_bytes: np.ndarray,
-        losses: np.ndarray,
-        honest: np.ndarray,
-        payloads: np.ndarray,
-    ) -> None:
-        self.worker_ids = worker_ids
-        self.steps = steps
-        self.arrival_times = arrival_times
-        self.staleness = staleness
-        self.wire_bytes = wire_bytes
-        self.losses = losses
-        self.honest = honest
-        self.payloads = payloads
-
-    def __len__(self) -> int:
-        return int(self.worker_ids.size)
 
 
 class PendingPool:
@@ -383,26 +339,30 @@ class PendingPool:
         order = np.argsort(self._worker_ids[slots], kind="stable")
         return self._payloads[slots[order]]
 
-    def drain(self) -> PendingBatch:
+    def drain(self) -> ArrivalBatch:
         """Empty the pool into one batch in deterministic aggregation order.
 
         Honest workers by id, then Byzantine workers by id — worker ids are
         unique so the stable lexsort reproduces the dict buffer's
         ``sorted(..., key=(not honest, worker_id))`` permutation exactly.
+        Every drained row was delivered, and its ``order`` is its drain
+        position.
         """
         slots = self._active_slots()
         ids = self._worker_ids[slots]
         order = np.lexsort((ids, np.logical_not(self._honest[slots])))
         sel = slots[order]
-        batch = PendingBatch(
+        batch = ArrivalBatch(
             worker_ids=ids[order],
             steps=self._steps[sel],
-            arrival_times=self._arrival_times[sel],
-            staleness=self._staleness[sel],
-            wire_bytes=self._wire_bytes[sel],
             losses=self._losses[sel],
-            honest=self._honest[sel],
             payloads=self._payloads[sel],
+            delivered=np.ones(sel.size, dtype=bool),
+            arrival_times=self._arrival_times[sel],
+            honest=self._honest[sel],
+            order=np.arange(sel.size),
+            wire_bytes=self._wire_bytes[sel],
+            staleness=self._staleness[sel],
         )
         self._slot_of.clear()
         self._honest_count = 0
@@ -414,6 +374,5 @@ class PendingPool:
 __all__ = [
     "FleetState",
     "FleetComputeKernel",
-    "PendingBatch",
     "PendingPool",
 ]

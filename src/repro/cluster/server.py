@@ -1,7 +1,8 @@
 """The (trusted) parameter server with a versioned model store.
 
-Holds the authoritative model parameters, aggregates the workers' gradient
-messages with the configured GAR, and applies the optimizer update
+Holds the authoritative model parameters, validates each round's gradients
+(the aggregation itself runs in :class:`~repro.cluster.service.ServerFabric`
+with the configured GAR), and applies the optimizer update
 (Equation 4 of the paper).  The server also enforces the hardening described
 in §3.2: only registered workers may submit gradients and nobody but the
 server mutates the shared parameters (the analogue of the TensorFlow patch
@@ -21,8 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.message import GradientMessage
-from repro.core.base import AggregationResult, GradientAggregationRule
+from repro.core.base import GradientAggregationRule
 from repro.core.distance_cache import DistanceCache
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.optim.base import Optimizer
@@ -38,8 +38,7 @@ class UpdateRecord:
         The model version this update *produced* (the version after the bump).
     sim_time:
         Simulated time at which the update was applied (NaN when the caller
-        did not provide one — the lock-step trainer applies updates before it
-        advances the clock).
+        did not provide one).
     num_gradients:
         Size of the aggregated batch.
     worker_ids:
@@ -247,38 +246,14 @@ class ParameterServer:
                 del self._version_log[min(evictable)]
 
     # ------------------------------------------------------------- protocol
-    def validate_submission(self, message: GradientMessage) -> None:
-        """Reject gradients from unknown workers or with the wrong dimensionality."""
-        if self._allowed is not None and message.worker_id not in self._allowed:
-            raise TrainingError(
-                f"worker {message.worker_id} is not part of the deployed cluster "
-                "(hardened server rejects foreign submissions)"
-            )
-        if message.dim != self.dim:
-            raise TrainingError(
-                f"gradient dimensionality {message.dim} does not match the model ({self.dim})"
-            )
-
-    def stack_submissions(self, messages: Sequence[GradientMessage]) -> np.ndarray:
-        """Validate one round of messages and stack them into an ``(n, d)`` matrix.
-
-        Each message is validated exactly once; the resulting float64 matrix
-        is ready for :meth:`repro.core.base.GradientAggregationRule.aggregate_validated`,
-        so the GAR does not re-validate or re-stack on the hot path.
-        """
-        if len(messages) == 0:
-            raise TrainingError("no gradients arrived this step — cannot aggregate")
-        for message in messages:
-            self.validate_submission(message)
-        return np.stack([m.gradient for m in messages], axis=0)
-
     def validate_rows(self, worker_ids: Sequence[int], matrix: np.ndarray) -> None:
-        """Batched :meth:`validate_submission` for an already-stacked round.
+        """Reject an empty round, one from unknown workers or of the wrong width.
 
-        One membership check over the whole id list and one shape probe on
-        the matrix — the same rejections (same error text) as validating a
-        :class:`GradientMessage` per row, without minting the messages.
+        The server's one validation site: one membership check over the
+        round's id list and one shape probe on its ``(n, d)`` matrix.
         """
+        if len(worker_ids) == 0:
+            raise TrainingError("no gradients arrived this step — cannot aggregate")
         if self._allowed is not None and not self._allowed.issuperset(worker_ids):
             foreign = next(w for w in worker_ids if w not in self._allowed)
             raise TrainingError(
@@ -290,19 +265,6 @@ class ParameterServer:
                 f"gradient dimensionality {matrix.shape[1]} does not match "
                 f"the model ({self.dim})"
             )
-
-    def aggregate_detailed(self, messages: Sequence[GradientMessage]) -> AggregationResult:
-        """Validate once, aggregate, and return the GAR's full diagnostics.
-
-        The returned :class:`~repro.core.base.AggregationResult` carries the
-        selected indices and per-worker scores (for selection-based rules),
-        which the trainer surfaces into telemetry instead of discarding.
-        """
-        return self.gar.aggregate_validated(self.stack_submissions(messages))
-
-    def aggregate(self, messages: Sequence[GradientMessage]) -> np.ndarray:
-        """Validate and aggregate one round of gradient messages."""
-        return self.aggregate_detailed(messages).gradient
 
     def apply_update(
         self,

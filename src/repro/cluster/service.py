@@ -40,6 +40,11 @@ authoritative store, so nothing is hashed per update and nothing can drift.
 
 Shard routing is a pure function of ``(worker_id, shard_id, version)`` —
 no wall clock, no RNG (enforced by simlint rule SIM601).
+
+:func:`majority_model` is the worker-side vote of the paper's untrusted
+server (§6): with replicated servers, a worker adopts the model vector more
+than two thirds of the replicas sent — correct replicas of a deterministic
+state machine send bit-identical models, so the lying ones are outvoted.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import numpy as np
 from repro.cluster.codec import FrameBatch
 from repro.cluster.link import DEFAULT_REGION, LinkScheduler, LinkTopology
 from repro.core import theory
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, TrainingError
 
 #: Bytes of one replica state digest (blake2b-16): what deterministic
 #: replicas exchange to confirm agreement after every update — they never
@@ -62,6 +67,68 @@ REPLICA_DIGEST_BYTES = 16
 
 #: Accepted ``--server-topology`` kinds.
 TOPOLOGY_KINDS = ("single", "shards", "replicas", "region-sharded")
+
+
+def majority_model(proposals: Sequence[np.ndarray], *, quorum: Optional[int] = None,
+                   atol: float = 0.0) -> np.ndarray:
+    """Return the model vector proposed by a quorum of server replicas.
+
+    Parameters
+    ----------
+    proposals:
+        One flat model vector per replica.
+    quorum:
+        Minimum number of identical proposals required; defaults to a strict
+        two-thirds majority ``floor(2r/3) + 1``.
+    atol:
+        Tolerance when comparing proposals (0 = bit-identical, which is what
+        deterministic replicas produce).
+    """
+    vectors = [np.asarray(p, dtype=np.float64).ravel() for p in proposals]
+    if len(vectors) == 0:
+        raise TrainingError("no server replica sent a model")
+    r = len(vectors)
+    needed = quorum if quorum is not None else (2 * r) // 3 + 1
+    if needed < 1 or needed > r:
+        raise ConfigurationError(f"quorum must be in [1, {r}], got {needed}")
+    if atol == 0.0:
+        # Exact-equality voting (the deterministic-replica contract) groups
+        # proposals by content fingerprint in O(r * d) instead of running the
+        # O(r^2 * d) pairwise comparison loop.  Two canonicalisations keep the
+        # grouping equivalent to ``np.allclose(..., atol=0, rtol=0)``:
+        # ``vec + 0.0`` folds ``-0.0`` into ``+0.0`` (equal values, different
+        # bit patterns), and a vector containing NaN matches *nothing* — not
+        # even itself (``equal_nan=False``) — so it votes with count 0.
+        counts = [0] * r
+        keys: List[Optional[Tuple[Tuple[int, ...], bytes]]] = []
+        groups: Dict[Tuple[Tuple[int, ...], bytes], int] = {}
+        for vec in vectors:
+            if np.isnan(vec).any():
+                keys.append(None)
+                continue
+            key = (vec.shape, (vec + 0.0).tobytes())
+            keys.append(key)
+            groups[key] = groups.get(key, 0) + 1
+        for i, key in enumerate(keys):
+            if key is not None:
+                counts[i] = groups[key]
+    else:
+        # Tolerance voting has no transitive grouping (a ~ b and b ~ c do not
+        # imply a ~ c), so the pairwise loop is kept as the fallback.
+        counts = [0] * r
+        for i in range(r):
+            for j in range(r):
+                if vectors[i].shape == vectors[j].shape and np.allclose(
+                    vectors[i], vectors[j], atol=atol, rtol=0.0, equal_nan=False
+                ):
+                    counts[i] += 1
+    best = int(np.argmax(counts))
+    if counts[best] < needed:
+        raise TrainingError(
+            f"no model reached the quorum of {needed} identical replica proposals "
+            f"(best agreement: {counts[best]} of {r})"
+        )
+    return vectors[best].copy()
 
 
 @dataclass(frozen=True)
@@ -652,4 +719,5 @@ __all__ = [
     "parse_server_topology",
     "shard_bounds",
     "place_shards",
+    "majority_model",
 ]

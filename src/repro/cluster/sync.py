@@ -65,7 +65,9 @@ class ArrivalBatch:
 
     Structure of arrays: entry ``i`` of every column describes the same
     gradient, so a step of ``m`` arrivals is a dozen arrays, not ``m``
-    objects.
+    objects.  The event-driven server's drained admission buffer is one
+    too (:meth:`~repro.cluster.fleet.PendingPool.drain`), so both engines
+    close a round on the same type.
 
     Attributes
     ----------
@@ -210,18 +212,12 @@ class SyncDecision:
         Delivered gradients discarded because they missed the quorum.
     carried:
         Delivered gradients deferred into the next step's pool.
-    stale_admitted:
-        Admitted gradients with staleness >= 1.
-    max_staleness:
-        Largest staleness among the admitted gradients.
     """
 
     admitted: ArrivalBatch
     wait_time: float
     dropped_stragglers: int = 0
     carried: int = 0
-    stale_admitted: int = 0
-    max_staleness: int = 0
 
 
 def _first_max(times: np.ndarray, sequence: np.ndarray, default: float) -> float:
@@ -267,16 +263,12 @@ def _admitted(pool: ArrivalBatch, index: np.ndarray) -> ArrivalBatch:
 def _quorum_decision(
     pool: ArrivalBatch, index: np.ndarray, wait: float, *, dropped: int = 0, carried: int = 0
 ) -> SyncDecision:
-    """A quorum policy's decision: admit the rows at *index*, count the stale ones."""
-    admitted = _admitted(pool, index)
-    stale = admitted.staleness[admitted.staleness > 0]
+    """A quorum policy's decision: admit the rows at *index*."""
     return SyncDecision(
-        admitted=admitted,
+        admitted=_admitted(pool, index),
         wait_time=wait,
         dropped_stragglers=dropped,
         carried=carried,
-        stale_admitted=int(stale.size),
-        max_staleness=int(stale.max()) if stale.size else 0,
     )
 
 

@@ -477,11 +477,6 @@ class TrainingHistory:
                     self.interserver_counters.get(key, 0.0) + float(value)
                 )
 
-    def record_version_lag(self, lag: int) -> None:
-        """Count one admitted gradient with the given version *lag*."""
-        lag = int(lag)
-        self.version_lag_counts[lag] = self.version_lag_counts.get(lag, 0) + 1
-
     def record_version_lag_batch(self, lags: Sequence[int]) -> None:
         """Count one round's admitted version lags in a single pass.
 

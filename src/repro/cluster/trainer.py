@@ -3,9 +3,12 @@
 Two trainers share one engine core (:mod:`repro.cluster.events`, the
 versioned :class:`~repro.cluster.server.ParameterServer` behind its
 :class:`~repro.cluster.service.ServerFabric`, the telemetry layer) and one
-server stage (:meth:`BaseTrainer._aggregate`: open the distance-cache round,
-then the fabric validates once, aggregates, prices and gathers).  ``single``
-is the one-actor fabric, so no stage asks how many servers there are:
+server stage over one :class:`~repro.cluster.sync.ArrivalBatch`
+(:meth:`BaseTrainer._aggregate`: open the distance-cache round, then the
+fabric validates once, aggregates, prices and gathers;
+:meth:`BaseTrainer._close_round`: apply the update, close the cache round,
+record the step).  ``single`` is the one-actor fabric, so no stage asks how
+many servers there are:
 
 :class:`SynchronousTrainer`
     The paper's lock-step protocol.  One training step flows through four
@@ -142,15 +145,6 @@ class TrainerConfig:
 
 
 @dataclass
-class StepDiagnostics:
-    """Aggregation-stage outputs surfaced into the step's telemetry record."""
-
-    aggregation_time: float
-    selected_workers: Optional[tuple] = None
-    selection_scores: Optional[tuple] = None
-
-
-@dataclass
 class DownlinkSession:
     """The server's per-worker downlink state for delta broadcasts.
 
@@ -179,8 +173,8 @@ class BaseTrainer:
 
     Owns the server, the workers, the cost model, the simulated clock, the
     uplink channel map, the per-worker compute-throughput resolution, the
-    validation + aggregation + diagnostics stage, evaluation, divergence
-    detection and the outer :meth:`run` loop.  Subclasses implement
+    server stage (:meth:`_aggregate`, then :meth:`_close_round`),
+    evaluation, divergence detection and the outer :meth:`run` loop.  Subclasses implement
     :meth:`run_step` — "advance the simulation until one more model update
     has been applied".
 
@@ -716,17 +710,15 @@ class BaseTrainer:
         return touched, nbytes, seconds, seconds - ideal
 
     # ---------------------------------------------------------- server stage
-    def _aggregate(
-        self, worker_ids: Sequence[int], payloads: np.ndarray, arrival_times: np.ndarray
-    ):
+    def _aggregate(self, batch: ArrivalBatch):
         """The round's server stage, shared by both engines.
 
         Opens the distance-cache round, then asks the fabric to validate
-        once, aggregate and price the admitted ``(n, d)`` *payloads*.  The
-        optimizer update is the caller's: lock-step applies it at once, the
-        event loop when the server's busy period ends.  Returns ``(result,
-        aggregation_seconds, gather_seconds, warmed_flops)``; each engine
-        adds the overlap its own wait budget could not absorb
+        once, aggregate and price the admitted *batch*'s payloads.  The
+        optimizer update is :meth:`_close_round`'s: lock-step closes at
+        once, the event loop when the server's busy period ends.  Returns
+        ``(result, aggregation_seconds, gather_seconds, warmed_flops)``;
+        each engine adds the overlap its own wait budget could not absorb
         (:meth:`CostModel.distance_overlap_excess`) in its own association.
 
         Every admitted gradient that arrived strictly before the latest one
@@ -735,7 +727,7 @@ class BaseTrainer:
         flops include the previous round's carry-warm debt, which also bills
         against this round's wait (0.0 without a cache).
         """
-        if not len(worker_ids):
+        if not len(batch):
             raise TrainingError("every gradient was dropped this step; cannot make progress")
         warmed = 0.0
         cache = self.server.distance_cache
@@ -743,66 +735,89 @@ class BaseTrainer:
             cache.begin_round()
             warmed = self._warm_debt
             self._warm_debt = 0.0
-            early = payloads[arrival_times < arrival_times.max()]
+            times = batch.arrival_times
+            early = batch.payloads[times < times.max()]
             if early.size:
                 warmed += cache.warm(early)
         with self._gar_section():
-            result, seconds, gather_seconds = self.service.aggregate(worker_ids, payloads)
+            result, seconds, gather_seconds = self.service.aggregate(
+                batch.worker_ids.tolist(), batch.payloads
+            )
         return result, seconds, gather_seconds, warmed
 
-    def _distance_round_end(self, carry: Optional[np.ndarray]):
-        """Close the cache round against the carry pool's rows (``None`` = empty).
+    def _carry_payloads(self) -> Optional[np.ndarray]:
+        """The rows that re-submit next round (``None`` = none): the cache's carry."""
+        raise NotImplementedError
 
-        Callers hold a distance cache.  The carried rows re-submit
-        byte-identically next round, so their blocks are warmed and
-        everything else is evicted — the carry pool *is* the retention
-        policy.  The newly warmed flops are carried as debt into the next
-        round's wait budget (these rows arrived after the cutoff: the
-        overlap window for their blocks is the *coming* wait, not the one
-        that already passed).  Returns the round's
-        :class:`~repro.core.distance_cache.DistanceRoundStats`.
+    def _close_round(
+        self, admitted: ArrivalBatch, result, *, sim_time: float, losses: np.ndarray,
+        compute_comm_time: float, aggregation_time: float, update_time: float,
+        dropped: int, carried: int, downlink_bytes: float,
+    ) -> StepRecord:
+        """Apply the round's update and record it: both engines' one close.
+
+        *aggregation_time* comes with the gather and the cache overlap
+        excess already added, in the engine's own association.  The clock
+        moves to *sim_time* only once the server accepted the update, so a
+        diverged round leaves it where it was; the update log and the step
+        record carry that one instant.  The GAR's selected indices become
+        worker ids, the cache round closes against :meth:`_carry_payloads`,
+        and the mean loss skips *losses*' non-finite entries.
         """
-        cache = self.server.distance_cache
-        if carry is not None:
-            self._warm_debt += cache.warm(carry)
-        return cache.end_round(carry)
-
-    @staticmethod
-    def _cache_record_fields(stats) -> Dict:
-        """Distance-cache telemetry fields for one step record."""
-        if stats is None:
-            return {}
-        return {
-            "cache_hit_rows": stats.hit_rows,
-            "cache_miss_rows": stats.miss_rows,
-            "cache_hit_pairs": stats.hit_pairs,
-            "cache_miss_pairs": stats.miss_pairs,
-            "distance_flops": stats.charged_flops,
-            "overlapped_flops": stats.warmed_flops,
-        }
-
-    @staticmethod
-    def _diagnostics(
-        worker_ids: Sequence[int], result, aggregation_time: float
-    ) -> StepDiagnostics:
-        """GAR selection diagnostics in telemetry form.
-
-        *worker_ids* is the submission-ordered id of each aggregated row, so
-        the GAR's selected indices translate to worker identities.
-        """
-        selected = None
+        step = self.server.step
+        worker_ids = admitted.worker_ids.tolist()
+        wire_bytes = float(sum(admitted.wire_bytes.tolist()))
+        self.server.apply_update(
+            result.gradient, sim_time=sim_time, worker_ids=worker_ids, wire_bytes=wire_bytes
+        )
+        self.clock.advance_to(sim_time)
+        selected = scores = None
         if result.selected_indices is not None:
             rows = np.asarray(result.selected_indices, dtype=np.intp)
-            selected = tuple(np.asarray(worker_ids)[rows].tolist())
-        scores = (
-            tuple(np.asarray(result.scores, dtype=np.float64).tolist())
-            if result.scores is not None else None
-        )
-        return StepDiagnostics(
-            aggregation_time=aggregation_time,
-            selected_workers=selected,
-            selection_scores=scores,
-        )
+            selected = tuple(admitted.worker_ids[rows].tolist())
+        if result.scores is not None:
+            scores = tuple(np.asarray(result.scores, dtype=np.float64).tolist())
+        cache_fields = {}
+        cache = self.server.distance_cache
+        if cache is not None:
+            # The carried rows re-submit byte-identically next round, so their
+            # blocks are warmed and everything else is evicted: the carry pool
+            # *is* the retention policy.  They arrived after the cutoff, so the
+            # warmed flops bill as debt against the *coming* round's wait.
+            carry = self._carry_payloads()
+            if carry is not None:
+                self._warm_debt += cache.warm(carry)
+            stats = cache.end_round(carry)
+            cache_fields = dict(
+                cache_hit_rows=stats.hit_rows, cache_miss_rows=stats.miss_rows,
+                cache_hit_pairs=stats.hit_pairs, cache_miss_pairs=stats.miss_pairs,
+                distance_flops=stats.charged_flops, overlapped_flops=stats.warmed_flops,
+            )
+        with self._section("telemetry"):
+            self.history.record_server_busy(aggregation_time + update_time)
+            self.history.record_version_lag_batch(admitted.staleness)
+            stale = admitted.staleness[admitted.staleness > 0]
+            losses = losses[np.isfinite(losses)]
+            record = StepRecord(
+                step=step,
+                sim_time=sim_time,
+                mean_loss=float(np.mean(losses)) if losses.size else float("nan"),
+                compute_comm_time=compute_comm_time,
+                aggregation_time=aggregation_time,
+                update_time=update_time,
+                gradients_received=len(admitted),
+                dropped_stragglers=dropped,
+                carried_gradients=carried,
+                stale_gradients=int(stale.size),
+                max_staleness=int(stale.max()) if stale.size else 0,
+                selected_workers=selected,
+                selection_scores=scores,
+                wire_bytes=wire_bytes,
+                downlink_bytes=downlink_bytes,
+                **cache_fields,
+            )
+            self.history.record_step(record)
+        return record
 
     # ------------------------------------------------------------------ step
     def run_step(self) -> StepRecord:
@@ -917,7 +932,7 @@ class SynchronousTrainer(BaseTrainer):
     # -------------------------------------------------------------- pipeline
     def _collect_arrivals(
         self, parameters: np.ndarray, step: int, dim: int
-    ) -> Tuple[ArrivalBatch, float, List[float], float]:
+    ) -> Tuple[ArrivalBatch, float, np.ndarray, float]:
         """Pipeline stages 1-3: compute, craft, encode + transfer.
 
         Returns the step's arrival batch (submission order: honest workers,
@@ -1097,17 +1112,14 @@ class SynchronousTrainer(BaseTrainer):
         self.service.account_pushes(batch.worker_ids, sent)
         self.service.account_fetches(self._worker_ids, all_fetch_bytes)
 
-        return batch, floor, loss_array[np.isfinite(loss_array)].tolist(), downlink_step_bytes
+        return batch, floor, loss_array, downlink_step_bytes
 
     # ------------------------------------------------------------------ step
     def run_step(self) -> StepRecord:
         """Push one step through the aggregation pipeline; return its telemetry."""
-        parameters = self.server.parameters
         step = self.server.step
-        dim = self.server.dim
-
         batch, floor, losses, downlink_bytes = self._collect_arrivals(
-            parameters, step, dim
+            self.server.parameters, step, self.server.dim
         )
 
         # The policy drains the batch in event-queue order — by arrival time,
@@ -1119,55 +1131,27 @@ class SynchronousTrainer(BaseTrainer):
         self.events_dispatched += len(batch)
 
         # Stage 4: the admitted rows are validated once, aggregated with
-        # full diagnostics and the optimizer update applied.
-        admitted = decision.admitted
-        worker_ids = admitted.worker_ids.tolist()
-        result, aggregation_time, gather_time, warmed_flops = self._aggregate(
-            worker_ids, admitted.payloads, admitted.arrival_times
-        )
-        wire_bytes = float(sum(admitted.wire_bytes.tolist()))
-        self.server.apply_update(
-            result.gradient, worker_ids=worker_ids, wire_bytes=wire_bytes
-        )
-        # Warming overlaps the quorum wait; charge only the overflow (0.0
-        # without a cache).
-        aggregation_time = (aggregation_time + gather_time) + (
+        # full diagnostics and the optimizer update applied.  Warming
+        # overlaps the quorum wait; charge only the overflow (0.0 without a
+        # cache).
+        result, seconds, gather_time, warmed_flops = self._aggregate(decision.admitted)
+        aggregation_time = (seconds + gather_time) + (
             self.cost_model.distance_overlap_excess(warmed_flops, decision.wait_time)
         )
-        diagnostics = self._diagnostics(worker_ids, result, aggregation_time)
-        cache_stats = None
-        if self.server.distance_cache is not None:
-            pending = self.sync_policy.pending()
-            cache_stats = self._distance_round_end(pending.payloads if len(pending) else None)
-        update_time = self.cost_model.update_time(dim)
-
-        compute_comm_time = decision.wait_time
-        self.clock.advance(compute_comm_time + aggregation_time + update_time)
-        with self._section("telemetry"):
-            self.history.record_server_busy(aggregation_time + update_time)
-            self.history.record_version_lag_batch(admitted.staleness)
-
-        record = StepRecord(
-            step=step,
-            sim_time=self.clock.now,
-            mean_loss=float(np.mean(losses)) if losses else float("nan"),
-            compute_comm_time=compute_comm_time,
-            aggregation_time=aggregation_time,
-            update_time=update_time,
-            gradients_received=len(worker_ids),
-            dropped_stragglers=decision.dropped_stragglers,
-            carried_gradients=decision.carried,
-            stale_gradients=decision.stale_admitted,
-            max_staleness=decision.max_staleness,
-            selected_workers=diagnostics.selected_workers,
-            selection_scores=diagnostics.selection_scores,
-            wire_bytes=wire_bytes,
+        update_time = self.cost_model.update_time(self.server.dim)
+        return self._close_round(
+            decision.admitted, result,
+            sim_time=self.clock.now + (decision.wait_time + aggregation_time + update_time),
+            losses=losses, compute_comm_time=decision.wait_time,
+            aggregation_time=aggregation_time, update_time=update_time,
+            dropped=decision.dropped_stragglers, carried=decision.carried,
             downlink_bytes=downlink_bytes,
-            **self._cache_record_fields(cache_stats),
         )
-        with self._section("telemetry"):
-            self.history.record_step(record)
-        return record
+
+    def _carry_payloads(self) -> Optional[np.ndarray]:
+        """The policy's carry pool: the rows that re-submit next step."""
+        pending = self.sync_policy.pending()
+        return pending.payloads if len(pending) else None
 
 
 class AsyncTrainer(BaseTrainer):
@@ -1397,6 +1381,13 @@ class AsyncTrainer(BaseTrainer):
         (message,) = self._messages(
             [worker], [event.payload], *self._exact_gradients([worker], [event.payload])
         )
+        self._loop.schedule(
+            self.PUSH, self._ready_at(worker, event.time), worker_id=event.worker_id,
+            payload=message,
+        )
+
+    def _ready_at(self, worker: HonestWorker, now: float) -> float:
+        """When *worker*'s gradient is ready: its compute time, one straggler draw each."""
         slowdown = (
             float(self.straggler_model.sample(1, self._straggler_rng)[0])
             if self.straggler_model is not None
@@ -1404,9 +1395,7 @@ class AsyncTrainer(BaseTrainer):
         )
         compute_time = self._compute_time(worker, self.server.dim) * slowdown
         self.history.timeline_for(worker.worker_id).compute_seconds += compute_time
-        self._loop.schedule(
-            self.PUSH, event.time + compute_time, worker_id=event.worker_id, payload=message
-        )
+        return now + compute_time
 
     def _on_push(self, event: Event) -> None:
         """Worker encodes + hands the gradient to the wire, starts its next round."""
@@ -1560,9 +1549,7 @@ class AsyncTrainer(BaseTrainer):
         # (the pool's drain lexsort reproduces the old dict sort exactly).
         batch = self._pending.drain()
         self._busy = True
-        result, aggregation_time, gather_time, warmed_flops = self._aggregate(
-            [int(w) for w in batch.worker_ids], batch.payloads, batch.arrival_times
-        )
+        result, aggregation_time, gather_time, warmed_flops = self._aggregate(batch)
         # Early arrivals were warmed while the buffer filled; charge only the
         # overlap the inter-update window could not absorb (0.0 without a
         # cache).
@@ -1583,61 +1570,32 @@ class AsyncTrainer(BaseTrainer):
         return math.inf
 
     def _on_update_done(self, event: Event) -> None:
-        """Apply the optimizer update, bump the version, emit telemetry."""
+        """The busy period ended: close the round, then look for the next one."""
         batch, result, aggregation_time, update_time, started = event.payload
-        version = self.server.version
-        wire_bytes = float(batch.wire_bytes.sum())
-        worker_ids = [int(w) for w in batch.worker_ids]
-        self.server.apply_update(
-            result.gradient,
-            sim_time=event.time,
-            worker_ids=worker_ids,
-            wire_bytes=wire_bytes,
+        self._close_round(
+            batch, result, sim_time=event.time, losses=batch.losses[batch.honest],
+            compute_comm_time=max(started - self._last_update_done, 0.0),
+            aggregation_time=aggregation_time, update_time=update_time,
+            dropped=sum(self._interval.values()), carried=len(self._pending),
+            downlink_bytes=self._interval_downlink,
         )
         self._busy = False
-        diagnostics = self._diagnostics(worker_ids, result, aggregation_time)
-        # Close the cache round against the admission buffer: gradients that
-        # arrived during the busy period are the async carry pool — they will
-        # enter the next batch byte-identically, so their blocks are warmed
-        # (off-path) and everything else is evicted.
-        cache_stats = None
-        if self.server.distance_cache is not None:
-            cache_stats = self._distance_round_end(self._pending.payload_matrix())
-
-        self.history.record_server_busy(aggregation_time + update_time)
-        for worker_id, staleness in zip(worker_ids, batch.staleness):
-            self.history.record_version_lag(int(staleness))
+        for worker_id in batch.worker_ids.tolist():
             self.history.timeline_for(worker_id).admitted += 1
-
-        losses = batch.losses[batch.honest & np.isfinite(batch.losses)]
-        stale = batch.staleness[batch.staleness > 0]
-        record = StepRecord(
-            step=version,
-            sim_time=event.time,
-            mean_loss=float(np.mean(losses)) if losses.size else float("nan"),
-            compute_comm_time=max(started - self._last_update_done, 0.0),
-            aggregation_time=aggregation_time,
-            update_time=update_time,
-            gradients_received=len(batch),
-            dropped_stragglers=self._interval["superseded"]
-            + self._interval["channel_dropped"]
-            + self._interval["stale_rejected"],
-            carried_gradients=len(self._pending),
-            stale_gradients=int(stale.size),
-            max_staleness=int(stale.max()) if stale.size else 0,
-            selected_workers=diagnostics.selected_workers,
-            selection_scores=diagnostics.selection_scores,
-            wire_bytes=wire_bytes,
-            downlink_bytes=self._interval_downlink,
-            **self._cache_record_fields(cache_stats),
-        )
-        self.history.record_step(record)
         self._interval = {"superseded": 0, "channel_dropped": 0, "stale_rejected": 0}
         self._interval_downlink = 0.0
         self._last_update_done = event.time
         # Arrivals buffered during the busy period may already fill the next
         # quorum — the server never idles while work is waiting.
         self._maybe_aggregate(event.time)
+
+    def _carry_payloads(self) -> Optional[np.ndarray]:
+        """The admission buffer: what arrived during the busy period.
+
+        Those gradients enter the next batch byte-identically, so the cache
+        warms their blocks (off-path) and evicts everything else.
+        """
+        return self._pending.payload_matrix()
 
     # ------------------------------------------------------------------ step
     def run_step(self) -> StepRecord:
@@ -1730,20 +1688,10 @@ class AsyncTrainer(BaseTrainer):
         messages = self._messages(
             workers, snapshots, *self._compute_gradients(rows, workers, snapshots)
         )
-        dim = self.server.dim
-        specs = []
-        for i, (worker, event) in enumerate(zip(workers, events)):
-            slowdown = (
-                float(self.straggler_model.sample(1, self._straggler_rng)[0])
-                if self.straggler_model is not None
-                else 1.0
-            )
-            compute_time = self._compute_time(worker, dim) * slowdown
-            self.history.timeline_for(worker.worker_id).compute_seconds += compute_time
-            specs.append(
-                (self.PUSH, event.time + compute_time, worker.worker_id, messages[i])
-            )
-        self._loop.schedule_many(specs)
+        self._loop.schedule_many([
+            (self.PUSH, self._ready_at(worker, event.time), worker.worker_id, message)
+            for worker, event, message in zip(workers, events, messages)
+        ])
 
     def _on_push_batch(self, events: List[Event]) -> None:
         """Batched :meth:`_on_push` over one same-time run of pushes."""
@@ -1833,6 +1781,5 @@ __all__ = [
     "BaseTrainer",
     "SynchronousTrainer",
     "AsyncTrainer",
-    "StepDiagnostics",
     "DownlinkSession",
 ]

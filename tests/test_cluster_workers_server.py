@@ -6,6 +6,7 @@ import pytest
 from repro.attacks import ReversedGradientAttack
 from repro.cluster import (
     ByzantineWorker,
+    CostModel,
     EvalRecord,
     GradientMessage,
     HonestWorker,
@@ -14,6 +15,7 @@ from repro.cluster import (
     StepRecord,
     TrainingHistory,
 )
+from repro.cluster.service import ServerFabric, parse_server_topology
 from repro.core import Average, MultiKrum
 from repro.data import MiniBatchSampler
 from repro.exceptions import ConfigurationError, TrainingError
@@ -89,10 +91,17 @@ class TestParameterServer:
             expected_workers=expected,
         )
 
+    @staticmethod
+    def aggregate(server, messages):
+        """The round's server stage, on the one-actor fabric every trainer hosts."""
+        fabric = ServerFabric(server, CostModel(), topology=parse_server_topology(None))
+        matrix = np.stack([m.gradient for m in messages])
+        return fabric.aggregate([m.worker_id for m in messages], matrix)[0].gradient
+
     def test_aggregate_and_update(self):
         server = self.make_server(dim=4)
         messages = [GradientMessage(i, 0, np.full(4, float(i))) for i in range(3)]
-        aggregated = server.aggregate(messages)
+        aggregated = self.aggregate(server, messages)
         np.testing.assert_allclose(aggregated, 1.0)
         new_params = server.apply_update(aggregated)
         np.testing.assert_allclose(new_params, -0.1)
@@ -106,18 +115,26 @@ class TestParameterServer:
 
     def test_rejects_unknown_worker(self):
         server = self.make_server(dim=4, expected=[0, 1])
-        foreign = GradientMessage(worker_id=9, step=0, gradient=np.ones(4))
-        with pytest.raises(TrainingError):
-            server.validate_submission(foreign)
+        with pytest.raises(TrainingError) as excinfo:
+            server.validate_rows([0, 9, 1], np.ones((3, 4)))
+        assert str(excinfo.value) == (
+            "worker 9 is not part of the deployed cluster "
+            "(hardened server rejects foreign submissions)"
+        )
 
     def test_rejects_wrong_dimension(self):
         server = self.make_server(dim=4)
-        with pytest.raises(TrainingError):
-            server.validate_submission(GradientMessage(0, 0, np.ones(5)))
+        with pytest.raises(TrainingError) as excinfo:
+            server.validate_rows([0], np.ones((1, 5)))
+        assert str(excinfo.value) == "gradient dimensionality 5 does not match the model (4)"
 
     def test_rejects_empty_round(self):
-        with pytest.raises(TrainingError):
-            self.make_server().aggregate([])
+        server = self.make_server(dim=4)
+        with pytest.raises(TrainingError) as excinfo:
+            ServerFabric(server, CostModel(), topology=parse_server_topology(None)).aggregate(
+                [], np.zeros((0, 4))
+            )
+        assert str(excinfo.value) == "no gradients arrived this step — cannot aggregate"
 
     def test_rejects_non_finite_update(self):
         server = self.make_server(dim=3)
@@ -134,7 +151,7 @@ class TestParameterServer:
         server = ParameterServer(np.zeros(6), MultiKrum(f=1), SGD(learning_rate=1.0))
         honest = [GradientMessage(i, 0, np.ones(6) + 0.01 * rng.standard_normal(6)) for i in range(5)]
         byzantine = [GradientMessage(5, 0, 1e6 * np.ones(6))]
-        aggregated = server.aggregate(honest + byzantine)
+        aggregated = self.aggregate(server, honest + byzantine)
         assert np.abs(aggregated - 1.0).max() < 0.1
 
     def test_invalid_initial_parameters(self):

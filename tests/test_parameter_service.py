@@ -33,13 +33,14 @@ from repro.cluster.service import (
     REPLICA_DIGEST_BYTES,
     ServerFabric,
     ServerTopology,
+    majority_model,
     parse_server_topology,
     place_shards,
     shard_bounds,
 )
 from repro.cluster.trainer import SynchronousTrainer, TrainerConfig
 from repro.data.datasets import gaussian_blobs
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, TrainingError
 from tests.codec_reference import shard_frame_bytes
 
 
@@ -273,6 +274,40 @@ def _fabric(topology="shards:2", **kwargs):
 
 
 class TestServerFabric:
+    def test_region_sharded_aggregate_raises_the_servers_rejections(self):
+        """The shards validate nothing of their own: ``validate_rows`` is the one site."""
+        num_workers = BASE_KWARGS["num_workers"]
+        fabric = _fabric(
+            "region-sharded", link_topology=parse_link_profile("wan:2x10mbit/5ms", num_workers)
+        )
+        assert fabric.num_shards == 2
+        dim = fabric.server.dim
+        with pytest.raises(TrainingError) as foreign:
+            fabric.aggregate([0, num_workers + 1], np.ones((2, dim)))
+        assert str(foreign.value) == (
+            f"worker {num_workers + 1} is not part of the deployed cluster "
+            "(hardened server rejects foreign submissions)"
+        )
+        with pytest.raises(TrainingError) as wide:
+            fabric.aggregate([0, 1], np.ones((2, dim + 1)))
+        assert str(wide.value) == (
+            f"gradient dimensionality {dim + 1} does not match the model ({dim})"
+        )
+
+    @pytest.mark.parametrize("topology", ["single", "shards:3", "replicas:3"])
+    def test_every_topology_rejects_through_validate_rows(self, topology):
+        fabric = _fabric(topology)
+        dim = fabric.server.dim
+        with pytest.raises(TrainingError) as foreign:
+            fabric.aggregate([1, 99], np.ones((2, dim)))
+        assert str(foreign.value) == (
+            "worker 99 is not part of the deployed cluster "
+            "(hardened server rejects foreign submissions)"
+        )
+        with pytest.raises(TrainingError) as empty:
+            fabric.aggregate([], np.zeros((0, dim)))
+        assert str(empty.value) == "no gradients arrived this step — cannot aggregate"
+
     def test_describe_is_json_serialisable(self):
         description = _fabric("shards:3").describe()
         assert json.loads(json.dumps(description)) == description
@@ -610,3 +645,99 @@ def test_restore_rejects_service_mismatch():
         match="'single' does not match the deployed topology 'shards:2'",
     ):
         restore_training_state(sharded2, plain_state)
+
+
+# ------------------------------------------------------- untrusted-server vote
+class TestMajorityModel:
+    def test_unanimous(self):
+        model = np.arange(4.0)
+        np.testing.assert_allclose(majority_model([model, model, model]), model)
+
+    def test_majority_beats_liar(self):
+        model = np.ones(5)
+        garbage = 100.0 * np.ones(5)
+        np.testing.assert_allclose(majority_model([model, model, model, garbage]), model)
+
+    def test_no_quorum_raises(self):
+        proposals = [np.zeros(3), np.ones(3), 2 * np.ones(3)]
+        with pytest.raises(TrainingError):
+            majority_model(proposals)
+
+    def test_empty_raises(self):
+        with pytest.raises(TrainingError):
+            majority_model([])
+
+    def test_custom_quorum(self):
+        proposals = [np.zeros(3), np.zeros(3), np.ones(3)]
+        np.testing.assert_allclose(majority_model(proposals, quorum=2), np.zeros(3))
+        with pytest.raises(ConfigurationError):
+            majority_model(proposals, quorum=5)
+
+    def test_exact_path_never_calls_allclose(self, monkeypatch):
+        """The atol=0 vote groups by fingerprint — no pairwise allclose loop."""
+        def boom(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("exact-equality voting must not call np.allclose")
+
+        monkeypatch.setattr(np, "allclose", boom)
+        model = np.arange(6.0)
+        np.testing.assert_array_equal(majority_model([model, model, model]), model)
+        # The tolerance fallback still goes through the pairwise loop.
+        with pytest.raises(AssertionError, match="must not call"):
+            majority_model([model, model, model], atol=1e-9)
+
+    def test_exact_path_negative_zero_groups_with_positive_zero(self):
+        # -0.0 == +0.0 under allclose despite different bit patterns; the
+        # fingerprint canonicalisation must keep them in one group.
+        a = np.array([0.0, 1.0, 2.0])
+        b = np.array([-0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(majority_model([a, b, np.ones(3)], quorum=2), a)
+
+    def test_exact_path_nan_proposal_matches_nothing(self):
+        # equal_nan=False: a NaN proposal does not even match itself, so two
+        # bit-identical NaN vectors must not form a quorum.
+        nan_vec = np.array([np.nan, 1.0, 2.0])
+        good = np.zeros(3)
+        np.testing.assert_array_equal(
+            majority_model([nan_vec, nan_vec.copy(), good, good.copy()], quorum=2), good
+        )
+        with pytest.raises(TrainingError):
+            majority_model([nan_vec, nan_vec.copy(), np.ones(3)], quorum=2)
+
+    def test_exact_path_matches_pairwise_loop_tie_break(self):
+        # argmax tie-breaking (first index of the max count) must match the
+        # legacy loop: with two equal-sized groups the earlier proposal wins.
+        a, b = np.zeros(4), np.ones(4)
+        np.testing.assert_array_equal(majority_model([a, b, a, b], quorum=2), a)
+        np.testing.assert_array_equal(majority_model([b, a, b, a], quorum=2), b)
+
+    def test_exact_path_microbench(self):
+        """Fingerprint grouping keeps a wide vote off the O(r^2 d) cliff.
+
+        40 replicas x 200k parameters means 1600 pairwise allclose scans for
+        the legacy loop; the fingerprint path hashes each vector once.  The
+        bound is deliberately loose (slow shared CI runners) but tight
+        enough that a reversion to the pairwise loop fails immediately.
+        """
+        import time
+
+        model = np.arange(200_000, dtype=np.float64)
+        proposals = [model.copy() for _ in range(40)]
+        start = time.perf_counter()
+        winner = majority_model(proposals)
+        elapsed = time.perf_counter() - start
+        np.testing.assert_array_equal(winner, model)
+        assert elapsed < 2.0, f"majority_model took {elapsed:.2f}s for r=40, d=200k"
+
+    @pytest.mark.parametrize("replicas", [4, 7, 10])
+    def test_default_quorum_tolerates_fewer_than_a_third_byzantine_replicas(self, replicas):
+        """``floor(2r/3) + 1`` agreeing replicas outvote up to ``(r - 1) // 3`` liars, no more."""
+        model = np.linspace(-1.0, 1.0, 6)
+        tolerated = (replicas - 1) // 3
+
+        def proposals(byzantine):
+            garbage = [np.full(6, 100.0 + i) for i in range(byzantine)]
+            return garbage + [model.copy() for _ in range(replicas - byzantine)]
+
+        np.testing.assert_array_equal(majority_model(proposals(tolerated)), model)
+        with pytest.raises(TrainingError, match="no model reached the quorum"):
+            majority_model(proposals(tolerated + 1))

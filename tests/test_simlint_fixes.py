@@ -21,10 +21,8 @@ from repro.cluster.codec import QSGDCodec, RandomKCodec, WireFrame
 from repro.cluster.network import DelayedChannel, LossyChannel, ReliableChannel
 from repro.cluster.cost_model import CostModel
 from repro.cluster.packets import Packetizer, RecoveryPolicy
-from repro.cluster.replicated_server import ReplicatedParameterServer
 from repro.cluster.worker import ByzantineWorker
 from repro.core import Average
-from repro.optim import SGD
 from repro.utils.random import as_rng, component_seed, derive_seed, fresh_rng
 
 
@@ -112,17 +110,6 @@ def test_lossy_channel_unseeded_is_deterministic():
         assert results[1] is None
     else:
         np.testing.assert_array_equal(results[0].values, results[1].values)
-
-
-def test_replicated_server_unseeded_is_deterministic():
-    def build():
-        return ReplicatedParameterServer(
-            np.zeros(4), Average(), lambda: SGD(learning_rate=0.1),
-            num_replicas=4, byzantine_replicas=1,
-        )
-
-    a, b = build().broadcast(), build().broadcast()
-    np.testing.assert_array_equal(a[0], b[0])
 
 
 def test_explicit_rng_still_wins():

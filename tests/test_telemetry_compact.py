@@ -78,21 +78,16 @@ def test_compact_merged_timelines_match_object_timelines():
         assert dumps(merged_compact[wid].to_dict()) == dumps(merged_loop[wid].to_dict()), wid
 
 
-def test_record_version_lag_batch_matches_singles():
-    single = TrainingHistory()
-    batched = TrainingHistory()
-    lags = [0, 0, 2, 0, 1, 2, 0, np.intp(3)]
-    for lag in lags:
-        single.record_version_lag(lag)
-    batched.record_version_lag_batch(lags)
-    assert batched.version_lag_counts == single.version_lag_counts
-    batched.record_version_lag_batch([])  # empty round is a no-op
-    assert batched.version_lag_counts == single.version_lag_counts
-    # An int array (the lock-step batch's staleness column) counts the same
-    # and adds new lags in first-occurrence order: the exported key order.
-    more = [5, 1, 4, 5, 0]
-    for lag in more:
-        single.record_version_lag(lag)
-    batched.record_version_lag_batch(np.array(more, dtype=np.int64))
-    assert list(batched.version_lag_counts.items()) == list(single.version_lag_counts.items())
-    assert all(type(lag) is int for lag in batched.version_lag_counts)
+def test_record_version_lag_batch_counts_in_first_occurrence_order():
+    history = TrainingHistory()
+    history.record_version_lag_batch([0, 0, 2, 0, 1, 2, 0, np.intp(3)])
+    assert list(history.version_lag_counts.items()) == [(0, 4), (2, 2), (1, 1), (3, 1)]
+    history.record_version_lag_batch([])  # empty round is a no-op
+    assert list(history.version_lag_counts.items()) == [(0, 4), (2, 2), (1, 1), (3, 1)]
+    # An int array (a round's staleness column) adds new lags after the
+    # known ones, in the order they first occur: the exported key order.
+    history.record_version_lag_batch(np.array([5, 1, 4, 5, 0], dtype=np.int64))
+    assert list(history.version_lag_counts.items()) == [
+        (0, 5), (2, 2), (1, 2), (3, 1), (5, 2), (4, 1)
+    ]
+    assert all(type(lag) is int for lag in history.version_lag_counts)

@@ -5,9 +5,11 @@ stage methods (fetch framing, compute, encode, uplink pricing); the async
 per-event handlers are the run-of-one spelling, whose scalar ``_encode`` and
 per-channel ``transfer_frame`` the two array stages must equal bit for bit on
 any subset and order of fleet rows — the error-feedback row store and every
-PRNG stream included.  The last two tests count callers in the syntax tree,
-so a second spelling of a stage, or a second gradient function, cannot come
-back unnoticed.
+PRNG stream included.  Two tests count callers in the syntax tree, so a
+second spelling of a stage, or a second gradient function, cannot come back
+unnoticed.  The server side closes a round in one place as well: the last
+tests count its callers the same way and pin what the close owns — the update
+log's sim time, and a clock that moves only once the update was accepted.
 """
 
 import ast
@@ -21,7 +23,9 @@ from repro.cluster import build_trainer
 from repro.cluster import trainer as trainer_module
 from repro.cluster.checkpoint import _channel_rngs
 from repro.cluster.codec import decode_frame
+from repro.cluster.sync import ArrivalBatch
 from repro.data.datasets import load_dataset
+from repro.exceptions import TrainingError
 
 NUM_WORKERS = 9  # worker 0 is Byzantine: fleet rows 0..7 are worker ids 1..8
 NUM_HONEST = 8
@@ -231,3 +235,54 @@ def test_one_function_in_src_computes_a_stacked_gradient():
             naming.add(path.relative_to(root).as_posix())
     assert callers == {"compute_stacked", "FleetComputeKernel.compute"}
     assert naming == {"cluster/fleet.py"}
+
+
+# ------------------------------------------------------------ the round close
+def test_both_engines_close_a_round_in_one_place():
+    source = Path(trainer_module.__file__).read_text()
+    tree = ast.parse(source)
+    assert source.count("self.server.apply_update(") == 1
+    assert source.count("StepRecord(") == 1
+    assert _callers(tree, "apply_update") == {"_close_round"}
+    assert _callers(tree, "StepRecord") == {"_close_round"}
+    assert _callers(tree, "_close_round") == {"run_step", "_on_update_done"}
+    assert _callers(tree, "_aggregate") == {"run_step", "_maybe_aggregate"}
+    # The fabric validates; the trainer never does.
+    assert _callers(tree, "validate_rows") == set()
+
+
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_the_update_log_carries_each_steps_sim_time(dataset, mode):
+    trainer = build_trainer(
+        dataset=dataset, model="logistic", model_kwargs={"input_dim": 8, "num_classes": 3},
+        num_workers=8, gar="median", batch_size=4, seed=3, mode=mode,
+        **({"sync_policy": "quorum"} if mode == "async" else {}),
+    )
+    records = [trainer.run_step() for _ in range(3)]
+    assert [u.sim_time for u in trainer.server.update_log] == [r.sim_time for r in records]
+    assert [u.version for u in trainer.server.update_log] == [1, 2, 3]
+
+
+class _NaNAttack:
+    def craft(self, parameters, honest_gradients, num_byzantine, rng):
+        return np.full((num_byzantine, parameters.size), np.nan)
+
+
+def test_a_rejected_update_leaves_the_clock_where_it_was(dataset):
+    trainer = build_trainer(
+        dataset=dataset, model="logistic", model_kwargs={"input_dim": 8, "num_classes": 3},
+        num_workers=5, num_byzantine=1, attack="sign-flip", gar="average", seed=3,
+    )
+    trainer.run_step()
+    now, updates = trainer.clock.now, len(trainer.server.update_log)
+    trainer.byzantine_workers[0].attack = _NaNAttack()
+    with pytest.raises(TrainingError, match="non-finite"):
+        trainer.run_step()
+    assert trainer.clock.now == now
+    assert len(trainer.server.update_log) == updates
+
+
+def test_an_empty_round_is_refused_before_the_fabric(dataset):
+    trainer = _build(dataset)
+    with pytest.raises(TrainingError, match="every gradient was dropped"):
+        trainer._aggregate(ArrivalBatch.empty())

@@ -94,6 +94,11 @@ def test_vectorized_path_is_bit_identical_to_the_loop(name):
     )
     assert vec_trainer.clock.now == loop_trainer.clock.now
     assert vec_history.to_dict() == loop_history.to_dict()
+    # Each update-log entry carries its step's instant, as the step record does.
+    assert vec_trainer.server.update_log == loop_trainer.server.update_log
+    assert [u.sim_time for u in vec_trainer.server.update_log] == [
+        s.sim_time for s in vec_history.steps
+    ]
     # Event accounting agrees even though the live path never builds the
     # per-step heap.
     assert vec_trainer.events_dispatched == loop_trainer.events_dispatched

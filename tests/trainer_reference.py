@@ -3,7 +3,8 @@
 These are the ``vectorized=False`` bodies of ``SynchronousTrainer`` in
 ``src/repro/cluster/trainer.py`` as they stood before that knob was retired:
 the per-worker collect loop, the per-step :class:`EventQueue` drain and the
-per-message validation round-trip through ``stack_submissions``.  They are
+per-message validation round-trip through ``stack_submissions`` (frozen
+below).  They are
 O(n) Python calls per step and they are the definition of "bit-identical"
 for the array-at-a-time collect path under ``src/``:
 ``tests/test_trainer_vectorized_parity.py`` trains every scenario of its grid
@@ -49,6 +50,18 @@ calls the frozen body in ``tests/replica_reference.py`` on the worker's
 replica there (which also stores the replica's measured flops where the live
 ``_compute_time`` prices them).  Bodies here otherwise unchanged.
 
+NOTE (eighth sanctioned edit, "the server stage spelled once"): both live
+engines close a round through ``BaseTrainer._close_round`` and the server
+lost its message-list stage, so the helpers the lock-step reference used to
+borrow — ``ParameterServer.stack_submissions`` (with the
+``validate_submission`` it calls), ``BaseTrainer._diagnostics``,
+``BaseTrainer._cache_record_fields`` and ``StepDiagnostics`` — are frozen
+here as verbatim copies of the parent's bodies (the two server methods as
+functions of the server).  The drained async batch is an ``ArrivalBatch``
+(``PendingBatch`` is gone; the annotations say so).  The live lock-step
+update log gained its ``sim_time``, so the reference's ``run_step`` stamps
+its entry with the clock it just advanced to — the bug fixed in both.
+
 The per-event async handlers need no frozen copy:
 :class:`~repro.cluster.events.EventLoop` owns the run coalescing, so
 :func:`as_per_event_reference` turns a live ``AsyncTrainer`` into its own
@@ -65,21 +78,18 @@ service — and :func:`as_server_stage_reference` re-classes a built
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.codec import FrameBatch, WireFrame
 from repro.cluster.events import Event, EventQueue
-from repro.cluster.fleet import PendingBatch
 from repro.cluster.message import GradientMessage
 from repro.cluster.telemetry import StepRecord
-from repro.cluster.trainer import (
-    AsyncTrainer,
-    BaseTrainer,
-    StepDiagnostics,
-    SynchronousTrainer,
-)
+from repro.cluster.server import ParameterServer
+from repro.cluster.sync import ArrivalBatch
+from repro.cluster.trainer import AsyncTrainer, BaseTrainer, SynchronousTrainer
 from repro.cluster.worker import craft_fleet
 from repro.exceptions import TrainingError
 from tests.replica_reference import compute_gradient
@@ -95,7 +105,84 @@ class _ParentServiceGate:
         return service is not None and not service.is_trivial
 
 
-class ReferenceSynchronousTrainer(_ParentServiceGate, SynchronousTrainer):
+def validate_submission(server: ParameterServer, message: GradientMessage) -> None:
+    """Reject gradients from unknown workers or with the wrong dimensionality."""
+    if server._allowed is not None and message.worker_id not in server._allowed:
+        raise TrainingError(
+            f"worker {message.worker_id} is not part of the deployed cluster "
+            "(hardened server rejects foreign submissions)"
+        )
+    if message.dim != server.dim:
+        raise TrainingError(
+            f"gradient dimensionality {message.dim} does not match the model ({server.dim})"
+        )
+
+
+def stack_submissions(server: ParameterServer, messages: Sequence[GradientMessage]) -> np.ndarray:
+    """Validate one round of messages and stack them into an ``(n, d)`` matrix.
+
+    Each message is validated exactly once; the resulting float64 matrix
+    is ready for :meth:`repro.core.base.GradientAggregationRule.aggregate_validated`,
+    so the GAR does not re-validate or re-stack on the hot path.
+    """
+    if len(messages) == 0:
+        raise TrainingError("no gradients arrived this step — cannot aggregate")
+    for message in messages:
+        validate_submission(server, message)
+    return np.stack([m.gradient for m in messages], axis=0)
+
+
+@dataclass
+class StepDiagnostics:
+    """Aggregation-stage outputs surfaced into the step's telemetry record."""
+
+    aggregation_time: float
+    selected_workers: Optional[tuple] = None
+    selection_scores: Optional[tuple] = None
+
+
+class _ParentStepRecording:
+    """The parent ``BaseTrainer``'s step-record helpers."""
+
+    @staticmethod
+    def _cache_record_fields(stats) -> Dict:
+        """Distance-cache telemetry fields for one step record."""
+        if stats is None:
+            return {}
+        return {
+            "cache_hit_rows": stats.hit_rows,
+            "cache_miss_rows": stats.miss_rows,
+            "cache_hit_pairs": stats.hit_pairs,
+            "cache_miss_pairs": stats.miss_pairs,
+            "distance_flops": stats.charged_flops,
+            "overlapped_flops": stats.warmed_flops,
+        }
+
+    @staticmethod
+    def _diagnostics(
+        worker_ids: Sequence[int], result, aggregation_time: float
+    ) -> StepDiagnostics:
+        """GAR selection diagnostics in telemetry form.
+
+        *worker_ids* is the submission-ordered id of each aggregated row, so
+        the GAR's selected indices translate to worker identities.
+        """
+        selected = None
+        if result.selected_indices is not None:
+            rows = np.asarray(result.selected_indices, dtype=np.intp)
+            selected = tuple(np.asarray(worker_ids)[rows].tolist())
+        scores = (
+            tuple(np.asarray(result.scores, dtype=np.float64).tolist())
+            if result.scores is not None else None
+        )
+        return StepDiagnostics(
+            aggregation_time=aggregation_time,
+            selected_workers=selected,
+            selection_scores=scores,
+        )
+
+
+class ReferenceSynchronousTrainer(_ParentServiceGate, _ParentStepRecording, SynchronousTrainer):
     """``SynchronousTrainer`` with the parent's per-worker stage bodies."""
 
     def _distance_round_begin(self, admitted: Sequence[ArrivalEvent]) -> float:
@@ -330,7 +417,7 @@ class ReferenceSynchronousTrainer(_ParentServiceGate, SynchronousTrainer):
         ]
         if not delivered:
             raise TrainingError("every gradient was dropped this step; cannot make progress")
-        matrix = self.server.stack_submissions(delivered)
+        matrix = stack_submissions(self.server, delivered)
         result, aggregation_time = self.cost_model.aggregation_time_detailed(
             self.server.gar,
             matrix,
@@ -397,6 +484,7 @@ class ReferenceSynchronousTrainer(_ParentServiceGate, SynchronousTrainer):
 
         compute_comm_time = decision.wait_time
         self.clock.advance(compute_comm_time + diagnostics.aggregation_time + update_time)
+        self.server.update_log[-1].sim_time = self.clock.now
         with self._section("telemetry"):
             self.history.record_server_busy(diagnostics.aggregation_time + update_time)
             self.history.record_version_lag_batch(
@@ -525,7 +613,7 @@ class ReferenceAsyncTrainer(_ParentServiceGate, AsyncTrainer):
             payload=(batch, result, aggregation_time + gather_s, update_time, started),
         )
 
-    def _aggregate_pending(self, batch: PendingBatch):
+    def _aggregate_pending(self, batch: ArrivalBatch):
         """Validate the drained batch once and aggregate it.
 
         The pool hands over the payload matrix directly, so validation is
@@ -547,7 +635,7 @@ class ReferenceAsyncTrainer(_ParentServiceGate, AsyncTrainer):
         )
         return result, aggregation_time
 
-    def _distance_round_begin_batch(self, batch: PendingBatch) -> float:
+    def _distance_round_begin_batch(self, batch: ArrivalBatch) -> float:
         """:meth:`_distance_round_begin` over a drained SoA batch."""
         cache = self.server.distance_cache
         if cache is None:
