@@ -45,12 +45,3 @@ def dataset(profile):
 def run_once(benchmark, func, *args, **kwargs):
     """Run an expensive experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def events_per_second(summary: dict) -> float:
-    """Throughput of one fleet-scale scenario node.
-
-    Dispatched events per wall-clock second (best repeat): proportional to
-    host speed for a fixed scenario — reported for orientation, never gated.
-    """
-    return float(summary["events_dispatched"]) / float(summary["wall_clock_s"]["min"])

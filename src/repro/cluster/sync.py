@@ -479,10 +479,11 @@ class QuorumBasedPolicy(SyncPolicy):
     def _check_min_batch(self) -> None:
         """Refuse a quorum below the aggregation rule's minimum batch.
 
-        Called only where the first batch is at most the quorum — ``Quorum.bind``
-        (``collect`` admits ``delivered[:q]``) and :meth:`admission` (the
-        event-driven server aggregates the moment ``q`` are buffered) —
-        so step 0 would fail the rule's cardinality check.
+        Called wherever a batch may hold as few as the quorum — ``Quorum.bind``
+        (``collect`` admits ``delivered[:q]``), ``BoundedStaleness.bind`` with
+        ``tau >= 1`` (the cutoff may fall at the quorum-th arrival) and
+        :meth:`admission` (the event-driven server aggregates the moment ``q``
+        are buffered) — so some step would fail the rule's cardinality check.
         """
         if self._effective_quorum < self._min_batch:
             raise ConfigurationError(
@@ -662,6 +663,13 @@ class BoundedStaleness(QuorumBasedPolicy):
     def __init__(self, tau: int = 1, quorum: Optional[int] = None) -> None:
         super().__init__(quorum)
         self.tau = check_non_negative_int(tau, "tau")
+
+    def bind(self, *, num_workers: int, f: int, min_batch: int = 1) -> None:
+        super().bind(num_workers=num_workers, f=f, min_batch=min_batch)
+        # tau = 0 admits every delivered gradient each step; a larger bound
+        # may close a step at the quorum-th arrival.
+        if self.tau >= 1:
+            self._check_min_batch()
 
     def admission(self, *, max_version_lag: Optional[int] = None) -> AdmissionPredicate:
         lag = self.tau if max_version_lag is None else max_version_lag

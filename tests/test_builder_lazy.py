@@ -6,11 +6,15 @@ first draws masks) and builds two models, the server's and the evaluator's.  The
 construction is frozen in ``tests/builder_reference.py``; everything here is
 a differential ``==`` against it, plus the host-independent *count* that
 guards the gain: how many ``Generator``s and ``Sequential``s a 10,000-worker
-lock-step build and run construct.
+lock-step build and run construct, and the absolute wall-clock and traced-heap
+ceilings of that build and run (``sync_10k_topk``).
 """
 
+import gc
 import itertools
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +23,15 @@ from repro.cluster import TrainerConfig, build_trainer
 from repro.cluster.checkpoint import capture_training_state, restore_training_state
 from repro.cluster.worker import HonestWorker
 from repro.data import MiniBatchSampler
-from repro.data.datasets import gaussian_blobs, synthetic_cifar
+from repro.data.datasets import gaussian_blobs, load_dataset, synthetic_cifar
 from repro.exceptions import ConfigurationError
 from repro.nn.model import Sequential
 from repro.nn.models.registry import make_model
 from repro.utils.random import ChildStreams, spawn_rngs
 from tests.builder_reference import as_eager_reference
 from tests.builder_reference import spawn_rngs as eager_spawn_rngs
+
+from bench.workloads import WORKLOADS
 
 
 # ------------------------------------------------------------ stream identity
@@ -230,9 +236,8 @@ def test_a_10k_worker_fleet_build_and_run_construct_a_handful_of_objects(monkeyp
 
     This is the deployment ``bench/workloads.py`` names ``sync_10k_topk``.
     The parent built 20,007 ``Generator``s and 10,002 ``Sequential``s here
-    before step 0.  ``fleet_scale``'s ``sync_10k`` tracemalloc ceiling cannot
-    see that spend: it starts tracing after ``_build`` has returned, so it
-    measures the run's allocations only.
+    before step 0.  The heap ceiling below sees that spend too: it traces
+    from before ``build_trainer``, not from after the build has returned.
     """
     dataset = gaussian_blobs(num_train=400, num_test=50, num_classes=5, dim=10, rng=7)
     deployment = dict(
@@ -253,6 +258,40 @@ def test_a_10k_worker_fleet_build_and_run_construct_a_handful_of_objects(monkeyp
     assert counts.read() == (2 * generators + 3 * 3, 2 * models)
     lossy.run(TrainerConfig(max_steps=3, eval_every=3))
     assert counts.read() == (2 * generators + 3 * 3, 2 * models)
+
+
+#: Absolute ceilings for ``sync_10k_topk``: loose multiples of what it measures
+#: (a ~0.1 s run and a ~36 MiB traced peak, build included, on a 2-core host),
+#: so they catch hangs, quadratic blowups and per-entry Python object pools
+#: at 10,000 workers, never percent-level drift.
+WALL_BUDGET_S = 60.0
+HEAP_BUDGET_BYTES = 128 * 1024 * 1024
+
+
+def test_sync_10k_topk_stays_inside_the_absolute_budgets():
+    workload = WORKLOADS["sync_10k_topk"]
+    dataset_kwargs = dict(workload.dataset)
+    dataset = load_dataset(dataset_kwargs.pop("name"), rng=7, **dataset_kwargs)
+    config = TrainerConfig(max_steps=workload.steps, eval_every=0)
+
+    trainer = build_trainer(dataset=dataset, seed=7, **workload.trainer)
+    gc.collect()
+    start = time.perf_counter()
+    trainer.run(config)
+    wall = time.perf_counter() - start
+    assert wall <= WALL_BUDGET_S, f"{wall:.2f} s exceeds the {WALL_BUDGET_S} s budget"
+
+    del trainer
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build_trainer(dataset=dataset, seed=7, **workload.trainer).run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= HEAP_BUDGET_BYTES, (
+        f"traced peak {peak} bytes exceeds the {HEAP_BUDGET_BYTES}-byte ceiling"
+    )
 
 
 # ------------------------------------ direct construction refuses as before

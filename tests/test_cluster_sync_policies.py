@@ -268,20 +268,34 @@ def test_quorum_below_the_rules_minimum_batch_rejected_at_bind():
     assert policy.effective_quorum == 19
 
 
+@pytest.mark.parametrize("tau", [1, 2])
+def test_bounded_staleness_below_the_rules_minimum_batch_rejected_at_bind(tau):
+    # tau >= 1 may close a step at the quorum-th arrival; tau = 0 waits for all.
+    with pytest.raises(ConfigurationError, match=r"quorum=15 .* 19 gradients .* f=4"):
+        BoundedStaleness(tau=tau).bind(num_workers=19, f=4, min_batch=19)
+    BoundedStaleness(tau=0).bind(num_workers=19, f=4, min_batch=19)
+    policy = BoundedStaleness(tau=tau, quorum=19)
+    policy.bind(num_workers=19, f=4, min_batch=19)
+    assert policy.effective_quorum == 19
+
+
+@pytest.mark.parametrize("policy", ["quorum", "bounded-staleness"])
 @pytest.mark.parametrize("mode", ["sync", "async"])
 @pytest.mark.parametrize(
     "gar, n, f, minimum", [("bulyan", 19, 4, 19), ("multi-krum", 11, 4, 11)]
 )
 def test_quorum_too_small_for_the_gar_fails_at_build_not_on_step_zero(
-    tiny_dataset, tiny_model_kwargs, mode, gar, n, f, minimum
+    tiny_dataset, tiny_model_kwargs, mode, gar, n, f, minimum, policy
 ):
     """The paper's own n=19, f=4 Bulyan deployment under the default quorum.
 
-    The server aggregates exactly the quorum's rows, so ``q = n - f`` below
-    the rule's own minimum used to build and then die on step 0 with a
-    ``ResilienceConditionError`` that ``trainer.run`` does not catch.
+    A batch can hold as few as the quorum's rows, so ``q = n - f`` below the
+    rule's own minimum used to build and then die with a
+    ``ResilienceConditionError`` that ``trainer.run`` does not catch: on
+    step 0 under ``quorum``, mid-run under lock-step ``bounded-staleness``
+    once stragglers spread the arrivals.
     """
-    config = dict(gar=gar, num_workers=n, declared_f=f, mode=mode, sync_policy="quorum")
+    config = dict(gar=gar, num_workers=n, declared_f=f, mode=mode, sync_policy=policy)
     with pytest.raises(
         ConfigurationError, match=rf"quorum={n - f} .* {minimum} gradients .* f={f}"
     ):
@@ -294,25 +308,22 @@ def test_quorum_too_small_for_the_gar_fails_at_build_not_on_step_zero(
     assert len(history.steps) == 2 and not history.diverged
 
 
-def test_lockstep_bounded_staleness_is_not_held_to_the_quorum_bound(
+def test_lockstep_bounded_staleness_tau_zero_runs_below_the_gar_minimum(
     tiny_dataset, tiny_model_kwargs
 ):
-    """Its batch is every arrival up to the cutoff, not the first ``q``.
+    """``tau = 0`` admits every delivered gradient, so the quorum never bounds the batch.
 
-    A homogeneous fleet ties at the ``q``-th arrival, so all 19 gradients are
-    admitted and Bulyan f=4 runs under the default quorum of 15; only the
-    event-driven engine, which aggregates the moment ``q`` are buffered,
-    refuses the same policy at build.
+    With ``tau >= 1`` this deployment is refused at build: it used to raise
+    "Bulyan with f=1 requires at least 7 workers, got 6" mid-run.
     """
-    config = dict(
-        gar="bulyan", num_workers=19, declared_f=4, sync_policy="bounded-staleness"
+    trainer = make_trainer(
+        tiny_dataset, tiny_model_kwargs, gar="bulyan", num_workers=7, declared_f=1,
+        sync_policy="bounded-staleness", sync_kwargs={"tau": 0}, seed=3,
+        straggler_model=StragglerModel("lognormal", prob=1.0),
     )
-    BoundedStaleness().bind(num_workers=19, f=4, min_batch=19)
-    trainer = make_trainer(tiny_dataset, tiny_model_kwargs, **config)
-    history = trainer.run(TrainerConfig(max_steps=2, eval_every=0))
-    assert [s.gradients_received for s in history.steps] == [19, 19]
-    with pytest.raises(ConfigurationError, match=r"quorum=15 .* 19 gradients .* f=4"):
-        make_trainer(tiny_dataset, tiny_model_kwargs, mode="async", **config)
+    history = trainer.run(TrainerConfig(max_steps=5, eval_every=0))
+    assert [s.gradients_received for s in history.steps] == [7] * 5
+    assert not history.diverged
 
 
 def test_quorum_requires_bind_before_collect():

@@ -12,20 +12,26 @@ relative).
 Each layer's gemm is bytes-equal to its slice of one stacked ``np.matmul``
 over many layers' operands — the gemms a stacked pass over conv models runs
 per worker slice.  The last tests hold whole conv models (residual blocks
-included) to the oracle's loss and gradient, and check that fleet mode runs
-a conv model on the shared draw.
+included) to the oracle's loss and gradient, check that fleet mode runs a
+conv model on the shared draw, and pin the ``conv_fleet`` deployment's
+trajectory, event budget and profiler coverage at two fleet sizes.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.cluster.builder import build_trainer
+from repro.cluster.profiler import SimProfiler
 from repro.cluster.trainer import TrainerConfig
-from repro.data.datasets import synthetic_cifar
+from repro.data.datasets import load_dataset, synthetic_cifar
 from repro.nn.layers import Conv2D, ResidualBlock
 from repro.nn.layers.conv import col2im, im2col
 from repro.nn.models.registry import make_model
 from tests.nn_testing import LoopConv2D
+from tests.test_sim_profiler import _assert_split_is_coherent
 
 #: The documented parity tolerance between the live conv and the loop oracle.
 RTOL = 1e-10
@@ -229,3 +235,41 @@ def test_conv_models_run_fleet_mode_on_the_shared_draw(name):
     assert not history.diverged
     assert trainer._fleet_sample_rng.bit_generator.state != draws
     assert [w.sampler._rng.bit_generator.state for w in trainer.honest_workers] == samplers
+
+
+#: ``conv_fleet``: ``small-cnn`` on 8x8 synthetic CIFAR in fleet mode, at two
+#: fleet sizes.  Digest: the first 16 hex of the sha256 of the sorted-keys
+#: telemetry export plus the final parameter bytes (the benchmark's
+#: ``sim_digest``).
+CONV_FLEET = dict(
+    model="small-cnn", model_kwargs={"image_size": 8}, gar="median", num_byzantine=0,
+    declared_f=2, batch_size=4, codec="identity", compute_mode="fleet",
+    compact_telemetry=True, seed=7,
+)
+
+
+@pytest.mark.parametrize("workers, steps, digest, floor", [
+    (12, 2, "fbaafc25db840c2d", 0.0),
+    (50, 5, "9519072f4c1510c8", 0.5),
+])
+def test_conv_fleet_runs_to_its_pinned_trajectory(workers, steps, digest, floor):
+    """Under a live profiler, whose brackets must cover most of the full-scale run.
+
+    At 12 workers and 2 steps the unbracketed rest of the run is about half
+    of it, so the smoke scale checks only the split's arithmetic.
+    """
+    dataset = load_dataset("synthetic-cifar", num_train=400, image_size=8, rng=3)
+    profiler = SimProfiler()
+    trainer = build_trainer(dataset=dataset, num_workers=workers, profiler=profiler, **CONV_FLEET)
+    profiler.start_run()
+    history = trainer.run(TrainerConfig(max_steps=steps, eval_every=0))
+    profiler.stop_run()
+    document = json.dumps(history.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(document + trainer.server.parameters.tobytes()).hexdigest()[:16] == digest
+    # Lock-step rounds have a closed-form event budget and queue peak.
+    assert trainer.events_dispatched == workers * steps
+    assert trainer.peak_queue_size == workers
+    assert np.isfinite(history.steps[-1].mean_loss) and history.total_time > 0
+    split = profiler.to_dict()
+    _assert_split_is_coherent(split)
+    assert split["accounted_s"] > floor * split["wall_clock_s"]

@@ -9,7 +9,9 @@ accounted total can never exceed the measured wall clock (beyond timer
 granularity).  Both the lock-step and the async event-stream trainers are
 driven under a live profiler, including the regime-specific brackets:
 ``attack`` under an active adversary and ``link_reschedule`` on contended
-async links.
+async links.  Each benchmark workload (``bench/workloads.py``) at smoke scale
+must keep most of its run inside the brackets and fire the bucket its regime
+exists to price.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from repro.cluster.builder import build_trainer
 from repro.cluster.profiler import SUBSYSTEMS, SimProfiler
 from repro.cluster.trainer import TrainerConfig
 from repro.data.datasets import gaussian_blobs
+
+from bench import harness, layers
+from bench.workloads import WORKLOADS
 
 
 def _profiled_run(**overrides):
@@ -113,3 +118,81 @@ def test_median_books_no_gar_select_time():
     """Non-selection GARs never touch the selection clock."""
     split = _profiled_run(gar="median")
     assert "gar_select" not in split["subsystems"]
+
+
+#: The buckets a benchmark workload's regime exists to price.
+REGIME_BUCKETS = {
+    "async_quorum_1k": ("admission",),
+    "wan_delta_fifo_400": ("link_reschedule",),
+    "bulyan_attack_600": ("attack", "gar_select"),
+}
+#: The region-sharded workload, whose inter-server gather must be measured.
+SHARDED = sorted(
+    name for name, workload in WORKLOADS.items()
+    if workload.trainer.get("server_topology") == "region-sharded"
+)
+
+
+#: Profiled sessions per workload.  The smoke runs last milliseconds, so one
+#: descheduling of the process can swamp a single session's share; a
+#: bracket that misses work misses it in every session.
+PROFILED_SESSIONS = 3
+
+
+@pytest.fixture(scope="module")
+def profiled_workload():
+    """Profiled smoke sessions per workload, shared by the tests below.
+
+    A warm-up session comes first, so first-call costs are not counted
+    against the brackets.  Returns the workload, then one
+    ``(session, split, history)`` per profiled session.
+    """
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            workload = WORKLOADS[name].scaled("smoke")
+            harness.run_session(workload, 7)
+            sessions = []
+            for _ in range(PROFILED_SESSIONS):
+                profiler = SimProfiler()
+                session, _, history = harness.run_session(
+                    workload, 7, profiler=profiler,
+                    around_run=lambda: layers.profiled_run(profiler),
+                )
+                sessions.append((session, profiler.to_dict(), history))
+            runs[name] = (workload, sessions)
+        return runs[name]
+
+    return run
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_workload_split_covers_the_run(name, profiled_workload):
+    """The brackets cover most of each workload's run.
+
+    What they miss (arrival assembly, the event handlers' glue) must stay a
+    minority; the async engine keeps more glue outside the brackets than the
+    lock-step round loop does, hence its looser floor.
+    """
+    workload, sessions = profiled_workload(name)
+    for session, split, _ in sessions:
+        assert session.failures == [] and session.sim_time > 0
+        _assert_split_is_coherent(split)
+    floor = 0.5 if workload.lock_step else 0.35
+    shares = [split["accounted_s"] / split["wall_clock_s"] for _, split, _ in sessions]
+    assert max(shares) > floor, shares
+
+
+@pytest.mark.parametrize("name", sorted(set(REGIME_BUCKETS) | set(SHARDED)))
+def test_benchmark_workload_fires_its_regime_bucket(name, profiled_workload):
+    """Each specialised subsystem shows up in the workload built to price it."""
+    _, sessions = profiled_workload(name)
+    buckets = REGIME_BUCKETS.get(name, ())
+    for _, split, history in sessions:
+        for bucket in buckets:
+            assert split["subsystems"][bucket]["calls"] > 0, bucket
+        if "gar_select" in buckets:
+            assert split["subsystems"]["gar_kernel"]["seconds"] > 0
+        if name in SHARDED:
+            assert history.interserver_summary()["gather_bytes"] > 0

@@ -61,6 +61,10 @@ INVALID = [
      {"gar": "bulyan", "num_workers": 19, "declared_f": 4, "sync_policy": "quorum"},
      ["--aggregator", "bulyan", "--nb-workers", "19", "--nb-decl-byz", "4",
       "--sync-policy", "quorum"]),
+    ("bounded-staleness-below-gar-minimum",
+     {"gar": "bulyan", "num_workers": 7, "declared_f": 1, "sync_policy": "bounded-staleness"},
+     ["--aggregator", "bulyan", "--nb-workers", "7", "--nb-decl-byz", "1",
+      "--sync-policy", "bounded-staleness"]),
     # --- async x full-sync (owner: SyncPolicy.admission)
     ("async-full-sync", {"mode": "async"}, ["--mode", "async"]),
     ("negative-version-lag", {"mode": "async", "sync_policy": "quorum", "max_version_lag": -1},
