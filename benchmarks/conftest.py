@@ -11,6 +11,7 @@ long runtimes).
 from __future__ import annotations
 
 import os
+from typing import Callable, List, Tuple
 
 import pytest
 
@@ -18,8 +19,8 @@ from repro.experiments.config import get_profile
 
 
 def pytest_configure(config):
-    # The CI smoke job runs the benchmarks under pytest-timeout; registering
-    # the marker here keeps local runs (without the plugin) warning-free.
+    # Tier-1 runs the benchmarks under pytest-timeout; registering the
+    # marker here keeps local runs (without the plugin) warning-free.
     config.addinivalue_line(
         "markers", "timeout(seconds): abort the test after this many seconds "
         "(enforced when pytest-timeout is installed)"
@@ -45,3 +46,25 @@ def dataset(profile):
 def run_once(benchmark, func, *args, **kwargs):
     """Run an expensive experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def alternated_pairs(
+    first: Callable[[], float], second: Callable[[], float], pairs: int = 9
+) -> List[Tuple[float, float]]:
+    """``(first(), second())`` timings taken in adjacent pairs, the order alternating.
+
+    A wall-clock ratio gate reads the median of the per-pair ratios: both arms
+    of a ratio see the same host speed, and one pair caught in a host slowdown
+    or burst cannot decide it (a minimum over each arm's repeats can: the
+    arms' best repeats may come from different minutes of a shared host).
+    """
+    timings = []
+    for pair in range(pairs):
+        if pair % 2:
+            second_s = second()
+            first_s = first()
+        else:
+            first_s = first()
+            second_s = second()
+        timings.append((first_s, second_s))
+    return timings

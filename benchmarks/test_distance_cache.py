@@ -27,7 +27,7 @@ from repro.experiments.distance_cache import (
     trajectories_identical,
 )
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import alternated_pairs, run_once
 
 
 @pytest.fixture(scope="module")
@@ -126,13 +126,5 @@ def test_batched_fingerprints_have_no_per_row_overhead_regression():
             lambda: [row_fingerprint(matrix[i]) for i in range(matrix.shape[0])], number=20
         )
 
-    ratios = []
-    for pair in range(9):
-        if pair % 2:
-            row_seconds = per_row()
-            batch_seconds = batched()
-        else:
-            batch_seconds = batched()
-            row_seconds = per_row()
-        ratios.append(batch_seconds / row_seconds)
+    ratios = [batch_s / row_s for batch_s, row_s in alternated_pairs(batched, per_row)]
     assert float(np.median(ratios)) <= 1.2, ratios

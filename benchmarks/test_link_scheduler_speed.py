@@ -18,8 +18,11 @@ both halves: ``fair`` against the frozen reference's replay, and closed-world
 ``fifo`` against the event-driven drain of the same sessions in the same run,
 which an array step over a one-element served set would fail (~0.45x).
 
-Every assertion is a same-machine wall-clock ratio (min over repeats), never
-raw seconds; the absolute sessions/s are printed beside them (ROADMAP 1(d)).
+Every assertion is a same-machine wall-clock ratio, never raw seconds; the
+absolute sessions/s are printed beside them (ROADMAP 1(d)).  The scaling gate
+reads the median of nine adjacent, order-alternated pair ratios
+(``benchmarks/conftest.py::alternated_pairs``), so host load alone cannot fail
+it; the others take a min over repeats.
 The end-to-end claim is measured by ``bench/run.py``, not here.
 """
 
@@ -29,6 +32,7 @@ import timeit
 
 import numpy as np
 
+from benchmarks.conftest import alternated_pairs
 from repro.cluster.link import LinkScheduler
 from tests.link_reference import LinkScheduler as ReferenceScheduler
 
@@ -49,15 +53,18 @@ def _seconds(scheduler_cls, n: int, repeat: int) -> float:
 
 
 def test_fifo_drain_scales_near_linearly():
-    small = _seconds(LinkScheduler, 500, repeat=5)
-    large = _seconds(LinkScheduler, 2000, repeat=5)
-    ratio = large / small
+    timings = alternated_pairs(
+        lambda: timeit.timeit(lambda: _drain(LinkScheduler, 2000), number=3),
+        lambda: timeit.timeit(lambda: _drain(LinkScheduler, 500), number=3),
+    )
+    ratio = float(np.median([large / small for large, small in timings]))
+    large, small = (min(arm) / 3 for arm in zip(*timings))
     print(f"\nfifo drain: n=500 {small * 1e3:.2f} ms ({500 / small:,.0f} sessions/s), "
           f"n=2000 {large * 1e3:.2f} ms ({2000 / large:,.0f} sessions/s), "
-          f"time ratio {ratio:.1f} for 4x the sessions")
+          f"median pair time ratio {ratio:.1f} for 4x the sessions")
     assert ratio <= 7.0, (
-        f"4x the sessions cost {ratio:.1f}x the time; the indexed scheduler "
-        "measured 3.9x when it landed, the list-scan one 14x"
+        f"4x the sessions cost {ratio:.1f}x the time (median of the pair ratios); the "
+        "indexed scheduler measured 3.9x when it landed, the list-scan one 14x"
     )
 
 

@@ -33,27 +33,11 @@ from repro.data.corruption import corrupt_features, permute_labels
 from repro.data.dataset import Dataset
 from repro.data.sampler import MiniBatchSampler
 from repro.exceptions import ConfigurationError
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.models.registry import make_model
 from repro.optim.base import Optimizer, make_optimizer
 from repro.utils.random import ChildStreams, SeedLike
-
-
-def _resolve_gar(gar: Union[str, GradientAggregationRule], f: int, gar_kwargs: Optional[dict]) -> GradientAggregationRule:
-    if isinstance(gar, GradientAggregationRule):
-        return gar
-    kwargs = dict(gar_kwargs or {})
-    kwargs.setdefault("f", f)
-    return make_gar(str(gar), **kwargs)
-
-
-def _resolve_optimizer(optimizer: Union[str, Optimizer], learning_rate: float,
-                       optimizer_kwargs: Optional[dict]) -> Optimizer:
-    if isinstance(optimizer, Optimizer):
-        return optimizer
-    kwargs = dict(optimizer_kwargs or {})
-    kwargs.setdefault("learning_rate", learning_rate)
-    return make_optimizer(str(optimizer), **kwargs)
 
 
 def _resolve_attack(attack: Union[None, str, Attack], attack_kwargs: Optional[dict]) -> Optional[Attack]:
@@ -87,7 +71,6 @@ def build_trainer(
     model_kwargs: Optional[dict] = None,
     dataset: Dataset,
     gar: Union[str, GradientAggregationRule] = "multi-krum",
-    gar_kwargs: Optional[dict] = None,
     num_workers: int = 19,
     num_byzantine: int = 0,
     declared_f: Optional[int] = None,
@@ -96,7 +79,6 @@ def build_trainer(
     corrupted_workers: int = 0,
     batch_size: int = 100,
     optimizer: Union[str, Optimizer] = "rmsprop",
-    optimizer_kwargs: Optional[dict] = None,
     learning_rate: float = 1e-3,
     cost_model: Optional[CostModel] = None,
     server_cores: Optional[int] = None,
@@ -137,7 +119,10 @@ def build_trainer(
     Validation: this function checks only what relates its own keywords to
     each other (worker-count ranges, ``max_version_lag`` needs
     ``mode="async"``, the lossy options need lossy links, ``broadcast_k``
-    needs a ``broadcast_codec``).  Every other constraint is raised by the
+    needs a ``broadcast_codec``) and runs one forward pass of the model on
+    one training row, so a model that does not fit the dataset (input shape,
+    or fewer logits than label classes) raises its layer's or loss's own
+    error at build time.  Every other constraint is raised by the
     layer that owns the concept — ``make_codec`` and the codec constructors,
     the sync policy's ``bind`` / ``admission``, ``CostModel``,
     ``ServerFabric``, the link layer, the ``make_*`` registries — and all of
@@ -157,9 +142,10 @@ def build_trainer(
     dataset:
         The training/test data (each honest worker samples iid from the
         training split).
-    gar, gar_kwargs:
-        The gradient aggregation rule (``--aggregator`` analogue).  ``f``
-        defaults to ``declared_f``.
+    gar:
+        The gradient aggregation rule (``--aggregator`` analogue): a
+        registered name, built with ``f = declared_f``, or an instance (for
+        any other constructor argument).
     num_workers:
         Total worker count ``n``.
     num_byzantine:
@@ -193,6 +179,10 @@ def build_trainer(
         ``--determinism-check``).
     batch_size:
         Mini-batch size ``b`` per worker.
+    optimizer, learning_rate:
+        The server's optimizer: a registered name, built with
+        ``learning_rate``, or an instance (for any other constructor
+        argument; ``learning_rate`` is then unused).
     mode:
         ``"sync"`` (default) builds the lock-step
         :class:`~repro.cluster.trainer.SynchronousTrainer`; ``"async"``
@@ -369,8 +359,11 @@ def build_trainer(
             profile_text = cluster.link_profile
         topology = parse_link_profile(profile_text, num_workers)
     f = num_byzantine if declared_f is None else int(declared_f)
-    gar_instance = _resolve_gar(gar, f, gar_kwargs)
-    optimizer_instance = _resolve_optimizer(optimizer, learning_rate, optimizer_kwargs)
+    gar_instance = gar if isinstance(gar, GradientAggregationRule) else make_gar(str(gar), f=f)
+    optimizer_instance = (
+        optimizer if isinstance(optimizer, Optimizer)
+        else make_optimizer(str(optimizer), learning_rate=learning_rate)
+    )
     attack_instance = _resolve_attack(attack, attack_kwargs)
     sync_instance = _resolve_sync_policy(sync_policy, sync_kwargs)
     # Everything that can refuse the deployment is resolved before the
@@ -431,6 +424,12 @@ def build_trainer(
 
     server_model = build_model()
     eval_model = build_model()
+    # One inference-mode forward pass (no Dropout mask, no RNG draw) on one
+    # training row: a model that does not fit the data raises its layer's own
+    # error here, not at step 1 after every worker is built.
+    logits = eval_model.forward(dataset.train_x[:1], training=False)
+    if isinstance(eval_model.loss, SoftmaxCrossEntropy):
+        eval_model.loss.check_label_range(dataset.train_y, logits.shape[-1])
 
     server = ParameterServer(
         server_model.get_parameters(),

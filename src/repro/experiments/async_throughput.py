@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.builder import build_trainer
 from repro.cluster.cost_model import StragglerModel
 from repro.cluster.telemetry import TrainingHistory
-from repro.cluster.trainer import TrainerConfig
 from repro.experiments.config import ExperimentProfile, ci_profile
 from repro.experiments.export import format_table, telemetry_series
+from repro.experiments.runners import run_deployment, speedup_over_full_sync, time_to_accuracy
 from repro.experiments.stragglers import default_straggler_model
 
 #: The default line-up: ``(label, mode, policy name, policy kwargs, max lag)``.
@@ -57,32 +56,21 @@ def run_async_throughput(
     dataset = profile.make_dataset()
     model = straggler_model if straggler_model is not None else default_straggler_model()
     entries = tuple(lineup) if lineup is not None else DEFAULT_LINEUP
-    steps = profile.max_steps if max_steps is None else int(max_steps)
 
     results: List[Dict] = []
     for label, mode, policy_name, policy_kwargs, max_lag in entries:
-        trainer = build_trainer(
-            model=profile.model,
-            model_kwargs=profile.model_kwargs,
-            dataset=dataset,
+        trainer = run_deployment(
+            profile,
+            dataset,
+            max_steps=max_steps,
             gar=gar,
-            num_workers=profile.num_workers,
             num_byzantine=num_byzantine,
-            declared_f=profile.f,
             attack=attack,
-            batch_size=profile.batch_size,
-            optimizer=profile.optimizer,
-            learning_rate=profile.learning_rate,
-            cost_model=profile.cost_model,
             mode=mode,
             sync_policy=policy_name,
             sync_kwargs=dict(policy_kwargs),
             max_version_lag=max_lag,
             straggler_model=model,
-            seed=profile.seed,
-        )
-        history = trainer.run(
-            TrainerConfig(max_steps=steps, eval_every=profile.eval_every)
         )
         results.append(
             {
@@ -90,7 +78,7 @@ def run_async_throughput(
                 "mode": mode,
                 "policy": policy_name,
                 "max_version_lag": max_lag,
-                "history": history,
+                "history": trainer.history,
             }
         )
 
@@ -124,25 +112,6 @@ def _summary(result: Dict) -> Dict:
         "version_lag_histogram": telemetry["version_lag_histogram"],
         "max_version_lag_seen": max(lag_histogram, default=0),
         "diverged": history.diverged,
-    }
-
-
-def time_to_accuracy(results: Dict, threshold: float) -> Dict[str, Optional[float]]:
-    """Earliest simulated time at which each line-up entry reached *threshold*."""
-    return {
-        r["label"]: r["history"].time_to_accuracy(threshold) for r in results["results"]
-    }
-
-
-def speedup_over_full_sync(results: Dict) -> Dict[str, float]:
-    """Mean time-per-update of each entry relative to ``full-sync`` (>1 = faster)."""
-    by_label = {s["label"]: s["mean_step_time"] for s in results["summaries"]}
-    base = by_label.get("full-sync")
-    if base is None or base <= 0:
-        return {}
-    return {
-        label: base / step_time if step_time > 0 else float("inf")
-        for label, step_time in by_label.items()
     }
 
 

@@ -10,25 +10,17 @@ per *broadcast line-up entry* — raw full-state framing, identity deltas
 bandwidth-bound WAN profile (per-region shared bottlenecks, contention per
 bottleneck), and the comparison reports downlink bytes, downlink
 bytes-to-accuracy, the full/delta framing split and per-region queueing.
-
-Run directly for the CI smoke / determinism checks::
-
-    python -m repro.experiments.broadcast_scaling --smoke
-    python -m repro.experiments.broadcast_scaling --determinism-check
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.builder import build_trainer
 from repro.cluster.telemetry import TrainingHistory
-from repro.cluster.trainer import TrainerConfig
 from repro.experiments.config import ExperimentProfile, ci_profile
-from repro.experiments.export import format_table, results_to_json, telemetry_series
+from repro.experiments.export import format_table
+from repro.experiments.runners import resolve_k_fractions, run_deployment
 
 #: Default line-up: ``(label, broadcast codec name or None, codec kwargs)``.
 #: ``broadcast_k`` entries may be given as a ``k_fraction`` of the model
@@ -38,15 +30,6 @@ DEFAULT_LINEUP: Tuple[Tuple[str, Optional[str], dict], ...] = (
     ("delta-identity", "identity", {}),
     ("delta-top-k/8", "top-k", {"k_fraction": 1 / 8}),
 )
-
-
-def _resolve_broadcast_kwargs(codec_kwargs: dict, dim: int) -> dict:
-    """Turn a ``k_fraction`` into a concrete ``broadcast_k`` for this model."""
-    resolved = dict(codec_kwargs)
-    fraction = resolved.pop("k_fraction", None)
-    if fraction is not None:
-        resolved["broadcast_k"] = max(1, int(dim * fraction))
-    return resolved
 
 
 def run_broadcast_scaling(
@@ -76,36 +59,21 @@ def run_broadcast_scaling(
     profile = profile or ci_profile()
     dataset = profile.make_dataset()
     entries = tuple(lineup) if lineup is not None else DEFAULT_LINEUP
-    steps = profile.max_steps if max_steps is None else int(max_steps)
     cost_model = profile.cost_model
     if bandwidth_gbps is not None:
         cost_model = replace(cost_model, bandwidth_gbps=float(bandwidth_gbps))
 
-    # One probe build resolves the model dimensionality (identical for every
-    # line-up entry) so k_fraction entries can pick a concrete broadcast_k.
-    probe_dim = 0
-    if any("k_fraction" in codec_kwargs for _, _, codec_kwargs in entries):
-        from repro.nn.models.registry import make_model
-
-        probe_dim = make_model(
-            profile.model, rng=0, **dict(profile.model_kwargs)
-        ).num_parameters
-
     results: List[Dict] = []
-    for label, codec_name, codec_kwargs in entries:
-        resolved = _resolve_broadcast_kwargs(codec_kwargs, probe_dim)
-        trainer = build_trainer(
-            model=profile.model,
-            model_kwargs=profile.model_kwargs,
-            dataset=dataset,
+    for (label, codec_name, _), resolved in zip(
+        entries, resolve_k_fractions(profile, entries, "broadcast_k")
+    ):
+        trainer = run_deployment(
+            profile,
+            dataset,
+            max_steps=max_steps,
             gar=gar,
-            num_workers=profile.num_workers,
             num_byzantine=num_byzantine,
-            declared_f=profile.f,
             attack=attack,
-            batch_size=profile.batch_size,
-            optimizer=profile.optimizer,
-            learning_rate=profile.learning_rate,
             cost_model=cost_model,
             mode=mode,
             sync_policy=sync_policy,
@@ -113,11 +81,7 @@ def run_broadcast_scaling(
             broadcast_codec=codec_name,
             link_profile=link_profile,
             link_sharing=link_sharing,
-            seed=profile.seed,
             **resolved,
-        )
-        history = trainer.run(
-            TrainerConfig(max_steps=steps, eval_every=profile.eval_every)
         )
         results.append(
             {
@@ -125,7 +89,7 @@ def run_broadcast_scaling(
                 "broadcast_codec": codec_name,
                 "broadcast_kwargs": resolved,
                 "dim": trainer.server.dim,
-                "history": history,
+                "history": trainer.history,
             }
         )
 
@@ -219,100 +183,9 @@ def format_results(results: Dict) -> str:
     )
 
 
-# ----------------------------------------------------------------- CI hooks
-def _smoke(json_path: Optional[str]) -> int:
-    """Tiny end-to-end sweep: every framing trains, deltas move fewer bytes."""
-    profile = ci_profile(max_steps=8, eval_every=4)
-    results = run_broadcast_scaling(profile, link_profile="wan:3x1mbit")
-    print(format_results(results))
-    by_label = {s["label"]: s for s in results["summaries"]}
-    for summary in results["summaries"]:
-        if summary["diverged"]:
-            print(f"FAIL: {summary['label']} diverged", file=sys.stderr)
-            return 1
-    if not by_label["delta-top-k/8"]["downlink_bytes"] < by_label["raw"]["downlink_bytes"]:
-        print("FAIL: sparsified delta broadcasts did not shrink the downlink",
-              file=sys.stderr)
-        return 1
-    if json_path:
-        payload = {k: v for k, v in results.items() if k != "results"}
-        results_to_json(payload, json_path)
-    print("broadcast-scaling smoke: OK")
-    return 0
-
-
-def _determinism_check() -> int:
-    """Replay one WAN-profile async config twice and diff its telemetry.
-
-    The whole wire substrate — delta framing, per-region contention, event
-    rescheduling — must be a pure function of the seed; any drift between
-    two identical runs is a determinism regression.
-    """
-    import json
-
-    profile = ci_profile(max_steps=6, eval_every=3)
-
-    def one_run() -> Dict:
-        results = run_broadcast_scaling(
-            profile,
-            lineup=(("delta-top-k/8", "top-k", {"k_fraction": 1 / 8}),),
-            mode="async",
-            sync_policy="quorum",
-            max_version_lag=3,
-            link_profile="wan:3x1mbit/5ms",
-            link_sharing="fair",
-        )
-        history: TrainingHistory = results["results"][0]["history"]
-        payload = telemetry_series(history)
-        payload["final_accuracy"] = history.final_accuracy
-        payload["total_time"] = history.total_time
-        payload["steps"] = [
-            (r.step, r.sim_time, r.wire_bytes, r.downlink_bytes) for r in history.steps
-        ]
-        return payload
-
-    first = json.dumps(one_run(), sort_keys=True)
-    second = json.dumps(one_run(), sort_keys=True)
-    if first != second:
-        print("FAIL: WAN async replay diverged between identical runs",
-              file=sys.stderr)
-        print(f"run 1: {first}", file=sys.stderr)
-        print(f"run 2: {second}", file=sys.stderr)
-        return 1
-    print("broadcast-scaling determinism: OK (two WAN async replays identical)")
-    return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Console entry point for the CI smoke / determinism jobs."""
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.broadcast_scaling",
-        description="Delta broadcasts vs raw framing on heterogeneous links",
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny end-to-end sweep (CI benchmark-smoke job)")
-    parser.add_argument("--determinism-check", action="store_true",
-                        help="replay one WAN async config twice and diff telemetry")
-    parser.add_argument("--json", default=None,
-                        help="write the smoke summaries to this JSON file")
-    args = parser.parse_args(argv)
-    if args.determinism_check:
-        return _determinism_check()
-    if args.smoke:
-        return _smoke(args.json)
-    results = run_broadcast_scaling()
-    print(format_results(results))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
-
-
 __all__ = [
     "DEFAULT_LINEUP",
     "run_broadcast_scaling",
     "downlink_savings_over_raw",
     "format_results",
-    "main",
 ]

@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.builder import build_trainer
 from repro.cluster.telemetry import TrainingHistory
-from repro.cluster.trainer import TrainerConfig
 from repro.experiments.config import ExperimentProfile, ci_profile
 from repro.experiments.export import format_table
+from repro.experiments.runners import resolve_k_fractions, run_deployment
 
 #: Default line-up: ``(label, codec name, codec kwargs)``.  ``codec_k`` is
 #: resolved against the model dimensionality at build time (a fraction of d
@@ -33,15 +32,6 @@ DEFAULT_LINEUP: Tuple[Tuple[str, str, dict], ...] = (
     ("random-k/8", "random-k", {"k_fraction": 1 / 8}),
     ("qsgd-4bit", "qsgd", {"quantize_bits": 4}),
 )
-
-
-def _resolve_codec_kwargs(codec_kwargs: dict, dim: int) -> dict:
-    """Turn a ``k_fraction`` into a concrete ``codec_k`` for this model."""
-    resolved = dict(codec_kwargs)
-    fraction = resolved.pop("k_fraction", None)
-    if fraction is not None:
-        resolved["codec_k"] = max(1, int(dim * fraction))
-    return resolved
 
 
 def run_compression_comparison(
@@ -68,44 +58,25 @@ def run_compression_comparison(
     profile = profile or ci_profile()
     dataset = profile.make_dataset()
     entries = tuple(lineup) if lineup is not None else DEFAULT_LINEUP
-    steps = profile.max_steps if max_steps is None else int(max_steps)
     cost_model = profile.cost_model
     if bandwidth_gbps is not None:
         cost_model = replace(cost_model, bandwidth_gbps=float(bandwidth_gbps))
 
-    # One probe build resolves the model dimensionality (identical for every
-    # line-up entry) so k_fraction entries can pick a concrete codec_k.
-    probe_dim = 0
-    if any("k_fraction" in codec_kwargs for _, _, codec_kwargs in entries):
-        from repro.nn.models.registry import make_model
-
-        probe_dim = make_model(
-            profile.model, rng=0, **dict(profile.model_kwargs)
-        ).num_parameters
-
     results: List[Dict] = []
-    for label, codec_name, codec_kwargs in entries:
-        resolved = _resolve_codec_kwargs(codec_kwargs, probe_dim)
-        trainer = build_trainer(
-            model=profile.model,
-            model_kwargs=profile.model_kwargs,
-            dataset=dataset,
+    for (label, codec_name, _), resolved in zip(
+        entries, resolve_k_fractions(profile, entries, "codec_k")
+    ):
+        trainer = run_deployment(
+            profile,
+            dataset,
+            max_steps=max_steps,
             gar=gar,
-            num_workers=profile.num_workers,
             num_byzantine=num_byzantine,
-            declared_f=profile.f,
             attack=attack,
-            batch_size=profile.batch_size,
-            optimizer=profile.optimizer,
-            learning_rate=profile.learning_rate,
             cost_model=cost_model,
             codec=codec_name,
             link_sharing=link_sharing,
-            seed=profile.seed,
             **resolved,
-        )
-        history = trainer.run(
-            TrainerConfig(max_steps=steps, eval_every=profile.eval_every)
         )
         results.append(
             {
@@ -115,7 +86,7 @@ def run_compression_comparison(
                 "dim": trainer.server.dim,
                 "frame_bytes": trainer.codec.frame_bytes(trainer.server.dim),
                 "compression_ratio": trainer.codec.compression_ratio(trainer.server.dim),
-                "history": history,
+                "history": trainer.history,
             }
         )
 
@@ -191,21 +162,16 @@ def run_broadcast_contention(
     dataset = profile.make_dataset()
     rows: List[Dict] = []
     for count in worker_counts:
-        trainer = build_trainer(
-            model=profile.model,
-            model_kwargs=profile.model_kwargs,
-            dataset=dataset,
+        history = run_deployment(
+            profile,
+            dataset,
+            max_steps=max_steps,
+            eval_every=0,
             gar=gar,
             num_workers=int(count),
             declared_f=0,
-            batch_size=profile.batch_size,
-            optimizer=profile.optimizer,
-            learning_rate=profile.learning_rate,
-            cost_model=profile.cost_model,
             link_sharing=link_sharing,
-            seed=profile.seed,
-        )
-        history = trainer.run(TrainerConfig(max_steps=max_steps, eval_every=0))
+        ).history
         wire = history.wire_summary()
         rows.append(
             {

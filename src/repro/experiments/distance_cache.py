@@ -11,26 +11,19 @@ the cache serves the audited kernel's values and core sharding only touches
 pricing — so the comparison isolates simulated aggregation time: cache hits
 (carried rows, blocks warmed during the quorum wait) are free, and the
 distance + coordinate-parallel work shards across the simulated cores.
-
-Run directly for the CI smoke check::
-
-    python -m repro.experiments.distance_cache --smoke
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.builder import build_trainer
 from repro.cluster.cost_model import StragglerModel
 from repro.cluster.telemetry import TrainingHistory
-from repro.cluster.trainer import TrainerConfig
 from repro.experiments.config import ExperimentProfile, ci_profile
-from repro.experiments.export import format_table, results_to_json
+from repro.experiments.export import format_table
+from repro.experiments.runners import run_deployment
 
 #: Ablation cells: ``(label, distance_cache, server_cores_or_None)``.
 #: ``None`` resolves to the sweep's ``cores`` argument.
@@ -63,40 +56,32 @@ def run_distance_cache_ablation(
     """
     profile = profile or ci_profile()
     dataset = profile.make_dataset()
-    steps = profile.max_steps if max_steps is None else int(max_steps)
     entries = tuple(cells) if cells is not None else DEFAULT_CELLS
 
     results: List[Dict] = []
     for label, cached, cell_cores in entries:
-        trainer = build_trainer(
-            model=profile.model,
-            model_kwargs=profile.model_kwargs,
-            dataset=dataset,
+        server_cores = cores if cell_cores is None else cell_cores
+        trainer = run_deployment(
+            profile,
+            dataset,
+            max_steps=max_steps,
             gar=gar,
             num_workers=num_workers,
             declared_f=f,
-            batch_size=profile.batch_size,
-            optimizer=profile.optimizer,
-            learning_rate=profile.learning_rate,
-            cost_model=profile.cost_model,
             sync_policy="quorum",
             sync_kwargs={"quorum": quorum, "stragglers": "carry"},
             straggler_model=StragglerModel(
                 distribution="pareto", prob=0.6, scale=straggler_scale
             ),
             distance_cache=cached,
-            server_cores=cores if cell_cores is None else cell_cores,
-            seed=profile.seed,
-        )
-        history = trainer.run(
-            TrainerConfig(max_steps=steps, eval_every=profile.eval_every)
+            server_cores=server_cores,
         )
         results.append(
             {
                 "label": label,
                 "distance_cache": cached,
-                "server_cores": cores if cell_cores is None else cell_cores,
-                "history": history,
+                "server_cores": server_cores,
+                "history": trainer.history,
                 "parameters": trainer.server.parameters,
             }
         )
@@ -176,66 +161,10 @@ def format_results(results: Dict) -> str:
     )
 
 
-# ----------------------------------------------------------------- CI hooks
-def _smoke(json_path: Optional[str]) -> int:
-    """Tiny ablation: bit-identical cells, nonzero hits, >= 2x headline win."""
-    profile = ci_profile(max_steps=12, eval_every=6)
-    results = run_distance_cache_ablation(profile, cores=4)
-    print(format_results(results))
-    for summary in results["summaries"]:
-        if summary["diverged"]:
-            print(f"FAIL: {summary['label']} diverged", file=sys.stderr)
-            return 1
-    if not trajectories_identical(results):
-        print("FAIL: ablation cells are not bit-identical", file=sys.stderr)
-        return 1
-    by_label = {s["label"]: s for s in results["summaries"]}
-    if not by_label["cached/sharded"]["hit_rows"] > 0:
-        print("FAIL: carry-heavy workload produced no cache hits", file=sys.stderr)
-        return 1
-    speedup = aggregation_speedups(results).get("cached/sharded", 0.0)
-    if speedup < 2.0:
-        print(
-            f"FAIL: cached/sharded aggregation speedup {speedup:.2f}x < 2x",
-            file=sys.stderr,
-        )
-        return 1
-    if json_path:
-        payload = {k: v for k, v in results.items() if k != "results"}
-        payload["speedups"] = aggregation_speedups(results)
-        results_to_json(payload, json_path)
-    print(f"distance-cache smoke: OK ({speedup:.2f}x)")
-    return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Console entry point for the CI smoke job."""
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.distance_cache",
-        description="Distance-cache + server-core ablation on a carry-heavy "
-                    "quorum workload",
-    )
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny ablation with hard assertions (CI job)")
-    parser.add_argument("--json", default=None,
-                        help="write the smoke summaries to this JSON file")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        return _smoke(args.json)
-    results = run_distance_cache_ablation()
-    print(format_results(results))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
-
-
 __all__ = [
     "DEFAULT_CELLS",
     "run_distance_cache_ablation",
     "aggregation_speedups",
     "trajectories_identical",
     "format_results",
-    "main",
 ]

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.experiments.config import ExperimentProfile, ci_profile
 from repro.experiments.export import format_table
-from repro.experiments.runners import SystemResult, run_system
+from repro.experiments.runners import SystemResult, run_deployment, run_system
 
 
 def _max_weak_f(num_workers: int) -> int:
@@ -113,26 +113,13 @@ def run_dropped_packets_lossy(
         worker_id: ReliableChannel(drop_rate=drop_rate, rtt_s=tcp_rtt_s)
         for worker_id in range(profile.num_workers - links, profile.num_workers)
     }
-    from repro.cluster.builder import build_trainer
-    from repro.cluster.trainer import TrainerConfig
-
-    tcp_trainer = build_trainer(
-        model=profile.model,
-        model_kwargs=profile.model_kwargs,
-        dataset=dataset,
+    tcp_history = run_deployment(
+        profile,
+        dataset,
         gar="average",
-        num_workers=profile.num_workers,
         declared_f=0,
-        batch_size=profile.batch_size,
-        optimizer=profile.optimizer,
-        learning_rate=profile.learning_rate,
-        cost_model=profile.cost_model,
         uplink_channels=tcp_channels,
-        seed=profile.seed,
-    )
-    tcp_history = tcp_trainer.run(
-        TrainerConfig(max_steps=profile.max_steps, eval_every=profile.eval_every)
-    )
+    ).history
     results.append(
         SystemResult(system="tf-grpc", history=tcp_history, f=0, batch_size=profile.batch_size)
     )

@@ -1,6 +1,9 @@
-"""Shared plumbing for the experiment drivers: run one "system" end to end.
+"""Shared plumbing for the experiment drivers: build and run one deployment.
 
-A *system* is one of the curves of the paper's figures:
+:func:`run_deployment` is the one place a driver turns its profile into a
+trained deployment; every driver passes only what its line-up varies on top.
+
+A *system* (:func:`run_system`) is one of the curves of the paper's figures:
 
 * ``"tf"`` — vanilla TensorFlow with built-in averaging (our ``average`` GAR
   on the baseline trainer; kept as a distinct label so result tables read
@@ -14,15 +17,16 @@ A *system* is one of the curves of the paper's figures:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.draco import DracoConfig, DracoTrainer
 from repro.cluster.builder import build_trainer
 from repro.cluster.telemetry import TrainingHistory
-from repro.cluster.trainer import TrainerConfig
+from repro.cluster.trainer import BaseTrainer, TrainerConfig
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentProfile
+from repro.nn.models.registry import make_model
 
 #: Systems understood by :func:`run_system` and the GAR each maps onto.
 SYSTEM_GARS: Dict[str, str] = {
@@ -33,6 +37,86 @@ SYSTEM_GARS: Dict[str, str] = {
     "bulyan": "bulyan",
     "selective-average": "selective-average",
 }
+
+
+def run_deployment(
+    profile: ExperimentProfile,
+    dataset: Dataset,
+    *,
+    max_steps: Optional[int] = None,
+    eval_every: Optional[int] = None,
+    **keywords,
+) -> BaseTrainer:
+    """Build the profile's deployment, train it and return the trainer.
+
+    The profile supplies the model, worker count, ``declared_f``, batch size,
+    optimizer, learning rate, cost model and seed; *keywords* are further
+    :func:`~repro.cluster.builder.build_trainer` keywords and override the
+    profile's.  ``max_steps`` / ``eval_every`` default to the profile's.
+    """
+    trainer = build_trainer(
+        **{
+            "model": profile.model,
+            "model_kwargs": profile.model_kwargs,
+            "num_workers": profile.num_workers,
+            "declared_f": profile.f,
+            "batch_size": profile.batch_size,
+            "optimizer": profile.optimizer,
+            "learning_rate": profile.learning_rate,
+            "cost_model": profile.cost_model,
+            "seed": profile.seed,
+            **keywords,
+        },
+        dataset=dataset,
+    )
+    trainer.run(
+        TrainerConfig(
+            max_steps=profile.max_steps if max_steps is None else int(max_steps),
+            eval_every=profile.eval_every if eval_every is None else int(eval_every),
+        )
+    )
+    return trainer
+
+
+def resolve_k_fractions(
+    profile: ExperimentProfile, entries: Sequence[tuple], key: str
+) -> List[dict]:
+    """Each line-up entry's keywords (its last field), a ``k_fraction`` turned into *key*.
+
+    The fraction is of the profile model's dimensionality, read from one
+    probe build (identical for every entry, made only when some entry gives
+    a fraction), so a line-up stays meaningful for any profile.
+    """
+    dim = 0
+    if any("k_fraction" in entry[-1] for entry in entries):
+        dim = make_model(profile.model, rng=0, **dict(profile.model_kwargs)).num_parameters
+    resolved = []
+    for entry in entries:
+        keywords = dict(entry[-1])
+        fraction = keywords.pop("k_fraction", None)
+        if fraction is not None:
+            keywords[key] = max(1, int(dim * fraction))
+        resolved.append(keywords)
+    return resolved
+
+
+def time_to_accuracy(results: Dict, threshold: float) -> Dict[str, Optional[float]]:
+    """Earliest simulated time at which each line-up entry reached *threshold*."""
+    return {
+        r["label"]: r["history"].time_to_accuracy(threshold) for r in results["results"]
+    }
+
+
+def speedup_over_full_sync(results: Dict) -> Dict[str, float]:
+    """Mean time per update of each line-up entry relative to ``full-sync`` (>1 = faster)."""
+    by_label = {s["label"]: s["mean_step_time"] for s in results["summaries"]}
+    base = by_label.get("full-sync")
+    if base is None or base <= 0:
+        return {}
+    return {
+        label: base / step_time if step_time > 0 else float("inf")
+        for label, step_time in by_label.items()
+    }
 
 
 def run_system(
@@ -96,10 +180,13 @@ def run_system(
     gar = SYSTEM_GARS[system]
     # The non-robust baselines are deployed with f=0 (they have no notion of f).
     declared_f = 0 if gar in ("average", "selective-average") else f
-    trainer = build_trainer(
+    return run_deployment(
+        profile,
+        dataset,
+        max_steps=steps,
+        eval_every=evaluate_every,
         model=model_name,
         model_kwargs=model_args,
-        dataset=dataset,
         gar=gar,
         num_workers=n,
         num_byzantine=num_byzantine,
@@ -108,15 +195,11 @@ def run_system(
         attack_kwargs=attack_kwargs,
         corrupted_workers=corrupted_workers,
         batch_size=b,
-        optimizer=profile.optimizer,
-        learning_rate=profile.learning_rate,
-        cost_model=profile.cost_model,
         lossy_links=lossy_links,
         lossy_drop_rate=lossy_drop_rate,
         lossy_policy=lossy_policy,
         seed=profile.seed + seed_offset,
-    )
-    return trainer.run(TrainerConfig(max_steps=steps, eval_every=evaluate_every))
+    ).history
 
 
 @dataclass
@@ -143,4 +226,12 @@ class SystemResult:
         }
 
 
-__all__ = ["SYSTEM_GARS", "run_system", "SystemResult"]
+__all__ = [
+    "SYSTEM_GARS",
+    "run_deployment",
+    "resolve_k_fractions",
+    "run_system",
+    "SystemResult",
+    "speedup_over_full_sync",
+    "time_to_accuracy",
+]

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.builder import build_trainer
 from repro.cluster.cost_model import StragglerModel
 from repro.cluster.telemetry import TrainingHistory
-from repro.cluster.trainer import TrainerConfig
 from repro.experiments.config import ExperimentProfile, ci_profile
 from repro.experiments.export import format_table
+from repro.experiments.runners import run_deployment, speedup_over_full_sync, time_to_accuracy
 
 #: The default policy line-up: ``(label, policy name, policy kwargs)``.
 DEFAULT_POLICIES: Tuple[Tuple[str, str, dict], ...] = (
@@ -67,32 +66,21 @@ def run_straggler_resilience(
     dataset = profile.make_dataset()
     model = straggler_model if straggler_model is not None else default_straggler_model()
     lineup = tuple(policies) if policies is not None else DEFAULT_POLICIES
-    steps = profile.max_steps if max_steps is None else int(max_steps)
 
     results: List[Dict] = []
     for label, policy_name, policy_kwargs in lineup:
-        trainer = build_trainer(
-            model=profile.model,
-            model_kwargs=profile.model_kwargs,
-            dataset=dataset,
+        trainer = run_deployment(
+            profile,
+            dataset,
+            max_steps=max_steps,
             gar=gar,
-            num_workers=profile.num_workers,
             num_byzantine=num_byzantine,
-            declared_f=profile.f,
             attack=attack,
-            batch_size=profile.batch_size,
-            optimizer=profile.optimizer,
-            learning_rate=profile.learning_rate,
-            cost_model=profile.cost_model,
             sync_policy=policy_name,
             sync_kwargs=dict(policy_kwargs),
             straggler_model=model,
-            seed=profile.seed,
         )
-        history = trainer.run(
-            TrainerConfig(max_steps=steps, eval_every=profile.eval_every)
-        )
-        results.append({"label": label, "policy": policy_name, "history": history})
+        results.append({"label": label, "policy": policy_name, "history": trainer.history})
 
     return {
         "profile": profile.name,
@@ -120,25 +108,6 @@ def _summary(result: Dict) -> Dict:
         "stale_gradients": sync["stale_gradients"],
         "max_staleness": sync["max_staleness"],
         "diverged": history.diverged,
-    }
-
-
-def speedup_over_full_sync(results: Dict) -> Dict[str, float]:
-    """Mean time-to-step of each policy relative to ``full-sync`` (>1 = faster)."""
-    by_label = {s["label"]: s["mean_step_time"] for s in results["summaries"]}
-    base = by_label.get("full-sync")
-    if base is None or base <= 0:
-        return {}
-    return {
-        label: base / step_time if step_time > 0 else float("inf")
-        for label, step_time in by_label.items()
-    }
-
-
-def time_to_accuracy(results: Dict, threshold: float) -> Dict[str, Optional[float]]:
-    """Earliest simulated time at which each policy reached *threshold*."""
-    return {
-        r["label"]: r["history"].time_to_accuracy(threshold) for r in results["results"]
     }
 
 

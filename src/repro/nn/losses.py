@@ -45,9 +45,14 @@ class SoftmaxCrossEntropy:
             raise ConfigurationError(
                 f"labels must be 1-D of length {logits.shape[0]}, got shape {labels.shape}"
             )
-        if labels.min() < 0 or labels.max() >= logits.shape[1]:
+        SoftmaxCrossEntropy.check_label_range(labels, logits.shape[1])
+
+    @staticmethod
+    def check_label_range(labels: np.ndarray, classes: int) -> None:
+        """Raise unless every label indexes one of *classes* logits."""
+        if labels.min() < 0 or labels.max() >= classes:
             raise ConfigurationError(
-                f"labels must lie in [0, {logits.shape[1] - 1}], got range "
+                f"labels must lie in [0, {classes - 1}], got range "
                 f"[{labels.min()}, {labels.max()}]"
             )
 

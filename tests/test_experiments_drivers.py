@@ -1,5 +1,9 @@
 """Smoke + shape tests for the per-figure experiment drivers (CI profile, short runs)."""
 
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,8 +19,14 @@ from repro.experiments import (
     overhead,
     scalability,
     table1,
+    telemetry_series,
 )
-from repro.experiments.runners import SYSTEM_GARS, run_system
+from repro.experiments.runners import (
+    SYSTEM_GARS,
+    resolve_k_fractions,
+    run_deployment,
+    run_system,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +41,36 @@ def fast_dataset(fast_profile):
 
 
 class TestRunners:
+    def test_run_deployment_fills_the_profile_and_applies_overrides(self, fast_profile, fast_dataset):
+        trainer = run_deployment(fast_profile, fast_dataset, max_steps=3, num_workers=7, gar="median")
+        assert len(trainer.workers) == 7
+        assert trainer.server.step == 3
+        assert trainer.server.gar.f == fast_profile.f
+        assert [e.step for e in trainer.history.evaluations] == [3]
+
+    def test_k_fractions_resolve_against_the_model_dimension(self, fast_profile):
+        from repro.nn.models.registry import make_model
+
+        dim = make_model(fast_profile.model, rng=0, **fast_profile.model_kwargs).num_parameters
+        entries = (("raw", None, {}), ("top-k/8", "top-k", {"k_fraction": 1 / 8, "other": 1}))
+        assert resolve_k_fractions(fast_profile, entries, "codec_k") == [
+            {}, {"codec_k": dim // 8, "other": 1}]
+
+    def test_experiments_build_a_deployment_in_one_place(self):
+        """One ``build_trainer`` call site in the drivers, and no driver CLI."""
+        package = Path(__file__).resolve().parents[1] / "src" / "repro" / "experiments"
+        calls, clis = [], []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_trainer":
+                    calls.append(path.name)
+                if isinstance(node, ast.FunctionDef) and node.name in ("main", "_smoke"):
+                    clis.append((path.name, node.name))
+                if isinstance(node, ast.Import) and any(a.name == "argparse" for a in node.names):
+                    clis.append((path.name, "argparse"))
+        assert calls == ["runners.py"]
+        assert clis == []
+
     def test_known_systems(self):
         assert {"tf", "average", "median", "multi-krum", "bulyan"} <= set(SYSTEM_GARS)
 
@@ -209,14 +249,29 @@ class TestBroadcastScaling:
         text = broadcast_scaling.format_results(results)
         assert "Delta broadcasts" in text and "raw" in text
 
-    def test_smoke_entry_point(self, capsys):
+    def test_wan_async_replay_is_deterministic(self):
+        """Delta framing, per-region contention and event rescheduling replay from the seed."""
         from repro.experiments import broadcast_scaling
 
-        assert broadcast_scaling.main(["--smoke"]) == 0
-        assert "OK" in capsys.readouterr().out
+        profile = ci_profile(max_steps=6, eval_every=3)
 
-    def test_determinism_entry_point(self, capsys):
-        from repro.experiments import broadcast_scaling
+        def one_run() -> str:
+            results = broadcast_scaling.run_broadcast_scaling(
+                profile,
+                lineup=(("delta-top-k/8", "top-k", {"k_fraction": 1 / 8}),),
+                mode="async",
+                sync_policy="quorum",
+                max_version_lag=3,
+                link_profile="wan:3x1mbit/5ms",
+                link_sharing="fair",
+            )
+            history = results["results"][0]["history"]
+            payload = telemetry_series(history)
+            payload["final_accuracy"] = history.final_accuracy
+            payload["total_time"] = history.total_time
+            payload["steps"] = [
+                (r.step, r.sim_time, r.wire_bytes, r.downlink_bytes) for r in history.steps
+            ]
+            return json.dumps(payload, sort_keys=True)
 
-        assert broadcast_scaling.main(["--determinism-check"]) == 0
-        assert "identical" in capsys.readouterr().out
+        assert one_run() == one_run()

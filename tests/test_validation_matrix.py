@@ -119,6 +119,12 @@ INVALID = [
     ("drop-rate-out-of-range", {"lossy_links": 2, "lossy_drop_rate": 7.0},
      ["--lossy-links", "2", "--drop-rate", "7"]),
     ("unknown-recovery-policy", {"lossy_links": 1, "lossy_policy": "bogus"}, None),
+    # --- a model that does not fit the dataset (owners: the first layer, the
+    # loss) used to build every worker and die at step 1
+    ("model-input-mismatch", {"model_kwargs": {"input_dim": 9, "num_classes": 3}},
+     ["--experiment-args", "input_dim:9 num_classes:3"]),
+    ("model-fewer-classes-than-labels", {"model_kwargs": {"input_dim": 8, "num_classes": 2}},
+     ["--experiment-args", "input_dim:8 num_classes:2"]),
     # --- outside input that used to leave as a Python traceback
     ("traceback-dataset-args", {"dataset_kwargs": {"bogus": 3}}, ["--dataset-args", "bogus:3"]),
     ("traceback-experiment-args", {"model_kwargs": {"bogus": 3}},
@@ -167,6 +173,19 @@ def test_cli_and_api_raise_the_same_error(dataset, kwargs, argv, monkeypatch, ca
     assert len(messages) == 1, messages
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The per-worker objects ``build_trainer`` constructs, in order."""
+    from repro.cluster import builder
+
+    constructed = []
+    for name in ("HonestWorker", "ByzantineWorker", "MiniBatchSampler"):
+        cls = getattr(builder, name)
+        monkeypatch.setattr(
+            builder, name, lambda *a, _cls=cls, **k: constructed.append(_cls) or _cls(*a, **k))
+    return constructed
+
+
 @pytest.mark.parametrize("kwargs,message", [
     ({"link_jitters": {3: -0.1}},
      "link_jitters values must be non-negative, got -0.1 for worker 3"),
@@ -177,19 +196,31 @@ def test_cli_and_api_raise_the_same_error(dataset, kwargs, argv, monkeypatch, ca
      "link_delays/link_jitters id 1 does not name an honest worker (honest ids "
      "are [2, 11); the adversary is arbitrarily fast regardless)"),
 ])
-def test_link_map_refusals_come_before_any_per_worker_object(dataset, kwargs, message, monkeypatch):
+def test_link_map_refusals_come_before_any_per_worker_object(dataset, kwargs, message, built):
     """Both used to be raised after the worker loop: 0.5 s late at 10,000 workers."""
-    from repro.cluster import builder
-
-    built = []
-    for name in ("HonestWorker", "ByzantineWorker", "MiniBatchSampler"):
-        cls = getattr(builder, name)
-        monkeypatch.setattr(
-            builder, name, lambda *a, _cls=cls, **k: built.append(_cls) or _cls(*a, **k))
     assert _api_error(dataset, {"num_byzantine": 2, "attack": "sign-flip", **kwargs}) == message
     assert built == []
     build_trainer(dataset=dataset, **{**BASE_KWARGS, "link_jitters": {3: 0.1}})
     assert len(built) == 22  # the wrappers do count: 11 samplers + 11 workers
+
+
+@pytest.mark.parametrize("model_kwargs,message", [
+    ({"input_dim": 9, "num_classes": 3}, "Dense expected input of shape (batch, 9), got (1, 8)"),
+    ({"input_dim": 8, "num_classes": 2}, "labels must lie in [0, 1], got range [0, 2]"),
+])
+def test_a_model_that_does_not_fit_the_dataset_is_refused_before_any_worker(
+        dataset, model_kwargs, message, built):
+    """Both used to build every worker and raise at step 1 (the matrix rows hold the CLI to it)."""
+    assert _api_error(dataset, {"model_kwargs": model_kwargs}) == message
+    assert built == []
+
+
+def test_the_runner_defaults_are_refused_at_build(monkeypatch, capsys):
+    """The default ``mlp`` takes 64 inputs and the default ``blobs`` has 10 features."""
+    monkeypatch.setattr("sys.argv", ["repro.runner"])
+    assert runner.main() == 1
+    assert capsys.readouterr().err == (
+        "error: Dense expected input of shape (batch, 64), got (1, 10)\n")
 
 
 def test_messages_name_the_option_in_its_owners_spelling(dataset):
