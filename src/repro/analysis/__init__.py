@@ -8,9 +8,8 @@ mechanically, as a self-hosted analogue of a race/sanitizer layer.
 
 ``python -m repro.analysis src/`` walks the source tree once, runs every
 registered rule over each module's AST (plus a handful of cross-module
-contract rules), honours ``# simlint: disable=SIMxxx`` pragmas and a
-committed baseline of grandfathered findings, and exits non-zero on
-anything new.
+contract rules), honours ``# simlint: disable=SIMxxx <reason>`` pragmas —
+the one way to suppress a finding — and exits non-zero on anything else.
 
 Rule families
 -------------
@@ -30,7 +29,7 @@ Rule families
             reads, no RNG draws, no salted ``hash()`` in placement)
 
 See the README's "Static analysis" section for the workflow (pragmas,
-``--update-baseline``, adding a rule).
+adding a rule).
 """
 
 from __future__ import annotations

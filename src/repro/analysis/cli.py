@@ -1,25 +1,19 @@
 """``python -m repro.analysis`` — the simlint command line.
 
-Exit codes: 0 clean (after pragmas + baseline), 1 findings or stale
-baseline entries, 2 usage errors.
+Exit codes: 0 clean (after pragmas), 1 findings, 2 usage errors.  A finding
+is suppressed only by a ``# simlint: disable=SIMxxx <reason>`` pragma.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import save_baseline
 from repro.analysis.engine import run_analysis
 from repro.analysis.report import FORMATS, render, to_json_payload
 from repro.analysis.rules import rule_table
-
-#: Default baseline file, resolved against the working directory.
-DEFAULT_BASELINE = ".simlint-baseline.json"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -48,22 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         help="also write the full JSON report to this path (CI artifact)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path(DEFAULT_BASELINE),
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding, including grandfathered ones",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline with the current findings and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -105,26 +83,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not path.exists():
             parser.error(f"no such file or directory: {path}")
 
-    baseline_path: Optional[Path] = None if args.no_baseline else args.baseline
-    try:
-        result = run_analysis(
-            paths,
-            baseline_path=baseline_path,
-            select=_split_codes(args.select),
-            ignore=_split_codes(args.ignore),
-        )
-    except ValueError as error:  # corrupt baseline
-        print(f"simlint: {error}", file=sys.stderr)
-        return 2
-
-    if args.update_baseline:
-        save_baseline(args.baseline, result.raw_findings)
-        print(
-            f"simlint: baseline {args.baseline} updated with "
-            f"{len(result.raw_findings)} finding(s)"
-        )
-        return 0
-
+    result = run_analysis(
+        paths, select=_split_codes(args.select), ignore=_split_codes(args.ignore)
+    )
     print(render(result, args.format))
     if args.output is not None:
         args.output.write_text(
@@ -133,4 +94,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0 if result.ok else 1
 
 
-__all__ = ["main", "build_parser", "DEFAULT_BASELINE"]
+__all__ = ["main", "build_parser"]

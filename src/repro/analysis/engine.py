@@ -1,4 +1,4 @@
-"""Analysis orchestration: collect files, run rules, apply pragmas + baseline."""
+"""Analysis orchestration: collect files, run rules, apply pragmas."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.analysis import profiler_coverage as _profiler  # noqa: F401
 from repro.analysis import rng_discipline as _rng  # noqa: F401
 from repro.analysis import shard_routing as _shard_routing  # noqa: F401
 from repro.analysis import tiebreak as _tiebreak  # noqa: F401
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.rules import Finding, instantiate_rules
 from repro.analysis.walker import SourceFile
 
@@ -28,21 +27,16 @@ _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache"}
 class AnalysisResult:
     """Everything one simlint run produced, pre-split for reporting."""
 
-    new_findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    stale_baseline: List[Dict[str, str]] = field(default_factory=list)
     files_scanned: int = 0
-    #: Raw findings before baseline filtering (pragmas already applied) —
-    #: the set ``--update-baseline`` writes.
-    raw_findings: List[Finding] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.new_findings and not self.stale_baseline
+        return not self.findings
 
     def codes(self) -> Set[str]:
-        return {f.code for f in self.new_findings}
+        return {f.code for f in self.findings}
 
 
 def collect_python_files(paths: Sequence[Path]) -> List[Path]:
@@ -77,14 +71,13 @@ def run_analysis(
     paths: Sequence[Path],
     *,
     root: Optional[Path] = None,
-    baseline_path: Optional[Path] = None,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
 ) -> AnalysisResult:
     """Run every (selected) rule over *paths* and return the split result.
 
-    *root* anchors the reported (and baseline-matched) relative paths;
-    it defaults to the current working directory, matching CLI behaviour.
+    *root* anchors the reported relative paths; it defaults to the current
+    working directory, matching CLI behaviour.
     """
     root = root if root is not None else Path.cwd()
     rules = instantiate_rules(select=select, ignore=ignore)
@@ -125,16 +118,7 @@ def run_analysis(
         if finding.code in disabled or "ALL" in disabled:
             result.suppressed.append(finding)
         else:
-            result.raw_findings.append(finding)
-
-    baseline = load_baseline(baseline_path) if baseline_path is not None else None
-    if baseline:
-        match = apply_baseline(result.raw_findings, baseline)
-        result.new_findings = match.new
-        result.baselined = match.baselined
-        result.stale_baseline = match.stale
-    else:
-        result.new_findings = list(result.raw_findings)
+            result.findings.append(finding)
     return result
 
 

@@ -14,21 +14,14 @@ FORMATS = ("text", "json", "github")
 
 def format_text(result: "AnalysisResult") -> str:
     lines: List[str] = []
-    for finding in result.new_findings:
+    for finding in result.findings:
         lines.append(
             f"{finding.path}:{finding.line}:{finding.column}: "
             f"{finding.code} {finding.message}"
         )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"{entry['path']}: stale baseline entry {entry['code']} "
-            f"({entry['source'] or 'no source text'!r}); the finding no longer "
-            "exists — refresh with --update-baseline"
-        )
     lines.append(
-        f"simlint: {len(result.new_findings)} finding(s), "
-        f"{len(result.baselined)} baselined, {len(result.suppressed)} pragma-suppressed, "
-        f"{len(result.stale_baseline)} stale baseline entr{'y' if len(result.stale_baseline) == 1 else 'ies'}, "
+        f"simlint: {len(result.findings)} finding(s), "
+        f"{len(result.suppressed)} pragma-suppressed, "
         f"{result.files_scanned} file(s) scanned"
     )
     return "\n".join(lines)
@@ -37,16 +30,11 @@ def format_text(result: "AnalysisResult") -> str:
 def format_github(result: "AnalysisResult") -> str:
     """GitHub Actions workflow-command annotations (one ``::error`` per finding)."""
     lines: List[str] = []
-    for finding in result.new_findings:
+    for finding in result.findings:
         message = finding.message.replace("\n", " ")
         lines.append(
             f"::error file={finding.path},line={finding.line},"
             f"col={finding.column},title={finding.code}::{message}"
-        )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"::error file={entry['path']},title={entry['code']} stale baseline::"
-            "baselined finding no longer exists; refresh with --update-baseline"
         )
     lines.append(format_text(result).splitlines()[-1])
     return "\n".join(lines)
@@ -56,15 +44,11 @@ def to_json_payload(result: "AnalysisResult") -> Dict:
     return {
         "tool": "simlint",
         "files_scanned": result.files_scanned,
-        "findings": [f.to_dict() for f in result.new_findings],
-        "baselined": [f.to_dict() for f in result.baselined],
+        "findings": [f.to_dict() for f in result.findings],
         "suppressed": [f.to_dict() for f in result.suppressed],
-        "stale_baseline": result.stale_baseline,
         "counts": {
-            "new": len(result.new_findings),
-            "baselined": len(result.baselined),
+            "findings": len(result.findings),
             "suppressed": len(result.suppressed),
-            "stale_baseline": len(result.stale_baseline),
         },
     }
 

@@ -20,16 +20,6 @@ class Finding:
     message: str
     source: str = ""
 
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-insensitive identity used by the baseline.
-
-        Two findings with the same code, file and (stripped) source text are
-        the same grandfathered debt even after unrelated edits shift line
-        numbers; the baseline stores one entry per occurrence.
-        """
-        return (self.code, self.path, self.source)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "code": self.code,

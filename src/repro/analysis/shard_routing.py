@@ -28,7 +28,7 @@ from repro.analysis.rules import Finding, Rule, register_rule
 from repro.analysis.walker import SourceFile, dotted_name
 
 #: Function names that constitute the shard-routing surface.  Deliberately
-#: tighter than ``shard_*`` so pricing helpers (``shard_frame_bytes``,
+#: tighter than ``shard_*`` so pricing helpers (``shard_bytes``,
 #: ``shard_gather_bytes``) that merely *mention* shards stay out of scope.
 ROUTING_NAME_RE = re.compile(
     r"^_?(?:home_shard\w*|place_shards?\w*|shard_bounds\w*|shard_of\w*"

@@ -43,7 +43,7 @@ from repro.cluster.link import (
     RegionLink,
     parse_link_profile,
 )
-from repro.cluster.message import GradientMessage, ModelMessage
+from repro.cluster.message import GradientMessage
 from repro.cluster.packets import Packetizer, RecoveryPolicy
 from repro.cluster.network import (
     ReliableChannel,
@@ -84,7 +84,6 @@ from repro.cluster.checkpoint import (
     restore_training_state,
     save_checkpoint,
     save_training_state,
-    write_history_json,
     write_summary_csv,
 )
 from repro.cluster.service import majority_model
@@ -129,7 +128,6 @@ __all__ = [
     "NodeSpec",
     "allocate_devices",
     "GradientMessage",
-    "ModelMessage",
     "Packetizer",
     "RecoveryPolicy",
     "Channel",
@@ -161,6 +159,5 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "write_summary_csv",
-    "write_history_json",
     "majority_model",
 ]

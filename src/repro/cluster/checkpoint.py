@@ -411,14 +411,6 @@ def write_summary_csv(history: TrainingHistory, path: Union[str, Path]) -> Path:
     return path
 
 
-def write_history_json(history: TrainingHistory, path: Union[str, Path]) -> Path:
-    """Export the full telemetry summary (including latency breakdown) as JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(history.to_dict(), indent=2, sort_keys=True))
-    return path
-
-
 __all__ = [
     "Checkpoint",
     "save_checkpoint",
@@ -430,5 +422,4 @@ __all__ = [
     "save_training_state",
     "load_training_state",
     "write_summary_csv",
-    "write_history_json",
 ]

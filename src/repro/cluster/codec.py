@@ -106,11 +106,6 @@ class WireFrame:
     base_version: Optional[int] = None
     target_version: Optional[int] = None
 
-    @property
-    def is_delta(self) -> bool:
-        """Whether this frame carries a version delta rather than a payload."""
-        return self.base_version is not None
-
     def degraded(
         self,
         values: Optional[np.ndarray],
@@ -225,7 +220,7 @@ class FrameBatch:
         the shard edges, for every row at once.
         """
         if not bounds:
-            raise ConfigurationError("shard_frame_bytes needs at least one shard")
+            raise ConfigurationError("shard_bytes needs at least one shard")
         widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
         if (widths < 1).any() or int(widths.sum()) != self.dim:
             raise ConfigurationError(
@@ -611,17 +606,6 @@ def decode_frame(frame: WireFrame) -> np.ndarray:
     return values * frame.scale
 
 
-def shard_frame_bytes(
-    frame: WireFrame, bounds: Sequence[Tuple[int, int]]
-) -> np.ndarray:
-    """Split one frame's priced bytes into per-shard sub-frame bytes.
-
-    :meth:`FrameBatch.shard_bytes` of the one-frame batch — any frame,
-    one a lossy channel thinned included.
-    """
-    return FrameBatch.stack([frame]).shard_bytes(bounds)[0]
-
-
 #: Registered codec factories, keyed by name.
 CODEC_REGISTRY: Dict[str, Callable[..., WireCodec]] = {
     IdentityCodec.name: IdentityCodec,
@@ -695,5 +679,4 @@ __all__ = [
     "decode_frame",
     "encode_delta",
     "make_codec",
-    "shard_frame_bytes",
 ]

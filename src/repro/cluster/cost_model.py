@@ -27,7 +27,7 @@ import numpy as np
 from repro.core import theory
 from repro.core.base import AggregationResult, GradientAggregationRule
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import check_probability, stack_gradients
+from repro.utils.validation import check_probability
 
 #: Bytes per *raw* gradient coordinate on the wire (float32, as TensorFlow
 #: sends).  This is the identity framing only: encoded wire sizes are owned
@@ -298,17 +298,6 @@ class CostModel:
             gar, n, d, computed_distance_flops=computed,
             charge_shard_combine=charge_shard_combine,
         )
-
-    def aggregation_time(
-        self, gar: GradientAggregationRule, gradients: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Aggregate *gradients* and return ``(result, simulated_seconds)``.
-
-        Convenience wrapper around :meth:`aggregation_time_detailed` that
-        accepts unvalidated input and returns only the gradient.
-        """
-        result, seconds = self.aggregation_time_detailed(gar, stack_gradients(gradients))
-        return result.gradient, seconds
 
     def update_time(self, model_dim: int) -> float:
         """Server-side model update (optimizer step): a few passes over ``d`` values."""

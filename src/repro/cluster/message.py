@@ -10,28 +10,6 @@ from repro.exceptions import ConfigurationError
 
 
 @dataclass
-class ModelMessage:
-    """The model broadcast from the server to a worker at the start of a step."""
-
-    step: int
-    parameters: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.step < 0:
-            raise ConfigurationError(f"step must be non-negative, got {self.step}")
-        self.parameters = np.asarray(self.parameters, dtype=np.float64)
-        if self.parameters.ndim != 1:
-            raise ConfigurationError(
-                f"model parameters must be a flat vector, got shape {self.parameters.shape}"
-            )
-
-    @property
-    def dim(self) -> int:
-        """Model dimensionality ``d``."""
-        return int(self.parameters.shape[0])
-
-
-@dataclass
 class GradientMessage:
     """A gradient estimate pushed from a worker to the server."""
 
@@ -79,4 +57,4 @@ class GradientMessage:
         return int(self.gradient.shape[0])
 
 
-__all__ = ["ModelMessage", "GradientMessage"]
+__all__ = ["GradientMessage"]

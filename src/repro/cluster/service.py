@@ -390,11 +390,6 @@ class ServerFabric:
         """
         return self.num_actors <= 1
 
-    @property
-    def num_shards(self) -> int:
-        """Number of server actors hosted by the fabric."""
-        return self.num_actors
-
     def region_of_worker(self, worker_id: int) -> str:
         """The WAN region *worker_id* pushes from (``core`` without a topology)."""
         if self.link_topology is None:

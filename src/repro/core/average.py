@@ -30,10 +30,6 @@ class Average(GradientAggregationRule):
     def __init__(self, f: int = 0) -> None:
         super().__init__(f=f)
 
-    @classmethod
-    def minimum_workers(cls, f: int) -> int:
-        return max(1, f + 1)
-
     def _aggregate(self, matrix: np.ndarray) -> AggregationResult:
         return AggregationResult(gradient=matrix.mean(axis=0))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple, Type
+from typing import Callable, Dict, Optional, Type
 
 import numpy as np
 
@@ -69,14 +69,6 @@ class GradientAggregationRule(abc.ABC):
     resilience: str = "none"
     #: Whether the rule copes with NaN / ±Inf coordinates in Byzantine inputs.
     supports_non_finite: bool = False
-    #: Linear form of :meth:`minimum_workers`: a pair ``(a, b)`` meaning
-    #: ``minimum_workers(f) == a * f + b`` for every ``f >= 0``, which yields
-    #: the closed-form inverse ``max_byzantine(n) = (n - b) // a``.  Every
-    #: built-in resilience bound is linear; subclasses with a non-linear bound
-    #: must set this to ``None`` to fall back to the documented scan.
-    #: :func:`register_gar` verifies the declared pair against
-    #: :meth:`minimum_workers` so the two can never drift apart.
-    min_workers_linear: Optional[Tuple[int, int]] = (1, 1)
     #: Optional pairwise-distance provider (an object with a
     #: ``distances(matrix) -> (n, n) ndarray`` method, e.g.
     #: :class:`repro.core.distance_cache.DistanceCache`).  ``None`` — the
@@ -133,22 +125,9 @@ class GradientAggregationRule(abc.ABC):
     def max_byzantine(cls, n: int) -> int:
         """Largest *f* tolerated with *n* workers (0 when none).
 
-        Uses the closed-form inverse of the rule's linear
-        :attr:`min_workers_linear` bound when one is declared, and the
-        :meth:`_max_byzantine_scan` fallback otherwise.
-        """
-        if cls.min_workers_linear is not None:
-            slope, intercept = cls.min_workers_linear
-            return max((n - intercept) // slope, 0)
-        return cls._max_byzantine_scan(n)
-
-    @classmethod
-    def _max_byzantine_scan(cls, n: int) -> int:
-        """Fallback inverse of :meth:`minimum_workers` by O(n) scan.
-
-        Correct for any monotone ``minimum_workers``; kept for subclasses
-        whose resilience bound is not linear in ``f`` (``min_workers_linear``
-        set to ``None``).  ``n`` is small in practice (< 1e3).
+        The inverse of :meth:`minimum_workers` by scan, so each rule states
+        its resilience bound once.  Correct for any monotone bound; ``n`` is
+        small in practice (< 1e3).
         """
         best = -1
         for f in range(n + 1):
@@ -211,15 +190,6 @@ def register_gar(name: str) -> Callable[[Type[GradientAggregationRule]], Type[Gr
                 f"{cls.__name__}.resilience must be one of {RESILIENCE_LEVELS}, "
                 f"got {cls.resilience!r}"
             )
-        if cls.min_workers_linear is not None:
-            slope, intercept = cls.min_workers_linear
-            for f in range(9):
-                if cls.minimum_workers(f) != slope * f + intercept:
-                    raise ConfigurationError(
-                        f"{cls.__name__}.min_workers_linear={cls.min_workers_linear} "
-                        f"disagrees with minimum_workers({f})={cls.minimum_workers(f)}; "
-                        "fix the declaration or set min_workers_linear = None"
-                    )
         cls.name = name
         GAR_REGISTRY[name] = cls
         return cls

@@ -47,7 +47,6 @@ class Brute(GradientAggregationRule):
 
     resilience = "strong"
     supports_non_finite = True
-    min_workers_linear = (2, 1)
 
     def __init__(self, f: int = 0, max_workers: int = 25) -> None:
         super().__init__(f=f)

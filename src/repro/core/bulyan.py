@@ -136,7 +136,6 @@ class Bulyan(GradientAggregationRule):
 
     resilience = "strong"
     supports_non_finite = True
-    min_workers_linear = (4, 3)
     #: Whether the selection loop recomputes pairwise distances every round.
     recompute_distances = False
 

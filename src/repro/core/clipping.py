@@ -39,7 +39,6 @@ class CenteredClipping(GradientAggregationRule):
 
     resilience = "weak"
     supports_non_finite = True
-    min_workers_linear = (2, 1)
 
     def __init__(self, f: int = 0, tau: Optional[float] = None, iterations: int = 3) -> None:
         super().__init__(f=f)
@@ -89,10 +88,6 @@ class NormClippedMean(GradientAggregationRule):
 
     resilience = "none"
     supports_non_finite = True
-
-    @classmethod
-    def minimum_workers(cls, f: int) -> int:
-        return max(1, f + 1)
 
     def _aggregate(self, matrix: np.ndarray) -> AggregationResult:
         finite_rows = np.isfinite(matrix).all(axis=1)

@@ -121,21 +121,6 @@ class DistanceRoundStats:
     warmed_flops: float = 0.0
     queries: int = 0
 
-    def to_dict(self) -> Dict:
-        """JSON-serialisable form."""
-        return {
-            "rows": self.rows,
-            "hit_rows": self.hit_rows,
-            "miss_rows": self.miss_rows,
-            "quarantined_rows": self.quarantined_rows,
-            "hit_pairs": self.hit_pairs,
-            "miss_pairs": self.miss_pairs,
-            "warmed_pairs": self.warmed_pairs,
-            "charged_flops": self.charged_flops,
-            "warmed_flops": self.warmed_flops,
-            "queries": self.queries,
-        }
-
 
 #: Flops accounted per unordered distance pair: one ``d``-length fused
 #: multiply-add against each row's cached squared norm — ``2 d`` per pair.

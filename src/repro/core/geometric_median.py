@@ -30,7 +30,6 @@ class GeometricMedian(GradientAggregationRule):
 
     resilience = "weak"
     supports_non_finite = True
-    min_workers_linear = (2, 1)
 
     def __init__(self, f: int = 0, max_iter: int = 100, tol: float = 1e-8) -> None:
         super().__init__(f=f)

@@ -75,7 +75,6 @@ class MultiKrum(GradientAggregationRule):
 
     resilience = "weak"
     supports_non_finite = True
-    min_workers_linear = (2, 3)
 
     def __init__(self, f: int = 0, m: Optional[int] = None) -> None:
         super().__init__(f=f)

@@ -32,7 +32,6 @@ class MeaMed(GradientAggregationRule):
 
     resilience = "weak"
     supports_non_finite = True
-    min_workers_linear = (2, 1)
 
     @classmethod
     def minimum_workers(cls, f: int) -> int:
@@ -53,7 +52,6 @@ class Phocas(GradientAggregationRule):
 
     resilience = "weak"
     supports_non_finite = True
-    min_workers_linear = (2, 1)
 
     @classmethod
     def minimum_workers(cls, f: int) -> int:

@@ -1,12 +1,14 @@
 """Analytic results from the paper's Appendix B.
 
-This module captures the closed-form quantities the paper proves about
-Multi-Krum and Bulyan so that deployments can be validated *before* training
-starts and so that the cost-analysis benchmarks have an analytic reference:
+The resilience preconditions themselves — ``n >= 2f + 3`` for Multi-Krum
+(weak) and ``n >= 4f + 3`` for Bulyan (strong) — are each rule's
+:meth:`~repro.core.base.GradientAggregationRule.minimum_workers`, with
+``max_byzantine`` its inverse; this module does not restate them.  It holds
+the closed-form quantities the paper derives on top of them, as an analytic
+reference for the cost-analysis benchmarks and the cluster cost model:
 
-* resilience preconditions — ``n >= 2f + 3`` (Multi-Krum, weak) and
-  ``n >= 4f + 3`` (Bulyan, strong), plus the selection bound
-  ``m <= n - f - 2`` (weak) / ``m <= n - 2f - 2`` (strong);
+* the selection bound ``m <= n - f - 2`` (weak) / ``m <= n - 2f - 2``
+  (strong);
 * the constant ``eta(n, f)`` of Lemma 1 and the induced angle bound ``alpha``
   of (α, f)-Byzantine resilience;
 * the convergence slowdown ratio ``Omega(sqrt(m_tilde / n))`` relative to
@@ -18,39 +20,14 @@ starts and so that the cost-analysis benchmarks have an analytic reference:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.exceptions import ResilienceConditionError
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
 
 # --------------------------------------------------------------------------
-# Resilience preconditions
+# Selection bounds
 # --------------------------------------------------------------------------
-def multi_krum_min_workers(f: int) -> int:
-    """Minimum ``n`` for Multi-Krum to tolerate *f* Byzantine workers (``2f + 3``)."""
-    f = check_non_negative_int(f, "f")
-    return 2 * f + 3
-
-
-def bulyan_min_workers(f: int) -> int:
-    """Minimum ``n`` for Bulyan to tolerate *f* Byzantine workers (``4f + 3``)."""
-    f = check_non_negative_int(f, "f")
-    return 4 * f + 3
-
-
-def max_byzantine_weak(n: int) -> int:
-    """Largest *f* for which weak resilience (Multi-Krum) holds with *n* workers."""
-    n = check_positive_int(n, "n")
-    return max((n - 3) // 2, 0)
-
-
-def max_byzantine_strong(n: int) -> int:
-    """Largest *f* for which strong resilience (Bulyan) holds with *n* workers."""
-    n = check_positive_int(n, "n")
-    return max((n - 3) // 4, 0)
-
-
 def max_selection_weak(n: int, f: int) -> int:
     """Largest ``m`` preserving weak resilience: ``m_tilde = n - f - 2``."""
     n = check_positive_int(n, "n")
@@ -73,33 +50,6 @@ def max_selection_strong(n: int, f: int) -> int:
             f"no valid m for strong resilience: n={n}, f={f} (need n - 2f - 2 >= 1)"
         )
     return m
-
-
-def check_deployment(n: int, f: int, *, strong: bool = False) -> None:
-    """Raise :class:`ResilienceConditionError` unless ``(n, f)`` is deployable.
-
-    ``strong=False`` checks the Multi-Krum condition, ``strong=True`` the
-    Bulyan condition.
-    """
-    n = check_positive_int(n, "n")
-    f = check_non_negative_int(f, "f")
-    required = bulyan_min_workers(f) if strong else multi_krum_min_workers(f)
-    if n < required:
-        kind = "strong (Bulyan)" if strong else "weak (Multi-Krum)"
-        raise ResilienceConditionError(
-            f"{kind} Byzantine resilience with f={f} requires n >= {required}, got n={n}"
-        )
-
-
-def bulyan_iterations(n: int, f: int) -> int:
-    """Number of selection iterations Bulyan performs: ``theta = n - 2f``."""
-    check_deployment(n, f, strong=True)
-    return n - 2 * f
-
-
-def bulyan_beta(n: int, f: int) -> int:
-    """Number of coordinates averaged around the median: ``beta = theta - 2f``."""
-    return bulyan_iterations(n, f) - 2 * f
 
 
 # --------------------------------------------------------------------------
@@ -312,49 +262,9 @@ def attack_cost_regression(n: int, d: int, epsilon: float) -> float:
     return float(n) * float(d) / float(epsilon)
 
 
-@dataclass(frozen=True)
-class DeploymentSpec:
-    """A validated ``(n, f, m)`` deployment with derived constants.
-
-    Convenience object used by the experiment drivers: constructing it runs all
-    resilience checks and exposes the quantities the paper derives.
-    """
-
-    n: int
-    f: int
-    strong: bool = False
-
-    def __post_init__(self) -> None:
-        check_deployment(self.n, self.f, strong=self.strong)
-
-    @property
-    def m_max(self) -> int:
-        """Maximal selection size preserving the requested resilience level."""
-        if self.strong:
-            return max_selection_strong(self.n, self.f)
-        return max_selection_weak(self.n, self.f)
-
-    @property
-    def slowdown(self) -> float:
-        """Analytic convergence slowdown vs averaging."""
-        return slowdown_ratio(self.n, self.f, strong=self.strong)
-
-    @property
-    def eta(self) -> float:
-        """Lemma-1 constant for the maximal selection size."""
-        return eta(self.n, self.f, self.m_max)
-
-
 __all__ = [
-    "multi_krum_min_workers",
-    "bulyan_min_workers",
-    "max_byzantine_weak",
-    "max_byzantine_strong",
     "max_selection_weak",
     "max_selection_strong",
-    "check_deployment",
-    "bulyan_iterations",
-    "bulyan_beta",
     "eta",
     "alpha_bound",
     "resilience_condition_holds",
@@ -368,5 +278,4 @@ __all__ = [
     "shard_combine_flops",
     "shard_gather_bytes",
     "attack_cost_regression",
-    "DeploymentSpec",
 ]

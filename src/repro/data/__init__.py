@@ -4,7 +4,7 @@ The paper trains on CIFAR-10 / MNIST; those cannot be downloaded in an
 offline environment, so this package provides deterministic, learnable
 synthetic stand-ins (class-conditional image generators plus low-dimensional
 classification tasks for fast tests) together with the preprocessing the
-paper applies (min-max scaling, train/test split) and per-worker iid
+paper applies (min-max scaling) and per-worker iid
 mini-batch samplers.
 """
 
@@ -18,9 +18,9 @@ from repro.data.datasets import (
     load_dataset,
     available_datasets,
 )
-from repro.data.preprocessing import min_max_scale, train_test_split, one_hot
+from repro.data.preprocessing import min_max_scale
 from repro.data.sampler import MiniBatchSampler
-from repro.data.corruption import flip_labels, corrupt_features, permute_labels
+from repro.data.corruption import corrupt_features, permute_labels
 
 __all__ = [
     "Dataset",
@@ -32,10 +32,7 @@ __all__ = [
     "load_dataset",
     "available_datasets",
     "min_max_scale",
-    "train_test_split",
-    "one_hot",
     "MiniBatchSampler",
-    "flip_labels",
     "corrupt_features",
     "permute_labels",
 ]

@@ -1,37 +1,17 @@
 """Data-corruption utilities for the Figure 7 ("corrupted data") experiment.
 
 A "mild" Byzantine worker does not fabricate gradients: it simply computes
-honest gradients on corrupted data (flipped labels, garbage pixels).  These
+honest gradients on corrupted data (permuted labels, garbage pixels).  These
 helpers implement the corruptions applied to such a worker's local dataset.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.random import SeedLike, as_rng
 from repro.utils.validation import check_probability
-
-
-def flip_labels(
-    labels: np.ndarray, num_classes: int, *, fraction: float = 1.0, rng: SeedLike = None
-) -> np.ndarray:
-    """Replace a fraction of labels with uniformly random *different* labels."""
-    labels = np.asarray(labels, dtype=np.intp).copy()
-    if num_classes < 2:
-        raise ConfigurationError("label flipping needs at least 2 classes")
-    fraction = check_probability(fraction, "fraction")
-    generator = as_rng(rng)
-    n = labels.shape[0]
-    count = int(round(fraction * n))
-    if count == 0:
-        return labels
-    idx = generator.choice(n, size=count, replace=False)
-    offsets = generator.integers(1, num_classes, size=count)
-    labels[idx] = (labels[idx] + offsets) % num_classes
-    return labels
 
 
 def permute_labels(labels: np.ndarray, num_classes: int, *, rng: SeedLike = None) -> np.ndarray:
@@ -65,4 +45,4 @@ def corrupt_features(
     return features
 
 
-__all__ = ["flip_labels", "permute_labels", "corrupt_features"]
+__all__ = ["permute_labels", "corrupt_features"]

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.random import as_rng
 
 
 @dataclass
@@ -45,42 +43,6 @@ class Dataset:
             )
         if self.train_x.shape[0] == 0:
             raise ConfigurationError("training split must be non-empty")
-
-    @property
-    def num_train(self) -> int:
-        """Number of training examples (``B`` in the paper's notation)."""
-        return int(self.train_x.shape[0])
-
-    @property
-    def num_test(self) -> int:
-        """Number of test examples."""
-        return int(self.test_x.shape[0])
-
-    @property
-    def feature_shape(self) -> Tuple[int, ...]:
-        """Shape of a single feature sample (without the batch dimension)."""
-        return tuple(self.train_x.shape[1:])
-
-    def subset(self, size: int, *, rng: np.random.Generator | None = None) -> "Dataset":
-        """A random subset of the training data (test split kept whole).
-
-        Useful for quick experiments that should not iterate over the full
-        training set.
-        """
-        if size < 1 or size > self.num_train:
-            raise ConfigurationError(
-                f"subset size must be in [1, {self.num_train}], got {size}"
-            )
-        generator = as_rng(rng if rng is not None else 0)
-        idx = generator.choice(self.num_train, size=size, replace=False)
-        return Dataset(
-            train_x=self.train_x[idx],
-            train_y=self.train_y[idx],
-            test_x=self.test_x,
-            test_y=self.test_y,
-            name=f"{self.name}-subset{size}",
-            num_classes=self.num_classes,
-        )
 
 
 __all__ = ["Dataset"]

@@ -1,4 +1,4 @@
-"""Preprocessing utilities: min-max scaling, train/test split, one-hot encoding."""
+"""Preprocessing: the paper's per-feature min-max scaling."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.random import SeedLike, as_rng
-from repro.utils.validation import check_probability
 
 
 def min_max_scale(
@@ -38,38 +36,4 @@ def min_max_scale(
     return scaled
 
 
-def train_test_split(
-    x: np.ndarray, y: np.ndarray, *, test_fraction: float = 0.2, rng: SeedLike = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Random train/test split: returns ``(train_x, train_y, test_x, test_y)``."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape[0] != y.shape[0]:
-        raise ConfigurationError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
-    test_fraction = check_probability(test_fraction, "test_fraction")
-    n = x.shape[0]
-    n_test = int(round(n * test_fraction))
-    if n_test >= n:
-        raise ConfigurationError("test_fraction leaves no training data")
-    perm = as_rng(rng).permutation(n)
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return x[train_idx], y[train_idx], x[test_idx], y[test_idx]
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode integer labels into an ``(n, num_classes)`` matrix."""
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.ndim != 1:
-        raise ConfigurationError(f"labels must be 1-D, got shape {labels.shape}")
-    if num_classes < 1:
-        raise ConfigurationError(f"num_classes must be >= 1, got {num_classes}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ConfigurationError(
-            f"labels must lie in [0, {num_classes - 1}], got range [{labels.min()}, {labels.max()}]"
-        )
-    encoded = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    encoded[np.arange(labels.shape[0]), labels] = 1.0
-    return encoded
-
-
-__all__ = ["min_max_scale", "train_test_split", "one_hot"]
+__all__ = ["min_max_scale"]

@@ -9,7 +9,7 @@ AggregaThor makes (unlike Draco, no agreement on data ordering is needed).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterator, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,10 +82,6 @@ class MiniBatchSampler:
         """Draw one mini-batch ``(x, y)`` uniformly at random with replacement."""
         idx = self.sample_indices()
         return self.features[idx], self.labels[idx]
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        while True:
-            yield self.sample()
 
 
 def sample_stacked(samplers: Sequence[MiniBatchSampler]) -> Tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from repro.experiments import (
     async_throughput,
     broadcast_scaling,
 )
-from repro.experiments.export import results_to_json, telemetry_series, format_table
+from repro.experiments.export import telemetry_series, format_table
 
 __all__ = [
     "ExperimentProfile",
@@ -42,7 +42,6 @@ __all__ = [
     "broadcast_scaling",
     "stragglers",
     "async_throughput",
-    "results_to_json",
     "telemetry_series",
     "format_table",
 ]

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core import MultiKrum
 from repro.experiments.config import ExperimentProfile, ci_profile
 from repro.experiments.export import format_table
 from repro.experiments.runners import SystemResult, run_deployment, run_system
 
 
-def _max_weak_f(num_workers: int) -> int:
+def _multi_krum_f(num_workers: int) -> int:
     """The paper sets f to the Multi-Krum maximum for this experiment (f=8 for n=19)."""
-    return max((num_workers - 3) // 2, 1)
+    return max(MultiKrum.max_byzantine(num_workers), 1)
 
 
 def run_dropped_packets_clean(
@@ -33,7 +34,7 @@ def run_dropped_packets_clean(
     """Panel (a): lossy transport with no artificial packet drops."""
     profile = profile or ci_profile()
     dataset = profile.make_dataset()
-    f = _max_weak_f(profile.num_workers)
+    f = _multi_krum_f(profile.num_workers)
     links = lossy_links if lossy_links is not None else f
 
     results: List[SystemResult] = []
@@ -92,7 +93,7 @@ def run_dropped_packets_lossy(
     """
     profile = profile or ci_profile()
     dataset = profile.make_dataset()
-    f = _max_weak_f(profile.num_workers)
+    f = _multi_krum_f(profile.num_workers)
     links = lossy_links if lossy_links is not None else f
 
     results: List[SystemResult] = []

@@ -2,34 +2,11 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Sequence, Union
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.cluster.telemetry import TrainingHistory
-
-
-def _to_serialisable(value):
-    """Recursively convert NumPy types to plain Python for JSON export."""
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {str(k): _to_serialisable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_serialisable(v) for v in value]
-    return value
-
-
-def results_to_json(results: Dict, path: Union[str, Path, None] = None) -> str:
-    """Serialise an experiment-result dictionary to JSON (optionally to a file)."""
-    payload = json.dumps(_to_serialisable(results), indent=2, sort_keys=True)
-    if path is not None:
-        Path(path).write_text(payload)
-    return payload
 
 
 def telemetry_series(history: TrainingHistory) -> Dict:
@@ -37,7 +14,7 @@ def telemetry_series(history: TrainingHistory) -> Dict:
 
     Server busy/idle fractions, per-worker pushed-round counts and the
     admitted version-lag histogram, all in plain-Python form ready for
-    :func:`results_to_json`.  Lock-step histories report zero busy time
+    ``json.dumps``.  Lock-step histories report zero busy time
     only if they predate the busy accounting; their lag histogram is the
     policy's staleness distribution (all mass at 0 under full synchrony).
     """
@@ -94,4 +71,4 @@ def _format_cell(cell) -> str:
     return str(cell)
 
 
-__all__ = ["results_to_json", "telemetry_series", "format_table"]
+__all__ = ["telemetry_series", "format_table"]

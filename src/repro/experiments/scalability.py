@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import theory
+from repro.core import GAR_REGISTRY
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentProfile, ci_profile
 from repro.experiments.export import format_table
@@ -47,12 +47,10 @@ def _min_workers(system: str, f: Optional[int]) -> int:
     """Smallest worker count for which the (system, f) pair is deployable."""
     if f is None:
         return 2
-    if system == "multi-krum":
-        return theory.multi_krum_min_workers(f)
-    if system == "bulyan":
-        return theory.bulyan_min_workers(f)
     if system == "draco":
         return 2 * f + 1
+    if system in GAR_REGISTRY:
+        return GAR_REGISTRY[system].minimum_workers(f)
     return 2
 
 

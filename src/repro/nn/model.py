@@ -289,13 +289,6 @@ class Sequential:
         predictions = self.predict(x, batch_size=batch_size)
         return float((predictions == np.asarray(y)).mean())
 
-    def summary(self) -> str:
-        """Human-readable architecture summary with per-layer parameter counts."""
-        lines = [f"Model: {self.name} ({self.num_parameters:,} parameters)"]
-        for i, layer in enumerate(self.layers):
-            lines.append(f"  [{i:2d}] {layer!r:60s} params={layer.num_parameters:,}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Sequential(name={self.name!r}, layers={len(self.layers)}, d={self.num_parameters})"
 

@@ -37,10 +37,6 @@ class RMSprop(Optimizer):
         self._mean_square = self.decay * self._mean_square + (1 - self.decay) * gradient**2
         return self.learning_rate() * gradient / (np.sqrt(self._mean_square) + self.eps)
 
-    def reset(self) -> None:
-        super().reset()
-        self._mean_square = None
-
 
 @register_optimizer("adam")
 class Adam(Optimizer):
@@ -68,11 +64,6 @@ class Adam(Optimizer):
         v_hat = self._v / (1 - self.beta2**t)
         return self.learning_rate() * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def reset(self) -> None:
-        super().reset()
-        self._m = None
-        self._v = None
-
 
 @register_optimizer("adagrad")
 class Adagrad(Optimizer):
@@ -90,10 +81,6 @@ class Adagrad(Optimizer):
             self._accumulator = np.zeros_like(gradient)
         self._accumulator += gradient**2
         return self.learning_rate() * gradient / (np.sqrt(self._accumulator) + self.eps)
-
-    def reset(self) -> None:
-        super().reset()
-        self._accumulator = None
 
 
 @register_optimizer("adadelta")
@@ -121,11 +108,6 @@ class Adadelta(Optimizer):
         )
         self._accum_update = self.rho * self._accum_update + (1 - self.rho) * update**2
         return self.learning_rate() * update
-
-    def reset(self) -> None:
-        super().reset()
-        self._accum_grad = None
-        self._accum_update = None
 
 
 __all__ = ["RMSprop", "Adam", "Adagrad", "Adadelta"]

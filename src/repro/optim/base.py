@@ -64,10 +64,6 @@ class Optimizer(abc.ABC):
     def _update(self, gradient: np.ndarray) -> np.ndarray:
         """Compute the (already learning-rate-scaled) update vector."""
 
-    def reset(self) -> None:
-        """Clear all internal state (moments, accumulators, step count)."""
-        self.step_count = 0
-
     # --------------------------------------------------------- checkpointing
     def state_dict(self) -> Dict[str, object]:
         """All mutable state (step count, moment vectors) in copyable form.

@@ -15,9 +15,6 @@ class SGD(Optimizer):
     def _update(self, gradient: np.ndarray) -> np.ndarray:
         return self.learning_rate() * gradient
 
-    def reset(self) -> None:
-        super().reset()
-
 
 @register_optimizer("momentum")
 class MomentumSGD(Optimizer):
@@ -39,10 +36,6 @@ class MomentumSGD(Optimizer):
         if self.nesterov:
             return lr * (self.momentum * self._velocity + gradient)
         return lr * self._velocity
-
-    def reset(self) -> None:
-        super().reset()
-        self._velocity = None
 
 
 __all__ = ["SGD", "MomentumSGD"]

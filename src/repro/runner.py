@@ -18,7 +18,7 @@ registered names, exactly like the original runner does.
 The runner is argparse, the options the operator actually typed, and one
 :func:`~repro.cluster.builder.build_trainer` call.  It validates nothing a
 lower layer owns (:func:`_check_cli_only` and :func:`_straggler_model` hold
-the three checks only a command line can make), so a flag combination is
+the four checks only a command line can make), so a flag combination is
 refused with the same ``ConfigurationError`` text the API raises, and every
 parsed flag except the file paths is echoed in the summary's ``configuration``.
 """
@@ -225,13 +225,18 @@ def _parse_kv_args(text: str) -> dict:
 
 
 def _check_cli_only(args) -> None:
-    """The two constraints only a command line can state.
+    """The three constraints only a command line can state.
 
     Everything else is checked below ``build_trainer`` by the layer that owns
     the concept.  These have no owner there: ``tau = 0`` is a valid
     ``BoundedStaleness`` the CLI declines to offer, and the replay behind
-    ``--determinism-check`` is a runner feature.
+    ``--determinism-check`` and the snapshots of ``--checkpoint-delta`` are
+    runner features.
     """
+    if args.checkpoint_delta < 0:
+        raise ConfigurationError(
+            f"--checkpoint-delta must be >= 0, got {args.checkpoint_delta}"
+        )
     if args.staleness_bound is not None and args.staleness_bound < 1:
         raise ConfigurationError(
             f"--staleness-bound must be >= 1, got {args.staleness_bound}; a bound "

@@ -2,7 +2,6 @@
 
 from repro.utils.random import as_rng, component_seed, fresh_rng, spawn_rngs
 from repro.utils.validation import (
-    check_gradient_matrix,
     check_positive_int,
     check_probability,
     stack_gradients,
@@ -14,7 +13,6 @@ __all__ = [
     "component_seed",
     "fresh_rng",
     "spawn_rngs",
-    "check_gradient_matrix",
     "check_positive_int",
     "check_probability",
     "stack_gradients",

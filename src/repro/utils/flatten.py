@@ -8,7 +8,7 @@ representations without copying more than once.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,9 +47,4 @@ def unflatten_array(flat: np.ndarray, shapes: Sequence[Tuple[int, ...]]) -> List
     return out
 
 
-def total_size(shapes: Iterable[Tuple[int, ...]]) -> int:
-    """Total number of scalar elements across *shapes*."""
-    return int(sum(int(np.prod(s, dtype=np.int64)) if len(s) else 1 for s in shapes))
-
-
-__all__ = ["flatten_arrays", "unflatten_array", "total_size"]
+__all__ = ["flatten_arrays", "unflatten_array"]

@@ -104,22 +104,6 @@ def stack_gradients(gradients: GradientInput) -> np.ndarray:
     return np.stack(vectors, axis=0)
 
 
-def check_gradient_matrix(matrix: np.ndarray, *, minimum_rows: int = 1) -> np.ndarray:
-    """Validate a stacked ``(n, d)`` gradient matrix with at least *minimum_rows* rows."""
-    matrix = stack_gradients(matrix)
-    if matrix.shape[0] < minimum_rows:
-        raise AggregationError(
-            f"need at least {minimum_rows} gradients, got {matrix.shape[0]}"
-        )
-    return matrix
-
-
-def check_same_shape(a: np.ndarray, b: np.ndarray, name: str = "array") -> None:
-    """Raise :class:`ConfigurationError` unless *a* and *b* share a shape."""
-    if a.shape != b.shape:
-        raise ConfigurationError(f"{name} shape mismatch: {a.shape} vs {b.shape}")
-
-
 __all__ = [
     "GradientInput",
     "check_positive_int",
@@ -127,6 +111,4 @@ __all__ = [
     "check_probability",
     "make_registered",
     "stack_gradients",
-    "check_gradient_matrix",
-    "check_same_shape",
 ]

@@ -82,7 +82,7 @@ def shard_frame_bytes(
       width and sum exactly to the frame's priced bytes.
     """
     if not bounds:
-        raise ConfigurationError("shard_frame_bytes needs at least one shard")
+        raise ConfigurationError("shard_bytes needs at least one shard")
     widths = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
     if (widths < 1).any() or int(widths.sum()) != frame.dim:
         raise ConfigurationError(
@@ -118,7 +118,7 @@ def shard_frame_bytes_batch(
     the bounds do not tile (for the same ``ConfigurationError``).
     """
     if not bounds:
-        raise ConfigurationError("shard_frame_bytes needs at least one shard")
+        raise ConfigurationError("shard_bytes needs at least one shard")
     if len(frames) == 0:
         return np.zeros((0, len(bounds)))
     first = frames[0]

@@ -323,7 +323,7 @@ class TestAsyncEngine:
 # ------------------------------------------------- telemetry export satellite
 class TestTelemetryExport:
     def test_telemetry_series_exports_async_fields(self, tiny_dataset, tiny_model_kwargs):
-        from repro.experiments.export import results_to_json, telemetry_series
+        from repro.experiments.export import telemetry_series
 
         trainer = make_async(tiny_dataset, tiny_model_kwargs, straggler_model=STRAGGLERS)
         history = trainer.run(TrainerConfig(max_steps=10, eval_every=0))
@@ -335,7 +335,7 @@ class TestTelemetryExport:
         # The whole series must be JSON-serialisable as exported.
         import json
 
-        payload = json.loads(results_to_json(series))
+        payload = json.loads(json.dumps(series))
         assert payload["worker_round_counts"]["0"] >= 8
 
     def test_history_to_dict_includes_engine_fields(self, tiny_dataset, tiny_model_kwargs):

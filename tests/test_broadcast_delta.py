@@ -34,7 +34,7 @@ class TestDeltaFraming:
         codec = TopKCodec(5)
         delta = rng.standard_normal(40)
         frame = encode_delta(codec, delta, base_version=3, target_version=7)
-        assert frame.is_delta
+        assert frame.base_version is not None
         assert frame.base_version == 3 and frame.target_version == 7
         # The version tags are free: a delta frame costs exactly frame_bytes.
         assert frame.nbytes == codec.frame_bytes(40)
@@ -48,7 +48,7 @@ class TestDeltaFraming:
 
     def test_gradient_frames_are_not_deltas(self, rng):
         frame = IdentityCodec().encode(rng.standard_normal(8))
-        assert not frame.is_delta
+        assert frame.base_version is None
 
 
 class TestServerVersionPinning:

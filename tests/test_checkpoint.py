@@ -1,7 +1,6 @@
 """Tests for checkpointing and summary export."""
 
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from repro.cluster.checkpoint import (
     restore_training_state,
     save_checkpoint,
     save_training_state,
-    write_history_json,
     write_summary_csv,
 )
 from repro.cluster.telemetry import EvalRecord, StepRecord, TrainingHistory
@@ -74,8 +72,10 @@ class TestCheckpointManager:
         with pytest.raises(ConfigurationError):
             CheckpointManager(tmp_path, max_to_keep=0)
 
-    def test_resume_from_checkpoint_restores_training_state(self, tmp_path, tiny_dataset,
-                                                            tiny_model_kwargs):
+    def test_round_trips_a_trained_models_parameters(self, tmp_path, tiny_dataset,
+                                                     tiny_model_kwargs):
+        """A model-only ``Checkpoint``: step and parameters, no training state
+        (:class:`TestTrainingStateResume` owns the resume contract)."""
         from repro.cluster import TrainerConfig, build_trainer
 
         trainer = build_trainer(
@@ -307,8 +307,3 @@ class TestSummaries:
         assert len(rows) == 3
         assert float(rows[2][2]) == pytest.approx(0.75)
 
-    def test_history_json(self, tmp_path, history):
-        path = write_history_json(history, tmp_path / "history.json")
-        payload = json.loads(path.read_text())
-        assert payload["num_updates"] == 1
-        assert len(payload["evaluations"]) == 2

@@ -119,16 +119,16 @@ class TestCostModel:
         model = CostModel()
         gar = MultiKrum(f=1)
         matrix = rng.standard_normal((6, 50))
-        result, seconds = model.aggregation_time(gar, matrix)
-        np.testing.assert_allclose(result, gar.aggregate(matrix))
+        result, seconds = model.aggregation_time_detailed(gar, matrix)
+        np.testing.assert_allclose(result.gradient, gar.aggregate(matrix))
         assert seconds > 0
 
     def test_aggregation_time_measured_mode(self, rng):
         model = CostModel(measured_aggregation=True)
         matrix = rng.standard_normal((6, 50))
-        result, seconds = model.aggregation_time(MultiKrum(f=1), matrix)
+        result, seconds = model.aggregation_time_detailed(MultiKrum(f=1), matrix)
         assert seconds > 0
-        assert result.shape == (50,)
+        assert result.gradient.shape == (50,)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):

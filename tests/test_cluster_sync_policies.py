@@ -102,10 +102,10 @@ def reference_seed_step(trainer):
 
     matrix = np.stack([m.gradient for m in delivered], axis=0)
     trainer.server.validate_rows([m.worker_id for m in delivered], matrix)
-    aggregated, aggregation_time = trainer.cost_model.aggregation_time(
+    aggregated, aggregation_time = trainer.cost_model.aggregation_time_detailed(
         trainer.server.gar, matrix
     )
-    trainer.server.apply_update(aggregated)
+    trainer.server.apply_update(aggregated.gradient)
     update_time = trainer.cost_model.update_time(dim)
 
     compute_comm_time = max(path_times) if path_times else downlink_time

@@ -10,7 +10,6 @@ from repro.cluster import (
     EvalRecord,
     GradientMessage,
     HonestWorker,
-    ModelMessage,
     ParameterServer,
     StepRecord,
     TrainingHistory,
@@ -28,14 +27,6 @@ def sampler(tiny_dataset):
 
 
 class TestMessages:
-    def test_model_message_validation(self):
-        message = ModelMessage(step=0, parameters=np.zeros(10))
-        assert message.dim == 10
-        with pytest.raises(ConfigurationError):
-            ModelMessage(step=-1, parameters=np.zeros(3))
-        with pytest.raises(ConfigurationError):
-            ModelMessage(step=0, parameters=np.zeros((2, 2)))
-
     def test_gradient_message_validation(self):
         message = GradientMessage(worker_id=3, step=1, gradient=np.ones(5), loss=0.4)
         assert message.dim == 5

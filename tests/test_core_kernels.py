@@ -3,9 +3,9 @@
 The oracles below are frozen copies of the pre-refactor helper code that used
 to live inline in ``krum.py`` / ``bulyan.py`` / ``meamed.py``; the kernel
 extraction must reproduce them bit-for-bit on random and NaN/Inf-laced
-inputs, compared with ``tobytes()`` so that the sign of zero counts.  The
-closed-form ``max_byzantine`` is pinned against the documented O(n) scan
-fallback for every registered rule.
+inputs, compared with ``tobytes()`` so that the sign of zero counts.
+``max_byzantine`` is pinned as the inverse of each registered rule's
+``minimum_workers``.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from repro.core import (
     kernels,
 )
 from repro.core.base import GradientAggregationRule
-from repro.exceptions import ConfigurationError, ResilienceConditionError
+from repro.exceptions import ResilienceConditionError
 
 
 # --------------------------------------------------------------------- oracles
@@ -471,14 +471,45 @@ def test_meamed_not_distorted_by_cross_scale_nan_fill():
     assert 997.0 <= out[0] <= 1000.0
 
 
-# ------------------------------------------------- max_byzantine closed form
-def test_max_byzantine_closed_form_matches_scan_for_all_rules():
-    for name, cls in sorted(GAR_REGISTRY.items()):
-        assert cls.min_workers_linear is not None, f"{name} lost its closed form"
-        for n in range(0, 65):
-            assert cls.max_byzantine(n) == cls._max_byzantine_scan(n), (
-                f"{name}: closed form disagrees with the scan at n={n}"
-            )
+# ------------------------------------------- max_byzantine inverts the bound
+@pytest.mark.parametrize("name", sorted(GAR_REGISTRY))
+def test_max_byzantine_inverts_minimum_workers_for_all_rules(name):
+    cls = GAR_REGISTRY[name]
+    for n in range(1, 65):
+        f = cls.max_byzantine(n)
+        if cls.minimum_workers(0) <= n:
+            assert cls.minimum_workers(f) <= n, f"{name}: f={f} undeployable at n={n}"
+        assert cls.minimum_workers(f + 1) > n, f"{name}: f={f} not maximal at n={n}"
+
+
+# The published resilience bound of each built-in rule, written out once here
+# so that a change to any rule's ``minimum_workers`` shows up as a failure.
+PUBLISHED_BOUNDS = {
+    "average": lambda f: f + 1,
+    "selective-average": lambda f: f + 1,
+    "norm-clipping": lambda f: f + 1,
+    "median": lambda f: 2 * f + 1,
+    "trimmed-mean": lambda f: 2 * f + 1,
+    "meamed": lambda f: 2 * f + 1,
+    "phocas": lambda f: 2 * f + 1,
+    "geometric-median": lambda f: 2 * f + 1,
+    "centered-clipping": lambda f: 2 * f + 1,
+    "brute": lambda f: 2 * f + 1,
+    "krum": lambda f: 2 * f + 3,
+    "multi-krum": lambda f: 2 * f + 3,
+    "bulyan": lambda f: 4 * f + 3,
+}
+
+
+def test_published_bounds_cover_the_registry():
+    assert set(PUBLISHED_BOUNDS) == set(GAR_REGISTRY)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED_BOUNDS))
+def test_minimum_workers_is_the_published_bound(name):
+    cls = GAR_REGISTRY[name]
+    for f in range(0, 33):
+        assert cls.minimum_workers(f) == PUBLISHED_BOUNDS[name](f), f"{name}: f={f}"
 
 
 def test_max_byzantine_known_values_unchanged():
@@ -491,31 +522,11 @@ def test_max_byzantine_known_values_unchanged():
     assert Phocas.max_byzantine(11) == 5
 
 
-def test_register_gar_rejects_inconsistent_linear_declaration():
-    from repro.core.base import register_gar
-    from repro.core.base import AggregationResult
-
-    class Lying(GradientAggregationRule):
-        resilience = "weak"
-        min_workers_linear = (3, 1)  # wrong: minimum_workers says 2f + 1
-
-        @classmethod
-        def minimum_workers(cls, f):
-            return 2 * f + 1
-
-        def _aggregate(self, matrix):
-            return AggregationResult(gradient=matrix.mean(axis=0))
-
-    with pytest.raises(ConfigurationError, match="disagrees"):
-        register_gar("lying-rule-xyz")(Lying)
-
-
-def test_scan_fallback_used_when_no_closed_form():
+def test_max_byzantine_inverts_a_non_linear_bound():
     from repro.core.base import AggregationResult
 
     class NonLinear(GradientAggregationRule):
         resilience = "weak"
-        min_workers_linear = None
 
         @classmethod
         def minimum_workers(cls, f):

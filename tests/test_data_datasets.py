@@ -22,21 +22,10 @@ class TestDatasetContainer:
             Dataset(rng.standard_normal((10, 3)), np.zeros(9), rng.standard_normal((2, 3)), np.zeros(2))
 
     def test_properties(self, tiny_dataset):
-        assert tiny_dataset.num_train == 300
-        assert tiny_dataset.num_test == 80
-        assert tiny_dataset.feature_shape == (8,)
+        assert len(tiny_dataset.train_x) == 300
+        assert len(tiny_dataset.test_x) == 80
+        assert tiny_dataset.train_x.shape[1:] == (8,)
         assert tiny_dataset.num_classes == 3
-
-    def test_subset(self, tiny_dataset):
-        subset = tiny_dataset.subset(50)
-        assert subset.num_train == 50
-        assert subset.num_test == tiny_dataset.num_test
-
-    def test_subset_invalid_size(self, tiny_dataset):
-        with pytest.raises(ConfigurationError):
-            tiny_dataset.subset(0)
-        with pytest.raises(ConfigurationError):
-            tiny_dataset.subset(10_000)
 
 
 class TestGenerators:
@@ -78,14 +67,14 @@ class TestGenerators:
         from repro.optim import Adam
 
         ds = synthetic_cifar(num_train=400, num_test=100, image_size=8, num_classes=4, rng=0)
-        flat_train = ds.train_x.reshape(ds.num_train, -1)
-        flat_test = ds.test_x.reshape(ds.num_test, -1)
+        flat_train = ds.train_x.reshape(len(ds.train_x), -1)
+        flat_test = ds.test_x.reshape(len(ds.test_x), -1)
         model = logistic_regression(input_dim=flat_train.shape[1], num_classes=4, rng=0)
         optimizer = Adam(learning_rate=1e-2)
         params = model.get_parameters()
         sampler = np.random.default_rng(0)
         for _ in range(100):
-            idx = sampler.integers(0, ds.num_train, size=64)
+            idx = sampler.integers(0, len(ds.train_x), size=64)
             model.set_parameters(params)
             _, grad = model.loss_and_gradient(flat_train[idx], ds.train_y[idx])
             params = optimizer.step(params, grad)
@@ -97,7 +86,7 @@ class TestGenerators:
             available_datasets()
         )
         ds = load_dataset("blobs", num_train=50, num_test=10, rng=0)
-        assert ds.num_train == 50
+        assert len(ds.train_x) == 50
         with pytest.raises(ConfigurationError):
             load_dataset("imagenet")
 

@@ -6,11 +6,8 @@ import pytest
 from repro.data import (
     MiniBatchSampler,
     corrupt_features,
-    flip_labels,
     min_max_scale,
-    one_hot,
     permute_labels,
-    train_test_split,
 )
 from repro.exceptions import ConfigurationError
 
@@ -42,41 +39,6 @@ class TestMinMaxScale:
             min_max_scale(np.ones(5))
 
 
-class TestTrainTestSplit:
-    def test_sizes(self, rng):
-        x = rng.standard_normal((100, 3))
-        y = rng.integers(0, 2, size=100)
-        train_x, train_y, test_x, test_y = train_test_split(x, y, test_fraction=0.25, rng=0)
-        assert train_x.shape[0] == 75 and test_x.shape[0] == 25
-        assert train_y.shape[0] == 75 and test_y.shape[0] == 25
-
-    def test_partition_is_disjoint_and_complete(self, rng):
-        x = np.arange(50, dtype=float).reshape(50, 1)
-        y = np.arange(50)
-        train_x, _, test_x, _ = train_test_split(x, y, test_fraction=0.2, rng=1)
-        combined = np.sort(np.concatenate([train_x.ravel(), test_x.ravel()]))
-        np.testing.assert_array_equal(combined, np.arange(50, dtype=float))
-
-    def test_invalid_fraction(self, rng):
-        x, y = rng.standard_normal((10, 2)), np.zeros(10)
-        with pytest.raises(ConfigurationError):
-            train_test_split(x, y, test_fraction=1.0)
-
-
-class TestOneHot:
-    def test_encoding(self):
-        encoded = one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_array_equal(encoded, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            one_hot(np.array([0, 3]), 3)
-
-    def test_2d_labels_rejected(self):
-        with pytest.raises(ConfigurationError):
-            one_hot(np.zeros((3, 2), dtype=int), 2)
-
-
 class TestMiniBatchSampler:
     def test_batch_shapes(self, tiny_dataset):
         sampler = MiniBatchSampler(tiny_dataset.train_x, tiny_dataset.train_y, 16, rng=0)
@@ -101,12 +63,6 @@ class TestMiniBatchSampler:
         batch_x, _ = sampler.sample()
         assert batch_x.shape == (20, 2)
 
-    def test_iterator_protocol(self, tiny_dataset):
-        sampler = MiniBatchSampler(tiny_dataset.train_x, tiny_dataset.train_y, 4, rng=0)
-        iterator = iter(sampler)
-        x, y = next(iterator)
-        assert x.shape[0] == 4
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigurationError):
             MiniBatchSampler(np.zeros((0, 3)), np.zeros(0), 4)
@@ -117,22 +73,6 @@ class TestMiniBatchSampler:
 
 
 class TestCorruption:
-    def test_flip_labels_full_fraction(self):
-        labels = np.zeros(100, dtype=int)
-        flipped = flip_labels(labels, 10, fraction=1.0, rng=0)
-        assert (flipped != 0).all()
-        assert ((flipped >= 0) & (flipped < 10)).all()
-
-    def test_flip_labels_partial_fraction(self):
-        labels = np.zeros(100, dtype=int)
-        flipped = flip_labels(labels, 10, fraction=0.3, rng=0)
-        assert (flipped != 0).sum() == 30
-
-    def test_flip_labels_does_not_modify_input(self):
-        labels = np.zeros(10, dtype=int)
-        flip_labels(labels, 5, rng=0)
-        assert (labels == 0).all()
-
     def test_permute_labels_is_a_bijection(self):
         labels = np.arange(10)
         permuted = permute_labels(labels, 10, rng=0)
@@ -159,6 +99,6 @@ class TestCorruption:
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
-            flip_labels(np.zeros(5, dtype=int), 1)
+            permute_labels(np.zeros(5, dtype=int), 1)
         with pytest.raises(ConfigurationError):
             corrupt_features(np.zeros((5, 2)), scale=0.0)

@@ -255,10 +255,10 @@ def test_rebuild_reproduces_carry_pool_state(rng):
     for cache in (live, rebuilt):
         cache.begin_round()
         cache.distances(next_matrix)
-        results.append(cache.end_round(None).to_dict())
+        results.append(cache.end_round(None))
     assert results[0] == results[1]
-    assert results[0]["hit_rows"] == 2
-    assert results[0]["hit_pairs"] == 1  # the carried[:2] mutual block
+    assert results[0].hit_rows == 2
+    assert results[0].hit_pairs == 1  # the carried[:2] mutual block
 
 
 def test_rebuild_from_empty_pool_resets():

@@ -1,13 +1,11 @@
 """Tests for experiment profiles and result export helpers."""
 
-import json
-
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments.config import ExperimentProfile, ci_profile, get_profile, paper_profile
-from repro.experiments.export import format_table, results_to_json
+from repro.experiments.export import format_table
 
 
 class TestProfiles:
@@ -55,15 +53,6 @@ class TestProfiles:
 
 
 class TestExport:
-    def test_results_to_json_handles_numpy(self, tmp_path):
-        results = {"value": np.float64(1.5), "array": np.arange(3), "nested": {"n": np.int64(2)}}
-        path = tmp_path / "results.json"
-        payload = results_to_json(results, path)
-        loaded = json.loads(path.read_text())
-        assert loaded["value"] == 1.5
-        assert loaded["array"] == [0, 1, 2]
-        assert json.loads(payload) == loaded
-
     def test_format_table_alignment_and_nan(self):
         text = format_table(["name", "value"], [("a", 1.0), ("b", float("nan"))], title="T")
         lines = text.splitlines()

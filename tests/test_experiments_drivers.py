@@ -150,6 +150,23 @@ class TestScalability:
         with pytest.raises(ConfigurationError):
             scalability.run_throughput_sweep(fast_profile, steps_per_point=0)
 
+    @pytest.mark.parametrize(
+        "system, f, expected",
+        [
+            ("average", None, 2),
+            ("multi-krum", None, 2),
+            ("draco", 2, 5),
+            ("krum", 2, 7),
+            ("multi-krum", 1, 5),
+            ("multi-krum", 8, 19),
+            ("bulyan", 1, 7),
+            ("bulyan", 4, 19),
+        ],
+    )
+    def test_min_workers_asks_the_registered_rule(self, system, f, expected):
+        # Draco keeps its own 2f + 1; every GAR answers with its minimum_workers.
+        assert scalability._min_workers(system, f) == expected
+
 
 class TestImpactF:
     def test_runs_all_curves(self, fast_profile):
@@ -176,6 +193,12 @@ class TestCorruptedData:
 
 
 class TestDroppedPackets:
+    @pytest.mark.parametrize("n, expected", [(1, 1), (3, 1), (5, 1), (7, 2), (11, 4), (19, 8)])
+    def test_f_is_the_multi_krum_maximum_floored_at_one(self, n, expected):
+        # f = 8 at the paper's n = 19; a cluster too small for Multi-Krum still
+        # declares one Byzantine worker.
+        assert dropped_packets._multi_krum_f(n) == expected
+
     def test_clean_panel_all_converge(self, fast_profile):
         results = dropped_packets.run_dropped_packets_clean(fast_profile)
         for summary in results["summaries"]:

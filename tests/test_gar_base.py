@@ -110,6 +110,20 @@ def test_cardinality_check_raises_for_too_few_workers(honest_gradients):
         gar.aggregate(honest_gradients)
 
 
+@pytest.mark.parametrize("name", sorted(GAR_REGISTRY))
+def test_every_rule_enforces_its_own_minimum_workers(name):
+    # ``minimum_workers`` is the one statement of a rule's bound: a round of
+    # exactly that many rows aggregates, one row fewer is refused.
+    rng = np.random.default_rng(7)
+    for f in (1, 2):
+        gar = make_gar(name, f=f)
+        n = type(gar).minimum_workers(f)
+        assert gar.aggregate(rng.normal(size=(n, 6))).shape == (6,)
+        refusal = f"requires at least {n} workers, got {n - 1}"
+        with pytest.raises(ResilienceConditionError, match=refusal):
+            gar.aggregate(rng.normal(size=(n - 1, 6)))
+
+
 def test_detailed_result_fields(honest_gradients):
     result = make_gar("multi-krum", f=2).aggregate_detailed(honest_gradients)
     assert isinstance(result, AggregationResult)

@@ -35,11 +35,6 @@ class TestConstruction:
     def test_num_parameters(self, small_model):
         assert small_model.num_parameters == (6 * 8 + 8) + (8 * 3 + 3)
 
-    def test_summary_mentions_every_layer(self, small_model):
-        text = small_model.summary()
-        assert "Dense" in text and "ReLU" in text
-        assert f"{small_model.num_parameters:,}" in text
-
 
 class TestFlatParameters:
     def test_get_set_roundtrip(self, small_model, rng):

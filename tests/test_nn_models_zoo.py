@@ -125,7 +125,7 @@ class TestEndToEndLearning:
         params = model.get_parameters()
         sampler_rng = np.random.default_rng(0)
         for _ in range(150):
-            idx = sampler_rng.integers(0, tiny_dataset.num_train, size=32)
+            idx = sampler_rng.integers(0, len(tiny_dataset.train_x), size=32)
             model.set_parameters(params)
             _, grad = model.loss_and_gradient(tiny_dataset.train_x[idx], tiny_dataset.train_y[idx])
             params = optimizer.step(params, grad)

@@ -87,13 +87,6 @@ class TestMomentum:
         p = np.zeros(3)
         assert not np.allclose(plain.step(p, g), nesterov.step(p, g))
 
-    def test_reset_clears_velocity(self):
-        optimizer = MomentumSGD(learning_rate=1.0, momentum=0.9)
-        optimizer.step(np.zeros(2), np.ones(2))
-        optimizer.reset()
-        assert optimizer._velocity is None
-        assert optimizer.step_count == 0
-
 
 class TestAdaptive:
     @pytest.mark.parametrize("cls", [Adam, RMSprop, Adagrad, Adadelta])
@@ -119,13 +112,6 @@ class TestAdaptive:
         # Step magnitude is insensitive to the raw gradient scale (epsilon
         # slightly dampens the tiny-gradient case).
         assert abs(big[0]) == pytest.approx(abs(small[0]), rel=0.05)
-
-    @pytest.mark.parametrize("cls", [Adam, RMSprop, Adagrad, Adadelta])
-    def test_reset(self, cls):
-        optimizer = cls()
-        optimizer.step(np.zeros(3), np.ones(3))
-        optimizer.reset()
-        assert optimizer.step_count == 0
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ConfigurationError):

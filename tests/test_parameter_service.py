@@ -221,7 +221,7 @@ def test_region_sharding_localises_home_slices_on_wan():
     overrides = {"link_profile": "wan:2x10mbit/5ms", "link_sharing": "fair"}
     trainer, history = _run("region-sharded", overrides)
     service = trainer.service
-    assert service.num_shards == 2
+    assert service.num_actors == 2
     assert {shard.region for shard in service.shards} == {"region0", "region1"}
     counters = service.counters
     # Workers alternate regions and shards alternate regions, so both local
@@ -310,7 +310,7 @@ class TestServerFabric:
         fabric = _fabric(
             "region-sharded", link_topology=parse_link_profile("wan:2x10mbit/5ms", num_workers)
         )
-        assert fabric.num_shards == 2
+        assert fabric.num_actors == 2
         dim = fabric.server.dim
         with pytest.raises(TrainingError) as foreign:
             fabric.aggregate([0, num_workers + 1], np.ones((2, dim)))
@@ -419,7 +419,7 @@ class TestServerFabric:
         trainer, _ = _run("shards:2")
         service = trainer.service
         state = service.state_dict()
-        assert len(state["shards"]) == service.num_shards
+        assert len(state["shards"]) == service.num_actors
         for entry in state["shards"]:
             # Only the checkpointed version's digest: the one resume can verify.
             assert set(entry["versions"]) == {str(trainer.server.version)}

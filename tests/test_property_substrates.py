@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.packets import Packetizer, RecoveryPolicy
-from repro.core import theory
+from repro.core import Bulyan, MultiKrum, theory
 from repro.optim import SGD, Adam, RMSprop
 from repro.utils.flatten import flatten_arrays, unflatten_array
 
@@ -69,12 +69,12 @@ def test_packetizer_nan_fill_marks_exactly_the_lost_packet(dim, packet_size, dro
 @settings(max_examples=60, deadline=None)
 @given(f=st.integers(0, 20))
 def test_theory_minimum_workers_are_consistent(f):
-    n_weak = theory.multi_krum_min_workers(f)
-    n_strong = theory.bulyan_min_workers(f)
+    n_weak = MultiKrum.minimum_workers(f)
+    n_strong = Bulyan.minimum_workers(f)
     assert n_strong >= n_weak
     # At the minimum deployment, the maximum tolerated f equals the requested f.
-    assert theory.max_byzantine_weak(n_weak) == f
-    assert theory.max_byzantine_strong(n_strong) == f
+    assert MultiKrum.max_byzantine(n_weak) == f
+    assert Bulyan.max_byzantine(n_strong) == f
     # And the selection bound is achievable (>= 1).
     assert theory.max_selection_weak(n_weak, f) >= 1
     assert theory.max_selection_strong(n_strong, f) >= 1

@@ -122,20 +122,6 @@ def test_explicit_rng_still_wins():
 
 
 # ------------------------------------------------------------ SIM202 fixes
-def test_dataset_subset_default_is_deterministic():
-    from repro.data.dataset import Dataset
-
-    rng = as_rng(3)
-    ds = Dataset(
-        train_x=rng.normal(size=(32, 4)), train_y=np.arange(32) % 2,
-        test_x=rng.normal(size=(8, 4)), test_y=np.arange(8) % 2,
-        name="toy", num_classes=2,
-    )
-    a = ds.subset(10)
-    b = ds.subset(10)
-    np.testing.assert_array_equal(a.train_x, b.train_x)
-
-
 def test_cost_analysis_measure_accepts_seedlike():
     from repro.experiments.cost_analysis import measure_aggregation_time
 

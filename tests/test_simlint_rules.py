@@ -2,9 +2,8 @@
 
 Every registered rule code (plus the SIM001 parse-error pseudo-code) has a
 ``bad/`` tree that must trigger it and a ``good/`` tree that must not; this
-module drives both directions, exercises the pragma / baseline / CLI
-machinery on synthetic trees, and finally asserts the live ``src/`` tree is
-clean under the committed baseline.
+module drives both directions, exercises the pragma / CLI machinery on
+synthetic trees, and finally asserts the live ``src/`` tree is clean.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import all_rule_codes, run_analysis
-from repro.analysis.baseline import save_baseline
 from repro.analysis.cli import main
 from repro.analysis.engine import PARSE_ERROR_CODE
 from repro.analysis.report import format_github, format_text, to_json_payload
@@ -27,7 +25,7 @@ ALL_CODES = sorted(set(all_rule_codes()) | {PARSE_ERROR_CODE})
 
 
 def _scan(path: Path, **kwargs):
-    return run_analysis([path], root=REPO_ROOT, baseline_path=None, **kwargs)
+    return run_analysis([path], root=REPO_ROOT, **kwargs)
 
 
 # ------------------------------------------------------------ fixture corpus
@@ -64,7 +62,7 @@ def _write(tmp_path: Path, body: str) -> Path:
 
 def test_pragma_same_line_suppresses(tmp_path):
     _write(tmp_path, "import time\nnow = time.time()  # simlint: disable=SIM101 harness\n")
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
+    result = run_analysis([tmp_path], root=tmp_path)
     assert result.codes() == set()
     assert len(result.suppressed) == 1
 
@@ -76,7 +74,7 @@ def test_pragma_comment_line_above_suppresses(tmp_path):
         "# simlint: disable=SIM101 reporting-only wall clock\n"
         "now = time.time()\n",
     )
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
+    result = run_analysis([tmp_path], root=tmp_path)
     assert result.codes() == set()
 
 
@@ -88,19 +86,19 @@ def test_pragma_in_comment_block_above_suppresses(tmp_path):
         "# measurement only; it never feeds back into simulated time.\n"
         "now = time.time()\n",
     )
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
+    result = run_analysis([tmp_path], root=tmp_path)
     assert result.codes() == set()
 
 
 def test_pragma_wrong_code_does_not_suppress(tmp_path):
     _write(tmp_path, "import time\nnow = time.time()  # simlint: disable=SIM301\n")
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
+    result = run_analysis([tmp_path], root=tmp_path)
     assert result.codes() == {"SIM101"}
 
 
 def test_pragma_all_token_suppresses_everything(tmp_path):
     _write(tmp_path, "import time\nnow = time.time()  # simlint: disable=all legacy\n")
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
+    result = run_analysis([tmp_path], root=tmp_path)
     assert result.codes() == set()
 
 
@@ -112,69 +110,21 @@ def test_pragma_on_unrelated_line_does_not_suppress(tmp_path):
         "x = 1\n"
         "now = time.time()\n",
     )
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
+    result = run_analysis([tmp_path], root=tmp_path)
     assert result.codes() == {"SIM101"}
-
-
-# ----------------------------------------------------------------- baseline
-def test_baseline_consumes_known_findings(tmp_path):
-    _write(tmp_path, "import time\nnow = time.time()\n")
-    no_baseline = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
-    assert len(no_baseline.new_findings) == 1
-
-    baseline = tmp_path / "baseline.json"
-    save_baseline(baseline, no_baseline.raw_findings)
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=baseline)
-    assert result.ok
-    assert len(result.baselined) == 1
-
-
-def test_baseline_stale_entry_fails_run(tmp_path):
-    _write(tmp_path, "import time\nnow = time.time()\n")
-    first = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
-    baseline = tmp_path / "baseline.json"
-    save_baseline(baseline, first.raw_findings)
-
-    (tmp_path / "module.py").write_text("now = 0\n", encoding="utf-8")
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=baseline)
-    assert not result.ok
-    assert result.new_findings == []
-    assert len(result.stale_baseline) == 1
-
-
-def test_baseline_matches_by_source_not_line(tmp_path):
-    _write(tmp_path, "import time\nnow = time.time()\n")
-    first = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
-    baseline = tmp_path / "baseline.json"
-    save_baseline(baseline, first.raw_findings)
-
-    # Pure line shift: prepend comments; the baseline entry must still match.
-    _write(tmp_path, "# header\n# header\nimport time\nnow = time.time()\n")
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=baseline)
-    assert result.ok
-    assert len(result.baselined) == 1
-
-
-def test_corrupt_baseline_exits_2(tmp_path, monkeypatch, capsys):
-    _write(tmp_path, "x = 1\n")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"version": 99, "findings": []}), encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    assert main(["module.py", "--baseline", str(baseline)]) == 2
-    assert "simlint" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- CLI
 def test_cli_clean_tree_exits_0(tmp_path, monkeypatch, capsys):
     _write(tmp_path, "x = 1\n")
     monkeypatch.chdir(tmp_path)
-    assert main(["module.py", "--no-baseline"]) == 0
+    assert main(["module.py"]) == 0
 
 
 def test_cli_findings_exit_1(tmp_path, monkeypatch, capsys):
     _write(tmp_path, "import time\nnow = time.time()\n")
     monkeypatch.chdir(tmp_path)
-    assert main(["module.py", "--no-baseline"]) == 1
+    assert main(["module.py"]) == 1
     assert "SIM101" in capsys.readouterr().out
 
 
@@ -185,21 +135,26 @@ def test_cli_missing_path_exits_2(tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
 
 
-def test_cli_update_baseline_roundtrip(tmp_path, monkeypatch, capsys):
-    _write(tmp_path, "import time\nnow = time.time()\n")
+@pytest.mark.parametrize(
+    "flag", [["--baseline", "b.json"], ["--no-baseline"], ["--update-baseline"]],
+    ids=["baseline", "no-baseline", "update-baseline"],
+)
+def test_cli_has_no_baseline(tmp_path, monkeypatch, capsys, flag):
+    """A pragma with a reason is the one way to suppress a finding."""
+    _write(tmp_path, "x = 1\n")
     monkeypatch.chdir(tmp_path)
-    assert main(["module.py", "--update-baseline"]) == 0
-    assert (tmp_path / ".simlint-baseline.json").exists()
-    assert main(["module.py"]) == 0  # baselined now
+    with pytest.raises(SystemExit) as exc:
+        main(["module.py", *flag])
+    assert exc.value.code == 2
 
 
 def test_cli_output_writes_json_artifact(tmp_path, monkeypatch, capsys):
     _write(tmp_path, "import time\nnow = time.time()\n")
     monkeypatch.chdir(tmp_path)
     report = tmp_path / "report.json"
-    main(["module.py", "--no-baseline", "--output", str(report)])
+    main(["module.py", "--output", str(report)])
     payload = json.loads(report.read_text(encoding="utf-8"))
-    assert payload["counts"]["new"] == 1
+    assert payload["counts"] == {"findings": 1, "suppressed": 0}
     assert payload["findings"][0]["code"] == "SIM101"
 
 
@@ -212,9 +167,9 @@ def test_cli_list_rules(capsys):
 
 def test_select_and_ignore(tmp_path):
     _write(tmp_path, "import time\nimport numpy as np\nnow = time.time()\ng = np.random.default_rng(0)\n")
-    only_1xx = run_analysis([tmp_path], root=tmp_path, baseline_path=None, select=["SIM1"])
+    only_1xx = run_analysis([tmp_path], root=tmp_path, select=["SIM1"])
     assert only_1xx.codes() == {"SIM101"}
-    without_1xx = run_analysis([tmp_path], root=tmp_path, baseline_path=None, ignore=["SIM1"])
+    without_1xx = run_analysis([tmp_path], root=tmp_path, ignore=["SIM1"])
     assert "SIM101" not in without_1xx.codes()
     assert "SIM202" in without_1xx.codes()
 
@@ -222,7 +177,7 @@ def test_select_and_ignore(tmp_path):
 # ------------------------------------------------------------------ formats
 def test_report_formats_smoke(tmp_path):
     _write(tmp_path, "import time\nnow = time.time()\n")
-    result = run_analysis([tmp_path], root=tmp_path, baseline_path=None)
+    result = run_analysis([tmp_path], root=tmp_path)
     text = format_text(result)
     assert "SIM101" in text and "module.py" in text
     github = format_github(result)
@@ -233,26 +188,12 @@ def test_report_formats_smoke(tmp_path):
 
 # ------------------------------------------------------------- live src tree
 def test_simlint_clean_on_live_src():
-    """The committed tree must pass simlint under the committed baseline."""
-    result = run_analysis(
-        [REPO_ROOT / "src"],
-        root=REPO_ROOT,
-        baseline_path=REPO_ROOT / ".simlint-baseline.json",
-    )
+    """The committed tree must pass simlint; only reasoned pragmas suppress."""
+    result = run_analysis([REPO_ROOT / "src"], root=REPO_ROOT)
     assert result.ok, (
         "simlint found new violations:\n" + format_text(result)
     )
-    assert result.stale_baseline == [], "baseline has stale entries"
-
-
-def test_committed_baseline_is_small_and_justified():
-    """The baseline is for grandfathering, not a dumping ground."""
-    payload = json.loads(
-        (REPO_ROOT / ".simlint-baseline.json").read_text(encoding="utf-8")
-    )
-    assert payload["version"] == 1
-    assert len(payload["findings"]) <= 10
-
+    assert not (REPO_ROOT / ".simlint-baseline.json").exists()
 
 if __name__ == "__main__":
     import sys

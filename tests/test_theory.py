@@ -4,27 +4,29 @@ import math
 
 import pytest
 
-from repro.core import theory
+from repro.core import Bulyan, MultiKrum, theory
 from repro.exceptions import ConfigurationError, ResilienceConditionError
 
 
 class TestResilienceConditions:
-    def test_multi_krum_min_workers(self):
-        assert theory.multi_krum_min_workers(0) == 3
-        assert theory.multi_krum_min_workers(4) == 11
-        assert theory.multi_krum_min_workers(8) == 19
+    # The bounds are each rule's own ``minimum_workers``; the paper's values
+    # stay pinned here.
+    def test_multi_krum_minimum_workers(self):
+        assert MultiKrum.minimum_workers(0) == 3
+        assert MultiKrum.minimum_workers(4) == 11
+        assert MultiKrum.minimum_workers(8) == 19
 
-    def test_bulyan_min_workers(self):
-        assert theory.bulyan_min_workers(0) == 3
-        assert theory.bulyan_min_workers(4) == 19
+    def test_bulyan_minimum_workers(self):
+        assert Bulyan.minimum_workers(0) == 3
+        assert Bulyan.minimum_workers(4) == 19
 
-    def test_max_byzantine_weak_matches_paper_deployment(self):
+    def test_multi_krum_max_byzantine_matches_paper_deployment(self):
         # 19 workers: up to 8 for Multi-Krum (the Figure 8 setting).
-        assert theory.max_byzantine_weak(19) == 8
+        assert MultiKrum.max_byzantine(19) == 8
 
-    def test_max_byzantine_strong_matches_paper_deployment(self):
+    def test_bulyan_max_byzantine_matches_paper_deployment(self):
         # 19 workers: up to 4 for Bulyan (the default f of the evaluation).
-        assert theory.max_byzantine_strong(19) == 4
+        assert Bulyan.max_byzantine(19) == 4
 
     def test_max_selection_weak(self):
         # m_tilde = n - f - 2.
@@ -40,19 +42,6 @@ class TestResilienceConditions:
             theory.max_selection_weak(4, 3)
         with pytest.raises(ResilienceConditionError):
             theory.max_selection_strong(7, 3)
-
-    def test_check_deployment(self):
-        theory.check_deployment(19, 4, strong=True)
-        theory.check_deployment(11, 4, strong=False)
-        with pytest.raises(ResilienceConditionError):
-            theory.check_deployment(10, 4, strong=False)
-        with pytest.raises(ResilienceConditionError):
-            theory.check_deployment(18, 4, strong=True)
-
-    def test_bulyan_iterations_and_beta(self):
-        assert theory.bulyan_iterations(19, 4) == 11
-        assert theory.bulyan_beta(19, 4) == 3
-        assert theory.bulyan_beta(7, 1) == 3
 
 
 class TestEtaAndAlpha:
@@ -164,19 +153,3 @@ class TestSlowdownAndCosts:
         assert theory.shard_combine_flops(10, 500, 4) == pytest.approx(3 * (100 + 500))
         with pytest.raises(ConfigurationError):
             theory.shard_combine_flops(10, 500, 0)
-
-
-class TestDeploymentSpec:
-    def test_paper_deployment(self):
-        spec = theory.DeploymentSpec(n=19, f=4, strong=True)
-        assert spec.m_max == 9
-        assert 0 < spec.slowdown < 1
-        assert spec.eta > 0
-
-    def test_invalid_deployment_raises(self):
-        with pytest.raises(ResilienceConditionError):
-            theory.DeploymentSpec(n=10, f=4, strong=True)
-
-    def test_weak_deployment(self):
-        spec = theory.DeploymentSpec(n=11, f=4, strong=False)
-        assert spec.m_max == 5

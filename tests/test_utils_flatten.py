@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.flatten import flatten_arrays, total_size, unflatten_array
+from repro.utils.flatten import flatten_arrays, unflatten_array
 
 
 def test_roundtrip_preserves_values(rng):
@@ -30,10 +30,6 @@ def test_unflatten_preserves_shapes():
     restored = unflatten_array(np.arange(6, dtype=float), [(2, 3)])
     assert restored[0].shape == (2, 3)
     np.testing.assert_array_equal(restored[0], np.arange(6).reshape(2, 3))
-
-
-def test_total_size():
-    assert total_size([(2, 3), (4,), ()]) == 6 + 4 + 1
 
 
 def test_flatten_casts_to_float64():

@@ -5,11 +5,9 @@ import pytest
 
 from repro.exceptions import AggregationError, ConfigurationError
 from repro.utils.validation import (
-    check_gradient_matrix,
     check_non_negative_int,
     check_positive_int,
     check_probability,
-    check_same_shape,
     stack_gradients,
 )
 
@@ -92,19 +90,3 @@ class TestStackGradients:
     def test_flattens_multi_dimensional_vectors(self):
         matrix = stack_gradients([np.ones((2, 3)), np.zeros((2, 3))])
         assert matrix.shape == (2, 6)
-
-
-class TestCheckGradientMatrix:
-    def test_minimum_rows_enforced(self):
-        with pytest.raises(AggregationError):
-            check_gradient_matrix(np.ones((2, 3)), minimum_rows=3)
-
-    def test_passes_when_enough(self):
-        out = check_gradient_matrix(np.ones((3, 3)), minimum_rows=3)
-        assert out.shape == (3, 3)
-
-
-def test_check_same_shape():
-    check_same_shape(np.ones(3), np.zeros(3))
-    with pytest.raises(ConfigurationError):
-        check_same_shape(np.ones(3), np.zeros(4))

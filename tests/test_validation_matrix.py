@@ -131,10 +131,11 @@ INVALID = [
      ["--experiment-args", "bogus:3"]),
     ("traceback-negative-seed", {"seed": -1}, ["--seed", "-1"]),
     ("malformed-kv-token", None, ["--dataset-args", "novalue"]),
-    # --- the two checks only a command line can make
+    # --- the three checks only a command line can make
     ("cli-only-staleness-bound", None,
      ["--sync-policy", "bounded-staleness", "--staleness-bound", "0"]),
     ("cli-only-measured-determinism", None, ["--measured-aggregation", "--determinism-check"]),
+    ("cli-only-negative-checkpoint-delta", None, ["--checkpoint-delta", "-1"]),
 ]
 
 
@@ -233,6 +234,14 @@ def test_messages_name_the_option_in_its_owners_spelling(dataset):
     assert "has no parameter 'tau'; accepted: quorum, stragglers" in _cli_error(
         ["--staleness-bound", "4", "--sync-policy", "quorum"])
     assert "accepted: num_train, num_test" in _cli_error(["--dataset-args", "bogus:3"])
+
+
+def test_a_negative_checkpoint_delta_is_refused(tmp_path):
+    """It used to exit 0, writing no checkpoint and never creating the directory."""
+    directory = tmp_path / "ck"
+    assert _cli_error(["--checkpoint-delta", "-1", "--checkpoint-dir", str(directory)]) == (
+        "--checkpoint-delta must be >= 0, got -1")
+    assert not directory.exists()
 
 
 def test_unknown_recovery_policy_names_the_valid_ones_from_both_spellings(dataset, capsys):

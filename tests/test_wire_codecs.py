@@ -12,7 +12,6 @@ from repro.cluster.codec import (
     available_codecs,
     decode_frame,
     make_codec,
-    shard_frame_bytes,
 )
 from repro.cluster.cost_model import BYTES_PER_COORDINATE
 from repro.exceptions import ConfigurationError
@@ -241,12 +240,12 @@ class TestShardFrameBytesBatch:
     def test_a_thinned_frame_is_priced_alone_and_never_stacked(self, rng, name):
         frames = frames_of(self._batch(name, rng))
         # Packet loss thinned one frame's (index, value) pairs: it no longer
-        # shares the batch's shape, and only the per-frame function prices it.
+        # shares the batch's shape, and only a one-frame batch prices it.
         frames[2] = frames[2].degraded(frames[2].values[:4], indices=frames[2].indices[:4])
         with pytest.raises(ConfigurationError, match="one codec, dim, price and shape"):
             FrameBatch.stack(frames)
         bounds = _tiling(self.DIM, 4)
-        assert shard_frame_bytes(frames[2], bounds).tolist() == (
+        assert FrameBatch.stack([frames[2]]).shard_bytes(bounds)[0].tolist() == (
             shard_frame_bytes_batch(frames, bounds)[2].tolist()
         ) == frozen_shard_frame_bytes(frames[2], bounds).tolist()
 
