@@ -14,7 +14,9 @@ A fleet's round is encoded as one :class:`FrameBatch` — the ``(n, m)``
 payload plane, the ``(n, k)`` supports and the ``(n,)`` scales in columns —
 by :meth:`WireCodec.encode_decode_batch`.  A :class:`WireFrame` is minted
 from it (:meth:`FrameBatch.frame`) only where one frame has to travel on
-its own: through a lossy channel, or inside one async ``arrive`` event.
+its own: through a lossy channel, a contended link session, or a single
+async ``arrive`` event; an ``arrive`` cohort carries its rows
+(:class:`DeliveredFrames`) and decodes them in one batch.
 
 Implemented codecs
 ------------------
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +66,7 @@ class WireFrame:
     A slotted dataclass.  Batch encodes keep their frames in columns
     (:class:`FrameBatch`); a frame is built where one gradient travels on
     its own — a scalar encode, a row of a batch crossing a channel that can
-    degrade it, an async ``arrive`` event, a delta broadcast.
+    degrade it, a single async ``arrive`` event, a delta broadcast.
 
     Attributes
     ----------
@@ -162,6 +164,15 @@ class FrameBatch:
             nbytes=self.nbytes, codec=self.codec, shared_support=self.shared_support,
         )
 
+    def rows(self, index) -> "FrameBatch":
+        """The batch of rows *index* (an int array or a slice), in that order."""
+        return FrameBatch(
+            dim=self.dim, codec=self.codec, values=self.values[index],
+            indices=None if self.indices is None else self.indices[index],
+            scales=None if self.scales is None else self.scales[index],
+            nbytes=self.nbytes, shared_support=self.shared_support,
+        )
+
     @classmethod
     def stack(cls, frames: Sequence[WireFrame]) -> "FrameBatch":
         """The batch whose rows are *frames* — one codec, dim, price and shape."""
@@ -237,6 +248,38 @@ class FrameBatch:
             # k float32 values split by residency; the seed tag replicates.
             return counts * BYTES_PER_COORDINATE + 8.0
         return counts * (self.nbytes / max(self.indices.shape[1], 1))
+
+
+@dataclass(slots=True)
+class DeliveredFrames:
+    """A :class:`FrameBatch`'s rows as their channels delivered them.
+
+    Row ``i`` arrived as encoded, ``frames.frame(i)``, unless its channel
+    touched it: ``touched[i]`` is then what arrived instead — a degraded
+    frame, or ``None`` for a drop.  Indexing by an int gives that one wire
+    (minting the frame), by an int array the rows it picks, in order.
+    """
+
+    frames: FrameBatch
+    touched: Dict[int, Optional[WireFrame]]
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return self.touched[index] if index in self.touched else self.frames.frame(index)
+        positions = np.arange(len(self))[index].tolist()
+        return DeliveredFrames(self.frames.rows(index), {
+            new: self.touched[old] for new, old in enumerate(positions) if old in self.touched
+        })
+
+    def decode(self) -> List[Optional[np.ndarray]]:
+        """Each row's server-side reconstruction (``None`` for a drop), in one batch decode."""
+        rows: List[Optional[np.ndarray]] = list(self.frames.decode())
+        for i, wire in self.touched.items():
+            rows[i] = None if wire is None else decode_frame(wire)
+        return rows
 
 
 class WireCodec(abc.ABC):
@@ -669,6 +712,7 @@ def make_codec(
 __all__ = [
     "WireFrame",
     "FrameBatch",
+    "DeliveredFrames",
     "WireCodec",
     "IdentityCodec",
     "TopKCodec",

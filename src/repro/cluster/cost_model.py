@@ -356,6 +356,17 @@ class StragglerModel:
         if self.scale <= 0:
             raise ConfigurationError(f"scale must be positive, got {self.scale}")
 
+    @property
+    def draws_in_sequence(self) -> bool:
+        """Whether ``sample(k, rng)`` equals ``k`` calls of ``sample(1, rng)``.
+
+        Each distribution draws its factors one after another, so it does
+        unless ``prob < 1`` adds uniforms to a distribution that draws: a
+        batch then takes all ``k`` factors before its ``k`` uniforms, where
+        single calls alternate them.  The constant factor draws nothing.
+        """
+        return self.prob == 1.0 or self.distribution == "constant"
+
     def sample(self, num_workers: int, rng: np.random.Generator) -> np.ndarray:
         """One slowdown multiplier (>= 1) per worker for the current step."""
         if num_workers < 0:

@@ -22,14 +22,17 @@ Both trainers honour this ordering:
   fetch → compute → transfer loop as chained events on an
   :class:`EventLoop` against the server's versioned model store, letting
   staleness and pipelining emerge naturally.  Its fetch / compute / push /
-  arrive herds are dispatched as *runs* (see :meth:`EventLoop.on_run`).
+  arrive herds are dispatched as *runs* (see :meth:`EventLoop.on_run`) and
+  scheduled as *cohorts* (:meth:`EventLoop.schedule_cohorts`).
 
 The queue is keyed by timestamp — a heap of the distinct pending times, and
-per time a *bucket* of that instant's events in insertion order — because
+per time a *bucket* of that instant's entries in insertion order — because
 the workloads are herds: on a homogeneous fleet a round's 1,000 events of a
-kind share one float, and a bucket turns their 1,000 heap pops into one
-slice (:meth:`EventQueue.pop_run`).  Insertion order within a bucket is
-``(time, order)`` order because order stamps only grow.
+kind share one float.  A bucket turns their 1,000 heap pops into one run
+(:meth:`EventQueue.pop_run`), and a :class:`Cohort` — the 1,000 pushed as one
+entry holding their columns — turns their 1,000 event objects into one.
+Insertion order within a bucket is ``(time, order)`` order because order
+stamps only grow, a cohort of k taking k consecutive ones.
 
 Determinism contract: pushing the same events in the same order always pops
 them in the same order — ties on ``time`` are broken by the queue's monotone
@@ -47,6 +50,8 @@ from typing import (
     Any, Callable, Container, Deque, Dict, Iterable, Iterator, List, Optional, Sequence,
     Tuple, Union,
 )
+
+import numpy as np
 
 from repro.cluster.clock import SimulatedClock
 from repro.exceptions import ConfigurationError, TrainingError
@@ -106,6 +111,151 @@ class Event:
             queue._note_cancel()
 
 
+def _event(time: float, kind: str, worker_id: int, payload: Any) -> Event:
+    """An :class:`Event` of already-validated fields, without the constructor.
+
+    :class:`Event`'s constructor would re-validate the time (a dataclass
+    ``__init__`` and ``__post_init__``, 0.55 us against 0.17 us).
+    """
+    event = object.__new__(Event)
+    event.time = time
+    event.kind = kind
+    event.worker_id = worker_id
+    event.payload = payload
+    event.order = -1
+    event.cancelled = False
+    event._queue = None
+    return event
+
+
+def _pick(column: Any, index: np.ndarray) -> Any:
+    """Entries *index* (an int array) of one payload column, in that order.
+
+    A column is ``None`` (every entry ``None``), a list, an array, or a
+    column type that picks by int arrays itself (:class:`Columns`,
+    :class:`~repro.cluster.codec.DeliveredFrames`).
+    """
+    if column is None:
+        return None
+    if type(column) is list:
+        return [column[i] for i in index.tolist()]
+    return column[index]
+
+
+class Columns:
+    """A cohort's payloads as parallel columns.
+
+    Member ``i``'s payload is the tuple of every column's ``i``-th entry —
+    what its per-event twin carries — and an int array picks the
+    :class:`Columns` of those members.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns: Any) -> None:
+        self.columns = columns
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return tuple(column[index] for column in self.columns)
+        return Columns(*(_pick(column, index) for column in self.columns))
+
+
+def columns_of(payloads: Any) -> tuple:
+    """A run's payload columns: a :class:`Columns`' own, else the member tuples transposed."""
+    if type(payloads) is Columns:
+        return payloads.columns
+    return tuple(zip(*payloads))
+
+
+class Cohort:
+    """Events of one kind and one time scheduled together: one queue entry.
+
+    Member ``i`` is the event ``(time, kind, worker_ids[i], payloads[i])``
+    with order stamp ``order + i``: the queue stamps a cohort of k with k
+    consecutive orders and counts, pops, budgets and peaks it exactly as
+    those k events pushed one by one.  *payloads* is ``None`` (every
+    member's payload is ``None``), a list or a :class:`Columns`.  A cohort
+    is never cancelled.
+
+    Indexing and iteration yield the member events; a run handler reads the
+    columns.  A run :meth:`EventQueue.pop_run` joins from several queue
+    entries keeps each member's own stamp in ``orders`` and its own time in
+    ``times`` (equal floats, but ``0.0`` and ``-0.0`` share an instant).
+    """
+
+    __slots__ = (
+        "time", "kind", "worker_ids", "payloads", "order", "orders", "times", "_start",
+    )
+    #: What the queue's tombstone checks read.
+    cancelled = False
+
+    def __init__(
+        self,
+        time: float,
+        kind: str,
+        worker_ids: List[int],
+        payloads: Any = None,
+        *,
+        order: int = -1,
+        orders: Optional[List[int]] = None,
+        times: Optional[List[float]] = None,
+    ) -> None:
+        if not worker_ids:
+            raise ConfigurationError("a cohort needs at least one member")
+        self.time = float(time)
+        if not math.isfinite(self.time) or self.time < 0.0:
+            raise ConfigurationError(
+                f"event time must be finite and non-negative, got {self.time}"
+            )
+        self.kind = kind
+        self.worker_ids = worker_ids
+        self.payloads = payloads
+        self.order = order
+        self.orders = orders
+        self.times = times
+        #: Members before this index have been popped.
+        self._start = 0
+
+    def __len__(self) -> int:
+        return len(self.worker_ids) - self._start
+
+    def __getitem__(self, i: int) -> Event:
+        if not 0 <= i < len(self):
+            raise IndexError(f"cohort member {i} out of range for {len(self)} members")
+        return self._member(self._start + i)
+
+    def __iter__(self) -> Iterator[Event]:
+        return (self._member(i) for i in range(self._start, len(self.worker_ids)))
+
+    def _member(self, i: int) -> Event:
+        """Member *i* (counted from the first ever pushed) as an :class:`Event`."""
+        payloads = self.payloads
+        event = _event(
+            self.time if self.times is None else self.times[i], self.kind,
+            self.worker_ids[i], None if payloads is None else payloads[i],
+        )
+        event.order = self.order + i if self.orders is None else self.orders[i]
+        return event
+
+    def _split(self, count: int) -> "Cohort":
+        """Remove the next *count* members; returns them as a cohort of their own.
+
+        The whole of an untouched cohort is the cohort itself (the caller
+        drops the entry); any other count is a new cohort over slices.
+        """
+        start = self._start
+        if start == 0 and count == len(self.worker_ids):
+            return self
+        stop = self._start = start + count
+        return Cohort(
+            self.time, self.kind, self.worker_ids[start:stop],
+            _pick(self.payloads, np.arange(start, stop)), order=self.order + start,
+            orders=None if self.orders is None else self.orders[start:stop],
+            times=None if self.times is None else self.times[start:stop],
+        )
+
+
 class EventQueue:
     """A deterministic priority queue of :class:`Event` objects.
 
@@ -122,10 +272,13 @@ class EventQueue:
     hypothesis state machine); ``0.0`` and ``-0.0`` share a bucket exactly as
     their heap tuples compared equal on time.  A same-instant herd of n
     events then costs one heap operation instead of n, and
-    :meth:`pop_run` hands a whole run over as one slice of its bucket.
+    :meth:`pop_run` hands a whole run over as one slice of its bucket.  A
+    :class:`Cohort` is one bucket entry for its k members and pops, counts
+    and peaks as they would (held ``==`` by the same state machine, which
+    feeds the frozen heap each member in turn).
 
-    A bucket is the lone :class:`Event` itself until a second event arrives
-    at its time, and a ``deque`` from then on.  Measured on the
+    A bucket is the lone entry itself until a second one arrives at its
+    time, and a ``deque`` from then on.  Measured on the
     all-distinct-times mix of ``bench/micro.py::events_mix`` (5.2 ms a pass
     on the single heap, 3.3 ms of it constructing the 6,000 events): a
     ``deque`` per timestamp costs 6.9 ms (+32 %), the promote-on-second-push
@@ -179,21 +332,24 @@ class EventQueue:
             self.peak_size = self._live + self._tombstones
         return event
 
-    def push_many(self, events: Sequence[Event]) -> List[Event]:
-        """Insert a batch of events; returns them.
+    def push_many(self, events: Sequence[Union[Event, Cohort]]) -> List[Union[Event, Cohort]]:
+        """Insert a batch of events and cohorts; returns them.
 
-        Order stamps are assigned in sequence, so the result is
-        indistinguishable from pushing the events one by one — equal-time
-        events still pop in the order they appear in *events*.  Each event
-        is one append to its bucket (a heap operation only for a time not
-        yet pending), whatever the batch size.
+        Order stamps are assigned in sequence, a cohort of k taking k, so the
+        result is indistinguishable from pushing every member one by one —
+        equal-time events still pop in the order they appear in *events*.
+        Each entry is one append to its bucket (a heap operation only for a
+        time not yet pending), whatever the batch or cohort size.
         """
         buckets = self._buckets
         order = self._counter
         for event in events:
             event.order = order
-            event._queue = self
-            order += 1
+            if type(event) is Cohort:
+                order += len(event.worker_ids)
+            else:
+                event._queue = self
+                order += 1
             time = event.time
             bucket = buckets.get(time)
             if bucket is None:
@@ -241,18 +397,26 @@ class EventQueue:
 
         Cancelled tombstones are discarded on the way; popping a queue that
         holds only tombstones (or nothing) is a :class:`TrainingError` —
-        exactly the emptiness :meth:`peek` reports as ``None``.
+        exactly the emptiness :meth:`peek` reports as ``None``.  A cohort at
+        the head gives up its next member.
         """
         times = self._times
         buckets = self._buckets
         while times:
             event = bucket = buckets[times[0]]
             if type(bucket) is deque:
-                event = bucket.popleft()
+                event = bucket[0]
+                if type(event) is Cohort and len(event) > 1:
+                    return self._pop_member(event)
+                bucket.popleft()
                 if not bucket:
                     del buckets[heapq.heappop(times)]
+            elif type(event) is Cohort and len(event) > 1:
+                return self._pop_member(event)
             else:
                 del buckets[heapq.heappop(times)]
+            if type(event) is Cohort:
+                return self._pop_member(event)  # its last member: the entry is gone
             if not event.cancelled:
                 event._queue = None
                 self._live -= 1
@@ -260,55 +424,101 @@ class EventQueue:
             self._tombstones -= 1
         raise TrainingError("cannot pop from an empty event queue")
 
+    def _pop_member(self, cohort: Cohort) -> Event:
+        """Remove the next member of the head *cohort* as an :class:`Event`."""
+        event = cohort._member(cohort._start)
+        cohort._start += 1
+        self._live -= 1
+        return event
+
     def pop_run(
         self, budget: float, kinds: Optional[Container[str]] = None
-    ) -> List[Event]:
+    ) -> Union[Event, Cohort]:
         """Remove and return the earliest live event and its run.
 
         The run is the live events that follow it with the same ``time`` and
         ``kind`` and nothing live in between, at most *budget* events in all:
         ``pop()``, then ``pop()`` again while under budget and ``peek()``
-        shows a head of the same time and kind — taken as one slice of the
-        head bucket instead.  A budget of one is exactly :meth:`pop`, and so
-        is a head whose kind is not in *kinds* (``None``: every kind runs).
+        shows a head of the same time and kind — taken as whole entries of
+        the head bucket instead, a cohort split where the budget falls inside
+        it.  A run of one is returned as its :class:`Event`, a longer one as
+        one :class:`Cohort`: a single entry's members as they were pushed,
+        the members of several joined into per-member columns.  A budget of
+        one is exactly :meth:`pop`, and so is a head whose kind is not in
+        *kinds* (``None``: every kind runs).
         """
-        head = self.peek()
+        head = self._head()
         if head is None:
             raise TrainingError("cannot pop from an empty event queue")
         if budget <= 1 or (kinds is not None and head.kind not in kinds):
-            return [self.pop()]
+            return self.pop()
         bucket = self._buckets[self._times[0]]
         if bucket is head:
-            head._queue = None
-            run = [head]
-            exhausted = True
+            size = len(head) if type(head) is Cohort else 1
+            if size > budget:
+                size = int(budget)
+            segments = [head._split(size) if type(head) is Cohort else head]
+            exhausted = segments[0] is head or not len(head)
         else:
             kind = head.kind
-            run = []
-            taken = 0  # bucket entries consumed: the run and the tombstones inside it
-            for event in bucket:
-                if len(run) >= budget:
+            segments = []  # the run's events and cohort slices, in pop order
+            size = 0  # members taken
+            taken = 0  # bucket entries consumed: the run's and the tombstones inside it
+            for entry in bucket:
+                if size >= budget:
                     break
-                if not event.cancelled:
-                    if event.kind != kind:
-                        break
-                    event._queue = None
-                    run.append(event)
+                if entry.cancelled:
+                    self._tombstones -= 1
+                elif entry.kind != kind:
+                    break
+                elif type(entry) is Cohort:
+                    count = len(entry)
+                    if size + count > budget:
+                        count = int(budget) - size
+                    segments.append(entry._split(count))
+                    size += count
+                    if len(entry) and segments[-1] is not entry:
+                        break  # the budget fell inside it: it stays at the head
+                else:
+                    segments.append(entry)
+                    size += 1
                 taken += 1
-            self._tombstones -= taken - len(run)
             exhausted = taken == len(bucket)
             if not exhausted:
                 for _ in range(taken):
                     bucket.popleft()
-        self._live -= len(run)
+        self._live -= size
         if exhausted:
             del self._buckets[heapq.heappop(self._times)]
-            if len(run) < budget:
-                self.peek()  # under budget, the sequential form peeks at the next bucket
+            if size < budget:
+                self._head()  # under budget, the sequential form peeks at the next bucket
+        if len(segments) > 1:
+            return self._join(segments)
+        run = segments[0]
+        if type(run) is Cohort:
+            return run[0] if size == 1 else run
+        run._queue = None
         return run
 
-    def peek(self) -> Optional[Event]:
-        """The earliest live event without removing it (``None`` when empty).
+    @staticmethod
+    def _join(segments: List[Union[Event, Cohort]]) -> Cohort:
+        """One cohort of a run taken from several entries, each member's stamp and time kept."""
+        events: List[Event] = []
+        for segment in segments:
+            if type(segment) is Cohort:
+                events.extend(segment)
+            else:
+                segment._queue = None
+                events.append(segment)
+        first = events[0]
+        return Cohort(
+            first.time, first.kind, [event.worker_id for event in events],
+            [event.payload for event in events], order=first.order,
+            orders=[event.order for event in events], times=[event.time for event in events],
+        )
+
+    def _head(self) -> Optional[Union[Event, Cohort]]:
+        """The earliest live entry (an event or a cohort), or ``None``.
 
         Leading tombstones, and the buckets they were all of, are discarded.
         """
@@ -330,14 +540,23 @@ class EventQueue:
             self._tombstones -= 1
         return None
 
+    def peek(self) -> Optional[Event]:
+        """The earliest live event without removing it (``None`` when empty).
+
+        Leading tombstones, and the buckets they were all of, are discarded.
+        A cohort at the head shows its next member.
+        """
+        head = self._head()
+        return head[0] if type(head) is Cohort else head
+
     def peek_time(self) -> Optional[float]:
         """Timestamp of the earliest live event (``None`` when empty)."""
-        event = self.peek()
-        return event.time if event is not None else None
+        head = self._head()
+        return head.time if head is not None else None
 
     def drain(self) -> Iterator[Event]:
         """Pop every queued live event in deterministic order."""
-        while self.peek() is not None:
+        while self._head() is not None:
             yield self.pop()
 
     @property
@@ -357,7 +576,7 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         # Truthiness means "something will dispatch": tombstones don't count.
-        return self.peek() is not None
+        return self._head() is not None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -381,26 +600,31 @@ class EventLoop:
 
     A kind may additionally register a *run handler* with :meth:`on_run`.
     :meth:`run_until` then pops the consecutive queue heads sharing the
-    first one's ``(time, kind)`` as one run (one :meth:`EventQueue.pop_run`
-    slice) and hands the whole list to the run handler; a run of one goes to
-    the kind's per-event handler, chosen from the run length alone.  (A run
-    of one keeps its own handler because the batched form's numpy call
-    overhead at n = 1 measured 1.8x the wall time on a straggler-spread
-    1,000-worker fleet, where nearly every run is a run of one.)  The async
-    trainer registers all four kinds of the worker round trip — fetch,
-    compute, push and arrive.  The ``arrive`` run handler is a loop over the
-    per-event admission body, not arrays: a numpy admission path bought
-    3-5 % on 1,000-event runs and made the handler 2x slower on the
-    4-event runs of a contended WAN fleet.  Bit-identity argument: run
-    members are consecutive queue heads, and handlers only ever *push*
-    events — every new event is stamped with a higher insertion order than
-    the remaining run members and can never pop before them (times in the
-    past are rejected), so the per-event loop would have dispatched the run
-    back to back anyway.  A run handler must therefore replay its kind's
-    per-event effects in pop order wherever an RNG stream or float
-    accumulation order is observable, and issue its pushes in the sequence
-    the per-event handler would (:meth:`schedule_many` stamps orders like
-    sequential :meth:`schedule` calls).
+    first one's ``(time, kind)`` as one run (one :meth:`EventQueue.pop_run`)
+    and hands it to the run handler as one :class:`Cohort`; a run of one
+    goes to the kind's per-event handler as its :class:`Event`, chosen from
+    the run length alone.  (A run of one keeps its own handler because the
+    batched form's numpy call overhead at n = 1 measured 1.8x the wall time
+    on a straggler-spread 1,000-worker fleet, where nearly every run is a
+    run of one.)  The async trainer registers all four kinds of the worker
+    round trip — fetch, compute, push and arrive — and its run handlers
+    emit cohorts in turn (:meth:`schedule_cohorts`), so a same-instant herd
+    of n workers is one queue entry per stage, not n events.  A cohort's
+    payloads are columns: the ``arrive`` handler decodes its cohort's
+    frames in one batch, then admits the members one by one in pop order —
+    a numpy admission path bought 3-5 % on 1,000-event runs and made the
+    handler 2x slower on the 4-event runs of a contended WAN fleet.
+    Bit-identity argument: run members are consecutive queue heads, and
+    handlers only ever *push* events — every new event is stamped with a
+    higher insertion order than the remaining run members and can never pop
+    before them (times in the past are rejected), so the per-event loop
+    would have dispatched the run back to back anyway.  A run handler must
+    therefore replay its kind's per-event effects in pop order wherever an
+    RNG stream or float accumulation order is observable, and issue its
+    pushes so that every equal-time pair pops in the order the per-event
+    handler's would (:meth:`schedule_many` stamps orders like sequential
+    :meth:`schedule` calls; :meth:`schedule_cohorts` keeps the given order
+    among equal times, which is all a stamp decides).
     """
 
     clock: SimulatedClock = field(default_factory=SimulatedClock)
@@ -461,64 +685,95 @@ class EventLoop:
         equivalent to calling :meth:`schedule` per spec (same order stamps,
         same pop order, same errors).  ``now <= time < inf`` is the whole
         check — the clock never reads below zero, so it subsumes finite and
-        non-negative — and with it passed the seven fields are filled
-        directly: :class:`Event`'s constructor would re-validate each event
-        (a dataclass ``__init__`` and ``__post_init__``, 0.55 us against
-        0.17 us).  Nothing is pushed unless every spec is valid.
+        non-negative — and with it passed the fields are filled directly
+        (:func:`_event`).  Nothing is pushed unless every spec is valid.
         """
         events = []
         now = self.clock.now
         for kind, time, worker_id, payload in specs:
             if not now <= time < math.inf:
-                if time < now:
-                    raise ConfigurationError(
-                        f"cannot schedule {kind!r} at {time:.9f}, before now ({now:.9f})"
-                    )
-                Event(time=time, kind=kind)  # raises: NaN or infinite
-            event = object.__new__(Event)
-            event.time = float(time)
-            event.kind = kind
-            event.worker_id = worker_id
-            event.payload = payload
-            event.order = -1
-            event.cancelled = False
-            event._queue = None
-            events.append(event)
+                self._refuse(kind, time)
+            events.append(_event(float(time), kind, worker_id, payload))
         return self.queue.push_many(events)
 
-    def _pop_run(self, budget: float) -> List[Event]:
-        """Pop the next event and its run, advancing the clock to them.
+    def schedule_cohorts(
+        self, kind: str, times: Any, worker_ids: List[int], payloads: Any = None
+    ) -> None:
+        """Queue one *kind* event per worker at ``times[i]`` carrying ``payloads[i]``.
+
+        *times* is an array, or one time for every member.  The members
+        sharing a time become one :class:`Cohort` in their given order (a
+        time held by one member becomes an :class:`Event`), distinct times
+        in increasing order.  Pop order is that of :meth:`schedule_many`
+        over the members in the given order: a stamp only breaks ties
+        between equal times, and equal-time members keep their relative
+        order.  Same refusals as :meth:`schedule_many`; nothing is pushed
+        unless every time is valid.
+        """
+        if np.ndim(times) == 0:
+            low = high = float(times)
+        else:
+            times = np.asarray(times, dtype=np.float64)
+            low, high = float(times.min()), float(times.max())
+        for bound in (low, high):
+            if not self.clock.now <= bound < math.inf:
+                self._refuse(kind, bound)
+        if low == high:
+            groups = [(low, None)]
+        else:
+            order = np.argsort(times, kind="stable")
+            ordered = times[order]
+            starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]).tolist()
+            groups = [
+                (float(ordered[start]), order[start:stop])
+                for start, stop in zip(starts, starts[1:] + [len(order)])
+            ]
+        entries: List[Union[Event, Cohort]] = []
+        for time, index in groups:
+            ids, column = worker_ids, payloads
+            if index is not None:
+                ids, column = [worker_ids[i] for i in index.tolist()], _pick(payloads, index)
+            if len(ids) > 1:
+                entries.append(Cohort(time, kind, ids, column))
+            else:
+                entries.append(_event(time, kind, ids[0], None if column is None else column[0]))
+        self.queue.push_many(entries)
+
+    def _refuse(self, kind: str, time: float) -> None:
+        """Raise what :meth:`schedule` raises for *time*: in the past, NaN or infinite."""
+        if time < self.clock.now:
+            raise ConfigurationError(
+                f"cannot schedule {kind!r} at {time:.9f}, before now ({self.clock.now:.9f})"
+            )
+        Event(time=time, kind=kind)  # raises: NaN or infinite
+
+    def _dispatch(self, budget: float) -> Union[Event, Cohort]:
+        """Pop one run of at most *budget* events and hand it to its handler.
 
         For a kind with a run handler, the consecutive heads sharing the
-        event's ``(time, kind)`` follow it, at most *budget* events in all;
-        every other kind pops alone.
+        first event's ``(time, kind)`` follow it, at most *budget* events in
+        all; every other kind pops alone.  The queue mechanics (the pop and
+        the clock advance) are the profiler's ``event_dispatch``.
         """
-        run = self.queue.pop_run(budget, self._run_handlers)
-        self.clock.advance_to(run[0].time)
-        return run
-
-    def _dispatch(self, budget: float) -> List[Event]:
-        """Pop one run of at most *budget* events and hand it to its handler."""
         if self.profiler is None:
-            run = self._pop_run(budget)
+            run = self.queue.pop_run(budget, self._run_handlers)
+            self.clock.advance_to(run.time)
         else:
             with self.profiler.section("event_dispatch"):
-                run = self._pop_run(budget)
-        event = run[0]
-        if len(run) > 1:
-            self._run_handlers[event.kind](run)
-        else:
-            handler = self._handlers.get(event.kind)
-            if handler is None:
-                raise ConfigurationError(
-                    f"no handler registered for event kind {event.kind!r}"
-                )
-            handler(event)
+                run = self.queue.pop_run(budget, self._run_handlers)
+                self.clock.advance_to(run.time)
+        if type(run) is Cohort:
+            self._run_handlers[run.kind](run)
+            return run
+        handler = self._handlers.get(run.kind)
+        if handler is None:
+            raise ConfigurationError(f"no handler registered for event kind {run.kind!r}")
+        handler(run)
         return run
 
     def step(self) -> Event:
         """Pop the next event, advance the clock to it, dispatch its handler."""
-        return self._dispatch(1)[0]
+        return self._dispatch(1)
 
     def run_until(
         self, done: Callable[[], bool], *, max_events: Optional[int] = None
@@ -528,7 +783,8 @@ class EventLoop:
         ``max_events`` guards against livelock (an event loop that keeps
         scheduling work without ever satisfying the predicate — e.g. every
         gradient dropped by a fully lossy transport); it also caps a run,
-        so no more than ``max_events`` events are ever popped.
+        so no more than ``max_events`` events are ever popped.  A cohort
+        counts its members.
         """
         dispatched = 0
         while not done():
@@ -543,8 +799,9 @@ class EventLoop:
                     "being dropped or rejected?)"
                 )
             budget = math.inf if max_events is None else max_events - dispatched
-            dispatched += len(self._dispatch(budget))
+            run = self._dispatch(budget)
+            dispatched += len(run) if type(run) is Cohort else 1
         return dispatched
 
 
-__all__ = ["Event", "EventQueue", "EventLoop"]
+__all__ = ["Event", "Cohort", "Columns", "EventQueue", "EventLoop", "columns_of"]

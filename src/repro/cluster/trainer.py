@@ -49,8 +49,10 @@ many servers there are:
     time, and rounds overlap — the server aggregates a quorum while slower
     workers are still computing against older versions.
     :class:`~repro.cluster.events.EventLoop` is the only dispatcher: it
-    coalesces same-time fetch / compute / push herds into runs for the
-    batched handlers and sends a run of one to the per-event handler.
+    coalesces same-time fetch / compute / push / arrive herds into runs
+    for the batched handlers, which schedule the next stage as cohorts (one
+    queue entry per same-instant herd, its payloads in columns), and sends
+    a run of one to the per-event handler.
     The vocabulary is six event kinds — ``fetch``, ``compute``, ``push``,
     ``arrive``, ``update-done`` and ``link``; the inter-server gather is not
     one of them, its seconds are part of the busy period that ends at
@@ -68,6 +70,7 @@ import numpy as np
 
 from repro.cluster.clock import SimulatedClock
 from repro.cluster.codec import (
+    DeliveredFrames,
     FrameBatch,
     IdentityCodec,
     WireCodec,
@@ -77,10 +80,9 @@ from repro.cluster.codec import (
 )
 from repro.cluster.cost_model import CostModel, StragglerModel
 from repro.cluster.deploy import ClusterSpec
-from repro.cluster.events import Event, EventLoop
+from repro.cluster.events import Cohort, Columns, Event, EventLoop, columns_of
 from repro.cluster.fleet import FleetState, PendingPool
 from repro.cluster.link import LinkFabric, LinkScheduler, LinkTopology
-from repro.cluster.message import GradientMessage
 from repro.cluster.network import Channel, build_uplink_map
 from repro.cluster.profiler import SimProfiler
 from repro.cluster.server import ParameterServer
@@ -198,12 +200,12 @@ class BaseTrainer:
     Only what differs sits between them in each engine: how contention is
     resolved (one closed-world ``fabric.simulate`` per step against
     event-driven ``open_many`` sessions), when the adversary crafts, the
-    straggler draws (``sample(n)`` once per step against ``sample(1)`` per
-    event — different stream consumption) and the arrival's form (one
-    :class:`~repro.cluster.sync.ArrivalBatch` per step against ``arrive``
-    events carrying a :class:`~repro.cluster.message.GradientMessage`
-    each).  The async per-event handlers are the run-of-one spelling;
-    their scalar :meth:`_encode` reads and writes the same row store.
+    straggler draws (``sample(n)`` once per step against one draw per
+    worker in pop order — different stream consumption) and the arrival's
+    form (one :class:`~repro.cluster.sync.ArrivalBatch` per step against
+    ``arrive`` cohorts carrying ``(version, loss, wire)`` columns).  The
+    async per-event handlers are the run-of-one spelling; their scalar
+    :meth:`_encode` reads and writes the same row store.
     """
 
     def __init__(
@@ -416,19 +418,6 @@ class BaseTrainer:
         """The adversary-controlled workers."""
         return self._byzantine_workers
 
-    def _compute_time(self, worker: HonestWorker, dim: int) -> float:
-        """Nominal (pre-straggler) gradient-computation time of *worker*.
-
-        Priced at the forward flops per sample the stacked pass measured,
-        so only after a pass has run.
-        """
-        return self.cost_model.gradient_compute_time(
-            dim,
-            worker.batch_size,
-            gflops=self._worker_gflops[worker.worker_id] * worker.speed,
-            flops_per_sample=self._stacked_flops,
-        )
-
     def _section(self, name: str):
         """Profiler bracket for subsystem *name*; a no-op without a profiler."""
         if self.profiler is None:
@@ -624,21 +613,6 @@ class BaseTrainer:
             snapshots, self.eval_model, batch, rngs
         )
         return losses, gradients
-
-    @staticmethod
-    def _messages(
-        workers: Sequence[HonestWorker],
-        snapshots: Sequence[Tuple[int, np.ndarray]],
-        losses: np.ndarray,
-        gradients: np.ndarray,
-    ) -> List[GradientMessage]:
-        """The compute stage's rows as messages: the async events' payloads."""
-        return [
-            GradientMessage.trusted(worker.worker_id, version, gradient, loss)
-            for worker, (version, _), gradient, loss in zip(
-                workers, snapshots, gradients, losses.tolist()
-            )
-        ]
 
     def _encode_rows(
         self, rows: np.ndarray, gradients: np.ndarray
@@ -1328,11 +1302,8 @@ class AsyncTrainer(BaseTrainer):
             if kind == self.COMPUTE:
                 specs.append((self.COMPUTE, event.time, session.worker_id, data))
             else:  # an uplink push: the channel penalty rides on top
-                message, wire, penalty = data
-                specs.append(
-                    (self.ARRIVE, event.time + penalty, session.worker_id,
-                     (message, wire))
-                )
+                arrival, penalty = data
+                specs.append((self.ARRIVE, event.time + penalty, session.worker_id, arrival))
         if specs:
             # One bulk insertion for the same-time completion burst (equal
             # order stamps to per-event pushes, so pop order is unchanged).
@@ -1375,114 +1346,121 @@ class AsyncTrainer(BaseTrainer):
         """Worker received the model; compute a gradient on its own batch.
 
         The worker's own draw, whatever the compute mode: a run of one
-        keeps its sampler's stream exact.
+        keeps its sampler's stream exact.  The push carries ``(version,
+        gradient, loss)``.
         """
-        worker = self._workers_by_id[event.worker_id]
-        (message,) = self._messages(
-            [worker], [event.payload], *self._exact_gradients([worker], [event.payload])
-        )
+        row = self._fleet.row_of[event.worker_id]
+        losses, gradients = self._exact_gradients([self._fleet.workers[row]], [event.payload])
         self._loop.schedule(
-            self.PUSH, self._ready_at(worker, event.time), worker_id=event.worker_id,
-            payload=message,
+            self.PUSH, float(self._ready_at(np.array([row]), event.time)[0]),
+            worker_id=event.worker_id,
+            payload=(event.payload[0], gradients[0], float(losses[0])),
         )
 
-    def _ready_at(self, worker: HonestWorker, now: float) -> float:
-        """When *worker*'s gradient is ready: its compute time, one straggler draw each."""
-        slowdown = (
-            float(self.straggler_model.sample(1, self._straggler_rng)[0])
-            if self.straggler_model is not None
-            else 1.0
-        )
-        compute_time = self._compute_time(worker, self.server.dim) * slowdown
-        self.history.timeline_for(worker.worker_id).compute_seconds += compute_time
-        return now + compute_time
+    def _ready_at(self, rows: np.ndarray, now: float) -> np.ndarray:
+        """When the gradients of fleet *rows* are ready: compute time, one straggler draw each.
+
+        One array expression over the rows; the draws are one
+        ``sample(k)`` where that equals k single draws in row order
+        (:attr:`StragglerModel.draws_in_sequence`), a ``sample(1)`` per row
+        otherwise.
+        """
+        seconds = self._fleet.compute_times(self.cost_model, self._stacked_flops)[rows]
+        model, rng = self.straggler_model, self._straggler_rng
+        if model is not None:
+            seconds = seconds * (
+                model.sample(len(rows), rng) if model.draws_in_sequence
+                else np.array([model.sample(1, rng)[0] for _ in range(len(rows))])
+            )
+        for worker_id, compute in zip(self._fleet.worker_ids[rows].tolist(), seconds.tolist()):
+            self.history.timeline_for(worker_id).compute_seconds += compute
+        return now + seconds
 
     def _on_push(self, event: Event) -> None:
-        """Worker encodes + hands the gradient to the wire, starts its next round."""
-        message: GradientMessage = event.payload
-        channel = self.uplink_channels[message.worker_id]
+        """Worker encodes + hands the gradient to the wire, starts its next round.
+
+        The arrival carries ``(version, loss, wire)``.
+        """
+        step, gradient, loss = event.payload
+        worker_id = event.worker_id
         with self._section("codec"):
-            frame, error = self._encode(message.gradient, worker_id=message.worker_id)
-        wire, seconds = channel.transfer_frame(frame, self.cost_model)
-        timeline = self.history.timeline_for(message.worker_id)
+            frame, error = self._encode(gradient, worker_id=worker_id)
+        wire, seconds = self.uplink_channels[worker_id].transfer_frame(frame, self.cost_model)
+        timeline = self.history.timeline_for(worker_id)
         timeline.rounds_completed += 1
         timeline.transfer_seconds += seconds
-        self.history.record_wire(
-            message.worker_id, bytes_sent=frame.nbytes, compression_error=error
-        )
-        self.service.account_pushes([message.worker_id], [FrameBatch.stack([frame])])
+        self.history.record_wire(worker_id, bytes_sent=frame.nbytes, compression_error=error)
+        self.service.account_pushes([worker_id], [FrameBatch.stack([frame])])
         if self._contended:
             # The session's drain time replaces the solo wire time; the
             # channel's extra penalty (backoff, delays, jitter) rides on top.
             penalty = seconds - self.cost_model.transfer_time(frame.nbytes)
-            _, key, extras = self._routes[message.worker_id]
+            _, key, extras = self._routes[worker_id]
             self._links[key].open(
-                event.time, frame.nbytes, worker_id=message.worker_id,
-                payload=(self.ARRIVE, (message, wire, penalty)), **extras,
+                event.time, frame.nbytes, worker_id=worker_id,
+                payload=(self.ARRIVE, ((step, loss, wire), penalty)), **extras,
             )
             self._reschedule_link(key)
         else:
             self._loop.schedule(
                 self.ARRIVE,
-                event.time
-                + self.fabric.uplink_seconds(message.worker_id, frame.nbytes, seconds),
-                worker_id=message.worker_id, payload=(message, wire),
+                event.time + self.fabric.uplink_seconds(worker_id, frame.nbytes, seconds),
+                worker_id=worker_id, payload=(step, loss, wire),
             )
         # The push is asynchronous: the worker fetches the next model
         # immediately, overlapping its next downlink with this uplink.
-        self._loop.schedule(self.FETCH, event.time, worker_id=message.worker_id)
+        self._loop.schedule(self.FETCH, event.time, worker_id=worker_id)
 
     # ------------------------------------------------------------ server side
-    def _admit_arrival(self, event: Event) -> bool:
-        """Admission control for one arrival; whether it was buffered.
+    def _admit_arrival(
+        self, worker_id: int, step: int, loss: float, payload: Optional[np.ndarray],
+        wire_bytes: float, now: float,
+    ) -> bool:
+        """Admission control for one decoded arrival; whether it was buffered.
 
-        Decode, then drop a lost wire, reject an over-stale version, and let
-        a fresher gradient supersede the worker's buffered one — the body
-        both ``arrive`` handlers run per event, and the pool's one writer.
+        Drop a lost wire (*payload* ``None``), reject an over-stale version,
+        and let a fresher gradient supersede the worker's buffered one — the
+        body both ``arrive`` handlers run per arrival, and the pool's one
+        writer.
         """
-        message, wire = event.payload
-        wire_bytes = wire.nbytes if isinstance(wire, WireFrame) else 0.0
-        payload = self._decode(wire)
-        timeline = self.history.timeline_for(message.worker_id)
         if payload is None:
-            timeline.channel_dropped += 1
+            self.history.timeline_for(worker_id).channel_dropped += 1
             self._interval["channel_dropped"] += 1
             return False
-        lag = self.server.version - message.step
+        lag = self.server.version - step
         if not self.admission.admit(lag):
-            timeline.stale_rejected += 1
+            self.history.timeline_for(worker_id).stale_rejected += 1
             self._interval["stale_rejected"] += 1
             return False
-        existing_step = self._pending.step_of(message.worker_id)
+        existing_step = self._pending.step_of(worker_id)
         if existing_step is not None:
             # One buffered gradient per worker: the fresher model version
             # wins.  A jittered uplink can reorder a worker's rounds in
             # flight, so an older-version gradient arriving late must never
             # evict a fresher buffered one.
-            timeline.superseded += 1
+            self.history.timeline_for(worker_id).superseded += 1
             self._interval["superseded"] += 1
-            if message.step < existing_step:
+            if step < existing_step:
                 return False
-        worker = self._workers_by_id[message.worker_id]
+        honest = not self._workers_by_id[worker_id].is_byzantine
         self._pending.put(
-            message.worker_id,
-            step=message.step,
-            payload=payload,
-            arrival_time=event.time,
-            honest=not worker.is_byzantine,
-            staleness=max(lag, 0),
-            wire_bytes=wire_bytes if not worker.is_byzantine else 0.0,
-            loss=message.loss,
+            worker_id, step=step, payload=payload, arrival_time=now, honest=honest,
+            staleness=max(lag, 0), wire_bytes=wire_bytes if honest else 0.0, loss=loss,
         )
         return True
 
     def _on_arrive(self, event: Event) -> None:
         """Admission control over the live stream, then a quorum check."""
+        step, loss, wire = event.payload
+        arrival = (
+            event.worker_id, step, loss, self._decode(wire),
+            wire.nbytes if isinstance(wire, WireFrame) else 0.0, event.time,
+        )
         if self.profiler is None:
-            admitted = self._admit_arrival(event)
+            admitted = self._admit_arrival(*arrival)
         else:
             with self.profiler.section("admission"):
-                admitted = self._admit_arrival(event)
+                admitted = self._admit_arrival(*arrival)
         if admitted:
             self._maybe_fire_byzantine(event.time)
             self._maybe_aggregate(event.time)
@@ -1514,7 +1492,7 @@ class AsyncTrainer(BaseTrainer):
         for worker in byzantine:
             self.history.timeline_for(worker.worker_id).rounds_completed += 1
         self._loop.schedule_many(
-            (self.ARRIVE, now, message.worker_id, (message, message.gradient))
+            (self.ARRIVE, now, message.worker_id, (message.step, message.loss, message.gradient))
             for message in messages
         )
         return math.inf
@@ -1652,19 +1630,18 @@ class AsyncTrainer(BaseTrainer):
                 self._links[key].open_many(now, specs)
         return {last: key for key, last in last_open.items()}
 
-    def _on_fetch_batch(self, events: List[Event]) -> None:
-        """Batched :meth:`_on_fetch` over one same-time run of fetches."""
-        now = events[0].time
-        num = len(events)
-        worker_ids = [e.worker_id for e in events]
+    def _on_fetch_batch(self, cohort: Cohort) -> None:
+        """Batched :meth:`_on_fetch` over one fetch cohort."""
+        now = cohort.time
+        worker_ids = cohort.worker_ids
         snapshots, nbytes, deltas = self._frame_fetches(worker_ids)
         with self._section("telemetry"):
             self.history.record_wire_batch(
                 worker_ids, bytes_received=nbytes, downlink_delta=deltas
             )
         self.service.account_fetches(worker_ids, nbytes)
-        for i in range(num):
-            self._interval_downlink += float(nbytes[i])
+        for fetched in nbytes.tolist():
+            self._interval_downlink += fetched
         if self._contended:
             surviving = self._open_run_sessions(
                 now, 0, worker_ids, nbytes,
@@ -1675,44 +1652,43 @@ class AsyncTrainer(BaseTrainer):
             return
         with self._section("link_drain"):
             downlinks = self.fabric.solo_seconds_batch(worker_ids, nbytes)
-        self._loop.schedule_many(
-            (self.COMPUTE, now + float(downlinks[i]), worker_ids[i], snapshots[i])
-            for i in range(num)
-        )
+        self._loop.schedule_cohorts(self.COMPUTE, now + downlinks, worker_ids, snapshots)
 
-    def _on_compute_batch(self, events: List[Event]) -> None:
-        """Batched :meth:`_on_compute` over one same-time run of computes."""
-        workers = [self._workers_by_id[e.worker_id] for e in events]
-        rows = np.array([self._fleet.row_of[e.worker_id] for e in events], dtype=np.intp)
-        snapshots = [e.payload for e in events]
-        messages = self._messages(
-            workers, snapshots, *self._compute_gradients(rows, workers, snapshots)
-        )
-        self._loop.schedule_many([
-            (self.PUSH, self._ready_at(worker, event.time), worker.worker_id, message)
-            for worker, event, message in zip(workers, events, messages)
-        ])
-
-    def _on_push_batch(self, events: List[Event]) -> None:
-        """Batched :meth:`_on_push` over one same-time run of pushes."""
-        now = events[0].time
-        messages: List[GradientMessage] = [e.payload for e in events]
-        worker_ids = [m.worker_id for m in messages]
+    def _on_compute_batch(self, cohort: Cohort) -> None:
+        """Batched :meth:`_on_compute` over one compute cohort."""
+        worker_ids = cohort.worker_ids
         rows = np.array([self._fleet.row_of[wid] for wid in worker_ids], dtype=np.intp)
-        batch, _, errors = self._encode_rows(
-            rows,
-            np.stack([np.asarray(m.gradient, dtype=np.float64).ravel() for m in messages]),
+        snapshots = cohort.payloads
+        losses, gradients = self._compute_gradients(
+            rows, [self._fleet.workers[row] for row in rows.tolist()], snapshots
         )
+        self._loop.schedule_cohorts(
+            self.PUSH, self._ready_at(rows, cohort.time), worker_ids,
+            Columns([version for version, _ in snapshots], gradients, losses.tolist()),
+        )
+
+    def _on_push_batch(self, cohort: Cohort) -> None:
+        """Batched :meth:`_on_push` over one push cohort.
+
+        Its arrivals travel as cohorts too, one per arrival time: each
+        member's wire is its row of the run's one
+        :class:`~repro.cluster.codec.FrameBatch` unless its channel touched
+        it (:class:`~repro.cluster.codec.DeliveredFrames`), so a
+        transparent uplink mints no frame.  A contended link's sessions keep
+        one payload each.
+        """
+        now = cohort.time
+        worker_ids = cohort.worker_ids
+        steps, gradients, losses = columns_of(cohort.payloads)
+        rows = np.array([self._fleet.row_of[wid] for wid in worker_ids], dtype=np.intp)
+        batch, _, errors = self._encode_rows(rows, np.asarray(gradients))
         touched, frame_bytes, seconds, penalty = self._price_uplinks(rows, batch)
-        # One frame per ``arrive`` event: what the channel handed back.
-        wires = [
-            touched[i] if i in touched else batch.frame(i) for i in range(len(messages))
-        ]
+        delivered = DeliveredFrames(batch, touched)
         with self._section("telemetry"):
-            for i, wid in enumerate(worker_ids):
+            for wid, transfer in zip(worker_ids, seconds.tolist()):
                 timeline = self.history.timeline_for(wid)
                 timeline.rounds_completed += 1
-                timeline.transfer_seconds += float(seconds[i])
+                timeline.transfer_seconds += transfer
             self.history.record_wire_batch(
                 worker_ids, bytes_sent=frame_bytes, compression_error=errors
             )
@@ -1720,7 +1696,8 @@ class AsyncTrainer(BaseTrainer):
         if self._contended:
             surviving = self._open_run_sessions(
                 now, 1, worker_ids, frame_bytes,
-                [(self.ARRIVE, arrival) for arrival in zip(messages, wires, penalty.tolist())],
+                [(self.ARRIVE, ((steps[i], losses[i], delivered[i]), extra))
+                 for i, extra in enumerate(penalty.tolist())],
             )
             # The surviving reschedules stay interleaved with the FETCH
             # pushes exactly as the per-event cascade placed them — the
@@ -1732,41 +1709,58 @@ class AsyncTrainer(BaseTrainer):
                 self._loop.schedule(self.FETCH, now, worker_id=wid)
             return
         with self._section("link_drain"):
-            uplinks = self.fabric.uplink_seconds_batch(worker_ids, frame_bytes, seconds)
-        specs = []
-        for i, wid in enumerate(worker_ids):
-            specs.append(
-                (self.ARRIVE, now + float(uplinks[i]), wid, (messages[i], wires[i]))
+            arrive_at = now + self.fabric.uplink_seconds_batch(worker_ids, frame_bytes, seconds)
+        arrivals = Columns(steps, losses, delivered)
+        if (arrive_at == now).any():
+            # A zero-delay uplink's arrival shares the fetches' instant and
+            # pops between them: the members go in the per-event order.
+            self._loop.schedule_many(
+                spec for i, wid in enumerate(worker_ids) for spec in (
+                    (self.ARRIVE, arrive_at[i], wid, arrivals[i]), (self.FETCH, now, wid, None)
+                )
             )
-            specs.append((self.FETCH, now, wid, None))
-        self._loop.schedule_many(specs)
+            return
+        self._loop.schedule_cohorts(self.ARRIVE, arrive_at, worker_ids, arrivals)
+        self._loop.schedule_cohorts(self.FETCH, now, worker_ids)
 
-    def _on_arrive_batch(self, events: List[Event]) -> None:
-        """:meth:`_on_arrive` over one same-time run of arrivals.
+    def _on_arrive_batch(self, cohort: Cohort) -> None:
+        """:meth:`_on_arrive` over one arrive cohort.
 
-        The admission body replays per event in pop order; the two triggers
-        are consulted only where one can fire.  The run's first buffered
-        arrival always consults them — when the version moved since the last
-        stale rescan, the rescan must follow that arrival's ``put`` and
-        precede the next (a worker's over-stale buffered entry counts as
-        superseded by the first, as stale-rejected from then on).  Each
-        consultation says how many more buffered arrivals its trigger needs:
-        until the version moves both are pure functions of two counts an
-        admitted arrival raises by at most one, so they are no-ops until the
-        nearer one is reached.  A trigger that fires mid-run (the adversary's
-        same-instant arrivals queue behind the run, the server turns busy)
-        only changes the room left for the rest of it.
+        The cohort's frames decode in one batch
+        (:meth:`~repro.cluster.codec.DeliveredFrames.decode`; a run the
+        queue joined from single events decodes wire by wire), at admission
+        so that arrivals in flight stay frames.  The admission body then
+        replays per arrival in pop order; the two triggers are consulted
+        only where one can fire.  The run's first buffered arrival always
+        consults them — when the version moved since the last stale rescan,
+        the rescan must follow that arrival's ``put`` and precede the next
+        (a worker's over-stale buffered entry counts as superseded by the
+        first, as stale-rejected from then on).  Each consultation says how
+        many more buffered arrivals its trigger needs: until the version
+        moves both are pure functions of two counts an admitted arrival
+        raises by at most one, so they are no-ops until the nearer one is
+        reached.  A trigger that fires mid-run (the adversary's same-instant
+        arrivals queue behind the run, the server turns busy) only changes
+        the room left for the rest of it.
         """
-        now = events[0].time
+        now = cohort.time
+        steps, losses, wires = columns_of(cohort.payloads)
+        with self._section("admission"):
+            if type(wires) is DeliveredFrames:
+                payloads = wires.decode()
+                wire_bytes = [wires.frames.nbytes] * len(payloads)
+            else:
+                payloads = [self._decode(wire) for wire in wires]
+                wire_bytes = [w.nbytes if isinstance(w, WireFrame) else 0.0 for w in wires]
         room = 1
-        for event in events:
+        for arrival in zip(cohort.worker_ids, steps, losses, payloads, wire_bytes):
             if self.profiler is None:
-                admitted = self._admit_arrival(event)
+                admitted = self._admit_arrival(*arrival, now)
             else:
                 # Only the admission body: the triggers below keep their
                 # own sections, which a wider bracket would count twice.
                 with self.profiler.section("admission"):
-                    admitted = self._admit_arrival(event)
+                    admitted = self._admit_arrival(*arrival, now)
             if admitted:
                 room -= 1
                 if room <= 0:

@@ -277,18 +277,15 @@ class TestAsyncEngine:
     def test_reordered_arrival_never_evicts_fresher_gradient(
         self, tiny_dataset, tiny_model_kwargs
     ):
-        from repro.cluster import GradientMessage
         from repro.cluster.events import Event
 
         trainer = make_async(tiny_dataset, tiny_model_kwargs)
         dim = trainer.server.dim
 
         def arrive(step, fill):
-            message = GradientMessage(
-                worker_id=2, step=step, gradient=np.full(dim, float(fill)), loss=0.0
-            )
+            # An arrival carries (model version, loss, wire).
             event = Event(time=0.0, kind="arrive", worker_id=2,
-                          payload=(message, message.gradient))
+                          payload=(step, 0.0, np.full(dim, float(fill))))
             trainer._on_arrive(event)
 
         arrive(step=5, fill=1.0)

@@ -2,10 +2,12 @@
 
 :class:`~repro.cluster.events.EventLoop` pops *consecutive same-time
 same-kind* runs of fetch/compute/push/arrive events and dispatches each run
-of two or more through one run handler (batched codec encode/decode, batched
-link pricing, one ``schedule_many`` re-insertion; for ``arrive`` the
-per-event admission body with the two triggers consulted only where one can
-fire).  The contract is the same
+of two or more through one run handler as one ``Cohort`` (batched codec
+encode, batched link pricing, the next stage scheduled as one cohort per
+instant; for ``arrive`` one batch decode, then the per-event admission body
+with the two triggers consulted only where one can fire).  The reference
+never builds a cohort: its per-event handlers schedule one ``Event`` each.
+The contract is the same
 hard bit identity the sync path carries: byte-identical final parameters,
 simulated clock and telemetry export, and the same number of dispatched
 events.  The reference is the same ``AsyncTrainer`` with its run handlers
@@ -20,8 +22,11 @@ tombstones) may differ while the live pop order cannot.
 The scenarios sweep every hot-path branch: all four codecs (with and
 without error feedback), stragglers, link contention (also with a
 persistent straggler), a WAN topology, delta broadcasts, lossy links,
-compact telemetry, a bounded-staleness admission predicate, and both
-adversary classes (deterministic sign-flip → one batched craft per version;
+compact telemetry, a bounded-staleness admission predicate, a herd whose
+compute cohorts draw one straggler factor per worker (``prob < 1``), a herd
+whose arrivals spread over several instants with lossy rows among them,
+uplinks too fast to move the clock, and both adversary classes
+(deterministic sign-flip → one batched craft per version;
 RNG-drawing random attack → the per-worker fallback).  Four 64- and
 16-worker scenarios put a trigger *inside* an ``arrive`` run — the
 adversary's fire threshold and the quorum crossed mid-run, a wholly
@@ -40,9 +45,8 @@ import numpy as np
 import pytest
 
 from repro.cluster.builder import build_trainer
-from repro.cluster.cost_model import StragglerModel
-from repro.cluster.events import Event
-from repro.cluster.message import GradientMessage
+from repro.cluster.cost_model import CostModel, StragglerModel
+from repro.cluster.events import Cohort, Event
 from repro.cluster.trainer import TrainerConfig
 from repro.data.datasets import gaussian_blobs
 from tests.trainer_reference import as_per_event_reference, as_server_stage_reference
@@ -80,6 +84,18 @@ SCENARIOS = {
     "randomk": {"codec": "random-k", "codec_k": 8, "error_feedback": False},
     "qsgd_ef": {"codec": "qsgd", "quantize_bits": 4},
     "straggler": {"straggler_model": StragglerModel("pareto")},
+    # Per-worker draws inside compute cohorts: with prob < 1 a batch draw
+    # takes its factors and uniforms in another order than single draws.
+    "straggler_herd_partial": {**_HERD, "straggler_model": StragglerModel("lognormal", prob=0.3)},
+    # A push cohort's arrivals at several instants, lossy rows among them:
+    # one arrive cohort per instant, each with its touched rows.
+    "delayed_lossy_herd": {
+        **_HERD, "link_delays": {worker_id: 1e-4 for worker_id in range(6, 64, 3)},
+        "lossy_links": 8, "lossy_drop_rate": 0.3,
+    },
+    # Uplinks too fast to move the clock: each arrival shares the instant of
+    # the fetches and pops between them, so a push run schedules per event.
+    "zero_delay_uplink": {"cost_model": CostModel(latency_s=0.0, bandwidth_gbps=1e18)},
     "contended": {"link_sharing": "fair"},
     "straggler_contended": {
         "straggler_model": StragglerModel("pareto"),
@@ -121,18 +137,41 @@ def _run(overrides: dict, *, reference=None, steps: int = 6):
     return trainer, history
 
 
+def _record_pops(trainer) -> list:
+    """The ``(time, kind, worker_id)`` of every event *trainer*'s queue pops, in order."""
+    popped = []
+    pop_run = trainer._loop.queue.pop_run
+
+    def recording(budget, kinds=None):
+        run = pop_run(budget, kinds)
+        members = [run] if isinstance(run, Event) else run
+        popped.extend((e.time, e.kind, e.worker_id) for e in members)
+        return run
+
+    trainer._loop.queue.pop_run = recording
+    return popped
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_async_vectorized_drain_is_bit_identical_to_the_per_event_loop(name):
     overrides = SCENARIOS[name]
-    vec_trainer, vec_history = _run(overrides)
-    loop_trainer, loop_history = _run(overrides, reference=as_per_event_reference)
+    arms = []
+    for reference in (None, as_per_event_reference):
+        trainer = build_trainer(**{**_BASE, **overrides})
+        if reference is not None:
+            trainer = reference(trainer)
+        popped = _record_pops(trainer)
+        arms.append((trainer, trainer.run(TrainerConfig(max_steps=6, eval_every=0)), popped))
+    (vec_trainer, vec_history, vec_popped), (loop_trainer, loop_history, loop_popped) = arms
     np.testing.assert_array_equal(
         vec_trainer.server.parameters, loop_trainer.server.parameters
     )
     assert vec_trainer.clock.now == loop_trainer.clock.now
     assert vec_history.to_dict() == loop_history.to_dict()
-    # Every popped event is counted once, batched or not.
+    # Every popped event is counted once, batched or not, and pops in the
+    # per-event order: cohorts keep every same-instant pair's order.
     assert vec_trainer.events_dispatched == loop_trainer.events_dispatched
+    assert vec_popped == loop_popped
 
 
 @pytest.mark.parametrize("name", sorted(ARRIVE_RUN_SCENARIOS))
@@ -156,10 +195,10 @@ def test_a_trigger_falls_inside_an_arrive_run(name):
     def inside():
         return 1 < position[0] < position[1]
 
-    def spy_admit(event):
+    def spy_admit(*arrival):
         position[0] += 1
         before = dict(trainer._interval)
-        buffered = admit(event)
+        buffered = admit(*arrival)
         if inside():
             seen.update(k for k, v in trainer._interval.items() if v != before[k])
         return buffered
@@ -178,9 +217,9 @@ def test_a_trigger_falls_inside_an_arrive_run(name):
             seen.add("aggregated")
         return room
 
-    def spy_on_run(events):
-        position[:] = [0, len(events)]
-        on_run(events)
+    def spy_on_run(cohort):
+        position[:] = [0, len(cohort)]
+        on_run(cohort)
         position[:] = [0, 0]
 
     trainer._admit_arrival, trainer._maybe_fire_byzantine = spy_admit, spy_fire
@@ -193,10 +232,9 @@ def test_a_trigger_falls_inside_an_arrive_run(name):
 def _arrival(trainer, worker_id, step, *, wire="gradient", seed=0):
     """A hand-built ``arrive`` event at the trainer's current instant."""
     gradient = np.random.default_rng(seed).standard_normal(trainer.server.dim)
-    message = GradientMessage(worker_id, step, gradient, loss=float(seed))
     return Event(
         time=trainer.clock.now, kind="arrive", worker_id=worker_id,
-        payload=(message, gradient if wire == "gradient" else None),
+        payload=(step, float(seed), gradient if wire == "gradient" else None),
     )
 
 
@@ -226,7 +264,10 @@ def test_two_rounds_of_one_worker_in_one_arrive_run():
             for i, (worker_id, behind, wire) in enumerate(specs)
         ]
         if batched:
-            trainer._on_arrive_batch(events)
+            trainer._on_arrive_batch(Cohort(
+                trainer.clock.now, "arrive", [e.worker_id for e in events],
+                [e.payload for e in events],
+            ))
         else:
             for event in events:
                 trainer._on_arrive(event)

@@ -197,3 +197,24 @@ class TestAllocateDevices:
         spec = allocate_devices(ClusterSpec.homogeneous(1), 2)
         assert spec.server_node == "node0"
         assert spec.worker_nodes == ["node0", "node0"]
+
+
+@pytest.mark.parametrize("distribution", ["lognormal", "pareto", "constant"])
+@pytest.mark.parametrize("prob", [1.0, 0.3])
+def test_when_a_batch_straggler_draw_equals_single_draws(distribution, prob):
+    """``sample(k, rng)`` equals k calls of ``sample(1, rng)`` exactly when it says so.
+
+    Every distribution draws its factors one after another, so the two agree
+    at ``prob == 1``.  Below it, a batch draws all k factors and then k
+    uniforms where single calls alternate factor and uniform — unless the
+    factor draws nothing (``constant``).  The async engine prices a compute
+    cohort with one batch draw only where ``draws_in_sequence`` holds.
+    """
+    from repro.cluster.cost_model import StragglerModel
+
+    model = StragglerModel(distribution, prob=prob, scale=2.0)
+    batch = model.sample(64, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    single = np.array([model.sample(1, rng)[0] for _ in range(64)])
+    assert model.draws_in_sequence == (distribution == "constant" or prob == 1.0)
+    assert np.array_equal(batch, single) == model.draws_in_sequence

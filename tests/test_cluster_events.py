@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.clock import SimulatedClock
-from repro.cluster.events import Event, EventLoop, EventQueue
+from repro.cluster.events import Cohort, Event, EventLoop, EventQueue
 from repro.exceptions import ConfigurationError, TrainingError
 
 
@@ -69,10 +69,12 @@ class TestEventQueue:
         queue.push_many(
             [Event(time=1.0, kind=kind, worker_id=i) for i, kind in enumerate("aaabaa")]
         )
-        assert [e.worker_id for e in queue.pop_run(math.inf)] == [0, 1, 2]
-        assert [e.worker_id for e in queue.pop_run(math.inf, kinds={"a"})] == [3]
-        assert [e.worker_id for e in queue.pop_run(1)] == [4]
-        assert [e.worker_id for e in queue.pop_run(math.inf, kinds={"a"})] == [5]
+        run = queue.pop_run(math.inf)
+        assert isinstance(run, Cohort) and [e.worker_id for e in run] == [0, 1, 2]
+        # A run of one is its event.
+        assert queue.pop_run(math.inf, kinds={"a"}).worker_id == 3
+        assert queue.pop_run(1).worker_id == 4
+        assert queue.pop_run(math.inf, kinds={"a"}).worker_id == 5
         with pytest.raises(TrainingError):
             queue.pop_run(math.inf)
 
@@ -114,7 +116,7 @@ class TestClockAuthority:
         (float("inf"), "event time must be finite and non-negative, got inf"),
     ])
     def test_bad_times_are_refused_and_leave_the_queue_untouched(self, bad, message):
-        """``schedule`` and ``schedule_many`` refuse alike, before pushing anything.
+        """``schedule``, ``schedule_many`` and ``schedule_cohorts`` refuse alike, pushing nothing.
 
         The batch puts the bad spec *second*: the valid event before it is
         built but must not be pushed, and the order counter must not move.
@@ -127,6 +129,8 @@ class TestClockAuthority:
         for attempt in (
             lambda: loop.schedule("tick", bad),
             lambda: loop.schedule_many([("tick", 3.0, 1, None), ("tick", bad, 2, None)]),
+            lambda: loop.schedule_cohorts("tick", np.array([3.0, bad, 3.0]), [1, 2, 3]),
+            lambda: loop.schedule_cohorts("tick", bad, [1, 2]),
         ):
             with pytest.raises(ConfigurationError, match=message):
                 attempt()

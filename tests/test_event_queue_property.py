@@ -8,18 +8,20 @@ count live events only, and the lazy compaction must keep the heap within a
 constant factor of the population that was live at the last cancel.  Hypothesis drives the queue with
 random operation sequences against a plain-list shadow model, and — the
 state machine at the end — against the single-heap queue it replaced, frozen
-as ``tests/event_queue_reference.py``.
+as ``tests/event_queue_reference.py``, which is fed every member of a
+:class:`~repro.cluster.events.Cohort` push one event at a time.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.cluster.events import Event, EventQueue
+from repro.cluster.events import Cohort, Columns, Event, EventLoop, EventQueue
 from repro.exceptions import TrainingError
 from tests import event_queue_reference as reference
 
@@ -276,6 +278,40 @@ def test_compaction_fires_at_the_boundary_and_preserves_order():
     assert drained == [early[1], early[0]] + list(events[floor + 1 :])
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_schedule_cohorts_pops_like_schedule_many_of_its_members(data):
+    """A herd grouped by time pops in the order its per-member schedule gives.
+
+    Both loops hold the same queued events (equal-time ones of both kinds
+    among them) and then schedule one herd, its times drawn with repeats and
+    with ``now`` among them; the cohort side also pushes fewer entries.
+    """
+    instants = [1.0, 2.0, 2.5, 3.0]
+    prior = data.draw(
+        st.lists(st.tuples(st.sampled_from(instants), st.sampled_from("ab")), max_size=6)
+    )
+    size = data.draw(st.integers(1, 12))
+    times = data.draw(st.lists(st.sampled_from(instants), min_size=size, max_size=size))
+    shared = data.draw(st.booleans())  # one time for every member
+    payloads = Columns(list(range(100, 100 + size)), np.arange(size) * 1.5)
+    grouped, per_member = EventLoop(), EventLoop()
+    for loop in (grouped, per_member):
+        loop.clock.advance_to(1.0)
+        loop.schedule_many([(kind, time, -1, None) for time, kind in prior])
+    grouped.schedule_cohorts(
+        "a", times[0] if shared else np.array(times), list(range(size)), payloads
+    )
+    per_member.schedule_many(
+        ("a", times[0] if shared else times[i], i, payloads[i]) for i in range(size)
+    )
+    assert grouped.queue.pushed == per_member.queue.pushed
+    assert len(grouped.queue) == len(per_member.queue)
+    assert [(e.time, e.kind, e.worker_id, e.payload) for e in grouped.queue.drain()] == [
+        (e.time, e.kind, e.worker_id, e.payload) for e in per_member.queue.drain()
+    ]
+
+
 def _key(event):
     """What must agree between the two queues' events (the sign of zero too)."""
     return (
@@ -305,9 +341,10 @@ class QueueAgainstFrozenHeap(RuleBasedStateMachine):
         self.live = EventQueue()
         self.frozen = reference.EventQueue()
         self.pushed = []  # (live event, frozen event) in push order
+        self.members = []  # (time, kind, worker id) of every cohort-push member
 
     def _make(self, specs):
-        start = len(self.pushed)
+        start = len(self.pushed) + len(self.members)
         pairs = [
             (
                 Event(time=time, kind=kind, worker_id=start + i),
@@ -339,6 +376,36 @@ class QueueAgainstFrozenHeap(RuleBasedStateMachine):
         want = self.frozen.push_many(theirs)
         assert [_key(e) for e in got] == [_key(e) for e in want]
 
+    @rule(data=st.data())
+    def push_cohorts(self, data):
+        """Cohorts and events of mixed kinds and times in one ``push_many`` call.
+
+        Herd times make equal-time entries of alternating kinds common — the
+        zero-delay interleavings (an ``arrive`` cohort, then a ``fetch`` one,
+        at the same instant).  The frozen heap gets every member, in order,
+        one ``push`` at a time.
+        """
+        entries, members = [], []
+        for _ in range(data.draw(st.integers(1, 4))):
+            time = data.draw(st.one_of(_herd_times, _spread_times))
+            kind = data.draw(st.sampled_from("ab"))
+            size = data.draw(st.integers(1, 8))
+            start = len(self.pushed) + len(self.members) + len(members)
+            ids = list(range(start, start + size))
+            if data.draw(st.booleans()):
+                entries.append(Cohort(time, kind, ids, [f"p{i}" for i in ids]))
+            else:
+                entries.extend(
+                    Event(time=time, kind=kind, worker_id=i, payload=f"p{i}") for i in ids
+                )
+            members.extend((time, kind, i) for i in ids)
+        self.members.extend(members)
+        assert self.live.push_many(entries) == entries
+        for time, kind, worker_id in members:
+            self.frozen.push(
+                reference.Event(time=time, kind=kind, worker_id=worker_id, payload=f"p{worker_id}")
+            )
+
     @rule()
     def pop(self):
         if not len(self.frozen):
@@ -347,7 +414,8 @@ class QueueAgainstFrozenHeap(RuleBasedStateMachine):
             with pytest.raises(TrainingError):
                 self.live.pop()
         else:
-            assert _key(self.live.pop()) == _key(self.frozen.pop())
+            got, want = self.live.pop(), self.frozen.pop()
+            assert _key(got) == _key(want) and got.payload == want.payload
 
     @rule(
         budget=st.one_of(st.integers(1, 6), st.just(math.inf)),
@@ -358,11 +426,15 @@ class QueueAgainstFrozenHeap(RuleBasedStateMachine):
             with pytest.raises(TrainingError):
                 self.live.pop_run(budget, kinds)
             return
-        got = self.live.pop_run(budget, kinds)
+        run = self.live.pop_run(budget, kinds)
+        got = [run] if isinstance(run, Event) else list(run)
         if kinds is not None and self.frozen.peek().kind not in kinds:
             budget = 1  # a kind without a run handler pops alone
         want = reference.pop_run(self.frozen, budget)
+        # A run of one is its event, a longer run one cohort.
+        assert isinstance(run, Event) == (len(want) == 1)
         assert [_key(e) for e in got] == [_key(e) for e in want]
+        assert [e.payload for e in got] == [e.payload for e in want]
         assert all(e._queue is None for e in got)
 
     @rule()

@@ -264,11 +264,16 @@ MEASURED = 2.0 * 10 * 5  # Σ 2·i·o per sample
 
 
 def _priced_at(trainer):
-    """Forward flops per sample each honest worker's ``_compute_time`` charges."""
+    """Forward flops per sample each honest worker's compute pricing charges.
+
+    Both engines price a fleet row through ``FleetState.compute_times`` at
+    the flops the stacked pass measured.
+    """
     readings = []
     dim = trainer.server.dim
-    for worker in trainer.honest_workers:
-        seconds = trainer._compute_time(worker, dim)
+    priced = trainer._fleet.compute_times(trainer.cost_model, trainer._stacked_flops)
+    for row, worker in enumerate(trainer.honest_workers):
+        seconds = priced[row]
         gflops = trainer._worker_gflops[worker.worker_id] * worker.speed
         if seconds == trainer.cost_model.gradient_compute_time(
             dim, worker.batch_size, gflops=gflops, flops_per_sample=MEASURED

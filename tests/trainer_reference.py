@@ -62,6 +62,16 @@ functions of the server).  The drained async batch is an ``ArrivalBatch``
 update log gained its ``sim_time``, so the reference's ``run_step`` stamps
 its entry with the clock it just advanced to — the bug fixed in both.
 
+NOTE (ninth sanctioned edit, "the async herd travels in cohorts"): the live
+async engine prices a compute cohort in one array expression over the fleet
+columns, so ``BaseTrainer._compute_time`` — the per-worker scalar pricing the
+per-worker loop here calls — is frozen on :class:`ReferenceSynchronousTrainer`
+as a verbatim copy of the parent's body.  The run handlers take one
+``Cohort`` and the ``arrive`` payload is ``(version, loss, wire)``;
+:func:`as_per_event_reference` still unregisters every run handler, so each
+event reaches its per-event handler, which schedules one ``Event`` per push.
+Bodies here otherwise unchanged.
+
 The per-event async handlers need no frozen copy:
 :class:`~repro.cluster.events.EventLoop` owns the run coalescing, so
 :func:`as_per_event_reference` turns a live ``AsyncTrainer`` into its own
@@ -184,6 +194,19 @@ class _ParentStepRecording:
 
 class ReferenceSynchronousTrainer(_ParentServiceGate, _ParentStepRecording, SynchronousTrainer):
     """``SynchronousTrainer`` with the parent's per-worker stage bodies."""
+
+    def _compute_time(self, worker, dim: int) -> float:
+        """Nominal (pre-straggler) gradient-computation time of *worker*.
+
+        Priced at the forward flops per sample the stacked pass measured,
+        so only after a pass has run.
+        """
+        return self.cost_model.gradient_compute_time(
+            dim,
+            worker.batch_size,
+            gflops=self._worker_gflops[worker.worker_id] * worker.speed,
+            flops_per_sample=self._stacked_flops,
+        )
 
     def _distance_round_begin(self, admitted: Sequence[ArrivalEvent]) -> float:
         """Open a cache round and warm the pre-quorum arrivals."""
