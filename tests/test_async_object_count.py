@@ -8,7 +8,8 @@ fires at one instant for every worker, and travels as one
 on, the number of ``Event`` objects one ``run_step`` builds is the same at
 50 and at 500 workers, and a transparent uplink never mints a ``WireFrame``:
 the ``arrive`` cohort carries the push's ``FrameBatch`` rows and decodes
-them in one batch at admission.
+them in one batch at admission — so an arrival in flight holds its sparse
+frame row, never a dense gradient row.
 """
 
 import gc
@@ -16,7 +17,7 @@ import sys
 
 from repro.cluster import build_trainer
 from repro.cluster import events
-from repro.cluster.codec import WireFrame
+from repro.cluster.codec import DeliveredFrames, WireFrame
 from repro.data.datasets import load_dataset
 
 #: Every way an ``Event`` is built: the validating constructor and the
@@ -52,14 +53,18 @@ def _counted_step(trainer):
     return counts["events"], counts["frames"], trainer.events_dispatched - dispatched
 
 
-def _steps(num_workers):
+def _herd(num_workers):
     dataset = load_dataset("blobs", num_train=400, num_test=50, num_classes=5, dim=10, rng=0)
-    trainer = build_trainer(
+    return build_trainer(
         dataset=dataset, model="logistic", model_kwargs={"input_dim": 10, "num_classes": 5},
         num_workers=num_workers, num_byzantine=0, declared_f=0, gar="median",
         batch_size=2, mode="async", sync_policy="quorum", codec="top-k", codec_k=8,
         compute_mode="fleet", compact_telemetry=True, seed=5,
     )
+
+
+def _steps(num_workers):
+    trainer = _herd(num_workers)
     trainer.run_step()  # the first step dispatches the initial fetch herd
     return [_counted_step(trainer) for _ in range(3)]
 
@@ -70,3 +75,24 @@ def test_an_async_herd_steps_event_count_does_not_depend_on_the_fleet_size():
     assert [frames for _, frames, _ in small + large] == [0] * 6
     # The herd did run: each step dispatched a round trip per worker or more.
     assert all(n >= 4 * 50 for _, _, n in small) and all(n >= 4 * 500 for _, _, n in large)
+
+
+def test_arrivals_in_flight_carry_frame_rows_not_dense_gradients():
+    """What an ``arrive`` cohort held while in flight: k = 8 values a row of d = 55."""
+    trainer = _herd(50)
+    handler = trainer._loop._run_handlers["arrive"]
+    carried = []
+
+    def spy(cohort):
+        carried.append(cohort.payloads)
+        handler(cohort)
+
+    trainer._loop._run_handlers["arrive"] = spy
+    for _ in range(3):
+        trainer.run_step()
+    assert carried
+    for payloads in carried:
+        steps, losses, wires = payloads.columns
+        assert type(steps) is list and type(losses) is list
+        assert isinstance(wires, DeliveredFrames) and not wires.touched
+        assert wires.frames.values.shape == (len(steps), 8) and trainer.server.dim == 55
