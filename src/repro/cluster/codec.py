@@ -274,12 +274,19 @@ class DeliveredFrames:
             new: self.touched[old] for new, old in enumerate(positions) if old in self.touched
         })
 
-    def decode(self) -> List[Optional[np.ndarray]]:
-        """Each row's server-side reconstruction (``None`` for a drop), in one batch decode."""
-        rows: List[Optional[np.ndarray]] = list(self.frames.decode())
+    def decode(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every row's server-side reconstruction in one batch decode, and which rows dropped.
+
+        A dropped row of the ``(n, dim)`` matrix holds the decode of the frame that was lost.
+        """
+        rows = self.frames.decode()
+        lost = np.zeros(len(self), dtype=bool)
         for i, wire in self.touched.items():
-            rows[i] = None if wire is None else decode_frame(wire)
-        return rows
+            if wire is None:
+                lost[i] = True
+            else:
+                rows[i] = decode_frame(wire)
+        return rows, lost
 
 
 class WireCodec(abc.ABC):

@@ -185,9 +185,10 @@ class PendingPool:
     single ``(capacity, d)`` matrix.  A free list recycles rows as entries
     supersede, reject or drain, and the arrays grow geometrically, so the
     steady state allocates nothing per arrival.  Admission bookkeeping
-    stays O(1): insert/overwrite is one dict probe plus row writes, and the
-    honest-entry count is maintained incrementally for the Byzantine fire
-    check.
+    stays O(1): insert/overwrite is one dict probe plus row writes, a
+    stretch of distinct new entries is one column write
+    (:meth:`put_many`), and the honest-entry count is maintained
+    incrementally for the Byzantine fire check.
 
     Semantics are bit-identical to the dict buffer: the stale rescan calls
     the same pure ``admit(lag)`` predicate once per *distinct* lag, and
@@ -287,6 +288,42 @@ class PendingPool:
         self._losses[slot] = loss
         self._honest[slot] = honest
         self._payloads[slot] = payload
+
+    def put_many(
+        self, worker_ids: Sequence[int], *, steps: Sequence[int], payloads: np.ndarray,
+        arrival_time: float, honest: np.ndarray, staleness: np.ndarray,
+        wire_bytes: np.ndarray, losses: Sequence[float],
+    ) -> None:
+        """:meth:`put` of each of *worker_ids* in order, as column writes.
+
+        The ids must be distinct and absent from the pool.  Slots come off
+        the free list in the order those puts would pop them, growing each
+        time it runs dry.
+        """
+        count = len(worker_ids)
+        slots: List[int] = []
+        while len(slots) < count:
+            if not self._free:
+                self._grow()
+            cut = max(len(self._free) - (count - len(slots)), 0)
+            slots.extend(reversed(self._free[cut:]))
+            del self._free[cut:]
+        self._slot_of.update(zip(worker_ids, slots))
+        rows = np.array(slots, dtype=np.intp)
+        self._worker_ids[rows] = worker_ids
+        self._steps[rows] = steps
+        self._arrival_times[rows] = arrival_time
+        self._staleness[rows] = staleness
+        self._wire_bytes[rows] = wire_bytes
+        self._losses[rows] = losses
+        self._honest[rows] = honest
+        self._payloads[rows] = payloads
+        self._honest_count += int(np.count_nonzero(honest))
+
+    def holds(self, worker_ids: np.ndarray) -> np.ndarray:
+        """Whether each of *worker_ids* has a buffered entry."""
+        held = np.fromiter(self._slot_of, dtype=np.int64, count=len(self._slot_of))
+        return np.isin(worker_ids, held)
 
     def _release(self, worker_id: int, slot: int) -> None:
         del self._slot_of[worker_id]

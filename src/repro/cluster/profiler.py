@@ -38,10 +38,11 @@ trainers bracket their hot stages with :meth:`SimProfiler.section`, so a
     event and scheduling the next one whenever a session opens or drains
     (previously invisible inside ``event_dispatch``).
 ``admission``
-    Async admission control (``AsyncTrainer._admit_arrival``): the decode
-    (one batch per ``arrive`` cohort), drop / stale / supersede bookkeeping
-    and the pending-pool write — never the quorum and adversary triggers
-    that follow it.
+    Async admission control (``AsyncTrainer._admit_arrival`` and a herd
+    cohort's bulk ``PendingPool.put_many``): the decode (one batch per
+    ``arrive`` cohort), drop / stale / supersede bookkeeping and the
+    pending-pool writes — never the quorum and adversary triggers that
+    follow them.
 
 Anything not bracketed is the residue between ``wall_clock_s`` and the sum
 of the subsystems — deliberately visible, so a future hot spot outside the

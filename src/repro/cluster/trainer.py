@@ -62,6 +62,7 @@ many servers there are:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -1185,7 +1186,9 @@ class AsyncTrainer(BaseTrainer):
         # Raises ConfigurationError for policies without an async reading
         # (FullSync): the lock-step protocol cannot drive an event stream.
         self.admission = self.sync_policy.admission(max_version_lag=max_version_lag)
-        self._workers_by_id = {w.worker_id: w for w in self.workers}
+        #: Whether each worker id is honest, as a column to index with ids.
+        self._honest_by_id = np.zeros(int(self._worker_ids.max()) + 1, dtype=bool)
+        self._honest_by_id[self._worker_ids] = [not w.is_byzantine for w in self.workers]
 
         self._loop = EventLoop(clock=self.clock, profiler=self.profiler)
         self._loop.on_each({
@@ -1372,8 +1375,9 @@ class AsyncTrainer(BaseTrainer):
                 model.sample(len(rows), rng) if model.draws_in_sequence
                 else np.array([model.sample(1, rng)[0] for _ in range(len(rows))])
             )
+        timelines = self.history.worker_timelines
         for worker_id, compute in zip(self._fleet.worker_ids[rows].tolist(), seconds.tolist()):
-            self.history.timeline_for(worker_id).compute_seconds += compute
+            timelines[worker_id].compute_seconds += compute
         return now + seconds
 
     def _on_push(self, event: Event) -> None:
@@ -1421,7 +1425,7 @@ class AsyncTrainer(BaseTrainer):
         Drop a lost wire (*payload* ``None``), reject an over-stale version,
         and let a fresher gradient supersede the worker's buffered one — the
         body both ``arrive`` handlers run per arrival, and the pool's one
-        writer.
+        per-arrival writer (a herd's plain arrivals are written in bulk).
         """
         if payload is None:
             self.history.timeline_for(worker_id).channel_dropped += 1
@@ -1442,7 +1446,7 @@ class AsyncTrainer(BaseTrainer):
             self._interval["superseded"] += 1
             if step < existing_step:
                 return False
-        honest = not self._workers_by_id[worker_id].is_byzantine
+        honest = bool(self._honest_by_id[worker_id])
         self._pending.put(
             worker_id, step=step, payload=payload, arrival_time=now, honest=honest,
             staleness=max(lag, 0), wire_bytes=wire_bytes if honest else 0.0, loss=loss,
@@ -1558,8 +1562,9 @@ class AsyncTrainer(BaseTrainer):
             downlink_bytes=self._interval_downlink,
         )
         self._busy = False
+        timelines = self.history.worker_timelines
         for worker_id in batch.worker_ids.tolist():
-            self.history.timeline_for(worker_id).admitted += 1
+            timelines[worker_id].admitted += 1
         self._interval = {"superseded": 0, "channel_dropped": 0, "stale_rejected": 0}
         self._interval_downlink = 0.0
         self._last_update_done = event.time
@@ -1685,8 +1690,9 @@ class AsyncTrainer(BaseTrainer):
         touched, frame_bytes, seconds, penalty = self._price_uplinks(rows, batch)
         delivered = DeliveredFrames(batch, touched)
         with self._section("telemetry"):
+            timelines = self.history.worker_timelines
             for wid, transfer in zip(worker_ids, seconds.tolist()):
-                timeline = self.history.timeline_for(wid)
+                timeline = timelines[wid]
                 timeline.rounds_completed += 1
                 timeline.transfer_seconds += transfer
             self.history.record_wire_batch(
@@ -1726,47 +1732,94 @@ class AsyncTrainer(BaseTrainer):
     def _on_arrive_batch(self, cohort: Cohort) -> None:
         """:meth:`_on_arrive` over one arrive cohort.
 
-        The cohort's frames decode in one batch
-        (:meth:`~repro.cluster.codec.DeliveredFrames.decode`; a run the
-        queue joined from single events decodes wire by wire), at admission
-        so that arrivals in flight stay frames.  The admission body then
-        replays per arrival in pop order; the two triggers are consulted
-        only where one can fire.  The run's first buffered arrival always
-        consults them — when the version moved since the last stale rescan,
-        the rescan must follow that arrival's ``put`` and precede the next
-        (a worker's over-stale buffered entry counts as superseded by the
+        A herd's cohort (wires a :class:`~repro.cluster.codec.DeliveredFrames`)
+        decodes in one batch, at admission so that arrivals in flight stay
+        frames, and is admitted in columns: each stretch of *plain* arrivals
+        — delivered, inside the lag bound, not buffered, no worker seen
+        earlier in the cohort — is one :meth:`PendingPool.put_many`; every
+        other member, and each member of a run the queue joined from single
+        events, goes through :meth:`_admit_arrival`.  Plainness is decided
+        once: the version cannot move inside a cohort (``update-done`` is
+        its own event), and the pool only loses entries inside it, to a
+        trigger (the buffered mask is recomputed then).
+
+        The two triggers are consulted where the per-event handler's could
+        change anything.  The run's first buffered arrival always consults
+        them — when the version moved since the last stale rescan, the
+        rescan must follow that arrival's ``put`` and precede the next (a
+        worker's over-stale buffered entry counts as superseded by the
         first, as stale-rejected from then on).  Each consultation says how
         many more buffered arrivals its trigger needs: until the version
         moves both are pure functions of two counts an admitted arrival
         raises by at most one, so they are no-ops until the nearer one is
-        reached.  A trigger that fires mid-run (the adversary's same-instant
-        arrivals queue behind the run, the server turns busy) only changes
-        the room left for the rest of it.
+        reached, and a stretch ends there.  A trigger that fires mid-run
+        (the adversary's same-instant arrivals queue behind the run, the
+        server turns busy) only changes the room left for the rest of it.
         """
         now = cohort.time
+        worker_ids = cohort.worker_ids
+        count = len(worker_ids)
         steps, losses, wires = columns_of(cohort.payloads)
+        columnar = type(wires) is DeliveredFrames
         with self._section("admission"):
-            if type(wires) is DeliveredFrames:
-                payloads = wires.decode()
-                wire_bytes = [wires.frames.nbytes] * len(payloads)
+            if columnar:
+                payloads, lost = wires.decode()
+                wire_bytes = [wires.frames.nbytes] * count
+                ids = np.array(worker_ids)
+                lags = self.server.version - np.array(steps)
+                admit = self.admission.admit
+                irregular = lost | ~np.isin(
+                    lags, [lag for lag in np.unique(lags).tolist() if admit(lag)]
+                )
+                first = np.zeros(count, dtype=bool)
+                first[np.unique(ids, return_index=True)[1]] = True
+                irregular |= ~first
+                stops = self._stretch_stops(ids, irregular, 0)
             else:
                 payloads = [self._decode(wire) for wire in wires]
+                lost = [payload is None for payload in payloads]
                 wire_bytes = [w.nbytes if isinstance(w, WireFrame) else 0.0 for w in wires]
-        room = 1
-        for arrival in zip(cohort.worker_ids, steps, losses, payloads, wire_bytes):
-            if self.profiler is None:
-                admitted = self._admit_arrival(*arrival, now)
-            else:
-                # Only the admission body: the triggers below keep their
-                # own sections, which a wider bracket would count twice.
-                with self.profiler.section("admission"):
-                    admitted = self._admit_arrival(*arrival, now)
-            if admitted:
-                room -= 1
-                if room <= 0:
-                    room = min(
-                        self._maybe_fire_byzantine(now), self._maybe_aggregate(now)
+        room, start = 1, 0
+        while start < count:
+            run = min(stops[bisect_left(stops, start)], start + room) - start if columnar else 0
+            if run:
+                stop = start + run
+                with self._section("admission"):
+                    honest = self._honest_by_id[ids[start:stop]]
+                    self._pending.put_many(
+                        worker_ids[start:stop], steps=steps[start:stop],
+                        payloads=payloads[start:stop], arrival_time=now, honest=honest,
+                        staleness=np.maximum(lags[start:stop], 0),
+                        wire_bytes=np.where(honest, wire_bytes[0], 0.0),
+                        losses=losses[start:stop],
                     )
+                admitted = run
+            else:
+                stop = start + 1
+                arrival = (
+                    worker_ids[start], steps[start], losses[start],
+                    None if lost[start] else payloads[start], wire_bytes[start], now,
+                )
+                if self.profiler is None:
+                    admitted = self._admit_arrival(*arrival)
+                else:
+                    # Only the admission body: the triggers below keep their
+                    # own sections, which a wider bracket would count twice.
+                    with self.profiler.section("admission"):
+                        admitted = self._admit_arrival(*arrival)
+            start = stop
+            if admitted:
+                room -= admitted
+                if room <= 0:
+                    held = len(self._pending)
+                    room = min(self._maybe_fire_byzantine(now), self._maybe_aggregate(now))
+                    if columnar and len(self._pending) != held:
+                        stops = self._stretch_stops(ids, irregular, start)
+
+    def _stretch_stops(self, ids: np.ndarray, irregular: np.ndarray, start: int) -> List[int]:
+        """Positions from *start* on that are *irregular* or buffered, then the cohort's length."""
+        buffered = self._pending.holds(ids[start:])
+        return (np.flatnonzero(irregular[start:] | buffered) + start).tolist() + [len(ids)]
 
 
 __all__ = [

@@ -9,7 +9,9 @@ on, the number of ``Event`` objects one ``run_step`` builds is the same at
 50 and at 500 workers, and a transparent uplink never mints a ``WireFrame``:
 the ``arrive`` cohort carries the push's ``FrameBatch`` rows and decodes
 them in one batch at admission — so an arrival in flight holds its sparse
-frame row, never a dense gradient row.
+frame row, never a dense gradient row.  Admission is in bulk too: no
+per-arrival ``PendingPool.put``, one ``put_many`` per stretch of arrivals
+between two trigger consultations.
 """
 
 import gc
@@ -96,3 +98,46 @@ def test_arrivals_in_flight_carry_frame_rows_not_dense_gradients():
         assert type(steps) is list and type(losses) is list
         assert isinstance(wires, DeliveredFrames) and not wires.touched
         assert wires.frames.values.shape == (len(steps), 8) and trainer.server.dim == 55
+
+
+def _admission_calls(num_workers):
+    """Per ``arrive`` cohort of three steady steps: ``(members, put, put_many, consultations)``."""
+    trainer = _herd(num_workers)
+    trainer.run_step()
+    handler = trainer._loop._run_handlers["arrive"]
+    pool = trainer._pending
+    put, put_many, aggregate = pool.put, pool.put_many, trainer._maybe_aggregate
+    cohorts, current = [], []
+
+    def counting(name, call):
+        def spy(*args, **kwargs):
+            if current:  # inside an arrive handler
+                current[0][name] += 1
+            return call(*args, **kwargs)
+        return spy
+
+    def spy_handler(cohort):
+        current.append({"members": len(cohort), "put": 0, "put_many": 0, "consulted": 0})
+        handler(cohort)
+        cohorts.append(tuple(current.pop().values()))
+
+    pool.put, pool.put_many = counting("put", put), counting("put_many", put_many)
+    # Each consultation asks both triggers; the adversary's check returns at
+    # once in an honest fleet, so the quorum check counts them.
+    trainer._maybe_aggregate = counting("consulted", aggregate)
+    trainer._loop._run_handlers["arrive"] = spy_handler
+    for _ in range(3):
+        trainer.run_step()
+    return cohorts
+
+
+def test_an_async_herd_admits_each_arrive_cohort_in_bulk_writes():
+    """No per-arrival ``put``: one ``put_many`` per stretch between trigger consultations."""
+    small, large = _admission_calls(50), _admission_calls(500)
+    for cohorts, num_workers in ((small, 50), (large, 500)):
+        assert sum(members for members, _, _, _ in cohorts) >= 3 * num_workers
+        for members, put, put_many, consulted in cohorts:
+            assert put == 0
+            assert 1 <= put_many <= consulted + 1
+    # The bulk writes do not grow with the fleet.
+    assert [calls[1:] for calls in small] == [calls[1:] for calls in large]

@@ -4,8 +4,9 @@
 same-kind* runs of fetch/compute/push/arrive events and dispatches each run
 of two or more through one run handler as one ``Cohort`` (batched codec
 encode, batched link pricing, the next stage scheduled as one cohort per
-instant; for ``arrive`` one batch decode, then the per-event admission body
-with the two triggers consulted only where one can fire).  The reference
+instant; for ``arrive`` one batch decode, each stretch of plain arrivals
+written to the pool in one bulk write and the per-event admission body for
+the rest, with the two triggers consulted only where one can fire).  The reference
 never builds a cohort: its per-event handlers schedule one ``Event`` each.
 The contract is the same
 hard bit identity the sync path carries: byte-identical final parameters,
@@ -32,6 +33,9 @@ RNG-drawing random attack → the per-worker fallback).  Four 64- and
 adversary's fire threshold and the quorum crossed mid-run, a wholly
 stale-rejected run, dropped wires and supersedes mid-run —
 and ``test_a_trigger_falls_inside_an_arrive_run`` checks that they still do.
+``test_an_arrive_cohort_of_frames_equals_its_arrivals_one_by_one`` draws
+the cohorts no deployment is known to produce and holds the bulk admission
+``==`` to the per-event handler on them.
 
 A second grid holds the event-driven *server stage* — the one
 ``BaseTrainer._aggregate`` spelling over ``ServerFabric.aggregate``, with the
@@ -41,12 +45,16 @@ seventh ``gather`` event), which the grid above cannot see drift because both
 of its arms run the live stage.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.builder import build_trainer
+from repro.cluster.codec import DeliveredFrames
 from repro.cluster.cost_model import CostModel, StragglerModel
-from repro.cluster.events import Cohort, Event
+from repro.cluster.events import Cohort, Columns, Event
 from repro.cluster.trainer import TrainerConfig
 from repro.data.datasets import gaussian_blobs
 from tests.trainer_reference import as_per_event_reference, as_server_stage_reference
@@ -178,17 +186,19 @@ def test_async_vectorized_drain_is_bit_identical_to_the_per_event_loop(name):
 def test_a_trigger_falls_inside_an_arrive_run(name):
     """The ``arrive_run_*`` scenarios exercise what they are in the grid for.
 
-    Spies on the admission body and the two triggers of one trainer record
-    what happened at a position strictly inside a run (neither its first nor
-    its last arrival): the adversary firing, an aggregation starting, an
-    arrival refused or superseding.
+    Spies on the two ways a run's members are consumed — the per-arrival
+    admission body and the pool's bulk write of a stretch of plain arrivals
+    — and on the two triggers of one trainer record what happened at a
+    position strictly inside a run (neither its first nor its last
+    arrival): the adversary firing, an aggregation starting, an arrival
+    refused or superseding.
     """
     overrides, expected = ARRIVE_RUN_SCENARIOS[name]
     trainer = build_trainer(**{**_BASE, **overrides})
     seen = set()
-    position = [0, 0]  # arrival index in the current run, run length
-    admit, fire, aggregate, on_run = (
-        trainer._admit_arrival, trainer._maybe_fire_byzantine,
+    position = [0, 0]  # members of the current run consumed, run length
+    admit, put_many, fire, aggregate, on_run = (
+        trainer._admit_arrival, trainer._pending.put_many, trainer._maybe_fire_byzantine,
         trainer._maybe_aggregate, trainer._on_arrive_batch,
     )
 
@@ -202,6 +212,10 @@ def test_a_trigger_falls_inside_an_arrive_run(name):
         if inside():
             seen.update(k for k, v in trainer._interval.items() if v != before[k])
         return buffered
+
+    def spy_put_many(worker_ids, **columns):
+        position[0] += len(worker_ids)
+        put_many(worker_ids, **columns)
 
     def spy_fire(now):
         before = trainer._byz_fired_version
@@ -223,6 +237,7 @@ def test_a_trigger_falls_inside_an_arrive_run(name):
         position[:] = [0, 0]
 
     trainer._admit_arrival, trainer._maybe_fire_byzantine = spy_admit, spy_fire
+    trainer._pending.put_many = spy_put_many
     trainer._maybe_aggregate = spy_aggregate
     trainer._loop._run_handlers["arrive"] = spy_on_run
     trainer.run(TrainerConfig(max_steps=6, eval_every=0))
@@ -286,6 +301,132 @@ def test_two_rounds_of_one_worker_in_one_arrive_run():
     assert batched.clock.now == sequential.clock.now
     assert histories[0].to_dict() == histories[1].to_dict()
     assert batched.events_dispatched == sequential.events_dispatched
+
+
+def _comparable(value):
+    """*value* with arrays as bytes and floats as hex, so ``==`` is bitwise and NaN-safe."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return float(value).hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(_comparable(item) for item in value)
+    if isinstance(value, dict):
+        return tuple((key, _comparable(item)) for key, item in value.items())
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, _comparable(
+            [getattr(value, field.name) for field in dataclasses.fields(value)]
+        )
+    return value
+
+
+def _admission_state(trainer) -> dict:
+    """What an ``arrive`` handler can change, in comparable form; drains the queue."""
+    pool = trainer._pending
+    slots = list(pool._slot_of.values())
+    return {
+        "pool": list(pool._slot_of.items()),
+        "free": list(pool._free),
+        "honest_count": pool.honest_count,
+        "columns": _comparable([
+            getattr(pool, name)[slots] for name in (
+                "_worker_ids", "_steps", "_arrival_times", "_staleness", "_wire_bytes",
+                "_losses", "_honest", "_payloads",
+            )
+        ]),
+        "checked_version": trainer._pending_checked_version,
+        "interval": dict(trainer._interval),
+        "timelines": _comparable(trainer.history.worker_timelines),
+        "busy": trainer._busy,
+        "fired_version": trainer._byz_fired_version,
+        "queued": [
+            (event.time, event.kind, event.worker_id, event.order, _comparable(event.payload))
+            for event in trainer._loop.queue.drain()
+        ],
+    }
+
+
+#: Ten workers, the adversary's two (ids 0 and 1) among them, a lag bound of
+#: one version, and a top-k codec whose frames the cohort's wires are rows of.
+_DIFFERENTIAL = {
+    "num_workers": 10, "num_byzantine": 2, "declared_f": 2, "codec": "top-k", "codec_k": 4,
+    "sync_policy": "bounded-staleness",
+}
+#: A cohort member's versions behind the server and what its channel did,
+#: weighted towards plain arrivals so that stretches of them reach a trigger.
+_LAG_AND_WIRE = st.tuples(
+    st.sampled_from([0, 0, 0, 1, 1, 2, 3]),
+    st.sampled_from(["frame", "frame", "frame", "frame", "dropped", "degraded"]),
+)
+
+
+@st.composite
+def _cohorts(draw):
+    """Every worker once, plus up to twelve repeats, in a drawn order."""
+    herd = [(worker_id, *draw(_LAG_AND_WIRE)) for worker_id in range(10)]
+    repeats = draw(st.lists(st.tuples(st.integers(0, 9), _LAG_AND_WIRE), max_size=12))
+    return draw(st.permutations(herd + [(worker_id, *rest) for worker_id, rest in repeats]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    quorum=st.integers(8, 10),
+    buffered=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)), max_size=6),
+    moved=st.booleans(),
+    members=_cohorts(),
+)
+def test_an_arrive_cohort_of_frames_equals_its_arrivals_one_by_one(
+    quorum, buffered, moved, members
+):
+    """``_on_arrive_batch`` on a herd's cohort ``==`` ``_on_arrive`` per member.
+
+    Generated from :func:`test_two_rounds_of_one_worker_in_one_arrive_run`'s
+    setting, with the wires a :class:`DeliveredFrames` — the path that
+    admits in columns: repeated workers, dropped and degraded wires, lags
+    on both sides of the bound, older and fresher supersedes of buffered
+    entries, Byzantine members, the fire and quorum thresholds crossed
+    mid-cohort, and (*moved*) a version the pool was not yet rescanned
+    against, with entries it holds from older versions.
+    """
+    states = []
+    for batched in (True, False):
+        trainer, _ = _run({**_DIFFERENTIAL, "sync_kwargs": {"quorum": quorum, "tau": 1}}, steps=3)
+        version, now = trainer.server.version, trainer.clock.now
+        byzantine = {worker.worker_id for worker in trainer.byzantine_workers}
+        rng = np.random.default_rng(len(members))
+        for worker_id, behind in buffered:
+            # Entries past the bound are only reachable before a version move.
+            behind = behind if moved else min(behind, 1)
+            trainer._pending.put(
+                worker_id, step=version - behind, payload=rng.standard_normal(trainer.server.dim),
+                arrival_time=now, honest=worker_id not in byzantine, staleness=behind,
+                wire_bytes=0.0 if worker_id in byzantine else 40.0, loss=0.5,
+            )
+        if moved:
+            trainer._pending_checked_version = version - 1
+        frames, _ = trainer.codec.encode_decode_batch(
+            rng.standard_normal((len(members), trainer.server.dim))
+        )
+        touched = {
+            i: None if wire == "dropped" else frames.frame(i).degraded(frames.values[i] / 2)
+            for i, (_, _, wire) in enumerate(members) if wire != "frame"
+        }
+        wires = DeliveredFrames(frames, touched)
+        ids = [worker_id for worker_id, _, _ in members]
+        steps = [version - behind for _, behind, _ in members]
+        losses = [float(i) for i in range(len(members))]
+        if batched:
+            trainer._on_arrive_batch(
+                Cohort(now, "arrive", ids, Columns(steps, losses, wires))
+            )
+        else:
+            for i, worker_id in enumerate(ids):
+                trainer._on_arrive(Event(
+                    time=now, kind="arrive", worker_id=worker_id,
+                    payload=(steps[i], losses[i], wires[i]),
+                ))
+        states.append(_admission_state(trainer))
+    assert states[0] == states[1]
 
 
 def test_async_vectorized_parity_with_selection_gar():

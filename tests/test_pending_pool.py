@@ -1,13 +1,17 @@
 """State machine for the async admission buffer, ``PendingPool``.
 
-The pool is driven the way ``AsyncTrainer._admit_arrival`` and
-``_maybe_aggregate`` drive it — fresh puts, supersedes guarded by
-``step_of``, stale rescans and drains — against a plain dict model of what
-it must hold.  After every rule the pool's counts, its reads and its
+The pool is driven the way ``AsyncTrainer._admit_arrival``,
+``_on_arrive_batch`` and ``_maybe_aggregate`` drive it — fresh puts,
+supersedes guarded by ``step_of``, bulk writes of distinct absent workers,
+stale rescans and drains — against a plain dict model of what it must hold.
+A bulk write must also leave the pool exactly as the same puts one by one
+would: same slots, same free list, same insertion order.  After every rule the pool's counts, its reads and its
 capacity are checked against the model; a drain must hand back an
 ``ArrivalBatch`` in ``(not honest, worker_id)`` order with every column the
 model predicts.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import settings, strategies as st
@@ -67,6 +71,43 @@ class PendingPoolMachine(RuleBasedStateMachine):
             # A late older-step arrival never evicts the fresher entry.
             return
         self._put(worker_id, self._entry(worker_id, step))
+
+    @precondition(lambda self: len(self.model) < WORKERS)
+    @rule(data=st.data())
+    def arrive_many(self, data):
+        """A stretch of plain arrivals at one instant: distinct absent workers, one bulk write."""
+        absent = [w for w in range(WORKERS) if w not in self.model]
+        worker_ids = data.draw(st.lists(st.sampled_from(absent), min_size=1, unique=True))
+        lags = data.draw(st.lists(
+            st.integers(0, 3), min_size=len(worker_ids), max_size=len(worker_ids)
+        ))
+        entries = [
+            self._entry(worker_id, max(self.version - lag, 0))
+            for worker_id, lag in zip(worker_ids, lags)
+        ]
+        for entry in entries:
+            entry["arrival_time"] = self.clock
+        one_by_one = copy.deepcopy(self.pool)
+        for worker_id, entry in zip(worker_ids, entries):
+            one_by_one.put(worker_id, **entry)
+            if len(self.model) == self.capacity:
+                self.capacity *= 2
+            self.model[worker_id] = entry
+
+        def column(name):
+            return np.array([entry[name] for entry in entries])
+
+        self.pool.put_many(
+            worker_ids, steps=column("step"), payloads=column("payload"),
+            arrival_time=self.clock, honest=column("honest"),
+            staleness=column("staleness"), wire_bytes=column("wire_bytes"),
+            losses=column("loss"),
+        )
+        assert list(self.pool._slot_of.items()) == list(one_by_one._slot_of.items())
+        assert self.pool._free == one_by_one._free
+        for name in ("_worker_ids", "_steps", "_arrival_times", "_staleness", "_wire_bytes",
+                     "_losses", "_honest", "_payloads"):
+            assert getattr(self.pool, name).tobytes() == getattr(one_by_one, name).tobytes()
 
     @rule()
     def advance_version(self):

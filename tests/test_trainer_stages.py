@@ -207,10 +207,12 @@ def test_each_worker_stage_has_exactly_one_calling_function():
             "_on_fetch_batch", "_on_compute_batch", "_on_push_batch"
         }, stage
         assert len(callers) == 2, (stage, callers)
-    # One admission body: the pool has one writer, which both ``arrive``
-    # handlers (and nothing else) run per event.
+    # One admission body per form: the per-arrival body is the pool's one
+    # ``put`` caller, and both ``arrive`` handlers (and nothing else) run it;
+    # the run handler's bulk write of plain arrivals is the one ``put_many``.
     assert _callers(tree, "put") == {"_admit_arrival"}
     assert _callers(tree, "_admit_arrival") == {"_on_arrive", "_on_arrive_batch"}
+    assert _callers(tree, "put_many") == {"_on_arrive_batch"}
 
 
 def test_one_function_in_src_computes_a_stacked_gradient():
