@@ -202,7 +202,7 @@ class FrameBatch:
         """
         if self.indices is not None:
             decoded = np.zeros((len(self), self.dim), dtype=np.float64)
-            np.put_along_axis(decoded, self.indices, self.values, axis=1)
+            decoded[np.arange(len(self))[:, None], self.indices] = self.values
             return decoded
         return self.values * (1.0 if self.scales is None else self.scales[:, None])
 
@@ -447,7 +447,7 @@ class TopKCodec(WireCodec):
         support = np.argpartition(np.abs(matrix), dim - k, axis=1)[:, -k:]
         indices = np.sort(support, axis=1)
         batch = FrameBatch(
-            dim=dim, codec=self.name, values=np.take_along_axis(matrix, indices, axis=1),
+            dim=dim, codec=self.name, values=matrix[np.arange(n)[:, None], indices],
             indices=indices, nbytes=self.frame_bytes(dim),
         )
         return batch, batch.decode()

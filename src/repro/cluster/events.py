@@ -606,14 +606,15 @@ class EventLoop:
     the run length alone.  (A run of one keeps its own handler because the
     batched form's numpy call overhead at n = 1 measured 1.8x the wall time
     on a straggler-spread 1,000-worker fleet, where nearly every run is a
-    run of one.)  The async trainer registers all four kinds of the worker
+    run of one.)  The async trainer registers the four kinds of the worker
     round trip — fetch, compute, push and arrive — and its run handlers
     emit cohorts in turn (:meth:`schedule_cohorts`), so a same-instant herd
     of n workers is one queue entry per stage, not n events.  A cohort's
     payloads are columns: the ``arrive`` handler decodes its cohort's
-    frames in one batch, then admits the members one by one in pop order —
-    a numpy admission path bought 3-5 % on 1,000-event runs and made the
-    handler 2x slower on the 4-event runs of a contended WAN fleet.
+    frames in one batch and admits each stretch of plain arrivals with one
+    bulk write.  It registers ``link`` too: the pipes of identical regions
+    complete at one instant, and one handler sweeps them all, its
+    hand-offs and reschedules one :meth:`schedule_many` push.
     Bit-identity argument: run members are consecutive queue heads, and
     handlers only ever *push* events — every new event is stamped with a
     higher insertion order than the remaining run members and can never pop

@@ -353,12 +353,13 @@ class TrainingHistory:
                 return np.zeros(n, dtype=np.float64)
             return np.asarray(values, dtype=np.float64)
 
-        sent = _as_array(bytes_sent)
-        received = _as_array(bytes_received)
-        queueing = _as_array(queueing_delay)
-        error = _as_array(compression_error)
-        delta = np.broadcast_to(np.asarray(downlink_delta, dtype=bool), (n,))
+        delta = np.asarray(downlink_delta, dtype=bool)
         if not self.compact:
+            sent, received, queueing, error = (
+                _as_array(values)
+                for values in (bytes_sent, bytes_received, queueing_delay, compression_error)
+            )
+            delta = np.broadcast_to(delta, (n,))
             for i, wid in enumerate(worker_ids):
                 self.record_wire(
                     int(wid),
@@ -377,16 +378,24 @@ class TrainingHistory:
         rows = self._wire_table[ids]
         cols = self._wire_cols
         self._wire_touched[rows] = True
-        np.add.at(cols["bytes_sent"], rows, sent)
-        np.add.at(cols["bytes_received"], rows, received)
-        fetched = received != 0.0
-        for kind, mask in (("full", fetched & ~delta), ("delta", fetched & delta)):
-            if mask.any():
-                np.add.at(cols[f"bytes_received_{kind}"], rows, np.where(mask, received, 0.0))
-                np.add.at(cols[f"{kind}_fetches"], rows, mask.astype(np.int64))
-        np.add.at(cols["queueing_delay_seconds"], rows, queueing)
-        np.add.at(cols["compression_error"], rows, error)
-        if regions is not None:
+        # A column starts at +0.0 and is never -0.0 (no sum of IEEE adds
+        # from +0.0 is), so the zeros of an absent argument add nothing.
+        for name, values in (
+            ("bytes_sent", bytes_sent), ("queueing_delay_seconds", queueing_delay),
+            ("compression_error", compression_error),
+        ):
+            if values is not None:
+                np.add.at(cols[name], rows, _as_array(values))
+        if bytes_received is not None:
+            received = _as_array(bytes_received)
+            np.add.at(cols["bytes_received"], rows, received)
+            fetched = received != 0.0
+            for kind, mask in (("full", fetched & ~delta), ("delta", fetched & delta)):
+                if mask.any():
+                    np.add.at(cols[f"bytes_received_{kind}"], rows, np.where(mask, received, 0.0))
+                    np.add.at(cols[f"{kind}_fetches"], rows, mask.astype(np.int64))
+        if regions is not None and queueing_delay is not None:
+            queueing = _as_array(queueing_delay)
             queued = np.flatnonzero(queueing)
             labels = np.asarray(regions, dtype=object)[queued]
             # Per region, in first-queued order, the total the per-worker

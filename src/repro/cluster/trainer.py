@@ -65,7 +65,7 @@ import math
 from bisect import bisect_left
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -544,24 +544,66 @@ class BaseTrainer:
         broadcast bytes, and whether a delta frame crossed the wire.
         Without a broadcast codec every fetch is the same raw full-state
         frame, so one parameter snapshot is shared across the workers
-        instead of copied once each.  With one the framing stays sequential
-        in the given order: delta broadcasts consult and mutate per-worker
-        sessions and the broadcast codec's PRNG stream.
+        instead of copied once each.  With one, each worker whose held
+        version is still stored gets a delta frame — the deltas are one
+        ``encode_decode_batch`` in the given order, the order sequential
+        encodes consume the codec's PRNG in — and every other worker a
+        full-state resync.  A worker fetching twice frames its second fetch
+        against its first, so the batch is cut before a repeat.
         """
         num = len(worker_ids)
-        version = self.server.version
+        server = self.server
+        version = server.version
+        raw_bytes = self.cost_model.gradient_bytes(server.dim)
         with self._section("codec"):
             if self.broadcast_codec is None:
-                raw_bytes = self.cost_model.gradient_bytes(self.server.dim)
-                snapshot = (version, self.server.parameters)
+                snapshot = (version, server.parameters)
                 return [snapshot] * num, np.full(num, raw_bytes), np.zeros(num, dtype=bool)
-            snapshots = []
-            nbytes = np.zeros(num)
+            snapshots: List[Tuple[int, np.ndarray]] = [None] * num
+            nbytes = np.full(num, raw_bytes)
             deltas = np.zeros(num, dtype=bool)
+            #: ``(position, worker id, held replica)`` of the fetches awaiting a delta frame.
+            held: List[tuple] = []
+            holders = set()
             for i, worker_id in enumerate(worker_ids):
-                parameters, nbytes[i], deltas[i] = self._encode_broadcast(worker_id)
-                snapshots.append((version, parameters))
+                if worker_id in holders:  # a second fetch frames against the first
+                    self._frame_deltas(held, snapshots, nbytes, deltas)
+                    held, holders = [], set()
+                session = self._downlink.get(worker_id)
+                if session is not None and server.has_version(session.version):
+                    held.append((i, worker_id, session.replica))
+                    holders.add(worker_id)
+                    continue
+                parameters = server.parameters
+                self._update_downlink(worker_id, version, parameters)
+                snapshots[i] = (version, parameters)
+            if held:
+                self._frame_deltas(held, snapshots, nbytes, deltas)
         return snapshots, nbytes, deltas
+
+    def _frame_deltas(
+        self, held: List[tuple], snapshots: list, nbytes: np.ndarray, deltas: np.ndarray
+    ) -> None:
+        """Delta-frame the *held* fetches, ``(position, worker id, replica)``, as one batch.
+
+        Each delta is the current model minus the worker's replica (downlink
+        error feedback), encoded in the given order; the worker reconstructs
+        its replica plus the decoded delta, or the exact model under a
+        lossless codec.  Fills the fetches' *snapshots*, *nbytes* and
+        *deltas* entries.
+        """
+        server = self.server
+        replicas = np.array([replica for _, _, replica in held])
+        frames, decoded = self.broadcast_codec.encode_decode_batch(server.parameters - replicas)
+        targets = (
+            [server.parameters] * len(held) if self.broadcast_codec.lossless
+            else replicas + decoded
+        )
+        for (i, worker_id, _), reconstruction in zip(held, targets):
+            self._update_downlink(worker_id, server.version, reconstruction)
+            snapshots[i] = (server.version, reconstruction)
+            nbytes[i] = frames.nbytes
+            deltas[i] = True
 
     def _compute_gradients(
         self,
@@ -1153,8 +1195,15 @@ class AsyncTrainer(BaseTrainer):
     max_events_per_update:
         Livelock guard: the per-update event budget after which the engine
         declares the run stuck (e.g. a fully lossy transport dropping every
-        gradient forever).
+        gradient forever).  ``None`` scales it with the fleet:
+        :attr:`EVENTS_PER_WORKER` per worker, at least 20,000.
     """
+
+    #: The default livelock budget per worker and update.  A healthy first
+    #: update dispatches a round trip per worker — about 16 events each on a
+    #: contended ``fifo`` WAN — so a fixed budget declared a 2,400-worker
+    #: fleet livelocked before its first update.
+    EVENTS_PER_WORKER = 64
 
     #: Event kinds of the worker round-trip state machine.
     FETCH, COMPUTE, PUSH, ARRIVE, UPDATE_DONE = (
@@ -1162,7 +1211,8 @@ class AsyncTrainer(BaseTrainer):
     )
     #: Link-busy event: a provisional completion on one of the server's
     #: shared pipes.  Rescheduled (old event tombstoned) whenever an
-    #: admission changes the contention picture.
+    #: admission changes the contention picture; the pipes completing at one
+    #: instant are swept as one run.
     LINK = "link"
 
     def __init__(
@@ -1173,9 +1223,11 @@ class AsyncTrainer(BaseTrainer):
         *,
         sync_policy: Optional[SyncPolicy] = None,
         max_version_lag: Optional[int] = None,
-        max_events_per_update: int = 20_000,
+        max_events_per_update: Optional[int] = None,
         **kwargs,
     ) -> None:
+        if max_events_per_update is None:
+            max_events_per_update = max(20_000, self.EVENTS_PER_WORKER * len(workers))
         if max_events_per_update < 1:
             raise ConfigurationError(
                 f"max_events_per_update must be >= 1, got {max_events_per_update}"
@@ -1189,6 +1241,9 @@ class AsyncTrainer(BaseTrainer):
         #: Whether each worker id is honest, as a column to index with ids.
         self._honest_by_id = np.zeros(int(self._worker_ids.max()) + 1, dtype=bool)
         self._honest_by_id[self._worker_ids] = [not w.is_byzantine for w in self.workers]
+        #: Each honest worker's fleet row, as a column to index with ids.
+        self._row_by_id = np.zeros(len(self._honest_by_id), dtype=np.intp)
+        self._row_by_id[self._fleet.worker_ids] = np.arange(self._fleet.num_workers)
 
         self._loop = EventLoop(clock=self.clock, profiler=self.profiler)
         self._loop.on_each({
@@ -1201,12 +1256,14 @@ class AsyncTrainer(BaseTrainer):
         })
         # The fetch → compute → push → arrive chain fires in herds whenever
         # worker paths share a timestamp (homogeneous fleets, uncontended
-        # links): the loop hands each same-time run of two or more to the
-        # batched twin and keeps the per-event handler for a run of one.
+        # links), and so do the pipes of identical regions: the loop hands
+        # each same-time run of two or more to the batched twin and keeps the
+        # per-event handler for a run of one.
         self._loop.on_run(self.FETCH, self._on_fetch_batch)
         self._loop.on_run(self.COMPUTE, self._on_compute_batch)
         self._loop.on_run(self.PUSH, self._on_push_batch)
         self._loop.on_run(self.ARRIVE, self._on_arrive_batch)
+        self._loop.on_run(self.LINK, self._on_link_batch)
 
         #: Shared-link schedulers and their pending provisional completion
         #: events, one pipe per direction *and* region bottleneck (keys
@@ -1272,46 +1329,69 @@ class AsyncTrainer(BaseTrainer):
             self.history.timeline_for(worker.worker_id)
 
     # --------------------------------------------------------- shared links
-    def _reschedule_link(self, key: str) -> None:
-        """Refresh the provisional completion event of one pipe.
+    def _schedule_with_links(self, specs: List[Union[str, tuple]]) -> None:
+        """Schedule *specs*, each pipe key among them as that pipe's fresh completion event.
 
-        Contention changes every projected completion time, so the previous
-        event (if any) is tombstoned and a fresh one is scheduled at the
-        scheduler's earliest completion under the current membership.
+        A key stands for the reschedule the per-event cascade issues at that
+        point: the pipe's pending event (if any) is tombstoned, since
+        contention moved every projected completion, and a fresh one is
+        scheduled at the scheduler's earliest completion under the current
+        membership.  Everything goes into one :meth:`EventLoop.schedule_many`
+        in the given order — the stamps sequential ``schedule`` calls would
+        give, so equal-time pop order is the cascade's.
         """
         with self._section("link_reschedule"):
-            pending = self._link_events[key]
-            if pending is not None:
-                pending.cancel()
-                self._link_events[key] = None
-            target = self._links[key].next_completion()
-            if target is not None:
-                self._link_events[key] = self._loop.schedule(
-                    self.LINK, max(target, self.clock.now), payload=key
-                )
+            now = self.clock.now
+            resolved = []
+            for spec in specs:
+                if type(spec) is str:
+                    pending = self._link_events[spec]
+                    if pending is not None:
+                        pending.cancel()
+                        self._link_events[spec] = None
+                    target = self._links[spec].next_completion()
+                    if target is None:
+                        continue
+                    spec = (self.LINK, max(target, now), -1, spec)
+                resolved.append(spec)
+            for event in self._loop.schedule_many(resolved):
+                if event.kind == self.LINK:
+                    self._link_events[event.payload] = event
 
     def _on_link(self, event: Event) -> None:
         """A link session completed: hand its payload to the next stage."""
-        key = event.payload
-        region = self._link_regions[key]
-        self._link_events[key] = None
-        specs = []
-        for session in self._links[key].pop_completed(event.time):
-            self.history.record_wire(
-                session.worker_id, queueing_delay=session.queueing_delay,
-                region=region,
-            )
-            kind, data = session.payload
-            if kind == self.COMPUTE:
-                specs.append((self.COMPUTE, event.time, session.worker_id, data))
-            else:  # an uplink push: the channel penalty rides on top
-                arrival, penalty = data
-                specs.append((self.ARRIVE, event.time + penalty, session.worker_id, arrival))
-        if specs:
-            # One bulk insertion for the same-time completion burst (equal
-            # order stamps to per-event pushes, so pop order is unchanged).
-            self._loop.schedule_many(specs)
-        self._reschedule_link(key)
+        self._sweep_links(event.time, [event.payload])
+
+    def _on_link_batch(self, cohort: Cohort) -> None:
+        """Batched :meth:`_on_link` over a same-instant run of link events."""
+        self._sweep_links(cohort.time, cohort.payloads)
+
+    def _sweep_links(self, now: float, keys: Sequence[str]) -> None:
+        """Pop the completed transfers of the pipes *keys* at *now*, in order.
+
+        Each pipe records its sessions (one ``record_wire`` each: a
+        ``record_wire_batch`` costs more than the few sessions a pipe hands
+        on) and contributes their hand-offs, then its own reschedule, to one
+        push — the order one pipe's handler after another's gives, each
+        pipe's pending event being the one just popped.
+        """
+        specs: List[Union[str, tuple]] = []
+        record_wire = self.history.record_wire
+        for key in keys:
+            self._link_events[key] = None
+            region = self._link_regions[key]
+            for session in self._links[key].pop_completed(now):
+                record_wire(
+                    session.worker_id, queueing_delay=session.queueing_delay, region=region,
+                )
+                kind, data = session.payload
+                if kind == self.COMPUTE:
+                    specs.append((self.COMPUTE, now, session.worker_id, data))
+                else:  # an uplink push: the channel penalty rides on top
+                    arrival, penalty = data
+                    specs.append((self.ARRIVE, now + penalty, session.worker_id, arrival))
+            specs.append(key)
+        self._schedule_with_links(specs)
 
     # ------------------------------------------------------- worker round-trip
     def _on_fetch(self, event: Event) -> None:
@@ -1335,7 +1415,7 @@ class AsyncTrainer(BaseTrainer):
                 event.time, nbytes, worker_id=event.worker_id,
                 payload=(self.COMPUTE, snapshot), **extras,
             )
-            self._reschedule_link(key)
+            self._schedule_with_links([key])
             return
         downlink = self.fabric.solo_seconds(event.worker_id, nbytes)
         self._loop.schedule(
@@ -1352,7 +1432,7 @@ class AsyncTrainer(BaseTrainer):
         keeps its sampler's stream exact.  The push carries ``(version,
         gradient, loss)``.
         """
-        row = self._fleet.row_of[event.worker_id]
+        row = self._row_by_id[event.worker_id]
         losses, gradients = self._exact_gradients([self._fleet.workers[row]], [event.payload])
         self._loop.schedule(
             self.PUSH, float(self._ready_at(np.array([row]), event.time)[0]),
@@ -1404,15 +1484,15 @@ class AsyncTrainer(BaseTrainer):
                 event.time, frame.nbytes, worker_id=worker_id,
                 payload=(self.ARRIVE, ((step, loss, wire), penalty)), **extras,
             )
-            self._reschedule_link(key)
-        else:
-            self._loop.schedule(
-                self.ARRIVE,
-                event.time + self.fabric.uplink_seconds(worker_id, frame.nbytes, seconds),
-                worker_id=worker_id, payload=(step, loss, wire),
-            )
-        # The push is asynchronous: the worker fetches the next model
-        # immediately, overlapping its next downlink with this uplink.
+            # The push is asynchronous: the worker fetches the next model
+            # immediately, overlapping its next downlink with this uplink.
+            self._schedule_with_links([key, (self.FETCH, event.time, worker_id, None)])
+            return
+        self._loop.schedule(
+            self.ARRIVE,
+            event.time + self.fabric.uplink_seconds(worker_id, frame.nbytes, seconds),
+            worker_id=worker_id, payload=(step, loss, wire),
+        )
         self._loop.schedule(self.FETCH, event.time, worker_id=worker_id)
 
     # ------------------------------------------------------------ server side
@@ -1652,8 +1732,7 @@ class AsyncTrainer(BaseTrainer):
                 now, 0, worker_ids, nbytes,
                 [(self.COMPUTE, snapshot) for snapshot in snapshots],
             )
-            for i in sorted(surviving):
-                self._reschedule_link(surviving[i])
+            self._schedule_with_links([surviving[i] for i in sorted(surviving)])
             return
         with self._section("link_drain"):
             downlinks = self.fabric.solo_seconds_batch(worker_ids, nbytes)
@@ -1662,7 +1741,7 @@ class AsyncTrainer(BaseTrainer):
     def _on_compute_batch(self, cohort: Cohort) -> None:
         """Batched :meth:`_on_compute` over one compute cohort."""
         worker_ids = cohort.worker_ids
-        rows = np.array([self._fleet.row_of[wid] for wid in worker_ids], dtype=np.intp)
+        rows = self._row_by_id[worker_ids]
         snapshots = cohort.payloads
         losses, gradients = self._compute_gradients(
             rows, [self._fleet.workers[row] for row in rows.tolist()], snapshots
@@ -1685,7 +1764,7 @@ class AsyncTrainer(BaseTrainer):
         now = cohort.time
         worker_ids = cohort.worker_ids
         steps, gradients, losses = columns_of(cohort.payloads)
-        rows = np.array([self._fleet.row_of[wid] for wid in worker_ids], dtype=np.intp)
+        rows = self._row_by_id[worker_ids]
         batch, _, errors = self._encode_rows(rows, np.asarray(gradients))
         touched, frame_bytes, seconds, penalty = self._price_uplinks(rows, batch)
         delivered = DeliveredFrames(batch, touched)
@@ -1708,11 +1787,13 @@ class AsyncTrainer(BaseTrainer):
             # The surviving reschedules stay interleaved with the FETCH
             # pushes exactly as the per-event cascade placed them — the
             # relative order stamps decide same-time pop order.
+            specs: List[Union[str, tuple]] = []
             for i, wid in enumerate(worker_ids):
                 key = surviving.get(i)
                 if key is not None:
-                    self._reschedule_link(key)
-                self._loop.schedule(self.FETCH, now, worker_id=wid)
+                    specs.append(key)
+                specs.append((self.FETCH, now, wid, None))
+            self._schedule_with_links(specs)
             return
         with self._section("link_drain"):
             arrive_at = now + self.fabric.uplink_seconds_batch(worker_ids, frame_bytes, seconds)

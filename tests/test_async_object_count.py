@@ -11,7 +11,9 @@ the ``arrive`` cohort carries the push's ``FrameBatch`` rows and decodes
 them in one batch at admission — so an arrival in flight holds its sparse
 frame row, never a dense gradient row.  Admission is in bulk too: no
 per-arrival ``PendingPool.put``, one ``put_many`` per stretch of arrivals
-between two trigger consultations.
+between two trigger consultations.  On a contended four-region WAN the
+pipes of the four regions complete together, and one ``link`` dispatch
+sweeps them.
 """
 
 import gc
@@ -141,3 +143,44 @@ def test_an_async_herd_admits_each_arrive_cohort_in_bulk_writes():
             assert 1 <= put_many <= consulted + 1
     # The bulk writes do not grow with the fleet.
     assert [calls[1:] for calls in small] == [calls[1:] for calls in large]
+
+
+def _link_dispatches(num_workers):
+    """Per steady step of a contended ``fifo`` herd: ``[link dispatches, link events]``."""
+    dataset = load_dataset("blobs", num_train=400, num_test=50, num_classes=5, dim=10, rng=0)
+    trainer = build_trainer(
+        dataset=dataset, model="logistic", model_kwargs={"input_dim": 10, "num_classes": 5},
+        num_workers=num_workers, num_byzantine=0, declared_f=0, gar="median",
+        batch_size=2, mode="async", sync_policy="quorum", codec="top-k", codec_k=8,
+        link_profile="wan:4x10mbit/20ms", link_sharing="fifo", compact_telemetry=True, seed=5,
+    )
+    trainer.run_step()
+    sweep, per_event = trainer._loop._run_handlers["link"], trainer._loop._handlers["link"]
+    counts = []
+
+    def on_run(cohort):
+        counts[-1][0] += 1
+        counts[-1][1] += len(cohort)
+        sweep(cohort)
+
+    def on_event(event):
+        counts[-1][0] += 1
+        counts[-1][1] += 1
+        per_event(event)
+
+    trainer._loop._run_handlers["link"], trainer._loop._handlers["link"] = on_run, on_event
+    for _ in range(3):
+        counts.append([0, 0])
+        trainer.run_step()
+    return counts
+
+
+def test_a_contended_herd_sweeps_its_pipes_in_one_link_dispatch_per_instant():
+    """Four identical regions: their pipes complete together and one dispatch sweeps them.
+
+    Every link dispatch of a steady step takes the completions of the four
+    regions' pipes at its instant, at 40 workers as at 80 — dispatched one
+    by one, the same events would take four dispatches.
+    """
+    for counts in (_link_dispatches(40), _link_dispatches(80)):
+        assert all(events == 4 * dispatches > 0 for dispatches, events in counts), counts

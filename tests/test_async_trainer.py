@@ -13,6 +13,7 @@ from repro.cluster import (
     build_trainer,
 )
 from repro.cluster.sync import AdmissionPredicate, BoundedStaleness, FullSync, Quorum
+from repro.data.datasets import gaussian_blobs
 from repro.exceptions import ConfigurationError
 
 
@@ -258,6 +259,26 @@ class TestAsyncEngine:
         history = trainer.run(TrainerConfig(max_steps=5, eval_every=0))
         assert history.diverged
         assert "livelock" in history.divergence_reason
+
+    def test_a_large_contended_fleet_is_not_declared_livelocked(self, time_limit):
+        """A healthy 2,400-worker fleet on a contended ``fifo`` WAN completes its first update.
+
+        It dispatches more than 20,000 events on the way — beyond the fixed
+        20,000-event budget, which read the healthy fleet as livelocked and
+        ended its run as diverged.  The default budget grows with the fleet.
+        """
+        trainer = build_trainer(
+            model="logistic", model_kwargs={"input_dim": 10, "num_classes": 5},
+            dataset=gaussian_blobs(num_train=400, num_classes=5, dim=10, rng=3),
+            gar="median", num_workers=2400, num_byzantine=0, declared_f=2, batch_size=2,
+            mode="async", sync_policy="quorum", link_profile="wan:4x10mbit/20ms",
+            link_sharing="fifo", compact_telemetry=True, seed=7,
+        )
+        assert trainer.max_events_per_update == AsyncTrainer.EVENTS_PER_WORKER * 2400
+        with time_limit():
+            history = trainer.run(TrainerConfig(max_steps=1, eval_every=0))
+        assert not history.diverged, history.divergence_reason
+        assert trainer.events_dispatched > 20_000
 
     def test_step_records_have_async_semantics(self, tiny_dataset, tiny_model_kwargs):
         trainer = make_async(tiny_dataset, tiny_model_kwargs, straggler_model=STRAGGLERS)

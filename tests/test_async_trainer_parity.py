@@ -1,12 +1,14 @@
 """Bitwise parity: the event loop's run handlers against the per-event handlers.
 
 :class:`~repro.cluster.events.EventLoop` pops *consecutive same-time
-same-kind* runs of fetch/compute/push/arrive events and dispatches each run
+same-kind* runs of fetch/compute/push/arrive/link events and dispatches each run
 of two or more through one run handler as one ``Cohort`` (batched codec
 encode, batched link pricing, the next stage scheduled as one cohort per
 instant; for ``arrive`` one batch decode, each stretch of plain arrivals
 written to the pool in one bulk write and the per-event admission body for
-the rest, with the two triggers consulted only where one can fire).  The reference
+the rest, with the two triggers consulted only where one can fire; for
+``link`` one sweep of the run's pipes and one push of their hand-offs and
+reschedules).  The reference
 never builds a cohort: its per-event handlers schedule one ``Event`` each.
 The contract is the same
 hard bit identity the sync path carries: byte-identical final parameters,
@@ -22,7 +24,9 @@ tombstones) may differ while the live pop order cannot.
 
 The scenarios sweep every hot-path branch: all four codecs (with and
 without error feedback), stragglers, link contention (also with a
-persistent straggler), a WAN topology, delta broadcasts, lossy links,
+persistent straggler), a WAN topology, runs of same-instant link
+completions across the eight pipes of four identical regions (``fifo``
+and ``fair``), delta broadcasts, lossy links,
 compact telemetry, a bounded-staleness admission predicate, a herd whose
 compute cohorts draw one straggler factor per worker (``prob < 1``), a herd
 whose arrivals spread over several instants with lossy rows among them,
@@ -86,6 +90,11 @@ ARRIVE_RUN_SCENARIOS = {
     ),
 }
 
+#: Twelve honest workers on the benchmark's four-region WAN, three a region.
+_LINK_RUNS = {
+    "num_workers": 12, "num_byzantine": 0, "declared_f": 2, "link_profile": "wan:4x10mbit/20ms",
+}
+
 SCENARIOS = {
     "identity": {},
     "topk_ef": {"codec": "top-k", "codec_k": 8},
@@ -111,6 +120,9 @@ SCENARIOS = {
         "link_sharing": "fair",
     },
     "wan": {"link_profile": "wan:2x10mbit/5ms", "link_sharing": "fair"},
+    # Four identical regions: their eight pipes hand transfers on at one
+    # instant, and each such run is swept by the ``link`` run handler.
+    **{f"{sharing}_link_runs": {**_LINK_RUNS, "link_sharing": sharing} for sharing in ("fifo", "fair")},
     "broadcast_delta": {"broadcast_codec": "top-k", "broadcast_k": 8},
     "lossy": {"lossy_links": 3, "lossy_drop_rate": 0.3},
     "compact_telemetry": {"compact_telemetry": True},
@@ -242,6 +254,30 @@ def test_a_trigger_falls_inside_an_arrive_run(name):
     trainer._loop._run_handlers["arrive"] = spy_on_run
     trainer.run(TrainerConfig(max_steps=6, eval_every=0))
     assert seen >= expected, seen
+
+
+@pytest.mark.parametrize("sharing", ["fifo", "fair"])
+def test_a_link_run_spans_pipes_of_both_directions(sharing):
+    """The ``*_link_runs`` scenarios sweep same-instant completions of eight pipes.
+
+    At least one run of ``link`` events covers four or more pipes of each
+    direction, and each of those pipes hands a completed transfer on.
+    """
+    trainer = build_trainer(**{**_BASE, **SCENARIOS[f"{sharing}_link_runs"]})
+    sweep, links, spans = trainer._loop._run_handlers["link"], trainer._links, []
+
+    def spy(cohort):
+        before = {key: links[key].sessions_completed for key in cohort.payloads}
+        sweep(cohort)
+        spans.append([key for key in cohort.payloads if links[key].sessions_completed > before[key]])
+
+    trainer._loop._run_handlers["link"] = spy
+    trainer.run(TrainerConfig(max_steps=6, eval_every=0))
+    assert any(
+        sum(key.startswith("down:") for key in keys) >= 4
+        and sum(key.startswith("up:") for key in keys) >= 4
+        for keys in spans
+    ), spans
 
 
 def _arrival(trainer, worker_id, step, *, wire="gradient", seed=0):

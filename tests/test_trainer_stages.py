@@ -35,6 +35,12 @@ CODECS = {
     "random-k": {"codec": "random-k", "codec_k": 6},
     "qsgd": {"codec": "qsgd", "quantize_bits": 3},
 }
+BROADCASTS = {
+    "identity": {"broadcast_codec": "identity"},
+    "top-k": {"broadcast_codec": "top-k", "broadcast_k": 6},
+    "random-k": {"broadcast_codec": "random-k", "broadcast_k": 6},
+    "qsgd": {"broadcast_codec": "qsgd", "broadcast_bits": 3},
+}
 
 #: Three consecutive rounds, each over its own subset and order of fleet rows.
 _rounds = st.lists(
@@ -122,6 +128,43 @@ def test_encode_stage_equals_sequential_scalar_encodes(
     assert np.flatnonzero(staged._fleet.ef_has_memory).tolist() == (touched if carries else [])
 
 
+def _downlink_state(trainer):
+    """Each worker's held version and replica bits, the server's pins and the codec's stream."""
+    rng = getattr(trainer.broadcast_codec, "_rng", None)
+    return (
+        [(wid, s.version, _bits(s.replica)) for wid, s in trainer._downlink.items()],
+        trainer.server.pinned_versions(),
+        None if rng is None else rng.bit_generator.state,
+    )
+
+
+@pytest.mark.parametrize("codec", sorted(BROADCASTS))
+@settings(max_examples=20, deadline=None)
+@given(rounds=st.lists(
+    st.lists(st.integers(1, NUM_HONEST), min_size=1, max_size=6), min_size=1, max_size=5,
+))
+def test_fetch_stage_equals_sequential_scalar_broadcasts(dataset, codec, rounds):
+    """``_frame_fetches`` ``==`` one ``_encode_broadcast`` per fetch, in order.
+
+    An update between rounds moves the version, so a round mixes first
+    fetches (full-state resyncs) with deltas against replicas of several
+    versions, and a worker may fetch twice in one round.
+    """
+    staged, scalar = (_build(dataset, **BROADCASTS[codec]) for _ in range(2))
+    step = np.random.default_rng(len(rounds)).standard_normal(staged.server.dim)
+    for ids in rounds:
+        snapshots, nbytes, deltas = staged._frame_fetches(ids)
+        expected = [scalar._encode_broadcast(wid) for wid in ids]
+        assert [(version, _bits(parameters)) for version, parameters in snapshots] == [
+            (scalar.server.version, _bits(parameters)) for parameters, _, _ in expected
+        ]
+        assert nbytes.tolist() == [nb for _, nb, _ in expected]
+        assert deltas.tolist() == [delta for _, _, delta in expected]
+        assert _downlink_state(staged) == _downlink_state(scalar)
+        staged.server.apply_update(step)
+        scalar.server.apply_update(step)
+
+
 @pytest.mark.parametrize("codec", ["identity", "top-k"])
 @settings(max_examples=20, deadline=None)
 @given(rounds=_rounds, seed=st.integers(0, 2**16))
@@ -186,9 +229,11 @@ def _callers(tree, callee):
 
 def test_each_worker_stage_has_exactly_one_calling_function():
     tree = ast.parse(Path(trainer_module.__file__).read_text())
-    # The honest encode stage, and the lock-step step's one raw identity
-    # batch of Byzantine frames.
-    assert _callers(tree, "encode_decode_batch") == {"_encode_rows", "_collect_arrivals"}
+    # The honest encode stage, the fetch stage's delta broadcasts, and the
+    # lock-step step's one raw identity batch of Byzantine frames.
+    assert _callers(tree, "encode_decode_batch") == {
+        "_encode_rows", "_frame_deltas", "_collect_arrivals",
+    }
     # One compute stage in both modes and both engines: the stacked pass.
     assert _callers(tree, "compute_gradient") == set()
     assert _callers(tree, "compute_stacked") == {"_exact_gradients"}

@@ -72,6 +72,11 @@ as a verbatim copy of the parent's body.  The run handlers take one
 event reaches its per-event handler, which schedules one ``Event`` per push.
 Bodies here otherwise unchanged.
 
+NOTE (tenth sanctioned edit, "the contended link in runs"): ``link`` joined
+the run kinds — a same-instant run of link events across pipes is swept by
+one handler — so :func:`as_per_event_reference` pins five registered run
+handlers before clearing them.  Bodies here unchanged.
+
 The per-event async handlers need no frozen copy:
 :class:`~repro.cluster.events.EventLoop` owns the run coalescing, so
 :func:`as_per_event_reference` turns a live ``AsyncTrainer`` into its own
@@ -556,7 +561,7 @@ def as_loop_reference(trainer: SynchronousTrainer) -> SynchronousTrainer:
 def as_per_event_reference(trainer: AsyncTrainer) -> AsyncTrainer:
     """Unregister the run handlers: every event reaches its per-event handler."""
     assert type(trainer) is AsyncTrainer
-    assert set(trainer._loop._run_handlers) == {"fetch", "compute", "push", "arrive"}
+    assert set(trainer._loop._run_handlers) == {"fetch", "compute", "push", "arrive", "link"}
     trainer._loop._run_handlers.clear()
     return trainer
 
