@@ -201,8 +201,9 @@ class FrameBatch:
         their scale (an exact 1.0 is bit-preserving for every IEEE value).
         """
         if self.indices is not None:
-            decoded = np.zeros((len(self), self.dim), dtype=np.float64)
-            decoded[np.arange(len(self))[:, None], self.indices] = self.values
+            num = self.values.shape[0]
+            decoded = np.zeros((num, self.dim), dtype=np.float64)
+            decoded[np.arange(num)[:, None], self.indices] = self.values
             return decoded
         return self.values * (1.0 if self.scales is None else self.scales[:, None])
 

@@ -128,6 +128,20 @@ def _event(time: float, kind: str, worker_id: int, payload: Any) -> Event:
     return event
 
 
+def _cohort(time: float, kind: str, worker_ids: List[int], payloads: Any) -> "Cohort":
+    """A :class:`Cohort` of already-validated fields, without the constructor (see :func:`_event`)."""
+    cohort = object.__new__(Cohort)
+    cohort.time = time
+    cohort.kind = kind
+    cohort.worker_ids = worker_ids
+    cohort.payloads = payloads
+    cohort.order = -1
+    cohort.orders = None
+    cohort.times = None
+    cohort._start = 0
+    return cohort
+
+
 def _pick(column: Any, index: np.ndarray) -> Any:
     """Entries *index* (an int array) of one payload column, in that order.
 
@@ -146,7 +160,7 @@ class Columns:
     """A cohort's payloads as parallel columns.
 
     Member ``i``'s payload is the tuple of every column's ``i``-th entry —
-    what its per-event twin carries — and an int array picks the
+    what the member carries as an :class:`Event` — and an int array picks the
     :class:`Columns` of those members.
     """
 
@@ -332,8 +346,8 @@ class EventQueue:
             self.peak_size = self._live + self._tombstones
         return event
 
-    def push_many(self, events: Sequence[Union[Event, Cohort]]) -> List[Union[Event, Cohort]]:
-        """Insert a batch of events and cohorts; returns them.
+    def push_many(self, events: Sequence[Union[Event, Cohort]]) -> Sequence[Union[Event, Cohort]]:
+        """Insert a batch of events and cohorts; returns *events*.
 
         Order stamps are assigned in sequence, a cohort of k taking k, so the
         result is indistinguishable from pushing every member one by one —
@@ -363,7 +377,7 @@ class EventQueue:
         self._counter = order
         if self._live + self._tombstones > self.peak_size:
             self.peak_size = self._live + self._tombstones
-        return list(events)
+        return events
 
     def _note_cancel(self) -> None:
         """One live entry became a tombstone; compact when they dominate."""
@@ -437,28 +451,33 @@ class EventQueue:
         """Remove and return the earliest live event and its run.
 
         The run is the live events that follow it with the same ``time`` and
-        ``kind`` and nothing live in between, at most *budget* events in all:
-        ``pop()``, then ``pop()`` again while under budget and ``peek()``
-        shows a head of the same time and kind — taken as whole entries of
-        the head bucket instead, a cohort split where the budget falls inside
-        it.  A run of one is returned as its :class:`Event`, a longer one as
-        one :class:`Cohort`: a single entry's members as they were pushed,
-        the members of several joined into per-member columns.  A budget of
-        one is exactly :meth:`pop`, and so is a head whose kind is not in
-        *kinds* (``None``: every kind runs).
+        ``kind`` and nothing live in between, at most *budget* events in all
+        (at least one): ``pop()``, then ``pop()`` again while under budget
+        and ``peek()`` shows a head of the same time and kind — taken as
+        whole entries of the head bucket instead, a cohort split where the
+        budget falls inside it.  The run is one :class:`Cohort`, a run of one
+        included: a single entry's members as they were pushed, the members
+        of several joined into per-member columns.  A head whose kind is not
+        in *kinds* (``None``: every kind runs) is exactly :meth:`pop`'s
+        :class:`Event`.
         """
         head = self._head()
         if head is None:
             raise TrainingError("cannot pop from an empty event queue")
-        if budget <= 1 or (kinds is not None and head.kind not in kinds):
+        if kinds is not None and head.kind not in kinds:
             return self.pop()
+        if budget < 1:
+            budget = 1
         bucket = self._buckets[self._times[0]]
         if bucket is head:
-            size = len(head) if type(head) is Cohort else 1
-            if size > budget:
-                size = int(budget)
-            segments = [head._split(size) if type(head) is Cohort else head]
-            exhausted = segments[0] is head or not len(head)
+            if type(head) is Cohort:
+                size = len(head.worker_ids) - head._start
+                if size > budget:
+                    size = int(budget)
+                segments = [head._split(size)]
+                exhausted = segments[0] is head or head._start == len(head.worker_ids)
+            else:
+                size, segments, exhausted = 1, [head], True
         else:
             kind = head.kind
             segments = []  # the run's events and cohort slices, in pop order
@@ -496,9 +515,11 @@ class EventQueue:
             return self._join(segments)
         run = segments[0]
         if type(run) is Cohort:
-            return run[0] if size == 1 else run
+            return run
         run._queue = None
-        return run
+        cohort = _cohort(run.time, run.kind, [run.worker_id], [run.payload])
+        cohort.order = run.order
+        return cohort
 
     @staticmethod
     def _join(segments: List[Union[Event, Cohort]]) -> Cohort:
@@ -598,32 +619,30 @@ class EventLoop:
     event in the simulated past is a configuration error (the discrete-event
     contract would silently break).
 
-    A kind may additionally register a *run handler* with :meth:`on_run`.
-    :meth:`run_until` then pops the consecutive queue heads sharing the
-    first one's ``(time, kind)`` as one run (one :meth:`EventQueue.pop_run`)
-    and hands it to the run handler as one :class:`Cohort`; a run of one
-    goes to the kind's per-event handler as its :class:`Event`, chosen from
-    the run length alone.  (A run of one keeps its own handler because the
-    batched form's numpy call overhead at n = 1 measured 1.8x the wall time
-    on a straggler-spread 1,000-worker fleet, where nearly every run is a
-    run of one.)  The async trainer registers the four kinds of the worker
-    round trip — fetch, compute, push and arrive — and its run handlers
-    emit cohorts in turn (:meth:`schedule_cohorts`), so a same-instant herd
-    of n workers is one queue entry per stage, not n events.  A cohort's
-    payloads are columns: the ``arrive`` handler decodes its cohort's
-    frames in one batch and admits each stretch of plain arrivals with one
-    bulk write.  It registers ``link`` too: the pipes of identical regions
-    complete at one instant, and one handler sweeps them all, its
+    A kind registers either a per-event handler with :meth:`on` or a *run
+    handler* with :meth:`on_run`, never both: a kind has exactly one
+    handler.  For a run kind, every dispatch pops the consecutive queue
+    heads sharing the first one's ``(time, kind)`` as one run (one
+    :meth:`EventQueue.pop_run`) and hands it over as one :class:`Cohort` —
+    a run of one included, whatever the budget, so :meth:`step` and the
+    last event of a :meth:`run_until` budget reach the same handler.  The
+    async trainer registers all five kinds it dispatches in herds — fetch,
+    compute, push, arrive and link — and its run handlers emit cohorts in
+    turn (:meth:`schedule_cohorts`), so a same-instant herd of n workers is
+    one queue entry per stage, not n events.  A cohort's payloads are
+    columns: the ``arrive`` handler decodes its cohort's frames in one batch
+    and admits each stretch of plain arrivals with one bulk write, and the
+    ``link`` handler sweeps the pipes completing at one instant, its
     hand-offs and reschedules one :meth:`schedule_many` push.
     Bit-identity argument: run members are consecutive queue heads, and
     handlers only ever *push* events — every new event is stamped with a
     higher insertion order than the remaining run members and can never pop
-    before them (times in the past are rejected), so the per-event loop
-    would have dispatched the run back to back anyway.  A run handler must
-    therefore replay its kind's per-event effects in pop order wherever an
-    RNG stream or float accumulation order is observable, and issue its
-    pushes so that every equal-time pair pops in the order the per-event
-    handler's would (:meth:`schedule_many` stamps orders like sequential
+    before them (times in the past are rejected), so dispatching them one
+    by one would have run them back to back anyway.  A run handler must
+    therefore replay its members' effects in pop order wherever an RNG
+    stream or float accumulation order is observable, and issue its pushes
+    so that every equal-time pair pops in the order one-by-one dispatch
+    would push them (:meth:`schedule_many` stamps orders like sequential
     :meth:`schedule` calls; :meth:`schedule_cohorts` keeps the given order
     among equal times, which is all a stamp decides).
     """
@@ -637,13 +656,15 @@ class EventLoop:
 
     def __post_init__(self) -> None:
         self._handlers: Dict[str, Callable[[Event], None]] = {}
-        self._run_handlers: Dict[str, Callable[[List[Event]], None]] = {}
+        self._run_handlers: Dict[str, Callable[[Cohort], None]] = {}
 
     def on(self, kind: str, handler: Callable[[Event], None]) -> None:
         """Register *handler* for events of *kind* (one handler per kind)."""
         existing = self._handlers.get(kind)
         if existing is not None and existing is not handler:
             raise ConfigurationError(f"event kind {kind!r} already has a handler")
+        if kind in self._run_handlers:
+            raise ConfigurationError(f"event kind {kind!r} already has a run handler")
         self._handlers[kind] = handler
 
     def on_each(self, handlers: Dict[str, Callable[[Event], None]]) -> None:
@@ -656,15 +677,17 @@ class EventLoop:
         for kind, handler in handlers.items():
             self.on(kind, handler)
 
-    def on_run(self, kind: str, handler: Callable[[List[Event]], None]) -> None:
-        """Register *handler* for same-``(time, kind)`` runs of two or more.
+    def on_run(self, kind: str, handler: Callable[[Cohort], None]) -> None:
+        """Register *handler* for every same-``(time, kind)`` run, a run of one included.
 
-        Same one-per-kind contract as :meth:`on`.  The kind's per-event
-        handler stays registered: it is the run-of-one case.
+        Same one-per-kind contract as :meth:`on`, and a kind with a
+        per-event handler cannot take a run handler too.
         """
         existing = self._run_handlers.get(kind)
         if existing is not None and existing is not handler:
             raise ConfigurationError(f"event kind {kind!r} already has a run handler")
+        if kind in self._handlers:
+            raise ConfigurationError(f"event kind {kind!r} already has a handler")
         self._run_handlers[kind] = handler
 
     def schedule(
@@ -704,40 +727,36 @@ class EventLoop:
 
         *times* is an array, or one time for every member.  The members
         sharing a time become one :class:`Cohort` in their given order (a
-        time held by one member becomes an :class:`Event`), distinct times
-        in increasing order.  Pop order is that of :meth:`schedule_many`
+        time held by one member a cohort of one), distinct times in
+        increasing order.  Pop order is that of :meth:`schedule_many`
         over the members in the given order: a stamp only breaks ties
         between equal times, and equal-time members keep their relative
         order.  Same refusals as :meth:`schedule_many`; nothing is pushed
         unless every time is valid.
         """
-        if np.ndim(times) == 0:
+        if type(times) is not np.ndarray or not times.ndim:
             low = high = float(times)
+        elif len(worker_ids) == 1:  # one member's time needs no reduction
+            low = high = float(times[0])
         else:
-            times = np.asarray(times, dtype=np.float64)
             low, high = float(times.min()), float(times.max())
-        for bound in (low, high):
-            if not self.clock.now <= bound < math.inf:
-                self._refuse(kind, bound)
+        if not self.clock.now <= low <= high < math.inf:
+            for bound in (low, high):
+                if not self.clock.now <= bound < math.inf:
+                    self._refuse(kind, bound)
         if low == high:
-            groups = [(low, None)]
-        else:
-            order = np.argsort(times, kind="stable")
-            ordered = times[order]
-            starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]).tolist()
-            groups = [
-                (float(ordered[start]), order[start:stop])
-                for start, stop in zip(starts, starts[1:] + [len(order)])
-            ]
-        entries: List[Union[Event, Cohort]] = []
-        for time, index in groups:
-            ids, column = worker_ids, payloads
-            if index is not None:
-                ids, column = [worker_ids[i] for i in index.tolist()], _pick(payloads, index)
-            if len(ids) > 1:
-                entries.append(Cohort(time, kind, ids, column))
-            else:
-                entries.append(_event(time, kind, ids[0], None if column is None else column[0]))
+            self.queue.push_many([_cohort(low, kind, worker_ids, payloads)])
+            return
+        order = np.argsort(times, kind="stable")
+        ordered = times[order]
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]]).tolist()
+        entries: List[Cohort] = []
+        for start, stop in zip(starts, starts[1:] + [len(order)]):
+            index = order[start:stop]
+            entries.append(_cohort(
+                float(ordered[start]), kind, [worker_ids[i] for i in index.tolist()],
+                _pick(payloads, index),
+            ))
         self.queue.push_many(entries)
 
     def _refuse(self, kind: str, time: float) -> None:
@@ -753,8 +772,10 @@ class EventLoop:
 
         For a kind with a run handler, the consecutive heads sharing the
         first event's ``(time, kind)`` follow it, at most *budget* events in
-        all; every other kind pops alone.  The queue mechanics (the pop and
-        the clock advance) are the profiler's ``event_dispatch``.
+        all, and the run handler takes them as one :class:`Cohort`; every
+        other kind pops alone, to its per-event handler.  The queue
+        mechanics (the pop and the clock advance) are the profiler's
+        ``event_dispatch``.
         """
         if self.profiler is None:
             run = self.queue.pop_run(budget, self._run_handlers)
@@ -772,8 +793,11 @@ class EventLoop:
         handler(run)
         return run
 
-    def step(self) -> Event:
-        """Pop the next event, advance the clock to it, dispatch its handler."""
+    def step(self) -> Union[Event, Cohort]:
+        """Pop the next event, advance the clock to it, dispatch its handler.
+
+        Returns the event, or for a run kind the cohort of one holding it.
+        """
         return self._dispatch(1)
 
     def run_until(
@@ -801,7 +825,7 @@ class EventLoop:
                 )
             budget = math.inf if max_events is None else max_events - dispatched
             run = self._dispatch(budget)
-            dispatched += len(run) if type(run) is Cohort else 1
+            dispatched += len(run.worker_ids) if type(run) is Cohort else 1
         return dispatched
 
 

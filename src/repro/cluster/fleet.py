@@ -16,7 +16,7 @@ Two pieces live here:
     ``(n, d)`` residual matrix plus a has-memory mask, the only place a
     worker's codec residual lives.  Every encode path indexes it by fleet
     row — the lock-step codec stage over all rows, the async run handlers
-    over the run's rows, the scalar per-event encode over one — and
+    over the run's rows — and
     checkpoints read and write it as ``{worker_id: residual}`` through
     :meth:`FleetState.state_dict` / :meth:`FleetState.load_state_dict`.
 
@@ -30,6 +30,7 @@ Two pieces live here:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,10 +55,14 @@ class FleetState:
         assignment), keyed by worker id.
     """
 
-    #: Mirrors of what the worker objects were built with, and a draw that
-    #: :meth:`sample_slowdowns` replaces before every read: a resumed run
-    #: rebuilds them, only the error-feedback store is state.
-    _CHECKPOINT_EXEMPT = ("workers", "speeds", "batch_sizes", "training_sets", "slowdowns")
+    #: Mirrors of what the worker objects were built with, a draw that
+    #: :meth:`sample_slowdowns` replaces before every read, and a cache of
+    #: :meth:`compute_times` keyed by what it priced: a resumed run rebuilds
+    #: them, only the error-feedback store is state.
+    _CHECKPOINT_EXEMPT = (
+        "workers", "speeds", "batch_sizes", "training_sets", "slowdowns",
+        "_times", "_times_flops",
+    )
 
     def __init__(
         self,
@@ -100,6 +105,10 @@ class FleetState:
         #: where the mask is set.
         self.ef_memory: Optional[np.ndarray] = None
         self.ef_has_memory = np.zeros(self.num_workers, dtype=bool)
+        #: :meth:`compute_times`' last answer and the flops it priced (NaN,
+        #: which equals nothing, before the first).
+        self._times: Optional[np.ndarray] = None
+        self._times_flops = math.nan
 
     # ------------------------------------------------------------- timing
     def compute_times(self, cost_model: CostModel, flops_per_sample: float) -> np.ndarray:
@@ -107,15 +116,22 @@ class FleetState:
 
         Elementwise over the fleet arrays with the exact arithmetic of
         :meth:`CostModel.gradient_compute_time`'s measured-FLOPs branch, so
-        each entry is bit-identical to the per-worker scalar call.
+        each entry is bit-identical to the per-worker scalar call.  The
+        fleet's throughputs and batch sizes are fixed, so the answer is
+        kept until the flops change (a read-only array: index it, do not
+        write it).
         """
-        if not flops_per_sample > 0:
-            raise ConfigurationError(
-                f"fleet compute-time pricing needs measured flops_per_sample > 0, "
-                f"got {flops_per_sample}"
-            )
-        flops = 3.0 * flops_per_sample * self.batch_sizes
-        return flops / (self.gflops * 1e9)
+        if flops_per_sample != self._times_flops:
+            if not flops_per_sample > 0:
+                raise ConfigurationError(
+                    f"fleet compute-time pricing needs measured flops_per_sample > 0, "
+                    f"got {flops_per_sample}"
+                )
+            flops = 3.0 * flops_per_sample * self.batch_sizes
+            self._times = flops / (self.gflops * 1e9)
+            self._times.flags.writeable = False
+            self._times_flops = flops_per_sample
+        return self._times
 
     def sample_slowdowns(
         self, straggler_model: Optional[StragglerModel], rng: np.random.Generator

@@ -1087,38 +1087,20 @@ class LinkFabric:
         )
 
     # --------------------------------------------------------------- pricing
-    def solo_seconds(self, worker_id: int, nbytes: float) -> float:
-        """Uncontended transfer time for *worker_id*'s path.
-
-        The path bandwidth is the minimum of the symmetric cost-model rate,
-        the region bottleneck and the worker's access cap; latencies add up
-        along the hops.  Without a topology this is exactly
-        ``cost_model.transfer_time`` (same float operations).
-        """
-        if self.topology is None:
-            return self.cost_model.transfer_time(nbytes)
-        bandwidth, latency = self._pipe(
-            self.topology.region_map[self.region_of(worker_id)]
-        )
-        cap = self.topology.worker_bandwidth_gbps.get(int(worker_id))
-        if cap is not None:
-            bandwidth = min(bandwidth, cap)
-        latency = latency + self.topology.worker_latency_s.get(int(worker_id), 0.0)
-        return float(nbytes) / (bandwidth * 1e9 / 8.0) + latency
-
     def solo_seconds_batch(self, worker_ids: Sequence[int], nbytes: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`solo_seconds` over aligned id / byte-count arrays.
+        """Uncontended transfer times of *nbytes* on the paths of aligned *worker_ids*.
 
-        Without a topology every path shares the symmetric pipe, so the whole
-        batch is one ``transfer_time_batch`` call.  With one, each worker's
+        A worker's path bandwidth is the minimum of the symmetric cost-model
+        rate, its region's bottleneck and its access cap; latencies add up
+        along the hops.  Without a topology every path is the symmetric pipe,
+        so the whole batch is one ``transfer_time_batch`` call (exactly
+        ``cost_model.transfer_time`` per entry).  With one, each worker's
         min-bandwidth / summed-latency path comes from the route table and
-        the pricing is ``nbytes / path_rate + path_latency`` elementwise —
-        the scalar method's operations in the scalar method's order, so
-        every entry is bit-equal to it either way.
+        the pricing is ``nbytes / path_rate + path_latency`` elementwise.
         """
-        nbytes = np.asarray(nbytes, dtype=np.float64)
         if self.topology is None:
             return self.cost_model.transfer_time_batch(nbytes)
+        nbytes = np.asarray(nbytes, dtype=np.float64)
         regions, access_gbps, access_latency = self.topology.routes(worker_ids)
         pipe_gbps, pipe_latency = np.array(
             [self._pipe(region) for region in self.topology.regions]
@@ -1132,12 +1114,13 @@ class LinkFabric:
         nbytes: np.ndarray,
         channel_seconds: np.ndarray,
     ) -> np.ndarray:
-        """Vectorised :meth:`uplink_seconds` over aligned per-worker arrays.
+        """Compose the channels' transfer reports with the workers' paths.
 
-        Without a topology the channels' own figures pass through untouched
-        (the seed contract); with one, the scalar composition — path solo
-        time plus the channel's penalty over the symmetric cost-model base —
-        runs elementwise, bit-equal to the scalar method.
+        Channels price their behaviour (Mathis backoff, structural delays,
+        jitter) on the symmetric cost model; under a topology each path's
+        solo time replaces the cost-model base while the channel's extra
+        penalty rides on top, elementwise.  Without a topology the channels'
+        own figures pass through untouched (the seed contract).
         """
         channel_seconds = np.asarray(channel_seconds, dtype=np.float64)
         if self.topology is None:
@@ -1145,19 +1128,6 @@ class LinkFabric:
         nbytes = np.asarray(nbytes, dtype=np.float64)
         penalty = channel_seconds - self.cost_model.transfer_time_batch(nbytes)
         return self.solo_seconds_batch(worker_ids, nbytes) + penalty
-
-    def uplink_seconds(self, worker_id: int, nbytes: float, channel_seconds: float) -> float:
-        """Compose a channel's transfer report with the worker's path.
-
-        Channels price their behaviour (Mathis backoff, structural delays,
-        jitter) on the symmetric cost model; under a topology the path's
-        solo time replaces the cost-model base while the channel's extra
-        penalty rides on top.  Without a topology the channel's own figure
-        is returned untouched (bit-identical to the seed)."""
-        if self.topology is None:
-            return channel_seconds
-        penalty = channel_seconds - self.cost_model.transfer_time(nbytes)
-        return self.solo_seconds(worker_id, nbytes) + penalty
 
     # ------------------------------------------------------------ batch mode
     def simulate(self, jobs: Sequence[Tuple[float, float, int]]) -> np.ndarray:

@@ -47,6 +47,11 @@ _INTERSERVER_KEYS = (
 )
 
 
+def _listed(values: Optional[np.ndarray], n: int) -> List[float]:
+    """A per-worker column as Python floats; ``None`` is *n* zeros."""
+    return [0.0] * n if values is None else np.asarray(values, dtype=np.float64).tolist()
+
+
 @dataclass
 class StepRecord:
     """Timing, loss and aggregation-pipeline information for a single model update.
@@ -346,36 +351,33 @@ class TrainingHistory:
         so its Python does not grow with the batch; otherwise it degrades to
         per-worker :meth:`record_wire` calls with identical semantics.
         """
-        n = len(worker_ids)
-
-        def _as_array(values: Optional[np.ndarray]) -> np.ndarray:
-            if values is None:
-                return np.zeros(n, dtype=np.float64)
-            return np.asarray(values, dtype=np.float64)
-
         delta = np.asarray(downlink_delta, dtype=bool)
         if not self.compact:
+            n = len(worker_ids)
             sent, received, queueing, error = (
-                _as_array(values)
-                for values in (bytes_sent, bytes_received, queueing_delay, compression_error)
+                _listed(bytes_sent, n), _listed(bytes_received, n),
+                _listed(queueing_delay, n), _listed(compression_error, n),
             )
-            delta = np.broadcast_to(delta, (n,))
+            deltas = delta.tolist() if delta.ndim else [bool(delta)] * n
             for i, wid in enumerate(worker_ids):
                 self.record_wire(
-                    int(wid),
-                    bytes_sent=float(sent[i]),
-                    bytes_received=float(received[i]),
-                    queueing_delay=float(queueing[i]),
-                    compression_error=float(error[i]),
-                    downlink_delta=bool(delta[i]),
+                    int(wid), bytes_sent=sent[i], bytes_received=received[i],
+                    queueing_delay=queueing[i], compression_error=error[i],
+                    downlink_delta=deltas[i],
                     region=regions[i] if regions is not None else None,
                 )
             return
         ids = np.asarray(worker_ids, dtype=np.intp)
-        table = self._wire_table
-        if ids.size and (ids.min() < 0 or ids.max() >= table.size or (table[ids] < 0).any()):
+        try:
+            rows = self._wire_table[ids]
+            # An id without a row reads -1; a negative id (which indexes
+            # from the end) is negative itself: one reduction tells both.
+            unregistered = bool(rows.size) and (rows | ids).min() < 0
+        except IndexError:  # past the table
+            unregistered = True
+        if unregistered:
             self.register_workers(ids.tolist())
-        rows = self._wire_table[ids]
+            rows = self._wire_table[ids]
         cols = self._wire_cols
         self._wire_touched[rows] = True
         # A column starts at +0.0 and is never -0.0 (no sum of IEEE adds
@@ -385,17 +387,18 @@ class TrainingHistory:
             ("compression_error", compression_error),
         ):
             if values is not None:
-                np.add.at(cols[name], rows, _as_array(values))
+                np.add.at(cols[name], rows, np.asarray(values, dtype=np.float64))
         if bytes_received is not None:
-            received = _as_array(bytes_received)
+            received = np.asarray(bytes_received, dtype=np.float64)
             np.add.at(cols["bytes_received"], rows, received)
             fetched = received != 0.0
-            for kind, mask in (("full", fetched & ~delta), ("delta", fetched & delta)):
+            deltas = fetched & delta
+            for kind, mask in (("full", fetched ^ deltas), ("delta", deltas)):
                 if mask.any():
                     np.add.at(cols[f"bytes_received_{kind}"], rows, np.where(mask, received, 0.0))
                     np.add.at(cols[f"{kind}_fetches"], rows, mask.astype(np.int64))
         if regions is not None and queueing_delay is not None:
-            queueing = _as_array(queueing_delay)
+            queueing = np.asarray(queueing_delay, dtype=np.float64)
             queued = np.flatnonzero(queueing)
             labels = np.asarray(regions, dtype=object)[queued]
             # Per region, in first-queued order, the total the per-worker

@@ -49,10 +49,10 @@ many servers there are:
     time, and rounds overlap — the server aggregates a quorum while slower
     workers are still computing against older versions.
     :class:`~repro.cluster.events.EventLoop` is the only dispatcher: it
-    coalesces same-time fetch / compute / push / arrive herds into runs
-    for the batched handlers, which schedule the next stage as cohorts (one
-    queue entry per same-instant herd, its payloads in columns), and sends
-    a run of one to the per-event handler.
+    hands every same-time fetch / compute / push / arrive / link run — a
+    run of one included — to the one handler of its stage, which schedules
+    the next stage as cohorts (one queue entry per same-instant herd, its
+    payloads in columns).
     The vocabulary is six event kinds — ``fetch``, ``compute``, ``push``,
     ``arrive``, ``update-done`` and ``link``; the inter-server gather is not
     one of them, its seconds are part of the busy period that ends at
@@ -77,7 +77,6 @@ from repro.cluster.codec import (
     WireCodec,
     WireFrame,
     decode_frame,
-    encode_delta,
 )
 from repro.cluster.cost_model import CostModel, StragglerModel
 from repro.cluster.deploy import ClusterSpec
@@ -109,6 +108,9 @@ from repro.utils.random import SeedLike, as_rng, component_seed
 #: stacked run's from one ``(n, b)`` draw on a fleet-wide stream where the
 #: workers share a training set.
 COMPUTE_MODES = ("exact", "fleet")
+
+#: The bracket of every profiler section when no profiler runs (reusable).
+_NO_SECTION = nullcontext()
 
 
 @dataclass
@@ -204,9 +206,7 @@ class BaseTrainer:
     straggler draws (``sample(n)`` once per step against one draw per
     worker in pop order — different stream consumption) and the arrival's
     form (one :class:`~repro.cluster.sync.ArrivalBatch` per step against
-    ``arrive`` cohorts carrying ``(version, loss, wire)`` columns).  The
-    async per-event handlers are the run-of-one spelling; their scalar
-    :meth:`_encode` reads and writes the same row store.
+    ``arrive`` cohorts carrying ``(version, loss, wire)`` columns).
     """
 
     def __init__(
@@ -348,10 +348,14 @@ class BaseTrainer:
         #: Forward flops per sample the stacked pass measured (a property of
         #: the architecture); ``None`` until it first runs.
         self._stacked_flops: Optional[float] = None
-        #: Lazily-cached per-honest-worker transparency mask (channels are
-        #: fixed for the trainer's lifetime, so the per-step property scan
-        #: collapses to one array lookup).
-        self._uplink_transparent_cache: Optional[np.ndarray] = None
+        #: Which fleet rows' uplink channels are not transparent, or ``None``
+        #: when every one is (channels are fixed for the trainer's lifetime,
+        #: so the per-step property scan collapses to one array lookup, and
+        #: to none on a transparent fleet).
+        opaque = np.array(
+            [not self.uplink_channels[w.worker_id].is_transparent for w in honest], dtype=bool
+        )
+        self._uplink_opaque: Optional[np.ndarray] = opaque if opaque.any() else None
         #: The parameter service every server-side stage goes through; a
         #: hand-built trainer hosts the one-actor ``single`` fabric itself.
         if service is None:
@@ -368,18 +372,6 @@ class BaseTrainer:
         self.history = TrainingHistory(compact=bool(compact_telemetry))
         self.history.register_workers(ids)
         service.bind_history(self.history)
-
-    def _uplink_transparent(self) -> np.ndarray:
-        """Boolean mask: honest worker ``i``'s uplink channel is transparent."""
-        if self._uplink_transparent_cache is None:
-            self._uplink_transparent_cache = np.array(
-                [
-                    self.uplink_channels[w.worker_id].is_transparent
-                    for w in self.honest_workers
-                ],
-                dtype=bool,
-            )
-        return self._uplink_transparent_cache
 
     # ----------------------------------------------------------------- setup
     def _resolve_worker_gflops(self) -> Dict[int, float]:
@@ -422,7 +414,7 @@ class BaseTrainer:
     def _section(self, name: str):
         """Profiler bracket for subsystem *name*; a no-op without a profiler."""
         if self.profiler is None:
-            return nullcontext()
+            return _NO_SECTION
         return self.profiler.section(name)
 
     @contextmanager
@@ -447,46 +439,6 @@ class BaseTrainer:
                 self.profiler.add("gar_kernel", -seconds, calls=0)
 
     # ------------------------------------------------------- wire substrate
-    def _encode_broadcast(self, worker_id: int) -> Tuple[np.ndarray, float, bool]:
-        """Downlink framing of one model fetch by *worker_id*.
-
-        Returns ``(parameters, wire_bytes, is_delta)``: the parameter vector
-        the worker reconstructs, the priced broadcast bytes, and whether a
-        delta frame (rather than raw full state) crossed the wire.
-
-        Without a broadcast codec this is the seed's raw ``4d`` framing of
-        the current model.  With one, the server consults the worker's
-        :class:`DownlinkSession`: if the held version is still in the
-        versioned store, a ``held → current`` delta is codec-encoded
-        (against the worker's replica — downlink error feedback); if the
-        worker has never fetched or its version was evicted past
-        ``retain_versions``, a full-state resync is sent instead.  Lossless
-        codecs reconstruct the exact target (a lossless float delta is a
-        bitwise diff on a real wire), so the identity broadcast codec stays
-        bit-identical to raw framing in both trajectory and priced bytes.
-        """
-        server = self.server
-        raw_bytes = self.cost_model.gradient_bytes(server.dim)
-        if self.broadcast_codec is None:
-            return server.parameters, raw_bytes, False
-        target = server.version
-        session = self._downlink.get(worker_id)
-        if session is None or not server.has_version(session.version):
-            parameters = server.parameters
-            self._update_downlink(worker_id, target, parameters)
-            return parameters, raw_bytes, False
-        delta = server.delta_since(session.version, reference=session.replica)
-        frame = encode_delta(
-            self.broadcast_codec, delta,
-            base_version=session.version, target_version=target,
-        )
-        if self.broadcast_codec.lossless:
-            reconstruction = server.parameters
-        else:
-            reconstruction = session.replica + decode_frame(frame)
-        self._update_downlink(worker_id, target, reconstruction)
-        return reconstruction, frame.nbytes, True
-
     def _update_downlink(
         self, worker_id: int, version: int, replica: np.ndarray
     ) -> None:
@@ -501,28 +453,6 @@ class BaseTrainer:
             version=int(version),
             replica=np.asarray(replica, dtype=np.float64),
         )
-
-    def _encode(
-        self, gradient: np.ndarray, *, worker_id: Optional[int] = None
-    ) -> Tuple[WireFrame, float]:
-        """Codec stage of one honest uplink: returns ``(frame, compression_error)``.
-
-        With error feedback the worker's carried residual is added before
-        encoding and the new residual (what this frame failed to express)
-        replaces it.
-        """
-        signal = np.asarray(gradient, dtype=np.float64).ravel()
-        if self.error_feedback and worker_id is not None:
-            row = self._fleet.row_of[worker_id]
-            if self._fleet.ef_has_memory[row]:
-                signal = signal + self._fleet.ef_memory[row]
-        frame = self.codec.encode(signal)
-        if isinstance(self.codec, IdentityCodec):
-            return frame, 0.0
-        residual = signal - decode_frame(frame)
-        if self.error_feedback and worker_id is not None:
-            self._fleet.remember_residuals(row, residual)
-        return frame, float(np.linalg.norm(residual))
 
     @staticmethod
     def _decode(wire) -> Optional[np.ndarray]:
@@ -610,21 +540,24 @@ class BaseTrainer:
         rows: np.ndarray,
         workers: Sequence[HonestWorker],
         snapshots: Sequence[Tuple[int, np.ndarray]],
+        *,
+        fleet_draw: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Compute stage: each worker's gradient estimate on its snapshot.
 
         Returns :meth:`_exact_gradients`' ``(losses, gradients)`` in worker
         order, each worker computing on the parameters it
         reconstructed from its own downlink frame.  The compute mode only
-        picks the mini-batches of a stacked pass: under ``"fleet"``,
-        workers sharing one training set (their fleet *rows* carry one
-        training-set id) take theirs from one ``(n, b)`` draw on the fleet
-        stream; otherwise each sampler draws its own.
+        picks the mini-batches of a stacked pass: under ``"fleet"``, where
+        the caller allows a *fleet_draw*, workers sharing one training set
+        (their fleet *rows* carry one training-set id) take theirs from one
+        ``(n, b)`` draw on the fleet stream; otherwise each sampler draws
+        its own.
         """
         with self._section("compute"):
             batch = None
             shared = workers[0].sampler
-            if self.compute_mode == "fleet" and self._fleet_sample_rng is not None:
+            if fleet_draw and self.compute_mode == "fleet" and self._fleet_sample_rng is not None:
                 sets = self._fleet.training_sets[rows]
                 if (sets == sets[0]).all():
                     indices = self._fleet_sample_rng.integers(
@@ -707,23 +640,26 @@ class BaseTrainer:
         excess over the ideal wire time — the backoff, delays and jitter
         that ride on top where a contended link's drain replaces the solo
         wire time.  Transparent channels (the reliable loss-free default, no
-        randomness by contract) pay exactly the ideal time, one batched
-        call, and no frame is minted for them; every other channel keeps
+        randomness by contract) pay exactly the ideal time of the batch's one
+        frame size, priced once, and no frame is minted for them (on a fleet
+        of them the rows are not even scanned); every other channel keeps
         its own ``transfer_frame`` call on its row's frame — per-channel RNG
         streams are independent, so the split cannot reorder any draws.
         """
-        # Every frame of a batch prices at the codec's frame_bytes(dim).
+        # Every frame of a batch prices at the codec's frame_bytes(dim), so
+        # the ideal wire time is priced once.
         nbytes = np.full(len(rows), batch.nbytes)
         touched: Dict[int, Optional[WireFrame]] = {}
         with self._section("link_drain"):
-            ideal = self.cost_model.transfer_time_batch(nbytes)
-            seconds = ideal.copy()
-            for i in np.flatnonzero(~self._uplink_transparent()[rows]).tolist():
-                channel = self.uplink_channels[int(self._fleet.worker_ids[rows[i]])]
-                frame = batch.frame(i)
-                wire, seconds[i] = channel.transfer_frame(frame, self.cost_model)
-                if wire is not frame:
-                    touched[i] = wire
+            ideal = self.cost_model.transfer_time(batch.nbytes)
+            seconds = np.full(len(rows), ideal)
+            if self._uplink_opaque is not None:
+                for i in np.flatnonzero(self._uplink_opaque[rows]).tolist():
+                    channel = self.uplink_channels[int(self._fleet.worker_ids[rows[i]])]
+                    frame = batch.frame(i)
+                    wire, seconds[i] = channel.transfer_frame(frame, self.cost_model)
+                    if wire is not frame:
+                        touched[i] = wire
         return touched, nbytes, seconds, seconds - ideal
 
     # ---------------------------------------------------------- server stage
@@ -1246,24 +1182,17 @@ class AsyncTrainer(BaseTrainer):
         self._row_by_id[self._fleet.worker_ids] = np.arange(self._fleet.num_workers)
 
         self._loop = EventLoop(clock=self.clock, profiler=self.profiler)
-        self._loop.on_each({
-            self.FETCH: self._on_fetch,
-            self.COMPUTE: self._on_compute,
-            self.PUSH: self._on_push,
-            self.ARRIVE: self._on_arrive,
-            self.UPDATE_DONE: self._on_update_done,
-            self.LINK: self._on_link,
-        })
+        self._loop.on(self.UPDATE_DONE, self._on_update_done)
         # The fetch → compute → push → arrive chain fires in herds whenever
         # worker paths share a timestamp (homogeneous fleets, uncontended
         # links), and so do the pipes of identical regions: the loop hands
-        # each same-time run of two or more to the batched twin and keeps the
-        # per-event handler for a run of one.
+        # every same-time run to its stage's one handler as a cohort, a
+        # straggler's run of one included.
         self._loop.on_run(self.FETCH, self._on_fetch_batch)
         self._loop.on_run(self.COMPUTE, self._on_compute_batch)
         self._loop.on_run(self.PUSH, self._on_push_batch)
         self._loop.on_run(self.ARRIVE, self._on_arrive_batch)
-        self._loop.on_run(self.LINK, self._on_link_batch)
+        self._loop.on_run(self.LINK, self._sweep_links)
 
         #: Shared-link schedulers and their pending provisional completion
         #: events, one pipe per direction *and* region bottleneck (keys
@@ -1358,23 +1287,17 @@ class AsyncTrainer(BaseTrainer):
                 if event.kind == self.LINK:
                     self._link_events[event.payload] = event
 
-    def _on_link(self, event: Event) -> None:
-        """A link session completed: hand its payload to the next stage."""
-        self._sweep_links(event.time, [event.payload])
+    def _sweep_links(self, cohort: Cohort) -> None:
+        """Hand on the completed transfers of a same-instant run of link events, in order.
 
-    def _on_link_batch(self, cohort: Cohort) -> None:
-        """Batched :meth:`_on_link` over a same-instant run of link events."""
-        self._sweep_links(cohort.time, cohort.payloads)
-
-    def _sweep_links(self, now: float, keys: Sequence[str]) -> None:
-        """Pop the completed transfers of the pipes *keys* at *now*, in order.
-
-        Each pipe records its sessions (one ``record_wire`` each: a
-        ``record_wire_batch`` costs more than the few sessions a pipe hands
-        on) and contributes their hand-offs, then its own reschedule, to one
-        push — the order one pipe's handler after another's gives, each
-        pipe's pending event being the one just popped.
+        Each member's payload is its pipe's key.  Each pipe records its
+        sessions (one ``record_wire`` each: a pipe hands on few) and
+        contributes their hand-offs, then its own reschedule, to one push —
+        the order one pipe after another gives, each pipe's pending event
+        being the one just popped.
         """
+        now = cohort.time
+        keys = cohort.payloads
         specs: List[Union[str, tuple]] = []
         record_wire = self.history.record_wire
         for key in keys:
@@ -1392,53 +1315,6 @@ class AsyncTrainer(BaseTrainer):
                     specs.append((self.ARRIVE, now + penalty, session.worker_id, arrival))
             specs.append(key)
         self._schedule_with_links(specs)
-
-    # ------------------------------------------------------- worker round-trip
-    def _on_fetch(self, event: Event) -> None:
-        """Worker asks for the model; the reply snapshots the current version.
-
-        The reply is the worker's downlink framing — raw full state, or a
-        codec-encoded delta against its held version when a broadcast codec
-        is configured — and travels over the worker's own path (regional
-        bottleneck + access link under a topology).
-        """
-        parameters, nbytes, is_delta = self._encode_broadcast(event.worker_id)
-        snapshot = (self.server.version, parameters)
-        self.history.record_wire(
-            event.worker_id, bytes_received=nbytes, downlink_delta=is_delta
-        )
-        self.service.account_fetches([event.worker_id], [nbytes])
-        self._interval_downlink += nbytes
-        if self._contended:
-            key, _, extras = self._routes[event.worker_id]
-            self._links[key].open(
-                event.time, nbytes, worker_id=event.worker_id,
-                payload=(self.COMPUTE, snapshot), **extras,
-            )
-            self._schedule_with_links([key])
-            return
-        downlink = self.fabric.solo_seconds(event.worker_id, nbytes)
-        self._loop.schedule(
-            self.COMPUTE,
-            event.time + downlink,
-            worker_id=event.worker_id,
-            payload=snapshot,
-        )
-
-    def _on_compute(self, event: Event) -> None:
-        """Worker received the model; compute a gradient on its own batch.
-
-        The worker's own draw, whatever the compute mode: a run of one
-        keeps its sampler's stream exact.  The push carries ``(version,
-        gradient, loss)``.
-        """
-        row = self._row_by_id[event.worker_id]
-        losses, gradients = self._exact_gradients([self._fleet.workers[row]], [event.payload])
-        self._loop.schedule(
-            self.PUSH, float(self._ready_at(np.array([row]), event.time)[0]),
-            worker_id=event.worker_id,
-            payload=(event.payload[0], gradients[0], float(losses[0])),
-        )
 
     def _ready_at(self, rows: np.ndarray, now: float) -> np.ndarray:
         """When the gradients of fleet *rows* are ready: compute time, one straggler draw each.
@@ -1460,41 +1336,6 @@ class AsyncTrainer(BaseTrainer):
             timelines[worker_id].compute_seconds += compute
         return now + seconds
 
-    def _on_push(self, event: Event) -> None:
-        """Worker encodes + hands the gradient to the wire, starts its next round.
-
-        The arrival carries ``(version, loss, wire)``.
-        """
-        step, gradient, loss = event.payload
-        worker_id = event.worker_id
-        with self._section("codec"):
-            frame, error = self._encode(gradient, worker_id=worker_id)
-        wire, seconds = self.uplink_channels[worker_id].transfer_frame(frame, self.cost_model)
-        timeline = self.history.timeline_for(worker_id)
-        timeline.rounds_completed += 1
-        timeline.transfer_seconds += seconds
-        self.history.record_wire(worker_id, bytes_sent=frame.nbytes, compression_error=error)
-        self.service.account_pushes([worker_id], [FrameBatch.stack([frame])])
-        if self._contended:
-            # The session's drain time replaces the solo wire time; the
-            # channel's extra penalty (backoff, delays, jitter) rides on top.
-            penalty = seconds - self.cost_model.transfer_time(frame.nbytes)
-            _, key, extras = self._routes[worker_id]
-            self._links[key].open(
-                event.time, frame.nbytes, worker_id=worker_id,
-                payload=(self.ARRIVE, ((step, loss, wire), penalty)), **extras,
-            )
-            # The push is asynchronous: the worker fetches the next model
-            # immediately, overlapping its next downlink with this uplink.
-            self._schedule_with_links([key, (self.FETCH, event.time, worker_id, None)])
-            return
-        self._loop.schedule(
-            self.ARRIVE,
-            event.time + self.fabric.uplink_seconds(worker_id, frame.nbytes, seconds),
-            worker_id=worker_id, payload=(step, loss, wire),
-        )
-        self._loop.schedule(self.FETCH, event.time, worker_id=worker_id)
-
     # ------------------------------------------------------------ server side
     def _admit_arrival(
         self, worker_id: int, step: int, loss: float, payload: Optional[np.ndarray],
@@ -1504,8 +1345,9 @@ class AsyncTrainer(BaseTrainer):
 
         Drop a lost wire (*payload* ``None``), reject an over-stale version,
         and let a fresher gradient supersede the worker's buffered one — the
-        body both ``arrive`` handlers run per arrival, and the pool's one
-        per-arrival writer (a herd's plain arrivals are written in bulk).
+        body the ``arrive`` handler runs for every member that is not plain,
+        and the pool's one per-arrival writer (a herd's plain arrivals are
+        written in bulk).
         """
         if payload is None:
             self.history.timeline_for(worker_id).channel_dropped += 1
@@ -1532,22 +1374,6 @@ class AsyncTrainer(BaseTrainer):
             staleness=max(lag, 0), wire_bytes=wire_bytes if honest else 0.0, loss=loss,
         )
         return True
-
-    def _on_arrive(self, event: Event) -> None:
-        """Admission control over the live stream, then a quorum check."""
-        step, loss, wire = event.payload
-        arrival = (
-            event.worker_id, step, loss, self._decode(wire),
-            wire.nbytes if isinstance(wire, WireFrame) else 0.0, event.time,
-        )
-        if self.profiler is None:
-            admitted = self._admit_arrival(*arrival)
-        else:
-            with self.profiler.section("admission"):
-                admitted = self._admit_arrival(*arrival)
-        if admitted:
-            self._maybe_fire_byzantine(event.time)
-            self._maybe_aggregate(event.time)
 
     def _maybe_fire_byzantine(self, now: float) -> float:
         """Byzantine workers inject once enough honest traffic is observable.
@@ -1672,12 +1498,12 @@ class AsyncTrainer(BaseTrainer):
         return self.history.steps[-1]
 
     # ------------------------------------------------------------ run handlers
-    # Each handler below serves one same-time run of two or more events and
-    # is bit-identical to its per-event twin applied in pop order (the
-    # :meth:`EventLoop.on_run` contract; ``tests/test_async_trainer_parity.py``
-    # holds it against the same trainer with the run handlers unregistered).
-    # Cancelled-before-dispatch link reschedules are the one elision — only
-    # ``peak_queue_size`` can observe it.
+    # Each handler below serves one same-time run of events, a run of one
+    # included, and is bit-identical to the per-event handlers frozen in
+    # ``tests/async_reference.py`` applied in pop order (the
+    # :meth:`EventLoop.on_run` contract, held by
+    # ``tests/test_async_trainer_parity.py``).  Cancelled-before-dispatch link
+    # reschedules are the one elision — only ``peak_queue_size`` can observe it.
     def _open_run_sessions(
         self,
         now: float,
@@ -1716,7 +1542,14 @@ class AsyncTrainer(BaseTrainer):
         return {last: key for key, last in last_open.items()}
 
     def _on_fetch_batch(self, cohort: Cohort) -> None:
-        """Batched :meth:`_on_fetch` over one fetch cohort."""
+        """Fetch stage: each member asks for the model; the reply snapshots the current version.
+
+        The replies are :meth:`_frame_fetches`' downlink framing — raw full
+        state, or a codec-encoded delta against the worker's held version
+        when a broadcast codec is configured — and each travels over its
+        worker's own path (regional bottleneck + access link under a
+        topology) to a ``compute`` event carrying ``(version, parameters)``.
+        """
         now = cohort.time
         worker_ids = cohort.worker_ids
         snapshots, nbytes, deltas = self._frame_fetches(worker_ids)
@@ -1739,12 +1572,19 @@ class AsyncTrainer(BaseTrainer):
         self._loop.schedule_cohorts(self.COMPUTE, now + downlinks, worker_ids, snapshots)
 
     def _on_compute_batch(self, cohort: Cohort) -> None:
-        """Batched :meth:`_on_compute` over one compute cohort."""
+        """Compute stage: each member computes a gradient on its snapshot.
+
+        The push carries ``(version, gradient, loss)``.  A run of one draws
+        from its own worker's stream whatever the compute mode, so a
+        straggler's mini-batches do not depend on whether a peer happened
+        to share its instant.
+        """
         worker_ids = cohort.worker_ids
         rows = self._row_by_id[worker_ids]
         snapshots = cohort.payloads
         losses, gradients = self._compute_gradients(
-            rows, [self._fleet.workers[row] for row in rows.tolist()], snapshots
+            rows, [self._fleet.workers[row] for row in rows.tolist()], snapshots,
+            fleet_draw=len(rows) > 1,
         )
         self._loop.schedule_cohorts(
             self.PUSH, self._ready_at(rows, cohort.time), worker_ids,
@@ -1752,9 +1592,12 @@ class AsyncTrainer(BaseTrainer):
         )
 
     def _on_push_batch(self, cohort: Cohort) -> None:
-        """Batched :meth:`_on_push` over one push cohort.
+        """Push stage: each member encodes its gradient and hands it to the wire.
 
-        Its arrivals travel as cohorts too, one per arrival time: each
+        The worker starts its next round at once (a ``fetch`` at the push's
+        instant), overlapping its next downlink with this uplink.  The
+        arrivals carry ``(version, loss, wire)`` and travel as cohorts too,
+        one per arrival time: each
         member's wire is its row of the run's one
         :class:`~repro.cluster.codec.FrameBatch` unless its channel touched
         it (:class:`~repro.cluster.codec.DeliveredFrames`), so a
@@ -1811,15 +1654,16 @@ class AsyncTrainer(BaseTrainer):
         self._loop.schedule_cohorts(self.FETCH, now, worker_ids)
 
     def _on_arrive_batch(self, cohort: Cohort) -> None:
-        """:meth:`_on_arrive` over one arrive cohort.
+        """Admission control over one arrive cohort, then the quorum checks.
 
         A herd's cohort (wires a :class:`~repro.cluster.codec.DeliveredFrames`)
         decodes in one batch, at admission so that arrivals in flight stay
         frames, and is admitted in columns: each stretch of *plain* arrivals
         — delivered, inside the lag bound, not buffered, no worker seen
         earlier in the cohort — is one :meth:`PendingPool.put_many`; every
-        other member, and each member of a run the queue joined from single
-        events, goes through :meth:`_admit_arrival`.  Plainness is decided
+        other member, each member of a run the queue joined from single
+        events, and a straggler's cohort of one (it has no stretch to write
+        in bulk) goes through :meth:`_admit_arrival`.  Plainness is decided
         once: the version cannot move inside a cohort (``update-done`` is
         its own event), and the pool only loses entries inside it, to a
         trigger (the buffered mask is recomputed then).
@@ -1841,7 +1685,7 @@ class AsyncTrainer(BaseTrainer):
         worker_ids = cohort.worker_ids
         count = len(worker_ids)
         steps, losses, wires = columns_of(cohort.payloads)
-        columnar = type(wires) is DeliveredFrames
+        columnar = type(wires) is DeliveredFrames and count > 1
         with self._section("admission"):
             if columnar:
                 payloads, lost = wires.decode()
@@ -1857,6 +1701,7 @@ class AsyncTrainer(BaseTrainer):
                 irregular |= ~first
                 stops = self._stretch_stops(ids, irregular, 0)
             else:
+                wires = [wires[i] for i in range(count)]  # a frames row mints its wire
                 payloads = [self._decode(wire) for wire in wires]
                 lost = [payload is None for payload in payloads]
                 wire_bytes = [w.nbytes if isinstance(w, WireFrame) else 0.0 for w in wires]

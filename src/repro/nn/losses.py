@@ -16,11 +16,17 @@ from repro.exceptions import ConfigurationError
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable row-wise softmax."""
+    """Numerically stable row-wise softmax.
+
+    The reductions are the ufuncs' own (what ``max`` / ``sum`` call) and the
+    exponent and division run in place: the floats of the textbook
+    ``exp(x - max) / sum`` without its temporaries.
+    """
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    exp = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    np.exp(exp, out=exp)
+    exp /= np.add.reduce(exp, axis=1, keepdims=True)
+    return exp
 
 
 class SoftmaxCrossEntropy:
@@ -90,14 +96,18 @@ class SoftmaxCrossEntropy:
             for one_logits, one_labels in zip(logits, labels):
                 self._check(one_logits, one_labels)
         num, batch, classes = logits.shape
-        rows = np.arange(num * batch)
-        flat_labels = labels.reshape(-1)
         probs = softmax(logits.reshape(num * batch, classes))
-        picked = probs[rows, flat_labels]
+        # Each row's label logit as a position in the flat probabilities.
+        picks = np.arange(0, probs.size, classes) + labels.reshape(-1)
+        flat = probs.reshape(-1)
+        picked = flat[picks]
         # ``sum / b`` is the reduction and division ``mean`` runs, without its wrapper.
-        losses = -(np.log(np.maximum(picked, 1e-300)).reshape(num, batch).sum(axis=1) / batch)
-        probs[rows, flat_labels] -= 1.0
-        return losses, (probs / batch).reshape(num, batch, classes)
+        losses = -(
+            np.add.reduce(np.log(np.maximum(picked, 1e-300)).reshape(num, batch), axis=1) / batch
+        )
+        flat[picks] -= 1.0
+        probs /= batch
+        return losses, probs.reshape(num, batch, classes)
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)

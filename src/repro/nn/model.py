@@ -68,6 +68,13 @@ class Sequential:
         self.name = str(name)
         self._shapes = [p.shape for p in self.parameters()]
         self._num_parameters = sum(math.prod(shape) for shape in self._shapes)
+        #: Each layer's parameter count, fixed like the shapes: the stacked
+        #: pass slices the flat vector by them, and its backward stops at the
+        #: first parameterised layer (layers before it need none).
+        self._layer_sizes = [layer.num_parameters for layer in self.layers]
+        self._first_parameterised = next(
+            (index for index, size in enumerate(self._layer_sizes) if size), len(self.layers)
+        )
         #: Whether a gradient draws Dropout masks: the stacked pass then
         #: needs one mask stream per worker.
         self.has_dropout = any(isinstance(layer, Dropout) for layer in self.layers)
@@ -230,8 +237,7 @@ class Sequential:
         # Per layer: its offset and size in the flat vector and its cache.
         saved = []
         offset = 0
-        for layer in self.layers:
-            size = layer.num_parameters
+        for layer, size in zip(self.layers, self._layer_sizes):
             cache = None
             if type(layer) in _PER_SAMPLE_LAYERS:
                 rows = layer.forward(rows, training=True)
@@ -246,10 +252,7 @@ class Sequential:
         losses, grad = self.loss.stacked(rows.reshape(num, batch, *rows.shape[1:]), y)
         grad = grad.reshape(rows.shape)
         gradients = np.zeros((num, dim))
-        # Layers before the first parameterised one need no backward.
-        first = next(
-            (index for index, (_, size, _) in enumerate(saved) if size), len(self.layers)
-        )
+        first = self._first_parameterised
         for index in range(len(self.layers) - 1, first - 1, -1):
             layer = self.layers[index]
             offset, size, cache = saved[index]

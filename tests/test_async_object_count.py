@@ -155,7 +155,7 @@ def _link_dispatches(num_workers):
         link_profile="wan:4x10mbit/20ms", link_sharing="fifo", compact_telemetry=True, seed=5,
     )
     trainer.run_step()
-    sweep, per_event = trainer._loop._run_handlers["link"], trainer._loop._handlers["link"]
+    sweep = trainer._loop._run_handlers["link"]
     counts = []
 
     def on_run(cohort):
@@ -163,12 +163,7 @@ def _link_dispatches(num_workers):
         counts[-1][1] += len(cohort)
         sweep(cohort)
 
-    def on_event(event):
-        counts[-1][0] += 1
-        counts[-1][1] += 1
-        per_event(event)
-
-    trainer._loop._run_handlers["link"], trainer._loop._handlers["link"] = on_run, on_event
+    trainer._loop._run_handlers["link"] = on_run
     for _ in range(3):
         counts.append([0, 0])
         trainer.run_step()

@@ -298,16 +298,16 @@ class TestAsyncEngine:
     def test_reordered_arrival_never_evicts_fresher_gradient(
         self, tiny_dataset, tiny_model_kwargs
     ):
-        from repro.cluster.events import Event
+        from repro.cluster.events import Cohort
 
         trainer = make_async(tiny_dataset, tiny_model_kwargs)
         dim = trainer.server.dim
 
         def arrive(step, fill):
-            # An arrival carries (model version, loss, wire).
-            event = Event(time=0.0, kind="arrive", worker_id=2,
-                          payload=(step, 0.0, np.full(dim, float(fill))))
-            trainer._on_arrive(event)
+            # An arrival carries (model version, loss, wire): a cohort of one.
+            trainer._on_arrive_batch(Cohort(
+                0.0, "arrive", [2], [(step, 0.0, np.full(dim, float(fill)))]
+            ))
 
         arrive(step=5, fill=1.0)
         # A jitter-reordered round computed on an older version arrives late:

@@ -1,23 +1,22 @@
-"""Bitwise parity: the event loop's run handlers against the per-event handlers.
+"""Bitwise parity: the event loop's run handlers against the frozen per-event handlers.
 
 :class:`~repro.cluster.events.EventLoop` pops *consecutive same-time
-same-kind* runs of fetch/compute/push/arrive/link events and dispatches each run
-of two or more through one run handler as one ``Cohort`` (batched codec
-encode, batched link pricing, the next stage scheduled as one cohort per
-instant; for ``arrive`` one batch decode, each stretch of plain arrivals
-written to the pool in one bulk write and the per-event admission body for
-the rest, with the two triggers consulted only where one can fire; for
-``link`` one sweep of the run's pipes and one push of their hand-offs and
-reschedules).  The reference
-never builds a cohort: its per-event handlers schedule one ``Event`` each.
-The contract is the same
-hard bit identity the sync path carries: byte-identical final parameters,
-simulated clock and telemetry export, and the same number of dispatched
-events.  The reference is the same ``AsyncTrainer`` with its run handlers
-unregistered (``tests/trainer_reference.as_per_event_reference``), so every
-event reaches ``_on_fetch`` / ``_on_compute`` / ``_on_push`` / ``_on_arrive``.
+same-kind* runs of fetch/compute/push/arrive/link events and dispatches each
+run — a run of one included — through its stage's one handler as one
+``Cohort`` (batched codec encode, batched link pricing, the next stage
+scheduled as one cohort per instant; for ``arrive`` one batch decode, each
+stretch of plain arrivals written to the pool in one bulk write and the
+per-arrival admission body for the rest, with the two triggers consulted
+only where one can fire; for ``link`` one sweep of the run's pipes and one
+push of their hand-offs and reschedules).  The reference never builds a
+cohort: the per-event handlers frozen in ``tests/async_reference.py``
+schedule one ``Event`` each, and ``as_per_event_reference`` re-classes a
+built ``AsyncTrainer`` onto them so that every event is dispatched alone.
+The contract is the same hard bit identity the sync path carries:
+byte-identical final parameters, simulated clock and telemetry export, the
+same number of dispatched events and the same pop sequence.
 
-``peak_queue_size`` is deliberately *not* asserted: the batched handlers
+``peak_queue_size`` is deliberately *not* asserted: the run handlers
 skip link-reschedule events that the per-event path pushes and then
 tombstones before dispatch, so the heap's high-water mark (which counts
 tombstones) may differ while the live pop order cannot.
@@ -39,7 +38,12 @@ stale-rejected run, dropped wires and supersedes mid-run —
 and ``test_a_trigger_falls_inside_an_arrive_run`` checks that they still do.
 ``test_an_arrive_cohort_of_frames_equals_its_arrivals_one_by_one`` draws
 the cohorts no deployment is known to produce and holds the bulk admission
-``==`` to the per-event handler on them.
+``==`` to the per-event handler on them.  A ``fleet``-mode compute run of
+two or more takes the fleet stream's shared draw, which no per-event
+dispatch makes, so the pareto ``fleet`` scenario is held against
+``as_runs_of_one_reference`` instead: runs of two or more through the live
+handlers, each run of one through the frozen handler, whose compute draws
+from its own worker's stream.
 
 A second grid holds the event-driven *server stage* — the one
 ``BaseTrainer._aggregate`` spelling over ``ServerFabric.aggregate``, with the
@@ -61,7 +65,10 @@ from repro.cluster.cost_model import CostModel, StragglerModel
 from repro.cluster.events import Cohort, Columns, Event
 from repro.cluster.trainer import TrainerConfig
 from repro.data.datasets import gaussian_blobs
-from tests.trainer_reference import as_per_event_reference, as_server_stage_reference
+from tests.async_reference import (
+    RUN_KINDS, as_per_event_reference, as_runs_of_one_reference,
+)
+from tests.trainer_reference import as_server_stage_reference
 
 #: 64 homogeneous workers, 6 of them the adversary: every honest round
 #: arrives as one 58-event run at one instant, the adversary's six same-instant
@@ -194,6 +201,42 @@ def test_async_vectorized_drain_is_bit_identical_to_the_per_event_loop(name):
     assert vec_popped == loop_popped
 
 
+#: A pareto-straggler fleet in ``fleet`` compute mode: the first round's
+#: compute herd takes one shared draw, the stragglers' later rounds run alone.
+FLEET_STRAGGLER = {"compute_mode": "fleet", "straggler_model": StragglerModel("pareto")}
+
+
+def test_a_fleet_mode_run_of_one_draws_from_its_own_worker():
+    """A compute run of one takes its worker's own draw, never the fleet stream's.
+
+    Held ``==``, pop sequence included, to the dispatch rule the per-event
+    twins served (``as_runs_of_one_reference``): a compute run of two or
+    more through the live handler, each run of one through the frozen
+    ``_on_compute``.  The scenario has both kinds of compute run.
+    """
+    arms = []
+    for reference in (None, as_runs_of_one_reference):
+        trainer = build_trainer(**{**_BASE, **FLEET_STRAGGLER})
+        if reference is not None:
+            trainer = reference(trainer)
+        compute, lengths = trainer._loop._run_handlers["compute"], []
+
+        def spy(cohort, compute=compute, lengths=lengths):
+            lengths.append(len(cohort))
+            compute(cohort)
+
+        trainer._loop._run_handlers["compute"] = spy
+        popped = _record_pops(trainer)
+        arms.append((trainer, trainer.run(TrainerConfig(max_steps=6, eval_every=0)), popped))
+        assert 1 in lengths and max(lengths) > 1, lengths
+    (live, live_history, live_popped), (ref, ref_history, ref_popped) = arms
+    np.testing.assert_array_equal(live.server.parameters, ref.server.parameters)
+    assert live.clock.now == ref.clock.now
+    assert live_history.to_dict() == ref_history.to_dict()
+    assert live.events_dispatched == ref.events_dispatched
+    assert live_popped == ref_popped
+
+
 @pytest.mark.parametrize("name", sorted(ARRIVE_RUN_SCENARIOS))
 def test_a_trigger_falls_inside_an_arrive_run(name):
     """The ``arrive_run_*`` scenarios exercise what they are in the grid for.
@@ -320,6 +363,7 @@ def test_two_rounds_of_one_worker_in_one_arrive_run():
                 [e.payload for e in events],
             ))
         else:
+            as_per_event_reference(trainer)
             for event in events:
                 trainer._on_arrive(event)
         trainers.append(trainer)
@@ -456,6 +500,7 @@ def test_an_arrive_cohort_of_frames_equals_its_arrivals_one_by_one(
                 Cohort(now, "arrive", ids, Columns(steps, losses, wires))
             )
         else:
+            as_per_event_reference(trainer)
             for i, worker_id in enumerate(ids):
                 trainer._on_arrive(Event(
                     time=now, kind="arrive", worker_id=worker_id,
@@ -559,4 +604,5 @@ def test_async_server_stage_is_bit_identical_to_the_parent_stage(name):
     # there is an inter-server wire, none when there is one actor.
     saved = steps * (trainer.service.num_actors > 1)
     assert trainer.events_dispatched == ref_trainer.events_dispatched - saved
-    assert len(trainer._loop._handlers) == 6
+    assert set(trainer._loop._handlers) == {"update-done"}
+    assert set(trainer._loop._run_handlers) == RUN_KINDS

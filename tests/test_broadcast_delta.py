@@ -206,13 +206,13 @@ class TestFullStateFallback:
         # Simulate an eviction beyond retain_versions (as after a restore).
         trainer.server.release_version(held)
         del trainer.server._version_log[held]
-        parameters, nbytes, is_delta = trainer._encode_broadcast(worker_id)
-        assert not is_delta  # full-state resync
-        assert nbytes == trainer.cost_model.gradient_bytes(trainer.server.dim)
+        [(_, parameters)], nbytes, is_delta = trainer._frame_fetches([worker_id])
+        assert not is_delta[0]  # full-state resync
+        assert nbytes[0] == trainer.cost_model.gradient_bytes(trainer.server.dim)
         np.testing.assert_array_equal(parameters, trainer.server.parameters)
         # The session re-synced and the next fetch is a delta again.
-        _, _, is_delta = trainer._encode_broadcast(worker_id)
-        assert is_delta
+        _, _, is_delta = trainer._frame_fetches([worker_id])
+        assert is_delta[0]
 
     def test_worker_versions_stay_pinned_during_training(
         self, tiny_dataset, tiny_model_kwargs

@@ -71,10 +71,13 @@ class TestEventQueue:
         )
         run = queue.pop_run(math.inf)
         assert isinstance(run, Cohort) and [e.worker_id for e in run] == [0, 1, 2]
-        # A run of one is its event.
-        assert queue.pop_run(math.inf, kinds={"a"}).worker_id == 3
-        assert queue.pop_run(1).worker_id == 4
-        assert queue.pop_run(math.inf, kinds={"a"}).worker_id == 5
+        # A run of one is a cohort of one, whatever the budget; a kind
+        # outside *kinds* pops as its event.
+        run = queue.pop_run(math.inf, kinds={"a"})
+        assert isinstance(run, Event) and run.worker_id == 3
+        for budget, worker_id in ((1, 4), (math.inf, 5)):
+            run = queue.pop_run(budget, kinds={"a"})
+            assert isinstance(run, Cohort) and [e.worker_id for e in run] == [worker_id]
         with pytest.raises(TrainingError):
             queue.pop_run(math.inf)
 
@@ -197,7 +200,6 @@ class TestRunHandlers:
     def _recording_loop():
         loop = EventLoop()
         log = []
-        loop.on("a", lambda e: log.append(("one", [e.worker_id])))
         loop.on("b", lambda e: log.append(("b", [e.worker_id])))
         loop.on_run("a", lambda run: log.append(("run", [e.worker_id for e in run])))
         return loop, log
@@ -212,15 +214,22 @@ class TestRunHandlers:
         dispatched = loop.run_until(lambda: not loop.queue)
         assert dispatched == 6
         assert log == [
-            ("run", [0, 1]), ("b", [2]), ("one", [3]), ("run", [4, 5]),
+            ("run", [0, 1]), ("b", [2]), ("run", [3]), ("run", [4, 5]),
         ]
         assert loop.clock.now == 1.0
 
-    def test_a_run_of_one_reaches_the_per_event_handler(self):
-        loop, log = self._recording_loop()
-        loop.schedule("a", 0.0, worker_id=7)
-        assert loop.run_until(lambda: not loop.queue) == 1
-        assert log == [("one", [7])]
+    def test_a_run_of_one_reaches_the_run_handler_as_a_cohort(self):
+        loop = EventLoop()
+        runs = []
+        loop.on_run("a", runs.append)
+        loop.schedule("a", 0.0, worker_id=7, payload="p")
+        loop.schedule_cohorts("a", np.array([1.0]), [8], ["q"])
+        assert loop.run_until(lambda: not loop.queue) == 2
+        assert [type(run) for run in runs] == [Cohort, Cohort]
+        assert [[(e.time, e.worker_id, e.payload) for e in run] for run in runs] == [
+            [(0.0, 7, "p")], [(1.0, 8, "q")],
+        ]
+        assert runs[0].order == 0 and runs[1].order == 1
 
     def test_kinds_without_a_run_handler_dispatch_per_event(self):
         loop, log = self._recording_loop()
@@ -239,7 +248,6 @@ class TestRunHandlers:
                 # Scheduled *now*: equal (time, kind) to the run in flight.
                 loop.schedule_many(("a", run[0].time, 10 + e.worker_id, None) for e in run)
 
-        loop.on("a", lambda e: log.append([e.worker_id]))
         loop.on_run("a", on_run)
         for worker_id in range(3):
             loop.schedule("a", 0.0, worker_id=worker_id)
@@ -255,17 +263,24 @@ class TestRunHandlers:
         # Exactly max_events were popped; the rest are still queued.
         assert log == [("run", [0, 1, 2])]
         assert len(loop.queue) == 2
-        # A budget of one leaves a run of one: the per-event handler.
+        # A budget of one leaves a run of one, still the run handler's.
         with pytest.raises(TrainingError, match="livelock"):
             loop.run_until(lambda: False, max_events=1)
-        assert log[-1] == ("one", [3])
+        assert log[-1] == ("run", [3])
 
     def test_step_always_dispatches_a_single_event(self):
         loop, log = self._recording_loop()
         loop.schedule("a", 0.0, worker_id=0)
         loop.schedule("a", 0.0, worker_id=1)
-        assert loop.step().worker_id == 0
-        assert log == [("one", [0])]
+        loop.schedule("b", 0.0, worker_id=2)
+        # A run kind's head reaches its run handler as a cohort of one ...
+        run = loop.step()
+        assert isinstance(run, Cohort) and [e.worker_id for e in run] == [0]
+        assert log == [("run", [0])]
+        loop.step()
+        # ... any other kind's its per-event handler as the event.
+        assert loop.step().worker_id == 2
+        assert log == [("run", [0]), ("run", [1]), ("b", [2])]
 
     def test_cancelled_heads_neither_join_nor_split_a_run(self):
         loop, log = self._recording_loop()
@@ -281,12 +296,21 @@ class TestRunHandlers:
         with pytest.raises(ConfigurationError, match="already has a run handler"):
             loop.on_run("a", lambda run: None)
 
+    def test_a_kind_takes_one_handler_per_event_or_per_run_not_both(self):
+        loop = EventLoop()
+        loop.on_run("a", print)
+        loop.on("b", print)
+        with pytest.raises(ConfigurationError, match="'a' already has a run handler"):
+            loop.on("a", print)
+        with pytest.raises(ConfigurationError, match="'b' already has a handler"):
+            loop.on_run("b", print)
+        assert loop._handlers == {"b": print} and loop._run_handlers == {"a": print}
+
     def test_profiler_brackets_one_dispatch_per_run(self):
         from repro.cluster.profiler import SimProfiler
 
         profiler = SimProfiler()
         loop = EventLoop(profiler=profiler)
-        loop.on("a", lambda e: None)
         loop.on_run("a", lambda run: None)
         for worker_id in range(4):
             loop.schedule("a", 0.0, worker_id=worker_id)

@@ -428,11 +428,13 @@ class QueueAgainstFrozenHeap(RuleBasedStateMachine):
             return
         run = self.live.pop_run(budget, kinds)
         got = [run] if isinstance(run, Event) else list(run)
-        if kinds is not None and self.frozen.peek().kind not in kinds:
+        alone = kinds is not None and self.frozen.peek().kind not in kinds
+        if alone:
             budget = 1  # a kind without a run handler pops alone
         want = reference.pop_run(self.frozen, budget)
-        # A run of one is its event, a longer run one cohort.
-        assert isinstance(run, Event) == (len(want) == 1)
+        # A run kind's run is one cohort, a run of one included; any other
+        # kind pops as its event.
+        assert isinstance(run, Event) == alone
         assert [_key(e) for e in got] == [_key(e) for e in want]
         assert [e.payload for e in got] == [e.payload for e in want]
         assert all(e._queue is None for e in got)

@@ -14,6 +14,9 @@ from repro.cluster.link import (
 )
 from repro.cluster.trainer import TrainerConfig
 from repro.exceptions import ConfigurationError
+from tests.async_reference import (
+    solo_seconds as frozen_solo_seconds, uplink_seconds as frozen_uplink_seconds,
+)
 
 
 class TestProfileParsing:
@@ -170,18 +173,22 @@ class TestLinkFabric:
     def test_solo_seconds_without_topology_delegates_to_cost_model(self):
         cost = CostModel()
         fabric = LinkFabric(cost, None)
-        assert fabric.solo_seconds(3, 1234.0) == cost.transfer_time(1234.0)
-        assert fabric.uplink_seconds(3, 1234.0, 0.5) == 0.5
+        assert fabric.solo_seconds_batch([3], [1234.0]).tolist() == [cost.transfer_time(1234.0)]
+        assert fabric.uplink_seconds_batch([3], [1234.0], [0.5]).tolist() == [0.5]
+        assert frozen_solo_seconds(fabric, 3, 1234.0) == cost.transfer_time(1234.0)
+        assert frozen_uplink_seconds(fabric, 3, 1234.0, 0.5) == 0.5
 
     def test_solo_seconds_composes_path_minimum_and_latency_sum(self):
         cost = CostModel(bandwidth_gbps=80e-9, latency_s=0.5)  # 10 B/s base
         fabric = LinkFabric(cost, self._topology())
+        solo = fabric.solo_seconds_batch([0, 1, 2], np.full(3, 10.0))
         # fast region: base rate, base latency.
-        assert fabric.solo_seconds(0, 10.0) == pytest.approx(1.0 + 0.5)
+        assert solo[0] == pytest.approx(1.0 + 0.5)
         # slow region: 1 B/s bottleneck, +1 s region latency.
-        assert fabric.solo_seconds(1, 10.0) == pytest.approx(10.0 + 1.5)
+        assert solo[1] == pytest.approx(10.0 + 1.5)
         # worker 2: 0.5 B/s access cap, +0.25 s access latency on top.
-        assert fabric.solo_seconds(2, 10.0) == pytest.approx(20.0 + 1.75)
+        assert solo[2] == pytest.approx(20.0 + 1.75)
+        assert solo.tolist() == [frozen_solo_seconds(fabric, w, 10.0) for w in range(3)]
 
     def test_simulate_contends_per_region_only(self):
         cost = CostModel(bandwidth_gbps=8e-9, latency_s=0.0)  # 1 B/s everywhere
@@ -214,16 +221,17 @@ class TestLinkFabric:
         return CostModel(bandwidth_gbps=0.1, latency_s=0.001), topology
 
     def test_batch_pricing_equals_the_scalar_methods(self):
+        """The batch pricing ``==`` the frozen per-worker pricing, entry by entry."""
         cost, topology = self._mixed()
         fabric = LinkFabric(cost, topology)
         worker_ids = [5, 0, 9, 3, 12, 7, 5]
         nbytes = np.array([3520.0, 0.0, 1.0, 2.0**20 + 0.5, 250.0, 99370.0 * 4, 17.0])
         channel = np.array([0.5, 0.001, 0.25, 900.0, 0.002, 40.0, 0.0])
         assert fabric.solo_seconds_batch(worker_ids, nbytes).tolist() == [
-            fabric.solo_seconds(w, b) for w, b in zip(worker_ids, nbytes.tolist())
+            frozen_solo_seconds(fabric, w, b) for w, b in zip(worker_ids, nbytes.tolist())
         ]
         assert fabric.uplink_seconds_batch(worker_ids, nbytes, channel).tolist() == [
-            fabric.uplink_seconds(w, b, c)
+            frozen_uplink_seconds(fabric, w, b, c)
             for w, b, c in zip(worker_ids, nbytes.tolist(), channel.tolist())
         ]
         with pytest.raises(ConfigurationError, match="worker 4 has no region"):

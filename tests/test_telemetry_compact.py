@@ -17,6 +17,7 @@ from repro.cluster.builder import build_trainer
 from repro.cluster.telemetry import TrainingHistory
 from repro.cluster.trainer import TrainerConfig
 from repro.data.datasets import gaussian_blobs
+from repro.exceptions import ConfigurationError
 
 
 def dumps(document) -> str:
@@ -91,3 +92,43 @@ def test_record_version_lag_batch_counts_in_first_occurrence_order():
         (0, 5), (2, 2), (1, 2), (3, 1), (5, 2), (4, 1)
     ]
     assert all(type(lag) is int for lag in history.version_lag_counts)
+
+
+@pytest.mark.parametrize("size", [1, 4, 1000])
+def test_record_wire_batch_equals_record_wire_per_worker(size):
+    """One batch ``==`` its members one by one, in both stores, at every size.
+
+    The ids include repeats, an id never registered and one past the row
+    table (both registered on the way), and the fetches mix full and delta
+    frames and zero-byte rows.
+    """
+    rng = np.random.default_rng(size)
+    ids = rng.integers(0, 12, size=size).tolist()
+    ids[-1] = 40 + size  # past every table
+    sent, received, queued, error = (rng.random(size) * 100 for _ in range(4))
+    received[rng.random(size) < 0.3] = 0.0
+    delta = rng.random(size) < 0.5
+    regions = [("east", "west", None)[i % 3] for i in range(size)]
+    for compact in (True, False):
+        batched, single = TrainingHistory(compact=compact), TrainingHistory(compact=compact)
+        for history in (batched, single):
+            history.register_workers(range(8))
+        batched.record_wire_batch(
+            ids, bytes_sent=sent, bytes_received=received, queueing_delay=queued,
+            compression_error=error, downlink_delta=delta, regions=regions,
+        )
+        for i, wid in enumerate(ids):
+            single.record_wire(
+                wid, bytes_sent=float(sent[i]), bytes_received=float(received[i]),
+                queueing_delay=float(queued[i]), compression_error=float(error[i]),
+                downlink_delta=bool(delta[i]), region=regions[i],
+            )
+        assert dumps(batched.to_dict()) == dumps(single.to_dict())
+        assert batched.region_queueing_seconds == single.region_queueing_seconds
+
+
+def test_record_wire_batch_refuses_a_negative_id_in_compact_mode():
+    history = TrainingHistory(compact=True)
+    history.register_workers([0, 1])
+    with pytest.raises(ConfigurationError, match="non-negative worker ids, got -1"):
+        history.record_wire_batch([1, -1], bytes_sent=np.ones(2))

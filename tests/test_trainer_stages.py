@@ -1,11 +1,12 @@
 """The worker-side stage contract: one body per stage on ``BaseTrainer``.
 
 The lock-step step and the async run handlers are sequences of calls to four
-stage methods (fetch framing, compute, encode, uplink pricing); the async
-per-event handlers are the run-of-one spelling, whose scalar ``_encode`` and
-per-channel ``transfer_frame`` the two array stages must equal bit for bit on
-any subset and order of fleet rows — the error-feedback row store and every
-PRNG stream included.  Two tests count callers in the syntax tree, so a
+stage methods (fetch framing, compute, encode, uplink pricing), which must
+equal the scalar stages frozen in ``tests/async_reference.py`` — one
+``_encode`` or ``_encode_broadcast`` per worker — and a per-channel
+``transfer_frame`` bit for bit on any subset and order of fleet rows (a
+subset of one included: a straggler's run of one takes the same stages) — the
+error-feedback row store and every PRNG stream included.  Two tests count callers in the syntax tree, so a
 second spelling of a stage, or a second gradient function, cannot come back
 unnoticed.  The server side closes a round in one place as well: the last
 tests count its callers the same way and pin what the close owns — the update
@@ -26,6 +27,7 @@ from repro.cluster.codec import decode_frame
 from repro.cluster.sync import ArrivalBatch
 from repro.data.datasets import load_dataset
 from repro.exceptions import TrainingError
+from tests.async_reference import RUN_KINDS, ScalarWireStages
 
 NUM_WORKERS = 9  # worker 0 is Byzantine: fleet rows 0..7 are worker ids 1..8
 NUM_HONEST = 8
@@ -61,6 +63,12 @@ def _build(dataset, **kwargs):
         num_workers=NUM_WORKERS, num_byzantine=1, attack="sign-flip", declared_f=1,
         gar="median", seed=11, **kwargs,
     )
+
+
+def _scalar(trainer):
+    """*trainer* with the frozen per-worker wire stages beside its batched ones."""
+    trainer.__class__ = type("Scalar" + type(trainer).__name__, (ScalarWireStages, type(trainer)), {})
+    return trainer
 
 
 def _gradients(seed, count, dim):
@@ -101,7 +109,7 @@ def test_encode_stage_equals_sequential_scalar_encodes(
     dataset, codec, error_feedback, rounds, seed
 ):
     staged = _build(dataset, error_feedback=error_feedback, **CODECS[codec])
-    scalar = _build(dataset, error_feedback=error_feedback, **CODECS[codec])
+    scalar = _scalar(_build(dataset, error_feedback=error_feedback, **CODECS[codec]))
     dim = staged.server.dim
     for number, rows in enumerate(rounds):
         gradients = _gradients(seed + number, len(rows), dim)
@@ -150,7 +158,7 @@ def test_fetch_stage_equals_sequential_scalar_broadcasts(dataset, codec, rounds)
     fetches (full-state resyncs) with deltas against replicas of several
     versions, and a worker may fetch twice in one round.
     """
-    staged, scalar = (_build(dataset, **BROADCASTS[codec]) for _ in range(2))
+    staged, scalar = _build(dataset, **BROADCASTS[codec]), _scalar(_build(dataset, **BROADCASTS[codec]))
     step = np.random.default_rng(len(rounds)).standard_normal(staged.server.dim)
     for ids in rounds:
         snapshots, nbytes, deltas = staged._frame_fetches(ids)
@@ -177,7 +185,7 @@ def test_uplink_pricing_equals_per_row_transfer_frame(dataset, codec, rounds, se
     )
     staged = _build(dataset, **channels, **CODECS[codec])
     scalar = _build(dataset, **channels, **CODECS[codec])
-    assert staged._uplink_transparent().tolist() == [w not in (3, 7, 8) for w in range(1, 9)]
+    assert staged._uplink_opaque.tolist() == [w in (3, 7, 8) for w in range(1, 9)]
     dim = staged.server.dim
     for number, rows in enumerate(rounds):
         gradients = _gradients(seed + number, len(rows), dim)
@@ -237,13 +245,14 @@ def test_each_worker_stage_has_exactly_one_calling_function():
     # One compute stage in both modes and both engines: the stacked pass.
     assert _callers(tree, "compute_gradient") == set()
     assert _callers(tree, "compute_stacked") == {"_exact_gradients"}
-    assert _callers(tree, "_exact_gradients") == {"_compute_gradients", "_on_compute"}
+    assert _callers(tree, "_exact_gradients") == {"_compute_gradients"}
     assert _callers(tree, "open_many") == {"_open_run_sessions"}
-    # Honest uplinks: the batched ideal wire time is priced in one place, and
-    # the only other transfer_frame calls are the per-event push and the
+    # Honest uplinks: the ideal wire time of a batch's one frame size is
+    # priced in one place, and the only other transfer_frame call is the
     # lock-step step's raw Byzantine frames.
-    assert _callers(tree, "transfer_time_batch") == {"_price_uplinks"}
-    assert _callers(tree, "transfer_frame") == {"_price_uplinks", "_on_push", "_collect_arrivals"}
+    assert _callers(tree, "transfer_time") == {"_price_uplinks"}
+    assert _callers(tree, "transfer_time_batch") == set()
+    assert _callers(tree, "transfer_frame") == {"_price_uplinks", "_collect_arrivals"}
     # Both engines are made of the four stages.
     for stage in ("_frame_fetches", "_compute_gradients", "_encode_rows", "_price_uplinks"):
         callers = _callers(tree, stage)
@@ -253,11 +262,24 @@ def test_each_worker_stage_has_exactly_one_calling_function():
         }, stage
         assert len(callers) == 2, (stage, callers)
     # One admission body per form: the per-arrival body is the pool's one
-    # ``put`` caller, and both ``arrive`` handlers (and nothing else) run it;
-    # the run handler's bulk write of plain arrivals is the one ``put_many``.
+    # ``put`` caller, and the ``arrive`` handler (and nothing else) runs it;
+    # its bulk write of plain arrivals is the one ``put_many``.
     assert _callers(tree, "put") == {"_admit_arrival"}
-    assert _callers(tree, "_admit_arrival") == {"_on_arrive", "_on_arrive_batch"}
+    assert _callers(tree, "_admit_arrival") == {"_on_arrive_batch"}
     assert _callers(tree, "put_many") == {"_on_arrive_batch"}
+
+
+def test_the_async_engine_registers_one_handler_per_kind(dataset):
+    """Each run kind has its run handler and no per-event one; ``update-done`` the reverse."""
+    trainer = _build(dataset, mode="async", sync_policy="quorum")
+    loop = trainer._loop
+    assert set(loop._run_handlers) == RUN_KINDS
+    assert set(loop._handlers) == {"update-done"}
+    # No per-event twin of a stage is left on the trainer either.
+    for kind in RUN_KINDS:
+        assert not hasattr(trainer, "_on_" + kind), kind
+    for scalar in ("_encode", "_encode_broadcast"):
+        assert not hasattr(trainer, scalar), scalar
 
 
 def test_one_function_in_src_computes_a_stacked_gradient():

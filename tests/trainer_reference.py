@@ -77,13 +77,21 @@ the run kinds — a same-instant run of link events across pipes is swept by
 one handler — so :func:`as_per_event_reference` pins five registered run
 handlers before clearing them.  Bodies here unchanged.
 
-The per-event async handlers need no frozen copy:
-:class:`~repro.cluster.events.EventLoop` owns the run coalescing, so
-:func:`as_per_event_reference` turns a live ``AsyncTrainer`` into its own
-per-event reference by unregistering the run handlers (every run is then a
-run of one and reaches ``_on_fetch`` / ``_on_compute`` / ``_on_push`` /
-``_on_arrive``).  The
-event-driven *server stage* does: :class:`ReferenceAsyncTrainer` freezes the
+NOTE (eleventh sanctioned edit, "one async handler per stage"): every async
+dispatch reaches one handler per stage, a run of one as a cohort of one, so
+the per-event async handlers and the scalar stages only they called left
+``src/`` for ``tests/async_reference.py``, and :func:`as_per_event_reference`
+moved there with them.  The lock-step reference borrows the frozen scalar
+``_encode_broadcast`` / ``_encode`` from its :class:`ScalarWireStages`
+(``as_loop_reference`` now asserts they are gone from ``BaseTrainer``) and
+prices its solo paths with the frozen ``solo_seconds`` / ``uplink_seconds``
+functions of the fabric instead of the retired ``LinkFabric`` methods (two
+call sites, same arguments).  :class:`ReferenceAsyncTrainer` extends the
+frozen per-event trainer, so ``as_server_stage_reference``'s per-event
+``arrive`` handler is the frozen ``_on_arrive``.  Bodies here otherwise
+unchanged.
+
+The event-driven *server stage* is frozen too: :class:`ReferenceAsyncTrainer` freezes the
 parent's ``_maybe_aggregate`` / ``_on_gather`` / ``_aggregate_pending`` /
 ``_distance_round_begin_batch`` — the quorum fill that schedules a seventh
 event kind, ``gather``, ahead of ``update-done`` under a multi-actor
@@ -107,6 +115,10 @@ from repro.cluster.sync import ArrivalBatch
 from repro.cluster.trainer import AsyncTrainer, BaseTrainer, SynchronousTrainer
 from repro.cluster.worker import craft_fleet
 from repro.exceptions import TrainingError
+from tests.async_reference import (
+    PerEventAsyncTrainer, ScalarWireStages, per_event_handlers,
+    solo_seconds as frozen_solo_seconds, uplink_seconds as frozen_uplink_seconds,
+)
 from tests.replica_reference import compute_gradient
 from tests.sync_reference import ArrivalEvent, SyncDecision, frozen_twin
 
@@ -197,7 +209,9 @@ class _ParentStepRecording:
         )
 
 
-class ReferenceSynchronousTrainer(_ParentServiceGate, _ParentStepRecording, SynchronousTrainer):
+class ReferenceSynchronousTrainer(
+    _ParentServiceGate, _ParentStepRecording, ScalarWireStages, SynchronousTrainer
+):
     """``SynchronousTrainer`` with the parent's per-worker stage bodies."""
 
     def _compute_time(self, worker, dim: int) -> float:
@@ -296,7 +310,7 @@ class ReferenceSynchronousTrainer(_ParentServiceGate, _ParentStepRecording, Sync
             floor = max(downlink_times)
         else:
             downlink_times = [
-                self.fabric.solo_seconds(w.worker_id, fetches[w.worker_id][1])
+                frozen_solo_seconds(self.fabric, w.worker_id, fetches[w.worker_id][1])
                 for w in honest
             ]
             downlink_delays = [0.0] * len(honest)
@@ -381,8 +395,8 @@ class ReferenceSynchronousTrainer(_ParentServiceGate, _ParentStepRecording, Sync
                 uplink_delays[i] = delay
         else:
             for i in range(num_honest):
-                path_times[i] += self.fabric.uplink_seconds(
-                    honest[i].worker_id, frames[i].nbytes, solo_seconds[i]
+                path_times[i] += frozen_uplink_seconds(
+                    self.fabric, honest[i].worker_id, frames[i].nbytes, solo_seconds[i]
                 )
 
         events: List[ArrivalEvent] = []
@@ -549,24 +563,17 @@ def as_loop_reference(trainer: SynchronousTrainer) -> SynchronousTrainer:
     # and the differential grid comparing the live path with itself.
     for stage in ("_collect_arrivals", "run_step"):
         assert stage in SynchronousTrainer.__dict__, stage
-    for stage in ("_frame_fetches", "_compute_gradients", "_encode_rows",
-                  "_price_uplinks", "_encode"):
+    for stage in ("_frame_fetches", "_compute_gradients", "_encode_rows", "_price_uplinks"):
         assert stage in BaseTrainer.__dict__, stage
         assert stage not in ReferenceSynchronousTrainer.__dict__, stage
+    for stage in ("_encode_broadcast", "_encode"):
+        assert stage not in BaseTrainer.__dict__, stage
     trainer.__class__ = ReferenceSynchronousTrainer
     trainer.sync_policy = frozen_twin(trainer.sync_policy)
     return trainer
 
 
-def as_per_event_reference(trainer: AsyncTrainer) -> AsyncTrainer:
-    """Unregister the run handlers: every event reaches its per-event handler."""
-    assert type(trainer) is AsyncTrainer
-    assert set(trainer._loop._run_handlers) == {"fetch", "compute", "push", "arrive", "link"}
-    trainer._loop._run_handlers.clear()
-    return trainer
-
-
-class ReferenceAsyncTrainer(_ParentServiceGate, AsyncTrainer):
+class ReferenceAsyncTrainer(_ParentServiceGate, PerEventAsyncTrainer):
     """``AsyncTrainer`` with the parent's event-driven server stage."""
 
     GATHER = "gather"
@@ -683,11 +690,11 @@ def as_server_stage_reference(trainer: AsyncTrainer) -> AsyncTrainer:
     """Re-class a built ``AsyncTrainer`` onto the parent's server stage.
 
     The handlers registered at construction stay bound to the live class
-    (``_on_arrive`` and ``_on_update_done`` reach ``_maybe_aggregate`` through
-    ``self``, so they find the frozen one); only ``gather``, which the live
-    vocabulary no longer has, needs registering.  Arrivals are dispatched
-    per event, as the parent did: the live ``arrive`` run handler spaces its
-    consultations by what the live ``_maybe_aggregate`` returns.
+    (``_on_update_done`` reaches ``_maybe_aggregate`` through ``self``, so it
+    finds the frozen one); ``gather``, which the live vocabulary no longer
+    has, needs registering.  Arrivals are dispatched per event, as the
+    parent did, to the frozen ``_on_arrive``: the live ``arrive`` run handler
+    spaces its consultations by what the live ``_maybe_aggregate`` returns.
     """
     assert type(trainer) is AsyncTrainer
     # A stage renamed under ``src/`` would leave its override here unreached
@@ -697,4 +704,5 @@ def as_server_stage_reference(trainer: AsyncTrainer) -> AsyncTrainer:
     trainer.__class__ = ReferenceAsyncTrainer
     trainer._loop.on(ReferenceAsyncTrainer.GATHER, trainer._on_gather)
     del trainer._loop._run_handlers["arrive"]
+    trainer._loop.on_each(per_event_handlers(trainer, {"arrive"}))
     return trainer
