@@ -89,7 +89,6 @@ def build_trainer(
     sync_policy: Union[str, SyncPolicy] = "full-sync",
     sync_kwargs: Optional[dict] = None,
     max_version_lag: Optional[int] = None,
-    retain_versions: Optional[int] = 64,
     straggler_model: Optional[StragglerModel] = None,
     codec: Union[str, WireCodec] = "identity",
     codec_k: Optional[int] = None,
@@ -198,11 +197,6 @@ def build_trainer(
         Async mode only (refused under ``mode="sync"``): hard bound on the
         version lag of admitted gradients; ``None`` defers to the policy
         (``tau`` for bounded staleness, unbounded for plain quorum).
-    retain_versions:
-        How many historical parameter vectors the server's versioned store
-        keeps for :meth:`~repro.cluster.server.ParameterServer.parameters_at`
-        (bounded by default so long runs hold O(retain * d) memory, far more
-        than any realistic staleness bound; ``None`` retains every version).
     straggler_model:
         Optional heavy-tailed per-step compute slowdown sampling for the
         honest workers (drawn from a dedicated RNG stream, so enabling it
@@ -219,13 +213,13 @@ def build_trainer(
         The default identity codec is bit-identical to the seed wire.
     broadcast_codec, broadcast_k, broadcast_bits:
         The downlink codec (``--broadcast-codec`` analogue): when set, model
-        fetches travel as codec-encoded version deltas against each worker's
-        held state (with a full-state resync whenever the held version was
-        evicted past ``retain_versions``).  Any registered codec name or
-        instance composes; ``broadcast_k`` / ``broadcast_bits`` mirror
-        ``codec_k`` / ``quantize_bits``.  ``None`` (default) keeps the raw
-        ``4d`` full-state framing, and the identity broadcast codec stays
-        bit-identical to it in both trajectory and priced bytes.
+        fetches travel as codec-encoded deltas against each worker's held
+        replica (a worker's first fetch is a full-state frame).  Any
+        registered codec name or instance composes; ``broadcast_k`` /
+        ``broadcast_bits`` mirror ``codec_k`` / ``quantize_bits``.
+        ``None`` (default) keeps the raw ``4d`` full-state framing, and the
+        identity broadcast codec stays bit-identical to it in both
+        trajectory and priced bytes.
     error_feedback:
         Whether honest workers carry their codec residual into the next
         round (EF-SGD memory compensation; default on, a no-op under the
@@ -436,7 +430,6 @@ def build_trainer(
         gar_instance,
         optimizer_instance,
         expected_workers=list(range(num_workers)),
-        retain_versions=retain_versions,
         distance_cache=DistanceCache() if distance_cache else None,
     )
 

@@ -158,10 +158,10 @@ class TrainingState:
     #: (0.0 without a distance cache — and in older archives).
     distance_warm_debt: float = 0.0
     #: Parameter-service fabric state (:meth:`ServerFabric.state_dict`):
-    #: every shard's slice digest of the checkpointed version, the versions
-    #: pinned for live delta broadcasts, and the cumulative interserver
-    #: counters.  ``None`` only in archives written before the parameter
-    #: service existed (a one-actor fabric accepts them, others refuse).
+    #: every shard's slice digest of the checkpointed version and the
+    #: cumulative interserver counters.  ``None`` only in archives written
+    #: before the parameter service existed (a one-actor fabric accepts
+    #: them, others refuse).
     service_state: Optional[Dict] = None
 
 
@@ -293,13 +293,6 @@ def restore_training_state(trainer, state: TrainingState) -> None:
             version=int(version),
             replica=np.asarray(replica, dtype=np.float64).copy(),
         )
-        # server.restore restarted the version log from the restored
-        # version alone; re-register each session's held version (with its
-        # replica as the best-known vector) and re-pin it, so resumed runs
-        # keep delta-broadcasting instead of forcing a full-state resync
-        # the uninterrupted run never paid for.
-        trainer.server.track_version(version, replica)
-        trainer.server.pin_version(version)
     # The fabric refuses an archive of another topology and verifies each
     # shard's slice digest of the restored version against the store.
     trainer.service.restore_state(state.service_state)

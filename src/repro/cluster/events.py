@@ -20,7 +20,7 @@ Both trainers honour this ordering:
   agree bit for bit);
 * :class:`~repro.cluster.trainer.AsyncTrainer` runs every worker's
   fetch → compute → transfer loop as chained events on an
-  :class:`EventLoop` against the server's versioned model store, letting
+  :class:`EventLoop` against the server's versioned model, letting
   staleness and pipelining emerge naturally.  Its fetch / compute / push /
   arrive herds are dispatched as *runs* (see :meth:`EventLoop.on_run`) and
   scheduled as *cohorts* (:meth:`EventLoop.schedule_cohorts`).

@@ -356,13 +356,18 @@ class LinkScheduler:
         payload)`` tuples admitted in order.  Equivalent to calling
         :meth:`open` once per spec — admission order, session ids and every
         float are identical — but the piecewise drain to *now* runs once
-        for the whole burst instead of once per session (the per-session
-        calls after the first are no-op re-advances to the same instant,
-        pure call overhead at herd scale).
+        for the whole burst instead of once per session.  The per-session
+        re-advances to the same instant are no-ops, pure call overhead at
+        herd scale, except at a clock whose ulp exceeds the least drain
+        time: there a re-advance can snap a residue closed between two
+        admissions, so the burst re-advances as :meth:`open` would.
         """
         self.advance(now)
+        readvance = self._now + self._least_drain_s == self._now
         sessions = []
         for nbytes, worker_id, kwargs, payload in specs:
+            if readvance and sessions:
+                self.advance(now)
             sessions.append(
                 self._admit(
                     now, nbytes, worker_id=worker_id, payload=payload, **kwargs

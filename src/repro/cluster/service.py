@@ -278,7 +278,7 @@ class ServerFabric:
     ----------
     server:
         The authoritative :class:`~repro.cluster.server.ParameterServer`.
-        Its versioned store stays the single source of truth for values;
+        Its current model stays the single source of truth for values;
         the fabric owns the per-shard systems view (routing, wire pricing,
         version digests).
     cost_model:
@@ -611,12 +611,9 @@ class ServerFabric:
         """JSON-serialisable fabric state for checkpoints.
 
         Covers, per shard, the slice digest of the version being
-        checkpointed (the only one whose bytes the archive carries, hence
-        the only one :meth:`restore_state` can verify), the pinned versions
-        each shard must keep for live delta broadcasts, and the cumulative
-        interserver counters.
+        checkpointed (the only model the archive carries and the server
+        holds), and the cumulative interserver counters.
         """
-        pins = self.server.pinned_versions()
         version = self.server.version
         parameters = self.server.parameters
         return {
@@ -631,7 +628,6 @@ class ServerFabric:
                     "versions": {
                         str(version): _slice_digest(parameters, shard.lo, shard.hi).hex()
                     },
-                    "pins": {str(pinned): count for pinned, count in sorted(pins.items())},
                 }
                 for shard in self.shards
             ],
@@ -644,12 +640,10 @@ class ServerFabric:
         recorded slice digest of the *restored* version is verified against
         the store's bytes — the checkpoint's own ``parameters`` — so a
         corrupted or mismatched archive fails loudly instead of resuming
-        from silently divergent shards.  Held versions are not compared: the
-        checkpoint layer re-registers them from the workers' replicas
-        (:meth:`~repro.cluster.server.ParameterServer.track_version`),
-        reconstructions that are exact only under a lossless broadcast codec
-        and never consulted as delta bases.  The counters restart from the
-        checkpointed cumulative values.
+        from silently divergent shards.  Archives that still carry a shard's
+        ``"pins"`` (written when the server kept past versions) load: the
+        entry is not read.  The counters restart from the checkpointed
+        cumulative values.
 
         One-actor deployments are one deployment under three spellings, so
         a one-actor fabric takes any one-actor archive: ``single``,

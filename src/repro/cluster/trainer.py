@@ -42,7 +42,7 @@ many servers there are:
 :class:`AsyncTrainer`
     The event-driven server actor.  Each worker runs its own
     fetch → compute → transfer loop as chained events against the server's
-    versioned model store; the synchrony policy acts as an
+    versioned model; the synchrony policy acts as an
     :class:`~repro.cluster.sync.AdmissionPredicate` over the live event
     stream, staleness is measured against real model versions, Byzantine
     workers are event sources that observe honest traffic up to their firing
@@ -156,17 +156,16 @@ class DownlinkSession:
     Attributes
     ----------
     version:
-        The model version the worker currently holds (pinned in the server's
-        version store so the next ``version → current`` delta stays
-        computable).
+        The model version the worker currently holds.
     replica:
         The parameter vector the worker actually reconstructed from the
-        frames sent so far.  Deltas are computed against this replica rather
-        than the logged vector, which is downlink error feedback: whatever a
-        lossy broadcast codec failed to express last fetch is re-offered, so
-        the worker's reconstruction error stays one-step instead of
-        accumulating across rounds.  Lossless codecs keep the replica equal
-        to ``parameters_at(version)`` bit for bit.
+        frames sent so far.  The next delta is the current model minus this
+        replica, which is downlink error feedback: whatever a lossy
+        broadcast codec failed to express last fetch is re-offered, so the
+        worker's reconstruction error stays one-step instead of accumulating
+        across rounds.  Lossless codecs keep the replica equal to the
+        server's model at ``version`` bit for bit.  The server stores no
+        past model, so a worker holding a session always gets a delta.
     """
 
     version: int
@@ -442,13 +441,7 @@ class BaseTrainer:
     def _update_downlink(
         self, worker_id: int, version: int, replica: np.ndarray
     ) -> None:
-        """Move *worker_id*'s downlink session to *version*, re-pinning it."""
-        session = self._downlink.get(worker_id)
-        if session is None:
-            self.server.pin_version(version)
-        elif session.version != version:
-            self.server.release_version(session.version)
-            self.server.pin_version(version)
+        """Move *worker_id*'s downlink session to *version* and *replica*."""
         self._downlink[worker_id] = DownlinkSession(
             version=int(version),
             replica=np.asarray(replica, dtype=np.float64),
@@ -474,11 +467,11 @@ class BaseTrainer:
         broadcast bytes, and whether a delta frame crossed the wire.
         Without a broadcast codec every fetch is the same raw full-state
         frame, so one parameter snapshot is shared across the workers
-        instead of copied once each.  With one, each worker whose held
-        version is still stored gets a delta frame — the deltas are one
+        instead of copied once each.  With one, each worker holding a
+        downlink session gets a delta frame — the deltas are one
         ``encode_decode_batch`` in the given order, the order sequential
         encodes consume the codec's PRNG in — and every other worker a
-        full-state resync.  A worker fetching twice frames its second fetch
+        full-state frame.  A worker fetching twice frames its second fetch
         against its first, so the batch is cut before a repeat.
         """
         num = len(worker_ids)
@@ -500,7 +493,7 @@ class BaseTrainer:
                     self._frame_deltas(held, snapshots, nbytes, deltas)
                     held, holders = [], set()
                 session = self._downlink.get(worker_id)
-                if session is not None and server.has_version(session.version):
+                if session is not None:
                     held.append((i, worker_id, session.replica))
                     holders.add(worker_id)
                     continue
@@ -1113,7 +1106,7 @@ class AsyncTrainer(BaseTrainer):
     Every honest worker runs an independent fetch → compute → transfer loop
     as chained events; the server is a pure event consumer that buffers
     admitted arrivals and aggregates whenever the admission predicate's
-    quorum fills, while its versioned model store measures each gradient's
+    quorum fills, while its model version measures each gradient's
     staleness against real model versions.  Rounds overlap: a worker fetches
     the next model the moment it hands its gradient to the transport, so
     slow workers lag behind the version frontier instead of stalling it.

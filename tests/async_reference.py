@@ -23,6 +23,12 @@ for it, since the live sweep now takes its run as a cohort.  Everything else
 they call — ``_ready_at``, ``_exact_gradients``, ``_admit_arrival``,
 ``_schedule_with_links``, the triggers — is the live trainer's.
 
+NOTE (one sanctioned edit, "the server keeps the current model only"):
+``ParameterServer`` no longer stores past models, so ``_encode_broadcast``
+lost its ``has_version`` test (every held version was pinned, so it was
+never false) and frames its delta as ``server.parameters - session.replica``
+instead of ``delta_since(version, reference=replica)`` — the same floats.
+
 :func:`as_per_event_reference` re-classes a built ``AsyncTrainer`` onto
 :class:`PerEventAsyncTrainer` and swaps its five run handlers for these
 per-event ones, so every event is dispatched alone and schedules one
@@ -96,11 +102,10 @@ class ScalarWireStages:
 
         Without a broadcast codec this is the seed's raw ``4d`` framing of
         the current model.  With one, the server consults the worker's
-        :class:`DownlinkSession`: if the held version is still in the
-        versioned store, a ``held → current`` delta is codec-encoded
-        (against the worker's replica — downlink error feedback); if the
-        worker has never fetched or its version was evicted past
-        ``retain_versions``, a full-state resync is sent instead.  Lossless
+        :class:`DownlinkSession`: if the worker holds one, a
+        ``held → current`` delta is codec-encoded (against the worker's
+        replica — downlink error feedback); if the worker has never
+        fetched, a full-state frame is sent instead.  Lossless
         codecs reconstruct the exact target (a lossless float delta is a
         bitwise diff on a real wire), so the identity broadcast codec stays
         bit-identical to raw framing in both trajectory and priced bytes.
@@ -111,11 +116,11 @@ class ScalarWireStages:
             return server.parameters, raw_bytes, False
         target = server.version
         session = self._downlink.get(worker_id)
-        if session is None or not server.has_version(session.version):
+        if session is None:  # NOTE: edited since the freeze (module docstring)
             parameters = server.parameters
             self._update_downlink(worker_id, target, parameters)
             return parameters, raw_bytes, False
-        delta = server.delta_since(session.version, reference=session.replica)
+        delta = server.parameters - session.replica  # NOTE: edited since the freeze
         frame = encode_delta(
             self.broadcast_codec, delta,
             base_version=session.version, target_version=target,

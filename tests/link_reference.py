@@ -9,9 +9,10 @@ O(n) per link event and O(n^2) per pipe, and it is the definition of
 ``tests/test_link_scheduler.py`` drives both with the same random operation
 sequences and requires equal (``==``) floats, ids and orders after every
 operation, and ``benchmarks/test_link_scheduler_speed.py`` times the live
-scheduler against it.  Do not edit the class bodies below (two exceptions so
-far, each marked ``NOTE``: a crash fix in ``simulate`` and a livelock fix in
-``advance``, both applied identically to both sides).
+scheduler against it.  Do not edit the class bodies below (three exceptions
+so far, each marked ``NOTE``: a crash fix in ``simulate``, a livelock fix in
+``advance`` and ``open_many`` re-advancing between admissions as ``open``
+does, each applied identically to both sides).
 """
 
 from __future__ import annotations
@@ -212,6 +213,11 @@ class LinkScheduler:
         self.advance(now)
         sessions = []
         for nbytes, worker_id, kwargs, payload in specs:
+            # NOTE: edited since the freeze — the same fix as
+            # ``src/repro/cluster/link.py``: re-advance before each admission,
+            # as :meth:`open` does, so a residue that drains in less than the
+            # clock's ulp snaps closed between admissions here too.
+            self.advance(now)
             sessions.append(
                 self._admit(
                     now, nbytes, worker_id=worker_id, payload=payload, **kwargs

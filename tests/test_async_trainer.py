@@ -1,5 +1,7 @@
 """Tests for the event-driven async server actor (AsyncTrainer) and the
-versioned model store."""
+server's model version and update log."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,25 +83,8 @@ class TestAdmissionPredicate:
             AdmissionPredicate(quorum=3, max_version_lag=-1)
 
 
-# ------------------------------------------------------- versioned model store
+# ---------------------------------------------------- model version and update log
 class TestVersionedStore:
-    def test_version_log_and_parameters_at(self, tiny_dataset, tiny_model_kwargs):
-        trainer = build_trainer(
-            model="mlp", model_kwargs=tiny_model_kwargs, dataset=tiny_dataset,
-            gar="average", num_workers=5, batch_size=16, seed=0,
-        )
-        v0 = trainer.server.parameters
-        trainer.run_step()
-        trainer.run_step()
-        assert trainer.server.version == 2
-        assert trainer.server.retained_versions() == [0, 1, 2]
-        np.testing.assert_array_equal(trainer.server.parameters_at(0), v0)
-        np.testing.assert_array_equal(
-            trainer.server.parameters_at(2), trainer.server.parameters
-        )
-        with pytest.raises(ConfigurationError, match="not in the store"):
-            trainer.server.parameters_at(7)
-
     def test_update_log_records_batches(self, tiny_dataset, tiny_model_kwargs):
         trainer = build_trainer(
             model="mlp", model_kwargs=tiny_model_kwargs, dataset=tiny_dataset,
@@ -111,34 +96,26 @@ class TestVersionedStore:
         assert entry.num_gradients == 5
         assert entry.worker_ids == tuple(range(5))
 
-    def test_retention_bound_evicts_oldest(self, tiny_dataset, tiny_model_kwargs):
-        from repro.cluster import ParameterServer
-        from repro.core.average import Average
-        from repro.optim.sgd import SGD
-
-        server = ParameterServer(
-            np.zeros(4), Average(), SGD(learning_rate=1.0), retain_versions=2
-        )
-        for _ in range(3):
-            server.apply_update(np.ones(4))
-        assert server.retained_versions() == [2, 3]
-        with pytest.raises(ConfigurationError):
-            server.parameters_at(0)
-
-    def test_invalid_retention(self):
-        from repro.cluster import ParameterServer
-        from repro.core.average import Average
-        from repro.optim.sgd import SGD
-
-        with pytest.raises(ConfigurationError):
-            ParameterServer(np.zeros(4), Average(), SGD(), retain_versions=0)
-
-    def test_builder_bounds_retention_by_default(self, tiny_dataset, tiny_model_kwargs):
+    def test_the_server_heap_does_not_grow_with_the_version(self, tiny_dataset):
+        # The server keeps the current model only: 60 more versions of a
+        # d ~ 10^5 model must not leave 60 parameter copies behind.
         trainer = build_trainer(
-            model="mlp", model_kwargs=tiny_model_kwargs, dataset=tiny_dataset,
-            gar="average", num_workers=5, batch_size=16, seed=0,
+            model="mlp", model_kwargs={"input_dim": 8, "hidden": (1000, 90), "num_classes": 3},
+            dataset=tiny_dataset, gar="average", num_workers=7, batch_size=16, seed=0,
         )
-        assert trainer.server.retain_versions == 64
+        model_bytes = trainer.server.parameters.nbytes
+        assert model_bytes > 790_000
+        tracemalloc.start()
+        try:
+            trainer.run(TrainerConfig(max_steps=10, eval_every=0))
+            at_10, _ = tracemalloc.get_traced_memory()
+            for _ in range(60):
+                trainer.run_step()
+            at_70, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trainer.server.version == 70
+        assert at_70 - at_10 < model_bytes
 
 
 # --------------------------------------------------------------- async engine

@@ -51,60 +51,6 @@ class TestDeltaFraming:
         assert frame.base_version is None
 
 
-class TestServerVersionPinning:
-    def _server(self, tiny_dataset, tiny_model_kwargs, **overrides):
-        trainer = _build(tiny_dataset, tiny_model_kwargs, **overrides)
-        return trainer
-
-    def test_pinned_version_survives_eviction(self, tiny_dataset, tiny_model_kwargs):
-        trainer = self._server(tiny_dataset, tiny_model_kwargs, retain_versions=2)
-        server = trainer.server
-        server.pin_version(0)
-        trainer.run(TrainerConfig(max_steps=5, eval_every=0))
-        assert server.has_version(0)  # pinned: exempt from retain_versions=2
-        assert server.has_version(server.version)
-
-    def test_released_version_gets_evicted(self, tiny_dataset, tiny_model_kwargs):
-        trainer = self._server(tiny_dataset, tiny_model_kwargs, retain_versions=2)
-        server = trainer.server
-        server.pin_version(0)
-        server.release_version(0)
-        trainer.run(TrainerConfig(max_steps=5, eval_every=0))
-        assert not server.has_version(0)
-
-    def test_pin_counts_are_per_holder(self, tiny_dataset, tiny_model_kwargs):
-        trainer = self._server(tiny_dataset, tiny_model_kwargs, retain_versions=1)
-        server = trainer.server
-        server.pin_version(0)
-        server.pin_version(0)
-        server.release_version(0)
-        trainer.run(TrainerConfig(max_steps=3, eval_every=0))
-        assert server.has_version(0)  # one pin still outstanding
-
-    def test_pinning_unretained_version_rejected(self, tiny_dataset, tiny_model_kwargs):
-        server = self._server(tiny_dataset, tiny_model_kwargs).server
-        with pytest.raises(ConfigurationError, match="pin"):
-            server.pin_version(99)
-
-    def test_delta_since_none_when_evicted(self, tiny_dataset, tiny_model_kwargs):
-        trainer = self._server(tiny_dataset, tiny_model_kwargs, retain_versions=2)
-        server = trainer.server
-        trainer.run(TrainerConfig(max_steps=5, eval_every=0))
-        assert server.delta_since(0) is None
-        latest = server.version
-        delta = server.delta_since(latest)
-        np.testing.assert_array_equal(delta, np.zeros(server.dim))
-
-    def test_delta_since_reference_is_downlink_error_feedback(
-        self, tiny_dataset, tiny_model_kwargs
-    ):
-        server = self._server(tiny_dataset, tiny_model_kwargs).server
-        replica = server.parameters + 0.5  # a drifted worker reconstruction
-        delta = server.delta_since(server.version, reference=replica)
-        # The delta re-offers the drift, not just the version difference.
-        np.testing.assert_allclose(delta, -0.5 * np.ones(server.dim))
-
-
 class TestIdentityBroadcastParity:
     """--broadcast-codec identity + --link-sharing none is bit-identical to raw."""
 
@@ -166,13 +112,14 @@ class TestSparseDeltaBroadcasts:
         # the true model up to the last frame's truncation.
         trainer = _build(tiny_dataset, tiny_model_kwargs,
                          broadcast_codec="top-k", broadcast_k=10)
-        trainer.run(TrainerConfig(max_steps=10, eval_every=0))
+        trainer.run(TrainerConfig(max_steps=9, eval_every=0))
+        held = trainer.server.parameters  # the model the last step fetches
+        trainer.run_step()
         scale = float(np.linalg.norm(trainer.server.parameters))
         for session in trainer._downlink.values():
             # In lock-step mode every worker fetched at the start of the
             # last step, one version behind the post-update server.
             assert session.version == trainer.server.version - 1
-            held = trainer.server.parameters_at(session.version)
             drift = float(np.linalg.norm(session.replica - held))
             assert drift < 0.5 * scale + 1e-6
 
@@ -196,33 +143,13 @@ class TestSparseDeltaBroadcasts:
 
 
 class TestFullStateFallback:
-    def test_evicted_base_version_triggers_full_resync(
+    def test_every_fetch_after_the_first_is_a_delta(
         self, tiny_dataset, tiny_model_kwargs
     ):
         trainer = _build(tiny_dataset, tiny_model_kwargs, broadcast_codec="identity")
-        trainer.run(TrainerConfig(max_steps=2, eval_every=0))
-        worker_id = trainer.honest_workers[0].worker_id
-        held = trainer._downlink[worker_id].version
-        # Simulate an eviction beyond retain_versions (as after a restore).
-        trainer.server.release_version(held)
-        del trainer.server._version_log[held]
-        [(_, parameters)], nbytes, is_delta = trainer._frame_fetches([worker_id])
-        assert not is_delta[0]  # full-state resync
-        assert nbytes[0] == trainer.cost_model.gradient_bytes(trainer.server.dim)
-        np.testing.assert_array_equal(parameters, trainer.server.parameters)
-        # The session re-synced and the next fetch is a delta again.
-        _, _, is_delta = trainer._frame_fetches([worker_id])
-        assert is_delta[0]
-
-    def test_worker_versions_stay_pinned_during_training(
-        self, tiny_dataset, tiny_model_kwargs
-    ):
-        trainer = _build(tiny_dataset, tiny_model_kwargs,
-                         broadcast_codec="identity", retain_versions=1)
         history = trainer.run(TrainerConfig(max_steps=6, eval_every=0))
-        # retain_versions=1 would evict every base version without pinning;
-        # with the downlink pinning them, no fetch after the first ever
-        # falls back to full state.
+        # A worker's first fetch is full state; every later one is a delta
+        # against the replica its downlink session holds.
         for timeline in history.worker_timelines.values():
             assert timeline.full_fetches == 1
             assert timeline.delta_fetches == 5

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.link import SHARING_MODES, LinkScheduler
@@ -449,6 +449,57 @@ class TestAgainstFrozenReference:
         assert [s.session_id for s, _ in sorted(
             pair.sessions, key=lambda p: (p[0].done_time, p[0].session_id)
         )] == [0, 3, 2, 1]
+
+
+class TestOpenManyAgainstSequentialOpens:
+    """``open_many`` is ``open`` called once per spec, pinned on the live side."""
+
+    @pytest.mark.parametrize("sharing", SHARING_MODES)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        latency=st.sampled_from([0.0, 0.02]),
+        base=st.sampled_from(BASES),
+        drawn=st.lists(_job, max_size=6),
+        at=st.one_of(st.none(), _dt),
+        burst=st.lists(_spec, min_size=1, max_size=6),
+    )
+    @example(  # the burst starts exactly at the first job's drain horizon
+        latency=0.02, base=1e7, drawn=[(0.040484378, 1048576.7579544028, {})],
+        at=None, burst=[(0.0, {}), (3520.0, {}), (100.0, {})],
+    )
+    def test_a_burst_equals_its_opens_one_by_one(
+        self, time_limit, sharing, latency, base, drawn, at, burst
+    ):
+        # At a large clock a re-advance to the current instant can snap a
+        # sub-ulp residue closed, so a burst that advanced only once used to
+        # leave a residue the sequential opens had landed.
+        kwargs = dict(bandwidth_gbps=WAN_GBPS, latency_s=latency, sharing=sharing)
+        one, bulk = LinkScheduler(**kwargs), LinkScheduler(**kwargs)
+        now, sessions = base, []
+        with time_limit():
+            for dt, nbytes, extra in drawn:
+                due = one.next_completion() if dt is None else now + dt
+                now = now if due is None else max(now, due)
+                sessions.append((one.open(now, nbytes, **extra),
+                                 bulk.open(now, nbytes, **extra)))
+            due = one.next_completion() if at is None else now + at
+            now = now if due is None else max(now, due)
+            first = len(sessions)
+            specs = [(nbytes, first + i, extra, None) for i, (nbytes, extra) in enumerate(burst)]
+            sessions.extend(zip(
+                [one.open(now, nbytes, worker_id=worker_id, **extra)
+                 for nbytes, worker_id, extra, _ in specs],
+                bulk.open_many(now, specs),
+            ))
+            while True:
+                assert one.next_completion() == bulk.next_completion()
+                for single, batched in sessions:
+                    assert vars(single) == vars(batched)
+                if not one.active_sessions:
+                    break
+                now = max(now, one.next_completion())
+                one.pop_completed(now)
+                bulk.pop_completed(now)
 
 
 class TestClosedWorldAgainstEventApi:

@@ -423,8 +423,17 @@ class TestServerFabric:
         for entry in state["shards"]:
             # Only the checkpointed version's digest: the one resume can verify.
             assert set(entry["versions"]) == {str(trainer.server.version)}
-            pins = {int(v): c for v, c in entry["pins"].items()}
-            assert pins == trainer.server.pinned_versions()
+            assert "pins" not in entry
+
+    def test_restore_ignores_the_pins_of_older_archives(self):
+        trainer, _ = _run("shards:2")
+        service = trainer.service
+        state = service.state_dict()
+        for entry in state["shards"]:
+            entry["pins"] = {str(trainer.server.version): 3}
+        counters = dict(service.counters)
+        service.restore_state(state)
+        assert service.counters == counters
 
 
 def _oracle_pushes(fabric, worker_ids, frames):

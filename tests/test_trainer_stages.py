@@ -137,11 +137,10 @@ def test_encode_stage_equals_sequential_scalar_encodes(
 
 
 def _downlink_state(trainer):
-    """Each worker's held version and replica bits, the server's pins and the codec's stream."""
+    """Each worker's held version and replica bits and the codec's stream."""
     rng = getattr(trainer.broadcast_codec, "_rng", None)
     return (
         [(wid, s.version, _bits(s.replica)) for wid, s in trainer._downlink.items()],
-        trainer.server.pinned_versions(),
         None if rng is None else rng.bit_generator.state,
     )
 
