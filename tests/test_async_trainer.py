@@ -85,6 +85,23 @@ class TestAdmissionPredicate:
 
 # ---------------------------------------------------- model version and update log
 class TestVersionedStore:
+    def test_version_counts_updates_and_parameters_are_current(
+        self, tiny_dataset, tiny_model_kwargs
+    ):
+        trainer = build_trainer(
+            model="mlp", model_kwargs=tiny_model_kwargs, dataset=tiny_dataset,
+            gar="average", num_workers=5, batch_size=16, seed=0,
+        )
+        v0 = trainer.server.parameters
+        trainer.run_step()
+        v1 = trainer.server.parameters
+        trainer.run_step()
+        assert trainer.server.version == 2
+        assert [r.version for r in trainer.server.update_log] == [1, 2]
+        # Each update moves the one model the server holds.
+        assert not np.array_equal(v1, v0)
+        assert not np.array_equal(trainer.server.parameters, v1)
+
     def test_update_log_records_batches(self, tiny_dataset, tiny_model_kwargs):
         trainer = build_trainer(
             model="mlp", model_kwargs=tiny_model_kwargs, dataset=tiny_dataset,

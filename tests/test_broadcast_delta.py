@@ -1,4 +1,4 @@
-"""Delta broadcasts: versioned downlink framing, pinning, fallback, resume."""
+"""Delta broadcasts: versioned downlink framing, replica framing, fallback, resume."""
 
 import numpy as np
 import pytest
@@ -49,6 +49,66 @@ class TestDeltaFraming:
     def test_gradient_frames_are_not_deltas(self, rng):
         frame = IdentityCodec().encode(rng.standard_normal(8))
         assert frame.base_version is None
+
+
+class TestReplicaFraming:
+    """Each fetch is framed against the worker's replica, never a stored version."""
+
+    def test_delta_reference_is_downlink_error_feedback(
+        self, tiny_dataset, tiny_model_kwargs, monkeypatch
+    ):
+        trainer = _build(tiny_dataset, tiny_model_kwargs, broadcast_codec="identity")
+        trainer.run(TrainerConfig(max_steps=2, eval_every=0))
+        worker_id = trainer.honest_workers[0].worker_id
+        session = trainer._downlink[worker_id]
+        session.replica = trainer.server.parameters + 0.5  # a drifted reconstruction
+        codec = trainer.broadcast_codec
+        framed = []
+
+        def recording(deltas):
+            framed.append(np.array(deltas))
+            return type(codec).encode_decode_batch(codec, deltas)
+
+        monkeypatch.setattr(codec, "encode_decode_batch", recording)
+        [(version, parameters)], _, is_delta = trainer._frame_fetches([worker_id])
+        assert is_delta[0] and version == trainer.server.version
+        # The delta re-offers the drift, not just the version difference.
+        [deltas] = framed
+        np.testing.assert_allclose(deltas, -0.5 * np.ones((1, trainer.server.dim)))
+        np.testing.assert_array_equal(parameters, trainer.server.parameters)
+
+    def test_a_worker_without_a_session_gets_full_state(
+        self, tiny_dataset, tiny_model_kwargs
+    ):
+        trainer = _build(tiny_dataset, tiny_model_kwargs, broadcast_codec="identity")
+        trainer.run(TrainerConfig(max_steps=2, eval_every=0))
+        worker_id = trainer.honest_workers[0].worker_id
+        del trainer._downlink[worker_id]
+        [(_, parameters)], nbytes, is_delta = trainer._frame_fetches([worker_id])
+        assert not is_delta[0]  # full-state resync
+        assert nbytes[0] == trainer.cost_model.gradient_bytes(trainer.server.dim)
+        np.testing.assert_array_equal(parameters, trainer.server.parameters)
+        # The session re-synced and the next fetch is a delta again.
+        assert trainer._downlink[worker_id].version == trainer.server.version
+        _, _, is_delta = trainer._frame_fetches([worker_id])
+        assert is_delta[0]
+
+    def test_a_session_at_any_old_version_gets_a_delta(
+        self, tiny_dataset, tiny_model_kwargs
+    ):
+        trainer = _build(tiny_dataset, tiny_model_kwargs, broadcast_codec="identity")
+        held = trainer.server.parameters
+        trainer.run(TrainerConfig(max_steps=3, eval_every=0))
+        worker_id = trainer.honest_workers[0].worker_id
+        session = trainer._downlink[worker_id]
+        # A worker still holding the initial model, however many updates ago.
+        session.version, session.replica = 0, held
+        [(version, parameters)], nbytes, is_delta = trainer._frame_fetches([worker_id])
+        assert is_delta[0]
+        assert nbytes[0] == trainer.broadcast_codec.frame_bytes(trainer.server.dim)
+        assert version == trainer.server.version == 3
+        np.testing.assert_array_equal(parameters, trainer.server.parameters)
+        assert trainer._downlink[worker_id].version == 3
 
 
 class TestIdentityBroadcastParity:

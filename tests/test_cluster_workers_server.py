@@ -149,6 +149,54 @@ class TestParameterServer:
         with pytest.raises(ConfigurationError):
             ParameterServer(np.zeros((2, 2)), Average(), SGD())
 
+    def test_apply_update_bumps_the_version_and_logs_it(self):
+        server = self.make_server(dim=4)
+        assert server.version == 0 and server.update_log == []
+        server.apply_update(np.ones(4), sim_time=1.5, worker_ids=[3, 1], wire_bytes=64.0)
+        server.apply_update(np.ones(4))
+        assert server.version == server.step == 2
+        np.testing.assert_allclose(server.parameters, -0.2)
+        first, second = server.update_log
+        assert (first.version, first.sim_time, first.num_gradients) == (1, 1.5, 2)
+        assert (first.worker_ids, first.wire_bytes) == ((3, 1), 64.0)
+        # Without metadata the entry still carries the version it produced.
+        assert second.version == 2 and np.isnan(second.sim_time)
+        assert (second.num_gradients, second.worker_ids, second.wire_bytes) == (0, None, 0.0)
+
+    def test_restore_resets_parameters_version_and_log(self):
+        server = self.make_server(dim=4)
+        server.apply_update(np.ones(4))
+        server.apply_update(np.ones(4))
+        server.restore(np.full(4, 2.0), step=7)
+        np.testing.assert_array_equal(server.parameters, 2.0)
+        assert server.version == 7 and server.update_log == []
+        # Updates after a restore continue from the restored version.
+        server.apply_update(np.ones(4), worker_ids=[0])
+        assert server.version == 8
+        assert [r.version for r in server.update_log] == [8]
+        np.testing.assert_allclose(server.parameters, 1.9)
+
+    def test_restore_rejects_a_wrong_shape_or_negative_step(self):
+        server = self.make_server(dim=4)
+        with pytest.raises(ConfigurationError, match="does not match"):
+            server.restore(np.zeros(5), step=1)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            server.restore(np.zeros(4), step=-1)
+        assert server.version == 0
+        np.testing.assert_array_equal(server.parameters, 0.0)
+
+    def test_restore_invalidates_the_distance_cache(self):
+        class CountingCache:
+            resets = 0
+
+            def reset(self):
+                self.resets += 1
+
+        cache = CountingCache()
+        server = ParameterServer(np.zeros(3), Average(), SGD(), distance_cache=cache)
+        server.restore(np.ones(3), step=2)
+        assert cache.resets == 1
+
 
 class TestTelemetry:
     def make_history(self):
