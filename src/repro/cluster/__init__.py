@@ -27,7 +27,6 @@ from repro.cluster.codec import (
     WireFrame,
     available_codecs,
     decode_frame,
-    encode_delta,
     make_codec,
 )
 from repro.cluster.cost_model import CostModel, StragglerModel
@@ -101,7 +100,6 @@ __all__ = [
     "CODEC_REGISTRY",
     "available_codecs",
     "decode_frame",
-    "encode_delta",
     "make_codec",
     "LinkScheduler",
     "LinkSession",

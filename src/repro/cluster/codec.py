@@ -2,21 +2,22 @@
 
 The paper's transport trades delivered bytes against time and lets the robust
 GAR absorb the damage; this module makes the *byte* side of that trade-off a
-first-class, pluggable stage.  A :class:`WireCodec` sits between the worker
-and its channel: ``encode`` turns a flat gradient into a :class:`WireFrame`
-(the exact float payload that crosses the wire plus its priced byte count),
-``decode`` reconstructs a gradient estimate at the server.  Transfer time is
-always priced on the *encoded* bytes, and the lossy transport packetizes the
-encoded payload — so drops, reordering and garbage fill hit compressed
-frames, exactly as they would on a real UDP wire.
+first-class, pluggable stage.  A :class:`WireCodec` sits between the workers
+and their channels: :meth:`WireCodec.encode_decode_batch` turns an ``(n, d)``
+matrix of flat gradients into one :class:`FrameBatch` — the exact float
+payloads that cross the wire, in columns (the ``(n, m)`` payload plane, the
+``(n, k)`` supports and the ``(n,)`` scales), plus their priced byte count —
+and returns the server-side reconstruction of every row from the same pass.
+Transfer time is always priced on the *encoded* bytes, and the lossy
+transport packetizes the encoded payload — so drops, reordering and garbage
+fill hit compressed frames, exactly as they would on a real UDP wire.
 
-A fleet's round is encoded as one :class:`FrameBatch` — the ``(n, m)``
-payload plane, the ``(n, k)`` supports and the ``(n,)`` scales in columns —
-by :meth:`WireCodec.encode_decode_batch`.  A :class:`WireFrame` is minted
-from it (:meth:`FrameBatch.frame`) only where one frame has to travel on
-its own: through a lossy channel, a contended link session, or a single
-async ``arrive`` event; an ``arrive`` cohort carries its rows
-(:class:`DeliveredFrames`) and decodes them in one batch.
+A :class:`WireFrame` is minted from a batch (:meth:`FrameBatch.frame`) only
+where one frame has to travel on its own: through a lossy channel, a
+contended link session, or a single async ``arrive`` event; an ``arrive``
+cohort carries its rows (:class:`DeliveredFrames`) and decodes them in one
+batch.  :func:`decode_frame` reconstructs any frame, however a channel
+degraded it.
 
 Implemented codecs
 ------------------
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,10 +64,10 @@ _KEEP_INDICES = object()
 class WireFrame:
     """One encoded gradient as it crosses the wire.
 
-    A slotted dataclass.  Batch encodes keep their frames in columns
+    A slotted dataclass.  Encodes keep their frames in columns
     (:class:`FrameBatch`); a frame is built where one gradient travels on
-    its own — a scalar encode, a row of a batch crossing a channel that can
-    degrade it, a single async ``arrive`` event, a delta broadcast.
+    its own — a row of a batch crossing a channel that can degrade it, or a
+    single async ``arrive`` event.
 
     Attributes
     ----------
@@ -91,11 +92,6 @@ class WireFrame:
         Whether ``indices`` never crossed the wire (shared-seed elision):
         the receiver derives them independently, so a lossy transport can
         attribute lost positions to exact coordinates.
-    base_version / target_version:
-        Set on delta broadcast frames: the payload encodes the parameter
-        change from the worker's held model ``base_version`` to the
-        server's ``target_version`` (``None`` on ordinary gradient frames
-        and full-state broadcasts).
     """
 
     dim: int
@@ -105,8 +101,6 @@ class WireFrame:
     nbytes: float = 0.0
     codec: str = "identity"
     shared_support: bool = False
-    base_version: Optional[int] = None
-    target_version: Optional[int] = None
 
     def degraded(
         self,
@@ -129,7 +123,6 @@ class WireFrame:
             dim=self.dim, values=np.asarray(values, dtype=np.float64),
             indices=indices, scale=self.scale, nbytes=self.nbytes,
             codec=self.codec, shared_support=self.shared_support,
-            base_version=self.base_version, target_version=self.target_version,
         )
 
 
@@ -171,27 +164,6 @@ class FrameBatch:
             indices=None if self.indices is None else self.indices[index],
             scales=None if self.scales is None else self.scales[index],
             nbytes=self.nbytes, shared_support=self.shared_support,
-        )
-
-    @classmethod
-    def stack(cls, frames: Sequence[WireFrame]) -> "FrameBatch":
-        """The batch whose rows are *frames* — one codec, dim, price and shape."""
-        first = frames[0]
-        layouts = {
-            (f.dim, f.codec, f.nbytes, f.shared_support, np.shape(f.values),
-             None if f.indices is None else np.shape(f.indices))
-            for f in frames
-        }
-        if len(layouts) != 1:
-            raise ConfigurationError(
-                "a frame batch needs frames of one codec, dim, price and shape"
-            )
-        return cls(
-            dim=first.dim, codec=first.codec,
-            values=np.stack([np.asarray(f.values, dtype=np.float64) for f in frames]),
-            indices=None if first.indices is None else np.stack([f.indices for f in frames]),
-            scales=np.array([f.scale for f in frames], dtype=np.float64),
-            nbytes=first.nbytes, shared_support=first.shared_support,
         )
 
     def decode(self) -> np.ndarray:
@@ -291,45 +263,28 @@ class DeliveredFrames:
 
 
 class WireCodec(abc.ABC):
-    """Encode a flat gradient into a wire frame and back."""
+    """Encode a batch of flat gradients into wire frames, and decode them back."""
 
     #: Registered codec name.
     name: str = "codec"
     #: Whether the codec transmits a strict subset of coordinates.
     sparsifying: bool = False
-    #: Whether ``decode(encode(g)) == g`` bit for bit.  Lossless codecs let
-    #: a delta broadcast reconstruct the exact target state (on a real wire
-    #: a lossless float delta is a bitwise diff, which recombines exactly).
+    #: Whether decoding an encoded gradient returns it bit for bit.  Lossless
+    #: codecs let a delta broadcast reconstruct the exact target state (on a
+    #: real wire a lossless float delta is a bitwise diff, which recombines
+    #: exactly).
     lossless: bool = False
 
     @abc.abstractmethod
-    def encode(self, gradient: np.ndarray) -> WireFrame:
-        """Produce the wire frame for *gradient* (a flat float vector)."""
-
     def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
         """Encode every row of an ``(n, d)`` matrix: ``(batch, decoded)``.
 
-        The contract is exact per-frame parity with :meth:`encode`:
-        ``batch.frame(i)`` must be bit-identical (values, indices, scale,
-        bytes) — and the PRNG draws consumed in the same order — to
-        ``encode(M[i])`` in a loop over ``i``, and ``decoded[i]`` to
-        ``decode_frame(batch.frame(i))``, the server-side reconstruction of
-        what worker ``i`` sent.  The base implementation is that loop,
-        stacked into one batch; codecs override it with a single vectorised
-        pass where numpy's batched kernels provably match the per-row ones.
+        ``batch.frame(i)`` is the frame worker ``i`` sends and
+        ``decoded[i]`` is ``decode_frame(batch.frame(i))``, the server-side
+        reconstruction of it.  Row ``i`` consumes the codec's PRNG before
+        row ``i + 1``, so one batch of ``n`` rows equals ``n`` batches of
+        one row, frame for frame, and leaves the stream where they would.
         """
-        matrix = self._matrix(matrix)
-        batch = FrameBatch.stack([self.encode(row) for row in matrix])
-        return batch, batch.decode()
-
-    def decode(self, frame: WireFrame) -> np.ndarray:
-        """Reconstruct a ``frame.dim``-dimensional gradient estimate.
-
-        Frames are self-describing, so decoding is codec-independent: this
-        delegates to :func:`decode_frame`, the same function the receiving
-        endpoint uses — the tested decode *is* the production decode.
-        """
-        return decode_frame(frame)
 
     @abc.abstractmethod
     def frame_bytes(self, dim: int) -> float:
@@ -342,13 +297,6 @@ class WireCodec(abc.ABC):
     def compression_ratio(self, dim: int) -> float:
         """Raw bytes over encoded bytes (>= 1 for anything useful)."""
         return (dim * BYTES_PER_COORDINATE) / self.frame_bytes(dim)
-
-    @staticmethod
-    def _flat(gradient: np.ndarray) -> np.ndarray:
-        gradient = np.asarray(gradient, dtype=np.float64).ravel()
-        if gradient.size == 0:
-            raise ConfigurationError("cannot encode an empty gradient")
-        return gradient
 
     @staticmethod
     def _matrix(matrix: np.ndarray) -> np.ndarray:
@@ -370,13 +318,6 @@ class IdentityCodec(WireCodec):
 
     name = "identity"
     lossless = True
-
-    def encode(self, gradient: np.ndarray) -> WireFrame:
-        values = self._flat(gradient)
-        return WireFrame(
-            dim=values.size, values=values, nbytes=self.frame_bytes(values.size),
-            codec=self.name,
-        )
 
     def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
         matrix = self._matrix(matrix)
@@ -414,22 +355,6 @@ class TopKCodec(WireCodec):
     def _effective_k(self, dim: int) -> int:
         return min(self.k, int(dim))
 
-    def encode(self, gradient: np.ndarray) -> WireFrame:
-        values = self._flat(gradient)
-        k = self._effective_k(values.size)
-        if k >= values.size:
-            indices = np.arange(values.size)
-        else:
-            # simlint: disable=SIM301 boundary ties follow introselect pivot
-            # order; the resulting support is pinned by the frozen codec
-            # round-trip oracles and the batch path reproduces it exactly.
-            indices = np.argpartition(np.abs(values), values.size - k)[-k:]
-            indices = np.sort(indices)
-        return WireFrame(
-            dim=values.size, values=values[indices].copy(), indices=indices,
-            nbytes=self.frame_bytes(values.size), codec=self.name,
-        )
-
     def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
         matrix = self._matrix(matrix)
         n, dim = matrix.shape
@@ -443,7 +368,7 @@ class TopKCodec(WireCodec):
             return batch, matrix.copy()
         # np.argpartition with axis=1 applies introselect row-wise with the
         # same pivot walk as the 1-D call, so the selected (and then sorted)
-        # support matches the per-row encode exactly, ties included.
+        # support is the one a lone row gets, ties included.
         # simlint: disable=SIM301 tie arrangement pinned against the 1-D path
         support = np.argpartition(np.abs(matrix), dim - k, axis=1)[:, -k:]
         indices = np.sort(support, axis=1)
@@ -474,7 +399,7 @@ class RandomKCodec(WireCodec):
     uniform plane is the *only* PRNG consumption, and an ``(n, d)`` batch
     draw advances the PCG64 stream exactly as ``n`` sequential ``(d,)``
     draws do, so ``encode_decode_batch`` needs one draw per batch while staying
-    frame-for-frame aligned with the per-row encode (the shared-seed
+    frame-for-frame aligned with batches of one row (the shared-seed
     receiver derives identical supports either way).  Earlier revisions
     drew each support via a per-row ``Generator.choice`` call, whose
     data-dependent rejection sampling cannot be batched — same support
@@ -499,19 +424,6 @@ class RandomKCodec(WireCodec):
         # simlint: disable=SIM301 selecting on iid uniforms — exact ties have
         # probability zero, so no data-dependent tie-break can arise.
         return np.sort(np.argpartition(uniforms, k - 1, axis=1)[:, :k], axis=1)
-
-    def encode(self, gradient: np.ndarray) -> WireFrame:
-        values = self._flat(gradient)
-        k = self._effective_k(values.size)
-        uniforms = self._rng.random(values.size)
-        # simlint: disable=SIM301 uniform-draw ties are measure-zero
-        indices = np.sort(np.argpartition(uniforms, k - 1)[:k])
-        scale = values.size / k
-        return WireFrame(
-            dim=values.size, values=values[indices] * scale, indices=indices,
-            scale=scale, nbytes=self.frame_bytes(values.size), codec=self.name,
-            shared_support=True,
-        )
 
     def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
         matrix = self._matrix(matrix)
@@ -561,47 +473,29 @@ class QSGDCodec(WireCodec):
         # (SIM201); the builder always passes its dedicated codec stream.
         self._rng = as_rng(component_seed(rng, "qsgd-codec"))
 
-    def encode(self, gradient: np.ndarray) -> WireFrame:
-        values = self._flat(gradient)
-        # Same reduction shape as the batched row norms (a length-d pairwise
-        # sum over the contiguous row), so batch and per-row paths agree bit
-        # for bit on the norm that feeds the rounding probabilities.
-        norm = float(np.sqrt(np.square(values).sum()))
-        if norm == 0.0 or not np.isfinite(norm):
-            # Zero (or non-finite) gradients carry zero levels; the scale
-            # keeps decode finite and the frame priced like any other.
-            return WireFrame(
-                dim=values.size, values=np.zeros(values.size), scale=0.0,
-                nbytes=self.frame_bytes(values.size), codec=self.name,
-            )
-        ratio = np.abs(values) / norm * self.levels
-        low = np.floor(ratio)
-        level = low + (self._rng.random(values.size) < (ratio - low))
-        return WireFrame(
-            dim=values.size, values=np.sign(values) * level,
-            scale=norm / self.levels, nbytes=self.frame_bytes(values.size),
-            codec=self.name,
-        )
-
     def encode_decode_batch(self, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
         matrix = self._matrix(matrix)
         n, dim = matrix.shape
         # One batched row-norm reduction: summing the last axis of the
         # C-contiguous (n, d) square applies the same pairwise blocking per
-        # row as the 1-D sum in encode(), so the norms match bit for bit.
+        # row as a 1-D sum over one row, so every row's norm is the one a
+        # lone row would get.
         norms = np.sqrt(np.square(matrix).sum(axis=1))
-        if not (np.isfinite(norms).all() and (norms != 0.0).all()):
-            # Zero/non-finite rows consume no PRNG draws in encode(); batching
-            # the draws would misalign the stream, so fall back to the loop.
-            return super().encode_decode_batch(matrix)
-        ratio = np.abs(matrix) / norms[:, None] * self.levels
+        # Zero (or non-finite) rows carry zero levels and a 0.0 scale, which
+        # keeps decode finite and the frame priced like any other, and they
+        # draw no rounding coins.  One (m, d) draw for the m live rows
+        # advances the PCG64 stream exactly as m sequential (d,) draws do.
+        live = np.isfinite(norms) & (norms != 0.0)
+        rows = matrix[live]
+        ratio = np.abs(rows) / norms[live, None] * self.levels
         low = np.floor(ratio)
-        # One (n, d) draw advances the PCG64 stream exactly as n sequential
-        # (d,) draws do, so the rounding coins match the per-row path.
-        level = low + (self._rng.random((n, dim)) < (ratio - low))
+        levels = np.zeros((n, dim))
+        levels[live] = np.sign(rows) * (low + (self._rng.random(rows.shape) < (ratio - low)))
+        scales = np.zeros(n)
+        scales[live] = norms[live] / self.levels
         batch = FrameBatch(
-            dim=dim, codec=self.name, values=np.sign(matrix) * level,
-            scales=norms / self.levels, nbytes=self.frame_bytes(dim),
+            dim=dim, codec=self.name, values=levels, scales=scales,
+            nbytes=self.frame_bytes(dim),
         )
         return batch, batch.decode()
 
@@ -611,30 +505,6 @@ class QSGDCodec(WireCodec):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QSGDCodec(bits={self.bits})"
-
-
-def encode_delta(
-    codec: WireCodec,
-    delta: np.ndarray,
-    *,
-    base_version: int,
-    target_version: int,
-) -> WireFrame:
-    """Encode a ``base → target`` parameter delta as a broadcast frame.
-
-    Any :class:`WireCodec` composes: the delta vector is just the signal the
-    codec encodes, and the frame is stamped with the two version tags so the
-    receiver knows which held state to apply it to.  The tags themselves are
-    not priced — two 4-byte integers disappear into the transport header the
-    cost model already charges as per-transfer latency, so the delta frame
-    costs exactly ``codec.frame_bytes(d)`` (the identity delta is therefore
-    byte-identical to a full ``4d`` broadcast, as it must be: a dense delta
-    saves nothing, only a sparsifying or quantising codec does).
-    """
-    frame = codec.encode(delta)
-    frame.base_version = int(base_version)
-    frame.target_version = int(target_version)
-    return frame
 
 
 def decode_frame(frame: WireFrame) -> np.ndarray:
@@ -729,6 +599,5 @@ __all__ = [
     "CODEC_REGISTRY",
     "available_codecs",
     "decode_frame",
-    "encode_delta",
     "make_codec",
 ]

@@ -667,16 +667,6 @@ class EventLoop:
             raise ConfigurationError(f"event kind {kind!r} already has a run handler")
         self._handlers[kind] = handler
 
-    def on_each(self, handlers: Dict[str, Callable[[Event], None]]) -> None:
-        """Register one handler per kind in a single call.
-
-        Same contract as :meth:`on` for every entry (one handler per kind,
-        re-registration of a different handler rejected) — the bulk form the
-        trainers use to declare their whole event vocabulary at once.
-        """
-        for kind, handler in handlers.items():
-            self.on(kind, handler)
-
     def on_run(self, kind: str, handler: Callable[[Cohort], None]) -> None:
         """Register *handler* for every same-``(time, kind)`` run, a run of one included.
 

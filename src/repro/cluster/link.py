@@ -73,9 +73,9 @@ Closed world
     advances *to* them while others still drain and a drain step cut at a
     breakpoint rounds differently from an uncut one; they are breakpoints
     and nothing else.  And a same-start burst joins in one piece only when
-    no residue can be below the clock's ulp (:meth:`~LinkScheduler.open`
-    re-advances to the instant between two admissions, which can snap such
-    a residue closed); otherwise it joins one job at a time.  Under ``fifo`` exactly one session is served at a time, so there
+    no residue can be below the clock's ulp (:meth:`~LinkScheduler.open_many`
+    then re-advances to the instant between two admissions, which can snap
+    such a residue closed); otherwise it joins one job at a time.  Under ``fifo`` exactly one session is served at a time, so there
     is no set to vectorise over: the closed world is the head-only drain as
     a scalar recurrence on plain floats — an array step over a one-element
     served set measured slower than the per-session replay it would replace.
@@ -185,7 +185,7 @@ def _session_extras(
     """One ``session_kwargs`` entry of :meth:`LinkScheduler.simulate`, unpacked.
 
     Called as ``_session_extras(**entry)``, so a misspelt key is a
-    ``TypeError`` exactly as it is for :meth:`LinkScheduler.open`.
+    ``TypeError`` exactly as it is for :meth:`LinkScheduler.open_many`.
     """
     return rate_cap, extra_latency_s
 
@@ -258,33 +258,6 @@ class LinkScheduler:
         self.bytes_carried = 0.0
 
     # --------------------------------------------------------------- admission
-    def open(
-        self,
-        now: float,
-        nbytes: float,
-        *,
-        worker_id: int = -1,
-        rate_cap: Optional[float] = None,
-        extra_latency_s: float = 0.0,
-        payload: object = None,
-    ) -> LinkSession:
-        """Admit a transfer of *nbytes* starting at *now*; returns its session.
-
-        ``rate_cap`` / ``extra_latency_s`` describe the sender's own access
-        link (bytes/s ceiling and extra one-way propagation); the session's
-        solo time — the contention-free baseline its queueing delay is
-        measured against — accounts for both.
-        """
-        self.advance(now)
-        return self._admit(
-            now,
-            nbytes,
-            worker_id=worker_id,
-            rate_cap=rate_cap,
-            extra_latency_s=extra_latency_s,
-            payload=payload,
-        )
-
     def _admit(
         self,
         now: float,
@@ -297,8 +270,8 @@ class LinkScheduler:
     ) -> LinkSession:
         """Validate and enqueue one session; the clock is already at *now*.
 
-        The event API's one admission site (:meth:`open` and
-        :meth:`open_many` both pass through it), so its one place that
+        The event API's one admission site (every session
+        :meth:`open_many` admits passes through it), so its one place that
         rejects non-finite input: a NaN byte count makes every drain horizon
         NaN and :meth:`advance` spin for ever, an infinite one pins its pipe
         for good.  (:meth:`simulate` applies the same rules to whole arrays
@@ -350,18 +323,21 @@ class LinkScheduler:
     def open_many(
         self, now: float, specs: Sequence[Tuple[float, int, dict, object]]
     ) -> List[LinkSession]:
-        """Admit a same-time burst of transfers with one clock advance.
+        """Admit a same-time burst of transfers; returns their sessions in order.
 
-        *specs* is a sequence of ``(nbytes, worker_id, open_kwargs,
-        payload)`` tuples admitted in order.  Equivalent to calling
-        :meth:`open` once per spec — admission order, session ids and every
-        float are identical — but the piecewise drain to *now* runs once
-        for the whole burst instead of once per session.  The per-session
-        re-advances to the same instant are no-ops, pure call overhead at
-        herd scale, except at a clock whose ulp exceeds the least drain
-        time: there a re-advance can snap a residue closed between two
-        admissions, so the burst re-advances as :meth:`open` would.
+        *specs* is a sequence of ``(nbytes, worker_id, extras, payload)``
+        tuples admitted in order; ``extras`` is the sender's own access link
+        (``rate_cap`` in bytes/s, ``extra_latency_s``), which each session's
+        solo time — the baseline its queueing delay is measured against —
+        accounts for.  A burst equals its specs admitted one at a time, each
+        after draining the link to *now* — admission order, session ids and
+        every float are identical — but the drain runs once for the whole
+        burst, and again between two admissions only at a clock whose ulp
+        exceeds the least drain time, where it can snap a residue closed.
+        An empty burst leaves the link where it was.
         """
+        if not specs:
+            return []
         self.advance(now)
         readvance = self._now + self._least_drain_s == self._now
         sessions = []
@@ -545,11 +521,12 @@ class LinkScheduler:
         transfers are known up front, so the whole contention schedule can be
         resolved at once.  Returns ``(completion_time, queueing_delay)`` per
         job, in input order.  ``session_kwargs`` optionally supplies one
-        per-job dict of :meth:`open` extras (``rate_cap`` /
+        per-job dict of :meth:`open_many` extras (``rate_cap`` /
         ``extra_latency_s``) for heterogeneous senders.
 
-        Every float equals what admitting the jobs in ``(start, index)``
-        order through :meth:`open` on an idle link and then looping
+        Every float equals what admitting the jobs one at a time in
+        ``(start, index)`` order through :meth:`open_many` on an idle link
+        and then looping
         ``pop_completed(next_completion())`` until it is idle again would
         produce, but no session object is built: the jobs are resolved on
         arrays (see *Closed world* in the module docstring).  This
@@ -1057,7 +1034,7 @@ class LinkFabric:
         return self.topology.region_of(worker_id)
 
     def session_kwargs(self, worker_id: int) -> dict:
-        """Per-session :meth:`LinkScheduler.open` extras for *worker_id*."""
+        """Per-session :meth:`LinkScheduler.open_many` extras for *worker_id*."""
         if self.topology is None:
             return {}
         cap = self.topology.worker_bandwidth_gbps.get(int(worker_id))

@@ -142,8 +142,8 @@ class ParameterServer:
         sim_time: float = float("nan"),
         worker_ids: Optional[Sequence[int]] = None,
         wire_bytes: float = 0.0,
-    ) -> np.ndarray:
-        """Apply the optimizer step, bump the version, return the new parameters.
+    ) -> None:
+        """Apply the optimizer step and bump the version.
 
         The optional *sim_time* / *worker_ids* / *wire_bytes* metadata lands
         in the :attr:`update_log` entry for this version.
@@ -174,7 +174,6 @@ class ParameterServer:
                 wire_bytes=float(wire_bytes),
             )
         )
-        return self.parameters
 
     def restore(self, parameters: np.ndarray, step: int) -> None:
         """Reset the server to a checkpointed ``(parameters, step)`` state.

@@ -29,6 +29,16 @@ lost its ``has_version`` test (every held version was pinned, so it was
 never false) and frames its delta as ``server.parameters - session.replica``
 instead of ``delta_since(version, reference=replica)`` — the same floats.
 
+NOTE (second sanctioned edit, "one encode method per codec, one admission
+call per link"): the codecs lost their scalar ``encode`` and ``src/`` its
+``encode_delta`` and ``FrameBatch.stack``, so ``_encode`` and
+``_encode_broadcast`` call the frozen scalar encode of
+``tests/codec_reference.py`` (``_encode_broadcast`` framed its delta with
+``encode_delta``, whose version tags nothing read), ``_on_push`` stacks its
+frame with the frozen ``stack``, and the handlers admit their one session
+with ``LinkScheduler.open_many`` of one spec, which equals the ``open`` it
+replaced — the same floats.
+
 :func:`as_per_event_reference` re-classes a built ``AsyncTrainer`` onto
 :class:`PerEventAsyncTrainer` and swaps its five run handlers for these
 per-event ones, so every event is dispatched alone and schedules one
@@ -43,12 +53,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.codec import (
-    FrameBatch, IdentityCodec, WireFrame, decode_frame, encode_delta,
-)
+from repro.cluster.codec import IdentityCodec, WireFrame, decode_frame
 from repro.cluster.events import Event
 from repro.cluster.link import LinkFabric
 from repro.cluster.trainer import AsyncTrainer, BaseTrainer
+from tests.codec_reference import encode, stack
 
 #: The kinds the live engine dispatches as runs, each to one run handler.
 RUN_KINDS = {"fetch", "compute", "push", "arrive", "link"}
@@ -121,10 +130,7 @@ class ScalarWireStages:
             self._update_downlink(worker_id, target, parameters)
             return parameters, raw_bytes, False
         delta = server.parameters - session.replica  # NOTE: edited since the freeze
-        frame = encode_delta(
-            self.broadcast_codec, delta,
-            base_version=session.version, target_version=target,
-        )
+        frame = encode(self.broadcast_codec, delta)  # NOTE: edited since the freeze
         if self.broadcast_codec.lossless:
             reconstruction = server.parameters
         else:
@@ -146,7 +152,7 @@ class ScalarWireStages:
             row = self._fleet.row_of[worker_id]
             if self._fleet.ef_has_memory[row]:
                 signal = signal + self._fleet.ef_memory[row]
-        frame = self.codec.encode(signal)
+        frame = encode(self.codec, signal)  # NOTE: edited since the freeze
         if isinstance(self.codec, IdentityCodec):
             return frame, 0.0
         residual = signal - decode_frame(frame)
@@ -194,9 +200,8 @@ class PerEventAsyncTrainer(ScalarWireStages, AsyncTrainer):
         self._interval_downlink += nbytes
         if self._contended:
             key, _, extras = self._routes[event.worker_id]
-            self._links[key].open(
-                event.time, nbytes, worker_id=event.worker_id,
-                payload=(self.COMPUTE, snapshot), **extras,
+            self._links[key].open_many(  # NOTE: edited since the freeze
+                event.time, [(nbytes, event.worker_id, extras, (self.COMPUTE, snapshot))],
             )
             self._schedule_with_links([key])
             return
@@ -237,16 +242,15 @@ class PerEventAsyncTrainer(ScalarWireStages, AsyncTrainer):
         timeline.rounds_completed += 1
         timeline.transfer_seconds += seconds
         self.history.record_wire(worker_id, bytes_sent=frame.nbytes, compression_error=error)
-        self.service.account_pushes([worker_id], [FrameBatch.stack([frame])])
+        self.service.account_pushes([worker_id], [stack([frame])])  # NOTE: edited since the freeze
         if self._contended:
             # The session's drain time replaces the solo wire time; the
             # channel's extra penalty (backoff, delays, jitter) rides on top.
             penalty = seconds - self.cost_model.transfer_time(frame.nbytes)
             _, key, extras = self._routes[worker_id]
-            self._links[key].open(
-                event.time, frame.nbytes, worker_id=worker_id,
-                payload=(self.ARRIVE, ((step, loss, wire), penalty)), **extras,
-            )
+            self._links[key].open_many(event.time, [  # NOTE: edited since the freeze
+                (frame.nbytes, worker_id, extras, (self.ARRIVE, ((step, loss, wire), penalty))),
+            ])
             # The push is asynchronous: the worker fetches the next model
             # immediately, overlapping its next downlink with this uplink.
             self._schedule_with_links([key, (self.FETCH, event.time, worker_id, None)])
@@ -295,7 +299,8 @@ def as_per_event_reference(trainer: AsyncTrainer) -> AsyncTrainer:
         assert stage in AsyncTrainer.__dict__ or stage in BaseTrainer.__dict__, stage
     trainer.__class__ = PerEventAsyncTrainer
     trainer._loop._run_handlers.clear()
-    trainer._loop.on_each(per_event_handlers(trainer))
+    for kind, handler in per_event_handlers(trainer).items():
+        trainer._loop.on(kind, handler)
     return trainer
 
 

@@ -1,14 +1,28 @@
-"""The list-of-frames shard pricing and decode ``FrameBatch`` replaced, frozen as oracles.
+"""The scalar codec paths and list-of-frames functions ``FrameBatch`` replaced, frozen as oracles.
+
+Every codec once spelt its encode twice: a scalar ``encode`` of one flat
+gradient into one :class:`~repro.cluster.codec.WireFrame`, beside the
+``encode_decode_batch`` the trainers call, and the base class's
+``encode_decode_batch`` was a loop over the scalar one, stacked by
+``FrameBatch.stack``.  The four scalar encodes (:func:`encode` dispatches on
+the codec's class), the ``_flat`` check they share, that loop
+(:func:`encode_decode_batch`) and ``FrameBatch.stack`` (:func:`stack`) are
+kept here verbatim, as functions of the codec (``self``) or of the frames.
+One mechanical edit: ``self._flat`` is the module's :func:`_flat`.  Every
+live ``encode_decode_batch`` is held ``==`` to :func:`encode_decode_batch`
+on the same codec class and seed — values, supports, scales, prices, decode
+and the PRNG state it leaves (``tests/test_frame_batch.py``,
+``tests/test_codec_batch_parity.py``).
 
 Before the codecs' ``encode_decode_batch`` returned one
 :class:`~repro.cluster.codec.FrameBatch`, a batch was a list of
 :class:`~repro.cluster.codec.WireFrame` objects, decoded by
 :func:`decode_frames` and priced per shard by :func:`shard_frame_bytes_batch`
 on top of the per-frame :func:`shard_frame_bytes`.  All three are kept
-verbatim here: ``FrameBatch.decode`` and ``FrameBatch.shard_bytes`` (and so
-:func:`repro.cluster.codec.shard_frame_bytes`, its one-frame batch) are held
+verbatim here: ``FrameBatch.decode`` and ``FrameBatch.shard_bytes`` are held
 ``==`` to them and to the per-frame
 :func:`~repro.cluster.codec.decode_frame`, which stays in ``src/``.
+Do not edit the function bodies below.
 """
 
 from __future__ import annotations
@@ -17,9 +31,129 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.codec import WireFrame, decode_frame
+from repro.cluster.codec import (
+    FrameBatch,
+    IdentityCodec,
+    QSGDCodec,
+    RandomKCodec,
+    TopKCodec,
+    WireCodec,
+    WireFrame,
+    decode_frame,
+)
 from repro.cluster.cost_model import BYTES_PER_COORDINATE
 from repro.exceptions import ConfigurationError
+
+
+def _flat(gradient: np.ndarray) -> np.ndarray:
+    gradient = np.asarray(gradient, dtype=np.float64).ravel()
+    if gradient.size == 0:
+        raise ConfigurationError("cannot encode an empty gradient")
+    return gradient
+
+
+def _identity_encode(self: IdentityCodec, gradient: np.ndarray) -> WireFrame:
+    values = _flat(gradient)
+    return WireFrame(
+        dim=values.size, values=values, nbytes=self.frame_bytes(values.size),
+        codec=self.name,
+    )
+
+
+def _top_k_encode(self: TopKCodec, gradient: np.ndarray) -> WireFrame:
+    values = _flat(gradient)
+    k = self._effective_k(values.size)
+    if k >= values.size:
+        indices = np.arange(values.size)
+    else:
+        # simlint: disable=SIM301 boundary ties follow introselect pivot
+        # order; the resulting support is pinned by the frozen codec
+        # round-trip oracles and the batch path reproduces it exactly.
+        indices = np.argpartition(np.abs(values), values.size - k)[-k:]
+        indices = np.sort(indices)
+    return WireFrame(
+        dim=values.size, values=values[indices].copy(), indices=indices,
+        nbytes=self.frame_bytes(values.size), codec=self.name,
+    )
+
+
+def _random_k_encode(self: RandomKCodec, gradient: np.ndarray) -> WireFrame:
+    values = _flat(gradient)
+    k = self._effective_k(values.size)
+    uniforms = self._rng.random(values.size)
+    # simlint: disable=SIM301 uniform-draw ties are measure-zero
+    indices = np.sort(np.argpartition(uniforms, k - 1)[:k])
+    scale = values.size / k
+    return WireFrame(
+        dim=values.size, values=values[indices] * scale, indices=indices,
+        scale=scale, nbytes=self.frame_bytes(values.size), codec=self.name,
+        shared_support=True,
+    )
+
+
+def _qsgd_encode(self: QSGDCodec, gradient: np.ndarray) -> WireFrame:
+    values = _flat(gradient)
+    # Same reduction shape as the batched row norms (a length-d pairwise
+    # sum over the contiguous row), so batch and per-row paths agree bit
+    # for bit on the norm that feeds the rounding probabilities.
+    norm = float(np.sqrt(np.square(values).sum()))
+    if norm == 0.0 or not np.isfinite(norm):
+        # Zero (or non-finite) gradients carry zero levels; the scale
+        # keeps decode finite and the frame priced like any other.
+        return WireFrame(
+            dim=values.size, values=np.zeros(values.size), scale=0.0,
+            nbytes=self.frame_bytes(values.size), codec=self.name,
+        )
+    ratio = np.abs(values) / norm * self.levels
+    low = np.floor(ratio)
+    level = low + (self._rng.random(values.size) < (ratio - low))
+    return WireFrame(
+        dim=values.size, values=np.sign(values) * level,
+        scale=norm / self.levels, nbytes=self.frame_bytes(values.size),
+        codec=self.name,
+    )
+
+
+#: Each built-in codec class's frozen scalar encode.
+SCALAR_ENCODES = {
+    IdentityCodec: _identity_encode,
+    TopKCodec: _top_k_encode,
+    RandomKCodec: _random_k_encode,
+    QSGDCodec: _qsgd_encode,
+}
+
+
+def encode(codec: WireCodec, gradient: np.ndarray) -> WireFrame:
+    """*codec*'s frozen scalar encode of one flat *gradient*, on its own PRNG."""
+    return SCALAR_ENCODES[type(codec)](codec, gradient)
+
+
+def stack(frames: Sequence[WireFrame]) -> FrameBatch:
+    """The batch whose rows are *frames* — one codec, dim, price and shape."""
+    first = frames[0]
+    layouts = {
+        (f.dim, f.codec, f.nbytes, f.shared_support, np.shape(f.values),
+         None if f.indices is None else np.shape(f.indices))
+        for f in frames
+    }
+    if len(layouts) != 1:
+        raise ConfigurationError(
+            "a frame batch needs frames of one codec, dim, price and shape"
+        )
+    return FrameBatch(
+        dim=first.dim, codec=first.codec,
+        values=np.stack([np.asarray(f.values, dtype=np.float64) for f in frames]),
+        indices=None if first.indices is None else np.stack([f.indices for f in frames]),
+        scales=np.array([f.scale for f in frames], dtype=np.float64),
+        nbytes=first.nbytes, shared_support=first.shared_support,
+    )
+
+
+def encode_decode_batch(codec: WireCodec, matrix: np.ndarray) -> Tuple[FrameBatch, np.ndarray]:
+    """The base class's loop: one frozen :func:`encode` per row, stacked into one batch."""
+    matrix = codec._matrix(matrix)
+    batch = stack([encode(codec, row) for row in matrix])
+    return batch, batch.decode()
 
 
 def decode_frames(frames: Sequence[WireFrame]) -> np.ndarray:

@@ -9,10 +9,13 @@ O(n) per link event and O(n^2) per pipe, and it is the definition of
 ``tests/test_link_scheduler.py`` drives both with the same random operation
 sequences and requires equal (``==``) floats, ids and orders after every
 operation, and ``benchmarks/test_link_scheduler_speed.py`` times the live
-scheduler against it.  Do not edit the class bodies below (three exceptions
-so far, each marked ``NOTE``: a crash fix in ``simulate``, a livelock fix in
-``advance`` and ``open_many`` re-advancing between admissions as ``open``
-does, each applied identically to both sides).
+scheduler against it.  Its ``open`` is what the live ``open_many`` — the one
+admission call ``src/`` kept — equals, one call per spec.  Do not edit the
+class bodies below (four exceptions so far, each marked ``NOTE``: a crash
+fix in ``simulate``, a livelock fix in ``advance``, ``open_many``
+re-advancing between admissions as ``open`` does, and an empty
+``open_many`` leaving the link untouched as zero ``open`` calls do, each
+applied identically to both sides).
 """
 
 from __future__ import annotations
@@ -210,6 +213,11 @@ class LinkScheduler:
         calls after the first are no-op re-advances to the same instant,
         pure call overhead at herd scale).
         """
+        # NOTE: edited since the freeze — the same fix as
+        # ``src/repro/cluster/link.py``: an empty burst is zero ``open``
+        # calls, so it does not advance the link either.
+        if not specs:
+            return []
         self.advance(now)
         sessions = []
         for nbytes, worker_id, kwargs, payload in specs:

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import build_trainer
-from repro.cluster.codec import (
-    IdentityCodec,
-    TopKCodec,
-    decode_frame,
-    encode_delta,
-)
+from repro.cluster.codec import TopKCodec
 from repro.cluster.trainer import TrainerConfig
 from repro.exceptions import ConfigurationError
 
@@ -30,25 +25,16 @@ def _build(tiny_dataset, tiny_model_kwargs, **overrides):
 
 
 class TestDeltaFraming:
-    def test_encode_delta_stamps_versions_and_prices_codec_bytes(self, rng):
-        codec = TopKCodec(5)
-        delta = rng.standard_normal(40)
-        frame = encode_delta(codec, delta, base_version=3, target_version=7)
-        assert frame.base_version is not None
-        assert frame.base_version == 3 and frame.target_version == 7
+    def test_a_delta_costs_the_codec_frame_bytes_and_lands_at_the_current_version(
+        self, tiny_dataset, tiny_model_kwargs
+    ):
+        trainer = _build(tiny_dataset, tiny_model_kwargs, broadcast_codec="top-k", broadcast_k=5)
+        trainer.run(TrainerConfig(max_steps=2, eval_every=0))
+        worker_id = trainer.honest_workers[0].worker_id
+        [(version, _)], nbytes, is_delta = trainer._frame_fetches([worker_id])
+        assert is_delta[0] and version == trainer.server.version
         # The version tags are free: a delta frame costs exactly frame_bytes.
-        assert frame.nbytes == codec.frame_bytes(40)
-
-    def test_identity_delta_decodes_exactly(self, rng):
-        codec = IdentityCodec()
-        assert codec.lossless
-        delta = rng.standard_normal(32)
-        frame = encode_delta(codec, delta, base_version=0, target_version=1)
-        np.testing.assert_array_equal(decode_frame(frame), delta)
-
-    def test_gradient_frames_are_not_deltas(self, rng):
-        frame = IdentityCodec().encode(rng.standard_normal(8))
-        assert frame.base_version is None
+        assert nbytes[0] == trainer.broadcast_codec.frame_bytes(trainer.server.dim)
 
 
 class TestReplicaFraming:

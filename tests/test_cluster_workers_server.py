@@ -94,8 +94,8 @@ class TestParameterServer:
         messages = [GradientMessage(i, 0, np.full(4, float(i))) for i in range(3)]
         aggregated = self.aggregate(server, messages)
         np.testing.assert_allclose(aggregated, 1.0)
-        new_params = server.apply_update(aggregated)
-        np.testing.assert_allclose(new_params, -0.1)
+        assert server.apply_update(aggregated) is None
+        np.testing.assert_allclose(server.parameters, -0.1)
         assert server.step == 1
 
     def test_update_log_keeps_worker_ids_as_python_ints(self):

@@ -19,6 +19,12 @@ def make(sharing, latency=0.0):
     return LinkScheduler(bandwidth_gbps=GBPS, latency_s=latency, sharing=sharing)
 
 
+def open_one(link, now, nbytes, *, worker_id=-1, payload=None, **extras):
+    """Admit one session through the live scheduler's one admission call."""
+    [session] = link.open_many(now, [(nbytes, worker_id, extras, payload)])
+    return session
+
+
 class TestConstruction:
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -135,8 +141,8 @@ class TestSimulateStaggeredJobs:
 class TestEventDrivenApi:
     def test_open_advance_pop_cycle(self):
         link = make("fair")
-        a = link.open(0.0, CAP, worker_id=1)
-        b = link.open(0.0, CAP, worker_id=2)
+        a = open_one(link, 0.0, CAP, worker_id=1)
+        b = open_one(link, 0.0, CAP, worker_id=2)
         target = link.next_completion()
         assert target == pytest.approx(2.0)
         done = link.pop_completed(target)
@@ -148,37 +154,37 @@ class TestEventDrivenApi:
 
     def test_admission_delays_projected_completion(self):
         link = make("fair")
-        link.open(0.0, CAP)
+        open_one(link, 0.0, CAP)
         assert link.next_completion() == pytest.approx(1.0)
-        link.open(0.5, CAP)
+        open_one(link, 0.5, CAP)
         # First session drained half its bytes alone; the rest at half rate.
         assert link.next_completion() == pytest.approx(1.5)
 
     def test_time_cannot_move_backwards(self):
         link = make("fair")
-        link.open(1.0, CAP)
+        open_one(link, 1.0, CAP)
         with pytest.raises(ConfigurationError):
             link.advance(0.5)
 
     def test_zero_byte_session_completes_after_latency_only(self):
         link = make("fifo", latency=0.125)
-        session = link.open(2.0, 0.0)
+        session = open_one(link, 2.0, 0.0)
         [done] = link.pop_completed(link.next_completion())
         assert done is session
         assert done.done_time == pytest.approx(2.125)
 
     def test_determinism_ties_resolve_by_admission_order(self):
         link = make("none")
-        first = link.open(0.0, CAP, worker_id=7)
-        second = link.open(0.0, CAP, worker_id=3)
+        first = open_one(link, 0.0, CAP, worker_id=7)
+        second = open_one(link, 0.0, CAP, worker_id=3)
         done = link.pop_completed(link.next_completion())
         assert [s.worker_id for s in done] == [7, 3]
         assert first.session_id < second.session_id
 
     def test_telemetry_counters(self):
         link = make("fair")
-        link.open(0.0, CAP)
-        link.open(0.0, 3 * CAP)
+        open_one(link, 0.0, CAP)
+        open_one(link, 0.0, 3 * CAP)
         while link.active_sessions:
             link.pop_completed(link.next_completion())
         assert link.sessions_opened == 2
@@ -189,9 +195,10 @@ class TestEventDrivenApi:
 class TestNonFiniteAdmission:
     """NaN/inf reaching the drain arithmetic used to hang or pin the pipe.
 
-    ``open(0.0, nan)`` made every drain horizon NaN, so ``advance`` never
-    saw ``step_end >= now`` and span for ever; ``inf`` bytes held a FIFO
-    head for good.  All three entry points share the one admission site.
+    Admitting ``nan`` bytes at 0.0 made every drain horizon NaN, so
+    ``advance`` never saw ``step_end >= now`` and span for ever; ``inf``
+    bytes held a FIFO head for good.  ``open_many`` refuses them at its one
+    admission site and ``simulate`` refuses them alike.
     """
 
     BAD = (float("nan"), float("inf"), float("-inf"))
@@ -201,12 +208,12 @@ class TestNonFiniteAdmission:
     @pytest.mark.parametrize("field", ["now", "nbytes", "rate_cap", "extra_latency_s"])
     def test_open_rejects_non_finite(self, sharing, bad, field):
         link = make(sharing, latency=0.02)
-        link.open(0.0, CAP)
+        open_one(link, 0.0, CAP)
         args = {"now": 0.0, "nbytes": CAP, "rate_cap": CAP, "extra_latency_s": 0.0}
         args[field] = bad
         with pytest.raises(ConfigurationError, match=field):
-            link.open(
-                args["now"], args["nbytes"],
+            open_one(
+                link, args["now"], args["nbytes"],
                 rate_cap=args["rate_cap"], extra_latency_s=args["extra_latency_s"],
             )
         assert link.sessions_opened == 1
@@ -250,9 +257,9 @@ class TestNonFiniteAdmission:
     @pytest.mark.parametrize("sharing", SHARING_MODES)
     def test_scheduler_still_drains_after_a_rejected_session(self, sharing):
         link = make(sharing)
-        kept = link.open(0.0, CAP)
+        kept = open_one(link, 0.0, CAP)
         with pytest.raises(ConfigurationError):
-            link.open(0.0, float("nan"))
+            open_one(link, 0.0, float("nan"))
         assert link.pop_completed(1.0) == [kept]
         assert link.next_completion() is None
 
@@ -341,7 +348,7 @@ class _Pair:
             nbytes, extras = op[2]
             worker_id = len(self.sessions)
             self.sessions.append((
-                self.live.open(self.now, nbytes, worker_id=worker_id, **extras),
+                open_one(self.live, self.now, nbytes, worker_id=worker_id, **extras),
                 self.ref.open(self.now, nbytes, worker_id=worker_id, **extras),
             ))
         elif kind == "open_many":
@@ -452,7 +459,7 @@ class TestAgainstFrozenReference:
 
 
 class TestOpenManyAgainstSequentialOpens:
-    """``open_many`` is ``open`` called once per spec, pinned on the live side."""
+    """``open_many`` is the frozen scheduler's ``open`` called once per spec."""
 
     @pytest.mark.parametrize("sharing", SHARING_MODES)
     @settings(max_examples=100, deadline=None)
@@ -461,27 +468,31 @@ class TestOpenManyAgainstSequentialOpens:
         base=st.sampled_from(BASES),
         drawn=st.lists(_job, max_size=6),
         at=st.one_of(st.none(), _dt),
-        burst=st.lists(_spec, min_size=1, max_size=6),
+        burst=st.lists(_spec, min_size=0, max_size=6),
     )
     @example(  # the burst starts exactly at the first job's drain horizon
         latency=0.02, base=1e7, drawn=[(0.040484378, 1048576.7579544028, {})],
         at=None, burst=[(0.0, {}), (3520.0, {}), (100.0, {})],
+    )
+    @example(  # an empty burst while a job drains: no admission, no advance
+        latency=0.0, base=0.0, drawn=[(0.0, 1.0, {})], at=0.5, burst=[],
     )
     def test_a_burst_equals_its_opens_one_by_one(
         self, time_limit, sharing, latency, base, drawn, at, burst
     ):
         # At a large clock a re-advance to the current instant can snap a
         # sub-ulp residue closed, so a burst that advanced only once used to
-        # leave a residue the sequential opens had landed.
+        # leave a residue the sequential opens had landed; and an empty burst
+        # used to advance the link that no open had touched.
         kwargs = dict(bandwidth_gbps=WAN_GBPS, latency_s=latency, sharing=sharing)
-        one, bulk = LinkScheduler(**kwargs), LinkScheduler(**kwargs)
+        one, bulk = ReferenceScheduler(**kwargs), LinkScheduler(**kwargs)
         now, sessions = base, []
         with time_limit():
             for dt, nbytes, extra in drawn:
                 due = one.next_completion() if dt is None else now + dt
                 now = now if due is None else max(now, due)
                 sessions.append((one.open(now, nbytes, **extra),
-                                 bulk.open(now, nbytes, **extra)))
+                                 open_one(bulk, now, nbytes, **extra)))
             due = one.next_completion() if at is None else now + at
             now = now if due is None else max(now, due)
             first = len(sessions)
@@ -527,7 +538,7 @@ class TestClosedWorldAgainstEventApi:
             link = LinkScheduler(**kwargs)
             sessions = [None] * len(plain)
             for i in sorted(range(len(plain)), key=lambda i: (plain[i][0], i)):
-                sessions[i] = link.open(*plain[i], worker_id=i, **extras[i])
+                sessions[i] = open_one(link, *plain[i], worker_id=i, **extras[i])
             now = max((start for start, _ in plain), default=0.0)
             while link.active_sessions:
                 now = max(link.next_completion(), now)

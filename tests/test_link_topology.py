@@ -86,8 +86,8 @@ class TestTopologyValidation:
 class TestSessionCaps:
     def test_rate_cap_slows_a_session_below_link_rate(self):
         link = LinkScheduler(bandwidth_gbps=8e-9, latency_s=0.0)  # 1 byte/s
-        capped = link.open(0.0, 10.0, rate_cap=0.5)
-        free = link.open(0.0, 10.0)
+        capped, free = link.open_many(0.0, [(10.0, 0, {"rate_cap": 0.5}, None),
+                                            (10.0, 1, {}, None)])
         done = {}
         while link.active_sessions:
             target = link.next_completion()
@@ -100,8 +100,8 @@ class TestSessionCaps:
 
     def test_extra_latency_is_per_session(self):
         link = LinkScheduler(bandwidth_gbps=8e-9, latency_s=1.0)
-        slow = link.open(0.0, 4.0, extra_latency_s=2.5)
-        fast = link.open(0.0, 4.0)
+        slow, fast = link.open_many(0.0, [(4.0, 0, {"extra_latency_s": 2.5}, None),
+                                          (4.0, 1, {}, None)])
         done = {}
         while link.active_sessions:
             target = link.next_completion()
@@ -116,8 +116,8 @@ class TestSessionCaps:
         # the capped sender can only push 0.5 byte/s.  The cap is not
         # work-conserving: the free session still drains at its fair share.
         link = LinkScheduler(bandwidth_gbps=16e-9, latency_s=0.0, sharing="fair")
-        capped = link.open(0.0, 5.0, rate_cap=0.5)
-        free = link.open(0.0, 5.0)
+        capped, free = link.open_many(0.0, [(5.0, 0, {"rate_cap": 0.5}, None),
+                                            (5.0, 1, {}, None)])
         done = {}
         while link.active_sessions:
             target = link.next_completion()
@@ -136,8 +136,8 @@ class TestSessionCaps:
         # projection would process the arrival late.  next_completion must
         # therefore stop at drain completions (rate-change points).
         link = LinkScheduler(bandwidth_gbps=8e-9, latency_s=0.0, sharing="fair")
-        slow = link.open(0.0, 4.0, extra_latency_s=10.0)
-        fast = link.open(0.0, 8.0)
+        slow, fast = link.open_many(0.0, [(4.0, 0, {"extra_latency_s": 10.0}, None),
+                                          (8.0, 1, {}, None)])
         # First event point: slow's drain at t=8 (4 B at the 0.5 B/s share).
         assert link.next_completion() == pytest.approx(8.0)
         assert link.pop_completed(link.next_completion()) == []
@@ -153,9 +153,9 @@ class TestSessionCaps:
     def test_invalid_session_kwargs_rejected(self):
         link = LinkScheduler(bandwidth_gbps=1.0, latency_s=0.0)
         with pytest.raises(ConfigurationError):
-            link.open(0.0, 1.0, rate_cap=0.0)
+            link.open_many(0.0, [(1.0, 0, {"rate_cap": 0.0}, None)])
         with pytest.raises(ConfigurationError):
-            link.open(0.0, 1.0, extra_latency_s=-1.0)
+            link.open_many(0.0, [(1.0, 0, {"extra_latency_s": -1.0}, None)])
 
 
 class TestLinkFabric:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.builder import build_trainer
-from repro.cluster.codec import FrameBatch, IdentityCodec, RandomKCodec, TopKCodec
+from repro.cluster.codec import IdentityCodec, RandomKCodec, TopKCodec
 from repro.cluster.link import parse_link_profile
 from repro.cluster.checkpoint import (
     capture_training_state,
@@ -543,7 +543,7 @@ class TestBatchAccounting:
         worker_ids = list(range(9))
         for worker_id in worker_ids:
             frame = batch.frame(worker_id)
-            single.account_pushes([worker_id], [FrameBatch.stack([frame])])
+            single.account_pushes([worker_id], [batch.rows([worker_id])])
             single.account_fetches([worker_id], [frame.nbytes])
             local, cross = _oracle_pushes(batched, [worker_id], [frame])
             batched.counters["push_local_bytes"] += local

@@ -24,6 +24,7 @@ from repro.cluster.packets import Packetizer, RecoveryPolicy
 from repro.cluster.worker import ByzantineWorker
 from repro.core import Average
 from repro.utils.random import as_rng, component_seed, derive_seed, fresh_rng
+from tests.channel_testing import frame_of
 
 
 # --------------------------------------------------------------- primitives
@@ -63,16 +64,16 @@ def test_packetizer_unseeded_is_deterministic():
 
 def test_random_k_codec_unseeded_is_deterministic():
     grad = np.linspace(-1.0, 1.0, 64)
-    fa = RandomKCodec(k=8).encode(grad)
-    fb = RandomKCodec(k=8).encode(grad)
+    fa = frame_of(RandomKCodec(k=8), grad)
+    fb = frame_of(RandomKCodec(k=8), grad)
     np.testing.assert_array_equal(fa.indices, fb.indices)
     np.testing.assert_array_equal(fa.values, fb.values)
 
 
 def test_qsgd_codec_unseeded_is_deterministic():
     grad = np.linspace(-1.0, 1.0, 64)
-    fa = QSGDCodec(bits=2).encode(grad)
-    fb = QSGDCodec(bits=2).encode(grad)
+    fa = frame_of(QSGDCodec(bits=2), grad)
+    fb = frame_of(QSGDCodec(bits=2), grad)
     np.testing.assert_array_equal(fa.values, fb.values)
 
 
@@ -114,9 +115,9 @@ def test_lossy_channel_unseeded_is_deterministic():
 
 def test_explicit_rng_still_wins():
     grad = np.linspace(-1.0, 1.0, 64)
-    fa = RandomKCodec(k=8, rng=99).encode(grad)
-    fb = RandomKCodec(k=8, rng=99).encode(grad)
-    fc = RandomKCodec(k=8).encode(grad)
+    fa = frame_of(RandomKCodec(k=8, rng=99), grad)
+    fb = frame_of(RandomKCodec(k=8, rng=99), grad)
+    fc = frame_of(RandomKCodec(k=8), grad)
     np.testing.assert_array_equal(fa.indices, fb.indices)
     assert not np.array_equal(fa.indices, fc.indices)
 

@@ -8,7 +8,8 @@ equal the scalar stages frozen in ``tests/async_reference.py`` — one
 subset of one included: a straggler's run of one takes the same stages) — the
 error-feedback row store and every PRNG stream included.  Two tests count callers in the syntax tree, so a
 second spelling of a stage, or a second gradient function, cannot come back
-unnoticed.  The server side closes a round in one place as well: the last
+unnoticed, and one pins that the codecs, the link scheduler and the event
+loop have no scalar twin beside their one entry point.  The server side closes a round in one place as well: the last
 tests count its callers the same way and pin what the close owns — the update
 log's sim time, and a clock that moves only once the update was accepted.
 """
@@ -23,7 +24,18 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster import build_trainer
 from repro.cluster import trainer as trainer_module
 from repro.cluster.checkpoint import _channel_rngs
-from repro.cluster.codec import decode_frame
+from repro.cluster import codec as codec_module
+from repro.cluster.codec import (
+    FrameBatch,
+    IdentityCodec,
+    QSGDCodec,
+    RandomKCodec,
+    TopKCodec,
+    WireCodec,
+    decode_frame,
+)
+from repro.cluster.events import EventLoop
+from repro.cluster.link import LinkScheduler
 from repro.cluster.sync import ArrivalBatch
 from repro.data.datasets import load_dataset
 from repro.exceptions import TrainingError
@@ -279,6 +291,18 @@ def test_the_async_engine_registers_one_handler_per_kind(dataset):
         assert not hasattr(trainer, "_on_" + kind), kind
     for scalar in ("_encode", "_encode_broadcast"):
         assert not hasattr(trainer, scalar), scalar
+
+
+def test_each_stage_keeps_one_entry_point():
+    """No scalar twin beside a codec's, a link's or a loop's one call."""
+    for codec in (WireCodec, IdentityCodec, TopKCodec, RandomKCodec, QSGDCodec):
+        for twin in ("encode", "decode", "_flat"):
+            assert not hasattr(codec, twin), (codec.__name__, twin)
+    assert WireCodec.__abstractmethods__ == {"encode_decode_batch", "frame_bytes"}
+    assert not hasattr(FrameBatch, "stack")
+    assert not hasattr(codec_module, "encode_delta")
+    assert not hasattr(LinkScheduler, "open")
+    assert not hasattr(EventLoop, "on_each")
 
 
 def test_one_function_in_src_computes_a_stacked_gradient():

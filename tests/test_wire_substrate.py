@@ -7,7 +7,7 @@ from repro.cluster import CostModel, DelayedChannel, LossyChannel, RecoveryPolic
 from repro.cluster.codec import RandomKCodec, TopKCodec, decode_frame
 from repro.cluster.trainer import TrainerConfig
 from repro.exceptions import ConfigurationError
-from tests.channel_testing import transfer
+from tests.channel_testing import frame_of, transfer
 
 
 def _build(tiny_dataset, tiny_model_kwargs, **overrides):
@@ -376,8 +376,7 @@ class TestSparseFrameLoss:
                             coordinates_per_packet=4, rng=3)
 
     def test_lost_pairs_disappear_instead_of_garbling(self, rng):
-        codec = TopKCodec(16)
-        frame = codec.encode(rng.standard_normal(256))
+        frame = frame_of(TopKCodec(16), rng.standard_normal(256))
         channel = LossyChannel(drop_rate=0.5, policy="random-fill",
                                coordinates_per_packet=4, rng=5)
         delivered, _ = channel.transfer_frame(frame, CostModel())
@@ -394,7 +393,7 @@ class TestSparseFrameLoss:
         np.testing.assert_array_equal(decoded[outside], 0.0)
 
     def test_drop_gradient_policy_drops_sparse_frame_whole(self, rng):
-        frame = TopKCodec(16).encode(rng.standard_normal(256))
+        frame = frame_of(TopKCodec(16), rng.standard_normal(256))
         delivered, _ = self._drop_all_channel("drop-gradient").transfer_frame(
             frame, CostModel()
         )
@@ -404,8 +403,7 @@ class TestSparseFrameLoss:
         # random-k elides indices (shared seed), so the receiver knows the
         # full support and which positions died: exactly those coordinates
         # are NaN — selective-average sees missing coordinates, not garbage.
-        codec = RandomKCodec(16, rng=9)
-        frame = codec.encode(rng.standard_normal(256))
+        frame = frame_of(RandomKCodec(16, rng=9), rng.standard_normal(256))
         channel = LossyChannel(drop_rate=0.5, policy="nan-fill",
                                coordinates_per_packet=4, rng=5)
         delivered, _ = channel.transfer_frame(frame, CostModel())
@@ -419,7 +417,7 @@ class TestSparseFrameLoss:
         np.testing.assert_array_equal(decoded[surviving], frame.values[~lost])
 
     def test_loss_free_sparse_transfer_is_unchanged(self, rng):
-        frame = TopKCodec(8).encode(rng.standard_normal(64))
+        frame = frame_of(TopKCodec(8), rng.standard_normal(64))
         channel = LossyChannel(drop_rate=0.0, rng=1)
         delivered, _ = channel.transfer_frame(frame, CostModel())
         np.testing.assert_array_equal(delivered.values, frame.values)

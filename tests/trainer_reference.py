@@ -91,6 +91,13 @@ frozen per-event trainer, so ``as_server_stage_reference``'s per-event
 ``arrive`` handler is the frozen ``_on_arrive``.  Bodies here otherwise
 unchanged.
 
+NOTE (twelfth sanctioned edit, "one encode method per codec"): the codecs
+lost their scalar ``encode`` and ``src/`` its ``FrameBatch.stack``, so the
+per-worker loop frames a Byzantine row with the frozen scalar encode of
+``tests/codec_reference.py`` and stacks its frames with the frozen
+``stack`` there (two call sites, same arguments).  Bodies here otherwise
+unchanged.
+
 The event-driven *server stage* is frozen too: :class:`ReferenceAsyncTrainer` freezes the
 parent's ``_maybe_aggregate`` / ``_on_gather`` / ``_aggregate_pending`` /
 ``_distance_round_begin_batch`` — the quorum fill that schedules a seventh
@@ -106,7 +113,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.codec import FrameBatch, WireFrame
+from repro.cluster.codec import WireFrame
 from repro.cluster.events import Event, EventQueue
 from repro.cluster.message import GradientMessage
 from repro.cluster.telemetry import StepRecord
@@ -119,6 +126,7 @@ from tests.async_reference import (
     PerEventAsyncTrainer, ScalarWireStages, per_event_handlers,
     solo_seconds as frozen_solo_seconds, uplink_seconds as frozen_uplink_seconds,
 )
+from tests.codec_reference import encode, stack
 from tests.replica_reference import compute_gradient
 from tests.sync_reference import ArrivalEvent, SyncDecision, frozen_twin
 
@@ -373,7 +381,7 @@ class ReferenceSynchronousTrainer(
             if order < num_honest:
                 frame, error = self._encode(message.gradient, worker_id=message.worker_id)
             else:
-                frame, error = self._raw_codec.encode(message.gradient), 0.0
+                frame, error = encode(self._raw_codec, message.gradient), 0.0
             arrived, seconds = channel.transfer_frame(frame, self.cost_model)
             frames.append(frame)
             delivered.append(arrived)
@@ -429,7 +437,7 @@ class ReferenceSynchronousTrainer(
             all_messages = honest_messages + byzantine_messages
             self.service.account_pushes(
                 [m.worker_id for m in all_messages],
-                [FrameBatch.stack(part) for part in (frames[:num_honest], frames[num_honest:])
+                [stack(part) for part in (frames[:num_honest], frames[num_honest:])
                  if part],
             )
             self.service.account_fetches(
@@ -704,5 +712,5 @@ def as_server_stage_reference(trainer: AsyncTrainer) -> AsyncTrainer:
     trainer.__class__ = ReferenceAsyncTrainer
     trainer._loop.on(ReferenceAsyncTrainer.GATHER, trainer._on_gather)
     del trainer._loop._run_handlers["arrive"]
-    trainer._loop.on_each(per_event_handlers(trainer, {"arrive"}))
+    trainer._loop.on("arrive", per_event_handlers(trainer, {"arrive"})["arrive"])
     return trainer
